@@ -12,9 +12,10 @@ Safety rests on two facts:
 
 * built :class:`~repro.storage.grid.InputGrid` /
   :class:`~repro.storage.quadtree.QuadTreeIndex` structures are **read-only
-  during execution** — the kernel reads partition rows and signatures but
-  mutates only its own per-plan regions and output grid, so one structure
-  can back any number of simultaneous kernels;
+  during execution** — the kernel reads partition column blocks and
+  signatures but mutates only its own per-plan regions and output grid
+  (a partition's column block is a fill-once cache every sharer reads),
+  so one structure can back any number of simultaneous kernels;
 * every key embeds the source's :attr:`~repro.storage.sources.base.DataSource.cache_token`
   (identity, version, cardinality), so mutating a table through its API
   bumps the version and the next plan rebuilds instead of reading stale

@@ -33,6 +33,9 @@ import numpy as np
 from repro.errors import ExecutionError
 
 #: An entry buffered in a cell: (vector, left_row, right_row, raw mapped).
+#: While buffered, the two rows may be
+#: :class:`~repro.storage.partition.RowRef` references instead of tuples;
+#: ``ExecutionState.drain_emissions`` hands out tuples.
 CellEntry = tuple[tuple[float, ...], tuple, tuple, tuple]
 
 

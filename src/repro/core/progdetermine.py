@@ -34,6 +34,7 @@ from repro.query.smj import BoundQuery
 from repro.runtime.clock import VirtualClock
 from repro.skyline.dominance import dominates
 from repro.skyline.vectorized import dominates_matrix, skyline_mask
+from repro.storage.partition import materialize_rows
 
 
 class ExecutionState:
@@ -78,12 +79,24 @@ class ExecutionState:
     # emission plumbing
     # ------------------------------------------------------------------
     def drain_emissions(self) -> list[CellEntry]:
-        """Entries that became safely emittable since the last drain."""
+        """Entries that became safely emittable since the last drain.
+
+        Emission is where row references end: entries buffered by the
+        vectorized path name their rows as
+        :class:`~repro.storage.partition.RowRef`, and the drained entries
+        carry the tuples — fetched once per source partition, for these
+        entries only.
+        """
         if not self._emissions:
             return []
         out = self._emissions
         self._emissions = []
-        return out
+        lrows = materialize_rows([entry[1] for entry in out])
+        rrows = materialize_rows([entry[2] for entry in out])
+        return [
+            (entry[0], lrow, rrow, entry[3])
+            for entry, lrow, rrow in zip(out, lrows, rrows)
+        ]
 
     def emit_settled(self, cell: OutputCell) -> None:
         """Emit ``cell``'s buffered entries if it is provably final.
@@ -325,11 +338,24 @@ class ExecutionState:
         if n == 0:
             return
         coords = grid.coords_matrix(vectors)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, key in enumerate(map(tuple, coords.tolist())):
-            groups.setdefault(key, []).append(i)
+        # Group candidates by cell: one stable argsort over the raveled
+        # cell id leaves each group's members in arrival order, and groups
+        # are visited in order of first arrival (marking cascades depend
+        # on it).
+        flat = np.ravel_multi_index(
+            tuple(coords.T), (grid.cells_per_dim,) * coords.shape[1]
+        )
+        order = np.argsort(flat, kind="stable")
+        sorted_flat = flat[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], sorted_flat[1:] != sorted_flat[:-1]))
+        )
+        stops = np.append(starts[1:], n)
+        mapped = np.asarray(mapped)
 
-        for key, idx in groups.items():
+        for g in np.argsort(order[starts], kind="stable").tolist():
+            idx = order[starts[g]:stops[g]]
+            key = tuple(coords[idx[0]].tolist())
             cell = grid.cells.get(key)
             if cell is None:
                 raise ExecutionError(
@@ -389,12 +415,12 @@ class ExecutionState:
                     clock.charge("dominance_cmp", live.size * cone.shape[0])
                     hit = dominates_matrix(cone, cand[live]).any(axis=0)
                     live = live[~hit]
-            surv_idx = [idx[i] for i in live]
-            self.dominated_on_arrival += b - len(surv_idx)
-            if not surv_idx:
+            surv_idx = idx[live]
+            s = len(surv_idx)
+            self.dominated_on_arrival += b - s
+            if not s:
                 continue
             surv = vectors[surv_idx]
-            s = len(surv_idx)
 
             # (2) Evict dominated entries: same cell plus the upper cone,
             # again pooled into one kernel call and split back per cell.
@@ -448,15 +474,14 @@ class ExecutionState:
                     if hit and not sc.marked:
                         self.mark_cell(sc)
 
-            for i in surv_idx:
-                cell.entries.append(
-                    (
-                        tuple(vectors[i].tolist()),
-                        lrows[i],
-                        rrows[i],
-                        tuple(np.asarray(mapped[i]).tolist()),
-                    )
+            # ``lrows[i]`` is a row tuple, or a row reference when the
+            # batch came as index pairs (resolved at emission).
+            cell.entries.extend(
+                (tuple(vector), lrows[i], rrows[i], tuple(values))
+                for vector, i, values in zip(
+                    surv.tolist(), surv_idx.tolist(), mapped[surv_idx].tolist()
                 )
+            )
             cell.invalidate_vectors()
             self.inserted += s
             self.live_entries += s

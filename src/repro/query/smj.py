@@ -16,7 +16,7 @@ output object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import BindingError, QueryError
 from repro.query.expressions import AttrRef
@@ -44,14 +44,25 @@ def _is_empty(source: DataSource) -> bool:
     """Whether a source has no rows, without a full counting scan.
 
     ``len()`` on a filtered view of a larger-than-RAM backend counts by
-    scanning everything; the bind-time emptiness check only needs the
-    first row, so stream and stop.
+    scanning everything; the bind-time emptiness check only needs to see
+    the first row, so scan one-row batches without building tuples and
+    stop at the first.
     """
     if isinstance(source, InMemorySource):
         return not source.rows
-    for _ in source.iter_rows():
+    for _ in source.scan_batches(1, with_rows=False):
         return False
     return True
+
+
+def _columns_of(rows, width: int, indices: Sequence[int]):
+    """``rows`` as an object indexable by schema position → float column."""
+    gather = getattr(rows, "columns", None)
+    if gather is not None:  # PairRows: no tuples to transpose
+        return gather(indices)
+    from repro.storage.column_batch import ColumnBatch
+
+    return ColumnBatch(rows, width, indices)
 
 
 @dataclass(frozen=True)
@@ -379,23 +390,25 @@ class BoundQuery:
 
         ``lrows[i]`` joins with ``rrows[i]``; returns an ``(n, k)`` float64
         matrix whose rows are what :meth:`map_pair` returns per pair.  The
-        compiled mapping closures are pure arithmetic over indexable rows,
-        so feeding them :class:`~repro.storage.column_batch.ColumnBatch`
-        pseudo-rows evaluates every mapping over the whole chunk in one
-        vectorized pass.
+        compiled mapping closures are pure arithmetic over anything
+        indexable by schema position, so they evaluate every mapping over
+        the whole chunk in one vectorized pass.  Each side is either a
+        sequence of row tuples (transposed into a
+        :class:`~repro.storage.column_batch.ColumnBatch`) or a
+        :class:`~repro.storage.partition.PairRows` — positions into a
+        partition's column block, whose columns are gathered directly.
         """
         import numpy as np
 
-        from repro.storage.column_batch import ColumnBatch
-
         n = len(lrows)
-        lbatch = ColumnBatch(
-            lrows, len(self.left_table.schema.columns), self.left_map_indices
+        raw = self._map_fn(
+            _columns_of(
+                lrows, len(self.left_table.schema.columns), self.left_map_indices
+            ),
+            _columns_of(
+                rrows, len(self.right_table.schema.columns), self.right_map_indices
+            ),
         )
-        rbatch = ColumnBatch(
-            rrows, len(self.right_table.schema.columns), self.right_map_indices
-        )
-        raw = self._map_fn(lbatch, rbatch)
         cols = []
         for c in raw:
             arr = np.asarray(c, dtype=float)

@@ -337,6 +337,10 @@ class QueryServer:
             served.channel.close()
             self.admission.release(served.client)
             del self._served[qid]
+            # Every frame of the stream is encoded in the channel by now
+            # (or the client is gone): nothing reads the handle's results
+            # again, so a server that runs forever must not keep them.
+            self.scheduler.forget(handle)
 
     # ------------------------------------------------------------------
     # HTTP layer

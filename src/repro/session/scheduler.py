@@ -482,6 +482,25 @@ class QueryScheduler:
         """All submitted query handles, in submission order."""
         return list(self._queries)
 
+    def forget(self, handle: ScheduledQuery) -> None:
+        """Release a terminal query's handle (and with it its results).
+
+        The scheduler keeps every submitted handle reachable through
+        :attr:`queries` — right for a batch of queries run with
+        :meth:`run_all`, a leak for a long-lived server that submits
+        forever.  A caller that has taken what it needs from a finished
+        query calls this to drop the scheduler's reference; forgetting a
+        handle twice is harmless, forgetting a live one is an error.
+        """
+        if not handle.finished:
+            raise QueryError(
+                f"cannot forget {handle.name!r}: it is still {handle.state}"
+            )
+        if handle in self._queries:
+            self._queries.remove(handle)
+        if handle in self._rotation:
+            self._rotation.remove(handle)
+
     @property
     def live_queries(self) -> list[ScheduledQuery]:
         """Handles of the queries not yet in a terminal state."""

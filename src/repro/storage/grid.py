@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import BindingError
-from repro.storage.partition import InputPartition
+from repro.storage.partition import InputPartition, attach_blocks
 from repro.storage.signatures import build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
@@ -207,57 +207,15 @@ class GridPartitioner:
             tuple(float(m) for m in mins),
             tuple(float(m) for m in maxs),
         )
-        lows = np.asarray(grid.mins)
-        widths = np.asarray(grid.widths)
 
         # Pass 2: vectorized cell assignment, grouped per batch.
-        lazy_chunks: dict[tuple[int, ...], list[np.ndarray]] = {}
+        scatter = _Scatter(self, grid, table if lazy else None, grid.partitions)
         for batch in table.scan_batches(
             batch_size, columns=attributes, key_column=join_attribute,
             with_rows=not lazy,
         ):
-            m = batch.matrix(attr_idx)
-            coords_mat = ((m - lows) / widths).astype(np.int64)
-            np.clip(coords_mat, 0, k - 1, out=coords_mat)
-            flat = coords_mat[:, 0].copy()
-            for j in range(1, d):
-                flat *= k
-                flat += coords_mat[:, j]
-            order = np.argsort(flat, kind="stable")
-            sorted_flat = flat[order]
-            # Cells in first-occurrence order, so partition creation order
-            # matches a row-at-a-time build exactly.
-            uniq, first_pos = np.unique(flat, return_index=True)
-            keys = batch.join_keys
-            rows = batch.rows
-            for u in uniq[np.argsort(first_pos, kind="stable")]:
-                lo_i = np.searchsorted(sorted_flat, u, side="left")
-                hi_i = np.searchsorted(sorted_flat, u, side="right")
-                members = order[lo_i:hi_i]  # ascending: scan order kept
-                coords = tuple(int(c) for c in coords_mat[members[0]])
-                part = grid.partitions.get(coords)
-                if part is None:
-                    lower, upper = grid.cell_bounds(coords)
-                    part = InputPartition(grid.source, coords, lower, upper)
-                    part.signature = self._new_signature()
-                    grid.partitions[coords] = part
-                sub = m[members]
-                part.observe_bounds(
-                    sub.min(axis=0).tolist(), sub.max(axis=0).tolist()
-                )
-                sig = part.signature
-                for i in members:
-                    sig.add(keys[i])
-                if lazy:
-                    lazy_chunks.setdefault(coords, []).append(
-                        batch.global_ids(members)
-                    )
-                else:
-                    part.add_rows(rows[i] for i in members)
-        for coords, chunks in lazy_chunks.items():
-            grid.partitions[coords].set_lazy_rows(
-                table, np.concatenate(chunks)
-            )
+            scatter.add(batch, batch.matrix(attr_idx))
+        scatter.finish()
         return grid
 
     def partition_delta(
@@ -289,13 +247,13 @@ class GridPartitioner:
         attr_idx = table.schema.indices(attributes)
         table.schema.index(join_attribute)  # validate early
         lazy = bool(getattr(table, "prefers_lazy_rows", False))
-        d = len(attr_idx)
-        k = self.cells_per_dim
-        lows = np.asarray(grid.mins)
-        widths = np.asarray(grid.widths)
         created: list[InputPartition] = []
-        new_parts: dict[tuple[int, ...], InputPartition] = {}
-        lazy_chunks: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+        def register(part: InputPartition) -> None:
+            grid.extensions.append(part)
+            created.append(part)
+
+        scatter = _Scatter(self, grid, table if lazy else None, {}, register)
         for batch in table.scan_batches(
             batch_size, columns=attributes, key_column=join_attribute,
             with_rows=not lazy, since_version=since_token,
@@ -305,47 +263,84 @@ class GridPartitioner:
                 if batch.offset >= end_row:
                     break
                 take = min(take, end_row - batch.offset)
-            m = batch.matrix(attr_idx)[:take]
-            coords_mat = ((m - lows) / widths).astype(np.int64)
-            np.clip(coords_mat, 0, k - 1, out=coords_mat)
-            flat = coords_mat[:, 0].copy()
-            for j in range(1, d):
-                flat *= k
-                flat += coords_mat[:, j]
-            order = np.argsort(flat, kind="stable")
-            sorted_flat = flat[order]
-            uniq, first_pos = np.unique(flat, return_index=True)
-            keys = batch.join_keys
-            rows = batch.rows
-            for u in uniq[np.argsort(first_pos, kind="stable")]:
-                lo_i = np.searchsorted(sorted_flat, u, side="left")
-                hi_i = np.searchsorted(sorted_flat, u, side="right")
-                members = order[lo_i:hi_i]  # ascending: scan order kept
-                coords = tuple(int(c) for c in coords_mat[members[0]])
-                part = new_parts.get(coords)
-                if part is None:
-                    lower, upper = grid.cell_bounds(coords)
-                    part = InputPartition(grid.source, coords, lower, upper)
-                    part.signature = self._new_signature()
-                    new_parts[coords] = part
-                    grid.extensions.append(part)
-                    created.append(part)
-                sub = m[members]
-                part.observe_bounds(
-                    sub.min(axis=0).tolist(), sub.max(axis=0).tolist()
-                )
-                sig = part.signature
-                for i in members:
-                    sig.add(keys[i])
-                if lazy:
-                    lazy_chunks.setdefault(coords, []).append(
-                        batch.global_ids(members)
-                    )
-                else:
-                    part.add_rows(rows[i] for i in members)
-        for coords, chunks in lazy_chunks.items():
-            new_parts[coords].set_lazy_rows(table, np.concatenate(chunks))
+            scatter.add(batch, batch.matrix(attr_idx)[:take])
+        scatter.finish()
         return created
+
+
+class _Scatter:
+    """Cell assignment of scanned batches, shared by build and delta passes.
+
+    ``cells`` maps grid coordinates to the partitions this pass may extend
+    (the grid's own dict for a base build, a fresh one for a delta — deltas
+    never merge into existing cells); ``on_create`` sees every partition
+    the pass creates.  :meth:`finish` hands the collected row ids (lazy
+    sources) or column blocks (eager ones) to the partitions.
+    """
+
+    def __init__(self, partitioner, grid, lazy_source, cells, on_create=None):
+        self.partitioner = partitioner
+        self.grid = grid
+        self.lazy_source = lazy_source
+        self.cells = cells
+        self.on_create = on_create
+        self.lows = np.asarray(grid.mins)
+        self.widths = np.asarray(grid.widths)
+        self.lazy_chunks: dict[InputPartition, list[np.ndarray]] = {}
+        self.pieces: dict[InputPartition, tuple[list[np.ndarray], list]] = {}
+
+    def add(self, batch, m: np.ndarray) -> None:
+        """Assign the first ``len(m)`` rows of ``batch`` (attribute matrix
+        ``m``) to their cells, creating partitions in first-occurrence
+        order so the structure matches a row-at-a-time build exactly."""
+        grid = self.grid
+        k = grid.cells_per_dim
+        coords_mat = ((m - self.lows) / self.widths).astype(np.int64)
+        np.clip(coords_mat, 0, k - 1, out=coords_mat)
+        flat = coords_mat[:, 0].copy()
+        for j in range(1, coords_mat.shape[1]):
+            flat *= k
+            flat += coords_mat[:, j]
+        order = np.argsort(flat, kind="stable")
+        sorted_flat = flat[order]
+        uniq, first_pos = np.unique(flat, return_index=True)
+        keys = batch.join_keys
+        rows = batch.rows
+        for u in uniq[np.argsort(first_pos, kind="stable")]:
+            lo_i = np.searchsorted(sorted_flat, u, side="left")
+            hi_i = np.searchsorted(sorted_flat, u, side="right")
+            members = order[lo_i:hi_i]  # ascending: scan order kept
+            coords = tuple(int(c) for c in coords_mat[members[0]])
+            part = self.cells.get(coords)
+            if part is None:
+                lower, upper = grid.cell_bounds(coords)
+                part = InputPartition(grid.source, coords, lower, upper)
+                part.signature = self.partitioner._new_signature()
+                self.cells[coords] = part
+                if self.on_create is not None:
+                    self.on_create(part)
+            sub = m[members]
+            part.observe_bounds(
+                sub.min(axis=0).tolist(), sub.max(axis=0).tolist()
+            )
+            member_keys = [keys[i] for i in members]
+            sig = part.signature
+            for key in member_keys:
+                sig.add(key)
+            if self.lazy_source is not None:
+                self.lazy_chunks.setdefault(part, []).append(
+                    batch.global_ids(members)
+                )
+            else:
+                part.add_rows(rows[i] for i in members)
+                mats, part_keys = self.pieces.setdefault(part, ([], []))
+                mats.append(sub)
+                part_keys.extend(member_keys)
+
+    def finish(self) -> None:
+        for part, chunks in self.lazy_chunks.items():
+            part.set_lazy_rows(self.lazy_source, np.concatenate(chunks))
+        attach_blocks(self.pieces)
 
 
 def project_rows(rows: Sequence[Row], indices: Sequence[int]) -> list[tuple[float, ...]]:

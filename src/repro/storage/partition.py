@@ -2,9 +2,149 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.storage.signatures import JoinSignature
+
+_NO_MATCH = np.empty(0, dtype=np.intp)
+
+
+class ColumnBlock:
+    """A partition's join inputs as arrays — what phase 2 reads instead of rows.
+
+    ``matrix`` is the ``(n, d)`` float64 matrix of the partition's rows over
+    the partitioning attributes (which are the mapping's source attributes,
+    in the same order), ``keys`` the raw join-key values aligned with it.
+    Position ``i`` in either is position ``i`` in the partition's row order.
+    """
+
+    __slots__ = ("matrix", "keys", "_positions")
+
+    def __init__(self, matrix: np.ndarray, keys: list[Any]) -> None:
+        self.matrix = matrix
+        self.keys = keys
+        self._positions: dict[Any, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def key_positions(self) -> dict[Any, np.ndarray]:
+        """``key -> ascending positions`` — the hash-join build table.
+
+        A plain ``dict`` over the raw key values, so matching has exactly
+        Python's equality semantics (``1 == 1.0``, ``"01" != "1"``).  Built
+        on first use and kept: every region that builds on this partition,
+        in this and any later query sharing the structure, reuses it.
+        """
+        positions = self._positions
+        if positions is None:
+            lists: dict[Any, list[int]] = {}
+            for i, key in enumerate(self.keys):
+                lists.setdefault(key, []).append(i)
+            positions = {
+                key: np.asarray(where, dtype=np.intp)
+                for key, where in lists.items()
+            }
+            self._positions = positions
+        return positions
+
+    def probe(self, keys: Sequence[Any]) -> list[np.ndarray]:
+        """Per probe key, the matching build positions (empty when none)."""
+        get = self.key_positions().get
+        return [get(key, _NO_MATCH) for key in keys]
+
+
+class RowRef:
+    """A row named by ``(partition, position)`` instead of held as a tuple.
+
+    What buffered output-cell entries carry on the vectorized path; the
+    tuple is materialised (:func:`materialize_rows`) only if the entry is
+    eventually emitted.
+    """
+
+    __slots__ = ("partition", "position")
+
+    def __init__(self, partition: "InputPartition", position: int) -> None:
+        self.partition = partition
+        self.position = position
+
+
+class PairRows:
+    """One side of a batch of joined pairs: positions into one partition.
+
+    Stands in for a list of row tuples without building any: ``len`` is the
+    pair count, indexing yields a :class:`RowRef`, and :meth:`columns`
+    gathers the attribute columns the mapping needs straight from the
+    partition's column block.
+    """
+
+    __slots__ = ("partition", "matrix", "positions")
+
+    def __init__(
+        self, partition: "InputPartition", matrix: np.ndarray, positions: np.ndarray
+    ) -> None:
+        self.partition = partition
+        self.matrix = matrix
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i: int) -> RowRef:
+        return RowRef(self.partition, int(self.positions[i]))
+
+    def columns(self, attr_indices: Sequence[int]) -> dict[int, np.ndarray]:
+        """The pairs' attribute columns, keyed by schema position.
+
+        ``attr_indices`` are the schema positions the column block was
+        built over, in its column order.
+        """
+        take = self.positions
+        return {
+            index: self.matrix[:, j].take(take)
+            for j, index in enumerate(attr_indices)
+        }
+
+
+def materialize_rows(rows: Sequence[Any]) -> list[tuple]:
+    """Row tuples for a mix of :class:`RowRef` and plain tuples.
+
+    References are resolved with one gather per distinct partition, so a
+    lazily-backed source decodes each emitted row once and nothing else.
+    """
+    out = list(rows)
+    wanted: dict[InputPartition, list[int]] = {}
+    for n, row in enumerate(out):
+        if type(row) is RowRef:
+            wanted.setdefault(row.partition, []).append(n)
+    for partition, slots in wanted.items():
+        fetched = partition.rows_at([out[n].position for n in slots])
+        for n, row in zip(slots, fetched):
+            out[n] = row
+    return out
+
+
+def attach_blocks(
+    pieces: "dict[InputPartition, tuple[list[np.ndarray], list[Any]]]",
+) -> None:
+    """Give each partition its column block as a slice of one shared matrix.
+
+    ``pieces`` maps a partition to the attribute sub-matrices it received
+    during a build (in arrival order) and its join keys.  One contiguous
+    matrix per build with per-partition views is one data allocation
+    instead of one per partition, which is what structures over many tiny
+    partitions (d = 4 grids) would otherwise mostly consist of.
+    """
+    if not pieces:
+        return
+    whole = np.concatenate([m for mats, _ in pieces.values() for m in mats])
+    start = 0
+    for partition, (_, keys) in pieces.items():
+        stop = start + len(keys)
+        partition.set_block(whole[start:stop], keys)
+        start = stop
 
 
 class InputPartition:
@@ -28,8 +168,9 @@ class InputPartition:
         random-access :class:`~repro.storage.sources.base.DataSource`
         (``prefers_lazy_rows``) only the global row ids are stored and each
         ``rows`` access gathers the tuples from the source — planning never
-        materialises them, and per-region probes hold one partition pair at
-        a time.
+        materialises them.  Phase 2 does not read ``rows`` at all: it joins
+        over :meth:`column_block` and fetches tuples for emitted results
+        only (:meth:`rows_at`).
     signature:
         Join-value signature over the rows (see
         :mod:`repro.storage.signatures`).
@@ -44,6 +185,7 @@ class InputPartition:
     __slots__ = (
         "source", "coords", "lower", "upper", "signature",
         "tight_lower", "tight_upper", "_rows", "_row_source", "_row_ids",
+        "_block",
     )
 
     def __init__(
@@ -60,6 +202,7 @@ class InputPartition:
         self._rows: list[tuple] = []
         self._row_source = None
         self._row_ids = None
+        self._block: ColumnBlock | None = None
         self.signature: JoinSignature | None = None
         self.tight_lower: list[float] = list(upper)
         self.tight_upper: list[float] = list(lower)
@@ -73,17 +216,73 @@ class InputPartition:
 
         Eager partitions return the live backing list (mutations stick);
         lazy partitions gather a fresh list from the backing source on
-        every access — callers should bind it to a local once per probe.
+        every access.  Tuple-level processing no longer calls this (it
+        works on :meth:`column_block`); it serves the scalar reference
+        path, shard dispatch and inspection.
         """
         if self._row_source is None:
             return self._rows
         return self._row_source.fetch_rows(self._row_ids)
+
+    def rows_at(self, positions: Sequence[int]) -> list[tuple]:
+        """The tuples at the given positions of the partition's row order."""
+        if self._row_source is None:
+            rows = self._rows
+            return [rows[p] for p in positions]
+        return self._row_source.fetch_rows(
+            self._row_ids[np.asarray(positions, dtype=np.intp)]
+        )
 
     def add_rows(self, rows) -> None:
         """Append tuples (eager storage)."""
         if self._row_source is not None:
             raise ValueError("cannot add eager rows to a lazily-backed partition")
         self._rows.extend(rows)
+
+    def set_block(self, matrix: np.ndarray, keys: list[Any]) -> None:
+        """Adopt arrays the caller already holds as the column block.
+
+        Partitioners call this once per build with what the partitioning
+        scan computed anyway, so eager partitions never re-derive columns
+        from their tuples.  ``matrix`` / ``keys`` must cover exactly the
+        partition's rows, in row order.
+        """
+        self._block = ColumnBlock(matrix, keys)
+
+    def column_block(
+        self, attr_indices: Sequence[int], key_index: int
+    ) -> ColumnBlock:
+        """The partition's attribute matrix, join keys and build table.
+
+        ``attr_indices`` / ``key_index`` are the schema positions of the
+        partitioning attributes and the join attribute — the ones the
+        structure was partitioned on, so every caller asks for the same
+        block and it is cached on the partition (and thereby shared through
+        the cross-query partition cache).  Eager partitions normally got it
+        for free from the partitioning scan; lazy partitions build it here
+        on first use by gathering just those columns by row id, never whole
+        row tuples.
+        """
+        block = self._block
+        # A block no longer matching the row count was captured before rows
+        # were added (or the live ``rows`` list edited): rebuild it.
+        if block is None or len(block) != len(self):
+            block = self._block = self._build_block(attr_indices, key_index)
+        return block
+
+    def _build_block(
+        self, attr_indices: Sequence[int], key_index: int
+    ) -> ColumnBlock:
+        source = self._row_source
+        gather = getattr(source, "fetch_columns", None)
+        if gather is not None:
+            matrix, keys = gather(self._row_ids, attr_indices, key_index)
+            return ColumnBlock(matrix, keys)
+        rows = self.rows
+        matrix = np.asarray(
+            [[row[i] for i in attr_indices] for row in rows], dtype=float
+        ).reshape(len(rows), len(attr_indices))
+        return ColumnBlock(matrix, [row[key_index] for row in rows])
 
     def set_lazy_rows(self, row_source, row_ids) -> None:
         """Back the partition by global ``row_ids`` into ``row_source``.

@@ -30,7 +30,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.errors import BindingError
-from repro.storage.partition import InputPartition
+from repro.storage.partition import InputPartition, attach_blocks
 from repro.storage.signatures import build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
@@ -169,6 +169,7 @@ class QuadTreePartitioner:
         )
         builder.split(np.arange(len(values), dtype=np.intp), lower, upper,
                       depth=0, path=())
+        attach_blocks(builder.pieces)
         return index
 
     def partition_delta(
@@ -237,6 +238,7 @@ class QuadTreePartitioner:
         generation = -(len(index.extensions) + 1)
         builder.split(np.arange(len(values), dtype=np.intp), lower, upper,
                       depth=0, path=(generation,))
+        attach_blocks(builder.pieces)
         index.extensions.extend(side.partitions)
         index.depth_used = max(index.depth_used, side.depth_used)
         return side.partitions
@@ -247,7 +249,7 @@ class _TreeBuilder:
 
     __slots__ = (
         "partitioner", "index", "values", "keys", "rows", "row_ids",
-        "row_source",
+        "row_source", "pieces",
     )
 
     def __init__(self, partitioner, index, values, keys, rows, row_ids,
@@ -259,6 +261,8 @@ class _TreeBuilder:
         self.rows = rows
         self.row_ids = row_ids
         self.row_source = row_source
+        #: Eager leaves' attribute rows and join keys, for their column blocks.
+        self.pieces: dict[InputPartition, tuple[list[np.ndarray], list]] = {}
 
     def split(
         self,
@@ -312,14 +316,16 @@ class _TreeBuilder:
             part.observe_bounds(sub.min(axis=0).tolist(),
                                 sub.max(axis=0).tolist())
             keys = self.keys
+            leaf_keys = [keys[i] for i in sel]
             sig = part.signature
-            for i in sel:
-                sig.add(keys[i])
+            for key in leaf_keys:
+                sig.add(key)
             if self.row_source is not None:
                 part.set_lazy_rows(self.row_source, self.row_ids[sel])
             else:
                 assert self.rows is not None
                 rows = self.rows
                 part.add_rows(rows[i] for i in sel)
+                self.pieces[part] = ([sub], leaf_keys)
         self.index.partitions.append(part)
         self.index.depth_used = max(self.index.depth_used, depth)

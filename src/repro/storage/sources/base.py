@@ -47,6 +47,12 @@ Optional capabilities, discovered by ``getattr``:
     *row ids* instead of tuples inside
     :class:`~repro.storage.partition.InputPartition`, which is what lets
     planning over an mmap-backed source run in bounded memory.
+``fetch_columns(row_ids, indices, key_index)``
+    Column gather by global row position: the numeric columns at schema
+    positions ``indices`` as an ``(n, len(indices))`` ``float64`` matrix
+    plus the raw values of the column at ``key_index``, without building
+    row tuples.  Lazy partitions build their join-time column blocks with
+    it; sources lacking it are read through ``fetch_rows`` instead.
 ``apply_filters(conditions)``
     Predicate push-down: return an equivalent source with the filter
     conditions applied (SQLite translates them to ``WHERE`` clauses).

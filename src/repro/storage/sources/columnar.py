@@ -19,12 +19,13 @@ by a generator; :func:`write_columnar` is the one-call convenience over
 any row iterable or :class:`~repro.storage.sources.base.DataSource`.
 
 :class:`ColumnarFileSource` reads such a directory back.  It implements
-the optional ``fetch_rows`` capability (random access by global row id via
-memmap fancy indexing) and advertises ``prefers_lazy_rows``, which makes
-the partitioners store *row ids* instead of tuples inside input
-partitions: planning a dataset several times larger than RAM-resident
-tables then runs in bounded memory, and each per-region probe
-materialises only its own partition pair.
+the optional ``fetch_rows`` / ``fetch_columns`` capabilities (random access
+by global row id via memmap fancy indexing) and advertises
+``prefers_lazy_rows``, which makes the partitioners store *row ids* instead
+of tuples inside input partitions: planning a dataset several times larger
+than RAM-resident tables then runs in bounded memory, joining gathers only
+the numeric columns and the join key of each partition, and row tuples are
+decoded for emitted results only.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ FORMAT_VERSION = 1
 
 #: Rows buffered per column before a flush to disk.
 _WRITE_BUFFER_ROWS = 8192
+
+#: A string gather copies the blob range covering its rows in one slice
+#: unless that range exceeds four times the bytes wanted plus this slack.
+_DENSE_SLACK_BYTES = 1 << 16
 
 
 def _column_kind(value: Any) -> str:
@@ -242,15 +247,29 @@ class _StringColumn:
             self.blob = np.empty(0, dtype=np.uint8)
 
     def values(self, indices: np.ndarray) -> list[str]:
-        """Decode the strings at the given global row positions."""
-        out = []
-        offsets = self.offsets
-        blob = self.blob
-        for i in indices:
-            start = int(offsets[i - 1]) if i > 0 else 0
-            end = int(offsets[i])
-            out.append(bytes(blob[start:end]).decode("utf-8"))
-        return out
+        """Decode the strings at the given global row positions.
+
+        Two fancy-index gathers on the offsets and one ``bytes`` slice of
+        the blob range covering the request, cut up in Python — not three
+        memmap accesses per value.  A request so scattered that the
+        covering range dwarfs the bytes wanted is sliced value by value
+        instead, so two distant rows of a huge dataset never pull the whole
+        blob into memory.
+        """
+        ids = np.asarray(indices, dtype=np.int64)
+        if ids.size == 0:
+            return []
+        offsets = np.asarray(self.offsets)
+        ends = offsets[ids]
+        starts = offsets[np.maximum(ids - 1, 0)]
+        starts[ids == 0] = 0
+        lo, hi = int(starts.min()), int(ends.max())
+        spans = zip(starts.tolist(), ends.tolist())
+        if hi - lo > 4 * int((ends - starts).sum()) + _DENSE_SLACK_BYTES:
+            blob = self.blob
+            return [bytes(blob[a:b]).decode("utf-8") for a, b in spans]
+        data = bytes(self.blob[lo:hi])
+        return [data[a - lo:b - lo].decode("utf-8") for a, b in spans]
 
     def slice(self, start: int, stop: int) -> list[str]:
         """Decode the contiguous string range ``[start, stop)``."""
@@ -540,6 +559,32 @@ class ColumnarFileSource:
             return []
         cols = [self._values_at(i, ids) for i in range(len(self.schema))]
         return list(zip(*cols))
+
+    def fetch_columns(
+        self,
+        row_ids: Sequence[int] | np.ndarray,
+        indices: Sequence[int],
+        key_index: int,
+    ) -> tuple[np.ndarray, list]:
+        """Gather a few columns by global row position, without row tuples.
+
+        Returns the numeric columns at schema positions ``indices`` as an
+        ``(n, len(indices))`` float64 matrix and the column at
+        ``key_index`` as a list of raw values.  The optional column-gather
+        capability of the storage protocol: lazy input partitions build
+        their column blocks with it, so joining never decodes the columns
+        a query does not compute on.
+        """
+        ids = np.asarray(row_ids, dtype=np.int64)
+        matrix = np.empty((ids.size, len(indices)), dtype=float)
+        for j, i in enumerate(indices):
+            if self.kinds[i] != "f8":
+                raise SchemaError(
+                    f"column {self.schema.columns[i]!r} is utf8; only numeric "
+                    "columns can be gathered as float arrays"
+                )
+            matrix[:, j] = np.asarray(self._column(i))[ids]
+        return matrix, self._values_at(key_index, ids)
 
     def iter_rows(self) -> Iterator[Row]:
         """Stream the rows as tuples (one batch materialised at a time)."""

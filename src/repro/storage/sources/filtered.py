@@ -136,6 +136,12 @@ class FilteredSource:
         """Gather rows by *base* row id (requires base random access)."""
         return self.base.fetch_rows(row_ids)
 
+    @property
+    def fetch_columns(self):
+        """The base's column-gather capability, or ``None`` without one
+        (row ids are base row ids and the schema is the base's)."""
+        return getattr(self.base, "fetch_columns", None)
+
     def iter_rows(self) -> Iterator[Row]:
         """Stream the matching rows."""
         for batch in self.base.scan_batches():

@@ -1,0 +1,269 @@
+"""Row-free phase 2: pinned identity and the semantics it must not bend.
+
+The vectorized region join works on partition column blocks and index
+pairs and materialises row tuples only for emitted results.  That is a
+change of *representation*: the algorithm must do exactly the same work.
+``tests/data/rowfree_golden.json`` pins, for a small seeded matrix, the
+result-key sequence and the full virtual-clock snapshot recorded on the
+commit **before** the rewrite; :class:`TestPinnedIdentity` asserts the
+current code reproduces every entry exactly.
+
+Regenerate the golden file (only ever from a commit whose behaviour is the
+reference) with::
+
+    PYTHONPATH=src:. python tests/test_rowfree_phase2.py
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from repro.core.engine import ProgXeEngine
+from repro.core.verify import verify_results
+from repro.data.workloads import SyntheticWorkload
+from repro.query.expressions import Attr, Const
+from repro.query.mapping import MappingFunction, MappingSet
+from repro.query.smj import JoinCondition, SkyMapJoinQuery
+from repro.runtime.clock import VirtualClock
+from repro.skyline.preferences import ParetoPreference, lowest
+from repro.storage.sources import ColumnarFileSource, write_columnar
+from repro.storage.table import Table
+
+from tests.test_streaming import make_streaming_pair
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "rowfree_golden.json"
+
+PARTITIONINGS = ("grid", "quadtree")
+BACKENDS = ("table", "columnar", "sqlite")
+MODES = ("static", "follow")
+BATCH_SIZES = (1, 7, 1024)
+SMALLER_SIDES = ("left", "right")
+CASES = list(
+    itertools.product(PARTITIONINGS, BACKENDS, MODES, BATCH_SIZES, SMALLER_SIDES)
+)
+
+
+def case_id(case) -> str:
+    return "-".join(str(part) for part in case)
+
+
+def run_case(case, tmp_path: pathlib.Path) -> dict:
+    """Result-key sequence + clock snapshot of one matrix entry."""
+    partitioning, backend, mode, batch_size, smaller = case
+    workload = SyntheticWorkload(n=200, d=2, sigma=0.1, seed=20100301)
+    sizes = {"R": 110, "T": 200} if smaller == "left" else {"R": 200, "T": 110}
+    rows = {
+        alias: list(table.rows)[: sizes[alias]]
+        for alias, table in workload.tables().items()
+    }
+    columns = {
+        alias: list(table.schema.columns)
+        for alias, table in workload.tables().items()
+    }
+    follow = mode == "follow"
+    sources, appenders = {}, {}
+    for alias in ("R", "T"):
+        # Follow queries start on the first half; the rest arrives in chunks.
+        initial = rows[alias][: sizes[alias] // 2] if follow else rows[alias]
+        prefix = Table.from_rows(alias, columns[alias], initial)
+        sources[alias], appenders[alias] = make_streaming_pair(
+            backend, alias, prefix, tmp_path
+        )
+    clock = VirtualClock()
+    engine = ProgXeEngine(
+        workload.query().bind(sources), clock,
+        partitioning=partitioning, input_cells=2, batch_size=batch_size,
+        follow=follow,
+    )
+    kernel = engine.kernel()
+    results = []
+    if follow:
+        rest = {alias: rows[alias][sizes[alias] // 2:] for alias in ("R", "T")}
+        third = len(rest["R"]) // 2
+        # Three delta chunks, appended between kernel steps.
+        for steps, alias, chunk in (
+            (3, "R", rest["R"][:third]),
+            (4, "T", rest["T"]),
+            (2, "R", rest["R"][third:]),
+        ):
+            for _ in range(steps):
+                results.extend(kernel.step().results)
+            appenders[alias](chunk)
+        kernel.close_ingest()
+    while not kernel.finished:
+        results.extend(kernel.step().results)
+    return {
+        "keys": [[list(r.left_row), list(r.right_row)] for r in results],
+        "clock": dict(sorted(clock.snapshot().items())),
+        "vtime": clock.now(),
+    }
+
+
+class TestPinnedIdentity:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_golden_covers_the_matrix(self, golden):
+        assert sorted(golden) == sorted(case_id(c) for c in CASES)
+        assert any(len(entry["keys"]) > 3 for entry in golden.values())
+
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_reproduces_parent_commit(self, case, golden, tmp_path):
+        got = run_case(case, tmp_path)
+        want = golden[case_id(case)]
+        assert got["keys"] == want["keys"]
+        assert got["clock"] == want["clock"]
+        assert got["vtime"] == want["vtime"]
+
+
+# ----------------------------------------------------------------------
+# semantics the index-pair join must keep
+# ----------------------------------------------------------------------
+def sum_query(constant_dim: bool = False) -> SkyMapJoinQuery:
+    second = Const(5.0) if constant_dim else Attr("R", "a1") + Attr("T", "b1")
+    return SkyMapJoinQuery(
+        left_alias="R",
+        right_alias="T",
+        join=JoinCondition("jkey", "jkey"),
+        mappings=MappingSet(
+            [
+                MappingFunction("x0", Attr("R", "a0") + Attr("T", "b0")),
+                MappingFunction("x1", second),
+            ]
+        ),
+        preference=ParetoPreference([lowest("x0"), lowest("x1")]),
+    )
+
+
+def run_keys(bound, **engine_kwargs):
+    clock = VirtualClock()
+    results = list(ProgXeEngine(bound, clock, **engine_kwargs).run())
+    return [r.key() for r in results], results, clock
+
+
+def key_tables(left_keys, right_keys):
+    """Tables whose row ``i`` carries join key ``keys[i]`` and spread-out
+    attribute values (so rows land in different partitions)."""
+    left = Table.from_rows(
+        "R", ["id", "jkey", "a0", "a1"],
+        [(f"R{i}", k, 1.0 + 7 * i % 40, 40.0 - 7 * i % 40)
+         for i, k in enumerate(left_keys)],
+    )
+    right = Table.from_rows(
+        "T", ["id", "jkey", "b0", "b1"],
+        [(f"T{i}", k, 1.0 + 11 * i % 40, 40.0 - 11 * i % 40)
+         for i, k in enumerate(right_keys)],
+    )
+    return {"R": left, "T": right}
+
+
+class TestJoinKeySemantics:
+    """Probing uses a plain ``dict``: Python equality, no float coercion."""
+
+    def assert_matches_scalar(self, tables, expected_pairs):
+        bound = sum_query().bind(tables)
+        keys, results, clock = run_keys(bound, input_cells=2)
+        assert verify_results(bound, results).ok
+        scalar_keys, _, scalar_clock = run_keys(
+            bound, input_cells=2, use_vectorized=False
+        )
+        assert set(keys) == set(scalar_keys)
+        # Every joined pair is charged once on both paths (regions skipped
+        # by the look-ahead are skipped by both).
+        assert clock.count("join_result") == scalar_clock.count("join_result")
+        assert clock.count("join_result") <= expected_pairs
+        joined_ids = {(lrow[1], rrow[1]) for lrow, rrow in keys}
+        return joined_ids
+
+    def test_numeric_looking_strings_stay_distinct(self):
+        tables = key_tables(["01", "1", "01", "1"], ["1", "1", "01", "x"])
+        joined = self.assert_matches_scalar(tables, expected_pairs=2 * 2 + 2 * 1)
+        assert joined <= {("1", "1"), ("01", "01")}
+
+    def test_int_and_float_keys_are_equal(self):
+        tables = key_tables([1, 2.0, 3, 1.0], [1.0, 2, 4, 1])
+        joined = self.assert_matches_scalar(tables, expected_pairs=2 * 2 + 1)
+        assert {(float(a), float(b)) for a, b in joined} <= {(1.0, 1.0), (2.0, 2.0)}
+        assert joined  # something did join across int/float
+
+    def test_many_to_many_duplicates(self):
+        tables = key_tables(["k"] * 9 + ["m"] * 3, ["k"] * 7 + ["m"] * 5)
+        self.assert_matches_scalar(tables, expected_pairs=9 * 7 + 3 * 5)
+
+    def test_key_present_on_one_side_only(self):
+        tables = key_tables(["a", "b", "only-left"] * 4, ["a", "only-right"] * 5)
+        joined = self.assert_matches_scalar(tables, expected_pairs=4 * 5)
+        assert joined == {("a", "a")}
+
+
+class TestRepresentationEdges:
+    def test_constant_valued_mapping_dimension(self):
+        bound = sum_query(constant_dim=True).bind(
+            SyntheticWorkload(n=60, d=2, sigma=0.1, seed=3).tables()
+        )
+        keys, results, _ = run_keys(bound)
+        assert verify_results(bound, results).ok
+        assert {r.mapped[1] for r in results} == {5.0}
+        assert set(keys) == set(run_keys(bound, use_vectorized=False)[0])
+
+    def test_pushthrough_pruned_tables(self):
+        bound = SyntheticWorkload(n=150, d=2, sigma=0.05, seed=5).bound()
+        keys, results, _ = run_keys(bound, pushthrough=True)
+        assert verify_results(bound, results).ok
+        assert set(keys) == set(run_keys(bound)[0])
+        assert set(keys) == set(run_keys(bound, pushthrough=True, batch_size=3)[0])
+
+    def test_two_workers_equal_solo(self):
+        bound = SyntheticWorkload(n=120, d=2, sigma=0.05, seed=9).bound()
+        solo_keys, _, solo_clock = run_keys(bound)
+        clock = VirtualClock()
+        engine = ProgXeEngine(bound, clock, workers=2)
+        sharded = [r.key() for r in engine.run()]
+        assert sharded == solo_keys
+        if engine.workers > 1:
+            assert clock.snapshot() == solo_clock.snapshot()
+
+    def test_rows_fetched_are_bounded_by_results(self, tmp_path, monkeypatch):
+        """A columnar source decodes rows for emitted results only."""
+        workload = SyntheticWorkload(n=400, d=2, sigma=0.05, seed=11)
+        sources = {}
+        for alias, table in workload.tables().items():
+            path = tmp_path / f"{alias}.col"
+            write_columnar(path, table)
+            sources[alias] = ColumnarFileSource(path, name=alias)
+        fetched = {"R": 0, "T": 0}
+        original = ColumnarFileSource.fetch_rows
+
+        def spy(source, row_ids):
+            rows = original(source, row_ids)
+            fetched[source.name] += len(rows)
+            return rows
+
+        monkeypatch.setattr(ColumnarFileSource, "fetch_rows", spy)
+        bound = workload.query().bind(sources)
+        keys, results, clock = run_keys(bound)
+        assert results and clock.count("join_result") > 20 * len(results)
+        assert fetched["R"] <= len(results)
+        assert fetched["T"] <= len(results)
+        assert verify_results(bound, results).ok
+        assert keys == run_keys(workload.bound())[0]  # same as from RAM
+
+
+def _regenerate() -> None:
+    golden = {}
+    for case in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden[case_id(case)] = run_case(case, pathlib.Path(tmp))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(golden)} cases)")
+
+
+if __name__ == "__main__":
+    _regenerate()

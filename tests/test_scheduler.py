@@ -129,6 +129,20 @@ class TestAdmission:
         assert scheduler._rotation == []
         assert scheduler.queries == handles  # full record retained
 
+    def test_forget_releases_terminal_handles_only(self, session):
+        scheduler = session.scheduler()
+        done, other = (scheduler.submit(b) for b in bounds(2))
+        with pytest.raises(QueryError, match="still"):
+            scheduler.forget(done)
+        scheduler.run_all()
+        scheduler.forget(done)
+        scheduler.forget(done)  # idempotent
+        assert scheduler.queries == [other]
+        assert done.results  # the caller's handle is untouched
+        late = scheduler.submit(bounds(1)[0])
+        scheduler.run_all()
+        assert late.state == COMPLETED and late.qid == 2
+
     def test_interleave_recording_can_be_disabled(self, session):
         queries = bounds(2)
         solos = [solo_keys(session, b) for b in queries]

@@ -573,6 +573,45 @@ class TestLifecycle:
 
         serve(test)
 
+    def test_finished_queries_are_not_kept(self):
+        """A long-lived server releases each query once its stream ended."""
+
+        async def test(server, session):
+            counts = set()
+            for _ in range(50):
+                status, _, frames = await stream_query(server, {"sql": SQL})
+                assert status == 200 and frames[-1]["state"] == "completed"
+                counts.add(sum(f["event"] == "result" for f in frames))
+                assert len(server.scheduler.queries) <= 1
+            assert len(counts) == 1 and counts.pop() > 0
+            assert server.scheduler.queries == []
+            assert server.admission.active == 0
+            _, _, stats = await request_json(server, "GET", "/stats")
+            assert stats["admission"]["admitted_total"] == 50
+            assert stats["scheduler"]["global_vtime"] > 0
+
+        serve(test)
+
+    def test_disconnected_clients_query_is_not_kept(self):
+        async def test(server, session):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            payload = json.dumps({"sql": BIG_SQL}).encode()
+            writer.write(http("POST", "/query", payload))
+            await writer.drain()
+            await reader.read(64)
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(200):
+                await asyncio.sleep(0.01)
+                if not server.scheduler.queries:
+                    break
+            assert server.scheduler.queries == []
+            assert server.admission.active == 0
+
+        serve(test, watermarks=Watermarks(high=256, low=32))
+
     def test_shutdown_drains_active_streams(self):
         async def main():
             session = make_session()

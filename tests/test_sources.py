@@ -304,6 +304,53 @@ class TestLazyPartitions:
         assert index.total_rows() == len(ROWS)
         assert all(p.is_lazy for p in index if len(p))
 
+    def test_column_blocks_agree_across_backends(self, tmp_path, monkeypatch):
+        """Eager blocks (captured by the scan) == lazy blocks (gathered by
+        id on first use) == blocks rebuilt from row tuples."""
+        mem = make_source("memory", tmp_path)
+        col = make_source("columnar", tmp_path)
+        for partitioner in (GridPartitioner(2), QuadTreePartitioner(2)):
+            g_mem = partitioner.partition(mem, ("a0", "a1"), "jkey", source="R")
+            g_col = partitioner.partition(col, ("a0", "a1"), "jkey", source="R")
+            assert all(p._block is None for p in g_col)  # nothing at plan time
+            with monkeypatch.context() as m:
+                m.setattr(
+                    ColumnarFileSource, "fetch_rows",
+                    lambda *a: pytest.fail("lazy block pulled row tuples"),
+                )
+                for pm, pc in zip(g_mem, g_col):
+                    bm, bc = pm.column_block((2, 3), 1), pc.column_block((2, 3), 1)
+                    assert bm.matrix.tolist() == bc.matrix.tolist()
+                    assert bm.keys == bc.keys
+                    assert bm.matrix.tolist() == [list(r[2:]) for r in pm.rows]
+                    assert bm.keys == [r[1] for r in pm.rows]
+                    assert pc.column_block((2, 3), 1) is bc  # cached
+                    positions = bm.key_positions()
+                    assert {k: v.tolist() for k, v in positions.items()} == {
+                        k: [i for i, r in enumerate(pm.rows) if r[1] == k]
+                        for k in set(bm.keys)
+                    }
+            part = next(iter(g_mem))
+            captured = part.column_block((2, 3), 1)
+            part.rows.append(("r9", "J9", 1.0, 2.0))  # live list mutation
+            rebuilt = part.column_block((2, 3), 1)
+            assert rebuilt is not captured and rebuilt.keys[-1] == "J9"
+            part.rows.pop()
+
+    def test_delta_partitions_carry_blocks(self):
+        for partitioner in (GridPartitioner(2), QuadTreePartitioner(2)):
+            table = Table.from_rows("R", COLUMNS, ROWS[:3])
+            structure = partitioner.partition(table, ("a0", "a1"), "jkey")
+            token = table.cache_token
+            table.extend_rows(ROWS[3:])
+            created = partitioner.partition_delta(
+                structure, table, ("a0", "a1"), "jkey", since_token=token
+            )
+            assert sum(len(p) for p in created) == 2
+            for part in created:
+                assert part._block is not None
+                assert part._block.matrix.tolist() == [list(r[2:]) for r in part.rows]
+
     def test_structures_match_memory_build(self, tmp_path):
         mem = make_source("memory", tmp_path)
         col = make_source("columnar", tmp_path)
@@ -413,6 +460,73 @@ class TestFilteredSource:
         assert all(p.is_lazy for p in grid)
 
 
+class TestBindEmptinessCheck:
+    """Binding asks each side "any row at all?" — it must not pay for a
+    default-size batch of row tuples to find out."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        calls = []
+        original = ColumnarFileSource.scan_batches
+
+        def spy(source, batch_size=8192, **kwargs):
+            call = {"batch_size": batch_size, "rows": 0, **kwargs}
+            calls.append(call)
+            for batch in original(source, batch_size, **kwargs):
+                call["rows"] += len(batch)
+                yield batch
+
+        monkeypatch.setattr(ColumnarFileSource, "scan_batches", spy)
+        return calls
+
+    def workload_sources(self, tmp_path):
+        workload = SyntheticWorkload(n=60, d=2, sigma=0.1, seed=4)
+        sources = {}
+        for alias, table in workload.tables().items():
+            write_columnar(tmp_path / f"{alias}.col", table)
+            sources[alias] = ColumnarFileSource(tmp_path / f"{alias}.col", name=alias)
+        return workload, sources
+
+    def test_columnar_bind_scans_one_row_without_tuples(self, tmp_path, monkeypatch):
+        workload, sources = self.workload_sources(tmp_path)
+        calls = self.spied(monkeypatch)
+        workload.query().bind(sources)
+        assert len(calls) == 2  # one peek per side, nothing else
+        for call in calls:
+            assert call["rows"] <= 1
+            assert call["with_rows"] is False
+
+    def test_filtered_bind_stops_at_the_first_match(self, tmp_path, monkeypatch):
+        workload, sources = self.workload_sources(tmp_path)
+        query = dataclasses.replace(
+            workload.query(), filters=(FilterCondition("R", "a0", ">=", 0.0),)
+        )
+        asked = []
+        original = FilteredSource.scan_batches
+
+        def spy_view(view, batch_size=8192, **kwargs):
+            asked.append(kwargs.get("with_rows"))
+            return original(view, batch_size, **kwargs)
+
+        monkeypatch.setattr(FilteredSource, "scan_batches", spy_view)
+        calls = self.spied(monkeypatch)
+        bound = query.bind(sources)
+        assert isinstance(bound.left_table, FilteredSource)
+        assert asked == [False]
+        # The view needs the row to test its predicate, but only one.
+        assert [call["rows"] for call in calls] == [1, 1]
+
+    def test_empty_after_filter_still_raises(self, tmp_path):
+        workload, sources = self.workload_sources(tmp_path)
+        query = dataclasses.replace(
+            workload.query(), filters=(FilterCondition("T", "b0", ">", 1e9),)
+        )
+        with pytest.raises(BindingError, match="no rows after filters"):
+            query.bind(sources)
+        with pytest.raises(BindingError, match="no rows after filters"):
+            query.bind({a: Table(a, s.schema, s.iter_rows()) for a, s in sources.items()})
+
+
 class TestColumnarFormat:
     def test_writer_roundtrip_types(self, tmp_path):
         path = tmp_path / "types.col"
@@ -438,6 +552,59 @@ class TestColumnarFormat:
         src = make_source("columnar", tmp_path)
         assert src.fetch_rows([3, 0]) == [ROWS[3], ROWS[0]]
         assert src.fetch_rows(np.asarray([], dtype=int)) == []
+
+    STRINGS = ["", "ascii", "naïve", "日本語", "", "🙂 emoji", "tail"]
+
+    def string_source(self, tmp_path):
+        path = tmp_path / "strings.col"
+        rows = [(s, float(i)) for i, s in enumerate(self.STRINGS)]
+        write_columnar(path, rows, columns=["s", "v"], name="S")
+        return ColumnarFileSource(path)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[0], [6, 0, 3], [2, 2, 2], [4, 0], [5, 1, 5, 0, 6], list(range(7)), []],
+        ids=["id0", "unsorted", "repeated", "empty-strings", "mixed", "all", "none"],
+    )
+    def test_string_gather_roundtrip(self, tmp_path, ids):
+        src = self.string_source(tmp_path)
+        got = src.fetch_rows(np.asarray(ids, dtype=np.int64))
+        assert got == [(self.STRINGS[i], float(i)) for i in ids]
+
+    def test_string_gather_after_append_and_refresh(self, tmp_path):
+        src = self.string_source(tmp_path)
+        other = ColumnarFileSource(src.path)
+        src.append_rows([("später", 7.0), ("", 8.0)])
+        assert src.fetch_rows([7, 0, 8, 2]) == [
+            ("später", 7.0), ("", 0.0), ("", 8.0), ("naïve", 2.0),
+        ]
+        assert other.refresh().fetch_rows([8, 7]) == [("", 8.0), ("später", 7.0)]
+
+    def test_sparse_string_gather_skips_the_covering_slice(self, tmp_path, monkeypatch):
+        """Two distant rows must not copy the whole blob between them."""
+        from repro.storage.sources import columnar
+
+        monkeypatch.setattr(columnar, "_DENSE_SLACK_BYTES", 0)
+        path = tmp_path / "wide.col"
+        rows = [(f"value-{i:04d}", float(i)) for i in range(400)]
+        write_columnar(path, rows, columns=["s", "v"], name="W")
+        src = ColumnarFileSource(path)
+        assert src.fetch_rows([399, 0]) == [rows[399], rows[0]]
+        assert src.fetch_rows([10, 11, 12]) == rows[10:13]
+
+    def test_fetch_columns_gathers_without_rows(self, tmp_path, monkeypatch):
+        src = make_source("columnar", tmp_path)
+        monkeypatch.setattr(
+            ColumnarFileSource, "fetch_rows",
+            lambda *a: pytest.fail("column gather must not build row tuples"),
+        )
+        matrix, keys = src.fetch_columns(np.asarray([3, 0, 3]), (3, 2), 1)
+        assert matrix.tolist() == [[44.5, 2.0], [30.0, 4.0], [44.5, 2.0]]
+        assert keys == ["J3", "J1", "J3"]
+        view = FilteredSource(src, [FilterCondition("R", "a0", ">=", 3.0)])
+        assert view.fetch_columns([4], (2,), 0)[1] == ["r4"]
+        with pytest.raises(SchemaError):
+            src.fetch_columns([0], (0,), 1)
 
     def test_row_width_validation(self, tmp_path):
         with ColumnarWriter(tmp_path / "w.col", ["a", "b"]) as w:
