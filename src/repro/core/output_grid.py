@@ -26,17 +26,21 @@ wrongly discarded.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
 
-#: An entry buffered in a cell: (vector, left_row, right_row, raw mapped).
+#: An entry as a cell hands it out: (vector, left_row, right_row, raw mapped).
 #: While buffered, the two rows may be
 #: :class:`~repro.storage.partition.RowRef` references instead of tuples;
 #: ``ExecutionState.drain_emissions`` hands out tuples.
 CellEntry = tuple[tuple[float, ...], tuple, tuple, tuple]
+
+#: What a cell's blocks are before anything was written to them.
+_NO_ROWS = np.empty((0, 0))
 
 
 class OutputCell:
@@ -46,6 +50,12 @@ class OutputCell:
     paper's RegCount; ``pending`` folds the Dom/Dependent conditions into
     one number — the count of unsettled cone_lower cells (a cell emits only
     when tuples that could dominate its contents can no longer appear).
+
+    Buffered entries are a structure of arrays in arrival order: rows
+    ``[:size]`` of a growable ``(capacity, d)`` float64 vector block and of
+    a mapped-value block, beside two row(-reference) lists.  Only
+    :meth:`append`, :meth:`evict` and :meth:`clear` write them; the engine
+    asks for per-entry tuples (:attr:`entries`) once per cell, at emission.
     """
 
     __slots__ = (
@@ -56,12 +66,16 @@ class OutputCell:
         "marked",
         "settled",
         "emitted",
-        "entries",
+        "size",
+        "_vectors",
+        "_mapped",
+        "_lrows",
+        "_rrows",
         "cone_lower",
         "cone_upper",
         "strict_upper",
+        "_strict_lowers",
         "region_ids",
-        "_vcache",
     )
 
     def __init__(self, coords: tuple[int, ...], lower: tuple[float, ...]) -> None:
@@ -72,32 +86,92 @@ class OutputCell:
         self.marked = False
         self.settled = False
         self.emitted = False
-        self.entries: list[CellEntry] = []
+        self.size = 0  # buffered entries
+        self._vectors = _NO_ROWS
+        self._mapped = _NO_ROWS
+        self._lrows: list = []
+        self._rrows: list = []
         self.cone_lower: list["OutputCell"] = []
         self.cone_upper: list["OutputCell"] = []
         self.strict_upper: list["OutputCell"] = []
+        self._strict_lowers = _NO_ROWS
         self.region_ids: list[int] = []
-        self._vcache: np.ndarray | None = None
-
-    def invalidate_vectors(self) -> None:
-        """Drop the cached vector matrix; call after mutating ``entries``."""
-        self._vcache = None
 
     def vector_matrix(self) -> np.ndarray | None:
-        """Entry vectors as a cached ``(len(entries), d)`` float matrix.
+        """Entry vectors as a ``(size, d)`` float matrix, ``None`` when empty.
 
-        ``None`` when the cell is empty.  Every site that mutates
-        ``entries`` must call :meth:`invalidate_vectors`; callers must
-        treat the returned array as read-only.
+        A view of the vector block: read-only to callers, and stale once
+        the cell is next written.
         """
-        entries = self.entries
-        if not entries:
-            self._vcache = None
-            return None
-        cache = self._vcache
-        if cache is None:
-            cache = np.asarray([e[0] for e in entries], dtype=float)
-            self._vcache = cache
+        size = self.size
+        return self._vectors[:size] if size else None
+
+    def append(
+        self, vectors: np.ndarray, lrows: Sequence, rrows: Sequence, mapped: np.ndarray
+    ) -> None:
+        """Buffer ``(n, d)`` vectors, their rows and ``(n, k)`` mapped values.
+
+        The mapped block takes the incoming dtype, widened if a later
+        append brings another; both blocks double when they run out.
+        """
+        size = self.size
+        end = size + len(vectors)
+        old_vectors, old_mapped = self._vectors, self._mapped
+        if end > len(old_mapped) or mapped.dtype != old_mapped.dtype:
+            dtype = mapped.dtype
+            if size:
+                dtype = np.result_type(dtype, old_mapped.dtype)
+            capacity = max(8, 2 * end)
+            self._vectors = np.empty((capacity, vectors.shape[1]))
+            self._mapped = np.empty((capacity, mapped.shape[1]), dtype=dtype)
+            if size:
+                self._vectors[:size] = old_vectors[:size]
+                self._mapped[:size] = old_mapped[:size]
+        self._vectors[size:end] = vectors
+        self._mapped[size:end] = mapped
+        self._lrows.extend(lrows)
+        self._rrows.extend(rrows)
+        self.size = end
+
+    def evict(self, dead: np.ndarray) -> int:
+        """Drop the entries flagged in the ``(size,)`` boolean ``dead``;
+        survivors keep their arrival order.  Returns how many were dropped."""
+        keep = ~dead
+        kept = int(np.count_nonzero(keep))
+        size = self.size
+        if kept != size:
+            self._vectors[:kept] = self._vectors[:size][keep]
+            self._mapped[:kept] = self._mapped[:size][keep]
+            flags = keep.tolist()
+            self._lrows = list(compress(self._lrows, flags))
+            self._rrows = list(compress(self._rrows, flags))
+            self.size = kept
+        return size - kept
+
+    def clear(self) -> None:
+        """Drop every entry and the blocks that held them."""
+        self.size = 0
+        self._vectors = self._mapped = _NO_ROWS
+        self._lrows = []
+        self._rrows = []
+
+    @property
+    def entries(self) -> list[CellEntry]:
+        """The buffered entries as tuples, in arrival order — built per
+        access; this is where an entry first becomes Python objects (plain
+        ``float`` tuples via ``tolist``)."""
+        size = self.size
+        vectors = map(tuple, self._vectors[:size].tolist())
+        mapped = map(tuple, self._mapped[:size].tolist())
+        return list(zip(vectors, self._lrows, self._rrows, mapped))
+
+    def strict_lowers(self) -> np.ndarray:
+        """Lower corners of :attr:`strict_upper` as a ``(len, d)`` matrix,
+        rebuilt when cone wiring has grown the list (it only ever grows)."""
+        cache = self._strict_lowers
+        if len(cache) != len(self.strict_upper):
+            cache = np.asarray([sc.lower for sc in self.strict_upper])
+            self._strict_lowers = cache
         return cache
 
     @property
@@ -120,7 +194,7 @@ class OutputCell:
             flags.append("emitted")
         return (
             f"OutputCell({list(self.coords)}, reg={self.reg_count}, "
-            f"pend={self.pending}, {len(self.entries)} entries"
+            f"pend={self.pending}, {self.size} entries"
             + (", " + "|".join(flags) if flags else "")
             + ")"
         )
@@ -145,7 +219,12 @@ class OutputGrid:
             (hi - lo) / cells_per_dim if hi > lo else 1.0
             for lo, hi in zip(self.lower, self.upper)
         )
+        self._lower_row = np.asarray(self.lower)
+        self._width_row = np.asarray(self.widths)
         self.cells: dict[tuple[int, ...], OutputCell] = {}
+        #: ``[sum, count]`` behind :meth:`mean_cone_size`, ``None`` to have
+        #: it recounted: whoever marks a cell or rewires cones updates it.
+        self.cone_totals: list[int] | None = None
 
     # ------------------------------------------------------------------
     # geometry
@@ -171,9 +250,7 @@ class OutputGrid:
         per-tuple insertion route every vector to the same cell.
         """
         pts = np.asarray(vectors, dtype=float)
-        lo = np.asarray(self.lower)
-        w = np.asarray(self.widths)
-        c = np.floor((pts - lo) / w).astype(np.int64)
+        c = np.floor((pts - self._lower_row) / self._width_row).astype(np.int64)
         return np.clip(c, 0, self.cells_per_dim - 1)
 
     def cell_lower(self, coords: Sequence[int]) -> tuple[float, ...]:
@@ -213,6 +290,7 @@ class OutputGrid:
         if cell is None:
             cell = OutputCell(coords, self.cell_lower(coords))
             self.cells[coords] = cell
+            self.cone_totals = None
         return cell
 
     def cell_for_vector(self, vector: Sequence[float]) -> OutputCell:
@@ -235,6 +313,7 @@ class OutputGrid:
         excluded — they can never hold entries, so they participate in no
         comparisons and no pending counts.
         """
+        self.cone_totals = None
         live = [c for c in self.cells.values() if not c.marked]
         n = len(live)
         if n == 0:
@@ -274,13 +353,14 @@ class OutputGrid:
 
     def live_entry_count(self) -> int:
         """Total buffered entries across unmarked cells."""
-        return sum(len(c.entries) for c in self.cells.values() if not c.marked)
+        return sum(c.size for c in self.cells.values() if not c.marked)
 
     def mean_cone_size(self) -> float:
         """Average ``|cone_lower| + |cone_upper|`` over unmarked cells
         (the ``CP_avg`` of the paper's cost model, Eq. 6)."""
-        live = [c for c in self.cells.values() if not c.marked]
-        if not live:
-            return 1.0
-        total = sum(len(c.cone_lower) + len(c.cone_upper) + 1 for c in live)
-        return total / len(live)
+        if self.cone_totals is None:
+            live = [c for c in self.cells.values() if not c.marked]
+            total = sum(len(c.cone_lower) + len(c.cone_upper) + 1 for c in live)
+            self.cone_totals = [total, len(live)]
+        total, count = self.cone_totals
+        return total / count if count else 1.0

@@ -37,6 +37,12 @@ from repro.skyline.vectorized import dominates_matrix, skyline_mask
 from repro.storage.partition import materialize_rows
 
 
+def _vector_rows(cell: OutputCell) -> list[list[float]]:
+    """A cell's entry vectors as Python lists (what the per-tuple path walks)."""
+    matrix = cell.vector_matrix()
+    return [] if matrix is None else matrix.tolist()
+
+
 class ExecutionState:
     """Shared mutable state of one ProgXe execution."""
 
@@ -111,11 +117,11 @@ class ExecutionState:
             return
         if cell.emittable:
             cell.emitted = True
-            if cell.entries:
+            if cell.size:
                 # Emitted entries leave the held-back buffer (they remain
                 # in the cell for future dominance checks, but the user has
                 # them already).
-                self.live_entries -= len(cell.entries)
+                self.live_entries -= cell.size
                 self._emissions.extend(cell.entries)
 
     def release_emissions(self) -> None:
@@ -153,11 +159,14 @@ class ExecutionState:
                 "the emission guarantee is broken"
             )
         cell.marked = True
-        if cell.entries:
-            self.clock.charge("discard", len(cell.entries))
-            self.live_entries -= len(cell.entries)
-            cell.entries = []
-            cell.invalidate_vectors()
+        totals = self.grid.cone_totals
+        if totals is not None:
+            totals[0] -= len(cell.cone_lower) + len(cell.cone_upper) + 1
+            totals[1] -= 1
+        if cell.size:
+            self.clock.charge("discard", cell.size)
+            self.live_entries -= cell.size
+            cell.clear()
         for rid in cell.region_ids:
             region = self.regions[rid]
             region.unmarked_covered -= 1
@@ -245,41 +254,33 @@ class ExecutionState:
 
         # (1) Can anything already present dominate the newcomer?  Only the
         # cell itself and its lower cone can (paper §III-B).
-        survivors: list[CellEntry] = []
-        for entry in cell.entries:
+        beaten: list[bool] = []
+        for present in _vector_rows(cell):
             clock.charge("dominance_cmp")
-            if dominates(entry[0], vector):
+            if dominates(present, vector):
                 self.dominated_on_arrival += 1
                 return
-            # While scanning, drop same-cell entries the newcomer beats.
+            # While scanning, note same-cell entries the newcomer beats.
             clock.charge("dominance_cmp")
-            if not dominates(vector, entry[0]):
-                survivors.append(entry)
+            beaten.append(dominates(vector, present))
         for lc in cell.cone_lower:
-            if not lc.entries:
-                continue
-            for entry in lc.entries:
+            for present in _vector_rows(lc):
                 clock.charge("dominance_cmp")
-                if dominates(entry[0], vector):
+                if dominates(present, vector):
                     self.dominated_on_arrival += 1
                     return
-        self.live_entries -= len(cell.entries) - len(survivors)
-        cell.entries = survivors
-        cell.invalidate_vectors()
 
-        # (2) The newcomer survived: evict dominated entries upstream.
+        # (2) The newcomer survived: evict dominated entries, here and
+        # upstream.
+        if True in beaten:
+            self.live_entries -= cell.evict(np.asarray(beaten))
         for uc in cell.cone_upper:
-            if not uc.entries:
-                continue
-            kept = []
-            for entry in uc.entries:
+            beaten = []
+            for present in _vector_rows(uc):
                 clock.charge("dominance_cmp")
-                if not dominates(vector, entry[0]):
-                    kept.append(entry)
-            if len(kept) != len(uc.entries):
-                self.live_entries -= len(uc.entries) - len(kept)
-                uc.entries = kept
-                uc.invalidate_vectors()
+                beaten.append(dominates(vector, present))
+            if True in beaten:
+                self.live_entries -= uc.evict(np.asarray(beaten))
 
         # (3) Mark every strictly-dominated cell (Example 3 at tuple
         # granularity): anything ever falling there is dominated by the
@@ -303,8 +304,9 @@ class ExecutionState:
             if strict:
                 self.mark_cell(sc)
 
-        cell.entries.append((vector, lrow, rrow, mapped))
-        cell.invalidate_vectors()
+        # An object block keeps the mapped values as computed (ints stay ints).
+        values = np.asarray([mapped], dtype=object)
+        cell.append(np.asarray([vector], dtype=float), (lrow,), (rrow,), values)
         self.inserted += 1
         self.live_entries += 1
         if self.live_entries > self.peak_live_entries:
@@ -382,9 +384,10 @@ class ExecutionState:
             # victims are also its dominator's victims).
             #
             # (1a) intra-batch: candidates of one region pair are often
-            # mutually dominating.  The sweep kernel is O(s·b) for a local
-            # skyline of size s — far below the b² of a full pairwise
-            # matrix — and reports the pairs it actually tested.
+            # mutually dominating.  The sweep is O(s·b) for a local skyline
+            # of size s — far below the b² of all pairs — and what it
+            # reports, whichever form the kernel takes at this size, is the
+            # pairs that sweep tests.
             live = np.arange(b, dtype=np.intp)
             if b > 1:
                 tested: list[int] = []
@@ -392,19 +395,16 @@ class ExecutionState:
                 clock.charge("dominance_cmp", sum(tested))
             # (1b) the cell's own entries (charged both directions,
             # mirroring the scalar path's paired dominates() calls).
-            own = cell.entries
-            own_mat = cell.vector_matrix()
-            if own_mat is not None and live.size:
-                clock.charge("dominance_cmp", 2 * live.size * len(own))
-                hit = dominates_matrix(own_mat, cand[live]).any(axis=0)
+            own = cell.size
+            if own and live.size:
+                clock.charge("dominance_cmp", 2 * live.size * own)
+                hit = dominates_matrix(cell.vector_matrix(), cand[live]).any(axis=0)
                 live = live[~hit]
             # (1c) the lower cone, pooled into one matrix / one kernel
-            # (per-cell matrices are cached on the cells).
+            # (per-cell matrices are views of the cells' blocks).
             if live.size:
                 cone_mats = [
-                    m
-                    for m in (lc.vector_matrix() for lc in cell.cone_lower)
-                    if m is not None
+                    lc.vector_matrix() for lc in cell.cone_lower if lc.size
                 ]
                 if cone_mats:
                     cone = (
@@ -424,65 +424,50 @@ class ExecutionState:
 
             # (2) Evict dominated entries: same cell plus the upper cone,
             # again pooled into one kernel call and split back per cell.
-            targets: list[OutputCell] = []
-            evict_mats: list[np.ndarray] = []
-            if own_mat is not None:
-                targets.append(cell)
-                evict_mats.append(own_mat)
-            for uc in cell.cone_upper:
-                m = uc.vector_matrix()
-                if m is not None:
-                    targets.append(uc)
-                    evict_mats.append(m)
+            targets = [t for t in (cell, *cell.cone_upper) if t.size]
             if targets:
+                evict_mats = [t.vector_matrix() for t in targets]
                 evict_pool = (
                     np.concatenate(evict_mats)
                     if len(evict_mats) > 1
                     else evict_mats[0]
                 )
-                upper_total = evict_pool.shape[0] - len(own)
+                upper_total = evict_pool.shape[0] - own
                 if upper_total:
                     clock.charge("dominance_cmp", s * upper_total)
                 kill = dominates_matrix(surv, evict_pool).any(axis=0)
-                pos = 0
-                for target, mat in zip(targets, evict_mats):
-                    size = mat.shape[0]
-                    part = kill[pos : pos + size]
-                    pos += size
-                    if part.any():
-                        kept = [
-                            e for e, k in zip(target.entries, part) if not k
-                        ]
-                        self.live_entries -= len(target.entries) - len(kept)
-                        target.entries = kept
-                        target.invalidate_vectors()
+                if kill.any():
+                    pos = 0
+                    for target in targets:
+                        part = kill[pos : pos + target.size]
+                        pos += len(part)
+                        self.live_entries -= target.evict(part)
 
             # (3) Mark strictly-dominated cells.  One surviving candidate
             # with some dimension strictly below the cell's lower corner
             # suffices, so testing the per-dimension minimum over the
             # survivors is exact.
-            unmarked = [sc for sc in cell.strict_upper if not sc.marked]
+            strict = cell.strict_upper
+            unmarked = [i for i, sc in enumerate(strict) if not sc.marked]
             if unmarked:
                 clock.charge("partition_op", len(unmarked))
-                lowers = np.asarray([sc.lower for sc in unmarked], dtype=float)
+                lowers = cell.strict_lowers()[unmarked]
                 if self.careful_marking:
                     to_mark = dominates_matrix(surv, lowers).any(axis=0)
                 else:
-                    surv_min = surv.min(axis=0)
-                    to_mark = (surv_min[None, :] < lowers).any(axis=1)
-                for sc, hit in zip(unmarked, to_mark):
-                    if hit and not sc.marked:
-                        self.mark_cell(sc)
+                    to_mark = (surv.min(axis=0) < lowers).any(axis=1)
+                for i in np.flatnonzero(to_mark).tolist():
+                    self.mark_cell(strict[unmarked[i]])
 
             # ``lrows[i]`` is a row tuple, or a row reference when the
             # batch came as index pairs (resolved at emission).
-            cell.entries.extend(
-                (tuple(vector), lrows[i], rrows[i], tuple(values))
-                for vector, i, values in zip(
-                    surv.tolist(), surv_idx.tolist(), mapped[surv_idx].tolist()
-                )
+            picked = surv_idx.tolist()
+            cell.append(
+                surv,
+                [lrows[i] for i in picked],
+                [rrows[i] for i in picked],
+                mapped[surv_idx],
             )
-            cell.invalidate_vectors()
             self.inserted += s
             self.live_entries += s
             if self.live_entries > self.peak_live_entries:

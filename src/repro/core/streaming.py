@@ -298,6 +298,7 @@ class StreamingKernel(ExecutionKernel):
         the new cells' own pending counts are computed from scratch.
         """
         grid = self.plan.grid
+        grid.cone_totals = None  # cone sizes change below: recount on demand
         new_coords = {c.coords for c in new_cells}
         old = [
             c for c in grid.cells.values()

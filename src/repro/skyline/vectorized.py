@@ -15,13 +15,18 @@ Conventions shared with the scalar code:
   (Definition 1) — in particular, equal vectors never dominate each other,
   so duplicates always survive together.
 
-Comparison accounting is *bulk*: every kernel accepts an optional
-``on_comparisons(count)`` callback invoked once per matrix operation with
-the number of vector pairs tested, so callers can charge a
+Comparison accounting is *bulk* and *algorithmic*.  Every kernel accepts an
+optional ``on_comparisons(count)`` callback, so callers can charge a
 :class:`~repro.runtime.clock.VirtualClock` without per-pair call overhead.
-The bulk counts are honest (no short-circuiting), so a vectorized run
-charges at least as many comparisons as the scalar reference for the same
-work.
+What is reported is the number of vector pairs the **algorithm** tests,
+not the lanes a particular kernel happened to evaluate: for
+:func:`skyline_mask` that is the SFS sweep — every point against each
+head before it, up to and including the first head that dominates it.  The
+loop-free form used for small windows evaluates a whole pairwise matrix
+and still reports the sweep's count, so a charge means the same thing at
+every input size and does not move when a kernel is reshaped.  Within one
+sweep step nothing short-circuits, so a vectorized run charges at least as
+many comparisons as the scalar reference for the same work.
 """
 
 from __future__ import annotations
@@ -62,21 +67,30 @@ def dominates_matrix(u, v) -> np.ndarray:
     """Pairwise dominance: ``out[i, j]`` iff ``u[i]`` dominates ``v[j]``.
 
     ``u`` is ``(n, d)``, ``v`` is ``(m, d)``; the result is an ``(n, m)``
-    boolean matrix computed in one broadcast — the matrix counterpart of
-    :func:`repro.skyline.dominance.dominates`.
+    boolean matrix — the matrix counterpart of
+    :func:`repro.skyline.dominance.dominates`, NaN included (a NaN
+    coordinate is neither worse nor better).  Both sides are laid out one
+    contiguous row per dimension: one 2-D pass per dimension, reduced across
+    the ``d`` slabs — several times cheaper than an ``(n, m, d)`` broadcast
+    reduced over its short trailing axis.
     """
     U = as_matrix(u)
     V = as_matrix(v, dimensions=U.shape[1])
-    if U.shape[1] != V.shape[1]:
+    n, d = U.shape
+    m = V.shape[0]
+    if d != V.shape[1]:
         raise ValueError(
             "dominance comparison of unequal-width matrices: "
-            f"{U.shape[1]} vs {V.shape[1]} dimensions"
+            f"{d} vs {V.shape[1]} dimensions"
         )
-    if U.shape[0] == 0 or V.shape[0] == 0:
-        return np.zeros((U.shape[0], V.shape[0]), dtype=bool)
-    le = U[:, None, :] <= V[None, :, :]  # (n, m, d)
-    lt = U[:, None, :] < V[None, :, :]
-    return le.all(axis=2) & lt.any(axis=2)
+    if n == 0 or m == 0:
+        return np.zeros((n, m), dtype=bool)
+    by_dim_u = np.ascontiguousarray(U.T)[:, :, None]  # (d, n, 1)
+    by_dim_v = np.ascontiguousarray(V.T)[:, None, :]  # (d, 1, m)
+    out = (by_dim_u > by_dim_v).any(axis=0)
+    np.logical_not(out, out=out)
+    out &= (by_dim_u < by_dim_v).any(axis=0)
+    return out
 
 
 def dominated_by_any(
@@ -148,27 +162,61 @@ def _sorted_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.nda
     The head of the remaining window is always a confirmed skyline member
     (nothing later in sum order can dominate it, and equal-sum dominance is
     impossible), so each step keeps the head and tests it against the whole
-    tail in one broadcast — ``|skyline|`` kernel launches in total, the
-    window algorithm with a matrix inner loop.  Identical vectors never
-    dominate each other, so duplicate heads survive as subsequent heads.
+    tail — ``|skyline|`` steps in total, the window algorithm with a matrix
+    inner loop.  Identical vectors never dominate each other, so duplicate
+    heads survive as subsequent heads.  The window is held one contiguous
+    row per dimension, as in :func:`dominates_matrix`.
     """
     kept: list[int] = []
     pos = np.arange(S.shape[0], dtype=np.intp)
-    work = S
-    while work.shape[0]:
-        ref = work[0]
+    work = np.ascontiguousarray(S.T)  # (d, window)
+    while pos.shape[0]:
         kept.append(int(pos[0]))
-        tail = work[1:]
-        if not tail.shape[0]:
+        if pos.shape[0] == 1:
             break
         if on_comparisons is not None:
-            on_comparisons(tail.shape[0])
+            on_comparisons(pos.shape[0] - 1)
+        head = work[:, :1]
+        tail = work[:, 1:]
         # Tail survivors: strictly better somewhere, or identical to the
         # head (duplicates never dominate each other).
-        survive = (tail < ref).any(axis=1) | (tail == ref).all(axis=1)
-        work = tail[survive]
+        survive = (tail < head).any(axis=0)
+        survive |= (tail == head).all(axis=0)
+        work = tail.compress(survive, axis=1)
         pos = pos[1:][survive]
     return np.asarray(kept, dtype=np.intp)
+
+
+#: Windows up to this size take the loop-free :func:`_pairwise_sweep`: one
+#: fixed set of kernel launches over O(n^2) lanes, against a set of launches
+#: per skyline member over O(s * n) lanes.  Set from the microbench rows in
+#: docs/benchmarks.md: groups of ~8 mostly-surviving candidates fall below
+#: it, groups of ~90 candidates with ~5 survivors above.
+_PAIRWISE_MAX = 32
+
+_EARLIER = np.triu(np.ones((_PAIRWISE_MAX,) * 2, dtype=bool), 1)
+
+
+def _pairwise_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
+    """:func:`_sorted_sweep` of a small window from one pairwise matrix.
+
+    Same positions, same comparison total, no Python loop.  A point is a
+    head iff no earlier point beats it (had that point been eliminated, its
+    eliminator beats this one too: dominance is transitive).  The sweep
+    tests a point against each head before it, up to and including the
+    first that beats it: ``k`` tests for the ``k``-th head, one more than
+    its first beater's rank for an eliminated point.
+    """
+    n = S.shape[0]
+    beats = dominates_matrix(S, S)
+    beats &= _EARLIER[:n, :n]  # a head only ever meets the points after it
+    alive = ~beats.any(axis=0)
+    if on_comparisons is not None and n > 1:
+        heads = beats[alive]
+        s = heads.shape[0]
+        first_beater = heads.argmax(axis=0)  # 0 down a head's own column
+        on_comparisons(s * (s - 1) // 2 + (n - s) + int(first_beater.sum()))
+    return np.flatnonzero(alive)
 
 
 def skyline_mask(
@@ -181,9 +229,11 @@ def skyline_mask(
     Skyline membership does not depend on input order, so the kernel is
     free to sort internally into SFS (coordinate-sum) order: every sweep
     reference is then a confirmed skyline member, the sweep runs exactly
-    ``|skyline|`` broadcasts of one candidate against the whole remaining
+    ``|skyline|`` steps of one candidate against the whole remaining
     window, and the resulting mask is scattered back to input positions.
     Total work is ``O(s · n · d)`` element operations at numpy throughput.
+    Windows of at most ``_PAIRWISE_MAX`` points take the loop-free
+    form of the same sweep.
 
     Semantically identical to :func:`repro.skyline.bnl.bnl_skyline` (the
     returned set, duplicates included, is the same); returns a boolean mask
@@ -195,8 +245,8 @@ def skyline_mask(
     if n == 0:
         return keep
     order = _sum_order(P)
-    kept_sorted = _sorted_sweep(P[order], on_comparisons)
-    keep[order[kept_sorted]] = True
+    sweep = _pairwise_sweep if n <= _PAIRWISE_MAX else _sorted_sweep
+    keep[order[sweep(P[order], on_comparisons)]] = True
     return keep
 
 

@@ -29,6 +29,15 @@ def oracle_skyline_keys(bound: BoundQuery) -> set[tuple]:
     return {payload for _, payload in bnl_skyline_entries(candidates)}
 
 
+def mean_cone_size_from_scratch(grid) -> float:
+    """``OutputGrid.mean_cone_size`` recounted from the cells themselves."""
+    live = [c for c in grid.cells.values() if not c.marked]
+    if not live:
+        return 1.0
+    total = sum(len(c.cone_lower) + len(c.cone_upper) + 1 for c in live)
+    return total / len(live)
+
+
 @pytest.fixture
 def small_bound() -> BoundQuery:
     """A small independent 2-d workload most suites can share."""

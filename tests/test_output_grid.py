@@ -1,5 +1,6 @@
 """Tests for the output grid: geometry, cones, marking bookkeeping."""
 
+import numpy as np
 import pytest
 
 from repro.core.output_grid import OutputCell, OutputGrid
@@ -141,7 +142,7 @@ class TestStatistics:
         a = grid.activate((0, 0))
         b = grid.activate((1, 1))
         b.marked = True
-        a.entries.append(((0.0, 0.0), None, None, (0.0, 0.0)))
+        a.append(np.zeros((1, 2)), [("l",)], [("r",)], np.zeros((1, 2)))
         assert grid.active_count == 2
         assert grid.marked_count == 1
         assert grid.live_entry_count() == 1

@@ -1,5 +1,8 @@
 """Tests for ProgDetermine: settle/mark/emit bookkeeping (paper §V)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.lookahead import run_lookahead
@@ -7,6 +10,8 @@ from repro.core.progdetermine import ExecutionState
 from repro.errors import ExecutionError
 from repro.runtime.clock import VirtualClock
 from repro.storage.grid import GridPartitioner
+
+from tests.conftest import mean_cone_size_from_scratch
 
 
 def build_state(bound, k_in=3, k_out=6):
@@ -61,10 +66,27 @@ class TestMarking:
         state, regions, grid = build_state(small_bound)
         live = [c for c in grid.cells.values() if not c.marked]
         cell = live[0]
-        cell.entries.append(((0.0, 0.0), ("l",), ("r",), (0.0, 0.0)))
+        cell.append(np.zeros((1, 2)), [("l",)], [("r",)], np.zeros((1, 2)))
+        assert len(cell.entries) == 1
         state.mark_cell(cell)
         assert cell.marked and cell.settled
-        assert cell.entries == []
+        assert cell.entries == [] and cell.size == 0
+        assert cell.vector_matrix() is None
+
+    def test_mean_cone_size_tracks_marks(self, anti_bound):
+        # The grid keeps running totals instead of walking every cell per
+        # call; marking (cascades included) must leave them exact.
+        state, regions, grid = build_state(anti_bound)
+        assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
+        rng = random.Random(3)
+        live = [c for c in grid.cells.values() if not c.marked]
+        assert len(live) > 10
+        for cell in rng.sample(live, len(live) // 2):
+            state.mark_cell(cell)
+            assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
+        for cell in live:
+            state.mark_cell(cell)
+        assert grid.mean_cone_size() == 1.0  # nothing live is left
 
     def test_mark_idempotent(self, small_bound):
         state, regions, grid = build_state(small_bound)

@@ -52,7 +52,7 @@ from repro.skyline import dominates
 from repro.storage.sources import ColumnarFileSource, SQLiteSource, write_columnar
 from repro.storage.table import Table
 
-from tests.conftest import make_bound
+from tests.conftest import make_bound, mean_cone_size_from_scratch
 
 ALIASES = ("R", "T")
 
@@ -310,6 +310,28 @@ class TestEmptyPollIsPure:
         assert kernel.poll_deltas() == 0
         assert cache.stats() == before
         assert kernel.rows_ingested == 0
+
+
+def test_mean_cone_size_survives_a_poll_that_activates_cells():
+    """The grid's running cone totals must not outlive a rewiring: a poll
+    that activates cells changes cone sizes of old cells too."""
+    workload, live, arriving = split_workload(n=120, seed=37, frac=0.3)
+    bound = workload.query().bind(live)
+    kernel = ProgXeEngine(bound, VirtualClock(), follow=True).kernel()
+    while kernel.step().kind != STEP_INGEST:
+        pass
+    grid = kernel.plan.grid
+    assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
+    cells_before = grid.active_count
+    for alias in ALIASES:
+        live[alias].extend_rows(arriving[alias])
+    assert kernel.poll_deltas() > 0
+    assert grid.active_count > cells_before  # the poll did activate cells
+    assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
+    kernel.close_ingest()
+    while not kernel.finished:
+        kernel.step()
+        assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
 
 
 # ----------------------------------------------------------------------

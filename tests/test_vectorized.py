@@ -23,6 +23,10 @@ from repro.skyline.dominance import dominates, skyline_indices_bruteforce
 from repro.skyline.preferences import ParetoPreference, highest, lowest
 from repro.skyline.sfs import sfs_skyline
 from repro.skyline.vectorized import (
+    _PAIRWISE_MAX,
+    _pairwise_sweep,
+    _sorted_sweep,
+    _sum_order,
     as_matrix,
     dominated_by_any,
     dominates_matrix,
@@ -76,6 +80,108 @@ class TestDominatesMatrix:
     def test_equal_vectors_do_not_dominate(self):
         mat = dominates_matrix([(1.0, 2.0)], [(1.0, 2.0)])
         assert not mat.any()
+
+
+# Few distinct values so ties and duplicates are the rule, plus the values
+# comparisons treat specially.
+edge_coord = st.sampled_from(
+    [0.0, 1.0, 2.0, -1.0, 0.1 + 0.2, float("inf"), float("-inf"), float("nan")]
+)
+
+
+@st.composite
+def two_matrices(draw):
+    d = draw(st.integers(min_value=1, max_value=6))
+    rows = st.lists(st.tuples(*[edge_coord] * d), min_size=1, max_size=9)
+    return draw(rows), draw(rows)
+
+
+def layouts(rows):
+    """The same matrix C-ordered, F-ordered, row-sliced and column-sliced."""
+    base = np.array(rows, dtype=float)
+    n, d = base.shape
+    tall = np.zeros((2 * n, d))
+    tall[::2] = base
+    wide = np.zeros((n, d + 2))
+    wide[:, 1 : d + 1] = base
+    return [base, np.asfortranarray(base), tall[::2], wide[:, 1 : d + 1]]
+
+
+class TestDominatesMatrixEdgeValues:
+    @given(two_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_dominates_in_every_layout(self, pair):
+        us, vs = pair
+        expected = [[dominates(u, v) for v in vs] for u in us]
+        for U in layouts(us):
+            for V in layouts(vs):
+                assert dominates_matrix(U, V).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# the sweep: loop-free form == per-head loop, comparisons included
+# ---------------------------------------------------------------------------
+# Small-domain values make duplicates and equal coordinate sums the rule;
+# 1e16 swallows a +1, so dominance between *equal rounded sums* occurs too.
+sweep_coord = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 1e16])
+
+
+@st.composite
+def sweep_input(draw):
+    d = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=2 * _PAIRWISE_MAX))
+    rows = draw(
+        st.lists(st.tuples(*[sweep_coord] * d), min_size=n, max_size=n)
+    )
+    return np.array(rows, dtype=float)
+
+
+def reference_sweep(P):
+    """Mask and comparison total of the per-head loop, whatever ``len(P)``."""
+    order = _sum_order(P)
+    tested: list[int] = []
+    kept = _sorted_sweep(P[order], tested.append)
+    mask = np.zeros(len(P), dtype=bool)
+    mask[order[kept]] = True
+    return mask, sum(tested)
+
+
+class TestSweepForms:
+    @given(sweep_input())
+    @settings(max_examples=300, deadline=None)
+    def test_skyline_mask_equals_the_loop_on_both_sides_of_the_cutover(self, P):
+        expected_mask, expected_total = reference_sweep(P)
+        tested: list[int] = []
+        mask = skyline_mask(P, on_comparisons=tested.append)
+        assert mask.tolist() == expected_mask.tolist()
+        assert sum(tested) == expected_total
+        assert (skyline_mask(P) == expected_mask).all()  # uncounted form
+
+    @pytest.mark.parametrize("n", range(1, _PAIRWISE_MAX + 1))
+    def test_every_size_below_the_cutover(self, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 2, 4):
+            for P in (
+                rng.integers(0, 3, size=(n, d)).astype(float),  # ties galore
+                rng.random((n, d)),
+                np.ones((n, d)),  # all duplicates: everything survives
+            ):
+                S = P[_sum_order(P)]
+                loop: list[int] = []
+                flat: list[int] = []
+                expected = _sorted_sweep(S, loop.append)
+                got = _pairwise_sweep(S, flat.append)
+                assert got.tolist() == expected.tolist()
+                assert sum(flat) == sum(loop)
+
+    def test_equal_rounded_sums_follow_the_sweep_not_the_true_skyline(self):
+        # (1e16, 1) and (1e16, 0) have the same float sum; arriving in this
+        # order the sweep meets the dominated point first and keeps both.
+        # The loop-free form must reproduce that, not "fix" it.
+        P = np.array([[1e16, 1.0], [1e16, 0.0]])
+        assert skyline_mask(P).tolist() == [True, True]
+        assert reference_sweep(P)[0].tolist() == [True, True]
+        assert skyline_mask(P[::-1]).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
