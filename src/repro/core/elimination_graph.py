@@ -66,12 +66,12 @@ class EliminationGraph:
         may turn other regions into roots, which become candidates for the
         priority queue.
         """
+        targets = map(self.regions.get, region.out_edges)
+        targets = [t for t in targets if t is not None]
+        if targets:
+            self.clock.charge("graph_op", len(targets))  # one per edge
         new_roots: list[OutputRegion] = []
-        for target_id in region.out_edges:
-            target = self.regions.get(target_id)
-            if target is None:
-                continue
-            self.clock.charge("graph_op")
+        for target in targets:
             target.in_degree -= 1
             if target.in_degree == 0 and not target.done:
                 new_roots.append(target)

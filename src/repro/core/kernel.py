@@ -368,7 +368,8 @@ class ExecutionKernel:
 
     def snapshot(self) -> KernelSnapshot:
         """Progress snapshot: region, cell, emission and clock counters."""
-        regions = self.plan.regions
+        # state.regions also holds the regions streaming's arrival polls add.
+        regions = self.state.regions.values()
         discarded = sum(1 for r in regions if r.discarded)
         pending = sum(1 for r in regions if not r.done)
         cells = self.plan.grid.cells.values()
@@ -450,9 +451,9 @@ class ExecutionKernel:
         """Verify the completeness invariant and publish engine stats."""
         if self.verify:
             self.state.verify_drained()
-        regions = self.plan.regions
         grid = self.plan.grid
         state = self.state
+        regions = state.regions.values()
         self.stats.update(
             {
                 "regions_total": len(regions),

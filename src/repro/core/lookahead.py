@@ -18,13 +18,13 @@ tuple is touched:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.output_grid import OutputGrid
 from repro.core.regions import OutputRegion
 from repro.query.smj import BoundQuery
 from repro.runtime.clock import VirtualClock
+from repro.skyline.vectorized import dominated_by_any
 from repro.storage.grid import InputGrid
+from repro.storage.partition import InputPartition
 
 #: Relative box expansion guarding against floating-point rounding between
 #: interval arithmetic and per-tuple evaluation order.
@@ -38,24 +38,64 @@ def build_regions(
     clock: VirtualClock,
 ) -> list[OutputRegion]:
     """Construct output regions for all joinable partition pairs."""
-    regions: list[OutputRegion] = []
-    rid = 0
-    for lpart in left_grid:
-        left_bounds = lpart.attribute_intervals(left_grid.attributes)
-        for rpart in right_grid:
+    return build_block_regions(
+        bound, list(left_grid), list(right_grid),
+        left_grid.attributes, right_grid.attributes, clock,
+    )[0]
+
+
+def build_block_regions(
+    bound: BoundQuery,
+    left_parts: list[InputPartition],
+    right_parts: list[InputPartition],
+    left_attributes: tuple[str, ...],
+    right_attributes: tuple[str, ...],
+    clock: VirtualClock,
+    *,
+    first_rid: int = 0,
+    grid: OutputGrid | None = None,
+) -> tuple[list[OutputRegion], int]:
+    """Regions of the block ``left_parts x right_parts``, left-major.
+
+    All output boxes come from one array-valued interval evaluation
+    (:meth:`~repro.query.smj.BoundQuery.region_boxes`); per pair there is
+    the signature test and the region constructor, ids counting up from
+    ``first_rid`` over the pairs that pass the test.  Given the live output
+    ``grid`` (streaming), such a pair is dropped when every cell its box
+    covers is already active and marked: its region could only end in the
+    ``unmarked_covered == 0`` discard, so the pair is charged that
+    ``discard`` now, keeps its id and is never built.  Returns the regions
+    and the number of pairs dropped.
+    """
+    if not left_parts or not right_parts:
+        return [], 0
+    lowers, uppers = bound.region_boxes(
+        [p.attribute_intervals(left_attributes) for p in left_parts],
+        [p.attribute_intervals(right_attributes) for p in right_parts],
+    )
+    # Batched box_cell_range, then the born-dead test, for all pairs at once.
+    dead = grid is not None and grid.all_marked(
+        grid.coords_matrix(lowers), grid.coords_matrix(uppers)
+    ).tolist()
+    lowers, uppers = lowers.tolist(), uppers.tolist()
+    regions, pruned = [], 0
+    for i, lpart in enumerate(left_parts):
+        lsig = lpart.signature
+        for j, rpart in enumerate(right_parts):
             clock.charge("partition_op")
-            if not lpart.signature.may_share(rpart.signature):
+            rsig = rpart.signature
+            if not lsig.may_share(rsig):
                 continue
-            lower, upper = bound.region_box(
-                left_bounds, rpart.attribute_intervals(right_grid.attributes)
-            )
-            guaranteed = lpart.signature.definitely_shares(rpart.signature)
-            expected = lpart.signature.expected_join_size(rpart.signature)
-            regions.append(
-                OutputRegion(rid, lpart, rpart, lower, upper, expected, guaranteed)
-            )
-            rid += 1
-    return regions
+            if dead and dead[i][j]:
+                clock.charge("discard")
+                pruned += 1
+                continue
+            regions.append(OutputRegion(
+                first_rid + len(regions) + pruned, lpart, rpart,
+                tuple(lowers[i][j]), tuple(uppers[i][j]),
+                lsig.expected_join_size(rsig), lsig.definitely_shares(rsig),
+            ))
+    return regions, pruned
 
 
 def eliminate_dominated_regions(
@@ -73,15 +113,12 @@ def eliminate_dominated_regions(
     guaranteed = [r for r in regions if r.guaranteed]
     if not guaranteed:
         return regions
-    uppers = np.array([g.upper for g in guaranteed])  # (G, d)
-    lowers = np.array([r.lower for r in regions])  # (N, d)
     clock.charge("graph_op", len(guaranteed))
-    le = uppers[:, None, :] <= lowers[None, :, :]
-    lt = uppers[:, None, :] < lowers[None, :, :]
-    dominated_by = le.all(axis=2) & lt.any(axis=2)  # (G, N)
     # A guaranteed region never eliminates itself: its upper corner cannot
     # strictly dominate its own lower corner (upper >= lower).
-    dominated = dominated_by.any(axis=0)
+    dominated = dominated_by_any(
+        [r.lower for r in regions], [g.upper for g in guaranteed]
+    )
     survivors = []
     for region, dead in zip(regions, dominated):
         if dead:
@@ -140,12 +177,10 @@ def premark_dominated_cells(
     if not guaranteed or not grid.cells:
         return 0
     cells = list(grid.cells.values())
-    lowers = np.array([c.lower for c in cells])  # (N, d)
-    uppers = np.array([g.upper for g in guaranteed])  # (G, d)
     clock.charge("graph_op", len(guaranteed))
-    le = uppers[:, None, :] <= lowers[None, :, :]
-    lt = uppers[:, None, :] < lowers[None, :, :]
-    dominated = (le.all(axis=2) & lt.any(axis=2)).any(axis=0)  # (N,)
+    dominated = dominated_by_any(
+        [c.lower for c in cells], [g.upper for g in guaranteed]
+    )
     marked = 0
     region_by_id = {r.rid: r for r in regions}
     for cell, dead in zip(cells, dominated):

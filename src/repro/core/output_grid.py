@@ -26,7 +26,7 @@ wrongly discarded.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -264,6 +264,24 @@ class OutputGrid:
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Inclusive coordinate range of cells overlapping a box."""
         return self.coords_of(lower), self.coords_of(upper)
+
+    def all_marked(self, cmins: np.ndarray, cmaxs: np.ndarray) -> np.ndarray:
+        """Per inclusive ``(..., d)`` coordinate range, whether every cell in
+        it is active and marked (a cell never activated is not marked): the
+        range's marked count — inclusion-exclusion over its ``2^d`` corners
+        in a summed-area table of the marked mask — equals its volume."""
+        d = self.dimensions
+        table = np.zeros((self.cells_per_dim + 1,) * d, dtype=np.int64)
+        marked = [c.coords for c in self.cells.values() if c.marked]
+        table[tuple(np.array(marked, dtype=np.intp).reshape(-1, d).T + 1)] = 1
+        for axis in range(d):
+            np.cumsum(table, axis=axis, out=table)
+        count = np.zeros(cmins.shape[:-1], dtype=np.int64)
+        for corner in product((0, 1), repeat=d):
+            at = np.where(corner, cmaxs + 1, cmins)
+            term = table[tuple(np.moveaxis(at, -1, 0))]
+            count += term if (d - sum(corner)) % 2 == 0 else -term
+        return count == (cmaxs - cmins + 1).prod(axis=-1)
 
     def iter_coords_in_range(
         self, cmin: Sequence[int], cmax: Sequence[int]

@@ -48,6 +48,7 @@ from repro.core.kernel import (
     ExecutionKernel,
     _StepBoundary,
 )
+from repro.core.lookahead import build_block_regions
 from repro.core.output_grid import OutputCell
 from repro.core.plan import QueryPlan, StreamSide
 from repro.core.regions import OutputRegion
@@ -103,6 +104,7 @@ class StreamingKernel(ExecutionKernel):
         self.polls = 0
         self.rows_ingested = 0
         self.regions_added = 0
+        self.regions_pruned = 0
         self.cells_reopened = 0
         self.state.hold_emissions = True
         self.state.careful_marking = True
@@ -133,19 +135,20 @@ class StreamingKernel(ExecutionKernel):
 
         A side whose ``cache_token`` still equals the last absorbed cursor
         is skipped outright — no scan, no cache lookup, no store-counter
-        movement — so an empty poll costs one ``queue_op`` and nothing
-        else.  Grown sides are extended through the shared cache when the
-        plan used one (keeping the patched-generation chain intact for
-        queries 2..N), privately otherwise, and the fresh partitions are
-        integrated as new output regions.
+        movement — and no partition list is read until some side grew: an
+        empty poll costs one ``queue_op`` and nothing else.  Grown sides go
+        through the shared cache when the plan used one (keeping the
+        patched-generation chain intact for queries 2..N), privately
+        otherwise, and the fresh partitions become new output regions.
         """
         self.polls += 1
         self.clock.charge("queue_op")
-        old_sides: list[list[InputPartition]] = []
+        tokens = [side.table.cache_token for side in self._sides]
+        if all(now == side.token for now, side in zip(tokens, self._sides)):
+            return 0
+        old_sides = [self._known_partitions(i) for i in range(len(tokens))]
         new_sides: list[list[InputPartition]] = []
-        for i, side in enumerate(self._sides):
-            old_sides.append(self._known_partitions(i))
-            token_now = side.table.cache_token
+        for i, (side, token_now) in enumerate(zip(self._sides, tokens)):
             if token_now == side.token:
                 new_sides.append([])
                 continue
@@ -208,38 +211,28 @@ class StreamingKernel(ExecutionKernel):
     ) -> None:
         """Create and wire the output regions the delta pairs generate.
 
-        Exactly the pairs no prior region covers: ``ΔL x (R ∪ ΔR)`` plus
-        ``L x ΔR``.  Signature join pruning applies as in the base
-        look-ahead; region- and cell-level domination pruning are skipped —
-        they are optimisations, and the base grid's premarked cells keep
-        discarding whatever falls into them.
+        Exactly the pairs no prior region covers, as two blocks of the
+        look-ahead's builder: ``ΔL x (R ∪ ΔR)`` and ``L x ΔR``, signature
+        join pruning included; a pair covering only marked cells is dropped
+        at birth (:attr:`regions_pruned`).  Region- and cell-level
+        domination pruning are skipped — the marked cells discard anyway.
         """
-        bound = self.bound
-        clock = self.clock
         old_left, old_right = old_sides
         new_left, new_right = new_sides
-        left_attrs = self._sides[0].structure.attributes
-        right_attrs = self._sides[1].structure.attributes
-        pairs = [
-            (lp, rp) for lp in new_left for rp in old_right + new_right
-        ] + [(lp, rp) for lp in old_left for rp in new_right]
         regions: list[OutputRegion] = []
-        for lp, rp in pairs:
-            clock.charge("partition_op")
-            if not lp.signature.may_share(rp.signature):
-                continue
-            lower, upper = bound.region_box(
-                lp.attribute_intervals(left_attrs),
-                rp.attribute_intervals(right_attrs),
+        for left_parts, right_parts in (
+            (new_left, old_right + new_right),
+            (old_left, new_right),
+        ):
+            built, pruned = build_block_regions(
+                self.bound, left_parts, right_parts,
+                self._sides[0].structure.attributes,
+                self._sides[1].structure.attributes,
+                self.clock, first_rid=self._next_rid, grid=self.plan.grid,
             )
-            guaranteed = lp.signature.definitely_shares(rp.signature)
-            expected = lp.signature.expected_join_size(rp.signature)
-            regions.append(
-                OutputRegion(
-                    self._next_rid, lp, rp, lower, upper, expected, guaranteed
-                )
-            )
-            self._next_rid += 1
+            self._next_rid += len(built) + pruned
+            self.regions_pruned += pruned
+            regions += built
         if regions:
             self._wire_regions(regions)
 
@@ -409,6 +402,7 @@ class StreamingKernel(ExecutionKernel):
                 "polls": self.polls,
                 "rows_ingested": self.rows_ingested,
                 "regions_added": self.regions_added,
+                "regions_pruned": self.regions_pruned,
                 "cells_reopened": self.cells_reopened,
             }
         )

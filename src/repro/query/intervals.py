@@ -6,11 +6,29 @@ touching tuples.  Interval arithmetic is the machinery that makes this
 sound: evaluating an expression over intervals yields an interval guaranteed
 to contain every point-wise evaluation over values drawn from those
 intervals.
+
+Endpoints are floats or, for a block of partition pairs, arrays (an ``(nl, 1)``
+column against a ``(1, nr)`` row): arithmetic, and only arithmetic, then yields
+one interval per pair, each computed and checked as the scalar form would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def _holds(flag) -> bool:
+    """Truth of a comparison: for arrays, whether it holds for *any* element."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
+
+
+def _spanning(candidates: tuple) -> "Interval":
+    """The interval spanned by endpoint candidates (element-wise over arrays)."""
+    if isinstance(candidates[0], np.ndarray):
+        return Interval(np.minimum.reduce(candidates), np.maximum.reduce(candidates))
+    return Interval(min(candidates), max(candidates))
 
 
 @dataclass(frozen=True)
@@ -21,7 +39,7 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if _holds(self.lo > self.hi):
             raise ValueError(f"interval lower bound {self.lo} exceeds upper {self.hi}")
 
     @classmethod
@@ -69,13 +87,12 @@ class Interval:
 
     def __mul__(self, other: "Interval | float") -> "Interval":
         if isinstance(other, Interval):
-            products = (
+            return _spanning((
                 self.lo * other.lo,
                 self.lo * other.hi,
                 self.hi * other.lo,
                 self.hi * other.hi,
-            )
-            return Interval(min(products), max(products))
+            ))
         if other >= 0:
             return Interval(self.lo * other, self.hi * other)
         return Interval(self.hi * other, self.lo * other)
@@ -84,17 +101,16 @@ class Interval:
 
     def __truediv__(self, other: "Interval | float") -> "Interval":
         if isinstance(other, Interval):
-            if other.lo <= 0.0 <= other.hi:
+            if _holds((other.lo <= 0.0) & (other.hi >= 0.0)):
                 raise ZeroDivisionError(
                     f"division by an interval containing zero: {other}"
                 )
-            candidates = (
+            return _spanning((
                 self.lo / other.lo,
                 self.lo / other.hi,
                 self.hi / other.lo,
                 self.hi / other.hi,
-            )
-            return Interval(min(candidates), max(candidates))
+            ))
         if other == 0:
             raise ZeroDivisionError("division by zero")
         if other > 0:

@@ -468,6 +468,32 @@ class BoundQuery:
                 hi_out.append(-lows[i])
         return tuple(lo_out), tuple(hi_out)
 
+    def region_boxes(
+        self,
+        left_boxes: Sequence[Mapping[str, tuple[float, float]]],
+        right_boxes: Sequence[Mapping[str, tuple[float, float]]],
+    ):
+        """:meth:`region_box` of all pairs from two non-empty box lists, as
+        ``(nl, nr, d)`` lower / upper corner arrays: the same walk, once,
+        over array-valued intervals; it raises if any pair's walk would."""
+        import numpy as np
+
+        def endpoints(boxes, shape):  # attribute -> (lo array, hi array)
+            ends = np.array([[box[a] for a in boxes[0]] for box in boxes], float)
+            return {
+                a: (ends[:, k, 0].reshape(shape), ends[:, k, 1].reshape(shape))
+                for k, a in enumerate(boxes[0])
+            }
+
+        lows, highs = self.region_box(
+            endpoints(left_boxes, (-1, 1)), endpoints(right_boxes, (1, -1))
+        )
+        pairs = (len(left_boxes), len(right_boxes))
+        return tuple(
+            np.stack([np.broadcast_to(v, pairs) for v in side], axis=-1)
+            for side in (lows, highs)
+        )
+
     @property
     def skyline_dimension_count(self) -> int:
         """Number of skyline dimensions ``d``."""

@@ -1,5 +1,6 @@
 """Tests for interval arithmetic — soundness is what look-ahead rests on."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,3 +122,91 @@ class TestSoundness:
         assert (ia + s).contains(a + s, tol=1e-6)
         assert (ia * s).contains(a * s, tol=1e-4)
         assert (-ia).contains(-a, tol=1e-6)
+
+
+# ----------------------------------------------------------------------
+# array-valued endpoints: one interval per partition pair
+# ----------------------------------------------------------------------
+def scalar_outcome(op, a: Interval, b: Interval):
+    """``op(a, b)`` as ``(lo, hi)``, or the exception type it raises."""
+    try:
+        out = op(a, b)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return out.lo, out.hi
+
+
+BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+interval_lists = st.lists(intervals(), min_size=1, max_size=4)
+
+
+class TestArrayEndpoints:
+    """A column of left intervals against a row of right ones computes, per
+    element, exactly what the scalar form computes per pair."""
+
+    @staticmethod
+    def column(ivs):
+        return Interval(
+            np.array([[iv.lo] for iv in ivs]), np.array([[iv.hi] for iv in ivs])
+        )
+
+    @staticmethod
+    def row(ivs):
+        return Interval(
+            np.array([[iv.lo for iv in ivs]]), np.array([[iv.hi for iv in ivs]])
+        )
+
+    # A tiny divisor overflows to inf on both forms; only numpy warns.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("symbol", sorted(BINARY_OPS))
+    @given(lefts=interval_lists, rights=interval_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_binary_ops_equal_the_scalar_form_pair_by_pair(
+        self, symbol, lefts, rights
+    ):
+        op = BINARY_OPS[symbol]
+        want = [[scalar_outcome(op, a, b) for b in rights] for a in lefts]
+        raised = {w for row in want for w in row if isinstance(w, type)}
+        if raised:
+            # The block raises exactly when some pair would, and the same way.
+            with pytest.raises(tuple(raised)):
+                op(self.column(lefts), self.row(rights))
+            return
+        got = op(self.column(lefts), self.row(rights))
+        assert got.lo.shape == got.hi.shape == (len(lefts), len(rights))
+        for i, row in enumerate(want):
+            for j, (lo, hi) in enumerate(row):
+                assert (got.lo[i, j], got.hi[i, j]) == (lo, hi)
+
+    @given(ivs=interval_lists, constant=intervals())
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_intervals_mix_with_array_ones(self, ivs, constant):
+        """A ``Const`` evaluates to a scalar interval on either side."""
+        block = self.column(ivs)
+        for op in (BINARY_OPS["+"], BINARY_OPS["-"], BINARY_OPS["*"]):
+            for got, pairs in (
+                (op(block, constant), [(iv, constant) for iv in ivs]),
+                (op(constant, block), [(constant, iv) for iv in ivs]),
+            ):
+                for i, (a, b) in enumerate(pairs):
+                    assert (got.lo[i, 0], got.hi[i, 0]) == scalar_outcome(op, a, b)
+
+    def test_negation_and_ordering_check(self):
+        block = -self.row([Interval(1.0, 2.0), Interval(-3.0, 5.0)])
+        assert block.lo.tolist() == [[-2.0, -5.0]]
+        assert block.hi.tolist() == [[-1.0, 3.0]]
+        with pytest.raises(ValueError):  # one bad element is enough
+            Interval(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+    def test_divisor_containing_zero_anywhere_raises(self):
+        numerator = self.column([Interval(1.0, 2.0)])
+        fine = self.row([Interval(1.0, 2.0), Interval(-4.0, -2.0)])
+        assert (numerator / fine).lo.tolist() == [[0.5, -1.0]]
+        with pytest.raises(ZeroDivisionError):
+            numerator / self.row([Interval(1.0, 2.0), Interval(-1.0, 0.0)])

@@ -1,14 +1,18 @@
 """Tests for the output-space look-ahead phase (paper §III-A)."""
 
+import numpy as np
+import pytest
 
 from tests.conftest import make_bound, oracle_skyline_keys
 from repro.core.lookahead import (
+    build_block_regions,
     build_output_grid,
     build_regions,
     eliminate_dominated_regions,
     premark_dominated_cells,
     run_lookahead,
 )
+from repro.core.regions import OutputRegion
 from repro.runtime.clock import VirtualClock
 from repro.storage.grid import GridPartitioner
 
@@ -174,3 +178,128 @@ class TestRunLookahead:
         # Cones were built: some live cell has neighbours.
         live = [c for c in grid.cells.values() if not c.marked]
         assert any(c.cone_lower or c.cone_upper for c in live)
+
+
+# ----------------------------------------------------------------------
+# the array forms against the per-pair / broadcast forms they replaced
+# ----------------------------------------------------------------------
+def per_pair_regions(bound, left, right, clock):
+    """``build_regions`` as it was: one ``region_box`` call per pair."""
+    out = []
+    for lpart in left:
+        for rpart in right:
+            clock.charge("partition_op")
+            if not lpart.signature.may_share(rpart.signature):
+                continue
+            lower, upper = bound.region_box(
+                lpart.attribute_intervals(left.attributes),
+                rpart.attribute_intervals(right.attributes),
+            )
+            out.append((
+                len(out), lpart, rpart, lower, upper,
+                lpart.signature.expected_join_size(rpart.signature),
+                lpart.signature.definitely_shares(rpart.signature),
+            ))
+    return out
+
+
+class TestBatchedBuilder:
+    @pytest.mark.parametrize("distribution", ["independent", "anticorrelated"])
+    @pytest.mark.parametrize("sigma", [0.01, 0.2])
+    def test_regions_equal_the_per_pair_loop(self, distribution, sigma):
+        bound = make_bound(distribution, n=150, d=3, sigma=sigma, seed=21)
+        left, right = grids_for(bound, k=3)
+        clock, reference_clock = VirtualClock(), VirtualClock()
+        regions = build_regions(bound, left, right, clock)
+        want = per_pair_regions(bound, left, right, reference_clock)
+        got = [
+            (r.rid, r.left_partition, r.right_partition, r.lower, r.upper,
+             r.expected_join, r.guaranteed)
+            for r in regions
+        ]
+        assert got == want
+        assert all(type(v) is float for r in regions for v in r.lower + r.upper)
+        assert clock.snapshot() == reference_clock.snapshot()
+
+    def test_empty_side_builds_nothing(self):
+        bound = make_bound(n=40, seed=22)
+        left, _ = grids_for(bound)
+        clock = VirtualClock()
+        regions, pruned = build_block_regions(
+            bound, list(left), [], left.attributes, (), clock
+        )
+        assert (regions, pruned, clock.snapshot()) == ([], 0, {})
+
+
+def broadcast_dominated(uppers, lowers):
+    """The ``(G, N, d)`` broadcast both pruning passes used to build."""
+    uppers, lowers = np.asarray(uppers), np.asarray(lowers)
+    le = uppers[:, None, :] <= lowers[None, :, :]
+    lt = uppers[:, None, :] < lowers[None, :, :]
+    return (le.all(axis=2) & lt.any(axis=2)).any(axis=0)
+
+
+def random_regions(rng, n, d):
+    """Regions over small-integer boxes, so exact ties are common."""
+    regions = []
+    for rid in range(n):
+        lower = rng.integers(0, 5, size=d)
+        upper = lower + rng.integers(0, 3, size=d)  # zero-width sides too
+        regions.append(
+            OutputRegion(
+                rid, None, None,
+                tuple(map(float, lower)), tuple(map(float, upper)),
+                1.0, bool(rng.random() < 0.5),
+            )
+        )
+    return regions
+
+
+class TestDominancePruningAgainstBroadcast:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_region_elimination(self, d):
+        rng = np.random.default_rng(300 + d)
+        for _ in range(25):
+            regions = random_regions(rng, int(rng.integers(1, 40)), d)
+            guaranteed = [r for r in regions if r.guaranteed]
+            want = (
+                broadcast_dominated(
+                    [g.upper for g in guaranteed], [r.lower for r in regions]
+                ).tolist()
+                if guaranteed else [False] * len(regions)
+            )
+            clock = VirtualClock()
+            survivors = eliminate_dominated_regions(regions, clock)
+            assert [r.discarded for r in regions] == want
+            assert survivors == [r for r in regions if not r.discarded]
+            assert clock.count("graph_op") == len(guaranteed)
+
+    def test_exact_ties_never_eliminate(self):
+        """upper == lower on every dimension is not dominance."""
+        point = OutputRegion(0, None, None, (2.0, 2.0), (2.0, 2.0), 1.0, True)
+        twin = OutputRegion(1, None, None, (2.0, 2.0), (3.0, 3.0), 1.0, True)
+        beyond = OutputRegion(2, None, None, (2.0, 2.5), (4.0, 4.0), 1.0, False)
+        survivors = eliminate_dominated_regions(
+            [point, twin, beyond], VirtualClock()
+        )
+        assert survivors == [point, twin]
+        assert beyond.discarded  # (2, 2) <= (2, 2.5), strictly on one side
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cell_premarking(self, d):
+        rng = np.random.default_rng(400 + d)
+        bound = make_bound(n=30, d=d, seed=23)
+        for _ in range(15):
+            regions = random_regions(rng, int(rng.integers(1, 25)), d)
+            grid = build_output_grid(bound, regions, 4, VirtualClock())
+            cells = list(grid.cells.values())
+            guaranteed = [r for r in regions if r.guaranteed]
+            want = (
+                broadcast_dominated(
+                    [g.upper for g in guaranteed], [c.lower for c in cells]
+                ).tolist()
+                if guaranteed else [False] * len(cells)
+            )
+            marked = premark_dominated_cells(regions, grid, VirtualClock())
+            assert [c.marked for c in cells] == want
+            assert marked == sum(want)

@@ -1,9 +1,11 @@
 """Tests for the Map operator, derived preferences and the SMJ query model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BindingError, QueryError
-from repro.query.expressions import Attr
+from repro.query.expressions import Attr, BinOp, Const, Neg
 from repro.query.intervals import Interval
 from repro.query.mapping import MappingFunction, MappingSet
 from repro.query.smj import (
@@ -274,3 +276,95 @@ class TestBoundQuery:
         q = make_query(table_names=(("R", "suppliers"), ("T", "transporters")))
         with pytest.raises(BindingError, match="no table named"):
             q.bind_by_table_name({"suppliers": make_tables()["R"]})
+
+
+# ----------------------------------------------------------------------
+# batched region boxes: one expression walk for a block of partition pairs
+# ----------------------------------------------------------------------
+LEFT_ATTRS = ("uPrice", "manTime")
+RIGHT_ATTRS = ("uShipCost", "shipTime")
+
+leaves = st.one_of(
+    st.sampled_from(
+        [Attr("R", a) for a in LEFT_ATTRS] + [Attr("T", a) for a in RIGHT_ATTRS]
+    ),
+    # Constants and weights of either sign, zero included.
+    st.sampled_from([-3.0, -1.0, -0.3, 0.0, 0.1, 2.0, 7.0]).map(Const),
+)
+expressions = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), inner, inner),
+    ),
+    max_leaves=6,
+)
+# Quarter steps: a divisor interval is either away from zero by >= 0.25 or
+# contains it, so no walk overflows into inf/NaN (where min() and
+# np.minimum legitimately part ways).
+endpoint = st.integers(min_value=-80, max_value=80).map(lambda v: v / 4)
+
+
+@st.composite
+def partition_boxes(draw, attributes):
+    """1–3 partition boxes: ``attribute -> (lo, hi)`` each."""
+    return [
+        {
+            a: tuple(sorted((draw(endpoint), draw(endpoint))))
+            for a in attributes
+        }
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+class TestRegionBoxes:
+    @given(
+        first=expressions,
+        second=st.one_of(expressions, st.just(Const(5.0))),
+        directions=st.tuples(st.booleans(), st.booleans()),
+        left_boxes=partition_boxes(LEFT_ATTRS),
+        right_boxes=partition_boxes(RIGHT_ATTRS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equal_region_box_pair_by_pair(
+        self, first, second, directions, left_boxes, right_boxes
+    ):
+        prefs = [
+            (lowest if low else highest)(name)
+            for name, low in zip(("tCost", "delay"), directions)
+        ]
+        bound = make_query(
+            mappings=MappingSet(
+                [MappingFunction("tCost", first), MappingFunction("delay", second)]
+            ),
+            preference=ParetoPreference(prefs),
+        ).bind(make_tables())
+        want, raised = {}, set()
+        for i, lb in enumerate(left_boxes):
+            for j, rb in enumerate(right_boxes):
+                try:
+                    want[i, j] = bound.region_box(lb, rb)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raised.add(type(exc))
+        if raised:
+            # The block fails exactly when some pair's scalar walk does.
+            with pytest.raises(tuple(raised)):
+                bound.region_boxes(left_boxes, right_boxes)
+            return
+        lowers, uppers = bound.region_boxes(left_boxes, right_boxes)
+        assert lowers.shape == uppers.shape == (
+            len(left_boxes), len(right_boxes), 2
+        )
+        for (i, j), (lo, hi) in want.items():
+            assert tuple(lowers[i, j].tolist()) == lo
+            assert tuple(uppers[i, j].tolist()) == hi
+
+    def test_malformed_box_raises_like_the_scalar_form(self):
+        bound = make_query().bind(make_tables())
+        good = {"uPrice": (0.0, 1.0), "manTime": (0.0, 1.0)}
+        bad = {"uPrice": (2.0, 1.0), "manTime": (0.0, 1.0)}
+        right = [{"uShipCost": (0.0, 1.0), "shipTime": (0.0, 1.0)}]
+        with pytest.raises(ValueError):
+            bound.region_box(bad, right[0])
+        with pytest.raises(ValueError):
+            bound.region_boxes([good, bad], right)

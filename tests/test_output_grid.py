@@ -50,6 +50,67 @@ class TestGeometry:
         assert grid.coords_of((5.0,)) == (0,)
 
 
+class TestBatchedRanges:
+    """The array forms the streaming look-ahead uses per block of pairs."""
+
+    def test_cell_ranges_equal_box_cell_range(self):
+        grid = make_grid()  # domain [0, 8]^2, 4 cells of width 2
+        boxes = [
+            ((1.0, 1.0), (5.0, 3.0)),      # inside
+            ((2.0, 4.0), (2.0, 4.0)),      # degenerate, on cell boundaries
+            ((-3.0, 1.0), (1.0, 11.0)),    # straddling two edges
+            ((-0.5, -0.5), (8.5, 8.5)),    # containing the whole domain
+            ((-9.0, -7.0), (-1.0, -2.0)),  # wholly below
+            ((8.0, 9.0), (12.0, 30.0)),    # wholly above
+            ((-4.0, 9.0), (-2.0, 10.0)),   # outside on opposite sides
+        ]
+        lowers = np.array([lo for lo, _ in boxes])
+        uppers = np.array([hi for _, hi in boxes])
+        # The batched form is coords_matrix on each corner matrix.
+        cmins, cmaxs = grid.coords_matrix(lowers), grid.coords_matrix(uppers)
+        for n, (lo, hi) in enumerate(boxes):
+            want_min, want_max = grid.box_cell_range(lo, hi)
+            assert tuple(cmins[n].tolist()) == want_min
+            assert tuple(cmaxs[n].tolist()) == want_max
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_all_marked_equals_brute_force(self, d):
+        rng = np.random.default_rng(100 + d)
+        k = 5 if d < 4 else 3
+        verdicts = set()
+        for _ in range(20):
+            grid = make_grid(k=k, d=d)
+            # Three kinds of cell: never activated, active and unmarked,
+            # active and marked (the majority, so some ranges are all marked).
+            for coords in grid.iter_coords_in_range((0,) * d, (k - 1,) * d):
+                draw = rng.random()
+                if draw >= 0.2:
+                    grid.activate(coords).marked = draw >= 0.4
+            a = rng.integers(0, k, size=(60, d))
+            b = rng.integers(0, k, size=(60, d))
+            cmins, cmaxs = np.minimum(a, b), np.maximum(a, b)
+            want = [
+                all(
+                    coords in grid.cells and grid.cells[coords].marked
+                    for coords in grid.iter_coords_in_range(lo, hi)
+                )
+                for lo, hi in zip(cmins.tolist(), cmaxs.tolist())
+            ]
+            assert grid.all_marked(cmins, cmaxs).tolist() == want
+            verdicts.update(want)
+        assert verdicts == {True, False}
+
+    def test_unactivated_cells_count_as_not_marked(self):
+        grid = make_grid()
+        grid.activate((3, 3)).marked = True
+        grid.activate((2, 3))  # active, not marked
+        one = lambda *c: np.array([c])  # noqa: E731
+        assert grid.all_marked(one(3, 3), one(3, 3)).tolist() == [True]
+        assert grid.all_marked(one(2, 3), one(3, 3)).tolist() == [False]
+        assert grid.all_marked(one(3, 2), one(3, 3)).tolist() == [False]
+        assert grid.all_marked(np.empty((0, 2), int), np.empty((0, 2), int)).size == 0
+
+
 class TestActivation:
     def test_activate_idempotent(self):
         grid = make_grid()

@@ -12,6 +12,11 @@ Regenerate the golden file (only ever from a commit whose behaviour is the
 reference) with::
 
     PYTHONPATH=src:. python tests/test_rowfree_phase2.py
+
+A change that only removes bookkeeping charges from one mode regenerates
+that mode's rows under a guard (see :func:`_regenerate`)::
+
+    PYTHONPATH=src:. python tests/test_rowfree_phase2.py --mode follow
 """
 
 from __future__ import annotations
@@ -255,15 +260,123 @@ class TestRepresentationEdges:
         assert keys == run_keys(workload.bound())[0]  # same as from RAM
 
 
-def _regenerate() -> None:
-    golden = {}
+#: Clock kinds a guarded partial regeneration may lower (never raise).
+_MAY_FALL = ("partition_op", "queue_op")
+
+
+def _guard(name: str, old: dict, new: dict) -> list[str]:
+    """Why ``new`` may not replace ``old`` in a partial regeneration."""
+    problems = []
+    if new["keys"] != old["keys"]:
+        problems.append(f"{name}: result-key sequence differs")
+    for kind in sorted(set(old["clock"]) | set(new["clock"])):
+        was, now = old["clock"].get(kind, 0), new["clock"].get(kind, 0)
+        if kind not in _MAY_FALL and now != was:
+            problems.append(f"{name}: clock[{kind}] {was} -> {now}")
+        elif now > was:
+            problems.append(f"{name}: clock[{kind}] rose {was} -> {now}")
+    return problems
+
+
+def _regenerate(mode: str | None = None) -> int:
+    """Rewrite the golden file; returns the process exit code.
+
+    Without ``mode`` every row is rewritten, unguarded (only ever from a
+    commit whose behaviour is the reference).  With ``mode`` only that
+    mode's rows are, the others are carried over untouched, and nothing is
+    written unless every rewritten row keeps its result keys and every
+    clock count — except ``partition_op`` / ``queue_op``, which may only
+    fall.
+    """
+    current = json.loads(GOLDEN.read_text()) if mode else {}
+    golden, problems = dict(current), []
     for case in CASES:
+        if mode and case[2] != mode:
+            continue
         with tempfile.TemporaryDirectory() as tmp:
-            golden[case_id(case)] = run_case(case, pathlib.Path(tmp))
+            row = golden[case_id(case)] = run_case(case, pathlib.Path(tmp))
+        if mode:
+            problems += _guard(case_id(case), current[case_id(case)], row)
+    if problems:
+        print("\n".join(problems))
+        print(f"refused: {GOLDEN} left untouched")
+        return 1
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(golden)} cases)")
+    changed = sum(golden[k] != current.get(k) for k in golden)
+    print(f"wrote {GOLDEN} ({len(golden)} cases, {changed} changed)")
+    return 0
+
+
+class TestGuardedRegeneration:
+    """``--mode follow`` rewrites only follow rows, and only if nothing but
+    ``partition_op`` / ``queue_op`` moved, downwards."""
+
+    ROW = {
+        "keys": [[[1], [2]]],
+        "clock": {"discard": 4, "partition_op": 90, "queue_op": 30},
+        "vtime": 31.0,
+    }
+
+    def variant(self, **clock):
+        return {**self.ROW, "clock": {**self.ROW["clock"], **clock}}
+
+    def test_guard_accepts_only_falling_bookkeeping(self):
+        assert _guard("c", self.ROW, self.ROW) == []
+        assert _guard("c", self.ROW, self.variant(partition_op=70, queue_op=9)) == []
+        assert _guard("c", self.ROW, self.variant(queue_op=31)) == [
+            "c: clock[queue_op] rose 30 -> 31"
+        ]
+        assert _guard("c", self.ROW, self.variant(discard=3)) == [
+            "c: clock[discard] 4 -> 3"
+        ]
+        assert _guard("c", self.ROW, self.variant(join_result=1)) == [
+            "c: clock[join_result] 0 -> 1"
+        ]
+        assert _guard("c", self.ROW, {**self.ROW, "keys": []}) == [
+            "c: result-key sequence differs"
+        ]
+
+    def regenerate(self, monkeypatch, tmp_path, follow_row):
+        import tests.test_rowfree_phase2 as module
+
+        golden = tmp_path / "golden.json"
+        before = {case_id(case): self.ROW for case in CASES}
+        golden.write_text(json.dumps(before, indent=0, sort_keys=True) + "\n")
+        ran = []
+
+        def fake_run_case(case, tmp):
+            ran.append(case)
+            return follow_row
+
+        monkeypatch.setattr(module, "GOLDEN", golden)
+        monkeypatch.setattr(module, "run_case", fake_run_case)
+        code = module._regenerate("follow")
+        assert ran == [case for case in CASES if case[2] == "follow"]
+        return code, golden, before
+
+    def test_partial_regeneration_rewrites_follow_rows_only(
+        self, monkeypatch, tmp_path
+    ):
+        lowered = self.variant(partition_op=50)
+        code, golden, before = self.regenerate(monkeypatch, tmp_path, lowered)
+        assert code == 0
+        after = json.loads(golden.read_text())
+        for case in CASES:
+            want = lowered if case[2] == "follow" else before[case_id(case)]
+            assert after[case_id(case)] == want
+
+    def test_a_refused_regeneration_writes_nothing(self, monkeypatch, tmp_path):
+        code, golden, before = self.regenerate(
+            monkeypatch, tmp_path, self.variant(discard=5)
+        )
+        assert code == 1
+        assert json.loads(golden.read_text()) == before
 
 
 if __name__ == "__main__":
-    _regenerate()
+    import argparse
+
+    parser = argparse.ArgumentParser(description=_regenerate.__doc__)
+    parser.add_argument("--mode", choices=MODES)
+    raise SystemExit(_regenerate(parser.parse_args().mode))

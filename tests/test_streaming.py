@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.plan_cache import PlanCache
+from repro.core import streaming
 from repro.core.engine import ProgXeEngine
 from repro.core.kernel import STEP_INGEST
 from repro.core.verify import verify_results
@@ -312,6 +313,35 @@ class TestEmptyPollIsPure:
         assert kernel.rows_ingested == 0
 
 
+    def test_unchanged_tokens_read_no_partition_lists(self):
+        """The old sides are collected only once some side grew: an empty
+        poll may compare tokens and charge its ``queue_op``, nothing else."""
+
+        class NoPeek:
+            def __init__(self, structure):
+                self._structure = structure
+
+            def __getattr__(self, name):
+                assert name not in ("partitions", "extensions"), (
+                    f"empty poll read structure.{name}"
+                )
+                return getattr(self._structure, name)
+
+        kernel, live = self._dry_kernel(PlanCache())
+        structures = [side.structure for side in kernel._sides]
+        for side in kernel._sides:
+            side.structure = NoPeek(side.structure)
+        before = kernel.clock.snapshot()
+        assert kernel.poll_deltas() == 0
+        assert kernel.clock.since(before) == {"queue_op": 1}
+        # The spy does fire on a poll that has something to absorb.
+        live["R"].extend_rows(live["R"].rows[:3])
+        with pytest.raises(AssertionError, match="empty poll read"):
+            kernel.poll_deltas()
+        for side, structure in zip(kernel._sides, structures):
+            side.structure = structure
+
+
 def test_mean_cone_size_survives_a_poll_that_activates_cells():
     """The grid's running cone totals must not outlive a rewiring: a poll
     that activates cells changes cone sizes of old cells too."""
@@ -332,6 +362,164 @@ def test_mean_cone_size_survives_a_poll_that_activates_cells():
     while not kernel.finished:
         kernel.step()
         assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
+
+
+# ----------------------------------------------------------------------
+# born-dead delta regions and the progress counts
+# ----------------------------------------------------------------------
+def two_poll_events(arriving):
+    """Both sides grow twice, each time after the queue ran dry."""
+    half = {alias: len(rows) // 2 for alias, rows in arriving.items()}
+    return [
+        (40, "R", arriving["R"][: half["R"]]),
+        (0, "T", arriving["T"][: half["T"]]),
+        (60, "R", arriving["R"][half["R"]:]),
+        (0, "T", arriving["T"][half["T"]:]),
+    ]
+
+
+def covered_coords(kernel, lower, upper):
+    grid = kernel.plan.grid
+    return list(grid.iter_coords_in_range(*grid.box_cell_range(lower, upper)))
+
+
+class TestBornDeadRegions:
+    def drive(self, monkeypatch, *, prune=True, check=None):
+        """A seeded two-poll follow run; ``prune=False`` withholds the grid
+        from the builder, which is the kernel as it was before pruning."""
+        builder = streaming.build_block_regions
+        blocks = []
+
+        def build(*args, grid, **kwargs):
+            blocks.append(args[1:3])
+            built, pruned = builder(
+                *args, grid=grid if prune else None, **kwargs
+            )
+            if check is not None:
+                check(args, grid, built, pruned)
+            return built, pruned
+
+        monkeypatch.setattr(streaming, "build_block_regions", build)
+        workload, live, arriving = split_workload(n=240, seed=83, frac=0.4)
+        kernel, results = stream_drive(
+            live, workload.query(), two_poll_events(arriving),
+            table_appenders(live),
+        )
+        assert len(blocks) >= 4  # two pair blocks per absorbing poll
+        assert kernel.rows_ingested == sum(map(len, arriving.values()))
+        return kernel, results
+
+    def test_pruned_pairs_cover_only_marked_cells(self, monkeypatch):
+        checked = {"pruned": 0, "built": 0}
+
+        def check(args, grid, built, pruned):
+            bound, left_parts, right_parts, left_attrs, right_attrs = args[:5]
+            kept = {(r.left_partition, r.right_partition) for r in built}
+            dropped = 0
+            for lp in left_parts:
+                for rp in right_parts:
+                    if (lp, rp) in kept or not lp.signature.may_share(rp.signature):
+                        continue
+                    dropped += 1
+                    box = bound.region_box(
+                        lp.attribute_intervals(left_attrs),
+                        rp.attribute_intervals(right_attrs),
+                    )
+                    # Walked cell by cell, at the moment it was pruned.
+                    for coords in grid.iter_coords_in_range(
+                        *grid.box_cell_range(*box)
+                    ):
+                        assert coords in grid.cells
+                        assert grid.cells[coords].marked
+            assert dropped == pruned
+            checked["pruned"] += pruned
+            checked["built"] += len(built)
+
+        kernel, _ = self.drive(monkeypatch, check=check)
+        assert checked["pruned"] > 0 and checked["built"] > 0
+        assert kernel.regions_pruned == checked["pruned"]
+        assert kernel.regions_added == checked["built"]
+        assert kernel.stats["regions_pruned"] == checked["pruned"]
+
+    def test_wired_regions_have_a_live_cell(self, monkeypatch):
+        StreamingKernel = streaming.StreamingKernel
+        wire = StreamingKernel._wire_regions
+        seen = []
+
+        def checked_wire(kernel, regions):
+            cells = kernel.plan.grid.cells
+            for region in regions:
+                # An unmarked cell, or one this wiring activates (fresh).
+                assert any(
+                    coords not in cells or not cells[coords].marked
+                    for coords in covered_coords(kernel, region.lower, region.upper)
+                )
+            seen.extend(regions)
+            return wire(kernel, regions)
+
+        monkeypatch.setattr(StreamingKernel, "_wire_regions", checked_wire)
+        kernel, _ = self.drive(monkeypatch)
+        assert len(seen) == kernel.regions_added > 0
+
+    def test_pruning_is_the_discard_taken_earlier(self, monkeypatch):
+        """Against the same run with nothing pruned: same results in the
+        same order, same live regions under the same ids, same charges
+        apart from the wiring and queueing of regions that no longer exist."""
+        kernel, results = self.drive(monkeypatch)
+        full, full_results = self.drive(monkeypatch, prune=False)
+        assert [r.key() for r in results] == [r.key() for r in full_results]
+        assert full.regions_pruned == 0 < kernel.regions_pruned
+        assert kernel.regions_added + kernel.regions_pruned == full.regions_added
+        born_dead = set(full.state.regions) - set(kernel.state.regions)
+        assert len(born_dead) == kernel.regions_pruned
+        for rid, region in kernel.state.regions.items():
+            twin = full.state.regions[rid]
+            assert (region.lower, region.upper) == (twin.lower, twin.upper)
+            assert (region.processed, region.discarded) == (
+                twin.processed, twin.discarded
+            )
+        assert kernel.steps == full.steps - len(born_dead)
+        ours, theirs = kernel.clock.snapshot(), full.clock.snapshot()
+        for kind in theirs:
+            if kind in ("partition_op", "queue_op"):
+                assert ours[kind] < theirs[kind]
+            else:
+                assert ours[kind] == theirs[kind], kind
+        # Each born-dead region cost at least its heap push and one pop.
+        assert theirs["queue_op"] - ours["queue_op"] >= 2 * len(born_dead)
+
+    def test_progress_counts_partition_the_total_after_every_step(self):
+        workload, live, arriving = split_workload(n=240, seed=83, frac=0.4)
+        bound = workload.query().bind(live)
+        kernel = ProgXeEngine(bound, VirtualClock(), follow=True).kernel()
+        appenders = table_appenders(live)
+
+        def step():
+            kernel.step()
+            snap = kernel.snapshot()
+            assert snap.regions_total == len(kernel.state.regions)
+            assert (
+                snap.regions_processed + snap.regions_discarded
+                + snap.regions_pending == snap.regions_total
+            )
+            return snap
+
+        planned = step().regions_total
+        for steps_before, alias, chunk in two_poll_events(arriving):
+            for _ in range(steps_before):
+                step()
+            appenders[alias](chunk)
+        kernel.close_ingest()
+        while not kernel.finished:
+            snap = step()
+        assert kernel.polls >= 2 and kernel.regions_added > 0
+        assert snap.regions_total == planned + kernel.regions_added
+        assert snap.regions_pending == 0
+        stats = kernel.stats
+        assert stats["regions_total"] == snap.regions_total
+        assert stats["regions_processed"] + stats["regions_discarded"] == (
+            stats["regions_total"]
+        )
 
 
 # ----------------------------------------------------------------------
