@@ -52,11 +52,10 @@ SQL = (
     "PREFERRING LOWEST(x0) AND LOWEST(x1)"
 )
 
-#: Engine variants rotated across the fleet (grid/quadtree, vec/scalar).
+#: Engine variants rotated across the fleet.
 VARIANTS = (
-    {"partitioning": "grid", "use_vectorized": True},
-    {"partitioning": "quadtree", "use_vectorized": True},
-    {"partitioning": "grid", "use_vectorized": False},
+    {"partitioning": "grid"},
+    {"partitioning": "quadtree"},
 )
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_serving.json"

@@ -6,8 +6,7 @@ Two claims, both asserted:
   sequence* whether the same logical data lives in RAM
   (:class:`~repro.storage.table.Table`), in an mmap-backed columnar
   directory (:class:`~repro.storage.sources.columnar.ColumnarFileSource`),
-  or in SQLite (:class:`~repro.storage.sources.sqlite.SQLiteSource`) —
-  with the vectorized kernels on and off.
+  or in SQLite (:class:`~repro.storage.sources.sqlite.SQLiteSource`).
 
 * **Bounded-memory planning** — planning (phases 0–2) straight off the
   columnar mmap allocates *less* Python memory than the in-memory path
@@ -70,45 +69,35 @@ def build_datasets(tmp: pathlib.Path, n: int, d: int):
     }
 
 
-def result_keys(workload, sources, *, use_vectorized: bool):
-    engine = ProgXeEngine(
-        workload.query().bind(sources), VirtualClock(),
-        use_vectorized=use_vectorized,
-    )
+def result_keys(workload, sources):
+    engine = ProgXeEngine(workload.query().bind(sources), VirtualClock())
     return [r.key() for r in engine.run()]
 
 
 def assert_backend_invisibility(tmp: pathlib.Path, n: int, d: int) -> dict:
-    """Identical result sequences across the three backends, both kernels."""
+    """Identical result sequences across the three backends."""
     workload, backends = build_datasets(tmp, n, d)
-    section: dict = {"n": n, "d": d, "checks": []}
-    for use_vectorized in (True, False):
-        reference = None
-        timings = {}
-        for backend, sources in backends.items():
-            wall0 = time.perf_counter()
-            keys = result_keys(workload, sources, use_vectorized=use_vectorized)
-            timings[backend] = round(time.perf_counter() - wall0, 4)
-            if reference is None:
-                reference = keys
-            else:
-                assert keys == reference, (
-                    f"{backend} result sequence diverged from memory "
-                    f"(vectorized={use_vectorized})"
-                )
-        section["checks"].append(
-            {
-                "use_vectorized": use_vectorized,
-                "results": len(reference or []),
-                "wall_seconds": timings,
-            }
-        )
-        print(
-            f"  vectorized={str(use_vectorized):<5}  "
-            f"{len(reference or [])} identical results  "
-            + "  ".join(f"{b}={t:.3f}s" for b, t in timings.items())
-        )
-    return section
+    reference = None
+    timings = {}
+    for backend, sources in backends.items():
+        wall0 = time.perf_counter()
+        keys = result_keys(workload, sources)
+        timings[backend] = round(time.perf_counter() - wall0, 4)
+        if reference is None:
+            reference = keys
+        else:
+            assert keys == reference, (
+                f"{backend} result sequence diverged from memory"
+            )
+    print(
+        f"  {len(reference or [])} identical results  "
+        + "  ".join(f"{b}={t:.3f}s" for b, t in timings.items())
+    )
+    return {
+        "n": n,
+        "d": d,
+        "checks": [{"results": len(reference or []), "wall_seconds": timings}],
+    }
 
 
 def _traced(fn):
@@ -223,7 +212,7 @@ def main(argv=None) -> int:
         "planning_memory": profile,
         "claims": [
             "identical result sequences across memory/columnar/sqlite "
-            "backends (vectorized on and off)",
+            "backends",
             f"columnar planning at {factor}x the rows peaks at "
             f"{ratio}x the in-memory path's Python allocations",
         ],

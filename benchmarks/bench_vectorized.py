@@ -3,17 +3,13 @@
 Unlike the figure-reproduction benches (which report deterministic virtual
 time), this bench measures *wall-clock* seconds: its entire point is that
 the matrix formulation of the dominance/window kernels makes the same
-work run faster on real hardware.  Two layers are measured:
-
-* **kernels** — scalar ``bnl_skyline`` / ``sfs_skyline`` vs their
-  block/matrix counterparts ``vectorized_skyline`` /
-  ``vectorized_sfs_skyline`` on synthetic point clouds at 10k/100k tuples;
-* **engine** — a full ProgXe run with ``use_vectorized`` off vs on at a
-  smaller scale (the engine does join + look-ahead work beyond the kernels,
-  so its speedup is necessarily more modest than the raw kernels').
+work run faster on real hardware.  It measures the **kernels**: scalar
+``bnl_skyline`` / ``sfs_skyline`` vs their block/matrix counterparts
+``vectorized_skyline`` / ``vectorized_sfs_skyline`` on synthetic point
+clouds at 10k/100k tuples.
 
 Every measurement asserts that scalar and vectorized produce *identical*
-result multisets — the scalar path is the oracle.  Results land in
+result multisets — the scalar loop is the oracle.  Results land in
 ``BENCH_vectorized.json`` at the repository root so the project's
 performance trajectory is recorded alongside the code.
 
@@ -34,9 +30,6 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.engine import ProgXeEngine
-from repro.data.workloads import SyntheticWorkload
-from repro.runtime.clock import VirtualClock
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.sfs import sfs_skyline
 from repro.skyline.vectorized import vectorized_sfs_skyline, vectorized_skyline
@@ -121,57 +114,11 @@ def bench_kernels(sizes: list[int], anticorrelated_cap: int) -> list[dict]:
     return entries
 
 
-def bench_engine(n: int) -> list[dict]:
-    """Full ProgXe run, scalar vs vectorized batch path."""
-    bound = SyntheticWorkload(
-        distribution="independent", n=n, d=3, sigma=0.05, seed=SEED
-    ).bound()
-    entries = []
-    results = {}
-    timings = {}
-    for mode, flag in (("scalar", False), ("vectorized", True)):
-        engine = ProgXeEngine(bound, VirtualClock(), use_vectorized=flag)
-        out, seconds = time_call(lambda e=engine: list(e.run()))
-        results[mode] = {r.key() for r in out}
-        timings[mode] = seconds
-    assert results["scalar"] == results["vectorized"], (
-        "engine scalar/vectorized result sets differ"
-    )
-    speedup = (
-        round(timings["scalar"] / timings["vectorized"], 2)
-        if timings["vectorized"]
-        else None
-    )
-    entries.append(
-        {
-            "layer": "engine",
-            "workload": "independent-3d",
-            "n": n,
-            "d": 3,
-            "results": len(results["scalar"]),
-            "scalar_seconds": round(timings["scalar"], 4),
-            "vectorized_seconds": round(timings["vectorized"], 4),
-            "speedup": speedup,
-            "identical": True,
-        }
-    )
-    print(
-        f"  {'engine (ProgXe)':>18}  n={n:>7,}  full  "
-        f"scalar {timings['scalar']:8.3f}s  "
-        f"vectorized {timings['vectorized']:8.3f}s  speedup {speedup:>7}x"
-    )
-    return entries
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=[10_000, 100_000],
         help="kernel input sizes (default: 10000 100000)",
-    )
-    parser.add_argument(
-        "--engine-n", type=int, default=8_000,
-        help="per-source tuples for the full-engine comparison",
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -185,18 +132,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sizes = [500, 2_000] if args.smoke else args.sizes
-    engine_n = 300 if args.smoke else args.engine_n
     anticorrelated_cap = max(sizes) if args.smoke else 10_000
 
     print("vectorized-vs-scalar kernel benchmark")
-    print(f"  sizes={sizes}  engine_n={engine_n}  seed={SEED}")
+    print(f"  sizes={sizes}  seed={SEED}")
     entries = bench_kernels(sizes, anticorrelated_cap)
-    entries += bench_engine(engine_n)
 
-    kernel_at_max = [
-        e for e in entries
-        if e["layer"] == "kernel" and e["n"] == max(sizes)
-    ]
+    kernel_at_max = [e for e in entries if e["n"] == max(sizes)]
     best = max(e["speedup"] for e in kernel_at_max)
     print(f"  best kernel speedup at n={max(sizes):,}: {best}x")
 

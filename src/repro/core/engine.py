@@ -72,7 +72,6 @@ class ProgXeEngine:
         leaf_capacity: int | None = None,
         seed: int = 0,
         verify: bool = True,
-        use_vectorized: bool = True,
         follow: bool = False,
         cache: "PlanCache | None" = None,
         workers: int = 1,
@@ -113,7 +112,6 @@ class ProgXeEngine:
         self.leaf_capacity = leaf_capacity
         self.seed = seed
         self.verify = verify
-        self.use_vectorized = use_vectorized
         self.follow = follow
         self.input_cells = input_cells
         self.output_cells = output_cells
@@ -203,7 +201,6 @@ class ProgXeEngine:
             leaf_capacity=self.leaf_capacity,
             seed=self.seed,
             verify=self.verify,
-            use_vectorized=self.use_vectorized,
             cache=cache,
             follow=self.follow,
             batch_size=self.batch_size,

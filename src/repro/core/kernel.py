@@ -176,7 +176,6 @@ class ExecutionKernel:
         self.bound = plan.bound
         self.clock = plan.clock
         self.verify = plan.verify
-        self.use_vectorized = plan.use_vectorized
         self.batch_size = plan.batch_size or DEFAULT_BATCH_SIZE
         self.stats: dict = stats_sink if stats_sink is not None else {}
         self.stats.update(plan.prune_stats)
@@ -443,8 +442,7 @@ class ExecutionKernel:
         cascades) is shared.
         """
         return process_region(
-            self.state, region, use_vectorized=self.use_vectorized,
-            batch_size=self.batch_size,
+            self.state, region, batch_size=self.batch_size,
         )
 
     def _finalize(self) -> None:

@@ -31,8 +31,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import ExecutionError
-
 #: An entry as a cell hands it out: (vector, left_row, right_row, raw mapped).
 #: While buffered, the two rows may be
 #: :class:`~repro.storage.partition.RowRef` references instead of tuples;
@@ -111,19 +109,15 @@ class OutputCell:
     ) -> None:
         """Buffer ``(n, d)`` vectors, their rows and ``(n, k)`` mapped values.
 
-        The mapped block takes the incoming dtype, widened if a later
-        append brings another; both blocks double when they run out.
+        Both are float64 blocks, doubled when they run out.
         """
         size = self.size
         end = size + len(vectors)
         old_vectors, old_mapped = self._vectors, self._mapped
-        if end > len(old_mapped) or mapped.dtype != old_mapped.dtype:
-            dtype = mapped.dtype
-            if size:
-                dtype = np.result_type(dtype, old_mapped.dtype)
+        if end > len(old_mapped):
             capacity = max(8, 2 * end)
             self._vectors = np.empty((capacity, vectors.shape[1]))
-            self._mapped = np.empty((capacity, mapped.shape[1]), dtype=dtype)
+            self._mapped = np.empty((capacity, mapped.shape[1]))
             if size:
                 self._vectors[:size] = old_vectors[:size]
                 self._mapped[:size] = old_mapped[:size]
@@ -245,9 +239,9 @@ class OutputGrid:
     def coords_matrix(self, vectors: np.ndarray) -> np.ndarray:
         """Batched :meth:`coords_of`: ``(n, d)`` points → ``(n, d)`` int coords.
 
-        Identical arithmetic to the scalar path (truncation then clamping
-        agrees with flooring once clamped to ``[0, k-1]``), so batch and
-        per-tuple insertion route every vector to the same cell.
+        Identical arithmetic to :meth:`coords_of` (truncation then clamping
+        agrees with flooring once clamped to ``[0, k-1]``), so both route
+        every vector to the same cell.
         """
         pts = np.asarray(vectors, dtype=float)
         c = np.floor((pts - self._lower_row) / self._width_row).astype(np.int64)
@@ -309,18 +303,6 @@ class OutputGrid:
             cell = OutputCell(coords, self.cell_lower(coords))
             self.cells[coords] = cell
             self.cone_totals = None
-        return cell
-
-    def cell_for_vector(self, vector: Sequence[float]) -> OutputCell:
-        """Active cell containing a point; error if the point maps outside
-        every region (an engine invariant violation)."""
-        coords = self.coords_of(vector)
-        cell = self.cells.get(coords)
-        if cell is None:
-            raise ExecutionError(
-                f"mapped result {vector} fell into inactive cell {coords}; "
-                "region covering is broken"
-            )
         return cell
 
     def build_cones(self) -> None:

@@ -116,7 +116,6 @@ class QueryPlan:
     grid: OutputGrid
     ordering: bool = True
     seed: int = 0
-    use_vectorized: bool = True
     verify: bool = True
     prune_stats: dict[str, int] = field(default_factory=dict)
     #: Partition-cache outcome of this build: ``partition_hits`` /
@@ -132,7 +131,7 @@ class QueryPlan:
     #: Per-side delta-ingestion handles, retained only when the plan was
     #: built with ``follow=True`` (streaming mode); ``None`` otherwise.
     stream_sides: "tuple[StreamSide, StreamSide] | None" = None
-    #: Vectorized flush threshold for tuple-level processing; ``None``
+    #: Flush threshold for tuple-level processing; ``None``
     #: keeps :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`.
     batch_size: int | None = None
     #: The cost-based planner's :class:`~repro.planner.choose.PlanDecision`
@@ -156,7 +155,6 @@ class QueryPlan:
         leaf_capacity: int | None = None,
         seed: int = 0,
         verify: bool = True,
-        use_vectorized: bool = True,
         cache: "PlanCache | None" = None,
         follow: bool = False,
         batch_size: int | None = None,
@@ -205,7 +203,6 @@ class QueryPlan:
                 partitioning=partitioning,
                 input_cells=input_cells,
                 batch_size=batch_size,
-                use_vectorized=use_vectorized,
             )
             partitioning = decision.partitioning
             input_cells = decision.input_cells
@@ -301,7 +298,6 @@ class QueryPlan:
             grid=grid,
             ordering=ordering,
             seed=seed,
-            use_vectorized=use_vectorized,
             verify=verify,
             prune_stats=prune_stats,
             cache_events=cache_events,

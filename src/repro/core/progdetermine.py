@@ -32,15 +32,8 @@ from repro.core.regions import OutputRegion
 from repro.errors import ExecutionError
 from repro.query.smj import BoundQuery
 from repro.runtime.clock import VirtualClock
-from repro.skyline.dominance import dominates
 from repro.skyline.vectorized import dominates_matrix, skyline_mask
 from repro.storage.partition import materialize_rows
-
-
-def _vector_rows(cell: OutputCell) -> list[list[float]]:
-    """A cell's entry vectors as Python lists (what the per-tuple path walks)."""
-    matrix = cell.vector_matrix()
-    return [] if matrix is None else matrix.tolist()
 
 
 class ExecutionState:
@@ -87,8 +80,8 @@ class ExecutionState:
     def drain_emissions(self) -> list[CellEntry]:
         """Entries that became safely emittable since the last drain.
 
-        Emission is where row references end: entries buffered by the
-        vectorized path name their rows as
+        Emission is where row references end: entries buffered from a
+        region's index pairs name their rows as
         :class:`~repro.storage.partition.RowRef`, and the drained entries
         carry the tuples — fetched once per source partition, for these
         entries only.
@@ -231,90 +224,6 @@ class ExecutionState:
     # ------------------------------------------------------------------
     # tuple insertion (the §III-B comparison-minimising path)
     # ------------------------------------------------------------------
-    def insert(
-        self,
-        vector: tuple[float, ...],
-        lrow: tuple,
-        rrow: tuple,
-        mapped: tuple[float, ...],
-    ) -> None:
-        """Insert one mapped join result into the output grid."""
-        clock = self.clock
-        cell = self.grid.cell_for_vector(vector)
-        if cell.marked:
-            # Dominated wholesale by the cell's marking witness: zero
-            # comparisons needed.
-            clock.charge("discard")
-            self.discarded_on_arrival += 1
-            return
-        if cell.reg_count <= 0:
-            raise ExecutionError(
-                f"tuple arrived in settled cell {cell!r}; RegCount accounting broken"
-            )
-
-        # (1) Can anything already present dominate the newcomer?  Only the
-        # cell itself and its lower cone can (paper §III-B).
-        beaten: list[bool] = []
-        for present in _vector_rows(cell):
-            clock.charge("dominance_cmp")
-            if dominates(present, vector):
-                self.dominated_on_arrival += 1
-                return
-            # While scanning, note same-cell entries the newcomer beats.
-            clock.charge("dominance_cmp")
-            beaten.append(dominates(vector, present))
-        for lc in cell.cone_lower:
-            for present in _vector_rows(lc):
-                clock.charge("dominance_cmp")
-                if dominates(present, vector):
-                    self.dominated_on_arrival += 1
-                    return
-
-        # (2) The newcomer survived: evict dominated entries, here and
-        # upstream.
-        if True in beaten:
-            self.live_entries -= cell.evict(np.asarray(beaten))
-        for uc in cell.cone_upper:
-            beaten = []
-            for present in _vector_rows(uc):
-                clock.charge("dominance_cmp")
-                beaten.append(dominates(vector, present))
-            if True in beaten:
-                self.live_entries -= uc.evict(np.asarray(beaten))
-
-        # (3) Mark every strictly-dominated cell (Example 3 at tuple
-        # granularity): anything ever falling there is dominated by the
-        # newcomer — with the value-level strictness guard for boundary
-        # ties.
-        careful = self.careful_marking
-        for sc in cell.strict_upper:
-            if sc.marked:
-                continue
-            clock.charge("partition_op")
-            lower = sc.lower
-            if careful:
-                if dominates(vector, lower):
-                    self.mark_cell(sc)
-                continue
-            strict = False
-            for v, b in zip(vector, lower):
-                if v < b:
-                    strict = True
-                    break
-            if strict:
-                self.mark_cell(sc)
-
-        # An object block keeps the mapped values as computed (ints stay ints).
-        values = np.asarray([mapped], dtype=object)
-        cell.append(np.asarray([vector], dtype=float), (lrow,), (rrow,), values)
-        self.inserted += 1
-        self.live_entries += 1
-        if self.live_entries > self.peak_live_entries:
-            self.peak_live_entries = self.live_entries
-
-    # ------------------------------------------------------------------
-    # batched tuple insertion (the vectorized §III-B path)
-    # ------------------------------------------------------------------
     def insert_batch(
         self,
         vectors: np.ndarray,
@@ -324,13 +233,17 @@ class ExecutionState:
     ) -> None:
         """Insert a chunk of mapped join results with matrix kernels.
 
-        Semantically equivalent to calling :meth:`insert` per tuple — the
-        surviving entry sets, evictions, markings and cascades are
-        identical (dominance is transitive, so the outcome is
-        order-independent) — but every dominance test runs as one numpy
-        broadcast per cell group and comparisons are charged to the clock
-        in bulk.  Each group is scanned against its cell and lower cone,
-        swept for its local skyline, then evicts, marks and is appended.
+        ``vectors`` is the ``(n, d)`` float64 minimisation matrix and
+        ``mapped`` the ``(n, k)`` float64 mapped values
+        (:meth:`~repro.query.smj.BoundQuery.map_rows_batch`).  The outcome
+        is that of inserting the tuples one at a time in arrival order —
+        only a newcomer's own cell and lower cone can dominate it, it
+        evicts what it dominates in its cell and upper cone, and it marks
+        the strict-upper cells it dominates outright (paper §III-B) — with
+        every dominance test run as one numpy broadcast per cell group and
+        comparisons charged to the clock in bulk.  Each group is scanned
+        against its cell and lower cone, swept for its local skyline, then
+        evicts, marks and is appended.
         A budget tripwire can fire mid-batch; that is safe because nothing
         is emitted from here (the caller drains emissions only after the
         batch returns), so any previously yielded prefix remains provably

@@ -88,7 +88,6 @@ class ShardedKernel(ExecutionKernel):
                     "query": self.shard.worker_query,
                     "left_path": self.shard.left_path,
                     "right_path": self.shard.right_path,
-                    "use_vectorized": self.use_vectorized,
                 },
                 f,
             )
@@ -171,30 +170,12 @@ class ShardedKernel(ExecutionKernel):
         state = self.state
         state.active_region = region
         try:
-            if self.use_vectorized:
-                yield from self._commit_vectorized(result)
-            else:
-                yield from self._commit_scalar(result)
+            yield from self._commit(result)
         finally:
             state.active_region = None
 
-    def _commit_scalar(self, result: RegionResult) -> Iterator[CellEntry]:
-        """Replay the scalar path's insert/drain cadence pair by pair."""
-        state = self.state
-        lrows, rrows = result.lrows, result.rrows
-        vectors, mapped = result.vectors, result.mapped
-        pos = 0
-        for size in result.group_sizes:
-            for i in range(pos, pos + size):
-                state.insert(vectors[i], lrows[i], rrows[i], mapped[i])
-            pos += size
-            emissions = state.drain_emissions()
-            if emissions:
-                yield from emissions
-        assert pos == result.pair_count
-
-    def _commit_vectorized(self, result: RegionResult) -> Iterator[CellEntry]:
-        """Replay the vectorized path's batch boundaries slice by slice.
+    def _commit(self, result: RegionResult) -> Iterator[CellEntry]:
+        """Replay the solo path's batch boundaries slice by slice.
 
         The solo path flushes whenever the pending pair buffer reaches the
         plan's batch size (:data:`~repro.core.tuple_level

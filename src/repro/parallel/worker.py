@@ -63,8 +63,8 @@ class RegionResult:
     per-probe-row match-group lengths (rows without matches contribute no
     group), which the coordinator uses to replay the solo kernel's flush
     and drain cadence.  ``mapped``/``vectors`` are ``(n, k)``/``(n, d)``
-    float64 matrices in vectorized mode and lists of tuples in scalar
-    mode.  ``charges`` is the worker clock's per-kind charge delta for
+    float64 matrices (empty lists when the region joined nothing).
+    ``charges`` is the worker clock's per-kind charge delta for
     this region (join build/probe/result and mapping work).
     """
 
@@ -85,7 +85,7 @@ class RegionResult:
 class _WorkerContext:
     """Per-query worker state: the query re-bound over the shard paths."""
 
-    __slots__ = ("bound", "use_vectorized")
+    __slots__ = ("bound",)
 
     def __init__(self, payload: dict) -> None:
         query = payload["query"]
@@ -94,7 +94,6 @@ class _WorkerContext:
         self.bound: BoundQuery = query.bind(
             {query.left_alias: left, query.right_alias: right}
         )
-        self.use_vectorized: bool = payload["use_vectorized"]
 
 
 def _context(path: str) -> _WorkerContext:
@@ -126,10 +125,10 @@ def _join(
 ) -> tuple[list, list, list[int]]:
     """The region's join results in solo pair order, with group sizes.
 
-    Mirrors ``repro.core.tuple_level._join_sides`` + the probe loops: hash
+    Mirrors the hash join of :func:`repro.core.tuple_level.process_region`:
     build on the smaller side, probe in partition order, matches in build
     order.  Charges one ``join_build`` per build row and one
-    ``join_probe`` per probe row (the totals both solo paths charge).
+    ``join_probe`` per probe row (the totals the solo path charges).
     """
     if len(left_rows) <= len(right_rows):
         build_rows, probe_rows = left_rows, right_rows
@@ -179,20 +178,13 @@ def run_region_task(task: RegionTask) -> RegionResult:
     lrows, rrows, group_sizes = _join(bound, clock, left_rows, right_rows)
 
     n = len(lrows)
-    mapped: Any
-    vectors: Any
+    mapped: Any = []
+    vectors: Any = []
     if n:
         clock.charge("join_result", n)
         clock.charge("map", n)
-        if context.use_vectorized:
-            mapped = bound.map_rows_batch(lrows, rrows)
-            vectors = bound.vectors_of_batch(mapped)
-        else:
-            mapped = [bound.map_pair(lr, rr) for lr, rr in zip(lrows, rrows)]
-            vectors = [bound.vector_of(m) for m in mapped]
-    else:
-        mapped = []
-        vectors = []
+        mapped = bound.map_rows_batch(lrows, rrows)
+        vectors = bound.vectors_of_batch(mapped)
     charges = {k: v for k, v in clock.snapshot().items() if v}
     return RegionResult(
         rid=task.rid,

@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 
 #: Grid granularities the planner costs against each other.
 GRANULARITY_CANDIDATES: tuple[int, ...] = (1, 2, 3, 4, 6, 8)
-#: Vectorized batch sizes the planner may choose from.
+#: Batch sizes the planner may choose from.
 BATCH_SIZE_CANDIDATES: tuple[int, ...] = (128, 256, 512, 1024, 2048, 4096, 8192)
 #: Histogram concentration above which the planner prefers the quadtree
 #: (equi-width grids put skewed data into one overfull cell).
@@ -220,7 +220,6 @@ class Planner:
         partitioning: str = "grid",
         input_cells: int | None = None,
         batch_size: int | None = None,
-        use_vectorized: bool = True,
     ) -> PlanDecision:
         """Choose knobs for ``bound``; caller-pinned values are honoured.
 
@@ -320,9 +319,7 @@ class Planner:
             pinned.append("batch_size")
             chosen_batch = batch_size
         else:
-            chosen_batch = self._choose_batch_size(
-                join_rows, regions, use_vectorized
-            )
+            chosen_batch = self._choose_batch_size(join_rows, regions)
 
         filter_strategy = self._choose_filter_strategy(
             left_base, right_base, left_conditions, right_conditions,
@@ -427,12 +424,10 @@ class Planner:
         return skew >= SKEW_THRESHOLD
 
     def _choose_batch_size(
-        self, join_rows: float, regions: float, use_vectorized: bool
+        self, join_rows: float, regions: float
     ) -> int:
         """Batch near the expected per-region pair count (fewer partial
         flushes without buffering past the region's own output)."""
-        if not use_vectorized:
-            return BATCH_SIZE_CANDIDATES[-4]  # scalar path ignores it
         pairs_per_region = join_rows / max(regions, 1.0)
         for candidate in BATCH_SIZE_CANDIDATES:
             if candidate >= pairs_per_region:

@@ -41,10 +41,6 @@ class EngineConfig:
         RNG seed for the random-order ablation.
     verify:
         Check the progressive-completeness invariant at end of run.
-    use_vectorized:
-        Process partition-sized chunks through the columnar batch kernels
-        (default).  ``False`` selects the per-tuple scalar path, kept as
-        the reference implementation.
     follow:
         Streaming ingestion: keep the query open after planning and absorb
         rows appended to its source tables while it runs (see
@@ -57,8 +53,9 @@ class EngineConfig:
         region joins across a process pool with byte-identical output.
         Degrades gracefully to solo when the platform cannot honour it.
     batch_size:
-        Vectorized flush threshold for tuple-level processing; ``None``
-        keeps :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`.
+        Joined pairs per ``insert_batch`` flush in tuple-level
+        processing; ``None`` keeps
+        :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`.
     planner:
         Hand every knob left at its default to the cost-based
         :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
@@ -92,7 +89,6 @@ class EngineConfig:
     leaf_capacity: int | None = None
     seed: int = 0
     verify: bool = True
-    use_vectorized: bool = True
     follow: bool = False
     workers: int = 1
     batch_size: int | None = None
@@ -181,7 +177,6 @@ class EngineConfig:
 #: Named presets: the paper's default setup, the push-through "+" variant,
 #: a memory-lean setup (bloom signatures, quadtree partitioning that adapts
 #: to skew), a production profile that skips the end-of-run verification,
-#: the scalar reference path (per-tuple kernels, for oracle comparison),
 #: and ``auto`` — the cost-based planner chooses partitioner, granularity,
 #: batch size and filter strategy from statistics.
 PRESETS: dict[str, EngineConfig] = {
@@ -189,7 +184,6 @@ PRESETS: dict[str, EngineConfig] = {
     "progressive-plus": EngineConfig(pushthrough=True),
     "low-memory": EngineConfig(signature_kind="bloom", partitioning="quadtree"),
     "production": EngineConfig(pushthrough=True, verify=False),
-    "scalar-reference": EngineConfig(use_vectorized=False),
     "auto": EngineConfig(planner=True),
 }
 

@@ -59,7 +59,7 @@ class StreamBudget:
         Stop once the virtual clock passes this many cost units.
     max_comparisons:
         Stop once this many dominance comparisons were charged.  The
-        vectorized insertion charges its dominator scan per tuple up to the
+        engine's insertion charges its dominator scan per tuple up to the
         first dominator, not per numpy lane, so a ceiling stretches further
         than a lane count would (on the ``skyline-heavy`` benchmark
         workload about twice as far).

@@ -8,7 +8,7 @@ route to scaling dominance-based operators (see the flexible-skyline
 surveys in PAPERS.md) and is what the engine's batched probe path and the
 ``bench_vectorized`` benchmark build on.
 
-Conventions shared with the scalar code:
+Conventions shared with the per-tuple functions:
 
 * all vectors live in normalised minimisation space (lower is better),
 * ``u`` dominates ``v`` iff ``u <= v`` everywhere and ``u < v`` somewhere
@@ -28,10 +28,10 @@ every input size and does not move when a kernel is reshaped.  Callers
 follow the same rule: the engine's batched insertion runs its dominator
 scan as one :func:`dominates_matrix` launch and charges each candidate
 the short-circuiting scan it stands for, up to and including its first
-dominator.  A vectorized run and the scalar reference therefore count the
-same kind of test, but neither count bounds the other: they test
-different pairs (a batch is swept, and scanned against the entries present
-when it arrives).
+dominator.  The engine and the per-tuple BNL/SFS scans of the baselines
+therefore count the same kind of test, but neither count bounds the
+other: they test different pairs (the engine sweeps a batch, and scans it
+only against the entries of its cell and lower cone).
 """
 
 from __future__ import annotations

@@ -59,8 +59,7 @@ class ColumnBlock:
 class RowRef:
     """A row named by ``(partition, position)`` instead of held as a tuple.
 
-    What buffered output-cell entries carry on the vectorized path; the
-    tuple is materialised (:func:`materialize_rows`) only if the entry is
+    What buffered output-cell entries carry in a solo run; the tuple is materialised (:func:`materialize_rows`) only if the entry is
     eventually emitted.
     """
 
@@ -216,9 +215,9 @@ class InputPartition:
 
         Eager partitions return the live backing list (mutations stick);
         lazy partitions gather a fresh list from the backing source on
-        every access.  Tuple-level processing no longer calls this (it
-        works on :meth:`column_block`); it serves the scalar reference
-        path, shard dispatch and inspection.
+        every access.  Tuple-level processing does not call this (it
+        works on :meth:`column_block`); it serves the baselines, shard
+        dispatch and inspection.
         """
         if self._row_source is None:
             return self._rows

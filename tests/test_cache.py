@@ -457,14 +457,12 @@ class TestSessionSharing:
             bound, clock, *, ordering=True, pushthrough=False,
             input_cells=None, output_cells=None, signature_kind="exact",
             partitioning="grid", leaf_capacity=None, seed=0, verify=True,
-            use_vectorized=True,
         ):
             return ProgXeEngine(
                 bound, clock, ordering=ordering, pushthrough=pushthrough,
                 input_cells=input_cells, output_cells=output_cells,
                 signature_kind=signature_kind, partitioning=partitioning,
                 leaf_capacity=leaf_capacity, seed=seed, verify=verify,
-                use_vectorized=use_vectorized,
             )
 
         session.register_algorithm(
@@ -494,11 +492,10 @@ class TestSessionSharing:
         ["independent", "correlated", "anticorrelated"]
     ),
     partitioning=st.sampled_from(["grid", "quadtree"]),
-    use_vectorized=st.booleans(),
     seed=st.integers(min_value=0, max_value=50),
 )
 def test_shared_and_private_kernels_step_identically(
-    n, d, distribution, partitioning, use_vectorized, seed
+    n, d, distribution, partitioning, seed
 ):
     """Shared-vs-private partitioning yields identical step reports.
 
@@ -509,18 +506,13 @@ def test_shared_and_private_kernels_step_identically(
     bound = make_bound(distribution, n=n, d=d, sigma=0.08, seed=seed)
     cache = PlanCache()
     QueryPlan.build(
-        bound, VirtualClock(), partitioning=partitioning,
-        use_vectorized=use_vectorized, cache=cache,
+        bound, VirtualClock(), partitioning=partitioning, cache=cache,
     )  # warm the store so the shared engine hits
 
     shared_engine = ProgXeEngine(
-        bound, VirtualClock(), partitioning=partitioning,
-        use_vectorized=use_vectorized, cache=cache,
+        bound, VirtualClock(), partitioning=partitioning, cache=cache,
     )
-    private_engine = ProgXeEngine(
-        bound, VirtualClock(), partitioning=partitioning,
-        use_vectorized=use_vectorized,
-    )
+    private_engine = ProgXeEngine(bound, VirtualClock(), partitioning=partitioning)
     assert shared_engine.cache_events == {}  # planning is lazy
     shared, private = shared_engine.kernel(), private_engine.kernel()
     assert shared_engine.cache_events == {"partition_hits": 2}

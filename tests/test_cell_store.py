@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import pytest
 
 from repro.core.engine import ProgXeEngine
 from repro.core.output_grid import OutputCell
@@ -67,18 +66,12 @@ class TestAppend:
         cell.append(*batch(3, 5))  # fits the capacity: same block
         assert np.shares_memory(first, cell.vector_matrix())
 
-    def test_mapped_block_takes_the_incoming_dtype(self):
-        cell = new_cell()
-        ints = np.array([[1, 2]])
-        cell.append(np.zeros((1, 2)), [()], [()], ints)
-        assert cell.entries[0][3] == (1, 2)
-        assert all(type(v) is int for v in cell.entries[0][3])
-
-    def test_a_wider_dtype_arriving_later_widens_the_block(self):
+    def test_mapped_values_are_stored_as_float64(self):
         cell = new_cell()
         cell.append(np.zeros((1, 2)), [()], [()], np.array([[1, 2]]))
         cell.append(np.zeros((1, 2)), [()], [()], np.array([[0.5, 2.5]]))
         assert [e[3] for e in cell.entries] == [(1.0, 2.0), (0.5, 2.5)]
+        assert all(type(v) is float for e in cell.entries for v in e[3])
 
 
 class TestEvict:
@@ -158,14 +151,11 @@ class TestRowKinds:
 
 
 class TestEmittedValues:
-    @pytest.mark.parametrize("use_vectorized", [True, False])
-    def test_results_are_plain_python_and_encode(self, use_vectorized):
+    def test_results_are_plain_python_and_encode(self):
         bound = SyntheticWorkload(
             distribution="anticorrelated", n=80, d=3, sigma=0.1, seed=5
         ).bound()
-        engine = ProgXeEngine(
-            bound, VirtualClock(), use_vectorized=use_vectorized
-        )
+        engine = ProgXeEngine(bound, VirtualClock())
         results = list(engine.run())
         assert results
         frames = FrameFactory()

@@ -81,13 +81,11 @@ class TestPlan:
 
     def test_engine_plan_matches_engine_config(self, small_bound):
         engine = ProgXeEngine(
-            small_bound, VirtualClock(), ordering=False, seed=9,
-            use_vectorized=False, verify=False,
+            small_bound, VirtualClock(), ordering=False, seed=9, verify=False,
         )
         plan = engine.plan()
         assert plan.ordering is False
         assert plan.seed == 9
-        assert plan.use_vectorized is False
         assert plan.verify is False
 
 
@@ -211,21 +209,19 @@ class TestPauseResume:
         assert kernel.status == FINISHED
 
     @pytest.mark.parametrize("partitioning", ["grid", "quadtree"])
-    @pytest.mark.parametrize("use_vectorized", [True, False])
     @settings(max_examples=8, deadline=None)
     @given(k=st.integers(min_value=1, max_value=9), seed=st.integers(0, 3))
-    def test_pause_resume_determinism(self, partitioning, use_vectorized, k, seed):
+    def test_pause_resume_determinism(self, partitioning, k, seed):
         """Stopping after every k steps reproduces the uninterrupted run.
 
-        The satellite property: for both partitioners and both tuple-level
-        paths, a kernel paused and resumed at arbitrary step boundaries
-        yields the exact result sequence (order included) of a solo run.
+        The satellite property: for both partitioners, a kernel paused and
+        resumed at arbitrary step boundaries yields the exact result
+        sequence (order included) of a solo run.
         """
         bound = make_bound("independent", n=90, d=2, sigma=0.1, seed=seed)
-        kwargs = dict(partitioning=partitioning, use_vectorized=use_vectorized)
-        assert stepped_sequence(bound, pause_every=k, **kwargs) == solo_sequence(
-            bound, **kwargs
-        )
+        assert stepped_sequence(
+            bound, pause_every=k, partitioning=partitioning
+        ) == solo_sequence(bound, partitioning=partitioning)
 
     def test_pause_resume_determinism_anticorrelated(self):
         bound = make_bound("anticorrelated", n=80, d=3, sigma=0.1, seed=1)

@@ -39,10 +39,6 @@ ENGINE_CONFIGS = {
     "bloom": {"signature_kind": "bloom"},
     "pushthrough": {"pushthrough": True},
     "no-order": {"ordering": False, "seed": 3},
-    # The per-tuple reference path ("grid" and friends above exercise the
-    # default vectorized batch kernels).
-    "scalar": {"use_vectorized": False},
-    "scalar-pushthrough": {"use_vectorized": False, "pushthrough": True},
 }
 
 

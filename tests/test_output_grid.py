@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.output_grid import OutputCell, OutputGrid
-from repro.errors import ExecutionError
 
 
 def make_grid(k=4, d=2):
@@ -118,13 +117,6 @@ class TestActivation:
         b = grid.activate((1, 1))
         assert a is b
         assert grid.active_count == 1
-
-    def test_cell_for_vector_requires_active(self):
-        grid = make_grid()
-        grid.activate((0, 0))
-        assert grid.cell_for_vector((0.5, 0.5)).coords == (0, 0)
-        with pytest.raises(ExecutionError, match="inactive cell"):
-            grid.cell_for_vector((7.9, 7.9))
 
 
 class TestCones:

@@ -196,7 +196,6 @@ class TestWorkerProtocol:
                     "query": shard.worker_query,
                     "left_path": shard.left_path,
                     "right_path": shard.right_path,
-                    "use_vectorized": False,
                 },
                 f,
             )
@@ -216,6 +215,8 @@ class TestWorkerProtocol:
         if result.pair_count:
             assert result.charges["join_result"] == result.pair_count
             assert result.charges["map"] == result.pair_count
+            assert result.mapped.dtype == float
+            assert len(result.mapped) == len(result.vectors) == result.pair_count
         assert 0 not in result.charges.values()
         shard.cleanup()
 
@@ -237,13 +238,6 @@ class TestShardedDeterminism:
             solo_engine.execution_kernel
         )
 
-    def test_identical_to_solo_scalar_path(self):
-        _, _, solo = drive(make_bound(n=150, d=2, seed=4), use_vectorized=False)
-        _, _, keys = drive(
-            make_bound(n=150, d=2, seed=4), workers=2, use_vectorized=False
-        )
-        assert keys == solo
-
     def test_stats_record_worker_count(self):
         engine, _, _ = drive(make_bound(n=80, d=2, seed=6), workers=2)
         assert engine.stats["workers"] == 2
@@ -253,22 +247,20 @@ class TestShardedDeterminism:
     @given(
         backend=st.sampled_from(["memory", "columnar", "sqlite"]),
         partitioning=st.sampled_from(["grid", "quadtree"]),
-        use_vectorized=st.booleans(),
         workers=st.sampled_from([1, 2, 4]),
         seed=st.integers(0, 3),
     )
     def test_property_sharded_equals_solo(
-        self, backend, partitioning, use_vectorized, workers, seed,
-        tmp_path_factory,
+        self, backend, partitioning, workers, seed, tmp_path_factory,
     ):
         tmp_path = tmp_path_factory.mktemp("shard-prop")
-        kwargs = dict(partitioning=partitioning, use_vectorized=use_vectorized)
         solo_engine, solo_steps, solo_keys = drive(
-            backend_bound(backend, tmp_path, n=90, seed=seed), **kwargs
+            backend_bound(backend, tmp_path, n=90, seed=seed),
+            partitioning=partitioning,
         )
         engine, steps, keys = drive(
             backend_bound(backend, tmp_path, n=90, seed=seed),
-            workers=workers, **kwargs,
+            workers=workers, partitioning=partitioning,
         )
         assert keys == solo_keys
         assert steps == solo_steps
@@ -332,14 +324,12 @@ class TestLifecycle:
             bound, clock, *, ordering=True, pushthrough=False,
             input_cells=None, output_cells=None, signature_kind="exact",
             partitioning="grid", leaf_capacity=None, seed=0, verify=True,
-            use_vectorized=True,
         ):
             return ProgXeEngine(
                 bound, clock, ordering=ordering, pushthrough=pushthrough,
                 input_cells=input_cells, output_cells=output_cells,
                 signature_kind=signature_kind, partitioning=partitioning,
                 leaf_capacity=leaf_capacity, seed=seed, verify=verify,
-                use_vectorized=use_vectorized,
             )
 
         solo = [

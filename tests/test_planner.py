@@ -464,20 +464,16 @@ def _drain_reports(engine: ProgXeEngine):
 @given(
     backend=st.sampled_from(["memory", "sqlite"]),
     partitioning=st.sampled_from(["grid", "quadtree"]),
-    use_vectorized=st.booleans(),
     seed=st.integers(0, 1_000),
 )
 @settings(max_examples=8, deadline=None)
-def test_planner_is_transparent_over_backends(
-    backend, partitioning, use_vectorized, seed
-):
+def test_planner_is_transparent_over_backends(backend, partitioning, seed):
     """A planner-driven run == a hand-configured run with the same knobs."""
     workload = SyntheticWorkload(n=60, d=2, sigma=0.1, seed=seed)
     planned_engine = ProgXeEngine(
         _bound_for_backend(backend, workload),
         planner=Planner(),
         partitioning=partitioning,
-        use_vectorized=use_vectorized,
     )
     planned_reports = _drain_reports(planned_engine)
     decision = planned_engine.plan_decision
@@ -485,7 +481,6 @@ def test_planner_is_transparent_over_backends(
 
     manual_engine = ProgXeEngine(
         _bound_for_backend(backend, workload),
-        use_vectorized=use_vectorized,
         **decision.engine_overrides(),
     )
     manual_reports = _drain_reports(manual_engine)

@@ -124,6 +124,12 @@ class TestMarking:
         assert target in state.drain_discarded()
 
 
+def insert_one(state, vector, tag):
+    """One-row :meth:`ExecutionState.insert_batch` call."""
+    matrix = np.asarray([vector], dtype=float)
+    state.insert_batch(matrix, [(f"l{tag}",)], [(f"r{tag}",)], matrix)
+
+
 class TestInsertion:
     def test_insert_into_marked_cell_discards(self, small_bound):
         state, regions, grid = build_state(small_bound)
@@ -132,7 +138,7 @@ class TestInsertion:
         state.mark_cell(cell)
         # Vector placed at the cell's own lower corner maps back to it.
         before = state.discarded_on_arrival
-        state.insert(cell.lower, ("l",), ("r",), cell.lower)
+        insert_one(state, cell.lower, "")
         assert state.discarded_on_arrival == before + 1
 
     def test_insert_dominated_is_dropped(self, small_bound):
@@ -142,9 +148,9 @@ class TestInsertion:
         cell = next(c for c in region.covered if not c.marked)
         good = cell.lower
         worse = tuple(v + 1e-6 for v in good)
-        state.insert(good, ("l1",), ("r1",), good)
+        insert_one(state, good, 1)
         before = state.dominated_on_arrival
-        state.insert(worse, ("l2",), ("r2",), worse)
+        insert_one(state, worse, 2)
         assert state.dominated_on_arrival == before + 1
         assert len(cell.entries) == 1
 
@@ -154,8 +160,8 @@ class TestInsertion:
         state.active_region = region
         cell = next(c for c in region.covered if not c.marked)
         worse = tuple(v + 1e-6 for v in cell.lower)
-        state.insert(worse, ("l1",), ("r1",), worse)
-        state.insert(cell.lower, ("l2",), ("r2",), cell.lower)
+        insert_one(state, worse, 1)
+        insert_one(state, cell.lower, 2)
         assert len(cell.entries) == 1
         assert cell.entries[0][1] == ("l2",)
 
@@ -164,8 +170,8 @@ class TestInsertion:
         region = next(r for r in regions if not r.discarded and r.covered)
         state.active_region = region
         cell = next(c for c in region.covered if not c.marked)
-        state.insert(cell.lower, ("l1",), ("r1",), cell.lower)
-        state.insert(cell.lower, ("l2",), ("r2",), cell.lower)
+        insert_one(state, cell.lower, 1)
+        insert_one(state, cell.lower, 2)
         assert len(cell.entries) == 2
 
     def test_insert_settled_cell_is_invariant_violation(self, small_bound):
@@ -173,7 +179,17 @@ class TestInsertion:
         cell = next(c for c in grid.cells.values() if not c.marked)
         cell.reg_count = 0
         with pytest.raises(ExecutionError, match="RegCount"):
-            state.insert(cell.lower, ("l",), ("r",), cell.lower)
+            insert_one(state, cell.lower, "")
+
+    def test_insert_into_inactive_cell_is_invariant_violation(self):
+        grid = OutputGrid([0.0, 0.0], [2.0, 2.0], 2)
+        grid.activate((0, 0)).reg_count = 1
+        grid.build_cones()
+        state = ExecutionState(None, [], grid, VirtualClock())
+        insert_one(state, (0.5, 0.5), 1)
+        assert grid.cells[(0, 0)].size == 1
+        with pytest.raises(ExecutionError, match="inactive cell"):
+            insert_one(state, (1.5, 1.5), 2)
 
 
 # ----------------------------------------------------------------------
@@ -299,8 +315,9 @@ def run_insertions(scenario, insert):
 
 
 def per_tuple_scan_charge(cell, vectors):
-    """What the scalar ``insert`` charges looking for each candidate's first
-    dominator: own entries two tests each, then the lower cone in order."""
+    """What a per-tuple §III-B scan charges looking for each candidate's
+    first dominator: own entries two tests each, then the lower cone in
+    order."""
     pool = [
         (present, cost)
         for block, cost in [(cell, 2), *((lc, 1) for lc in cell.cone_lower)]

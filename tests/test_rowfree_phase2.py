@@ -1,6 +1,6 @@
 """Row-free phase 2: pinned identity and the semantics it must not bend.
 
-The vectorized region join works on partition column blocks and index
+The region join works on partition column blocks and index
 pairs and materialises row tuples only for emitted results.  That is a
 change of *representation*: the algorithm must do exactly the same work.
 ``tests/data/rowfree_golden.json`` pins, for a small seeded matrix, the
@@ -41,6 +41,7 @@ from repro.skyline.preferences import ParetoPreference, lowest
 from repro.storage.sources import ColumnarFileSource, write_columnar
 from repro.storage.table import Table
 
+from tests.conftest import oracle_candidates
 from tests.test_streaming import make_streaming_pair
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "rowfree_golden.json"
@@ -173,39 +174,37 @@ def key_tables(left_keys, right_keys):
 class TestJoinKeySemantics:
     """Probing uses a plain ``dict``: Python equality, no float coercion."""
 
-    def assert_matches_scalar(self, tables, expected_pairs):
+    def assert_matches_oracle(self, tables, expected_pairs):
         bound = sum_query().bind(tables)
         keys, results, clock = run_keys(bound, input_cells=2)
-        assert verify_results(bound, results).ok
-        scalar_keys, _, scalar_clock = run_keys(
-            bound, input_cells=2, use_vectorized=False
-        )
-        assert set(keys) == set(scalar_keys)
-        # Every joined pair is charged once on both paths (regions skipped
-        # by the look-ahead are skipped by both).
-        assert clock.count("join_result") == scalar_clock.count("join_result")
+        report = verify_results(bound, results)
+        assert report.ok, report.render()
+        # The oracle's nested-loop join compares keys with the same Python
+        # equality; the engine charges each pair it joins once, and joins
+        # no more (regions skipped by the look-ahead are never joined).
+        assert len(oracle_candidates(bound)) == expected_pairs
         assert clock.count("join_result") <= expected_pairs
         joined_ids = {(lrow[1], rrow[1]) for lrow, rrow in keys}
         return joined_ids
 
     def test_numeric_looking_strings_stay_distinct(self):
         tables = key_tables(["01", "1", "01", "1"], ["1", "1", "01", "x"])
-        joined = self.assert_matches_scalar(tables, expected_pairs=2 * 2 + 2 * 1)
+        joined = self.assert_matches_oracle(tables, expected_pairs=2 * 2 + 2 * 1)
         assert joined <= {("1", "1"), ("01", "01")}
 
     def test_int_and_float_keys_are_equal(self):
         tables = key_tables([1, 2.0, 3, 1.0], [1.0, 2, 4, 1])
-        joined = self.assert_matches_scalar(tables, expected_pairs=2 * 2 + 1)
+        joined = self.assert_matches_oracle(tables, expected_pairs=2 * 2 + 1)
         assert {(float(a), float(b)) for a, b in joined} <= {(1.0, 1.0), (2.0, 2.0)}
         assert joined  # something did join across int/float
 
     def test_many_to_many_duplicates(self):
         tables = key_tables(["k"] * 9 + ["m"] * 3, ["k"] * 7 + ["m"] * 5)
-        self.assert_matches_scalar(tables, expected_pairs=9 * 7 + 3 * 5)
+        self.assert_matches_oracle(tables, expected_pairs=9 * 7 + 3 * 5)
 
     def test_key_present_on_one_side_only(self):
         tables = key_tables(["a", "b", "only-left"] * 4, ["a", "only-right"] * 5)
-        joined = self.assert_matches_scalar(tables, expected_pairs=4 * 5)
+        joined = self.assert_matches_oracle(tables, expected_pairs=4 * 5)
         assert joined == {("a", "a")}
 
 
@@ -214,10 +213,9 @@ class TestRepresentationEdges:
         bound = sum_query(constant_dim=True).bind(
             SyntheticWorkload(n=60, d=2, sigma=0.1, seed=3).tables()
         )
-        keys, results, _ = run_keys(bound)
+        _, results, _ = run_keys(bound)
         assert verify_results(bound, results).ok
         assert {r.mapped[1] for r in results} == {5.0}
-        assert set(keys) == set(run_keys(bound, use_vectorized=False)[0])
 
     def test_pushthrough_pruned_tables(self):
         bound = SyntheticWorkload(n=150, d=2, sigma=0.05, seed=5).bound()

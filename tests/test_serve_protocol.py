@@ -71,13 +71,22 @@ class TestQueryRequest:
 
     def test_engine_config_from_preset_and_overrides(self):
         request = QueryRequest.from_mapping(
-            {"sql": SQL, "preset": "low-memory",
-             "config": {"use_vectorized": False}}
+            {"sql": SQL, "preset": "low-memory", "config": {"batch_size": 256}}
         )
         config = request.engine_config()
         assert config == EngineConfig.preset("low-memory").with_options(
-            use_vectorized=False
+            batch_size=256
         )
+        # The retired scalar-path switch is an unknown override, not a
+        # silent fallback to the default engine.
+        stale = QueryRequest.from_mapping(
+            {"sql": SQL, "preset": "low-memory",
+             "config": {"use_vectorized": False}}
+        )
+        with pytest.raises(
+            ProtocolError, match="invalid engine config override: .*use_vectorized"
+        ):
+            stale.engine_config()
 
     def test_engine_config_json_string(self):
         """GET clients pass config as a JSON string parameter."""

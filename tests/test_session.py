@@ -524,30 +524,26 @@ class TestParserFragments:
 
 
 # ---------------------------------------------------------------------------
-# vectorized batch path: budgets and callback error surfacing
+# batched execution: budgets and callback error surfacing
 # ---------------------------------------------------------------------------
 class TestVectorizedBatchBudgets:
     """Budget enforcement on the batched (columnar) execution path.
 
-    The vectorized engine charges dominance comparisons in bulk, so a
-    comparison budget can trip in the middle of a batch; the stream must
-    still stop cleanly and everything already emitted must be provably
-    final (a subset of the true skyline).
+    The engine charges dominance comparisons in bulk, so a comparison
+    budget can trip in the middle of a batch; the stream must still stop
+    cleanly and everything already emitted must be provably final (a
+    subset of the true skyline).
     """
 
     def test_comparison_budget_trips_mid_batch(self, session, bound):
         oracle = oracle_skyline_keys(bound)
-        full = session.execute(
-            bound, config=EngineConfig(use_vectorized=True)
-        ).drain()
+        full = session.execute(bound).drain()
         assert {r.key() for r in full} == oracle
         # Walk the budget down so at least one run stops mid-execution.
         stopped = 0
         for max_cmp in (5000, 1000, 200, 50, 10):
             stream = session.execute(
-                bound,
-                config=EngineConfig(use_vectorized=True),
-                budget=StreamBudget(max_comparisons=max_cmp),
+                bound, budget=StreamBudget(max_comparisons=max_cmp)
             )
             partial = stream.drain()
             if stream.state == BUDGET_EXHAUSTED:
@@ -561,31 +557,24 @@ class TestVectorizedBatchBudgets:
 
     def test_vtime_budget_trips_mid_batch(self, session, bound):
         oracle = oracle_skyline_keys(bound)
-        horizon = session.run(
-            bound, config=EngineConfig(use_vectorized=True)
-        ).recorder.total_vtime
-        stream = session.execute(
-            bound,
-            config=EngineConfig(use_vectorized=True),
-            budget=StreamBudget(max_vtime=horizon / 3),
-        )
+        horizon = session.run(bound).recorder.total_vtime
+        stream = session.execute(bound, budget=StreamBudget(max_vtime=horizon / 3))
         partial = stream.drain()
         assert stream.state == BUDGET_EXHAUSTED
         assert {r.key() for r in partial} <= oracle
 
-    def test_scalar_and_vectorized_streams_agree(self, session, bound):
-        vec = session.execute(
-            bound, config=EngineConfig(use_vectorized=True)
-        ).drain()
-        sca = session.execute(
-            bound, config=EngineConfig(use_vectorized=False)
-        ).drain()
-        assert {r.key() for r in vec} == {r.key() for r in sca}
+    def test_stream_passes_the_oracle(self, session, bound):
+        results = session.execute(bound).drain()
+        report = repro.verify_results(bound, results)
+        assert report.ok, report.render()
 
-    def test_scalar_reference_preset(self):
-        config = EngineConfig.preset("scalar-reference")
-        assert config.use_vectorized is False
-        assert EngineConfig().use_vectorized is True
+    def test_scalar_reference_preset_is_gone(self):
+        with pytest.raises(
+            QueryError,
+            match="unknown preset 'scalar-reference'; available: default, "
+            "progressive-plus, low-memory, production, auto$",
+        ):
+            EngineConfig.preset("scalar-reference")
 
 
 class TestCallbackErrorSurfacing:

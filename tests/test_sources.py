@@ -11,8 +11,8 @@ Three layers of guarantees:
   produces distinct :class:`PartitionKey` values; mutating a SQLite
   source (through its own connection or another one) misses the cache.
 * **Engine equivalence** — ProgXe produces the *same step reports and
-  result sequences* whichever backend holds the data, vectorized on and
-  off, grid and quadtree (hypothesis property test).
+  result sequences* whichever backend holds the data, grid and quadtree
+  (hypothesis property test).
 """
 
 from __future__ import annotations
@@ -709,16 +709,11 @@ def _step_trace(bound, **engine_kwargs):
 
 
 @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
-@pytest.mark.parametrize("use_vectorized", [True, False])
-def test_engine_step_reports_match_memory(backend, use_vectorized, tmp_path):
+def test_engine_step_reports_match_memory(backend, tmp_path):
     workload, mem_tables = _workload_sources("memory", tmp_path, 150, 11)
     _, other = _workload_sources(backend, tmp_path, 150, 11)
-    mem_steps, mem_keys = _step_trace(
-        workload.query().bind(mem_tables), use_vectorized=use_vectorized
-    )
-    other_steps, other_keys = _step_trace(
-        workload.query().bind(other), use_vectorized=use_vectorized
-    )
+    mem_steps, mem_keys = _step_trace(workload.query().bind(mem_tables))
+    other_steps, other_keys = _step_trace(workload.query().bind(other))
     assert other_keys == mem_keys
     assert other_steps == mem_steps
 
@@ -726,19 +721,19 @@ def test_engine_step_reports_match_memory(backend, use_vectorized, tmp_path):
 @settings(max_examples=8, deadline=None)
 @given(
     backend=st.sampled_from(["columnar", "sqlite"]),
-    use_vectorized=st.booleans(),
     partitioning=st.sampled_from(["grid", "quadtree"]),
     seed=st.integers(0, 3),
 )
-def test_property_backend_equivalence(
-    backend, use_vectorized, partitioning, seed, tmp_path_factory
-):
+def test_property_backend_equivalence(backend, partitioning, seed, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("prop")
     workload, mem_tables = _workload_sources("memory", tmp_path, 80, seed)
     _, other = _workload_sources(backend, tmp_path, 80, seed)
-    kwargs = dict(use_vectorized=use_vectorized, partitioning=partitioning)
-    mem_steps, mem_keys = _step_trace(workload.query().bind(mem_tables), **kwargs)
-    other_steps, other_keys = _step_trace(workload.query().bind(other), **kwargs)
+    mem_steps, mem_keys = _step_trace(
+        workload.query().bind(mem_tables), partitioning=partitioning
+    )
+    other_steps, other_keys = _step_trace(
+        workload.query().bind(other), partitioning=partitioning
+    )
     assert other_keys == mem_keys
     assert other_steps == mem_steps
 

@@ -11,8 +11,7 @@ Layers covered here:
 
 * **Differential replay** — hypothesis property test over random arrival
   schedules (chunk sizes x arrival points), plus a deterministic
-  conformance matrix across storage backend x partitioner x vectorized
-  on/off.
+  conformance matrix across storage backend x partitioner.
 * **Empty-poll hygiene** — an arrival poll that observes unchanged
   version tokens must be a pure no-op: no partition-store counter moves,
   no re-entry into planning.
@@ -138,11 +137,10 @@ class TestDifferentialReplay:
     @given(
         seed=st.integers(0, 3),
         partitioning=st.sampled_from(["grid", "quadtree"]),
-        use_vectorized=st.booleans(),
         schedule=arrival_schedules,
     )
     def test_any_arrival_schedule_replays_the_batch_result(
-        self, seed, partitioning, use_vectorized, schedule
+        self, seed, partitioning, schedule
     ):
         workload, live, arriving = split_workload(n=90, seed=seed)
         cursors = dict.fromkeys(ALIASES, 0)
@@ -151,7 +149,7 @@ class TestDifferentialReplay:
             chunk = arriving[alias][cursors[alias]:cursors[alias] + size]
             cursors[alias] += len(chunk)
             events.append((steps, alias, chunk))
-        kwargs = dict(partitioning=partitioning, use_vectorized=use_vectorized)
+        kwargs = dict(partitioning=partitioning)
         kernel, results = stream_drive(
             live, workload.query(), events, table_appenders(live), **kwargs
         )
@@ -231,8 +229,7 @@ def make_streaming_pair(backend, alias, prefix_table, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("use_vectorized", [True, False])
-def test_replay_holds_on_every_backend(backend, use_vectorized, tmp_path):
+def test_replay_holds_on_every_backend(backend, tmp_path):
     workload, live, arriving = split_workload(n=80, seed=29)
     sources, appenders = {}, {}
     for alias in ALIASES:
@@ -245,13 +242,10 @@ def test_replay_holds_on_every_backend(backend, use_vectorized, tmp_path):
         (2, "R", arriving["R"][15:]),
         (0, "T", arriving["T"][20:]),
     ]
-    kwargs = dict(use_vectorized=use_vectorized)
-    kernel, results = stream_drive(
-        sources, workload.query(), events, appenders, **kwargs
-    )
+    kernel, results = stream_drive(sources, workload.query(), events, appenders)
     assert kernel.rows_ingested == len(arriving["R"]) + len(arriving["T"])
     assert {r.key() for r in results} == set(
-        one_shot_keys(sources, workload.query(), **kwargs)
+        one_shot_keys(sources, workload.query())
     )
     report = verify_results(workload.query().bind(sources), results)
     assert report.ok, f"{backend}: {report.render()}"

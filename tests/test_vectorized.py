@@ -1,9 +1,10 @@
 """Tests for the columnar batch layer: vectorized kernels, ColumnBatch,
-batched mapping/normalisation, and scalar/vectorized engine agreement.
+batched mapping/normalisation, and engine agreement with the oracle.
 
-The scalar implementations are the reference oracle throughout: every
+The per-tuple implementations are the reference for the kernels: every
 property test asserts the vectorized kernels produce *identical* result
-sets on randomized inputs.
+sets on randomized inputs.  Engine runs are checked against the
+brute-force skyline (hash or nested-loop join plus BNL).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from repro.skyline.vectorized import (
 )
 from repro.storage.column_batch import ColumnBatch
 from repro.storage.table import Table
+
+from tests.conftest import oracle_skyline_keys
 
 # Small-domain float coordinates: collisions (ties/duplicates) are likely,
 # which is exactly where dominance edge cases live.
@@ -369,30 +372,25 @@ class TestBatchedMapping:
 
 
 # ---------------------------------------------------------------------------
-# engine: scalar path vs vectorized path on randomized workloads
+# engine vs the brute-force oracle on randomized workloads
 # ---------------------------------------------------------------------------
 class TestEngineAgreement:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("distribution", ["independent", "anticorrelated"])
-    def test_scalar_and_vectorized_skylines_identical(self, distribution, seed):
+    def test_skylines_match_the_oracle(self, distribution, seed):
         bound = SyntheticWorkload(
             distribution=distribution, n=90, d=3, sigma=0.1, seed=seed
         ).bound()
-        vec = list(
-            ProgXeEngine(bound, VirtualClock(), use_vectorized=True).run()
-        )
-        sca = list(
-            ProgXeEngine(bound, VirtualClock(), use_vectorized=False).run()
-        )
-        assert {r.key() for r in vec} == {r.key() for r in sca}
-        assert verify_results(bound, vec).ok
+        results = list(ProgXeEngine(bound, VirtualClock()).run())
+        assert {r.key() for r in results} == oracle_skyline_keys(bound)
+        report = verify_results(bound, results)
+        assert report.ok, report.render()
 
-    def test_vectorized_is_default_and_verified(self):
+    def test_four_dimensional_run_is_verified(self):
         bound = SyntheticWorkload(
             distribution="independent", n=100, d=4, sigma=0.1, seed=9
         ).bound()
         engine = ProgXeEngine(bound, VirtualClock())
-        assert engine.use_vectorized is True
         assert verify_results(bound, list(engine.run())).ok
 
     def test_vectorized_charges_bulk_comparisons(self):
@@ -400,6 +398,6 @@ class TestEngineAgreement:
             distribution="independent", n=80, d=2, sigma=0.1, seed=5
         ).bound()
         clock = VirtualClock()
-        list(ProgXeEngine(bound, clock, use_vectorized=True).run())
+        list(ProgXeEngine(bound, clock).run())
         assert clock.count("dominance_cmp") > 0
         assert clock.count("map") > 0
