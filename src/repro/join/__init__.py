@@ -1,8 +1,7 @@
-"""Join substrate: equi-join predicate and three join algorithms."""
+"""Join substrate: equi-join predicate and two join algorithms."""
 
 from repro.join.hash_join import hash_join
 from repro.join.nested_loop import nested_loop_join
 from repro.join.predicates import EquiJoin
-from repro.join.sort_merge import sort_merge_join
 
-__all__ = ["EquiJoin", "hash_join", "nested_loop_join", "sort_merge_join"]
+__all__ = ["EquiJoin", "hash_join", "nested_loop_join"]

@@ -1,7 +1,6 @@
 """Skyline substrate: preference model, dominance tests and skyline algorithms."""
 
 from repro.skyline.bnl import bnl_skyline, bnl_skyline_entries
-from repro.skyline.dnc import dnc_skyline, dnc_skyline_entries
 from repro.skyline.dominance import (
     Dominance,
     compare,
@@ -16,8 +15,6 @@ from repro.skyline.estimate import (
     expected_skyline_size,
     harmonic,
 )
-from repro.skyline.incremental import InsertOutcome, SkylineBuffer
-from repro.skyline.salsa import salsa_skyline, salsa_skyline_entries
 from repro.skyline.preferences import (
     HIGHEST,
     LOWEST,
@@ -42,17 +39,13 @@ __all__ = [
     "Direction",
     "Dominance",
     "HIGHEST",
-    "InsertOutcome",
     "LOWEST",
     "ParetoPreference",
     "Preference",
-    "SkylineBuffer",
     "all_lowest",
     "bnl_skyline",
     "bnl_skyline_entries",
     "compare",
-    "dnc_skyline",
-    "dnc_skyline_entries",
     "dominated_by_any",
     "dominated_mask",
     "dominates",
@@ -64,8 +57,6 @@ __all__ = [
     "highest",
     "lowest",
     "pareto_mask",
-    "salsa_skyline",
-    "salsa_skyline_entries",
     "sfs_skyline",
     "sfs_skyline_entries",
     "skyline_indices_bruteforce",

@@ -1,4 +1,4 @@
-"""Tests for the three join algorithms."""
+"""Tests for the two join algorithms."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,43 +63,6 @@ class TestHashJoin:
     def test_matches_nested_loop(self, left, right):
         p = EquiJoin(1, 1)
         assert canonical(hash_join(left, right, p)) == canonical(
-            nested_loop_join(left, right, p)
-        )
-
-
-class TestSortMergeJoin:
-    def test_duplicate_runs_cross_product(self):
-        from repro.join.sort_merge import sort_merge_join
-
-        left = [(1, "a"), (1, "b")]
-        right = [(1, "x"), (1, "y")]
-        got = canonical(sort_merge_join(left, right, EquiJoin(0, 0)))
-        assert len(got) == 4
-
-    def test_no_matches(self):
-        from repro.join.sort_merge import sort_merge_join
-
-        assert list(sort_merge_join([(1,)], [(2,)], EquiJoin(0, 0))) == []
-
-    def test_sort_steps_charged(self):
-        from repro.join.sort_merge import sort_merge_join
-
-        steps = []
-        list(
-            sort_merge_join(
-                [(1,), (2,)], [(1,)], EquiJoin(0, 0),
-                on_sort_step=lambda: steps.append(1),
-            )
-        )
-        assert len(steps) == 3
-
-    @given(rows, rows)
-    @settings(max_examples=60)
-    def test_matches_nested_loop(self, left, right):
-        from repro.join.sort_merge import sort_merge_join
-
-        p = EquiJoin(1, 1)
-        assert canonical(sort_merge_join(left, right, p)) == canonical(
             nested_loop_join(left, right, p)
         )
 

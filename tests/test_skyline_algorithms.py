@@ -1,6 +1,6 @@
-"""Tests for the skyline algorithms: BNL, SFS, divide & conquer.
+"""Tests for the skyline algorithms: BNL and SFS.
 
-The central obligation: all three agree with the quadratic oracle on any
+The central obligation: both agree with the quadratic oracle on any
 input, including duplicates and ties.
 """
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.skyline.bnl import bnl_skyline, bnl_skyline_entries
-from repro.skyline.dnc import dnc_skyline, dnc_skyline_entries
 from repro.skyline.dominance import skyline_indices_bruteforce
 from repro.skyline.sfs import sfs_skyline, sfs_skyline_entries
 
@@ -104,32 +103,6 @@ class TestSFS:
         )
 
 
-class TestDnc:
-    def test_empty(self):
-        assert dnc_skyline([]) == []
-
-    def test_small_input_base_case(self):
-        assert sorted(dnc_skyline([(1.0, 4.0), (4.0, 1.0), (2.0, 5.0)])) == [
-            (1.0, 4.0), (4.0, 1.0)
-        ]
-
-    def test_large_input_recursion(self):
-        rng = np.random.default_rng(5)
-        points = [tuple(p) for p in rng.random((200, 2)) * 100]
-        assert sorted(dnc_skyline(points)) == oracle_multiset(points)
-
-    @given(point_lists)
-    @settings(max_examples=40)
-    def test_matches_oracle(self, points):
-        assert sorted(map(tuple, dnc_skyline(points))) == oracle_multiset(points)
-
-    @given(tied_lists)
-    @settings(max_examples=40)
-    def test_matches_oracle_on_ties(self, points):
-        pts = [tuple(map(float, p)) for p in points]
-        assert sorted(dnc_skyline(pts)) == oracle_multiset(pts)
-
-
 class TestPayloadVariants:
     """The *_entries versions must carry payloads through untouched."""
 
@@ -142,17 +115,10 @@ class TestPayloadVariants:
         entries = [((2.0, 2.0), "a"), ((1.0, 1.0), "b")]
         assert [p for _, p in sfs_skyline_entries(entries)] == ["b"]
 
-    def test_dnc_payloads(self):
-        entries = [((2.0, 2.0), i) for i in range(30)]
-        entries.append(((1.0, 1.0), 99))
-        result = dnc_skyline_entries(entries)
-        assert [p for _, p in result] == [99]
-
     @given(point_lists)
     @settings(max_examples=30)
-    def test_all_three_agree_with_payloads(self, points):
+    def test_bnl_and_sfs_agree_with_payloads(self, points):
         entries = [(p, i) for i, p in enumerate(points)]
         b = sorted(p for _, p in bnl_skyline_entries(entries))
         s = sorted(p for _, p in sfs_skyline_entries(entries))
-        d = sorted(p for _, p in dnc_skyline_entries(entries))
-        assert b == s == d
+        assert b == s
