@@ -441,9 +441,7 @@ class ExecutionKernel:
         else in the event loop (policy order, region completion, settle
         cascades) is shared.
         """
-        return process_region(
-            self.state, region, batch_size=self.batch_size,
-        )
+        return process_region(self.state, region, batch_size=self.batch_size)
 
     def _finalize(self) -> None:
         """Verify the completeness invariant and publish engine stats."""

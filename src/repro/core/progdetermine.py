@@ -268,7 +268,6 @@ class ExecutionState:
             np.concatenate(([True], sorted_flat[1:] != sorted_flat[:-1]))
         )
         stops = np.append(starts[1:], n)
-        mapped = np.asarray(mapped)
 
         for g in np.argsort(order[starts], kind="stable").tolist():
             idx = order[starts[g]:stops[g]]

@@ -423,9 +423,7 @@ class Planner:
         )
         return skew >= SKEW_THRESHOLD
 
-    def _choose_batch_size(
-        self, join_rows: float, regions: float
-    ) -> int:
+    def _choose_batch_size(self, join_rows: float, regions: float) -> int:
         """Batch near the expected per-region pair count (fewer partial
         flushes without buffering past the region's own output)."""
         pairs_per_region = join_rows / max(regions, 1.0)

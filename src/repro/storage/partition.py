@@ -59,7 +59,8 @@ class ColumnBlock:
 class RowRef:
     """A row named by ``(partition, position)`` instead of held as a tuple.
 
-    What buffered output-cell entries carry in a solo run; the tuple is materialised (:func:`materialize_rows`) only if the entry is
+    What buffered output-cell entries carry in a solo run; the tuple is
+    materialised (:func:`materialize_rows`) only if the entry is
     eventually emitted.
     """
 

@@ -2,8 +2,9 @@
 
 Real sockets on 127.0.0.1, stdlib asyncio clients.  The load-bearing
 guarantees: streamed result frames are sequence-identical to a direct
-``Session.execute`` of the same query (across partitioners), a slow client throttles only its own query, a
-failing kernel poisons only its own stream, and shutdown drains cleanly.
+``Session.execute`` of the same query (across partitioners), a slow client
+throttles only its own query, a failing kernel poisons only its own stream,
+and shutdown drains cleanly.
 """
 
 from __future__ import annotations
