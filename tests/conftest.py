@@ -10,6 +10,11 @@ from repro.join.predicates import EquiJoin
 from repro.query.smj import BoundQuery
 from repro.skyline.bnl import bnl_skyline_entries
 
+#: Phase-2 flush granularities worth running a guarantee at: the default,
+#: and one join pair per ``insert_batch`` call (the finest the engine has).
+BATCH_SIZES = [None, 1]
+BATCH_IDS = ["batch-default", "batch-1"]
+
 
 def oracle_candidates(bound: BoundQuery) -> list[tuple[tuple[float, ...], tuple]]:
     """All mapped join results of a bound query, via the oracle join."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from repro.core.engine import ProgXeEngine
 from repro.core.output_grid import OutputCell
@@ -19,6 +20,8 @@ from repro.data.workloads import SyntheticWorkload
 from repro.runtime.clock import VirtualClock
 from repro.serve.protocol import FrameFactory, encode_frame
 from repro.storage.partition import RowRef, materialize_rows
+
+from tests.conftest import BATCH_IDS, BATCH_SIZES
 
 
 def new_cell() -> OutputCell:
@@ -151,11 +154,12 @@ class TestRowKinds:
 
 
 class TestEmittedValues:
-    def test_results_are_plain_python_and_encode(self):
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
+    def test_results_are_plain_python_and_encode(self, batch_size):
         bound = SyntheticWorkload(
             distribution="anticorrelated", n=80, d=3, sigma=0.1, seed=5
         ).bound()
-        engine = ProgXeEngine(bound, VirtualClock())
+        engine = ProgXeEngine(bound, VirtualClock(), batch_size=batch_size)
         results = list(engine.run())
         assert results
         frames = FrameFactory()

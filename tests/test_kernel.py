@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import make_bound, oracle_skyline_keys
+from tests.conftest import BATCH_IDS, BATCH_SIZES, make_bound, oracle_skyline_keys
 from repro.core.engine import ProgXeEngine
 from repro.core.kernel import (
     CREATED,
@@ -209,19 +209,22 @@ class TestPauseResume:
         assert kernel.status == FINISHED
 
     @pytest.mark.parametrize("partitioning", ["grid", "quadtree"])
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
     @settings(max_examples=8, deadline=None)
     @given(k=st.integers(min_value=1, max_value=9), seed=st.integers(0, 3))
-    def test_pause_resume_determinism(self, partitioning, k, seed):
+    def test_pause_resume_determinism(self, partitioning, batch_size, k, seed):
         """Stopping after every k steps reproduces the uninterrupted run.
 
-        The satellite property: for both partitioners, a kernel paused and
-        resumed at arbitrary step boundaries yields the exact result
-        sequence (order included) of a solo run.
+        The satellite property: for both partitioners and both the default
+        and the one-pair flush granularity, a kernel paused and resumed at
+        arbitrary step boundaries yields the exact result sequence (order
+        included) of a solo run.
         """
         bound = make_bound("independent", n=90, d=2, sigma=0.1, seed=seed)
-        assert stepped_sequence(
-            bound, pause_every=k, partitioning=partitioning
-        ) == solo_sequence(bound, partitioning=partitioning)
+        kwargs = dict(partitioning=partitioning, batch_size=batch_size)
+        assert stepped_sequence(bound, pause_every=k, **kwargs) == solo_sequence(
+            bound, **kwargs
+        )
 
     def test_pause_resume_determinism_anticorrelated(self):
         bound = make_bound("anticorrelated", n=80, d=3, sigma=0.1, seed=1)

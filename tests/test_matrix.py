@@ -39,6 +39,10 @@ ENGINE_CONFIGS = {
     "bloom": {"signature_kind": "bloom"},
     "pushthrough": {"pushthrough": True},
     "no-order": {"ordering": False, "seed": 3},
+    # One pair per flush: phase 2 at its finest granularity, many one-row
+    # ``insert_batch`` calls instead of a few large ones.
+    "batch-1": {"batch_size": 1},
+    "batch-1-pushthrough": {"batch_size": 1, "pushthrough": True},
 }
 
 

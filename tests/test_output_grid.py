@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.output_grid import OutputCell, OutputGrid
 
@@ -47,6 +49,23 @@ class TestGeometry:
     def test_degenerate_range(self):
         grid = OutputGrid([5.0], [5.0], 4)  # zero-width domain
         assert grid.coords_of((5.0,)) == (0,)
+
+    @given(
+        k=st.integers(1, 5),
+        points=st.lists(
+            st.tuples(st.floats(-2, 10), st.floats(-2, 10)), min_size=1, max_size=20
+        ),
+    )
+    @settings(max_examples=60)
+    def test_coords_matrix_routes_like_coords_of(self, k, points):
+        # Outside [0, 8] included: both forms clamp to the boundary cells.
+        grid = make_grid(k=k)
+        batched = grid.coords_matrix(np.array(points)).tolist()
+        assert [tuple(c) for c in batched] == [grid.coords_of(p) for p in points]
+
+    def test_coords_matrix_of_an_empty_batch(self):
+        coords = make_grid().coords_matrix(np.empty((0, 2)))
+        assert coords.shape == (0, 2)
 
 
 class TestBatchedRanges:

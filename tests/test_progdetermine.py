@@ -14,6 +14,7 @@ from repro.core.output_grid import OutputCell, OutputGrid
 from repro.core.progdetermine import ExecutionState
 from repro.errors import ExecutionError
 from repro.runtime.clock import VirtualClock
+from repro.skyline.bnl import bnl_skyline
 from repro.skyline.dominance import dominates
 from repro.storage.grid import GridPartitioner
 
@@ -190,6 +191,134 @@ class TestInsertion:
         assert grid.cells[(0, 0)].size == 1
         with pytest.raises(ExecutionError, match="inactive cell"):
             insert_one(state, (1.5, 1.5), 2)
+
+
+# ----------------------------------------------------------------------
+# the open cells as a running skyline over successive batches
+# ----------------------------------------------------------------------
+def open_state(k=1):
+    """An all-active 2-d grid over ``[0, 8]²`` whose every cell still
+    awaits a region."""
+    grid = OutputGrid([0.0, 0.0], [8.0, 8.0], k)
+    for coords in itertools.product(range(k), repeat=2):
+        grid.activate(coords).reg_count = 1
+    grid.build_cones()
+    return ExecutionState(None, [], grid, VirtualClock())
+
+
+def insert_rows(state, points, tag=0):
+    vectors = np.asarray(points, dtype=float).reshape(len(points), 2)
+    rows = [(tag, i) for i in range(len(points))]
+    state.insert_batch(vectors, rows, rows, vectors)
+
+
+def held_vectors(state):
+    return sorted(
+        tuple(e[0]) for c in state.grid.cells.values() for e in c.entries
+    )
+
+
+# Half-unit coordinates: sums are exact and ties are common.
+_HALVES = st.integers(0, 16).map(lambda v: v / 2)
+_POINT_BATCHES = st.lists(
+    st.lists(st.tuples(_HALVES, _HALVES), min_size=0, max_size=12),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestRunningSkyline:
+    def test_first_row_is_accepted(self):
+        state = open_state()
+        insert_one(state, (1.0, 2.0), "a")
+        assert held_vectors(state) == [(1.0, 2.0)]
+        assert state.live_entries == 1
+        assert state.dominated_on_arrival == 0
+
+    def test_one_row_evicts_every_entry_it_dominates(self):
+        state = open_state()
+        insert_one(state, (2.0, 2.0), "a")
+        insert_one(state, (3.0, 1.0), "b")
+        insert_one(state, (1.0, 1.0), "c")
+        assert held_vectors(state) == [(1.0, 1.0)]
+        assert state.live_entries == 1
+
+    def test_dominated_rows_within_one_batch_are_dropped(self):
+        state = open_state()
+        insert_rows(state, [(2.0, 2.0), (1.0, 1.0), (3.0, 0.5), (4.0, 4.0)])
+        assert held_vectors(state) == [(1.0, 1.0), (3.0, 0.5)]
+        assert state.dominated_on_arrival == 2
+
+    def test_equal_rows_within_one_batch_coexist(self):
+        state = open_state()
+        insert_rows(state, [(1.0, 1.0), (1.0, 1.0)])
+        assert held_vectors(state) == [(1.0, 1.0), (1.0, 1.0)]
+
+    def test_survivors_keep_arrival_order(self):
+        state = open_state()
+        insert_rows(state, [(1.0, 3.0), (3.0, 1.0), (2.0, 2.0)])
+        insert_one(state, (2.5, 0.5), "x")
+        (cell,) = state.grid.cells.values()
+        assert [e[0] for e in cell.entries] == [(1.0, 3.0), (2.0, 2.0), (2.5, 0.5)]
+
+    def test_empty_batch_changes_nothing(self):
+        state = open_state()
+        insert_one(state, (1.0, 2.0), "a")
+        before = state.clock.snapshot()
+        insert_rows(state, np.empty((0, 2)))
+        assert held_vectors(state) == [(1.0, 2.0)]
+        assert state.clock.snapshot() == before
+
+    def test_comparisons_are_charged(self):
+        state = open_state()
+        insert_one(state, (1.0, 2.0), "a")
+        insert_one(state, (2.0, 1.0), "b")
+        assert state.clock.count("dominance_cmp") > 0
+
+    def test_a_row_below_a_strict_upper_cell_marks_it(self):
+        state = open_state(k=2)  # cells of width 4
+        insert_one(state, (5.0, 5.0), "a")
+        insert_one(state, (0.5, 0.5), "b")
+        upper = state.grid.cells[(1, 1)]
+        assert upper.marked and upper.size == 0
+        assert held_vectors(state) == [(0.5, 0.5)]
+        assert state.live_entries == 1
+
+    def test_rows_arriving_in_a_marked_cell_are_discarded(self):
+        state = open_state(k=2)
+        insert_one(state, (0.5, 0.5), "a")
+        insert_rows(state, [(6.0, 6.0), (4.5, 7.0)], tag=1)
+        assert state.discarded_on_arrival == 2
+        assert state.clock.count("discard") == 2
+        assert held_vectors(state) == [(0.5, 0.5)]
+
+    @given(k=st.integers(1, 3), batches=_POINT_BATCHES)
+    @settings(max_examples=80, deadline=None)
+    def test_open_cells_hold_the_skyline_of_everything_inserted(self, k, batches):
+        state = open_state(k=k)
+        for b, batch in enumerate(batches):
+            insert_rows(state, batch, tag=b)
+        everything = [p for batch in batches for p in batch]
+        assert held_vectors(state) == sorted(map(tuple, bnl_skyline(everything)))
+        assert state.live_entries == len(held_vectors(state))
+
+    @given(k=st.integers(1, 3), batches=_POINT_BATCHES)
+    @settings(max_examples=60, deadline=None)
+    def test_evicted_entries_are_dominated_by_the_batch(self, k, batches):
+        state = open_state(k=k)
+        evict = OutputCell.evict
+        evicted: list = []
+
+        def spy_evict(cell, dead):
+            evicted.extend(e[0] for e in itertools.compress(cell.entries, dead))
+            return evict(cell, dead)
+
+        with mock.patch.object(OutputCell, "evict", spy_evict):
+            for b, batch in enumerate(batches):
+                evicted.clear()
+                insert_rows(state, batch, tag=b)
+                for vec in evicted:
+                    assert any(dominates(tuple(p), vec) for p in batch)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Real sockets on 127.0.0.1, stdlib asyncio clients.  The load-bearing
 guarantees: streamed result frames are sequence-identical to a direct
-``Session.execute`` of the same query (across partitioners), a slow client
-throttles only its own query, a failing kernel poisons only its own stream,
-and shutdown drains cleanly.
+``Session.execute`` of the same query (across partitioners and flush
+granularities), a slow client throttles only its own query, a failing
+kernel poisons only its own stream, and shutdown drains cleanly.
 """
 
 from __future__ import annotations
@@ -138,12 +138,19 @@ def result_values(frames):
     return [f["values"] for f in frames if f["event"] == "result"]
 
 
-ENGINE_VARIANTS = [{"partitioning": "grid"}, {"partitioning": "quadtree"}]
+ENGINE_VARIANTS = [
+    {"partitioning": "grid"},
+    {"partitioning": "grid", "batch_size": 1},
+    {"partitioning": "quadtree"},
+    {"partitioning": "quadtree", "batch_size": 1},
+]
 
 
 class TestStreamingEquivalence:
     @pytest.mark.parametrize(
-        "overrides", ENGINE_VARIANTS, ids=lambda o: o["partitioning"]
+        "overrides", ENGINE_VARIANTS,
+        ids=lambda o: o["partitioning"]
+        + (f"-batch-{o['batch_size']}" if "batch_size" in o else ""),
     )
     def test_frames_match_direct_execute(self, overrides):
         async def test(server, session):

@@ -17,6 +17,7 @@ from repro.session import (
     BUDGET_EXHAUSTED,
     CANCELLED,
     COMPLETED,
+    PRESETS,
     AlgorithmRegistry,
     EngineConfig,
     QueryBuilder,
@@ -563,8 +564,9 @@ class TestVectorizedBatchBudgets:
         assert stream.state == BUDGET_EXHAUSTED
         assert {r.key() for r in partial} <= oracle
 
-    def test_stream_passes_the_oracle(self, session, bound):
-        results = session.execute(bound).drain()
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_stream_passes_the_oracle(self, session, bound, preset):
+        results = session.execute(bound, config=preset).drain()
         report = repro.verify_results(bound, results)
         assert report.ok, report.render()
 

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.generator import generate_attributes
 from repro.skyline.bnl import bnl_skyline, bnl_skyline_entries
 from repro.skyline.dominance import skyline_indices_bruteforce
 from repro.skyline.sfs import sfs_skyline, sfs_skyline_entries
@@ -76,10 +77,39 @@ class TestBNL:
         want = oracle_multiset([tuple(map(float, p)) for p in points])
         assert got == want
 
+    @given(point_lists_3d)
+    @settings(max_examples=40)
+    def test_matches_oracle_3d(self, points):
+        pts = np.array(points, dtype=float) if points else np.empty((0, 3))
+        want = sorted(tuple(points[i]) for i in skyline_indices_bruteforce(pts))
+        assert sorted(map(tuple, bnl_skyline(points))) == want
+
+    def test_large_anticorrelated_input_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        pts = [tuple(p) for p in generate_attributes("anticorrelated", 1500, 3, rng)]
+        got = sorted(map(tuple, bnl_skyline(pts)))
+        want = sorted(pts[i] for i in skyline_indices_bruteforce(np.array(pts)))
+        assert got == want
+
 
 class TestSFS:
     def test_empty(self):
         assert sfs_skyline([]) == []
+
+    def test_single(self):
+        assert sfs_skyline([(3.0, 4.0)]) == [(3.0, 4.0)]
+
+    def test_simple(self):
+        pts = [(1.0, 4.0), (2.0, 2.0), (4.0, 1.0), (3.0, 3.0)]
+        assert sorted(sfs_skyline(pts)) == [(1.0, 4.0), (2.0, 2.0), (4.0, 1.0)]
+
+    def test_counts_comparisons(self):
+        count = [0]
+        sfs_skyline([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)],
+                    on_comparison=lambda: count.__setitem__(0, count[0] + 1))
+        # (1, 2) and (2, 1) tie on the sum: the second is tested against
+        # the first, then (3, 3) is dominated by the first window entry.
+        assert count[0] == 2
 
     def test_no_evictions_needed(self):
         # SFS never revisits accepted tuples; the sorted order guarantees it.
@@ -95,12 +125,36 @@ class TestSFS:
     def test_matches_oracle(self, points):
         assert sorted(map(tuple, sfs_skyline(points))) == oracle_multiset(points)
 
+    @given(tied_lists)
+    @settings(max_examples=60)
+    def test_matches_oracle_on_ties(self, points):
+        got = sorted(tuple(map(float, v)) for v in sfs_skyline(points))
+        want = oracle_multiset([tuple(map(float, p)) for p in points])
+        assert got == want
+
     @given(point_lists_3d)
     @settings(max_examples=40)
     def test_matches_bnl_3d(self, points):
         assert sorted(map(tuple, sfs_skyline(points))) == sorted(
             map(tuple, bnl_skyline(points))
         )
+
+    @given(point_lists)
+    @settings(max_examples=40)
+    def test_window_is_in_score_order(self, points):
+        # Append-only window over the sum-sorted input: the output keeps
+        # the monotone score order.
+        sums = [sum(v) for v in sfs_skyline(points)]
+        assert sums == sorted(sums)
+
+    @given(point_lists)
+    @settings(max_examples=40)
+    def test_each_tuple_scans_at_most_the_final_window(self, points):
+        count = [0]
+        result = sfs_skyline(
+            points, on_comparison=lambda: count.__setitem__(0, count[0] + 1)
+        )
+        assert count[0] <= len(points) * len(result)
 
 
 class TestPayloadVariants:
@@ -114,6 +168,19 @@ class TestPayloadVariants:
     def test_sfs_payloads(self):
         entries = [((2.0, 2.0), "a"), ((1.0, 1.0), "b")]
         assert [p for _, p in sfs_skyline_entries(entries)] == ["b"]
+
+    def test_equal_vectors_keep_every_payload(self):
+        entries = [((1.0, 1.0), "a"), ((2.0, 0.5), "b"), ((1.0, 1.0), "c")]
+        for skyline in (bnl_skyline_entries, sfs_skyline_entries):
+            assert sorted(p for _, p in skyline(entries)) == ["a", "b", "c"]
+
+    @given(point_lists)
+    @settings(max_examples=30)
+    def test_results_are_input_entries(self, points):
+        entries = [(p, i) for i, p in enumerate(points)]
+        for skyline in (bnl_skyline_entries, sfs_skyline_entries):
+            for vec, payload in skyline(entries):
+                assert entries[payload] == (vec, payload)
 
     @given(point_lists)
     @settings(max_examples=30)

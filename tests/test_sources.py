@@ -11,8 +11,8 @@ Three layers of guarantees:
   produces distinct :class:`PartitionKey` values; mutating a SQLite
   source (through its own connection or another one) misses the cache.
 * **Engine equivalence** — ProgXe produces the *same step reports and
-  result sequences* whichever backend holds the data, grid and quadtree
-  (hypothesis property test).
+  result sequences* whichever backend holds the data, default and
+  one-pair flushes, grid and quadtree (hypothesis property test).
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from repro.storage.sources import (
     write_columnar,
 )
 from repro.storage.table import Table
+
+from tests.conftest import BATCH_IDS, BATCH_SIZES
 
 ROWS = [
     ("r0", "J1", 4.0, 30.0),
@@ -709,11 +711,16 @@ def _step_trace(bound, **engine_kwargs):
 
 
 @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
-def test_engine_step_reports_match_memory(backend, tmp_path):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
+def test_engine_step_reports_match_memory(backend, batch_size, tmp_path):
     workload, mem_tables = _workload_sources("memory", tmp_path, 150, 11)
     _, other = _workload_sources(backend, tmp_path, 150, 11)
-    mem_steps, mem_keys = _step_trace(workload.query().bind(mem_tables))
-    other_steps, other_keys = _step_trace(workload.query().bind(other))
+    mem_steps, mem_keys = _step_trace(
+        workload.query().bind(mem_tables), batch_size=batch_size
+    )
+    other_steps, other_keys = _step_trace(
+        workload.query().bind(other), batch_size=batch_size
+    )
     assert other_keys == mem_keys
     assert other_steps == mem_steps
 

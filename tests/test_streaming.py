@@ -11,7 +11,7 @@ Layers covered here:
 
 * **Differential replay** — hypothesis property test over random arrival
   schedules (chunk sizes x arrival points), plus a deterministic
-  conformance matrix across storage backend x partitioner.
+  conformance matrix across storage backend x flush granularity.
 * **Empty-poll hygiene** — an arrival poll that observes unchanged
   version tokens must be a pure no-op: no partition-store counter moves,
   no re-entry into planning.
@@ -52,7 +52,12 @@ from repro.skyline import dominates
 from repro.storage.sources import ColumnarFileSource, SQLiteSource, write_columnar
 from repro.storage.table import Table
 
-from tests.conftest import make_bound, mean_cone_size_from_scratch
+from tests.conftest import (
+    BATCH_IDS,
+    BATCH_SIZES,
+    make_bound,
+    mean_cone_size_from_scratch,
+)
 
 ALIASES = ("R", "T")
 
@@ -229,7 +234,8 @@ def make_streaming_pair(backend, alias, prefix_table, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_replay_holds_on_every_backend(backend, tmp_path):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
+def test_replay_holds_on_every_backend(backend, batch_size, tmp_path):
     workload, live, arriving = split_workload(n=80, seed=29)
     sources, appenders = {}, {}
     for alias in ALIASES:
@@ -242,10 +248,13 @@ def test_replay_holds_on_every_backend(backend, tmp_path):
         (2, "R", arriving["R"][15:]),
         (0, "T", arriving["T"][20:]),
     ]
-    kernel, results = stream_drive(sources, workload.query(), events, appenders)
+    kwargs = dict(batch_size=batch_size)
+    kernel, results = stream_drive(
+        sources, workload.query(), events, appenders, **kwargs
+    )
     assert kernel.rows_ingested == len(arriving["R"]) + len(arriving["T"])
     assert {r.key() for r in results} == set(
-        one_shot_keys(sources, workload.query())
+        one_shot_keys(sources, workload.query(), **kwargs)
     )
     report = verify_results(workload.query().bind(sources), results)
     assert report.ok, f"{backend}: {report.render()}"
