@@ -10,7 +10,6 @@ from repro.analysis.rules.clock_discipline import ClockDisciplineChecker
 from repro.analysis.rules.determinism import DeterminismChecker
 from repro.analysis.rules.error_handling import ErrorHandlingChecker
 from repro.analysis.rules.exports import ExportConsistencyChecker
-from repro.analysis.rules.process_hygiene import ProcessHygieneChecker
 
 __all__ = [
     "AsyncHygieneChecker",
@@ -18,5 +17,4 @@ __all__ = [
     "DeterminismChecker",
     "ErrorHandlingChecker",
     "ExportConsistencyChecker",
-    "ProcessHygieneChecker",
 ]

@@ -46,8 +46,7 @@ Commands
 ``lint``
     Run the repo's own static analyzer (:mod:`repro.analysis`) over
     Python sources: comparison accounting, determinism, async hygiene,
-    process hygiene, error handling and export consistency.  Non-zero
-    exit on findings.
+    error handling and export consistency.  Non-zero exit on findings.
 """
 
 from __future__ import annotations
@@ -160,39 +159,11 @@ def _backend_line(tables, backends) -> str:
     )
 
 
-def _effective_workers(args: argparse.Namespace) -> int | None:
-    """Resolve ``--workers``, warning (never crashing) on degradation.
-
-    CLI policy is conservative: oversubscribing the machine's cores is
-    refused (the engine would allow it), and an unavailable start method
-    degrades to the solo kernel.  Either way the effective count is
-    printed so operators can see what they actually got.
-    """
-    requested = getattr(args, "workers", None)
-    if requested is None:
-        return None
-    if requested < 1:
-        raise SystemExit(f"--workers must be >= 1, got {requested}")
-    if requested == 1:
-        return 1
-    from repro.parallel.plan import resolve_workers
-
-    effective, reason = resolve_workers(requested, oversubscribe=False)
-    if reason:
-        print(f"warning: {reason}", file=sys.stderr)
-    print(f"workers: {effective}"
-          + (" (solo kernel)" if effective == 1 else " processes"))
-    return effective
-
-
 def _session(args: argparse.Namespace) -> Session:
     config = None
     preset = getattr(args, "preset", None)
     if preset:
         config = EngineConfig.preset(preset)
-    workers = _effective_workers(args)
-    if workers is not None and workers != (config or EngineConfig()).workers:
-        config = (config or EngineConfig()).with_options(workers=workers)
     return Session(config=config)
 
 
@@ -611,12 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--algorithm", "-a", default="ProgXe",
                        help="algorithm name (see the 'algorithms' command)")
     p_run.add_argument("--preset", choices=list(PRESETS), help=preset_help)
-    p_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for phase-2 joins (default 1 = in-process); "
-        "output is byte-identical at any count; degrades to 1 with a "
-        "warning when the machine cannot honour the request",
-    )
     p_run.add_argument("--stream", action="store_true",
                        help="print every result as it is emitted")
     p_run.add_argument(
@@ -714,11 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scheduler preset driving the serving loop",
     )
     p_serve.add_argument("--preset", choices=list(PRESETS), help=preset_help)
-    p_serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for each served query's phase-2 joins "
-        "(default 1); degrades to 1 with a warning when unavailable",
-    )
     p_serve.add_argument(
         "--max-active", type=int, default=64,
         help="reject (429) beyond this many concurrent streaming queries",

@@ -74,7 +74,6 @@ class ProgXeEngine:
         verify: bool = True,
         follow: bool = False,
         cache: "PlanCache | None" = None,
-        workers: int = 1,
         batch_size: int | None = None,
         planner: "Planner | None" = None,
     ) -> None:
@@ -87,8 +86,6 @@ class ProgXeEngine:
                 f"signature_kind must be one of {SIGNATURE_KINDS}, "
                 f"got {signature_kind!r}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if follow and pushthrough:
@@ -96,12 +93,6 @@ class ProgXeEngine:
                 "follow=True is incompatible with pushthrough: push-through "
                 "pruning snapshots the inputs, so appended rows could never "
                 "reach the running query"
-            )
-        if follow and workers > 1:
-            raise ValueError(
-                "follow=True is incompatible with workers > 1: sharded "
-                "execution snapshots the inputs into per-worker columnar "
-                "slices"
             )
         self.bound = bound
         self.clock = clock or VirtualClock()
@@ -118,16 +109,6 @@ class ProgXeEngine:
         self.cache = cache
         self.batch_size = batch_size
         self.planner = planner
-        if workers > 1:
-            from repro.parallel.plan import resolve_workers
-
-            # Library policy allows oversubscription (determinism tests
-            # legitimately run more workers than cores); only an
-            # unavailable start method degrades to the solo kernel here.
-            self.workers, self.worker_fallback = resolve_workers(workers)
-        else:
-            self.workers, self.worker_fallback = 1, None
-        self._shard = None
         base = "ProgXe+" if pushthrough else "ProgXe"
         self.name = base if ordering else f"{base} (No-Order)"
         # Populated during execution for inspection/tests.
@@ -177,20 +158,8 @@ class ProgXeEngine:
         return self._plan
 
     def _build_plan(self) -> QueryPlan:
-        plan_bound = self.bound
-        cache = self.cache
-        if self.workers > 1:
-            from repro.parallel.plan import prepare_shard_context
-
-            self._shard = prepare_shard_context(self.bound)
-            plan_bound = self._shard.bound
-            if self._shard.spilled:
-                # Spilled sources are private scratch files: caching their
-                # partitionings would pin PlanCache entries to directories
-                # the kernel deletes on finalize.
-                cache = None
         return QueryPlan.build(
-            plan_bound,
+            self.bound,
             self.clock,
             ordering=self.ordering,
             pushthrough=self.pushthrough,
@@ -201,7 +170,7 @@ class ProgXeEngine:
             leaf_capacity=self.leaf_capacity,
             seed=self.seed,
             verify=self.verify,
-            cache=cache,
+            cache=self.cache,
             follow=self.follow,
             batch_size=self.batch_size,
             planner=self.planner,
@@ -254,13 +223,6 @@ class ProgXeEngine:
 
             kernel: ExecutionKernel = StreamingKernel(
                 plan, stats_sink=self.stats
-            )
-        elif self._shard is not None:
-            from repro.parallel.sharded import ShardedKernel
-
-            kernel = ShardedKernel(
-                plan, self._shard, workers=self.workers,
-                stats_sink=self.stats,
             )
         else:
             kernel = ExecutionKernel(plan, stats_sink=self.stats)

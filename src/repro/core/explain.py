@@ -226,7 +226,6 @@ class PlanningReport:
     input_cells: int
     batch_size: int
     filter_strategy: str
-    workers_suggested: int
     corrected: bool
     pinned: tuple[str, ...]
     rows: list[EstimateRow] = field(default_factory=list)
@@ -239,7 +238,6 @@ class PlanningReport:
             f"  input cells:     {self.input_cells}",
             f"  batch size:      {self.batch_size}",
             f"  filter strategy: {self.filter_strategy}",
-            f"  workers hint:    {self.workers_suggested}",
             f"  feedback:        "
             f"{'corrected by prior run' if self.corrected else 'cold (first run)'}",
         ]
@@ -269,7 +267,6 @@ class PlanningReport:
             "input_cells": self.input_cells,
             "batch_size": self.batch_size,
             "filter_strategy": self.filter_strategy,
-            "workers_suggested": self.workers_suggested,
             "corrected": self.corrected,
             "pinned": list(self.pinned),
             "rows": [
@@ -325,7 +322,6 @@ def explain_estimates(
         input_cells=decision.input_cells,
         batch_size=decision.batch_size,
         filter_strategy=decision.filter_strategy,
-        workers_suggested=decision.workers,
         corrected=decision.estimates.corrected,
         pinned=decision.pinned,
         rows=[

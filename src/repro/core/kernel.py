@@ -94,11 +94,8 @@ class StepReport:
     finished:
         True once the kernel has verified and published its stats.
 
-    Step reports are **picklable by contract**: every field is a plain
-    value (tuples, dicts, :class:`~repro.query.smj.ResultTuple`
-    dataclasses), so a report can cross a process boundary intact — the
-    sharded execution worker protocol depends on this, and
-    ``tests/test_kernel.py`` round-trips it.
+    Step reports are plain, picklable data: every field is a plain value
+    (tuples, dicts, :class:`~repro.query.smj.ResultTuple` dataclasses).
     """
 
     kind: str
@@ -412,36 +409,30 @@ class ExecutionKernel:
             region = policy.next_region()
             if region is None:
                 break
-            if region.done:
-                continue
-            for vector, lrow, rrow, mapped in self._process(region):
-                yield bound.make_result(lrow, rrow, mapped)
-            region.processed = True
-            self.regions_processed += 1
-            state.complete_region(region)
-            for vector, lrow, rrow, mapped in state.drain_emissions():
-                yield bound.make_result(lrow, rrow, mapped)
-            policy.on_region_done(region)
-            for discarded in state.drain_discarded():
-                policy.on_region_done(discarded)
-            yield _StepBoundary(STEP_REGION, region.rid)
+            if not region.done:
+                yield from self._run_region(region)
 
         self._finalize()
 
-    def _process(self, region: OutputRegion):
-        """Tuple-level processing of one region (the overridable unit).
-
-        Yields :class:`~repro.core.output_grid.CellEntry` 4-tuples
-        ``(vector, lrow, rrow, mapped)`` as they become safely emittable.
-        The base kernel runs :func:`~repro.core.tuple_level.process_region`
-        inline; :class:`~repro.parallel.ShardedKernel` overrides this hook
-        to source the region's join results from a worker process while
-        committing them through the same
-        :class:`~repro.core.progdetermine.ExecutionState` — everything
-        else in the event loop (policy order, region completion, settle
-        cascades) is shared.
-        """
-        return process_region(self.state, region, batch_size=self.batch_size)
+    def _run_region(
+        self, region: OutputRegion
+    ) -> Iterator[ResultTuple | _StepBoundary]:
+        """One region step: tuple-level processing, then release/emission."""
+        bound = self.bound
+        state = self.state
+        for _vector, lrow, rrow, mapped in process_region(
+            state, region, batch_size=self.batch_size
+        ):
+            yield bound.make_result(lrow, rrow, mapped)
+        region.processed = True
+        self.regions_processed += 1
+        state.complete_region(region)
+        for _vector, lrow, rrow, mapped in state.drain_emissions():
+            yield bound.make_result(lrow, rrow, mapped)
+        self.policy.on_region_done(region)
+        for discarded in state.drain_discarded():
+            self.policy.on_region_done(discarded)
+        yield _StepBoundary(STEP_REGION, region.rid)
 
     def _finalize(self) -> None:
         """Verify the completeness invariant and publish engine stats."""

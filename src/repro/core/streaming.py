@@ -44,7 +44,6 @@ import numpy as np
 from repro.core.kernel import (
     STEP_BOOTSTRAP,
     STEP_INGEST,
-    STEP_REGION,
     ExecutionKernel,
     _StepBoundary,
 )
@@ -374,19 +373,8 @@ class StreamingKernel(ExecutionKernel):
                     yield _StepBoundary(STEP_INGEST, None)
                     continue
                 break
-            if region.done:
-                continue
-            for _vector, lrow, rrow, mapped in self._process(region):
-                yield bound.make_result(lrow, rrow, mapped)
-            region.processed = True
-            self.regions_processed += 1
-            state.complete_region(region)
-            for _vector, lrow, rrow, mapped in state.drain_emissions():
-                yield bound.make_result(lrow, rrow, mapped)
-            policy.on_region_done(region)
-            for discarded in state.drain_discarded():
-                policy.on_region_done(discarded)
-            yield _StepBoundary(STEP_REGION, region.rid)
+            if not region.done:
+                yield from self._run_region(region)
 
         # The window is closed and every region is done: the ordinary
         # emittable condition is proof of finality again — release.

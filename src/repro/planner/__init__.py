@@ -1,8 +1,8 @@
 """Statistics-driven cost-based planning and self-tuning.
 
 Every engine knob the reproduction has grown — partitioner choice, grid
-granularity, vectorized batch size, SQLite push-down vs streamed filters,
-worker count — is caller-picked by default.  This package closes the
+granularity, vectorized batch size, SQLite push-down vs streamed
+filters — is caller-picked by default.  This package closes the
 loop: :func:`collect_statistics` summarises sources in one sampled scan,
 the :class:`CostModel` turns summaries into work estimates, and the
 :class:`Planner` picks the knobs, records every estimate on its

@@ -5,8 +5,7 @@ patching summaries as the source tokens demand), runs the cost model over
 a small candidate set of configurations, and returns a decision carrying:
 
 * the chosen knobs — partitioner kind, grid granularity, vectorized batch
-  size, filter strategy (SQLite push-down vs streamed filter), and a
-  worker-count suggestion;
+  size and filter strategy (SQLite push-down vs streamed filter);
 * **every estimate that informed the choice** (:class:`PlanEstimates`), so
   EXPLAIN can print estimate-vs-actual columns after the run;
 * the query *fingerprint* under which post-run actuals feed back into the
@@ -100,9 +99,6 @@ class PlanDecision:
     #: ``"push"`` (predicate push-down), ``"stream"`` (filter during the
     #: scan), or ``"auto"`` (the bind-time default; nothing to decide).
     filter_strategy: str
-    #: Suggested worker count — advisory only, never applied implicitly
-    #: (process pools are a caller-level resource decision).
-    workers: int
     estimates: PlanEstimates
     fingerprint: tuple
     #: Names of knobs the caller pinned (honoured, not chosen).
@@ -354,7 +350,6 @@ class Planner:
             input_cells=chosen_cells,
             batch_size=chosen_batch,
             filter_strategy=filter_strategy,
-            workers=self._suggest_workers(join_rows),
             estimates=estimates,
             fingerprint=fingerprint,
             pinned=tuple(pinned),
@@ -460,14 +455,6 @@ class Planner:
             selectivity_right if right_conditions else 1.0,
         )
         return "stream" if keep >= 0.95 else "push"
-
-    def _suggest_workers(self, join_rows: float) -> int:
-        """Advisory worker count for the sharded kernel."""
-        if join_rows >= 1_000_000:
-            return 4
-        if join_rows >= 200_000:
-            return 2
-        return 1
 
     def _fingerprint(
         self, bound: "BoundQuery", left_base, right_base

@@ -110,9 +110,8 @@ class ResultTuple:
     ``vector`` is the *normalised* (minimisation-space) comparison vector;
     ``mapped`` holds the raw mapped values in query orientation.
 
-    A plain slots dataclass, **picklable by contract** (the step-payload
-    protocol of :class:`~repro.core.kernel.StepReport` and the sharded
-    worker protocol both ship results across process boundaries).
+    A plain slots dataclass, picklable like the
+    :class:`~repro.core.kernel.StepReport` that carries it.
     ``eq=False`` deliberately keeps identity-based equality and hashing:
     result bookkeeping throughout the library keys on the *object* (two
     distinct join results may carry equal rows and vectors).

@@ -67,26 +67,6 @@ class VirtualClock:
         if self._tripwire is not None:
             self._tripwire()
 
-    def merge(self, counts: Mapping[str, int]) -> None:
-        """Fold a batch of per-kind counts into this clock at once.
-
-        The aggregation entry point for work performed *elsewhere* — a
-        sharded kernel merges each worker process's charge deltas into the
-        coordinator clock here, so total counts (and therefore virtual
-        time) match a single-process run that did the same work.  Weighting
-        uses **this** clock's weights, and the tripwire fires once after
-        the whole batch (a budget can therefore cut between regions, never
-        inside one worker's already-finished charge set).
-        """
-        if not counts:
-            return
-        for kind, units in counts.items():
-            units = operator.index(units)
-            self.counts[kind] = self.counts.get(kind, 0) + units
-            self._time += self.weights.get(kind, 1.0) * units
-        if self._tripwire is not None:
-            self._tripwire()
-
     def set_tripwire(self, hook: Callable[[], None] | None) -> None:
         """Install (or with ``None``, remove) the post-charge hook."""
         self._tripwire = hook

@@ -45,13 +45,7 @@ class EngineConfig:
         Streaming ingestion: keep the query open after planning and absorb
         rows appended to its source tables while it runs (see
         :class:`~repro.core.streaming.StreamingKernel`).  Incompatible with
-        ``pushthrough`` (pruning snapshots the inputs) and ``workers > 1``
-        (shards snapshot their columnar slices).
-    workers:
-        Worker processes for phase-2 joins (see :mod:`repro.parallel`).
-        ``1`` (default) runs the solo in-process kernel; ``> 1`` shards
-        region joins across a process pool with byte-identical output.
-        Degrades gracefully to solo when the platform cannot honour it.
+        ``pushthrough`` (pruning snapshots the inputs).
     batch_size:
         Joined pairs per ``insert_batch`` flush in tuple-level
         processing; ``None`` keeps
@@ -90,14 +84,11 @@ class EngineConfig:
     seed: int = 0
     verify: bool = True
     follow: bool = False
-    workers: int = 1
     batch_size: int | None = None
     planner: bool = False
     share_partitions: bool = True
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise QueryError(f"workers must be >= 1, got {self.workers}")
         if self.batch_size is not None and self.batch_size < 1:
             raise QueryError(
                 f"batch_size must be >= 1, got {self.batch_size}"
@@ -107,12 +98,6 @@ class EngineConfig:
                 "follow=True is incompatible with pushthrough: push-through "
                 "pruning snapshots the inputs, so appended rows could never "
                 "reach the running query"
-            )
-        if self.follow and self.workers > 1:
-            raise QueryError(
-                "follow=True is incompatible with workers > 1: sharded "
-                "execution snapshots the inputs into per-worker columnar "
-                "slices"
             )
         if self.signature_kind not in SIGNATURE_KINDS:
             raise QueryError(

@@ -56,7 +56,7 @@ def _accepts_keyword(factory, name: str) -> bool:
     The built-in ProgXe variants take ``**kwargs`` and forward them to
     :class:`~repro.core.engine.ProgXeEngine`; user-registered configurable
     factories may have narrower signatures, so optional keywords
-    (``cache=``, ``workers=``) are only offered when a matching parameter
+    (``cache=``, ``follow=``) are only offered when a matching parameter
     (or a ``**kwargs`` catch-all) is visible.
     """
     try:
@@ -305,10 +305,8 @@ class Session:
         if configurable:
             effective = config or self.config
             kwargs = effective.variant_kwargs()
-            # Narrow factories predating the sharding/streaming knobs run
-            # solo rather than crash on an unexpected keyword.
-            if not _accepts_keyword(factory, "workers"):
-                kwargs.pop("workers", None)
+            # Narrow factories predating the streaming knob run without
+            # it rather than crash on an unexpected keyword.
             if not _accepts_keyword(factory, "follow"):
                 kwargs.pop("follow", None)
             share = (

@@ -38,7 +38,7 @@ RUNNING = "running"
 COMPLETED = "completed"
 CANCELLED = "cancelled"
 BUDGET_EXHAUSTED = "budget_exhausted"
-#: Terminal state used by the scheduler for a query whose step raised.
+#: Terminal state of a query whose engine raised.
 FAILED = "failed"
 
 
@@ -243,13 +243,14 @@ class ResultStream:
     # ------------------------------------------------------------------
     @property
     def state(self) -> str:
-        """One of pending / running / completed / cancelled / budget_exhausted."""
+        """One of pending / running / completed / cancelled /
+        budget_exhausted / failed."""
         return self._state
 
     @property
     def finished(self) -> bool:
         """True once the stream reached any terminal state."""
-        return self._state in (COMPLETED, CANCELLED, BUDGET_EXHAUSTED)
+        return self._state in (COMPLETED, CANCELLED, BUDGET_EXHAUSTED, FAILED)
 
     @property
     def cancelled(self) -> bool:
@@ -373,6 +374,11 @@ class ResultStream:
         except _StreamInterrupt as interrupt:
             self._stop(interrupt.state, interrupt.reason)
             raise StopIteration from None
+        except Exception as exc:
+            # The engine is dead mid-run: its partial result set must never
+            # be finalised as completed by a later pull.
+            self._finalize(FAILED, f"engine raised {exc!r}")
+            raise
         finally:
             self.clock.set_tripwire(None)
         self.results.append(result)

@@ -59,7 +59,7 @@ class ColumnBlock:
 class RowRef:
     """A row named by ``(partition, position)`` instead of held as a tuple.
 
-    What buffered output-cell entries carry in a solo run; the tuple is
+    What buffered output-cell entries carry; the tuple is
     materialised (:func:`materialize_rows`) only if the entry is
     eventually emitted.
     """
@@ -217,8 +217,8 @@ class InputPartition:
         Eager partitions return the live backing list (mutations stick);
         lazy partitions gather a fresh list from the backing source on
         every access.  Tuple-level processing does not call this (it
-        works on :meth:`column_block`); it serves the baselines, shard
-        dispatch and inspection.
+        works on :meth:`column_block`); it serves the baselines and
+        inspection.
         """
         if self._row_source is None:
             return self._rows
@@ -299,16 +299,6 @@ class InputPartition:
     def is_lazy(self) -> bool:
         """Whether rows are gathered from a backing source on access."""
         return self._row_source is not None
-
-    @property
-    def row_ids(self):
-        """Global row ids of a lazily-backed partition (``None`` when eager).
-
-        Shard dispatch ships these ids instead of tuples: a worker process
-        holding its own mmap of the backing columnar source gathers the
-        same rows locally.
-        """
-        return self._row_ids
 
     def observe(self, values: Sequence[float]) -> None:
         """Widen the tight box to include one row's attribute vector."""

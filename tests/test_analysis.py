@@ -8,6 +8,7 @@ the real ``src/`` tree is lint-clean (the repo's zero-baseline policy).
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import textwrap
@@ -44,7 +45,6 @@ RULE_IDS = {
     "determinism",
     "error-handling",
     "export-consistency",
-    "process-hygiene",
 }
 
 
@@ -66,6 +66,13 @@ def rules_fired(report: LintReport) -> list[str]:
 class TestFramework:
     def test_all_builtin_rules_register(self):
         assert {c.rule_id for c in all_checkers()} >= RULE_IDS
+
+    def test_builtin_rule_set_is_exact(self):
+        builtin = {
+            c.rule_id for c in all_checkers()
+            if c.__module__.startswith("repro.analysis.rules.")
+        }
+        assert builtin == RULE_IDS
 
     def test_checker_for_unknown_rule(self):
         with pytest.raises(KeyError, match="unknown lint rule"):
@@ -325,127 +332,6 @@ class TestAsyncHygiene:
 
             def wait():
                 time.sleep(0.1)
-            """,
-        )
-        assert report.ok
-
-
-# ----------------------------------------------------------------------
-# rule: process-hygiene
-# ----------------------------------------------------------------------
-class TestProcessHygiene:
-    def test_fires_on_fork_default_pool(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            import multiprocessing
-
-            def build():
-                return multiprocessing.Pool(4)
-            """,
-        )
-        assert rules_fired(report) == ["process-hygiene"]
-        assert "fork-default" in report.findings[0].message
-
-    def test_fires_on_imported_pool_name(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            from multiprocessing import Pool
-
-            def build():
-                return Pool(2)
-            """,
-        )
-        assert rules_fired(report) == ["process-hygiene"]
-
-    def test_fires_on_default_and_fork_contexts(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            import multiprocessing as mp
-
-            def build():
-                a = mp.get_context()
-                b = mp.get_context("fork")
-                return a, b
-            """,
-        )
-        assert rules_fired(report) == ["process-hygiene", "process-hygiene"]
-        messages = " ".join(f.message for f in report.findings)
-        assert "platform default" in messages
-        assert "hard-codes the fork start method" in messages
-
-    def test_fires_on_module_level_pool(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            import multiprocessing
-
-            _POOL = multiprocessing.get_context("spawn").Pool(2)
-            """,
-        )
-        assert rules_fired(report) == ["process-hygiene"]
-        assert "module level" in report.findings[0].message
-
-    def test_fires_on_lambda_worker(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            import multiprocessing
-
-            def dispatch(pool, items):
-                return pool.map(lambda x: x + 1, items)
-            """,
-        )
-        assert rules_fired(report) == ["process-hygiene"]
-        assert "not picklable" in report.findings[0].message
-
-    def test_clean_explicit_context_inside_function(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            import multiprocessing
-
-            def work(x):
-                return x + 1
-
-            def build(method, workers):
-                context = multiprocessing.get_context(method)
-                return context.Pool(processes=workers)
-
-            def dispatch(pool, items):
-                return pool.map(work, items)
-            """,
-        )
-        assert report.ok
-
-    def test_silent_without_multiprocessing_import(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/session/mod.py",
-            """
-            def submit(scheduler, bound):
-                return scheduler.apply_async(lambda: bound)
-            """,
-        )
-        assert report.ok
-
-    def test_suppression_marker_applies(self, tmp_path):
-        report = lint_file(
-            tmp_path,
-            "repro/parallel/mod.py",
-            """
-            import multiprocessing
-
-            def build():
-                return multiprocessing.Pool(2)  # repro: allow[process-hygiene] -- test-only fork pool
             """,
         )
         assert report.ok
@@ -750,3 +636,25 @@ class TestZeroBaseline:
 
     def test_cli_over_real_src_exits_zero(self):
         assert cli_main(["lint", str(SRC)]) == 0
+
+    def test_src_imports_no_process_pool(self):
+        """Execution is one in-process kernel: no module under src/ imports
+        multiprocessing or a process-pool executor."""
+        offenders = []
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        alias.name for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(
+                    name.split(".")[0] == "multiprocessing"
+                    or name == "ProcessPoolExecutor"
+                    for name in names
+                ):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []

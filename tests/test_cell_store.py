@@ -132,8 +132,8 @@ class _OnePartition:
 
 class TestRowKinds:
     def test_row_refs_and_tuples_round_trip_side_by_side(self):
-        # The solo path buffers RowRefs, the sharded coordinator row
-        # tuples; one cell may see both and must hand both back untouched.
+        # The engine buffers RowRefs, direct insert_batch callers may pass
+        # row tuples; one cell may see both and must hand both back untouched.
         partition = _OnePartition([("p", n) for n in range(10)])
         cell = new_cell()
         vectors, _, _, mapped = batch(0, 4)

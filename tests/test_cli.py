@@ -31,6 +31,13 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "-a", "ProgXe,SSMJ"])
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_retired_workers_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_variants(self, capsys):

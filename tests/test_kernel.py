@@ -27,6 +27,7 @@ from repro.core.kernel import (
 from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.runtime.clock import VirtualClock
+from repro.session.config import PRESETS
 
 
 def solo_sequence(bound, **engine_kwargs) -> list[tuple]:
@@ -187,6 +188,28 @@ class TestKernelStepping:
         kernel.close()
         assert kernel.finished
         assert kernel.step().kind == "idle"
+
+
+class TestRegionStep:
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_each_region_step_runs_one_region_once(self, small_bound, preset):
+        """Under every preset, a region step processes exactly the region it
+        names, once, and the steps account for every processed region."""
+        engine = ProgXeEngine.from_config(small_bound, config=preset)
+        kernel = engine.kernel()
+        stepped: list[int] = []
+        keys = []
+        while not kernel.finished:
+            report = kernel.step()
+            keys.extend(r.key() for r in report.results)
+            if report.kind == STEP_REGION:
+                assert kernel.state.regions[report.region_id].processed
+                stepped.append(report.region_id)
+        assert len(stepped) == len(set(stepped))
+        processed = [r.rid for r in kernel.state.regions.values() if r.processed]
+        assert sorted(stepped) == sorted(processed)
+        assert kernel.regions_processed == len(stepped)
+        assert set(keys) == oracle_skyline_keys(small_bound)
 
 
 class TestPauseResume:

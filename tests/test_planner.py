@@ -243,7 +243,6 @@ class TestPlannerDecisions:
         assert decision.partitioning in ("grid", "quadtree")
         assert decision.input_cells in GRANULARITY_CANDIDATES
         assert decision.batch_size in BATCH_SIZE_CANDIDATES
-        assert decision.workers >= 1
         assert decision.estimates.costs  # every candidate was scored
         assert decision.pinned == ()
 
@@ -290,6 +289,21 @@ class TestPlannerDecisions:
             assert row.relative_error is not None
         exact = {r.metric: r for r in report.rows}
         assert exact["rows scanned"].relative_error == 0.0
+
+    def test_report_names_only_applied_knobs(self):
+        """The report's knobs are exactly what the decision applies, in
+        both the text table and the ``--format json`` payload."""
+        report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
+        payload = report.to_dict()
+        assert set(payload) == {
+            "partitioning", "input_cells", "batch_size", "filter_strategy",
+            "corrected", "pinned", "rows",
+        }
+        knob_lines = report.render().splitlines()[1:6]
+        assert [line.split(":")[0].strip() for line in knob_lines] == [
+            "partitioning", "input cells", "batch size", "filter strategy",
+            "feedback",
+        ]
 
     def test_table_footprint_prefers_cached_statistics(self):
         planner = Planner()

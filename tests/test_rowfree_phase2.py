@@ -224,16 +224,6 @@ class TestRepresentationEdges:
         assert set(keys) == set(run_keys(bound)[0])
         assert set(keys) == set(run_keys(bound, pushthrough=True, batch_size=3)[0])
 
-    def test_two_workers_equal_solo(self):
-        bound = SyntheticWorkload(n=120, d=2, sigma=0.05, seed=9).bound()
-        solo_keys, _, solo_clock = run_keys(bound)
-        clock = VirtualClock()
-        engine = ProgXeEngine(bound, clock, workers=2)
-        sharded = [r.key() for r in engine.run()]
-        assert sharded == solo_keys
-        if engine.workers > 1:
-            assert clock.snapshot() == solo_clock.snapshot()
-
     def test_rows_fetched_are_bounded_by_results(self, tmp_path, monkeypatch):
         """A columnar source decodes rows for emitted results only."""
         workload = SyntheticWorkload(n=400, d=2, sigma=0.05, seed=11)

@@ -406,18 +406,21 @@ class TestAdmissionOverHttp:
 
         serve(test)
 
-    def test_stale_engine_override_is_rejected_by_name(self):
-        """A client still sending the retired ``use_vectorized`` switch gets
-        a 400 naming it, not a stream from a silently different engine,
-        and the admission slot it briefly held is released."""
+    @pytest.mark.parametrize(
+        "key, value", [("use_vectorized", False), ("workers", 2)]
+    )
+    def test_stale_engine_override_is_rejected_by_name(self, key, value):
+        """A client still sending a retired engine option gets a 400 naming
+        it, not a stream from a silently different engine, and the
+        admission slot it briefly held is released."""
         async def test(server, session):
             status, headers, body = await stream_query(
-                server, {"sql": SQL, "config": {"use_vectorized": False}}
+                server, {"sql": SQL, "config": {key: value}}
             )
             assert status == 400
             assert headers["content-type"] == "application/json"
             assert body["error"].startswith("invalid engine config override:")
-            assert "use_vectorized" in body["error"]
+            assert key in body["error"]
             assert server.admission.active == 0
             status, _, frames = await stream_query(server, {"sql": SQL})
             assert status == 200 and frames[-1]["state"] == "completed"

@@ -8,6 +8,8 @@ registry, config, builder and session surfaces around them.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -129,6 +131,15 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # EngineConfig
 # ---------------------------------------------------------------------------
+#: The config fields that are ProgXeEngine keywords (the session resolves
+#: ``planner`` and ``share_partitions`` into objects).
+ENGINE_KEYWORDS = {
+    "ordering", "pushthrough", "input_cells", "output_cells",
+    "signature_kind", "partitioning", "leaf_capacity", "seed", "verify",
+    "follow", "batch_size",
+}
+
+
 class TestEngineConfig:
     def test_defaults_match_engine_defaults(self, bound):
         engine = repro.ProgXeEngine.from_config(bound)
@@ -186,6 +197,38 @@ class TestEngineConfig:
     def test_config_rejected_for_baselines(self, session, bound):
         with pytest.raises(QueryError, match="does not accept"):
             session.execute(bound, algorithm="SSMJ", config=EngineConfig())
+
+    def test_field_set(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "ordering", "pushthrough", "input_cells", "output_cells",
+            "signature_kind", "partitioning", "leaf_capacity", "seed",
+            "verify", "follow", "batch_size", "planner", "share_partitions",
+        ]
+
+    @pytest.mark.parametrize("name, value", [
+        ("ordering", False), ("pushthrough", True), ("input_cells", 3),
+        ("output_cells", 5), ("signature_kind", "bloom"),
+        ("partitioning", "quadtree"), ("leaf_capacity", 16), ("seed", 7),
+        ("verify", False), ("follow", True), ("batch_size", 8),
+    ])
+    def test_every_engine_keyword_reaches_the_engine(self, bound, name, value):
+        config = EngineConfig(**{name: value})
+        assert set(config.engine_kwargs()) == ENGINE_KEYWORDS
+        engine = repro.ProgXeEngine.from_config(bound, config=config)
+        assert getattr(engine, name) == value
+
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 2), ("use_vectorized", False),
+    ])
+    @pytest.mark.parametrize("surface", ["config", "with_options", "engine"])
+    def test_retired_option_is_a_type_error(self, bound, surface, key, value):
+        build = {
+            "config": lambda: EngineConfig(**{key: value}),
+            "with_options": lambda: EngineConfig().with_options(**{key: value}),
+            "engine": lambda: repro.ProgXeEngine(bound, **{key: value}),
+        }[surface]
+        with pytest.raises(TypeError, match=key):
+            build()
 
 
 # ---------------------------------------------------------------------------

@@ -604,10 +604,6 @@ class TestFollowWiring:
         with pytest.raises(QueryError, match="pushthrough"):
             EngineConfig(follow=True, pushthrough=True)
 
-    def test_follow_rejects_sharded_workers(self):
-        with pytest.raises(QueryError, match="workers"):
-            EngineConfig(follow=True, workers=4)
-
     def test_request_follow_coercion(self):
         request = QueryRequest.from_mapping(
             {"sql": "SELECT 1", "follow": "true"}
