@@ -102,7 +102,7 @@ def differential_replay(workload, cadence: int, n: int, d: int, distribution: st
         results.extend(kernel.step().results)
 
     one_shot = ProgXeEngine(workload.query().bind(live), VirtualClock())
-    batch_keys = [r.key() for r in one_shot.kernel().drain()]
+    batch_keys = [r.key() for r in one_shot.run()]
     assert {r.key() for r in results} == set(batch_keys), (
         f"cadence={cadence}: streamed result set diverged from the "
         "one-shot batch run over the final table contents"

@@ -122,7 +122,6 @@ from repro.session import (
     QueryBuilder,
     QueryScheduler,
     ResultStream,
-    ScheduledQuery,
     SchedulerConfig,
     Session,
     StreamBudget,
@@ -212,7 +211,6 @@ __all__ = [
     "SchemaError",
     "Session",
     "SkyMapJoinQuery",
-    "ScheduledQuery",
     "SchedulerConfig",
     "SkylineSortMergeJoin",
     "SortedAccessJoin",

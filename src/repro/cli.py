@@ -699,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--high-water", type=int, default=32 * 1024,
-        help="pause a query's kernel once its client buffers this many bytes",
+        help="pause a query once its client buffers this many bytes",
     )
     p_serve.add_argument(
         "--low-water", type=int, default=8 * 1024,

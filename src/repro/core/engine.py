@@ -15,10 +15,9 @@ layers: :meth:`ProgXeEngine.plan` runs phases 0–2 and returns a
 :class:`~repro.core.plan.QueryPlan`; :meth:`ProgXeEngine.kernel` wraps the
 plan in a resumable :class:`~repro.core.kernel.ExecutionKernel` whose
 ``step()`` performs one region at a time (the unit the multi-query
-scheduler interleaves).  ``run()`` is a compatibility wrapper over
-``kernel().drain()`` — a generator yielding
-:class:`~repro.query.smj.ResultTuple` objects the moment they are safe;
-progressive correctness (no false positives) and completeness (no drops)
+scheduler interleaves).  ``run()`` is a loop over ``kernel().step()`` — a
+generator yielding :class:`~repro.query.smj.ResultTuple` objects once the
+step that made them safe ends; progressive correctness (no false positives) and completeness (no drops)
 remain engine invariants, verified at the end of every run unless disabled.
 
 An engine executes **once**: its clock, stats and execution state describe
@@ -49,7 +48,7 @@ class ProgXeEngine:
     Example::
 
         engine = ProgXeEngine(workload.bound(), pushthrough=True)
-        for result in engine.run():      # provably final, the moment known
+        for result in engine.run():      # provably final, step by step
             print(result.outputs)
         engine.stats["regions_processed"]
 
@@ -236,10 +235,11 @@ class ProgXeEngine:
         return self._kernel
 
     def run(self) -> Iterator[ResultTuple]:
-        """Execute progressively; results yield the moment they are final.
+        """Execute progressively; results yield as their step makes them final.
 
-        Compatibility wrapper: equivalent to ``self.kernel().drain()``.
-        Planning happens lazily on the first pull, exactly as the
-        historical monolithic generator did.
+        A loop over :meth:`kernel` steps.  Planning happens lazily on the
+        first pull, exactly as the historical monolithic generator did.
         """
-        yield from self.kernel().drain()
+        kernel = self.kernel()
+        while not kernel.finished:
+            yield from kernel.step().results

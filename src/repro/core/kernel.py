@@ -7,24 +7,19 @@ ProgOrder / ProgDetermine loop is re-expressed as an explicit step machine
 over a finished :class:`~repro.core.plan.QueryPlan`, and the *caller*
 decides when each unit of work runs.
 
-* :meth:`ExecutionKernel.step` — performs exactly one scheduling unit (the
-  bootstrap emission pass, one region's tuple-level processing, or the
-  final verification) and returns a :class:`StepReport` with the results it
-  made emittable plus per-step clock accounting.
-* :meth:`ExecutionKernel.pause` / :meth:`ExecutionKernel.resume` — gate
-  further stepping; pausing never mutates execution state, so a paused and
-  resumed kernel reproduces the uninterrupted result sequence exactly.
+* :meth:`ExecutionKernel.step` — the one way to advance a kernel: performs
+  exactly one scheduling unit (the bootstrap emission pass, one region's
+  tuple-level processing, or the final verification) and returns a
+  :class:`StepReport` with the results it made emittable, the clock
+  reading at which each became final, and per-step clock accounting.
+* :meth:`ExecutionKernel.close` — abandon the execution (cancellation).
 * :meth:`ExecutionKernel.snapshot` — progress introspection: regions done,
   cells settled/marked/emitted, results emitted, virtual-clock charges.
-* :meth:`ExecutionKernel.drain` — a generator reproducing the historical
-  ``run()`` semantics result-for-result (results surface the moment the
-  inner loop produces them, mid-region included), so the engine's ``run()``
-  stays a thin compatibility wrapper.
 
-Steps and drained results may be interleaved freely — both consume the same
-underlying event stream, so ``k`` calls to ``step()`` followed by
-``drain()`` yields precisely the suffix an uninterrupted run would have
-produced after those steps.
+Every driver is a loop over ``step()``: ``ProgXeEngine.run()``, a direct
+:class:`~repro.session.stream.ResultStream` pull and the multi-query
+scheduler.  *When* a query advances is the driver's choice; *how* it
+advances is this class's.
 """
 
 from __future__ import annotations
@@ -42,11 +37,11 @@ from repro.core.regions import OutputRegion
 from repro.core.tuple_level import DEFAULT_BATCH_SIZE, process_region
 from repro.errors import ExecutionError
 from repro.query.smj import ResultTuple
+from repro.runtime.clock import VirtualClock
 
 #: Kernel lifecycle states.
 CREATED = "created"
 RUNNING = "running"
-PAUSED = "paused"
 FINISHED = "finished"
 
 #: Step kinds reported by :meth:`ExecutionKernel.step`.
@@ -54,6 +49,9 @@ STEP_BOOTSTRAP = "bootstrap"
 STEP_REGION = "region"
 STEP_FINALIZE = "finalize"
 STEP_IDLE = "idle"
+#: A step an exception (a budget tripwire, an engine error) cut short; it
+#: carries the results the step made final before the cut.
+STEP_UNWOUND = "unwound"
 #: Streaming only (:class:`~repro.core.streaming.StreamingKernel`): one
 #: arrival poll — absorb appended rows (or observe none) and integrate the
 #: resulting regions.
@@ -76,11 +74,16 @@ class StepReport:
 
     kind:
         ``"bootstrap"`` (look-ahead freebies), ``"region"`` (one region's
-        tuple-level processing), ``"finalize"`` (verification + stats), or
-        ``"idle"`` (step on an already-finished kernel; a no-op).
+        tuple-level processing), ``"finalize"`` (verification + stats),
+        ``"idle"`` (step on an already-finished kernel; a no-op), or
+        ``"unwound"`` (cut short by an exception).
     results:
         Results that became provably final during this step, in emission
         order.
+    result_vtimes:
+        The query clock at the moment each result became final, parallel
+        to ``results`` — the stamps a progress recorder needs, exact even
+        though the step hands its results out together.
     region_id:
         The processed region's id for ``"region"`` steps, else ``None``.
     step_index:
@@ -100,12 +103,22 @@ class StepReport:
 
     kind: str
     results: tuple[ResultTuple, ...]
+    result_vtimes: tuple[float, ...]
     region_id: int | None
     step_index: int
     vtime: float
     vtime_delta: float
     charges: dict[str, int]
     finished: bool
+
+    @classmethod
+    def empty(cls, kind: str, clock: VirtualClock, step_index: int) -> "StepReport":
+        """A terminal report of a step that produced and charged nothing."""
+        return cls(
+            kind=kind, results=(), result_vtimes=(), region_id=None,
+            step_index=step_index, vtime=clock.now(), vtime_delta=0.0,
+            charges={}, finished=True,
+        )
 
 
 @dataclass(frozen=True)
@@ -144,8 +157,7 @@ class ExecutionKernel:
 
     Construction wires the execution structures (state, elimination graph,
     ordering policy) exactly as the monolithic engine prologue did; no
-    tuple-level work happens until the first :meth:`step` (or pull from
-    :meth:`drain`).
+    tuple-level work happens until the first :meth:`step`.
 
     Example::
 
@@ -198,9 +210,10 @@ class ExecutionKernel:
         self.steps = 0
         self.results_emitted = 0
         self.regions_processed = 0
-        #: True once a propagated exception (error, cancellation interrupt)
-        #: terminated the event loop, as opposed to a clean finalize.
-        self.aborted = False
+        #: The ``"unwound"`` report of the step a propagated exception (an
+        #: error, a budget tripwire) cut short — ``None`` unless that ended
+        #: the event loop instead of a clean finalize.
+        self.unwound: StepReport | None = None
         self._status = CREATED
         self._events = self._event_loop()
 
@@ -209,31 +222,12 @@ class ExecutionKernel:
     # ------------------------------------------------------------------
     @property
     def status(self) -> str:
-        """One of created / running / paused / finished."""
+        """One of created / running / finished."""
         return self._status
 
     @property
     def finished(self) -> bool:
         return self._status == FINISHED
-
-    @property
-    def paused(self) -> bool:
-        return self._status == PAUSED
-
-    def pause(self) -> None:
-        """Suspend the kernel between steps.
-
-        Pausing performs no work and mutates no execution state, so it is
-        always safe; :meth:`step` and :meth:`drain` refuse to advance until
-        :meth:`resume`.  Pausing a finished kernel is a no-op.
-        """
-        if self._status != FINISHED:
-            self._status = PAUSED
-
-    def resume(self) -> None:
-        """Lift a :meth:`pause`; a no-op unless currently paused."""
-        if self._status == PAUSED:
-            self._status = RUNNING
 
     def close(self) -> None:
         """Abandon the execution (cooperative cancellation).
@@ -259,49 +253,60 @@ class ExecutionKernel:
         one unit of queue work), and the final call runs verification and
         publishes the engine-compatible ``stats``.  Stepping a finished
         kernel returns an ``"idle"`` report, making over-stepping harmless.
+
+        An exception raised inside the step (an engine error, or a budget
+        tripwire the caller installed on the clock) ends the kernel: it is
+        finished from then on, and :attr:`unwound` keeps the results the
+        step made final before the exception.
         """
         if self._status == FINISHED:
-            return StepReport(
-                kind=STEP_IDLE, results=(), region_id=None,
-                step_index=self.steps, vtime=self.clock.now(),
-                vtime_delta=0.0, charges={}, finished=True,
-            )
-        if self._status == PAUSED:
-            raise ExecutionError(
-                "execution kernel is paused; call resume() before step()"
-            )
+            return StepReport.empty(STEP_IDLE, self.clock, self.steps)
         self._status = RUNNING
         t0 = self.clock.now()
         counts0 = self.clock.snapshot()
         results: list[ResultTuple] = []
+        stamps: list[float] = []
         kind = STEP_FINALIZE
         region_id: int | None = None
-        while True:
-            try:
-                event = next(self._events)
-            except StopIteration:
+        try:
+            for event in self._events:
+                if isinstance(event, _StepBoundary):
+                    kind = event.kind
+                    region_id = event.region_id
+                    break
+                results.append(event)
+                stamps.append(self.clock.now())
+            else:
                 # Clean exhaustion: _event_loop ran _finalize() on its way
-                # out (status already FINISHED, failed stays False).
+                # out.
                 self._status = FINISHED
-                break
-            except BaseException:
-                # The exception kills the event-loop generator: this kernel
-                # can never progress again, so report it terminal (and
-                # aborted) rather than leaving retrying callers spinning on
-                # a dead kernel that claims to be running.
-                self._status = FINISHED
-                self.aborted = True
-                raise
-            if isinstance(event, _StepBoundary):
-                kind = event.kind
-                region_id = event.region_id
-                break
-            results.append(event)
+        except BaseException:
+            # The exception kills the event-loop generator: this kernel can
+            # never progress again, so report it terminal rather than leave
+            # retrying callers spinning on a dead kernel that claims to be
+            # running.
+            self._status = FINISHED
+            self.unwound = self._report(
+                STEP_UNWOUND, None, results, stamps, t0, counts0
+            )
+            raise
+        return self._report(kind, region_id, results, stamps, t0, counts0)
+
+    def _report(
+        self,
+        kind: str,
+        region_id: int | None,
+        results: list[ResultTuple],
+        stamps: list[float],
+        t0: float,
+        counts0: dict[str, int],
+    ) -> StepReport:
         self.steps += 1
         self.results_emitted += len(results)
         return StepReport(
             kind=kind,
             results=tuple(results),
+            result_vtimes=tuple(stamps),
             region_id=region_id,
             step_index=self.steps,
             vtime=self.clock.now(),
@@ -309,41 +314,6 @@ class ExecutionKernel:
             charges=self.clock.since(counts0),
             finished=self._status == FINISHED,
         )
-
-    def drain(self) -> Iterator[ResultTuple]:
-        """Run to completion, yielding each result the moment it is final.
-
-        Reproduces the historical ``ProgXeEngine.run()`` generator
-        semantics exactly — including mid-region emissions surfacing before
-        the region finishes, which keeps budget/cancellation tripwires
-        (installed by the session stream layer) cutting at the same points
-        as before the kernel split.  May be called after any number of
-        :meth:`step` calls to finish the remainder.
-        """
-        while True:
-            if self._status == FINISHED:
-                return
-            if self._status == PAUSED:
-                raise ExecutionError(
-                    "execution kernel is paused; call resume() before draining"
-                )
-            self._status = RUNNING
-            try:
-                event = next(self._events)
-            except StopIteration:
-                self._status = FINISHED
-                return
-            except BaseException:
-                # See step(): a propagated exception (including a budget
-                # tripwire interrupt) terminates the event loop for good.
-                self._status = FINISHED
-                self.aborted = True
-                raise
-            if isinstance(event, _StepBoundary):
-                self.steps += 1
-                continue
-            self.results_emitted += 1
-            yield event
 
     # ------------------------------------------------------------------
     # introspection

@@ -63,7 +63,7 @@ class StreamingKernel(ExecutionKernel):
     Construction requires a *follow plan* (``QueryPlan.build(...,
     follow=True)``), which retains the per-side delta handles.  The kernel
     behaves exactly like :class:`~repro.core.kernel.ExecutionKernel` —
-    same step protocol, pause/resume, snapshots — with two differences:
+    same step protocol, close, snapshots — with two differences:
     results surface only after the arrival window closes (the streaming
     emission hold), and stepping an otherwise-idle kernel performs an
     arrival poll instead of finishing.
@@ -77,7 +77,9 @@ class StreamingKernel(ExecutionKernel):
         while kernel.step().kind != "ingest":
             pass                           # absorbed on the next poll
         kernel.close_ingest()              # end the arrival window
-        results = list(kernel.drain())     # the full final result set
+        results = []                       # the full final result set
+        while not kernel.finished:
+            results.extend(kernel.step().results)
     """
 
     def __init__(

@@ -13,10 +13,9 @@ expressions are evaluated over columns gathered by position
 (:meth:`~repro.query.smj.BoundQuery.map_rows_batch`) and the results are
 inserted through the matrix kernels of :meth:`ExecutionState.insert_batch`,
 which charge the clock in bulk.  Row tuples are materialised only for
-emitted results.  Budgets and cancellation still work: the clock tripwire
-fires inside bulk charges, and because emissions are only drained (and
-yielded) between batches, any prefix produced before an interrupt is
-provably final.
+emitted results.  Budgets still work: the clock tripwire fires inside bulk
+charges, and because emissions are only drained (and yielded) between
+batches, any prefix produced before an interrupt is provably final.
 """
 
 from __future__ import annotations

@@ -38,10 +38,9 @@ class VirtualClock:
     """Weighted operation counter posing as a clock.
 
     A *tripwire* may be installed (see :meth:`set_tripwire`): a zero-argument
-    callable invoked after every charge.  The session layer uses it to abort
-    an algorithm cooperatively mid-run — the tripwire raises once a budget is
-    exhausted or the stream is cancelled, and the exception propagates out of
-    the algorithm's generator at its very next unit of charged work.
+    callable invoked after every charge.  The session layer installs one
+    while a budgeted query steps: it raises once a budget is exhausted, and
+    the exception unwinds the step at that very unit of charged work.
     """
 
     __slots__ = ("weights", "counts", "_time", "_tripwire")

@@ -13,8 +13,8 @@ to HTTP — so the policy is unit-testable without sockets:
   ``try_admit`` either grants a slot or returns a 429-style rejection with
   a ``Retry-After`` hint; ``release`` returns the slot.
 * :class:`DeadlineGuard` — the per-query timeout watcher.  The serving
-  pump polls it and, on expiry, cancels the query *through the scheduler*
-  (``ScheduledQuery.cancel``), which releases its admission slot at the
+  pump polls it and, on expiry, cancels the query's handle
+  (``ResultStream.cancel``), which releases its admission slot at the
   next scheduling decision — even if the query is paused under
   backpressure at that moment.
 """
@@ -217,8 +217,8 @@ class DeadlineGuard:
     slot even for a query paused under backpressure.
 
     For a *follow* query (``follow=True``) expiry instead closes the
-    arrival window (:meth:`ScheduledQuery.close_ingest
-    <repro.session.scheduler.ScheduledQuery.close_ingest>`): the timeout
+    arrival window (:meth:`ResultStream.close_ingest
+    <repro.session.stream.ResultStream.close_ingest>`): the timeout
     bounds how long the server keeps ingesting, but rows already absorbed
     are still fully processed and the query completes normally.
     """

@@ -1,4 +1,4 @@
-"""Backpressure bridge: slow clients pause their own kernel, nobody else's.
+"""Backpressure bridge: slow clients pause their own query, nobody else's.
 
 The serving pump (producer) runs kernel steps and pushes encoded frames
 into a per-connection :class:`OutboundChannel`; the connection's writer
@@ -7,12 +7,12 @@ transport's own flow control via ``drain()``.  When a client stops
 reading, its socket buffer fills, ``drain()`` blocks the writer, and the
 channel's buffered bytes climb — crossing the high-water mark invokes the
 pause callback, which a :class:`BackpressureBridge` wires to that one
-query's :meth:`~repro.session.scheduler.ScheduledQuery.pause`.  The
+query's :meth:`~repro.session.stream.ResultStream.pause`.  The
 scheduler simply stops dispatching the paused query: no unbounded
 buffering, no head-of-line blocking of other queries.  When the writer
 drains the channel below the low-water mark, the bridge resumes the query.
 
-Pause/resume never mutates execution state (the kernel contract), so a
+Pause/resume never mutates execution state (only dispatch stops), so a
 throttled query's step and result sequence is byte-identical to an
 unthrottled run — property-tested in ``tests/test_scheduler_serving.py``.
 """
@@ -148,7 +148,7 @@ class OutboundChannel:
 
 
 class BackpressureBridge:
-    """Wires one channel's watermarks to one scheduled query's kernel.
+    """Wires one channel's watermarks to one scheduled query's handle.
 
     The indirection (rather than handing ``handle.pause`` straight to the
     channel) exists so resuming can also *wake the serving pump* — after a

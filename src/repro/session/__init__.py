@@ -9,8 +9,8 @@ Import note: the modules here are imported by :mod:`repro.core` (the
 ``ALGORITHMS`` registry view), so nothing in this package may import the
 :mod:`repro.core` *package* (``from repro.core import ...``) at module
 load time — the default registry resolves it lazily instead.  Importing
-``repro.core`` **submodules** directly (as the scheduler does for
-:mod:`repro.core.kernel`) is safe: submodule imports do not require the
+``repro.core`` **submodules** directly (as the stream and the scheduler
+do for :mod:`repro.core.kernel`) is safe: submodule imports do not require the
 partially-initialised package ``__init__`` to have finished.
 """
 
@@ -29,7 +29,7 @@ from repro.session.registry import (
     RegistryView,
     default_registry,
 )
-from repro.session.scheduler import QueryScheduler, ScheduledQuery
+from repro.session.scheduler import QueryScheduler
 from repro.session.service import DEFAULT_ALGORITHM, Session
 from repro.session.stream import (
     BUDGET_EXHAUSTED,
@@ -62,7 +62,6 @@ __all__ = [
     "RUNNING",
     "SCHEDULER_PRESETS",
     "SCHEDULING_POLICIES",
-    "ScheduledQuery",
     "SchedulerConfig",
     "Session",
     "StreamBudget",

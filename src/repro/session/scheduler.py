@@ -4,10 +4,10 @@ The paper's contract — results become available the moment they are
 provably final — is only useful at serving scale if a second query does not
 have to wait for the first one's region queue to drain.  The
 :class:`QueryScheduler` closes that gap: it admits N concurrent queries
-from one :class:`~repro.session.service.Session`, obtains a resumable
-stepper for each (the :class:`~repro.core.kernel.ExecutionKernel` for
-ProgXe variants; a generator adapter for blocking baselines), and
-interleaves their steps under a pluggable policy:
+from one :class:`~repro.session.service.Session` and interleaves their
+steps (a region of an :class:`~repro.core.kernel.ExecutionKernel` for
+ProgXe variants; one result of a blocking baseline) under a pluggable
+policy:
 
 * ``round-robin`` — cycle the admitted queries; the fairness baseline.
 * ``benefit-greedy`` — extend the paper's intra-query benefit/cost ranking
@@ -26,229 +26,31 @@ fairness-accounted cost of being scheduled) and maintains a shared
 changes a query's result *set*: kernel stepping executes exactly the solo
 region schedule, just sliced differently in time.
 
-Budgets (:class:`~repro.session.stream.StreamBudget`) are enforced at step
-granularity: the scheduler checks each query's ceilings after every one of
-its steps and retires it cleanly once exceeded — the emitted prefix remains
-provably final, per the progressive contract.
+Each submitted query is a :class:`~repro.session.stream.ResultStream` —
+the same handle a direct ``Session.execute`` returns — and a dispatch is
+one call of its :meth:`~repro.session.stream.ResultStream.step`.  The
+handle owns everything about *how* a query advances (its stepper, results,
+budget, callbacks, cancellation, ``close_ingest``); the scheduler owns only
+*when*: admission, the policy, the quantum, the ``queue_op`` charge, the
+global-vtime stamps and the :class:`~repro.runtime.recorder.InterleaveRecorder`.
+Budgets therefore cut a scheduled query exactly where they cut a direct
+pull.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import AsyncIterator, Iterator, Mapping, Sequence
+from typing import AsyncIterator, Iterator, Sequence
 
-from repro.core.kernel import STEP_FINALIZE, StepReport
+from repro.core.kernel import StepReport
 from repro.errors import QueryError
 from repro.query.smj import ResultTuple
 from repro.runtime.clock import VirtualClock
-from repro.runtime.recorder import InterleaveRecorder, ProgressRecorder
+from repro.runtime.recorder import InterleaveRecorder
 from repro.runtime.runner import AlgorithmFactory
 from repro.session.config import SCHEDULING_POLICIES, SchedulerConfig
-from repro.session.stream import (
-    BUDGET_EXHAUSTED,
-    CANCELLED,
-    COMPLETED,
-    FAILED,
-    PENDING,
-    RUNNING,
-    StreamBudget,
-    StreamStats,
-)
-
-#: Step kind reported by the generator adapter for non-kernel algorithms.
-STEP_PULL = "pull"
-
-
-class _GeneratorStepper:
-    """Stepper adapter for algorithms without a resumable kernel.
-
-    One step pulls one result from the algorithm's ``run()`` generator (or
-    discovers exhaustion).  A blocking baseline therefore does all its work
-    inside its first step — the adapter makes it *schedulable*, not
-    progressive; the interleaving benefit comes from kernel-backed engines.
-    """
-
-    def __init__(self, algorithm, clock: VirtualClock) -> None:
-        self._gen = algorithm.run()
-        self._clock = clock
-        self._steps = 0
-        self.finished = False
-
-    def step(self) -> StepReport:
-        t0 = self._clock.now()
-        counts0 = self._clock.snapshot()
-        results: tuple[ResultTuple, ...] = ()
-        kind = STEP_PULL
-        try:
-            results = (next(self._gen),)
-        except StopIteration:
-            self.finished = True
-            kind = STEP_FINALIZE
-        self._steps += 1
-        return StepReport(
-            kind=kind,
-            results=results,
-            region_id=None,
-            step_index=self._steps,
-            vtime=self._clock.now(),
-            vtime_delta=self._clock.now() - t0,
-            charges=self._clock.since(counts0),
-            finished=self.finished,
-        )
-
-    def peek_rank(self) -> float:
-        return 0.0
-
-    def close(self) -> None:
-        self._gen.close()
-        self.finished = True
-
-
-class ScheduledQuery:
-    """Handle over one query admitted to a :class:`QueryScheduler`.
-
-    Results accumulate in :attr:`results` as the scheduler interleaves
-    steps; :meth:`stats` returns the same
-    :class:`~repro.session.stream.StreamStats` shape a solo
-    :class:`~repro.session.stream.ResultStream` reports, and
-    :attr:`first_result_global_vtime` locates the first emission on the
-    scheduler's shared timeline (the serving-latency metric).
-
-    Example::
-
-        handle = scheduler.submit(bound, budget=StreamBudget(max_results=5))
-        scheduler.run_all()
-        handle.state                        # "completed" / "budget_exhausted"
-        handle.results                      # emission-ordered, provably final
-        handle.first_result_global_vtime    # latency on the shared timeline
-    """
-
-    def __init__(
-        self,
-        qid: int,
-        name: str,
-        algorithm,
-        clock: VirtualClock,
-        budget: StreamBudget | None,
-        table_footprint: Mapping | None = None,
-    ) -> None:
-        self.qid = qid
-        self.name = name
-        self.algorithm = algorithm
-        self.clock = clock
-        self.budget = budget
-        #: Estimated bytes per table uid this query reads (planner
-        #: metadata, no scan) — the cache-aware admission overlap signal.
-        self.table_footprint: dict = dict(table_footprint or {})
-        self.recorder = ProgressRecorder(clock)
-        self.results: list[ResultTuple] = []
-        self.state = PENDING
-        self.stop_reason: str | None = None
-        #: The exception that retired this query FAILED, if any.  Lets the
-        #: serving pump attribute a tick() error to the owning stream.
-        self.error: BaseException | None = None
-        self.steps = 0
-        self.admitted = False
-        #: Scheduling decisions since this query was last dispatched while
-        #: runnable — the counter behind the starvation bound.
-        self.rounds_waiting = 0
-        #: Global (cross-query) virtual time at this query's first emission.
-        self.first_result_global_vtime: float | None = None
-        #: Global virtual time at each emission (step-granular stamps).
-        self.emission_global_vtimes: list[float] = []
-        self._stepper = None
-        self._cancel_reason: str | None = None
-        self._paused = False
-        self._wall_start = time.perf_counter()
-
-    @property
-    def finished(self) -> bool:
-        """True once the query reached any terminal state."""
-        return self.state in (COMPLETED, CANCELLED, BUDGET_EXHAUSTED, FAILED)
-
-    @property
-    def paused(self) -> bool:
-        """True while the query is suspended (see :meth:`pause`)."""
-        return self._paused and not self.finished
-
-    @property
-    def result_keys(self) -> set[tuple]:
-        """Identity keys of the results emitted so far."""
-        return {r.key() for r in self.results}
-
-    def pause(self) -> None:
-        """Suspend this query: the scheduler stops dispatching it.
-
-        Pausing mutates no execution state, so a paused-and-resumed query
-        reproduces its uninterrupted step and result sequence exactly.  A
-        paused query keeps its admission slot (it is mid-flight, not
-        requeued); :meth:`cancel` releases the slot immediately.  The
-        serving edge's backpressure bridge pauses a query whose client
-        stopped reading, so a slow consumer never buffers unboundedly —
-        and never stalls anyone else's query.
-        """
-        if not self.finished:
-            self._paused = True
-
-    def resume(self) -> None:
-        """Lift a :meth:`pause`; the scheduler may dispatch again."""
-        self._paused = False
-
-    def cancel(self, reason: str = "cancelled by caller") -> None:
-        """Request cooperative cancellation before the query's next step.
-
-        Works on paused queries too: the next scheduling decision retires
-        the query and frees its admission slot for a waiting one — a
-        paused query never leaks its slot.
-        """
-        if not self.finished:
-            self._cancel_reason = reason
-
-    def close_ingest(self) -> None:
-        """Close a *follow* query's arrival window so it can complete.
-
-        Streaming queries (``EngineConfig(follow=True)``) poll their source
-        tables between regions and never finish while the window is open;
-        closing it lets the scheduler drive them to natural completion —
-        already-absorbed rows are still fully processed.  Unlike
-        :meth:`cancel`, the query terminates ``COMPLETED`` with its full,
-        verified result set.  Raises :class:`~repro.errors.QueryError` for
-        a non-follow query; a no-op once the query is finished.
-        """
-        if self.finished:
-            return
-        if self._stepper is None:
-            # Not yet dispatched: force the kernel into existence so the
-            # close request has something to land on.
-            self.state = RUNNING
-            self._stepper = QueryScheduler._make_stepper(
-                self.algorithm, self.clock
-            )
-        close = getattr(self._stepper, "close_ingest", None)
-        if close is None:
-            raise QueryError(
-                f"query {self.name!r} is not a follow query; submit with "
-                "EngineConfig(follow=True) to stream arrivals"
-            )
-        close()
-
-    def stats(self) -> StreamStats:
-        """Progressiveness snapshot, comparable to a solo stream's."""
-        return StreamStats.capture(
-            self.state,
-            self.recorder,
-            self.clock,
-            wall_seconds=time.perf_counter() - self._wall_start,
-            stop_reason=self.stop_reason,
-            algorithm=self.algorithm,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ScheduledQuery(#{self.qid} {self.name!r}, state={self.state}, "
-            f"results={len(self.results)})"
-        )
+from repro.session.stream import ResultStream, StreamBudget
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +64,7 @@ class RoundRobinPolicy:
     def __init__(self) -> None:
         self._last = -1
 
-    def choose(self, active: Sequence[ScheduledQuery]) -> ScheduledQuery:
+    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
         following = [q for q in active if q.qid > self._last]
         chosen = min(following or active, key=lambda q: q.qid)
         self._last = chosen.qid
@@ -282,8 +84,8 @@ class BenefitGreedyPolicy:
 
     name = "benefit-greedy"
 
-    def choose(self, active: Sequence[ScheduledQuery]) -> ScheduledQuery:
-        def key(q: ScheduledQuery) -> tuple[float, float, int]:
+    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
+        def key(q: ResultStream) -> tuple[float, float, int]:
             stepper = q._stepper
             rank = float("inf") if stepper is None else stepper.peek_rank()
             return (-rank, q.clock.now(), q.qid)
@@ -296,7 +98,7 @@ class FairSharePolicy:
 
     name = "fair-share"
 
-    def choose(self, active: Sequence[ScheduledQuery]) -> ScheduledQuery:
+    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
         return min(active, key=lambda q: (q.clock.now(), q.qid))
 
 
@@ -311,8 +113,8 @@ class DeadlinePolicy:
 
     name = "deadline"
 
-    def choose(self, active: Sequence[ScheduledQuery]) -> ScheduledQuery:
-        def slack(q: ScheduledQuery) -> tuple[float, int]:
+    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
+        def slack(q: ResultStream) -> tuple[float, int]:
             if q.budget is None or q.budget.max_vtime is None:
                 return (float("inf"), q.qid)
             return (q.budget.max_vtime - q.clock.now(), q.qid)
@@ -335,10 +137,10 @@ class WallDeadlinePolicy:
 
     name = "wall-deadline"
 
-    def choose(self, active: Sequence[ScheduledQuery]) -> ScheduledQuery:
+    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
         now = time.perf_counter()
 
-        def slack(q: ScheduledQuery) -> tuple[float, int]:
+        def slack(q: ResultStream) -> tuple[float, int]:
             if q.budget is None or q.budget.max_wall_seconds is None:
                 return (float("inf"), q.qid)
             remaining = q.budget.max_wall_seconds - (now - q._wall_start)
@@ -385,11 +187,11 @@ class QueryScheduler:
         self.session = session
         self.config = config or SchedulerConfig()
         self._policy = _POLICY_FACTORIES[self.config.policy]()
-        self._queries: list[ScheduledQuery] = []
+        self._queries: list[ResultStream] = []
         #: Non-terminal queries only — the working set _admit() scans, so
         #: long-serving schedulers pay per-dispatch cost proportional to
         #: the *live* query count, not to everything ever submitted.
-        self._rotation: list[ScheduledQuery] = []
+        self._rotation: list[ResultStream] = []
         self._next_qid = 0
         self._running = False
         #: Cumulative virtual time charged across all queries, in dispatch
@@ -413,24 +215,17 @@ class QueryScheduler:
         budget: StreamBudget | None = None,
         clock: VirtualClock | None = None,
         name: str | None = None,
-    ) -> ScheduledQuery:
-        """Admit a query; returns its :class:`ScheduledQuery` handle.
+    ) -> ResultStream:
+        """Admit a query; returns its :class:`ResultStream` handle.
 
         Accepts everything :meth:`~repro.session.service.Session.execute`
-        does.  No work happens until the scheduler first dispatches the
-        query (planning cost is charged to its clock at that moment).
-        Submitting while :meth:`run` is mid-flight is allowed; the new
-        query joins the rotation at the next scheduling decision.
-
-        Budget semantics differ from a solo stream: ceilings are checked
-        *between* kernel steps (no mid-step tripwire), so a query may
-        overshoot a ceiling by up to one step's worth of work and results
-        before it is retired — and for a blocking baseline behind the
-        generator adapter, whose first step performs the whole
-        computation, a budget caps only its output.  Every emitted result
-        remains provably final either way.  Use
-        :meth:`Session.execute <repro.session.service.Session.execute>`
-        when exact budget cut-offs matter.
+        does, and the handle is the one ``execute`` returns — budgets,
+        callbacks, ``cancel()`` and ``close_ingest()`` behave identically;
+        only the scheduler advances it.  No work happens until the
+        scheduler first dispatches the query (planning cost is charged to
+        its clock at that moment).  Submitting while :meth:`run` is
+        mid-flight is allowed; the new query joins the rotation at the next
+        scheduling decision.
         """
         instance, clock, resolved = self.session.build_algorithm(
             query, algorithm=algorithm, config=config, clock=clock,
@@ -442,14 +237,14 @@ class QueryScheduler:
         )
         qid = self._next_qid
         self._next_qid += 1
-        handle = ScheduledQuery(
-            qid=qid,
+        handle = ResultStream(
+            instance,
+            clock,
             name=name or f"q{qid}:{resolved or getattr(instance, 'name', '?')}",
-            algorithm=instance,
-            clock=clock,
             budget=budget,
-            table_footprint=self._table_footprint(instance),
+            qid=qid,
         )
+        handle.table_footprint = self._table_footprint(instance)
         self._queries.append(handle)
         self._rotation.append(handle)
         return handle
@@ -478,11 +273,11 @@ class QueryScheduler:
         return footprint
 
     @property
-    def queries(self) -> list[ScheduledQuery]:
+    def queries(self) -> list[ResultStream]:
         """All submitted query handles, in submission order."""
         return list(self._queries)
 
-    def forget(self, handle: ScheduledQuery) -> None:
+    def forget(self, handle: ResultStream) -> None:
         """Release a terminal query's handle (and with it its results).
 
         The scheduler keeps every submitted handle reachable through
@@ -502,7 +297,7 @@ class QueryScheduler:
             self._rotation.remove(handle)
 
     @property
-    def live_queries(self) -> list[ScheduledQuery]:
+    def live_queries(self) -> list[ResultStream]:
         """Handles of the queries not yet in a terminal state."""
         return [q for q in self._rotation if not q.finished]
 
@@ -518,18 +313,21 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self) -> Iterator[tuple[ScheduledQuery, ResultTuple]]:
+    def run(self) -> Iterator[tuple[ResultStream, ResultTuple]]:
         """Interleave all admitted queries; yield ``(query, result)`` pairs.
 
         Results stream out in global emission order, each provably final
-        for its query the moment it appears.  Returns when every query is
-        terminal (completed, cancelled, or budget-exhausted).
+        for its query the moment it appears; none follows a query's
+        ``cancel()``.  Returns when every query is terminal (completed,
+        cancelled, or budget-exhausted).
         """
         for query, report in self._ticks():
             for result in report.results:
+                if query.cancelled:
+                    break
                 yield query, result
 
-    def run_all(self) -> list[ScheduledQuery]:
+    def run_all(self) -> list[ResultStream]:
         """Drive every query to a terminal state; return all handles."""
         for _ in self.run():
             pass
@@ -537,7 +335,7 @@ class QueryScheduler:
 
     async def run_async(
         self,
-    ) -> AsyncIterator[tuple[ScheduledQuery, ResultTuple]]:
+    ) -> AsyncIterator[tuple[ResultStream, ResultTuple]]:
         """Asyncio-friendly :meth:`run`: yields to the event loop per step.
 
         The engine work itself stays synchronous (one kernel step at a
@@ -547,10 +345,12 @@ class QueryScheduler:
         """
         for query, report in self._ticks():
             for result in report.results:
+                if query.cancelled:
+                    break
                 yield query, result
             await asyncio.sleep(0)
 
-    def tick(self) -> list[tuple[ScheduledQuery, StepReport]]:
+    def tick(self) -> list[tuple[ResultStream, StepReport]]:
         """One scheduling decision: admit, choose a query, run one quantum.
 
         The serving-loop entry point — a long-lived server calls ``tick()``
@@ -558,9 +358,8 @@ class QueryScheduler:
         with network I/O.  Returns the ``(query, report)`` pairs of the
         dispatched burst, or ``[]`` when nothing is runnable right now:
         every query is terminal, paused, or waiting for an admission slot
-        held by a paused query.  An empty tick performs no work (beyond
-        finalising pending cancellations), so over-ticking an idle
-        scheduler is harmless.
+        held by a paused query.  An empty tick performs no work, so
+        over-ticking an idle scheduler is harmless.
 
         The burst length is bounded by ``config.quantum`` (steps) and, when
         set, ``config.quantum_vtime`` — the burst ends with the step whose
@@ -578,19 +377,15 @@ class QueryScheduler:
                 query.rounds_waiting = 0
             else:
                 query.rounds_waiting += 1
-        burst: list[tuple[ScheduledQuery, StepReport]] = []
+        burst: list[tuple[ResultStream, StepReport]] = []
         burst_vtime_start = chosen.clock.now()
         for _ in range(self.config.quantum):
             report = self._dispatch(chosen)
             burst.append((chosen, report))
             # A consumer may cancel or pause from a callback between steps:
             # surrender the rest of the quantum so no further work runs
-            # after the request (the next _admit() finalises cancellation).
-            if (
-                chosen.finished
-                or chosen._cancel_reason is not None
-                or chosen.paused
-            ):
+            # after the request.
+            if chosen.finished or chosen.paused:
                 break
             if (
                 self.config.quantum_vtime is not None
@@ -603,7 +398,7 @@ class QueryScheduler:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ticks(self) -> Iterator[tuple[ScheduledQuery, StepReport]]:
+    def _ticks(self) -> Iterator[tuple[ResultStream, StepReport]]:
         """One iteration per dispatched step, across all queries."""
         if self._running:
             raise QueryError("scheduler is already running")
@@ -625,7 +420,7 @@ class QueryScheduler:
         finally:
             self._running = False
 
-    def _choose(self, runnable: list[ScheduledQuery]) -> ScheduledQuery:
+    def _choose(self, runnable: list[ResultStream]) -> ResultStream:
         """Apply the policy, overridden by the starvation bound if due."""
         bound = self.config.starvation_rounds
         if bound is not None:
@@ -635,24 +430,21 @@ class QueryScheduler:
                 return min(starving, key=lambda q: (-q.rounds_waiting, q.qid))
         return self._policy.choose(runnable)
 
-    def _admit(self) -> list[ScheduledQuery]:
-        """Finalise cancellations, fill admission slots, return the runnable set.
+    def _admit(self) -> list[ResultStream]:
+        """Fill admission slots, return the runnable set.
 
         Also evicts terminal queries from the rotation — their handles (and
         result buffers) stay reachable through :attr:`queries` for as long
         as the caller keeps the scheduler, but they cost nothing per
         dispatch.  Paused queries keep their admission slot (they count
-        against ``max_active``) but are not runnable; a cancelled paused
-        query is retired here, before slots are filled, so its slot passes
-        to a waiting query in the same decision.
+        against ``max_active``) but are not runnable; a cancelled query is
+        terminal, so its slot passes to a waiting query in this decision.
         """
-        live: list[ScheduledQuery] = []
-        runnable: list[ScheduledQuery] = []
+        live: list[ResultStream] = []
+        runnable: list[ResultStream] = []
         limit = self.config.max_active
         held = 0
         for query in self._rotation:
-            if query._cancel_reason is not None and not query.finished:
-                self._retire(query, CANCELLED, query._cancel_reason)
             if query.finished:
                 continue
             live.append(query)
@@ -683,7 +475,7 @@ class QueryScheduler:
                         for uid in q.table_footprint
                     }
 
-                    def overlap(q: ScheduledQuery) -> float:
+                    def overlap(q: ResultStream) -> float:
                         return sum(
                             size
                             for uid, size in q.table_footprint.items()
@@ -704,67 +496,29 @@ class QueryScheduler:
         self._rotation = live
         return runnable
 
-    def _dispatch(self, query: ScheduledQuery) -> StepReport:
+    def _dispatch(self, query: ResultStream) -> StepReport:
         """Run one step of ``query`` and account for it."""
         t0 = query.clock.now()
-        if query._stepper is None:
-            query.state = RUNNING
-            query._stepper = self._make_stepper(query.algorithm, query.clock)
         # The fairness-accounted cost of being scheduled: one queue op per
         # dispatch, charged to the query that received the step.
         query.clock.charge("queue_op")
-        try:
-            report = query._stepper.step()
-        except Exception as exc:
-            # The query's stepper is dead; record the failure terminally so
-            # a re-run of the scheduler never mistakes the partial result
-            # set for a completed one, then let the caller see the error.
-            query.error = exc
-            self._retire(query, FAILED, f"step raised {exc!r}")
-            raise
+        # A raising step leaves the handle failed (with .error set) before
+        # the exception reaches the caller.
+        report = query.step()
         delta = query.clock.now() - t0
         self.global_vtime += delta
-        query.steps += 1
-        for result in report.results:
-            query.results.append(result)
-            query.recorder.record()
-            query.emission_global_vtimes.append(self.global_vtime)
-        if report.results and query.first_result_global_vtime is None:
-            query.first_result_global_vtime = self.global_vtime
+        if report.results:
+            if query.first_result_global_vtime is None:
+                query.first_result_global_vtime = self.global_vtime
+            query.emission_global_vtimes.extend(
+                [self.global_vtime] * len(report.results)
+            )
         if self.config.record_interleaving:
             self.interleaving.record(
                 query.qid, report.kind, delta, len(report.results),
                 self.global_vtime,
             )
-        if report.finished:
-            query.state = COMPLETED
-            query.recorder.finish()
-        elif query.budget is not None:
-            reason = query.budget.exceeded(
-                query.clock,
-                len(query.results),
-                lambda: time.perf_counter() - query._wall_start,
-            )
-            if reason is not None:
-                self._retire(query, BUDGET_EXHAUSTED, reason)
         return report
-
-    @staticmethod
-    def _make_stepper(instance, clock: VirtualClock):
-        """A resumable stepper: the engine's kernel, or a generator shim."""
-        kernel_factory = getattr(instance, "kernel", None)
-        if callable(kernel_factory):
-            return kernel_factory()
-        return _GeneratorStepper(instance, clock)
-
-    def _retire(
-        self, query: ScheduledQuery, state: str, reason: str | None
-    ) -> None:
-        if query._stepper is not None:
-            query._stepper.close()
-        query.state = state
-        query.stop_reason = reason
-        query.recorder.finish()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         terminal = sum(1 for q in self._queries if q.finished)

@@ -24,6 +24,7 @@ on those keeps working.
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -270,10 +271,9 @@ class Session:
     ) -> tuple[object, VirtualClock, str | None]:
         """Resolve and instantiate an algorithm for one execution.
 
-        The shared construction path behind :meth:`execute` (which wraps
-        the instance in a :class:`ResultStream`) and
-        :meth:`scheduler`-submitted queries (which step it through its
-        resumable kernel).  Returns ``(instance, clock, name)`` — ``name``
+        The shared construction path behind :meth:`execute` and
+        :meth:`scheduler`-submitted queries (both wrap the instance in a
+        :class:`ResultStream`).  Returns ``(instance, clock, name)`` — ``name``
         is the registry's canonical name, or ``None`` for a raw factory.
 
         ``share_partitions`` overrides the engine config's flag of the same
@@ -417,24 +417,23 @@ class Session:
     ):
         """Asyncio-friendly execution: ``async for result in ...``.
 
-        Drives the query through its resumable kernel one step at a time,
-        yielding each result as its step emits it and returning control to
-        the event loop between steps — so multiple queries (or other
+        Steps the :class:`ResultStream` :meth:`execute` would return,
+        yielding each result as its step hands it out and returning control
+        to the event loop between steps — so multiple queries (or other
         coroutines) progress concurrently under ``asyncio.gather``.
-        Accepts the arguments of :meth:`execute`, with one semantic
-        difference: a ``budget`` is enforced at kernel-step granularity
-        (see :meth:`QueryScheduler.submit
-        <repro.session.scheduler.QueryScheduler.submit>`), so the stream
-        may overshoot a ceiling by up to one step before stopping; the
-        emitted prefix is still provably final.
+        Accepts the arguments of :meth:`execute`, budgets included, with
+        the same semantics.
         """
-        scheduler = self.scheduler()
-        scheduler.submit(
+        stream = self.execute(
             query, algorithm=algorithm, config=config, budget=budget,
             clock=clock,
         )
-        async for _, result in scheduler.run_async():
-            yield result
+        while not stream.finished:
+            for result in stream.step().results:
+                if stream.cancelled:
+                    return
+                yield result
+            await asyncio.sleep(0)
 
     def run(self, query, **kwargs) -> RunResult:
         """Execute to completion; return the legacy batch :class:`RunResult`."""

@@ -1,17 +1,22 @@
-"""Streaming result handles.
+"""The query handle.
 
-A :class:`ResultStream` wraps a progressive algorithm's ``run()`` generator
-with the service-level controls a long-lived session needs:
+A :class:`ResultStream` is the one handle over a progressive execution,
+whoever drives it: :meth:`Session.execute
+<repro.session.service.Session.execute>` returns one for a direct pull, and
+:meth:`QueryScheduler.submit
+<repro.session.scheduler.QueryScheduler.submit>` returns one the scheduler
+advances.  Either way it steps the algorithm's resumable kernel (or a
+one-result-per-step shim over a baseline's ``run()`` generator) and adds
+the service-level controls a long-lived session needs:
 
 * **pull** iteration (``for result in stream``) — lazy, one result at a time,
 * **push** callbacks — ``on_result`` / ``on_progress`` / ``on_complete``;
   a raising callback is never silently dropped: it propagates to the
   iterating caller unless an ``on_error`` handler is registered,
-* **cooperative cancellation** — :meth:`ResultStream.cancel` stops the
-  engine at its next unit of charged work; no further results are emitted,
+* **cancellation** — :meth:`ResultStream.cancel` is terminal at once,
 * **budgets** — virtual-time, dominance-comparison, result-count and
   wall-clock ceilings (:class:`StreamBudget`) that stop the engine cleanly
-  mid-run.
+  mid-step, identically on every driver.
 
 Because every algorithm in the library only ever yields *provably final*
 results, any prefix a cancelled or budget-stopped stream produced is
@@ -23,9 +28,11 @@ Partial progressiveness statistics stay available via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping
 
+from repro.core.kernel import STEP_FINALIZE, STEP_IDLE, STEP_UNWOUND, StepReport
 from repro.errors import QueryError
 from repro.query.smj import ResultTuple
 from repro.runtime.clock import VirtualClock
@@ -42,13 +49,12 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 FAILED = "failed"
 
 
-class _StreamInterrupt(Exception):
-    """Internal signal raised by the clock tripwire to unwind the engine."""
+#: Step kind reported by the shim stepping a baseline's ``run()``.
+STEP_PULL = "pull"
 
-    def __init__(self, state: str, reason: str) -> None:
-        super().__init__(reason)
-        self.state = state
-        self.reason = reason
+
+class _BudgetTripped(Exception):
+    """Raised by the clock tripwire to unwind a step that crossed a ceiling."""
 
 
 @dataclass(frozen=True)
@@ -161,48 +167,69 @@ class StreamStats:
         """True when the underlying algorithm ran to natural completion."""
         return self.state == COMPLETED
 
-    @classmethod
-    def capture(
-        cls,
-        state: str,
-        recorder: ProgressRecorder,
-        clock: VirtualClock,
-        *,
-        wall_seconds: float,
-        stop_reason: str | None,
-        algorithm=None,
-    ) -> "StreamStats":
-        """Snapshot the standard progressiveness metrics.
 
-        Shared by :meth:`ResultStream.stats` and the scheduler's
-        per-query handles so both surfaces report identical shapes.
-        ``algorithm`` (when given) contributes its ``cache_events`` —
-        engines planned through a shared
-        :class:`~repro.cache.plan_cache.PlanCache` report their
-        partition-sharing outcome here.
-        """
-        cache_events = getattr(algorithm, "cache_events", None) or None
-        return cls(
-            state=state,
-            results=recorder.total_results,
-            vtime=clock.now(),
-            wall_seconds=wall_seconds,
-            time_to_first=recorder.time_to_first(),
-            auc=recorder.progressiveness_auc(),
-            batches=recorder.batch_count(),
-            dominance_comparisons=clock.count("dominance_cmp"),
-            stop_reason=stop_reason,
-            partition_cache=dict(cache_events) if cache_events else None,
+class _GeneratorStepper:
+    """Stepper over an algorithm without a resumable kernel.
+
+    One step pulls one result from the algorithm's ``run()`` generator (or
+    discovers exhaustion).  A blocking baseline therefore does all its work
+    inside its first step — the shim makes it *steppable*, not progressive.
+    """
+
+    def __init__(self, algorithm: Any, clock: VirtualClock) -> None:
+        self._gen = algorithm.run()
+        self._clock = clock
+        self._steps = 0
+        self.finished = False
+
+    def step(self) -> StepReport:
+        t0 = self._clock.now()
+        counts0 = self._clock.snapshot()
+        results: tuple[ResultTuple, ...] = ()
+        kind = STEP_PULL
+        try:
+            results = (next(self._gen),)
+        except StopIteration:
+            self.finished = True
+            kind = STEP_FINALIZE
+        self._steps += 1
+        now = self._clock.now()
+        return StepReport(
+            kind=kind,
+            results=results,
+            result_vtimes=(now,) * len(results),
+            region_id=None,
+            step_index=self._steps,
+            vtime=now,
+            vtime_delta=now - t0,
+            charges=self._clock.since(counts0),
+            finished=self.finished,
         )
+
+    def peek_rank(self) -> float:
+        return 0.0
+
+    def close(self) -> None:
+        self._gen.close()
+        self.finished = True
 
 
 class ResultStream:
     """Handle over one progressive algorithm execution.
 
     Results are produced lazily: iterate (or :meth:`drain`) to advance the
-    engine.  Registered callbacks fire in emission order, interleaved with
-    iteration.  The stream is single-use — once terminal, iteration yields
-    nothing further.
+    engine yourself, or submit the query to a
+    :class:`~repro.session.scheduler.QueryScheduler`, which calls
+    :meth:`step`.  Registered callbacks fire in emission order, interleaved
+    with iteration.  The stream is single-use — once terminal, iteration
+    yields nothing further.
+
+    One state machine serves every driver; each transition is one method:
+    ``_start`` (pending → running: build the stepper), ``_step`` (one
+    stepper step, under ``_guarded``'s budget and failure rules), ``_take``
+    (hand out one result), ``_settle`` (budget stop or completion, when
+    due), :meth:`cancel`, and ``_finish`` (any terminal state — the one
+    place the stepper is closed and ``on_complete`` fires).
 
     Example::
 
@@ -210,7 +237,7 @@ class ResultStream:
         stream.on_result(print)             # push, in emission order
         for result in stream:               # pull, provably final
             if enough(result):
-                stream.cancel()             # cooperative stop
+                stream.cancel()             # terminal at once
         stream.stats()                      # valid mid-run or after any stop
     """
 
@@ -221,6 +248,7 @@ class ResultStream:
         *,
         name: str | None = None,
         budget: StreamBudget | None = None,
+        qid: int | None = None,
     ) -> None:
         self.algorithm = algorithm
         self.clock = clock
@@ -228,15 +256,37 @@ class ResultStream:
         self.budget = budget
         self.recorder = ProgressRecorder(clock)
         self.results: list[ResultTuple] = []
-        self._gen: Iterator[ResultTuple] | None = None
+        #: Stepper steps taken so far.
+        self.steps = 0
+        #: The exception that ended this query ``failed``, if any.  Lets a
+        #: serving pump attribute a ``tick()`` error to the owning stream.
+        self.error: BaseException | None = None
+        self._stepper: Any = None
+        #: Results a step made final that are not handed out yet, with
+        #: their clock stamps: a pull hands them out one at a time.
+        self._pending: deque[tuple[ResultTuple, float]] = deque()
         self._state = PENDING
         self._stop_reason: str | None = None
-        self._cancel_reason: str | None = None
+        self._paused = False
         self._wall_start = time.perf_counter()
         self._on_result: list[Callable[[ResultTuple], None]] = []
         self._on_progress: list[Callable[[EmissionEvent], None]] = []
         self._on_complete: list[Callable[[StreamStats], None]] = []
         self._on_error: list[Callable[[BaseException], None]] = []
+        # Dispatch bookkeeping of the QueryScheduler that admitted this
+        # stream (untouched on a direct pull).
+        self.qid = qid
+        self.admitted = False
+        #: Scheduling decisions since this query was last dispatched while
+        #: runnable — the counter behind the starvation bound.
+        self.rounds_waiting = 0
+        #: Estimated bytes per table uid this query reads (planner
+        #: metadata, no scan) — the cache-aware admission overlap signal.
+        self.table_footprint: dict = {}
+        #: Global (cross-query) virtual time at this query's first emission.
+        self.first_result_global_vtime: float | None = None
+        #: Global virtual time at each emission (step-granular stamps).
+        self.emission_global_vtimes: list[float] = []
 
     # ------------------------------------------------------------------
     # state
@@ -256,19 +306,51 @@ class ResultStream:
     def cancelled(self) -> bool:
         return self._state == CANCELLED
 
-    def cancel(self, reason: str = "cancelled by caller") -> None:
-        """Request cooperative cancellation.
+    @property
+    def stop_reason(self) -> str | None:
+        """Why the stream stopped early (``None`` while running or when it
+        completed)."""
+        return self._stop_reason
 
-        Safe to call at any point, including from an ``on_result`` callback;
-        no further results are emitted after the current one.  If the engine
-        is mid-computation the clock tripwire unwinds it at its next charged
-        operation.
+    @property
+    def paused(self) -> bool:
+        """True while a scheduler must not dispatch this query."""
+        return self._paused and not self.finished
+
+    @property
+    def result_keys(self) -> set[tuple]:
+        """Identity keys of the results emitted so far."""
+        return {r.key() for r in self.results}
+
+    def pause(self) -> None:
+        """Suspend this query: a scheduler stops dispatching it.
+
+        Pausing mutates no execution state, so a paused-and-resumed query
+        reproduces its uninterrupted step and result sequence exactly.  A
+        paused query keeps its admission slot (it is mid-flight, not
+        requeued); :meth:`cancel` releases the slot at the next scheduling
+        decision.  The serving edge's backpressure bridge pauses a query
+        whose client stopped reading, so a slow consumer never buffers
+        unboundedly — and never stalls anyone else's query.  A direct pull
+        is its own scheduler and ignores the flag.
         """
-        if self.finished:
-            return
-        self._cancel_reason = reason
-        if self._state == PENDING:
-            self._finalize(CANCELLED, reason)
+        self._paused = True
+
+    def resume(self) -> None:
+        """Lift a :meth:`pause`; a scheduler may dispatch again."""
+        self._paused = False
+
+    def cancel(self, reason: str = "cancelled by caller") -> None:
+        """Stop the query now.
+
+        Terminal at once, from any non-terminal state (paused, or from an
+        ``on_result`` callback included): the stream is ``cancelled``, its
+        stepper is closed, ``on_complete`` has fired and no further result
+        is handed out when this returns.  A no-op once the stream is
+        finished.
+        """
+        if not self.finished:
+            self._finish(CANCELLED, reason)
 
     def close_ingest(self) -> None:
         """Close a *follow* query's arrival window so it can finish.
@@ -276,34 +358,24 @@ class ResultStream:
         Streaming executions (``EngineConfig(follow=True)``) keep polling
         their source tables for appended rows and never complete on their
         own; calling this ends the arrival window — already-absorbed rows
-        are still fully processed, then the stream completes.  Raises
-        :class:`~repro.errors.QueryError` when the underlying execution is
-        not a follow query.  Safe to call repeatedly; a no-op once the
-        stream is finished.
+        are still fully processed, then the stream completes with its full,
+        verified result set.  A follow query that has not started is
+        planned first, so the window closes over the rows present now.
+        Raises :class:`~repro.errors.QueryError` when the execution is not
+        a follow query — before any work; a no-op once the stream is
+        finished.
         """
         if self.finished:
             return
-        kernel = getattr(self.algorithm, "execution_kernel", None)
-        if kernel is None:
-            # Lazy pull hasn't started the engine yet: force the kernel
-            # into existence and adopt its drain generator so iteration
-            # continues from it (run() would try to build a second kernel).
-            kernel_fn = getattr(self.algorithm, "kernel", None)
-            if kernel_fn is None:
-                raise QueryError(
-                    f"{self.name!r} is not a follow query: the algorithm "
-                    "exposes no resumable kernel"
-                )
-            kernel = kernel_fn()
-            self._gen = kernel.drain()
-            self._state = RUNNING
-        close = getattr(kernel, "close_ingest", None)
-        if close is None:
+        if not getattr(self.algorithm, "follow", False):
             raise QueryError(
                 f"{self.name!r} is not a follow query; execute with "
                 "EngineConfig(follow=True) to stream arrivals"
             )
-        close()
+        if self._stepper is None:
+            self._guarded(self._start)
+        if self._stepper is not None:
+            self._stepper.close_ingest()
 
     # ------------------------------------------------------------------
     # callbacks (chainable)
@@ -350,45 +422,21 @@ class ResultStream:
                 handler(exc)
 
     # ------------------------------------------------------------------
-    # iteration
+    # driving
     # ------------------------------------------------------------------
     def __iter__(self) -> "ResultStream":
         return self
 
     def __next__(self) -> ResultTuple:
-        if self.finished:
+        while not self._pending:
+            self._settle()
+            if self.finished:
+                raise StopIteration
+            self._step()
+        taken = self._take()
+        if taken is None:
             raise StopIteration
-        if self._gen is None:
-            self._gen = self.algorithm.run()
-            self._state = RUNNING
-        stop = self._pre_pull_stop()
-        if stop is not None:
-            self._stop(*stop)
-            raise StopIteration
-        self.clock.set_tripwire(self._tripwire)
-        try:
-            result = next(self._gen)
-        except StopIteration:
-            self._finalize(COMPLETED, None)
-            raise
-        except _StreamInterrupt as interrupt:
-            self._stop(interrupt.state, interrupt.reason)
-            raise StopIteration from None
-        except Exception as exc:
-            # The engine is dead mid-run: its partial result set must never
-            # be finalised as completed by a later pull.
-            self._finalize(FAILED, f"engine raised {exc!r}")
-            raise
-        finally:
-            self.clock.set_tripwire(None)
-        self.results.append(result)
-        self.recorder.record()
-        event = self.recorder.events[-1]
-        for callback in self._on_result:
-            self._dispatch(callback, result)
-        for callback in self._on_progress:
-            self._dispatch(callback, event)
-        return result
+        return taken[0]
 
     def drain(self) -> list[ResultTuple]:
         """Consume the stream to its end; return *all* results emitted."""
@@ -396,18 +444,159 @@ class ResultStream:
             pass
         return self.results
 
+    def step(self) -> StepReport:
+        """Advance one step and hand out every result it made final.
+
+        The scheduler's dispatch unit (and ``execute_async``'s).  The first
+        step starts the execution (planning is charged then).  Returns the
+        stepper's report with ``results`` narrowed to the results handed
+        out — a budget or a cancel from a callback may stop the stream
+        partway.  Stepping a finished stream returns an ``"idle"`` report.
+        """
+        self._settle()
+        if self.finished:
+            return StepReport.empty(STEP_IDLE, self.clock, self.steps)
+        report = self._step()
+        taken = []
+        while self._pending:
+            pair = self._take()
+            if pair is not None:
+                taken.append(pair)
+        self._settle()
+        return replace(
+            report,
+            results=tuple(result for result, _ in taken),
+            result_vtimes=tuple(vtime for _, vtime in taken),
+        )
+
+    # ------------------------------------------------------------------
+    # transitions
+    # ------------------------------------------------------------------
+    def _start(self) -> None:
+        """pending -> running: build the stepper (this plans the query)."""
+        self._state = RUNNING
+        kernel = getattr(self.algorithm, "kernel", None)
+        if callable(kernel):
+            self._stepper = kernel()
+        else:
+            self._stepper = _GeneratorStepper(self.algorithm, self.clock)
+
+    def _step(self) -> StepReport:
+        """running: one stepper step; its results wait in the buffer."""
+        report = self._guarded(self._stepper_step)
+        self.steps += 1
+        self._pending.extend(zip(report.results, report.result_vtimes))
+        return report
+
+    def _stepper_step(self) -> StepReport:
+        if self._stepper is None:
+            self._start()
+        return self._stepper.step()
+
+    def _guarded(self, work: Callable[[], Any]) -> Any:
+        """Run engine work under the stream's budget and failure rules.
+
+        Under a budget the clock tripwire is installed for this work only
+        (an unbudgeted query pays nothing per charge): a ceiling unwinds it
+        at the charge that crosses it, and the returned ``"unwound"``
+        report keeps the results it made final before that.  An engine
+        error ends the stream ``failed`` and propagates.
+        """
+        if self.budget is not None:
+            self.clock.set_tripwire(self._tripwire)
+        try:
+            return work()
+        except _BudgetTripped:
+            return getattr(self._stepper, "unwound", None) or StepReport.empty(
+                STEP_UNWOUND, self.clock, self.steps
+            )
+        except Exception as exc:
+            self.error = exc
+            self._finish(FAILED, f"engine raised {exc!r}")
+            raise
+        finally:
+            if self.budget is not None:
+                self.clock.set_tripwire(None)
+
+    def _take(self) -> tuple[ResultTuple, float] | None:
+        """running: hand out the next buffered result — or, once the result
+        budget is spent, stop instead (``None``)."""
+        if (
+            self.budget is not None
+            and self.budget.max_results is not None
+            and len(self.results) >= self.budget.max_results
+        ):
+            self._settle()
+            return None
+        result, vtime = self._pending.popleft()
+        self.results.append(result)
+        self.recorder.record(vtime)
+        event = self.recorder.events[-1]
+        for callback in self._on_result:
+            self._dispatch(callback, result)
+        for callback in self._on_progress:
+            self._dispatch(callback, event)
+        return result, vtime
+
+    def _settle(self) -> None:
+        """Make the terminal transition that is due, if any: a spent budget
+        stops the stream, a finished stepper completes it."""
+        if self.finished:
+            return
+        reason = self._budget_reason()
+        if reason is not None:
+            self._finish(BUDGET_EXHAUSTED, reason)
+        elif self._stepper is not None and self._stepper.finished:
+            self._finish(COMPLETED, None)
+
+    def _finish(self, state: str, reason: str | None) -> None:
+        """Enter a terminal state: close the stepper, notify once."""
+        if self._stepper is not None:
+            self._stepper.close()
+        self._pending.clear()
+        self._state = state
+        self._stop_reason = reason
+        self.recorder.finish()
+        stats = self.stats()
+        for callback in self._on_complete:
+            self._dispatch(callback, stats)
+
+    def _budget_reason(self) -> str | None:
+        if self.budget is None:
+            return None
+        return self.budget.exceeded(
+            self.clock, len(self.results), self._wall_elapsed
+        )
+
+    def _tripwire(self) -> None:
+        if self._budget_reason() is not None:
+            raise _BudgetTripped
+
+    def _wall_elapsed(self) -> float:
+        return time.perf_counter() - self._wall_start
+
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def stats(self) -> StreamStats:
-        """Progressiveness snapshot — valid mid-stream and after any stop."""
-        return StreamStats.capture(
-            self._state,
-            self.recorder,
-            self.clock,
-            wall_seconds=time.perf_counter() - self._wall_start,
+        """Progressiveness snapshot — valid mid-stream and after any stop.
+
+        Engines planned through a shared
+        :class:`~repro.cache.plan_cache.PlanCache` report their
+        partition-sharing outcome in ``partition_cache``.
+        """
+        cache_events = getattr(self.algorithm, "cache_events", None) or None
+        return StreamStats(
+            state=self._state,
+            results=self.recorder.total_results,
+            vtime=self.clock.now(),
+            wall_seconds=self._wall_elapsed(),
+            time_to_first=self.recorder.time_to_first(),
+            auc=self.recorder.progressiveness_auc(),
+            batches=self.recorder.batch_count(),
+            dominance_comparisons=self.clock.count("dominance_cmp"),
             stop_reason=self._stop_reason,
-            algorithm=self.algorithm,
+            partition_cache=dict(cache_events) if cache_events else None,
         )
 
     def to_run_result(self) -> RunResult:
@@ -419,46 +608,6 @@ class ResultStream:
             clock=self.clock,
             algorithm=self.algorithm,
         )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _pre_pull_stop(self) -> tuple[str, str] | None:
-        if self._cancel_reason is not None:
-            return (CANCELLED, self._cancel_reason)
-        if self.budget is not None:
-            reason = self.budget.exceeded(
-                self.clock, len(self.results), self._wall_elapsed
-            )
-            if reason is not None:
-                return (BUDGET_EXHAUSTED, reason)
-        return None
-
-    def _tripwire(self) -> None:
-        if self._cancel_reason is not None:
-            raise _StreamInterrupt(CANCELLED, self._cancel_reason)
-        if self.budget is not None:
-            reason = self.budget.exceeded(
-                self.clock, len(self.results), self._wall_elapsed
-            )
-            if reason is not None:
-                raise _StreamInterrupt(BUDGET_EXHAUSTED, reason)
-
-    def _wall_elapsed(self) -> float:
-        return time.perf_counter() - self._wall_start
-
-    def _stop(self, state: str, reason: str) -> None:
-        if self._gen is not None:
-            self._gen.close()
-        self._finalize(state, reason)
-
-    def _finalize(self, state: str, reason: str | None) -> None:
-        self._state = state
-        self._stop_reason = reason
-        self.recorder.finish()
-        stats = self.stats()
-        for callback in self._on_complete:
-            self._dispatch(callback, stats)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -36,7 +36,6 @@ EXAMPLE_REQUIRED = [
     "EngineConfig",
     "SchedulerConfig",
     "QueryScheduler",
-    "ScheduledQuery",
     "AlgorithmRegistry",
     "ProgXeEngine",
     "ExecutionKernel",

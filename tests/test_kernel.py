@@ -2,9 +2,9 @@
 
 The contract under test: the resumable :class:`ExecutionKernel` is an
 exact re-expression of the historical monolithic ``run()`` generator —
-stepping, pausing, resuming, and mixing steps with drains must never
-change the emitted result *sequence* — plus the new introspection
-(snapshots, per-step reports) and the engine's double-execution guard.
+stepping, and pausing the query between steps, must never change the
+emitted result *sequence* — plus the introspection (snapshots, per-step
+reports) and the engine's double-execution guard.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.engine import ProgXeEngine
 from repro.core.kernel import (
     CREATED,
     FINISHED,
-    PAUSED,
     STEP_BOOTSTRAP,
     STEP_FINALIZE,
     STEP_REGION,
@@ -27,7 +26,8 @@ from repro.core.kernel import (
 from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.runtime.clock import VirtualClock
-from repro.session.config import PRESETS
+from repro.session.config import PRESETS, EngineConfig
+from repro.session.service import Session
 
 
 def solo_sequence(bound, **engine_kwargs) -> list[tuple]:
@@ -37,21 +37,19 @@ def solo_sequence(bound, **engine_kwargs) -> list[tuple]:
 
 
 def stepped_sequence(bound, pause_every: int, **engine_kwargs) -> list[tuple]:
-    """Result-key sequence of a run paused/resumed after every k steps."""
-    kernel = ProgXeEngine(bound, VirtualClock(), **engine_kwargs).kernel()
-    keys: list[tuple] = []
-    steps = 0
-    while not kernel.finished:
-        report = kernel.step()
-        keys.extend(r.key() for r in report.results)
-        steps += 1
-        if steps % pause_every == 0 and not kernel.finished:
-            kernel.pause()
-            assert kernel.status == PAUSED
-            with pytest.raises(ExecutionError):
-                kernel.step()
-            kernel.resume()
-    return keys
+    """Result-key sequence of a scheduled run paused/resumed after every k
+    kernel steps."""
+    scheduler = Session().scheduler()
+    handle = scheduler.submit(bound, config=EngineConfig(**engine_kwargs))
+    while not handle.finished:
+        scheduler.tick()
+        if handle.steps % pause_every == 0 and not handle.finished:
+            handle.pause()
+            steps = handle.steps
+            assert scheduler.tick() == []
+            assert handle.steps == steps
+            handle.resume()
+    return [r.key() for r in handle.results]
 
 
 class TestPlan:
@@ -70,7 +68,9 @@ class TestPlan:
         """
         plan = QueryPlan.build(small_bound, VirtualClock())
         kernel = ExecutionKernel(plan)
-        assert list(kernel.drain())
+        while not kernel.finished:
+            kernel.step()
+        assert kernel.results_emitted
         with pytest.raises(ExecutionError, match="already been executed"):
             ExecutionKernel(plan)
 
@@ -127,6 +127,14 @@ class TestKernelStepping:
             report = kernel.step()
             assert report.vtime_delta >= 0
             assert report.vtime == kernel.clock.now()
+            # Each result carries the clock reading at which it became
+            # final, inside this step's window and in emission order.
+            assert len(report.result_vtimes) == len(report.results)
+            assert list(report.result_vtimes) == sorted(report.result_vtimes)
+            assert all(
+                report.vtime - report.vtime_delta <= v <= report.vtime
+                for v in report.result_vtimes
+            )
             total += report.vtime_delta
         assert total == pytest.approx(kernel.clock.now() - base)
 
@@ -139,20 +147,6 @@ class TestKernelStepping:
                 assert report.region_id is not None
                 seen.append(report.region_id)
         assert len(seen) == len(set(seen))  # each region processed once
-
-    def test_steps_then_drain_completes_the_run(self, small_bound):
-        solo = solo_sequence(small_bound)
-        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
-        keys = []
-        for _ in range(3):
-            keys.extend(r.key() for r in kernel.step().results)
-        keys.extend(r.key() for r in kernel.drain())
-        assert keys == solo
-        assert kernel.finished
-
-    def test_drain_alone_matches_run(self, small_bound):
-        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
-        assert [r.key() for r in kernel.drain()] == solo_sequence(small_bound)
 
     def test_failed_step_leaves_kernel_finished_not_stuck(self, small_bound):
         """A step that raises must not leave the kernel spinning forever.
@@ -176,7 +170,7 @@ class TestKernelStepping:
         with pytest.raises(Boom):
             kernel.step()
         assert kernel.status == FINISHED  # terminal immediately
-        assert kernel.aborted
+        assert kernel.unwound is not None and kernel.unwound.kind == "unwound"
         report = kernel.step()  # dead generator: must not spin
         assert report.finished
         assert kernel.step().kind == "idle"
@@ -213,24 +207,6 @@ class TestRegionStep:
 
 
 class TestPauseResume:
-    def test_pause_blocks_step_and_drain(self, small_bound):
-        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
-        kernel.step()
-        kernel.pause()
-        with pytest.raises(ExecutionError):
-            kernel.step()
-        with pytest.raises(ExecutionError):
-            next(kernel.drain())
-        kernel.resume()
-        assert kernel.step().kind in (STEP_REGION, STEP_FINALIZE)
-
-    def test_pause_after_finish_is_noop(self, small_bound):
-        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
-        while not kernel.finished:
-            kernel.step()
-        kernel.pause()
-        assert kernel.status == FINISHED
-
     @pytest.mark.parametrize("partitioning", ["grid", "quadtree"])
     @pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
     @settings(max_examples=8, deadline=None)
@@ -238,10 +214,10 @@ class TestPauseResume:
     def test_pause_resume_determinism(self, partitioning, batch_size, k, seed):
         """Stopping after every k steps reproduces the uninterrupted run.
 
-        The satellite property: for both partitioners and both the default
-        and the one-pair flush granularity, a kernel paused and resumed at
-        arbitrary step boundaries yields the exact result sequence (order
-        included) of a solo run.
+        For both partitioners and both the default and the one-pair flush
+        granularity, a query paused and resumed at arbitrary step
+        boundaries yields the exact result sequence (order included) of a
+        solo run.
         """
         bound = make_bound("independent", n=90, d=2, sigma=0.1, seed=seed)
         kwargs = dict(partitioning=partitioning, batch_size=batch_size)

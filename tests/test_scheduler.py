@@ -20,13 +20,14 @@ from repro.session.config import (
     SCHEDULING_POLICIES,
     SchedulerConfig,
 )
-from repro.session.scheduler import QueryScheduler, ScheduledQuery
+from repro.session.scheduler import QueryScheduler
 from repro.session.service import Session
 from repro.session.stream import (
     BUDGET_EXHAUSTED,
     CANCELLED,
     COMPLETED,
     FAILED,
+    ResultStream,
     StreamBudget,
 )
 
@@ -109,7 +110,7 @@ class TestAdmission:
         first, second = bounds(2)
         scheduler = session.scheduler()
         scheduler.submit(first)
-        late: list[ScheduledQuery] = []
+        late: list[ResultStream] = []
         for _query, _result in scheduler.run():
             if not late:
                 late.append(scheduler.submit(second))

@@ -23,7 +23,7 @@ class FakeClock:
 
 
 class FakeHandle:
-    """Just enough of a ScheduledQuery for guard tests."""
+    """Just enough of a ResultStream for guard tests."""
 
     def __init__(self):
         self.clock = FakeClock()

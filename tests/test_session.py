@@ -353,6 +353,18 @@ class TestResultStream:
         stream.drain()
         assert vtimes == sorted(vtimes)
 
+    def test_recorded_vtimes_are_the_kernel_stamps(self, session, bound):
+        """A step's results reach the stream together, yet each is recorded
+        at the clock reading at which the kernel made it final."""
+        stream = session.execute(bound, share_partitions=False)
+        stream.drain()
+        kernel = repro.ProgXeEngine(bound).kernel()
+        stamps: list[float] = []
+        while not kernel.finished:
+            stamps.extend(kernel.step().result_vtimes)
+        assert [e.vtime for e in stream.recorder.events] == stamps
+        assert len(set(stamps)) > 1
+
     def test_to_run_result_round_trip(self, session, bound):
         stream = session.execute(bound)
         stream.drain()

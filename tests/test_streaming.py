@@ -103,8 +103,8 @@ def stream_drive(tables, query, schedule, appenders, **engine_kwargs):
 def one_shot_keys(tables, query, **engine_kwargs):
     """Result keys of a one-shot batch run over ``tables`` as they are now."""
     bound = query.bind(tables)
-    kernel = ProgXeEngine(bound, VirtualClock(), **engine_kwargs).kernel()
-    return [r.key() for r in kernel.drain()]
+    engine = ProgXeEngine(bound, VirtualClock(), **engine_kwargs)
+    return [r.key() for r in engine.run()]
 
 
 def assert_valid_progressive_order(results):
@@ -587,7 +587,9 @@ class TestPatchedVsInvalidated:
         live["R"].extend_rows(arriving["R"])
         live["T"].extend_rows(arriving["T"])
         kernel.close_ingest()
-        streamed = list(kernel.drain())
+        streamed = []
+        while not kernel.finished:
+            streamed.extend(kernel.step().results)
         batch = session.execute(workload.query().bind(live))
         batch_keys = [r.key() for r in batch.drain()]
         assert {r.key() for r in streamed} == set(batch_keys)
