@@ -34,7 +34,7 @@ def main() -> None:
     print(f"{'#':>3}  {'virtual time':>12}  result")
     for i, result in enumerate(stream, start=1):
         print(
-            f"{i:>3}  {stream.clock.now():>12.0f}  "
+            f"{i:>3}  {stream.recorder.events[-1].vtime:>12.0f}  "
             f"{result.outputs['left_id']} x {result.outputs['right_id']}  "
             f"x0={result.outputs['x0']:.2f} x1={result.outputs['x1']:.2f}"
         )

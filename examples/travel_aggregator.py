@@ -34,7 +34,8 @@ def main() -> None:
     # the engine is still joining.
     def render(r):
         print(
-            f"{stream.clock.now():>12.0f}  {r.outputs['rome_pkg']:>10}  "
+            f"{stream.recorder.events[-1].vtime:>12.0f}  "
+            f"{r.outputs['rome_pkg']:>10}  "
             f"{r.outputs['paris_pkg']:>10}  "
             f"{r.outputs['totalWalk']:>18.2f}  {r.outputs['totalCost']:>8.2f}"
         )

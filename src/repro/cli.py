@@ -204,7 +204,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     stream = session.execute(bound, algorithm=name, budget=_budget(args))
     for result in stream:
         if args.stream:
-            print(f"t={stream.clock.now():>12.0f}  {result.outputs}")
+            vtime = stream.recorder.events[-1].vtime
+            print(f"t={vtime:>12.0f}  {result.outputs}")
     stats = stream.stats()
     print(f"{name}: {stats.results} results, total virtual cost "
           f"{stats.vtime:.0f}, {stats.dominance_comparisons} dominance "

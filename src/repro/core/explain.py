@@ -18,6 +18,7 @@ from repro.core.benefit import region_benefit
 from repro.core.cost import region_cost
 from repro.core.elimination_graph import EliminationGraph
 from repro.core.engine import ProgXeEngine
+from repro.core.kernel import STEP_REGION
 from repro.core.plan import (
     default_input_cells as _default_input_cells,
     default_output_cells as _default_output_cells,
@@ -153,7 +154,12 @@ def explain(
 
 @dataclass
 class TraceEvent:
-    """One region's processing record in a traced run."""
+    """One region step of a traced run.
+
+    ``emitted_during`` counts the results the region's step made final
+    (during its tuple-level processing and at its completion);
+    ``emitted_after`` those of non-region steps before the next region.
+    """
 
     order: int
     rid: int
@@ -169,8 +175,8 @@ class ExecutionTrace:
 
     events: list[TraceEvent] = field(default_factory=list)
     total_results: int = 0
-    #: Emissions released by ProgDetermine between regions before any
-    #: region was traced (e.g. cells freed purely by look-ahead).
+    #: Results of the bootstrap step, before any region ran (cells freed
+    #: purely by look-ahead).
     unattributed: int = 0
 
     def render(self, *, limit: int = 20) -> str:
@@ -334,35 +340,31 @@ def explain_estimates(
 def trace(engine: ProgXeEngine) -> ExecutionTrace:
     """Run ``engine`` to completion, recording the region schedule.
 
-    Works by instrumenting the engine's policy choice points: we wrap the
-    generator and attribute each emission to the region being processed at
-    that moment (via the execution state's ``active_region``).
+    Steps the engine's kernel exactly as :meth:`ProgXeEngine.run` does and
+    reads each :class:`~repro.core.kernel.StepReport`: every ``"region"``
+    step becomes one :class:`TraceEvent` spanning the step's clock
+    interval, with the results that step made final.  Results of later
+    non-region steps (arrival polls, finalize) count as the preceding
+    region's ``emitted_after``; those before the first region (the
+    bootstrap pass) as ``unattributed``.
     """
     out = ExecutionTrace()
-    clock = engine.clock
+    kernel = engine.kernel()
     current: TraceEvent | None = None
-    order = 0
-    for result in engine.run():
-        out.total_results += 1
-        state = engine.state
-        active = state.active_region if state is not None else None
-        if active is not None:
-            if current is None or current.rid != active.rid:
-                if current is not None:
-                    current.vtime_end = clock.now()
-                order += 1
-                current = TraceEvent(
-                    order=order, rid=active.rid,
-                    emitted_during=0, emitted_after=0,
-                    vtime_start=clock.now(), vtime_end=clock.now(),
-                )
-                out.events.append(current)
-            current.emitted_during += 1
+    while not kernel.finished:
+        report = kernel.step()
+        emitted = len(report.results)
+        out.total_results += emitted
+        if report.kind == STEP_REGION:
+            current = TraceEvent(
+                order=len(out.events) + 1, rid=report.region_id,
+                emitted_during=emitted, emitted_after=0,
+                vtime_start=report.vtime - report.vtime_delta,
+                vtime_end=report.vtime,
+            )
+            out.events.append(current)
         elif current is not None:
-            current.emitted_after += 1
-            current.vtime_end = clock.now()
+            current.emitted_after += emitted
         else:
-            out.unattributed += 1
-    if current is not None:
-        current.vtime_end = clock.now()
+            out.unattributed += emitted
     return out

@@ -36,12 +36,12 @@ class ProgressRecorder:
         self.finished_vtime: float | None = None
         self.finished_wall: float | None = None
 
-    def record(self, vtime: float | None = None) -> None:
-        """Record the emission of one result at ``vtime`` (default: now)."""
+    def record(self, vtime: float) -> None:
+        """Record the emission of one result that became final at ``vtime``."""
         self.events.append(
             EmissionEvent(
                 index=len(self.events) + 1,
-                vtime=self.clock.now() if vtime is None else vtime,
+                vtime=vtime,
                 wall=time.perf_counter() - self._wall_start,
             )
         )

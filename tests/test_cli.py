@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.data.workloads import SyntheticWorkload
 from repro.errors import SchemaError
+from repro.session.service import Session
 from repro.storage.table import Table
 
 
@@ -18,6 +20,20 @@ class TestRun:
         assert main(["run", "-n", "60", "--sigma", "0.1", "--stream"]) == 0
         out = capsys.readouterr().out
         assert "t=" in out
+
+    def test_run_stream_prints_when_each_result_became_final(self, capsys):
+        assert main(["run", "-n", "60", "--sigma", "0.1", "--stream"]) == 0
+        printed = [
+            line[2:].split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("t=")
+        ]
+        workload = SyntheticWorkload(n=60, sigma=0.1, seed=7)
+        stream = Session().execute(workload.query().bind(workload.tables()))
+        stream.drain()
+        stamps = [f"{e.vtime:.0f}" for e in stream.recorder.events]
+        assert printed == stamps
+        assert len(set(printed)) > 1
 
     def test_run_named_algorithm(self, capsys):
         assert main(["run", "-n", "60", "--sigma", "0.1", "-a", "SSMJ"]) == 0

@@ -166,18 +166,19 @@ def run_async(fault) -> dict:
         ):
             pass
 
+    notices = []
+
     async def main():
         consumer = asyncio.ensure_future(consume())
         while not streams:
             await asyncio.sleep(0)
+        streams[0].on_complete(lambda stats: notices.append(stats.state))
         fault.trigger(streams[0], tables)
         with pytest.raises(fault.error, match=fault.message):
             await consumer
 
-    notices = []
     asyncio.run(main())
     stream = streams[0]
-    notices.append(stream.state)
     state = stream.state
     with pytest.raises(StopIteration):
         next(stream)
@@ -348,6 +349,8 @@ def outcome(handle, keys) -> dict:
         "results": [r.key() for r in handle.results],
         "state": handle.state,
         "stop_reason": handle.stop_reason,
+        "vtimes": [event.vtime for event in handle.recorder.events],
+        "vtime": handle.stats().vtime,
     }
 
 
@@ -447,6 +450,9 @@ def test_every_driver_yields_the_same_sequence(algorithm, follow):
         if name != "engine":
             assert got["results"] == expected, name
             assert got["state"] == "completed", name
+    # No scheduler between them: the same steps charge the same clock.
+    for field in ("vtimes", "vtime"):
+        assert outcomes["async"][field] == outcomes["direct"][field]
 
 
 STOPS = {

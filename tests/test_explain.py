@@ -79,6 +79,23 @@ class TestTrace:
         text = t.render(limit=5)
         assert "total results" in text
 
+    def test_trace_attributes_each_region_step(self, small_bound):
+        t = trace(ProgXeEngine(small_bound, VirtualClock()))
+        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
+        reports = []
+        while not kernel.finished:
+            reports.append(kernel.step())
+        regions = [r for r in reports if r.kind == "region"]
+        assert t.events
+        assert [(e.rid, e.emitted_during) for e in t.events] == [
+            (r.region_id, len(r.results)) for r in regions
+        ]
+        assert [(e.vtime_start, e.vtime_end) for e in t.events] == [
+            (r.vtime - r.vtime_delta, r.vtime) for r in regions
+        ]
+        assert t.unattributed == len(reports[0].results)
+        assert sum(e.emitted_during for e in t.events) > 0
+
     def test_trace_total_matches_plain_run(self):
         bound = make_bound("anticorrelated", n=100, d=2, sigma=0.1, seed=10)
         plain = len(list(ProgXeEngine(bound, VirtualClock()).run()))

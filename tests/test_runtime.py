@@ -75,7 +75,7 @@ class TestProgressRecorder:
         for t in times:
             clock.charge("tick", int(t - prev))
             prev = t
-            rec.record()
+            rec.record(clock.now())
         rec.finish()
         return rec
 
@@ -111,10 +111,10 @@ class TestProgressRecorder:
         clock = VirtualClock(weights={"tick": 1.0})
         rec = ProgressRecorder(clock)
         clock.charge("tick", 10)
-        rec.record()
-        rec.record()  # same instant
+        rec.record(clock.now())
+        rec.record(clock.now())  # same instant
         clock.charge("tick", 10)
-        rec.record()
+        rec.record(clock.now())
         rec.finish()
         assert rec.batch_count() == 2
 
@@ -122,8 +122,8 @@ class TestProgressRecorder:
         # Everything at the very start -> AUC near 1.
         clock = VirtualClock(weights={"tick": 1.0})
         rec = ProgressRecorder(clock)
-        rec.record()
-        rec.record()
+        rec.record(clock.now())
+        rec.record(clock.now())
         clock.charge("tick", 100)
         rec.finish()
         assert rec.progressiveness_auc() == pytest.approx(1.0)
