@@ -229,7 +229,8 @@ class PlanningReport:
     """
 
     partitioning: str
-    input_cells: int
+    #: Grid cells per dimension on the (left, right) side.
+    input_cells: tuple[int, int]
     batch_size: int
     filter_strategy: str
     corrected: bool
@@ -241,7 +242,8 @@ class PlanningReport:
         lines = [
             "cost-based plan",
             f"  partitioning:    {self.partitioning}",
-            f"  input cells:     {self.input_cells}",
+            f"  input cells:     left {self.input_cells[0]}, "
+            f"right {self.input_cells[1]}",
             f"  batch size:      {self.batch_size}",
             f"  filter strategy: {self.filter_strategy}",
             f"  feedback:        "
@@ -270,7 +272,7 @@ class PlanningReport:
         """JSON-ready form (the CLI's ``--format json``)."""
         return {
             "partitioning": self.partitioning,
-            "input_cells": self.input_cells,
+            "input_cells": list(self.input_cells),
             "batch_size": self.batch_size,
             "filter_strategy": self.filter_strategy,
             "corrected": self.corrected,

@@ -179,12 +179,11 @@ class QueryPlan:
         (pruning snapshots the inputs, severing them from the live source).
 
         ``planner`` hands knob selection to a cost-based
-        :class:`~repro.planner.choose.Planner`: it fills every knob the
-        caller left at its default (partitioner kind, grid granularity,
-        vectorized batch size, filter push-down strategy) from statistics,
-        records its estimates on the plan's :attr:`decision`, and the build
-        writes the plan-time actuals back onto the decision for the EXPLAIN
-        estimate-vs-actual report.
+        :class:`~repro.planner.choose.Planner`: it picks the partitioner
+        kind and filter push-down strategy from statistics when the caller
+        left them at their defaults, records its estimates on the plan's
+        :attr:`decision`, and the build writes the plan-time actuals back
+        onto the decision for the EXPLAIN estimate-vs-actual report.
         """
         if follow and pushthrough:
             raise QueryError(
@@ -205,8 +204,6 @@ class QueryPlan:
                 batch_size=batch_size,
             )
             partitioning = decision.partitioning
-            input_cells = decision.input_cells
-            batch_size = decision.batch_size
             if leaf_capacity is None:
                 leaf_capacity = decision.leaf_capacity
             if decision.filter_strategy != "auto":

@@ -296,9 +296,8 @@ class ExecutionState:
             # before it in sum order beats it, and where such a point fell
             # to the scan, its dominator beats this point too and the scan
             # removes it as well.  So the survivors are those of the
-            # sweep-first order, the sweep's equal-rounded-sum quirk
-            # included.  NaN coordinates break transitivity and with it
-            # this argument.
+            # sweep-first order.  NaN coordinates break transitivity and
+            # with it this argument.
             #
             # (1a) the §III-B scan: the cell's own entries, then its
             # non-empty lower cone, pooled into one kernel launch in the

@@ -1,12 +1,12 @@
 """Statistics-driven cost-based planning and self-tuning.
 
-Every engine knob the reproduction has grown — partitioner choice, grid
-granularity, vectorized batch size, SQLite push-down vs streamed
-filters — is caller-picked by default.  This package closes the
-loop: :func:`collect_statistics` summarises sources in one sampled scan,
-the :class:`CostModel` turns summaries into work estimates, and the
-:class:`Planner` picks the knobs, records every estimate on its
-:class:`PlanDecision`, and learns from post-run actuals.
+:func:`collect_statistics` summarises sources in one sampled scan, the
+:class:`CostModel` turns summaries into estimates (fanout, join
+cardinality, skyline size), and the :class:`Planner` picks the knobs the
+statistics can decide — the quadtree on skewed inputs, SQLite push-down
+vs streamed filters — records every estimate on its
+:class:`PlanDecision`, and learns from post-run actuals.  Grid
+granularity and batch size stay at the engine defaults unless pinned.
 
 Entry points::
 
@@ -15,18 +15,8 @@ Entry points::
     repro.explain_estimates(bound)                        # estimate vs actual
 """
 
-from repro.planner.choose import (
-    BATCH_SIZE_CANDIDATES,
-    GRANULARITY_CANDIDATES,
-    PlanDecision,
-    PlanEstimates,
-    Planner,
-)
-from repro.planner.cost import (
-    DEFAULT_SCAN_COSTS,
-    CostModel,
-    calibrated_scan_costs,
-)
+from repro.planner.choose import PlanDecision, PlanEstimates, Planner
+from repro.planner.cost import CostModel
 from repro.planner.statistics import (
     ColumnStatistics,
     JoinObservation,
@@ -37,14 +27,10 @@ from repro.planner.statistics import (
 )
 
 __all__ = [
-    "BATCH_SIZE_CANDIDATES",
-    "GRANULARITY_CANDIDATES",
     "PlanDecision",
     "PlanEstimates",
     "Planner",
-    "DEFAULT_SCAN_COSTS",
     "CostModel",
-    "calibrated_scan_costs",
     "ColumnStatistics",
     "JoinObservation",
     "SourceStatistics",

@@ -1,13 +1,16 @@
 """The :class:`Planner`: estimates in, one :class:`PlanDecision` out.
 
 ``Planner.decide(bound)`` consults the statistics store (building or
-patching summaries as the source tokens demand), runs the cost model over
-a small candidate set of configurations, and returns a decision carrying:
+patching summaries as the source tokens demand) and returns a decision
+carrying:
 
-* the chosen knobs — partitioner kind, grid granularity, vectorized batch
-  size and filter strategy (SQLite push-down vs streamed filter);
-* **every estimate that informed the choice** (:class:`PlanEstimates`), so
-  EXPLAIN can print estimate-vs-actual columns after the run;
+* the knobs that take effect — partitioner kind (the quadtree on skewed
+  inputs), filter strategy (SQLite push-down vs streamed filter), and the
+  grid granularity and batch size, which are the engine defaults
+  (:func:`~repro.core.plan.default_input_cells`,
+  :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`) unless pinned;
+* **every estimate of the plan** (:class:`PlanEstimates`), so EXPLAIN can
+  print estimate-vs-actual columns after the run;
 * the query *fingerprint* under which post-run actuals feed back into the
   statistics store — the second plan over the same tables starts from the
   observed join/skyline cardinalities instead of the independence
@@ -23,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.core.plan import default_input_cells
+from repro.core.tuple_level import DEFAULT_BATCH_SIZE
 from repro.planner.cost import CostModel
 from repro.planner.statistics import (
     BYTES_PER_VALUE,
     JoinObservation,
-    SourceStatistics,
     StatisticsStore,
 )
 from repro.storage.sources.filtered import conditions_fingerprint
@@ -35,10 +39,6 @@ from repro.storage.sources.filtered import conditions_fingerprint
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.query.smj import BoundQuery
 
-#: Grid granularities the planner costs against each other.
-GRANULARITY_CANDIDATES: tuple[int, ...] = (1, 2, 3, 4, 6, 8)
-#: Batch sizes the planner may choose from.
-BATCH_SIZE_CANDIDATES: tuple[int, ...] = (128, 256, 512, 1024, 2048, 4096, 8192)
 #: Histogram concentration above which the planner prefers the quadtree
 #: (equi-width grids put skewed data into one overfull cell).
 SKEW_THRESHOLD = 0.55
@@ -46,13 +46,13 @@ SKEW_THRESHOLD = 0.55
 
 @dataclass
 class PlanEstimates:
-    """Every number the planner derived on the way to its decision.
+    """Every number the planner estimated for the plan.
 
     Example::
 
         decision = Planner().decide(bound)
         decision.estimates.join_rows        # expected join cardinality
-        decision.estimates.costs[4]         # model cost of a 4-cell grid
+        decision.estimates.regions          # expected output regions
     """
 
     rows_left: float
@@ -68,15 +68,13 @@ class PlanEstimates:
     join_rows: float
     skyline_size: float
     skew: float
-    #: Model cost per candidate granularity (the argmin was chosen).
-    costs: dict[int, float] = field(default_factory=dict)
     #: True when run feedback corrected the cardinality estimates.
     corrected: bool = False
 
 
 @dataclass
 class PlanDecision:
-    """The planner's output: chosen knobs + estimates + post-run actuals.
+    """The planner's output: knobs in effect + estimates + post-run actuals.
 
     ``actuals`` starts empty and is filled in two stages:
     :meth:`record_plan_actuals` during plan construction (rows scanned,
@@ -89,12 +87,13 @@ class PlanDecision:
         engine = ProgXeEngine(bound, planner=Planner())
         results = list(engine.run())
         decision = engine.plan_decision
-        decision.input_cells                 # what the planner chose
+        decision.partitioning                # what the planner chose
         decision.comparison()                # (metric, estimated, actual) rows
     """
 
     partitioning: str
-    input_cells: int
+    #: Grid cells per dimension on the (left, right) side.
+    input_cells: tuple[int, int]
     batch_size: int
     #: ``"push"`` (predicate push-down), ``"stream"`` (filter during the
     #: scan), or ``"auto"`` (the bind-time default; nothing to decide).
@@ -169,17 +168,22 @@ class PlanDecision:
         return rows
 
     def engine_overrides(self) -> dict:
-        """The decision as ``QueryPlan.build`` keyword overrides."""
+        """The decision as ``QueryPlan.build`` keyword overrides.
+
+        An unpinned granularity stays ``None``: the engine default is
+        per side, which one ``input_cells`` value cannot express.
+        """
+        pinned_cells = "input_cells" in self.pinned
         return {
             "partitioning": self.partitioning,
-            "input_cells": self.input_cells,
+            "input_cells": self.input_cells[0] if pinned_cells else None,
             "batch_size": self.batch_size,
             "leaf_capacity": self.leaf_capacity,
         }
 
 
 class Planner:
-    """Statistics-driven chooser of engine knobs (see the module docs).
+    """Statistics-driven planner (see the module docs).
 
     One planner instance accumulates state across queries: source
     summaries (token-validated) and run feedback keyed by query
@@ -190,7 +194,7 @@ class Planner:
 
         planner = Planner()
         decision = planner.decide(bound)
-        decision.input_cells, decision.partitioning, decision.batch_size
+        decision.partitioning, decision.filter_strategy
         # after a run, actuals recorded via the kernel feed back in:
         planner.statistics.feedback_for(decision.fingerprint)
     """
@@ -203,8 +207,6 @@ class Planner:
     ) -> None:
         self.statistics = statistics or StatisticsStore()
         self.cost_model = cost_model or CostModel()
-        #: Every decision handed out, in order (introspection/tests).
-        self.decisions: list[PlanDecision] = []
 
     # ------------------------------------------------------------------
     # the decision
@@ -217,10 +219,13 @@ class Planner:
         input_cells: int | None = None,
         batch_size: int | None = None,
     ) -> PlanDecision:
-        """Choose knobs for ``bound``; caller-pinned values are honoured.
+        """Plan ``bound``; caller-pinned values are honoured.
 
         ``partitioning`` other than the ``"grid"`` default, a non-``None``
-        ``input_cells`` or ``batch_size`` count as pinned.
+        ``input_cells`` or ``batch_size`` count as pinned.  The planner
+        does not choose granularity or batch size: measured in wall
+        time, the engine defaults are within noise of the best setting
+        (``docs/planning.md``).
         """
         model = self.cost_model
         left_base = getattr(bound, "left_base", bound.left_table)
@@ -254,68 +259,32 @@ class Planner:
             )
             corrected = True
 
+        skew = max(
+            left_stats.skew(bound.left_map_attrs),
+            right_stats.skew(bound.right_map_attrs),
+        )
         pinned: list[str] = []
         if partitioning != "grid":
             pinned.append("partitioning")
-        elif self._should_quadtree(left_stats, right_stats, bound):
+        elif skew >= SKEW_THRESHOLD:
             partitioning = "quadtree"
 
-        scan_left = model.scan_cost(left_base.kind)
-        scan_right = model.scan_cost(right_base.kind)
-        signed_left = left_stats.mean_correlation(bound.left_map_attrs)
-        signed_right = right_stats.mean_correlation(bound.right_map_attrs)
-        # Mapped outputs are per-dimension sums, so the output-space
-        # correlation tracks the mean of the per-side input correlations.
-        signed = (signed_left + signed_right) / 2.0
-        corr_left = abs(signed_left)
-        corr_right = abs(signed_right)
-        costs: dict[int, float] = {}
-        best_cells, best_fanouts = None, (1.0, 1.0)
-        for cells in GRANULARITY_CANDIDATES:
-            fanout_left = model.partition_fanout(
-                left_stats, bound.left_map_attrs, cells, rows=rows_left,
-                correlation=corr_left,
-            )
-            fanout_right = model.partition_fanout(
-                right_stats, bound.right_map_attrs, cells, rows=rows_right,
-                correlation=corr_right,
-            )
-            cost = model.plan_cost(
-                rows_left=rows_left,
-                rows_right=rows_right,
-                fanout_left=fanout_left,
-                fanout_right=fanout_right,
-                join_rows=join_rows,
-                dims=dims,
-                scan_left=scan_left,
-                scan_right=scan_right,
-                skyline=skyline_size,
-                correlation=signed,
-            )
-            costs[cells] = cost
-            if best_cells is None or cost < costs[best_cells]:
-                best_cells, best_fanouts = cells, (fanout_left, fanout_right)
+        cells_left = input_cells or default_input_cells(len(bound.left_map_attrs))
+        cells_right = input_cells or default_input_cells(
+            len(bound.right_map_attrs)
+        )
         if input_cells is not None:
             pinned.append("input_cells")
-            chosen_cells = input_cells
-            fanout_left = model.partition_fanout(
-                left_stats, bound.left_map_attrs, chosen_cells, rows=rows_left,
-                correlation=corr_left,
-            )
-            fanout_right = model.partition_fanout(
-                right_stats, bound.right_map_attrs, chosen_cells,
-                rows=rows_right, correlation=corr_right,
-            )
-        else:
-            chosen_cells = best_cells or GRANULARITY_CANDIDATES[0]
-            fanout_left, fanout_right = best_fanouts
-        regions = fanout_left * fanout_right
-
         if batch_size is not None:
             pinned.append("batch_size")
-            chosen_batch = batch_size
-        else:
-            chosen_batch = self._choose_batch_size(join_rows, regions)
+        fanout_left = model.partition_fanout(
+            left_stats, bound.left_map_attrs, cells_left, rows=rows_left,
+            correlation=left_stats.mean_abs_correlation(bound.left_map_attrs),
+        )
+        fanout_right = model.partition_fanout(
+            right_stats, bound.right_map_attrs, cells_right, rows=rows_right,
+            correlation=right_stats.mean_abs_correlation(bound.right_map_attrs),
+        )
 
         filter_strategy = self._choose_filter_strategy(
             left_base, right_base, left_conditions, right_conditions,
@@ -335,28 +304,22 @@ class Planner:
             ),
             fanout_left=fanout_left,
             fanout_right=fanout_right,
-            regions=regions,
+            regions=fanout_left * fanout_right,
             join_rows=join_rows,
             skyline_size=skyline_size,
-            skew=max(
-                left_stats.skew(bound.left_map_attrs),
-                right_stats.skew(bound.right_map_attrs),
-            ),
-            costs=costs,
+            skew=skew,
             corrected=corrected,
         )
-        decision = PlanDecision(
+        return PlanDecision(
             partitioning=partitioning,
-            input_cells=chosen_cells,
-            batch_size=chosen_batch,
+            input_cells=(cells_left, cells_right),
+            batch_size=batch_size or DEFAULT_BATCH_SIZE,
             filter_strategy=filter_strategy,
             estimates=estimates,
             fingerprint=fingerprint,
             pinned=tuple(pinned),
             _planner=self,
         )
-        self.decisions.append(decision)
-        return decision
 
     # ------------------------------------------------------------------
     # feedback
@@ -405,28 +368,6 @@ class Planner:
     # ------------------------------------------------------------------
     # individual choices
     # ------------------------------------------------------------------
-    def _should_quadtree(
-        self,
-        left: SourceStatistics,
-        right: SourceStatistics,
-        bound: "BoundQuery",
-    ) -> bool:
-        """Prefer the adaptive quadtree when the mapped space is skewed."""
-        skew = max(
-            left.skew(bound.left_map_attrs),
-            right.skew(bound.right_map_attrs),
-        )
-        return skew >= SKEW_THRESHOLD
-
-    def _choose_batch_size(self, join_rows: float, regions: float) -> int:
-        """Batch near the expected per-region pair count (fewer partial
-        flushes without buffering past the region's own output)."""
-        pairs_per_region = join_rows / max(regions, 1.0)
-        for candidate in BATCH_SIZE_CANDIDATES:
-            if candidate >= pairs_per_region:
-                return candidate
-        return BATCH_SIZE_CANDIDATES[-1]
-
     def _choose_filter_strategy(
         self,
         left_base,

@@ -1,187 +1,38 @@
-"""The planner's cost model: estimates over statistics, no tuple touched.
+"""The planner's estimates: statistics in, numbers out, no tuple touched.
 
-Every formula here is a pre-execution estimate of work the virtual clock
-will charge for later, derived from :class:`~repro.planner.statistics
-.SourceStatistics` summaries:
+Every formula here is a pre-execution estimate derived from
+:class:`~repro.planner.statistics.SourceStatistics` summaries, printed by
+EXPLAIN next to the observed value:
 
 * **bytes scanned** — footprint of the rows planning will pass over;
 * **partition fanout** — expected number of *occupied* grid cells per
-  source at a candidate granularity (per-dimension histogram masses give
-  per-cell occupancy probabilities; the balls-in-bins expectation
+  source at the granularity the plan uses (per-dimension histogram masses
+  give per-cell occupancy probabilities; the balls-in-bins expectation
   ``sum(1 - (1 - p_cell)^n)`` counts cells that receive at least one row);
 * **expected join cardinality** — the classical ``n_l * n_r / max(ndv)``
   equi-join estimate over the join-key NDVs;
 * **expected skyline size** — paper Eq. 1 via
-  :func:`repro.skyline.estimate.expected_skyline_size`, total and
-  per-region.
-
-Backend scan-cost constants translate logical rows into relative scan
-effort (an mmap-backed or SQLite scan costs more per row than a resident
-list).  :func:`calibrated_scan_costs` measures them **once per process**
-by timing tiny scans over each backend; the default :class:`CostModel`
-uses fixed constants so planning stays deterministic unless calibration is
-requested explicitly (``CostModel.calibrated()``).
+  :func:`repro.skyline.estimate.expected_skyline_size`.
 """
 
 from __future__ import annotations
 
 import math
-import sqlite3
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.planner.statistics import SourceStatistics
 from repro.skyline.estimate import expected_skyline_size
 
-#: Relative per-row scan effort by backend ``kind`` (memory = 1).  The
-#: fixed defaults keep planning deterministic; ``CostModel.calibrated()``
-#: replaces them with constants measured once per process.
-DEFAULT_SCAN_COSTS: Mapping[str, float] = {
-    "memory": 1.0,
-    "columnar": 1.4,
-    "sqlite": 2.8,
-}
-#: Scan constant for unknown / composite backends (e.g. ``sqlite+filter``).
-FALLBACK_SCAN_COST = 1.6
 
-_CALIBRATION_CACHE: dict[int, dict[str, float]] = {}
-
-
-def calibrated_scan_costs(rows: int = 2048) -> dict[str, float]:
-    """Per-backend scan constants measured once per process.
-
-    Builds a tiny two-column relation on each backend (in-memory list,
-    columnar file in a scratch directory, in-memory SQLite database),
-    times one full batch scan of each, and normalises to ``memory = 1``.
-    The result is cached per process — calibration is wall-clock work and
-    must not run per query.  Any failure (read-only filesystem, missing
-    backend) falls back to :data:`DEFAULT_SCAN_COSTS` for the backends
-    that could not be measured.
-
-    Example::
-
-        costs = calibrated_scan_costs()
-        CostModel(scan_costs=costs)
-    """
-    cached = _CALIBRATION_CACHE.get(rows)
-    if cached is not None:
-        return cached
-    costs = dict(DEFAULT_SCAN_COSTS)
-    try:
-        costs.update(_measure_scan_costs(rows))
-    except (OSError, RuntimeError, sqlite3.Error):
-        # pragma: no cover - environment-dependent (read-only fs, missing
-        # backend); the fixed defaults stand in for unmeasurable backends.
-        pass
-    _CALIBRATION_CACHE[rows] = costs
-    return costs
-
-
-def _measure_scan_costs(rows: int) -> dict[str, float]:
-    """Time one scan per backend; normalise to the memory backend."""
-    import shutil
-    import sqlite3
-    import tempfile
-    import time
-
-    from repro.storage.sources.sqlite import SQLiteSource
-    from repro.storage.table import Table
-    from repro.storage.sources.columnar import (
-        ColumnarFileSource,
-        write_columnar,
-    )
-
-    table = Table.from_rows(
-        "calib", ["a0", "jkey"],
-        [(float(i % 97), i % 13) for i in range(rows)],
-    )
-
-    def scan_seconds(source) -> float:
-        best = math.inf
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for batch in source.scan_batches():
-                batch.rows
-            best = min(best, time.perf_counter() - t0)
-        return max(best, 1e-9)
-
-    measured = {"memory": scan_seconds(table)}
-    scratch = tempfile.mkdtemp(prefix="repro-calibrate-")
-    try:
-        path = write_columnar(f"{scratch}/calib.col", table)
-        columnar = ColumnarFileSource(path)
-        measured["columnar"] = scan_seconds(columnar)
-        del columnar
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    connection = sqlite3.connect(":memory:")
-    try:
-        SQLiteSource.write_table(connection, "calib", table)
-        measured["sqlite"] = scan_seconds(
-            SQLiteSource(connection, table="calib")
-        )
-    finally:
-        connection.close()
-    base = measured["memory"]
-    return {kind: max(1.0, seconds / base) for kind, seconds in measured.items()}
-
-
-@dataclass(frozen=True)
 class CostModel:
-    """Turns statistics into work estimates (all knobs are fields).
-
-    The per-phase weights mirror what the virtual clock charges: one
-    partition op per scanned row, look-ahead work per region pair, hash
-    build/probe per row per surviving region and one result op per joined
-    pair, plus skyline maintenance that shrinks as regions get finer.
+    """Turns statistics into the estimates EXPLAIN prints.
 
     Example::
 
         model = CostModel()
         model.partition_fanout(stats, ("a0", "a1"), cells=4)
-        model.plan_cost(rows_left=500, rows_right=500, fanout_left=9.0,
-                        fanout_right=9.0, join_rows=2500.0, dims=2)
+        model.join_cardinality(left, right, "jkey", "jkey")
     """
-
-    scan_costs: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_SCAN_COSTS)
-    )
-    #: Look-ahead work per *effective* region pair (construction, output
-    #: grid coverage, cone wiring).
-    lookahead_weight: float = 3.0
-    #: Hash-join build/probe work per row per surviving region.
-    join_row_weight: float = 1.0
-    #: Work per materialised result pair (map + result + queue charges).
-    result_weight: float = 2.25
-    #: Skyline-maintenance weight on the dominance-comparison estimate.
-    dominance_weight: float = 0.4
-    #: Pruning strength: the fraction of pairs that materialise decays
-    #: like ``prune_c / sqrt(effective regions)`` (measured fit).
-    prune_c: float = 2.0
-
-    @classmethod
-    def calibrated(cls, **overrides) -> "CostModel":
-        """A model whose scan constants were measured this process.
-
-        Measurement happens at most once per process (see
-        :func:`calibrated_scan_costs`); repeated calls are free.
-        """
-        overrides.setdefault("scan_costs", calibrated_scan_costs())
-        return cls(**overrides)
-
-    # ------------------------------------------------------------------
-    # per-quantity estimators
-    # ------------------------------------------------------------------
-    def scan_cost(self, kind: str) -> float:
-        """Relative per-row scan effort for a backend ``kind``.
-
-        Composite kinds (``"sqlite+filter"``) resolve by their base
-        backend; unknown kinds use :data:`FALLBACK_SCAN_COST`.
-        """
-        if kind in self.scan_costs:
-            return self.scan_costs[kind]
-        base = kind.split("+", 1)[0]
-        return self.scan_costs.get(base, FALLBACK_SCAN_COST)
 
     def bytes_scanned(self, stats: SourceStatistics) -> float:
         """Estimated bytes one full scan of the source passes over."""
@@ -255,81 +106,6 @@ class CostModel:
     def skyline_size(self, join_rows: float, dims: int) -> float:
         """Paper Eq. 1 over the expected join output."""
         return expected_skyline_size(join_rows, dims)
-
-    def region_skyline(
-        self, join_rows: float, regions: float, dims: int
-    ) -> float:
-        """Expected skyline size of one region's join output."""
-        return expected_skyline_size(join_rows / max(regions, 1.0), dims)
-
-    # ------------------------------------------------------------------
-    # whole-plan cost
-    # ------------------------------------------------------------------
-    def plan_cost(
-        self,
-        *,
-        rows_left: float,
-        rows_right: float,
-        fanout_left: float,
-        fanout_right: float,
-        join_rows: float,
-        dims: int,
-        scan_left: float = 1.0,
-        scan_right: float = 1.0,
-        skyline: float | None = None,
-        correlation: float = 0.0,
-    ) -> float:
-        """Model cost of one granularity choice, in virtual-time-ish units.
-
-        The terms mirror where the virtual clock actually charges:
-
-        * **partitioning** — a ¼-weight op per scanned row, plus the
-          ``fanout_l × fanout_r`` region-pair enumeration
-          (:func:`~repro.core.lookahead.build_regions` walks the full
-          cartesian product) — the term that *grows* with granularity;
-        * **look-ahead** — output-grid coverage and cone wiring per
-          *effective* region (regions expected to hold at least one pair);
-        * **joins** — hash build/probe over each effective region's slice;
-        * **results + dominance** — per *materialised* pair.  Look-ahead
-          pruning discards dominated regions before their pairs ever
-          materialise; measured across workloads the surviving fraction
-          decays like ``prune_c / sqrt(effective regions)``, floored at
-          the skyline itself (which always materialises).  This shrinking
-          term is what finer granularity buys, and the trade against the
-          pair-enumeration term is exactly what the planner optimises.
-        """
-        regions = max(1.0, fanout_left * fanout_right)
-        partition = 0.25 * (
-            rows_left * scan_left + rows_right * scan_right + regions
-        )
-        # Regions expected to receive at least one join pair (Poisson).
-        effective = regions * (1.0 - math.exp(-join_rows / regions))
-        lookahead = self.lookahead_weight * effective
-        floor = (
-            skyline if skyline is not None
-            else expected_skyline_size(join_rows, dims)
-        ) / max(join_rows, 1.0)
-        keep = min(
-            1.0, max(self.prune_c / math.sqrt(max(effective, 1.0)), floor)
-        )
-        # Anticorrelated skyline dimensions (signed mean r < 0) spread
-        # the skyline along the anti-diagonal where regions do not
-        # dominate each other: pruning degrades toward keep = 1.
-        defeat = min(1.0, max(0.0, -correlation))
-        keep = (1.0 - defeat) * keep + defeat
-        materialised = join_rows * keep
-        join = self.join_row_weight * effective * keep * (
-            rows_left / max(fanout_left, 1.0)
-            + rows_right / max(fanout_right, 1.0)
-        )
-        results = self.result_weight * materialised
-        # Dominance work per materialised pair scales with the buffered
-        # per-region skyline it is compared against.
-        buffered = self.region_skyline(join_rows, regions, dims)
-        dominance = self.dominance_weight * materialised * math.log2(
-            buffered + 2
-        )
-        return partition + lookahead + join + results + dominance
 
 
 def _rebucket(histogram: Sequence[int], cells: int) -> list[float]:

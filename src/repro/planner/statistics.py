@@ -345,17 +345,6 @@ class SourceStatistics:
         r = cov / (var_a * var_b) ** 0.5
         return min(1.0, max(-1.0, r))
 
-    def mean_correlation(self, attributes: Sequence[str]) -> float:
-        """Mean signed ``r`` over all pairs of ``attributes`` (0.0 if < 2).
-
-        The sign is the planner's pruning signal: positively correlated
-        skyline dimensions concentrate dominance (regions prune each
-        other), anticorrelated dimensions spread the skyline along the
-        anti-diagonal where no region dominates another.
-        """
-        scores = self._pair_correlations(attributes)
-        return sum(scores) / len(scores) if scores else 0.0
-
     def mean_abs_correlation(self, attributes: Sequence[str]) -> float:
         """Mean ``|r|`` over all pairs of ``attributes`` (0.0 if < 2)."""
         scores = self._pair_correlations(attributes)

@@ -51,10 +51,10 @@ class EngineConfig:
         processing; ``None`` keeps
         :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`.
     planner:
-        Hand every knob left at its default to the cost-based
+        Plan through the cost-based
         :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
-        statistics pick the partitioner, granularity, batch size and
-        filter strategy, and post-run actuals feed back into the planner.
+        statistics pick the partitioner and filter strategy where left at
+        their defaults, and post-run actuals feed back into the planner.
         Not an engine keyword as-is: the session (or
         ``ProgXeEngine.from_config``) resolves the flag into the
         ``planner`` object it hands the engine, so estimates and feedback
@@ -162,8 +162,8 @@ class EngineConfig:
 #: Named presets: the paper's default setup, the push-through "+" variant,
 #: a memory-lean setup (bloom signatures, quadtree partitioning that adapts
 #: to skew), a production profile that skips the end-of-run verification,
-#: and ``auto`` — the cost-based planner chooses partitioner, granularity,
-#: batch size and filter strategy from statistics.
+#: and ``auto`` — the cost-based planner chooses partitioner and filter
+#: strategy from statistics.
 PRESETS: dict[str, EngineConfig] = {
     "default": EngineConfig(),
     "progressive-plus": EngineConfig(pushthrough=True),

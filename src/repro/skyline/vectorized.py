@@ -149,24 +149,25 @@ def pareto_mask(
 
 
 def _sum_order(P: np.ndarray) -> np.ndarray:
-    """Stable sort permutation by coordinate sum — SFS order.
+    """Sort permutation by coordinate sum, ties broken lexicographically.
 
-    A dominator has a strictly smaller coordinate sum, so after this sort
-    no vector can be dominated by a later one.  Sum alone (no lexicographic
-    tie-breaking) suffices: equal-sum vectors cannot dominate each other
-    either, and the sweep handles duplicates by explicit equality.  A
-    single-key stable argsort is several times cheaper than a full lexsort
-    at the 100k scale.
+    After this sort no vector is dominated by a later one.  Rounded
+    summation is monotone, so a dominator's float sum is never larger than
+    its victim's; when the two sums round to the same value (``(1e16, 0)``
+    and ``(1e16, 1)``), the dominator is smaller at the first coordinate
+    where they differ, so the lexicographic tie-break puts it first.
+    Identical vectors keep their input order (the sort is stable), and the
+    sweep keeps them all by explicit equality.
     """
-    return np.argsort(P.sum(axis=1), kind="stable")
+    return np.lexsort((*P.T[::-1], P.sum(axis=1)))
 
 
 def _sorted_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
     """Skyline positions of a sum-sorted matrix via a vectorized sweep.
 
     The head of the remaining window is always a confirmed skyline member
-    (nothing later in sum order can dominate it, and equal-sum dominance is
-    impossible), so each step keeps the head and tests it against the whole
+    (nothing later in :func:`_sum_order` can dominate it), so each step
+    keeps the head and tests it against the whole
     tail — ``|skyline|`` steps in total, the window algorithm with a matrix
     inner loop.  Identical vectors never dominate each other, so duplicate
     heads survive as subsequent heads.  The window is held one contiguous
@@ -199,22 +200,20 @@ def _sorted_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.nda
 #: it, groups of ~90 candidates with ~5 survivors above.
 _PAIRWISE_MAX = 32
 
-_EARLIER = np.triu(np.ones((_PAIRWISE_MAX,) * 2, dtype=bool), 1)
-
 
 def _pairwise_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
     """:func:`_sorted_sweep` of a small window from one pairwise matrix.
 
     Same positions, same comparison total, no Python loop.  A point is a
-    head iff no earlier point beats it (had that point been eliminated, its
-    eliminator beats this one too: dominance is transitive).  The sweep
-    tests a point against each head before it, up to and including the
-    first that beats it: ``k`` tests for the ``k``-th head, one more than
-    its first beater's rank for an eliminated point.
+    head iff no point beats it: in :func:`_sum_order` only earlier points
+    can, and had such a point been eliminated, its eliminator beats this
+    one too (dominance is transitive).  The sweep tests a point against
+    each head before it, up to and including the first that beats it:
+    ``k`` tests for the ``k``-th head, one more than its first beater's
+    rank for an eliminated point.
     """
     n = S.shape[0]
     beats = dominates_matrix(S, S)
-    beats &= _EARLIER[:n, :n]  # a head only ever meets the points after it
     alive = ~beats.any(axis=0)
     if on_comparisons is not None and n > 1:
         heads = beats[alive]

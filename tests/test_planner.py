@@ -4,17 +4,20 @@ The planner's contract has three layers, each tested here:
 
 1. **Statistics** — one sampled scan per source, cached by ``cache_token``;
    streaming appends only *patch* the summary, any other change rebuilds it.
-2. **Cost model** — estimates (fanout, join cardinality, skyline size) are
-   sane and monotone in the obvious directions.
+2. **Estimates** — fanout, join cardinality and skyline size are sane and
+   monotone in the obvious directions.
 3. **Decisions are advisory, never semantic** — a planner-driven engine
    produces byte-identical results to a hand-configured engine with the
-   same knobs, across storage backends, partitioners and the vectorized
-   switch; and the same final result set as any other configuration.
+   same knobs, across storage backends and partitioners; unpinned grid
+   granularity and batch size are the engine defaults, so on unskewed
+   inputs ``"auto"`` runs exactly the default plan.
 """
 
 from __future__ import annotations
 
+import gc
 import sqlite3
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +26,10 @@ from hypothesis import strategies as st
 from tests.conftest import make_bound, oracle_skyline_keys
 from repro.core.engine import ProgXeEngine
 from repro.core.explain import explain_estimates
+from repro.core.plan import default_input_cells
+from repro.core.tuple_level import DEFAULT_BATCH_SIZE
 from repro.data.workloads import SyntheticWorkload
 from repro.planner import (
-    BATCH_SIZE_CANDIDATES,
-    GRANULARITY_CANDIDATES,
     CostModel,
     Planner,
     StatisticsStore,
@@ -141,16 +144,6 @@ class TestCorrelation:
         assert diagonal < independent
         assert diagonal == pytest.approx(independent**0.5)
 
-    def test_anticorrelation_defeats_pruning_in_the_model(self):
-        model = CostModel()
-        shared = dict(
-            rows_left=300, rows_right=300, fanout_left=8.0,
-            fanout_right=8.0, join_rows=4500.0, dims=2,
-        )
-        fine = model.plan_cost(**shared)
-        defeated = model.plan_cost(**shared, correlation=-1.0)
-        assert defeated > fine  # keep -> 1: nothing prunes early
-
 
 class TestStatisticsStore:
     def test_unchanged_source_is_a_cache_hit(self):
@@ -195,7 +188,7 @@ class TestStatisticsStore:
 
 
 # ----------------------------------------------------------------------
-# cost model
+# estimates
 # ----------------------------------------------------------------------
 class TestCostModel:
     def test_fanout_grows_with_granularity_but_never_exceeds_rows(self):
@@ -203,7 +196,7 @@ class TestCostModel:
         model = CostModel()
         fanouts = [
             model.partition_fanout(stats, ("a0", "a1"), cells)
-            for cells in GRANULARITY_CANDIDATES
+            for cells in (1, 2, 3, 4, 6, 8)
         ]
         assert fanouts == sorted(fanouts)
         assert all(f <= 64 for f in fanouts)
@@ -218,33 +211,31 @@ class TestCostModel:
         # 64 * 64 / ndv(8): the classical System-R estimate.
         assert estimate == pytest.approx(512.0, rel=0.05)
 
-    def test_scan_cost_constants_rank_backends(self):
-        model = CostModel()
-        assert model.scan_cost("memory") < model.scan_cost("columnar")
-        assert model.scan_cost("columnar") < model.scan_cost("sqlite")
-        assert model.scan_cost("unheard-of-backend") > 0
-
-    def test_calibrated_costs_are_cached_per_process(self):
-        from repro.planner.cost import calibrated_scan_costs
-
-        first = calibrated_scan_costs()
-        second = calibrated_scan_costs()
-        assert first is second
-        assert first["memory"] == 1.0
-
 
 # ----------------------------------------------------------------------
 # decisions
 # ----------------------------------------------------------------------
 class TestPlannerDecisions:
-    def test_decision_fields_are_valid_knobs(self):
+    def test_unpinned_knobs_are_the_engine_defaults(self):
         bound = make_bound(n=120, d=2, seed=3)
         decision = Planner().decide(bound)
         assert decision.partitioning in ("grid", "quadtree")
-        assert decision.input_cells in GRANULARITY_CANDIDATES
-        assert decision.batch_size in BATCH_SIZE_CANDIDATES
-        assert decision.estimates.costs  # every candidate was scored
+        assert decision.input_cells == (
+            default_input_cells(len(bound.left_map_attrs)),
+            default_input_cells(len(bound.right_map_attrs)),
+        )
+        assert decision.batch_size == DEFAULT_BATCH_SIZE
         assert decision.pinned == ()
+        assert decision.engine_overrides()["input_cells"] is None
+
+    def test_fanout_is_estimated_at_the_granularity_in_effect(self):
+        bound = make_bound(n=200, d=2, seed=3)
+        planner = Planner()
+        default = planner.decide(bound).estimates
+        coarse = planner.decide(bound, input_cells=1).estimates
+        assert coarse.fanout_left == coarse.fanout_right == 1.0
+        assert default.fanout_left > coarse.fanout_left
+        assert default.regions == default.fanout_left * default.fanout_right
 
     def test_pinned_knobs_are_honoured_not_chosen(self):
         bound = make_bound(n=80, d=2, seed=3)
@@ -252,8 +243,9 @@ class TestPlannerDecisions:
             bound, partitioning="quadtree", input_cells=5, batch_size=96
         )
         assert decision.partitioning == "quadtree"
-        assert decision.input_cells == 5
+        assert decision.input_cells == (5, 5)
         assert decision.batch_size == 96
+        assert decision.engine_overrides()["input_cells"] == 5
         assert set(decision.pinned) == {
             "partitioning", "input_cells", "batch_size",
         }
@@ -342,6 +334,22 @@ class TestWiring:
         session.execute(bound, config="auto").drain()
         assert session.planner.statistics.counters().hits >= 2
 
+    def test_finished_auto_stream_releases_its_decision(self):
+        """A long-lived session planner keeps statistics and feedback,
+        not one decision per query it ever planned."""
+        workload = SyntheticWorkload(n=100, d=2, seed=21)
+        session = Session().register_tables(workload.tables())
+        bound = workload.query().bind(
+            {a: session.table(a) for a in ("R", "T")}
+        )
+        stream = session.execute(bound, config="auto")
+        stream.drain()
+        decision = weakref.ref(stream.algorithm.plan_decision)
+        assert decision() is not None
+        del stream
+        gc.collect()
+        assert decision() is None
+
     def test_builder_auto_matches_default_result_set(self):
         workload = SyntheticWorkload(n=120, d=2, seed=4)
         session = Session().register_tables(workload.tables())
@@ -359,6 +367,45 @@ class TestWiring:
         auto = {r.key() for r in query().auto().execute().drain()}
         plain = {r.key() for r in query().execute().drain()}
         assert auto == plain
+
+    @pytest.mark.parametrize(
+        "select, where",
+        [
+            ("(R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1", ""),
+            ("(2*R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1", ""),
+            ("(R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1", " AND R.a2 <= 50"),
+            (
+                "(R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1, "
+                "(R.a2 + T.b2) AS x2",
+                "",
+            ),
+        ],
+        ids=["sum2", "weighted", "filter", "sum3"],
+    )
+    def test_auto_runs_the_default_plan(self, select, where):
+        """On unskewed inputs ``"auto"`` and the default config run the
+        same plan: same results in the same order, same steps, same
+        clock."""
+        tables = SyntheticWorkload(n=800, d=3, sigma=0.05, seed=8).tables()
+        prefs = " AND ".join(
+            f"LOWEST(x{i})" for i in range(select.count(" AS "))
+        )
+        sql = (
+            f"SELECT R.id AS rid, T.id AS tid, {select} FROM R R, T T "
+            f"WHERE R.jkey = T.jkey{where} PREFERRING {prefs}"
+        )
+
+        def run(config):
+            # A session each: a shared one would serve the second run's
+            # partitions from its cache.
+            session = Session().register_tables(tables)
+            stream = session.execute(session.sql(sql), config=config)
+            keys = [r.key() for r in stream.drain()]
+            return keys, stream.steps, stream.clock.snapshot()
+
+        auto = run("auto")
+        assert auto[0]
+        assert auto == run("default")
 
     def test_explicit_batch_size_flows_to_the_kernel(self):
         bound = make_bound(n=80, d=2, seed=5)

@@ -358,8 +358,8 @@ def insertion_scenarios(draw):
                 p[draw(st.integers(0, d - 1))] = draw(st.sampled_from([-np.inf, np.inf]))
                 batch.append(p)
             elif kind == "rounded-sum pair" and d > 1:
-                # Equal float sums, the dominated vector first: the sweep
-                # keeps both.
+                # Equal float sums, the dominated vector first: only the
+                # dominator survives.
                 rest = point(draw(st.sampled_from(cells)))[2:]
                 batch += [[1e16, 0.5, *rest], [1e16, 0.25, *rest]]
             else:
@@ -473,6 +473,19 @@ class TestScanFirstInsertion:
         got = run_insertions(scenario, ExecutionState.insert_batch)
         want = run_insertions(scenario, insert_batch_sweep_first)
         assert got == want
+
+    @pytest.mark.parametrize(
+        "insert", [ExecutionState.insert_batch, insert_batch_sweep_first]
+    )
+    def test_equal_rounded_sums_keep_only_the_dominator(self, insert):
+        # (1e16, 1) and (1e16, 0) have the same float sum.
+        batch = [[1e16, 1.0], [1e16, 0.0]]
+        state = build_scenario((2, 1, {(0, 0): "open"}, {}, [], False))
+        vectors = np.asarray(batch)
+        rows = [("B", i) for i in range(len(batch))]
+        insert(state, vectors, rows, rows, vectors)
+        assert state.grid.cells[(0, 0)].vector_matrix().tolist() == [[1e16, 0.0]]
+        assert state.dominated_on_arrival == 1
 
     @given(insertion_scenarios())
     @settings(max_examples=200, deadline=None)

@@ -126,6 +126,7 @@ class TestDominatesMatrixEdgeValues:
 # ---------------------------------------------------------------------------
 # Small-domain values make duplicates and equal coordinate sums the rule;
 # 1e16 swallows a +1, so dominance between *equal rounded sums* occurs too.
+# Every form must still return the true skyline (``pareto_mask``).
 sweep_coord = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 1e16])
 
 
@@ -157,6 +158,7 @@ class TestSweepForms:
         tested: list[int] = []
         mask = skyline_mask(P, on_comparisons=tested.append)
         assert mask.tolist() == expected_mask.tolist()
+        assert mask.tolist() == pareto_mask(P).tolist()
         assert sum(tested) == expected_total
         assert (skyline_mask(P) == expected_mask).all()  # uncounted form
 
@@ -177,14 +179,23 @@ class TestSweepForms:
                 assert got.tolist() == expected.tolist()
                 assert sum(flat) == sum(loop)
 
-    def test_equal_rounded_sums_follow_the_sweep_not_the_true_skyline(self):
-        # (1e16, 1) and (1e16, 0) have the same float sum; arriving in this
-        # order the sweep meets the dominated point first and keeps both.
-        # The loop-free form must reproduce that, not "fix" it.
-        P = np.array([[1e16, 1.0], [1e16, 0.0]])
-        assert skyline_mask(P).tolist() == [True, True]
-        assert reference_sweep(P)[0].tolist() == [True, True]
-        assert skyline_mask(P[::-1]).tolist() == [True, False]
+    @pytest.mark.parametrize("others", [0, 2 * _PAIRWISE_MAX])
+    def test_equal_rounded_sums_keep_the_true_skyline(self, others):
+        # (1e16, 1) and (1e16, 0) have the same float sum; whichever
+        # arrives first, only the dominator survives.  ``others``
+        # incomparable points push the window past the pairwise cutover
+        # into the sorted sweep.
+        pair = np.array([[1e16, 1.0], [1e16, 0.0]])
+        steps = np.arange(1, others + 1)
+        rest = np.column_stack([steps, -steps]) * 1e17
+        for P in (np.vstack([pair, rest]), np.vstack([pair[::-1], rest])):
+            expected = pareto_mask(P)
+            assert P[:2][expected[:2]].tolist() == [[1e16, 0.0]]
+            assert skyline_mask(P).tolist() == expected.tolist()
+            assert reference_sweep(P)[0].tolist() == expected.tolist()
+            assert sorted(vectorized_sfs_skyline(P).tolist()) == sorted(
+                P[expected].tolist()
+            )
 
 
 # ---------------------------------------------------------------------------
