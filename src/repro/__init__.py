@@ -81,7 +81,6 @@ from repro.core import (
     verify_results,
 )
 from repro.planner import (
-    CostModel,
     PlanDecision,
     Planner,
     SourceStatistics,
@@ -171,7 +170,6 @@ __all__ = [
     "ChainJoin",
     "ComparisonReport",
     "Const",
-    "CostModel",
     "EngineConfig",
     "ExecutionError",
     "ExecutionKernel",

@@ -20,8 +20,8 @@ from repro.core.elimination_graph import EliminationGraph
 from repro.core.engine import ProgXeEngine
 from repro.core.kernel import STEP_REGION
 from repro.core.plan import (
-    default_input_cells as _default_input_cells,
     default_output_cells as _default_output_cells,
+    input_cells_per_side,
 )
 from repro.core.lookahead import run_lookahead
 from repro.query.smj import BoundQuery
@@ -100,8 +100,7 @@ def explain(
 ) -> ExplainReport:
     """Plan-only dry run: look-ahead + ranking, no tuple-level processing."""
     clock = VirtualClock()
-    k_left = input_cells or _default_input_cells(len(bound.left_map_attrs))
-    k_right = input_cells or _default_input_cells(len(bound.right_map_attrs))
+    k_left, k_right = input_cells_per_side(bound, input_cells)
     left_grid = GridPartitioner(k_left, signature_kind).partition(
         bound.left_table, bound.left_map_attrs, bound.query.join.left_attr,
         source=bound.left_alias,
@@ -229,8 +228,9 @@ class PlanningReport:
     """
 
     partitioning: str
-    #: Grid cells per dimension on the (left, right) side.
-    input_cells: tuple[int, int]
+    #: Grid cells per dimension on the (left, right) side; ``None`` under
+    #: quadtree partitioning.
+    input_cells: tuple[int, int] | None
     batch_size: int
     filter_strategy: str
     corrected: bool
@@ -239,11 +239,11 @@ class PlanningReport:
 
     def render(self) -> str:
         """Human-readable estimate-vs-actual table."""
-        lines = [
-            "cost-based plan",
-            f"  partitioning:    {self.partitioning}",
-            f"  input cells:     left {self.input_cells[0]}, "
-            f"right {self.input_cells[1]}",
+        lines = ["cost-based plan", f"  partitioning:    {self.partitioning}"]
+        if self.input_cells is not None:
+            left, right = self.input_cells
+            lines.append(f"  input cells:     left {left}, right {right}")
+        lines += [
             f"  batch size:      {self.batch_size}",
             f"  filter strategy: {self.filter_strategy}",
             f"  feedback:        "
@@ -272,7 +272,9 @@ class PlanningReport:
         """JSON-ready form (the CLI's ``--format json``)."""
         return {
             "partitioning": self.partitioning,
-            "input_cells": list(self.input_cells),
+            "input_cells": (
+                None if self.input_cells is None else list(self.input_cells)
+            ),
             "batch_size": self.batch_size,
             "filter_strategy": self.filter_strategy,
             "corrected": self.corrected,

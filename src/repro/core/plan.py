@@ -80,6 +80,20 @@ def default_input_cells(source_dims: int) -> int:
     return 2
 
 
+def input_cells_per_side(
+    bound: BoundQuery, input_cells: int | None
+) -> tuple[int, int]:
+    """Grid cells per dimension on the (left, right) side.
+
+    A pinned ``input_cells`` applies to both sides; otherwise each side
+    gets :func:`default_input_cells` for its own mapping dimensionality.
+    """
+    return (
+        input_cells or default_input_cells(len(bound.left_map_attrs)),
+        input_cells or default_input_cells(len(bound.right_map_attrs)),
+    )
+
+
 def default_output_cells(dimensions: int) -> int:
     """Output grid resolution by skyline dimensionality.
 
@@ -204,8 +218,6 @@ class QueryPlan:
                 batch_size=batch_size,
             )
             partitioning = decision.partitioning
-            if leaf_capacity is None:
-                leaf_capacity = decision.leaf_capacity
             if decision.filter_strategy != "auto":
                 rebind = getattr(bound, "with_filter_strategy", None)
                 if rebind is not None:
@@ -228,10 +240,7 @@ class QueryPlan:
                 capacity, signature_kind=signature_kind
             )
         else:
-            k_left = input_cells or default_input_cells(len(bound.left_map_attrs))
-            k_right = input_cells or default_input_cells(
-                len(bound.right_map_attrs)
-            )
+            k_left, k_right = input_cells_per_side(bound, input_cells)
             partitioner_left = GridPartitioner(k_left, signature_kind)
             partitioner_right = GridPartitioner(k_right, signature_kind)
         left_grid = _partition_side(

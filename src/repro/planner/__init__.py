@@ -1,8 +1,8 @@
 """Statistics-driven cost-based planning and self-tuning.
 
-:func:`collect_statistics` summarises sources in one sampled scan, the
-:class:`CostModel` turns summaries into estimates (fanout, join
-cardinality, skyline size), and the :class:`Planner` picks the knobs the
+:func:`collect_statistics` summarises sources in one sampled scan,
+:mod:`repro.planner.cost` turns summaries into estimates (fanout, join
+cardinality), and the :class:`Planner` picks the knobs the
 statistics can decide — the quadtree on skewed inputs, SQLite push-down
 vs streamed filters — records every estimate on its
 :class:`PlanDecision`, and learns from post-run actuals.  Grid
@@ -16,7 +16,6 @@ Entry points::
 """
 
 from repro.planner.choose import PlanDecision, PlanEstimates, Planner
-from repro.planner.cost import CostModel
 from repro.planner.statistics import (
     ColumnStatistics,
     JoinObservation,
@@ -30,7 +29,6 @@ __all__ = [
     "PlanDecision",
     "PlanEstimates",
     "Planner",
-    "CostModel",
     "ColumnStatistics",
     "JoinObservation",
     "SourceStatistics",

@@ -6,8 +6,8 @@ carrying:
 
 * the knobs that take effect — partitioner kind (the quadtree on skewed
   inputs), filter strategy (SQLite push-down vs streamed filter), and the
-  grid granularity and batch size, which are the engine defaults
-  (:func:`~repro.core.plan.default_input_cells`,
+  grid granularity and batch size, which are the engine's own
+  (:func:`~repro.core.plan.input_cells_per_side`,
   :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`) unless pinned;
 * **every estimate of the plan** (:class:`PlanEstimates`), so EXPLAIN can
   print estimate-vs-actual columns after the run;
@@ -26,14 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.plan import default_input_cells
+from repro.core.plan import input_cells_per_side
 from repro.core.tuple_level import DEFAULT_BATCH_SIZE
-from repro.planner.cost import CostModel
+from repro.planner.cost import join_cardinality, partition_fanout
 from repro.planner.statistics import (
     BYTES_PER_VALUE,
     JoinObservation,
     StatisticsStore,
 )
+from repro.skyline.estimate import expected_skyline_size
 from repro.storage.sources.filtered import conditions_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -92,8 +93,9 @@ class PlanDecision:
     """
 
     partitioning: str
-    #: Grid cells per dimension on the (left, right) side.
-    input_cells: tuple[int, int]
+    #: Grid cells per dimension on the (left, right) side; ``None`` when
+    #: the plan partitions with the quadtree.
+    input_cells: tuple[int, int] | None
     batch_size: int
     #: ``"push"`` (predicate push-down), ``"stream"`` (filter during the
     #: scan), or ``"auto"`` (the bind-time default; nothing to decide).
@@ -102,7 +104,6 @@ class PlanDecision:
     fingerprint: tuple
     #: Names of knobs the caller pinned (honoured, not chosen).
     pinned: tuple[str, ...] = ()
-    leaf_capacity: int | None = None
     actuals: dict[str, float] = field(default_factory=dict)
     _planner: "Planner | None" = field(default=None, repr=False)
 
@@ -167,20 +168,6 @@ class PlanDecision:
         ]
         return rows
 
-    def engine_overrides(self) -> dict:
-        """The decision as ``QueryPlan.build`` keyword overrides.
-
-        An unpinned granularity stays ``None``: the engine default is
-        per side, which one ``input_cells`` value cannot express.
-        """
-        pinned_cells = "input_cells" in self.pinned
-        return {
-            "partitioning": self.partitioning,
-            "input_cells": self.input_cells[0] if pinned_cells else None,
-            "batch_size": self.batch_size,
-            "leaf_capacity": self.leaf_capacity,
-        }
-
 
 class Planner:
     """Statistics-driven planner (see the module docs).
@@ -199,14 +186,8 @@ class Planner:
         planner.statistics.feedback_for(decision.fingerprint)
     """
 
-    def __init__(
-        self,
-        *,
-        statistics: StatisticsStore | None = None,
-        cost_model: CostModel | None = None,
-    ) -> None:
+    def __init__(self, *, statistics: StatisticsStore | None = None) -> None:
         self.statistics = statistics or StatisticsStore()
-        self.cost_model = cost_model or CostModel()
 
     # ------------------------------------------------------------------
     # the decision
@@ -227,7 +208,6 @@ class Planner:
         time, the engine defaults are within noise of the best setting
         (``docs/planning.md``).
         """
-        model = self.cost_model
         left_base = getattr(bound, "left_base", bound.left_table)
         right_base = getattr(bound, "right_base", bound.right_table)
         left_stats = self.statistics.for_source(left_base)
@@ -244,7 +224,7 @@ class Planner:
         rows_left = left_stats.estimated_rows(left_conditions)
         rows_right = right_stats.estimated_rows(right_conditions)
         dims = bound.skyline_dimension_count
-        join_rows = model.join_cardinality(
+        join_rows = join_cardinality(
             left_stats, right_stats,
             query.join.left_attr, query.join.right_attr,
             rows_left=rows_left, rows_right=rows_right,
@@ -252,7 +232,7 @@ class Planner:
         fingerprint = self._fingerprint(bound, left_base, right_base)
         observation = self.statistics.feedback_for(fingerprint)
         corrected = False
-        skyline_size = model.skyline_size(join_rows, dims)
+        skyline_size = expected_skyline_size(join_rows, dims)
         if observation is not None:
             join_rows, skyline_size = self._corrected_estimates(
                 observation, rows_left, rows_right, dims
@@ -269,19 +249,18 @@ class Planner:
         elif skew >= SKEW_THRESHOLD:
             partitioning = "quadtree"
 
-        cells_left = input_cells or default_input_cells(len(bound.left_map_attrs))
-        cells_right = input_cells or default_input_cells(
-            len(bound.right_map_attrs)
-        )
         if input_cells is not None:
             pinned.append("input_cells")
         if batch_size is not None:
             pinned.append("batch_size")
-        fanout_left = model.partition_fanout(
+        # The quadtree ignores the grid granularity; fanout is still
+        # estimated on the grid the plan would otherwise build.
+        cells_left, cells_right = input_cells_per_side(bound, input_cells)
+        fanout_left = partition_fanout(
             left_stats, bound.left_map_attrs, cells_left, rows=rows_left,
             correlation=left_stats.mean_abs_correlation(bound.left_map_attrs),
         )
-        fanout_right = model.partition_fanout(
+        fanout_right = partition_fanout(
             right_stats, bound.right_map_attrs, cells_right, rows=rows_right,
             correlation=right_stats.mean_abs_correlation(bound.right_map_attrs),
         )
@@ -299,8 +278,7 @@ class Planner:
             selectivity_left=selectivity_left,
             selectivity_right=selectivity_right,
             bytes_scanned=(
-                model.bytes_scanned(left_stats)
-                + model.bytes_scanned(right_stats)
+                left_stats.estimated_bytes() + right_stats.estimated_bytes()
             ),
             fanout_left=fanout_left,
             fanout_right=fanout_right,
@@ -312,7 +290,9 @@ class Planner:
         )
         return PlanDecision(
             partitioning=partitioning,
-            input_cells=(cells_left, cells_right),
+            input_cells=(
+                (cells_left, cells_right) if partitioning == "grid" else None
+            ),
             batch_size=batch_size or DEFAULT_BATCH_SIZE,
             filter_strategy=filter_strategy,
             estimates=estimates,
@@ -362,7 +342,7 @@ class Planner:
         if abs(scale - 1.0) < 1e-9:
             skyline = max(1.0, observation.skyline_size)
         else:
-            skyline = self.cost_model.skyline_size(join_rows, dims)
+            skyline = expected_skyline_size(join_rows, dims)
         return join_rows, skyline
 
     # ------------------------------------------------------------------

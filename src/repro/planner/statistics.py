@@ -4,7 +4,7 @@ A :class:`SourceStatistics` summarises one :class:`~repro.storage.sources
 .base.DataSource` from a **single sampled batch scan**: row count,
 per-column min/max, number-of-distinct-values (NDV) estimates, and
 equi-width histograms over a bounded row sample.  The summaries are what
-the :class:`~repro.planner.cost.CostModel` consumes to estimate bytes
+the planner's estimates (:mod:`repro.planner.cost`) consume: bytes
 scanned, partition fanout, filter selectivity and join cardinality before
 a single tuple of real work runs.
 

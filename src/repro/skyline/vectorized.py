@@ -157,7 +157,10 @@ def _sum_order(P: np.ndarray) -> np.ndarray:
     and ``(1e16, 1)``), the dominator is smaller at the first coordinate
     where they differ, so the lexicographic tie-break puts it first.
     Identical vectors keep their input order (the sort is stable), and the
-    sweep keeps them all by explicit equality.
+    sweep keeps them all by explicit equality.  A vector holding both
+    ``+inf`` and ``-inf`` has a NaN sum and sorts last, after vectors it
+    may dominate; both sweep forms only ever test a vector against earlier
+    ones, so they still agree with each other.
     """
     return np.lexsort((*P.T[::-1], P.sum(axis=1)))
 
@@ -200,20 +203,22 @@ def _sorted_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.nda
 #: it, groups of ~90 candidates with ~5 survivors above.
 _PAIRWISE_MAX = 32
 
+_EARLIER = np.triu(np.ones((_PAIRWISE_MAX,) * 2, dtype=bool), 1)
+
 
 def _pairwise_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
     """:func:`_sorted_sweep` of a small window from one pairwise matrix.
 
     Same positions, same comparison total, no Python loop.  A point is a
-    head iff no point beats it: in :func:`_sum_order` only earlier points
-    can, and had such a point been eliminated, its eliminator beats this
-    one too (dominance is transitive).  The sweep tests a point against
-    each head before it, up to and including the first that beats it:
-    ``k`` tests for the ``k``-th head, one more than its first beater's
-    rank for an eliminated point.
+    head iff no earlier point beats it (had that point been eliminated, its
+    eliminator beats this one too: dominance is transitive).  The sweep
+    tests a point against each head before it, up to and including the
+    first that beats it: ``k`` tests for the ``k``-th head, one more than
+    its first beater's rank for an eliminated point.
     """
     n = S.shape[0]
     beats = dominates_matrix(S, S)
+    beats &= _EARLIER[:n, :n]  # a head only ever meets the points after it
     alive = ~beats.any(axis=0)
     if on_comparisons is not None and n > 1:
         heads = beats[alive]

@@ -49,7 +49,6 @@ EXAMPLE_REQUIRED = [
     "PlanDecision",
     "StatisticsStore",
     "SourceStatistics",
-    "CostModel",
     "PlanningReport",
 ]
 

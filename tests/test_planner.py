@@ -29,13 +29,9 @@ from repro.core.explain import explain_estimates
 from repro.core.plan import default_input_cells
 from repro.core.tuple_level import DEFAULT_BATCH_SIZE
 from repro.data.workloads import SyntheticWorkload
-from repro.planner import (
-    CostModel,
-    Planner,
-    StatisticsStore,
-    collect_statistics,
-)
+from repro.planner import Planner, StatisticsStore, collect_statistics
 from repro.planner.choose import SKEW_THRESHOLD
+from repro.planner.cost import join_cardinality, partition_fanout
 from repro.query.smj import FilterCondition
 from repro.session.config import EngineConfig, SchedulerConfig
 from repro.session.service import Session
@@ -136,9 +132,8 @@ class TestCorrelation:
         stats = collect_statistics(
             self.table_with(lambda i, n: (float(i), float(i)))
         )
-        model = CostModel()
-        independent = model.partition_fanout(stats, ("a0", "a1"), 8)
-        diagonal = model.partition_fanout(
+        independent = partition_fanout(stats, ("a0", "a1"), 8)
+        diagonal = partition_fanout(
             stats, ("a0", "a1"), 8, correlation=1.0
         )
         assert diagonal < independent
@@ -193,9 +188,8 @@ class TestStatisticsStore:
 class TestCostModel:
     def test_fanout_grows_with_granularity_but_never_exceeds_rows(self):
         stats = collect_statistics(small_table(64))
-        model = CostModel()
         fanouts = [
-            model.partition_fanout(stats, ("a0", "a1"), cells)
+            partition_fanout(stats, ("a0", "a1"), cells)
             for cells in (1, 2, 3, 4, 6, 8)
         ]
         assert fanouts == sorted(fanouts)
@@ -204,8 +198,7 @@ class TestCostModel:
     def test_join_cardinality_matches_uniform_equijoin(self):
         left = collect_statistics(small_table(64, "R"))
         right = collect_statistics(small_table(64, "T"))
-        model = CostModel()
-        estimate = model.join_cardinality(
+        estimate = join_cardinality(
             left, right, "jkey", "jkey", rows_left=64, rows_right=64
         )
         # 64 * 64 / ndv(8): the classical System-R estimate.
@@ -226,7 +219,6 @@ class TestPlannerDecisions:
         )
         assert decision.batch_size == DEFAULT_BATCH_SIZE
         assert decision.pinned == ()
-        assert decision.engine_overrides()["input_cells"] is None
 
     def test_fanout_is_estimated_at_the_granularity_in_effect(self):
         bound = make_bound(n=200, d=2, seed=3)
@@ -243,12 +235,13 @@ class TestPlannerDecisions:
             bound, partitioning="quadtree", input_cells=5, batch_size=96
         )
         assert decision.partitioning == "quadtree"
-        assert decision.input_cells == (5, 5)
+        assert decision.input_cells is None  # the quadtree has no grid
         assert decision.batch_size == 96
-        assert decision.engine_overrides()["input_cells"] == 5
         assert set(decision.pinned) == {
             "partitioning", "input_cells", "batch_size",
         }
+        pinned_grid = Planner().decide(bound, input_cells=5)
+        assert pinned_grid.input_cells == (5, 5)
 
     def test_skewed_join_keys_select_quadtree(self):
         bound = make_bound(n=300, d=2, seed=3, skew=6.0)
@@ -296,6 +289,16 @@ class TestPlannerDecisions:
             "partitioning", "input cells", "batch size", "filter strategy",
             "feedback",
         ]
+
+    def test_quadtree_report_has_no_grid_granularity(self):
+        report = explain_estimates(
+            SyntheticWorkload(n=100, d=2).bound(),
+            config=EngineConfig(partitioning="quadtree"),
+        )
+        assert report.partitioning == "quadtree"
+        assert report.input_cells is None
+        assert report.to_dict()["input_cells"] is None
+        assert "input cells" not in report.render()
 
     def test_table_footprint_prefers_cached_statistics(self):
         planner = Planner()
@@ -542,7 +545,8 @@ def test_planner_is_transparent_over_backends(backend, partitioning, seed):
 
     manual_engine = ProgXeEngine(
         _bound_for_backend(backend, workload),
-        **decision.engine_overrides(),
+        partitioning=decision.partitioning,
+        batch_size=decision.batch_size,
     )
     manual_reports = _drain_reports(manual_engine)
     assert planned_reports == manual_reports  # byte-identical step stream
@@ -568,5 +572,10 @@ def test_planner_is_transparent_over_columnar(tmp_path):
 
     planned = ProgXeEngine(bound(), planner=Planner())
     planned_reports = _drain_reports(planned)
-    manual = ProgXeEngine(bound(), **planned.plan_decision.engine_overrides())
+    decision = planned.plan_decision
+    manual = ProgXeEngine(
+        bound(),
+        partitioning=decision.partitioning,
+        batch_size=decision.batch_size,
+    )
     assert _drain_reports(manual) == planned_reports

@@ -126,8 +126,12 @@ class TestDominatesMatrixEdgeValues:
 # ---------------------------------------------------------------------------
 # Small-domain values make duplicates and equal coordinate sums the rule;
 # 1e16 swallows a +1, so dominance between *equal rounded sums* occurs too.
-# Every form must still return the true skyline (``pareto_mask``).
-sweep_coord = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0.5, 1e16])
+# Every form must return the true skyline (``pareto_mask``) whenever the
+# coordinate sums are numbers; ``+inf`` and ``-inf`` in one vector make its
+# sum NaN, and then the two forms must still agree with each other.
+sweep_coord = st.sampled_from(
+    [0.0, 1.0, 2.0, 3.0, 0.5, 1e16, float("inf"), float("-inf")]
+)
 
 
 @st.composite
@@ -153,12 +157,14 @@ def reference_sweep(P):
 class TestSweepForms:
     @given(sweep_input())
     @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_skyline_mask_equals_the_loop_on_both_sides_of_the_cutover(self, P):
         expected_mask, expected_total = reference_sweep(P)
         tested: list[int] = []
         mask = skyline_mask(P, on_comparisons=tested.append)
         assert mask.tolist() == expected_mask.tolist()
-        assert mask.tolist() == pareto_mask(P).tolist()
+        if not np.isnan(P.sum(axis=1)).any():
+            assert mask.tolist() == pareto_mask(P).tolist()
         assert sum(tested) == expected_total
         assert (skyline_mask(P) == expected_mask).all()  # uncounted form
 
@@ -196,6 +202,22 @@ class TestSweepForms:
             assert sorted(vectorized_sfs_skyline(P).tolist()) == sorted(
                 P[expected].tolist()
             )
+
+    @pytest.mark.parametrize("others", [0, 2 * _PAIRWISE_MAX])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_sum_forms_agree(self, others):
+        # (inf, -inf) dominates (inf, 0) but its NaN sum sorts it last;
+        # the pairwise and sorted-sweep forms make the same call.
+        pair = np.array([[np.inf, -np.inf], [np.inf, 0.0]])
+        steps = np.arange(1, others + 1)
+        rest = np.column_stack([-steps, steps]) * 1e17
+        P = np.vstack([pair, rest])
+        tested: list[int] = []
+        mask = skyline_mask(P, on_comparisons=tested.append)
+        expected_mask, expected_total = reference_sweep(P)
+        assert mask.tolist() == expected_mask.tolist()
+        assert mask[:2].tolist() == [True, True]
+        assert sum(tested) == expected_total
 
 
 # ---------------------------------------------------------------------------
