@@ -73,7 +73,6 @@ class ProgXeEngine:
         verify: bool = True,
         follow: bool = False,
         cache: "PlanCache | None" = None,
-        batch_size: int | None = None,
         planner: "Planner | None" = None,
     ) -> None:
         if partitioning not in ("grid", "quadtree"):
@@ -85,8 +84,6 @@ class ProgXeEngine:
                 f"signature_kind must be one of {SIGNATURE_KINDS}, "
                 f"got {signature_kind!r}"
             )
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if follow and pushthrough:
             raise ValueError(
                 "follow=True is incompatible with pushthrough: push-through "
@@ -106,7 +103,6 @@ class ProgXeEngine:
         self.input_cells = input_cells
         self.output_cells = output_cells
         self.cache = cache
-        self.batch_size = batch_size
         self.planner = planner
         base = "ProgXe+" if pushthrough else "ProgXe"
         self.name = base if ordering else f"{base} (No-Order)"
@@ -171,7 +167,6 @@ class ProgXeEngine:
             verify=self.verify,
             cache=self.cache,
             follow=self.follow,
-            batch_size=self.batch_size,
             planner=self.planner,
         )
 

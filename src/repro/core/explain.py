@@ -231,7 +231,6 @@ class PlanningReport:
     #: Grid cells per dimension on the (left, right) side; ``None`` under
     #: quadtree partitioning.
     input_cells: tuple[int, int] | None
-    batch_size: int
     filter_strategy: str
     corrected: bool
     pinned: tuple[str, ...]
@@ -244,7 +243,6 @@ class PlanningReport:
             left, right = self.input_cells
             lines.append(f"  input cells:     left {left}, right {right}")
         lines += [
-            f"  batch size:      {self.batch_size}",
             f"  filter strategy: {self.filter_strategy}",
             f"  feedback:        "
             f"{'corrected by prior run' if self.corrected else 'cold (first run)'}",
@@ -275,7 +273,6 @@ class PlanningReport:
             "input_cells": (
                 None if self.input_cells is None else list(self.input_cells)
             ),
-            "batch_size": self.batch_size,
             "filter_strategy": self.filter_strategy,
             "corrected": self.corrected,
             "pinned": list(self.pinned),
@@ -330,7 +327,6 @@ def explain_estimates(
     return PlanningReport(
         partitioning=decision.partitioning,
         input_cells=decision.input_cells,
-        batch_size=decision.batch_size,
         filter_strategy=decision.filter_strategy,
         corrected=decision.estimates.corrected,
         pinned=decision.pinned,

@@ -34,7 +34,7 @@ from repro.core.plan import QueryPlan
 from repro.core.progdetermine import ExecutionState
 from repro.core.progorder import ProgOrder, RandomOrder
 from repro.core.regions import OutputRegion
-from repro.core.tuple_level import DEFAULT_BATCH_SIZE, process_region
+from repro.core.tuple_level import process_region
 from repro.errors import ExecutionError
 from repro.query.smj import ResultTuple
 from repro.runtime.clock import VirtualClock
@@ -185,7 +185,6 @@ class ExecutionKernel:
         self.bound = plan.bound
         self.clock = plan.clock
         self.verify = plan.verify
-        self.batch_size = plan.batch_size or DEFAULT_BATCH_SIZE
         self.stats: dict = stats_sink if stats_sink is not None else {}
         self.stats.update(plan.prune_stats)
 
@@ -390,9 +389,7 @@ class ExecutionKernel:
         """One region step: tuple-level processing, then release/emission."""
         bound = self.bound
         state = self.state
-        for _vector, lrow, rrow, mapped in process_region(
-            state, region, batch_size=self.batch_size
-        ):
+        for _vector, lrow, rrow, mapped in process_region(state, region):
             yield bound.make_result(lrow, rrow, mapped)
         region.processed = True
         self.regions_processed += 1

@@ -145,9 +145,6 @@ class QueryPlan:
     #: Per-side delta-ingestion handles, retained only when the plan was
     #: built with ``follow=True`` (streaming mode); ``None`` otherwise.
     stream_sides: "tuple[StreamSide, StreamSide] | None" = None
-    #: Flush threshold for tuple-level processing; ``None``
-    #: keeps :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`.
-    batch_size: int | None = None
     #: The cost-based planner's :class:`~repro.planner.choose.PlanDecision`
     #: when the plan was built with ``planner=``; ``None`` otherwise.
     #: Carries every estimate plus the actuals recorded during build and
@@ -171,7 +168,6 @@ class QueryPlan:
         verify: bool = True,
         cache: "PlanCache | None" = None,
         follow: bool = False,
-        batch_size: int | None = None,
         planner: "Planner | None" = None,
     ) -> "QueryPlan":
         """Run phases 0–2 and return the finished plan.
@@ -215,7 +211,6 @@ class QueryPlan:
                 bound,
                 partitioning=partitioning,
                 input_cells=input_cells,
-                batch_size=batch_size,
             )
             partitioning = decision.partitioning
             if decision.filter_strategy != "auto":
@@ -308,7 +303,6 @@ class QueryPlan:
             prune_stats=prune_stats,
             cache_events=cache_events,
             stream_sides=stream_sides,
-            batch_size=batch_size,
             decision=decision,
         )
 

@@ -35,6 +35,12 @@ from repro.runtime.clock import VirtualClock
 from repro.skyline.vectorized import dominates_matrix, skyline_mask
 from repro.storage.partition import materialize_rows
 
+#: Dominance tests (rows x columns) per ``dominates_matrix`` call in
+#: :meth:`ExecutionState.insert_batch`.  Each call builds ``(d, rows,
+#: columns)`` boolean temporaries, so a larger test runs in blocks of
+#: ``DOMINANCE_LANES // rows`` columns.  Read at call time.
+DOMINANCE_LANES = 2**20
+
 
 class ExecutionState:
     """Shared mutable state of one ProgXe execution."""
@@ -258,10 +264,12 @@ class ExecutionState:
         # Group candidates by cell: one stable argsort over the raveled
         # cell id leaves each group's members in arrival order, and groups
         # are visited in order of first arrival (marking cascades depend
-        # on it).
+        # on it).  Ids go in the narrowest unsigned dtype that holds them:
+        # numpy radix-sorts 8- and 16-bit keys.
+        d = coords.shape[1]
         flat = np.ravel_multi_index(
-            tuple(coords.T), (grid.cells_per_dim,) * coords.shape[1]
-        )
+            tuple(coords.T), (grid.cells_per_dim,) * d
+        ).astype(np.min_scalar_type(grid.cells_per_dim**d - 1), copy=False)
         order = np.argsort(flat, kind="stable")
         sorted_flat = flat[order]
         starts = np.flatnonzero(
@@ -306,17 +314,26 @@ class ExecutionState:
             # candidate pays for the entries before its first dominator
             # (own entries twice, as the scan tests both directions) plus
             # the dominator itself, or for the whole pool if none beats it.
+            # Charges are per candidate, so candidate blocks sum to them.
             own = cell.size
             live = np.arange(b, dtype=np.intp)
             pool_mats = [c.vector_matrix() for c in (cell, *cell.cone_lower) if c.size]
             if pool_mats:
                 pool = np.concatenate(pool_mats) if len(pool_mats) > 1 else pool_mats[0]
-                seen = np.logical_or.accumulate(dominates_matrix(pool, cand), axis=0)
-                passed = seen.size - np.count_nonzero(seen)
-                passed_own = own * b - np.count_nonzero(seen[:own])
-                beaten = np.count_nonzero(seen[-1])
-                clock.charge("dominance_cmp", passed + passed_own + beaten)
-                live = np.flatnonzero(~seen[-1])
+                step = max(1, DOMINANCE_LANES // len(pool))
+                charged = 0
+                alive = np.empty(b, dtype=bool)
+                for lo in range(0, b, step):
+                    seen = np.logical_or.accumulate(
+                        dominates_matrix(pool, cand[lo : lo + step]), axis=0
+                    )
+                    passed = seen.size - np.count_nonzero(seen)
+                    passed_own = own * seen.shape[1] - np.count_nonzero(seen[:own])
+                    beaten = np.count_nonzero(seen[-1])
+                    charged += passed + passed_own + beaten
+                    np.logical_not(seen[-1], out=alive[lo : lo + step])
+                clock.charge("dominance_cmp", charged)
+                live = np.flatnonzero(alive)
             # (1b) intra-group: what the scan leaves is often mutually
             # dominating.  The sweep is O(s·b) for a local skyline of size
             # s, and what it reports, whichever form the kernel takes at
@@ -345,7 +362,12 @@ class ExecutionState:
                 upper_total = evict_pool.shape[0] - own
                 if upper_total:
                     clock.charge("dominance_cmp", s * upper_total)
-                kill = dominates_matrix(surv, evict_pool).any(axis=0)
+                step = max(1, DOMINANCE_LANES // s)
+                kill = np.empty(len(evict_pool), dtype=bool)
+                for lo in range(0, len(kill), step):
+                    dominates_matrix(surv, evict_pool[lo : lo + step]).any(
+                        axis=0, out=kill[lo : lo + step]
+                    )
                 if kill.any():
                     pos = 0
                     for target in targets:

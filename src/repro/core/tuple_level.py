@@ -29,16 +29,15 @@ from repro.core.progdetermine import ExecutionState
 from repro.core.regions import OutputRegion
 from repro.storage.partition import PairRows
 
-#: Joined pairs accumulated before a flush.  Partition-pair outputs
-#: smaller than this are processed as a single batch.
-DEFAULT_BATCH_SIZE = 1024
+#: Joined pairs pending before a flush into
+#: :meth:`~repro.core.progdetermine.ExecutionState.insert_batch`.  A flush
+#: has a large fixed cost (grouping, one kernel launch per cell group), so
+#: regions up to this size go in as one batch.  Read at flush time.
+FLUSH_PAIRS = 16384
 
 
 def process_region(
-    state: ExecutionState,
-    region: OutputRegion,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    state: ExecutionState, region: OutputRegion
 ) -> Iterator[CellEntry]:
     """Generate, map and insert the region's join results.
 
@@ -56,19 +55,19 @@ def process_region(
 
     state.active_region = region
     try:
-        yield from _join_region(state, region, batch_size)
+        yield from _join_region(state, region)
     finally:
         state.active_region = None
 
 
 def _join_region(
-    state: ExecutionState, region: OutputRegion, batch_size: int
+    state: ExecutionState, region: OutputRegion
 ) -> Iterator[CellEntry]:
     """Region join over partition column blocks: index pairs, not tuples.
 
     A hash join — build on the smaller side, probe rows in partition
     order, matches in build order, flush after a whole probe group once
-    ``batch_size`` pairs are pending — in which a pair is two positions
+    :data:`FLUSH_PAIRS` pairs are pending — in which a pair is two positions
     into the partitions' column blocks.  The mapping runs over
     columns gathered by position and the grid receives
     :class:`~repro.storage.partition.PairRows`; no row tuple exists unless
@@ -92,9 +91,9 @@ def _join_region(
     start_row = 0
     flushed = 0
     while flushed < total:
-        # The first probe row at which >= batch_size pairs are pending ends
+        # The first probe row at which >= FLUSH_PAIRS pairs are pending ends
         # the chunk (a probe group is never split); the tail flushes last.
-        last_row = int(np.searchsorted(pending_upto, flushed + batch_size))
+        last_row = int(np.searchsorted(pending_upto, flushed + FLUSH_PAIRS))
         stop_row = min(last_row + 1, len(matches))
         n = int(pending_upto[stop_row - 1]) - flushed
         build_pos = np.concatenate(matches[start_row:stop_row])

@@ -6,9 +6,8 @@ carrying:
 
 * the knobs that take effect — partitioner kind (the quadtree on skewed
   inputs), filter strategy (SQLite push-down vs streamed filter), and the
-  grid granularity and batch size, which are the engine's own
-  (:func:`~repro.core.plan.input_cells_per_side`,
-  :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`) unless pinned;
+  grid granularity, which is the engine's own
+  (:func:`~repro.core.plan.input_cells_per_side`) unless pinned;
 * **every estimate of the plan** (:class:`PlanEstimates`), so EXPLAIN can
   print estimate-vs-actual columns after the run;
 * the query *fingerprint* under which post-run actuals feed back into the
@@ -17,8 +16,8 @@ carrying:
   assumptions (``PlanEstimates.corrected`` marks such plans).
 
 Knobs the caller pinned explicitly (a non-default ``partitioning``, an
-explicit ``input_cells`` or ``batch_size``) are honoured, never
-overridden: the planner fills the gaps the caller left open.
+explicit ``input_cells``) are honoured, never overridden: the planner
+fills the gaps the caller left open.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.plan import input_cells_per_side
-from repro.core.tuple_level import DEFAULT_BATCH_SIZE
 from repro.planner.cost import join_cardinality, partition_fanout
 from repro.planner.statistics import (
     BYTES_PER_VALUE,
@@ -96,7 +94,6 @@ class PlanDecision:
     #: Grid cells per dimension on the (left, right) side; ``None`` when
     #: the plan partitions with the quadtree.
     input_cells: tuple[int, int] | None
-    batch_size: int
     #: ``"push"`` (predicate push-down), ``"stream"`` (filter during the
     #: scan), or ``"auto"`` (the bind-time default; nothing to decide).
     filter_strategy: str
@@ -198,15 +195,13 @@ class Planner:
         *,
         partitioning: str = "grid",
         input_cells: int | None = None,
-        batch_size: int | None = None,
     ) -> PlanDecision:
         """Plan ``bound``; caller-pinned values are honoured.
 
-        ``partitioning`` other than the ``"grid"`` default, a non-``None``
-        ``input_cells`` or ``batch_size`` count as pinned.  The planner
-        does not choose granularity or batch size: measured in wall
-        time, the engine defaults are within noise of the best setting
-        (``docs/planning.md``).
+        ``partitioning`` other than the ``"grid"`` default and a
+        non-``None`` ``input_cells`` count as pinned.  The planner does
+        not choose granularity: measured in wall time, the engine default
+        is within noise of the best setting (``docs/planning.md``).
         """
         left_base = getattr(bound, "left_base", bound.left_table)
         right_base = getattr(bound, "right_base", bound.right_table)
@@ -251,8 +246,6 @@ class Planner:
 
         if input_cells is not None:
             pinned.append("input_cells")
-        if batch_size is not None:
-            pinned.append("batch_size")
         # The quadtree ignores the grid granularity; fanout is still
         # estimated on the grid the plan would otherwise build.
         cells_left, cells_right = input_cells_per_side(bound, input_cells)
@@ -293,7 +286,6 @@ class Planner:
             input_cells=(
                 (cells_left, cells_right) if partitioning == "grid" else None
             ),
-            batch_size=batch_size or DEFAULT_BATCH_SIZE,
             filter_strategy=filter_strategy,
             estimates=estimates,
             fingerprint=fingerprint,

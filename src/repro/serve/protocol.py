@@ -81,7 +81,7 @@ class QueryRequest:
     config:
         Engine configuration overrides applied on top of the preset (or
         the default configuration), e.g. ``{"partitioning": "quadtree",
-        "batch_size": 256}``.
+        "input_cells": 6}``.
     max_results / max_vtime / max_comparisons / max_wall_seconds:
         Client-requested :class:`~repro.session.stream.StreamBudget`
         ceilings — the stream stops *cleanly* (state

@@ -46,10 +46,6 @@ class EngineConfig:
         rows appended to its source tables while it runs (see
         :class:`~repro.core.streaming.StreamingKernel`).  Incompatible with
         ``pushthrough`` (pruning snapshots the inputs).
-    batch_size:
-        Joined pairs per ``insert_batch`` flush in tuple-level
-        processing; ``None`` keeps
-        :data:`~repro.core.tuple_level.DEFAULT_BATCH_SIZE`.
     planner:
         Plan through the cost-based
         :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
@@ -84,15 +80,10 @@ class EngineConfig:
     seed: int = 0
     verify: bool = True
     follow: bool = False
-    batch_size: int | None = None
     planner: bool = False
     share_partitions: bool = True
 
     def __post_init__(self) -> None:
-        if self.batch_size is not None and self.batch_size < 1:
-            raise QueryError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
         if self.follow and self.pushthrough:
             raise QueryError(
                 "follow=True is incompatible with pushthrough: push-through "

@@ -316,8 +316,6 @@ class Session:
             )
             if share and _accepts_cache(factory):
                 kwargs["cache"] = self.plan_cache
-            if not _accepts_keyword(factory, "batch_size"):
-                kwargs.pop("batch_size", None)
             if effective.planner and _accepts_keyword(factory, "planner"):
                 # The config carries a flag; the session resolves it into
                 # its shared planner object, so statistics and feedback

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import tuple_level
 from repro.data.workloads import SyntheticWorkload
 from repro.join.nested_loop import nested_loop_join
 from repro.join.predicates import EquiJoin
@@ -12,8 +13,14 @@ from repro.skyline.bnl import bnl_skyline_entries
 
 #: Phase-2 flush granularities worth running a guarantee at: the default,
 #: and one join pair per ``insert_batch`` call (the finest the engine has).
-BATCH_SIZES = [None, 1]
-BATCH_IDS = ["batch-default", "batch-1"]
+FLUSH_SIZES = [None, 1]
+FLUSH_IDS = ["batch-default", "batch-1"]
+
+
+def set_flush_pairs(monkeypatch, pairs: int | None) -> None:
+    """Flush a region's join every ``pairs`` pairs; ``None`` keeps the default."""
+    if pairs is not None:
+        monkeypatch.setattr(tuple_level, "FLUSH_PAIRS", pairs)
 
 
 def oracle_candidates(bound: BoundQuery) -> list[tuple[tuple[float, ...], tuple]]:

@@ -21,7 +21,7 @@ from repro.runtime.clock import VirtualClock
 from repro.serve.protocol import FrameFactory, encode_frame
 from repro.storage.partition import RowRef, materialize_rows
 
-from tests.conftest import BATCH_IDS, BATCH_SIZES
+from tests.conftest import FLUSH_IDS, FLUSH_SIZES, set_flush_pairs
 
 
 def new_cell() -> OutputCell:
@@ -154,12 +154,13 @@ class TestRowKinds:
 
 
 class TestEmittedValues:
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
-    def test_results_are_plain_python_and_encode(self, batch_size):
+    @pytest.mark.parametrize("flush_pairs", FLUSH_SIZES, ids=FLUSH_IDS)
+    def test_results_are_plain_python_and_encode(self, flush_pairs, monkeypatch):
+        set_flush_pairs(monkeypatch, flush_pairs)
         bound = SyntheticWorkload(
             distribution="anticorrelated", n=80, d=3, sigma=0.1, seed=5
         ).bound()
-        engine = ProgXeEngine(bound, VirtualClock(), batch_size=batch_size)
+        engine = ProgXeEngine(bound, VirtualClock())
         results = list(engine.run())
         assert results
         frames = FrameFactory()

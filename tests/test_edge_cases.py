@@ -7,6 +7,7 @@ clamping, custom clock weights.
 
 import numpy as np
 
+import repro
 from tests.conftest import oracle_skyline_keys
 from repro.core.engine import ProgXeEngine
 from repro.core.variants import ALGORITHMS
@@ -231,3 +232,25 @@ class TestExtremeSelectivity:
         for name, factory in ALGORITHMS.items():
             run = run_algorithm(factory, bound)
             assert run.result_keys == oracle, name
+
+
+class TestNumberContract:
+    def test_integers_beyond_2_53_compare_as_float64(self):
+        """``docs/api.md``: mapped values are IEEE float64.  2**53 and
+        2**53 + 1 round to the same double, so the engine returns both
+        rows as a tie where exact integer arithmetic keeps only the first.
+        Changing this contract must be a deliberate edit of this test."""
+        left = Table.from_rows(
+            "R", ["id", "jkey", "a0"], [("r0", 1, 2**53), ("r1", 1, 2**53 + 1)]
+        )
+        right = Table.from_rows("T", ["id", "jkey", "b0"], [("t0", 1, 0)])
+        session = repro.Session().register_tables({"R": left, "T": right})
+        results = session.execute(session.sql(
+            "SELECT R.id, T.id, (R.a0 + T.b0) AS x0 FROM R R, T T "
+            "WHERE R.jkey = T.jkey PREFERRING LOWEST(x0)"
+        )).drain()
+        assert sorted(r.outputs["id"] for r in results) == ["r0", "r1"]
+        assert [r.outputs["x0"] for r in results] == [9007199254740992.0] * 2
+        # The exact-integer oracle: only r0 attains the minimum.
+        exact = {lrow[0]: lrow[2] + rrow[2] for lrow in left.rows for rrow in right.rows}
+        assert [k for k, v in exact.items() if v == min(exact.values())] == ["r0"]

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import BATCH_IDS, BATCH_SIZES, make_bound, oracle_skyline_keys
+from tests.conftest import (
+    FLUSH_IDS,
+    FLUSH_SIZES,
+    make_bound,
+    oracle_skyline_keys,
+    set_flush_pairs,
+)
 from repro.core.engine import ProgXeEngine
 from repro.core.kernel import (
     CREATED,
@@ -208,10 +214,10 @@ class TestRegionStep:
 
 class TestPauseResume:
     @pytest.mark.parametrize("partitioning", ["grid", "quadtree"])
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
+    @pytest.mark.parametrize("flush_pairs", FLUSH_SIZES, ids=FLUSH_IDS)
     @settings(max_examples=8, deadline=None)
     @given(k=st.integers(min_value=1, max_value=9), seed=st.integers(0, 3))
-    def test_pause_resume_determinism(self, partitioning, batch_size, k, seed):
+    def test_pause_resume_determinism(self, partitioning, flush_pairs, k, seed):
         """Stopping after every k steps reproduces the uninterrupted run.
 
         For both partitioners and both the default and the one-pair flush
@@ -220,10 +226,11 @@ class TestPauseResume:
         solo run.
         """
         bound = make_bound("independent", n=90, d=2, sigma=0.1, seed=seed)
-        kwargs = dict(partitioning=partitioning, batch_size=batch_size)
-        assert stepped_sequence(bound, pause_every=k, **kwargs) == solo_sequence(
-            bound, **kwargs
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            set_flush_pairs(patch, flush_pairs)
+            assert stepped_sequence(
+                bound, pause_every=k, partitioning=partitioning
+            ) == solo_sequence(bound, partitioning=partitioning)
 
     def test_pause_resume_determinism_anticorrelated(self):
         bound = make_bound("anticorrelated", n=80, d=3, sigma=0.1, seed=1)

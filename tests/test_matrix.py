@@ -19,6 +19,8 @@ from repro.data.workloads import (
 from repro.runtime.clock import VirtualClock
 from repro.runtime.runner import run_algorithm
 
+from tests.conftest import set_flush_pairs
+
 WORKLOADS = {
     "synthetic-indep": SyntheticWorkload(
         distribution="independent", n=90, d=2, sigma=0.1, seed=1
@@ -39,10 +41,11 @@ ENGINE_CONFIGS = {
     "bloom": {"signature_kind": "bloom"},
     "pushthrough": {"pushthrough": True},
     "no-order": {"ordering": False, "seed": 3},
-    # One pair per flush: phase 2 at its finest granularity, many one-row
+    # One pair per flush (``flush_pairs`` patches ``FLUSH_PAIRS``; it is not
+    # an engine keyword): phase 2 at its finest granularity, many one-row
     # ``insert_batch`` calls instead of a few large ones.
-    "batch-1": {"batch_size": 1},
-    "batch-1-pushthrough": {"batch_size": 1, "pushthrough": True},
+    "batch-1": {"flush_pairs": 1},
+    "batch-1-pushthrough": {"flush_pairs": 1, "pushthrough": True},
 }
 
 
@@ -53,9 +56,11 @@ def bound_workloads():
 
 @pytest.mark.parametrize("workload", list(WORKLOADS), ids=str)
 @pytest.mark.parametrize("config", list(ENGINE_CONFIGS), ids=str)
-def test_engine_config_matrix(bound_workloads, workload, config):
+def test_engine_config_matrix(bound_workloads, workload, config, monkeypatch):
     bound = bound_workloads[workload]
-    engine = ProgXeEngine(bound, VirtualClock(), **ENGINE_CONFIGS[config])
+    kwargs = dict(ENGINE_CONFIGS[config])
+    set_flush_pairs(monkeypatch, kwargs.pop("flush_pairs", None))
+    engine = ProgXeEngine(bound, VirtualClock(), **kwargs)
     results = list(engine.run())
     report = verify_results(bound, results)
     assert report.ok, f"{workload}/{config}: {report.render()}"

@@ -9,8 +9,8 @@ The planner's contract has three layers, each tested here:
 3. **Decisions are advisory, never semantic** — a planner-driven engine
    produces byte-identical results to a hand-configured engine with the
    same knobs, across storage backends and partitioners; unpinned grid
-   granularity and batch size are the engine defaults, so on unskewed
-   inputs ``"auto"`` runs exactly the default plan.
+   granularity is the engine default, so on unskewed inputs ``"auto"``
+   runs exactly the default plan.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from tests.conftest import make_bound, oracle_skyline_keys
 from repro.core.engine import ProgXeEngine
 from repro.core.explain import explain_estimates
 from repro.core.plan import default_input_cells
-from repro.core.tuple_level import DEFAULT_BATCH_SIZE
 from repro.data.workloads import SyntheticWorkload
 from repro.planner import Planner, StatisticsStore, collect_statistics
 from repro.planner.choose import SKEW_THRESHOLD
@@ -217,7 +216,6 @@ class TestPlannerDecisions:
             default_input_cells(len(bound.left_map_attrs)),
             default_input_cells(len(bound.right_map_attrs)),
         )
-        assert decision.batch_size == DEFAULT_BATCH_SIZE
         assert decision.pinned == ()
 
     def test_fanout_is_estimated_at_the_granularity_in_effect(self):
@@ -232,14 +230,11 @@ class TestPlannerDecisions:
     def test_pinned_knobs_are_honoured_not_chosen(self):
         bound = make_bound(n=80, d=2, seed=3)
         decision = Planner().decide(
-            bound, partitioning="quadtree", input_cells=5, batch_size=96
+            bound, partitioning="quadtree", input_cells=5
         )
         assert decision.partitioning == "quadtree"
         assert decision.input_cells is None  # the quadtree has no grid
-        assert decision.batch_size == 96
-        assert set(decision.pinned) == {
-            "partitioning", "input_cells", "batch_size",
-        }
+        assert set(decision.pinned) == {"partitioning", "input_cells"}
         pinned_grid = Planner().decide(bound, input_cells=5)
         assert pinned_grid.input_cells == (5, 5)
 
@@ -281,13 +276,12 @@ class TestPlannerDecisions:
         report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
         payload = report.to_dict()
         assert set(payload) == {
-            "partitioning", "input_cells", "batch_size", "filter_strategy",
+            "partitioning", "input_cells", "filter_strategy",
             "corrected", "pinned", "rows",
         }
-        knob_lines = report.render().splitlines()[1:6]
+        knob_lines = report.render().splitlines()[1:5]
         assert [line.split(":")[0].strip() for line in knob_lines] == [
-            "partitioning", "input cells", "batch size", "filter strategy",
-            "feedback",
+            "partitioning", "input cells", "filter strategy", "feedback",
         ]
 
     def test_quadtree_report_has_no_grid_granularity(self):
@@ -409,12 +403,6 @@ class TestWiring:
         auto = run("auto")
         assert auto[0]
         assert auto == run("default")
-
-    def test_explicit_batch_size_flows_to_the_kernel(self):
-        bound = make_bound(n=80, d=2, seed=5)
-        engine = ProgXeEngine(bound, batch_size=64)
-        kernel = engine.kernel()
-        assert kernel.batch_size == 64
 
     def test_planner_filter_strategy_respects_result_identity(self):
         import dataclasses
@@ -546,7 +534,6 @@ def test_planner_is_transparent_over_backends(backend, partitioning, seed):
     manual_engine = ProgXeEngine(
         _bound_for_backend(backend, workload),
         partitioning=decision.partitioning,
-        batch_size=decision.batch_size,
     )
     manual_reports = _drain_reports(manual_engine)
     assert planned_reports == manual_reports  # byte-identical step stream
@@ -576,6 +563,5 @@ def test_planner_is_transparent_over_columnar(tmp_path):
     manual = ProgXeEngine(
         bound(),
         partitioning=decision.partitioning,
-        batch_size=decision.batch_size,
     )
     assert _drain_reports(manual) == planned_reports

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -508,6 +509,47 @@ class TestScanFirstInsertion:
             state.insert_batch(vectors, rows, rows, vectors)
         # The scan is the group's first dominance charge.
         assert next(total for total in totals if total) == expected
+
+
+class TestBoundedBroadcasts:
+    def test_large_group_against_a_large_cell_stays_small(self):
+        """16 384 candidates against 4 000 held entries (d = 4): one
+        unblocked scan or eviction broadcast would hold hundreds of MB of
+        ``(d, pool, group)`` booleans."""
+        d = 4
+        rng = np.random.default_rng(5)
+
+        def simplex(n, low, width):
+            # Rows summing to a constant: mutually incomparable.
+            points = rng.random((n, d))
+            return low + width * points / points.sum(axis=1, keepdims=True)
+
+        grid = OutputGrid([0.0] * d, [8.0] * d, 1)
+        cell = grid.activate((0,) * d)
+        cell.reg_count = 1
+        grid.build_cones()
+        state = ExecutionState(None, [], grid, VirtualClock())
+        held = simplex(4000, 4.0, 2.0)  # coordinates in [4, 6]
+        rows = [("E", i) for i in range(len(held))]
+        cell.append(held, rows, rows, held)
+        state.live_entries = len(held)
+        # Survivors beat every held entry; the rest are beaten by them.
+        survivors = simplex(6000, 1.0, 1.0)
+        beaten = 7.0 + 0.9 * rng.random((16384 - len(survivors), d))
+        batch = np.concatenate([survivors, beaten])[rng.permutation(16384)]
+        rows = [("B", i) for i in range(len(batch))]
+
+        tracemalloc.start()
+        try:
+            state.insert_batch(batch, rows, rows, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert cell.size == state.live_entries == len(survivors)
+        assert sorted(map(tuple, cell.vector_matrix())) == sorted(
+            map(tuple, survivors)
+        )
 
 
 class TestCompletion:

@@ -30,6 +30,7 @@ import tempfile
 
 import pytest
 
+from repro.core import progdetermine, tuple_level
 from repro.core.engine import ProgXeEngine
 from repro.core.verify import verify_results
 from repro.data.workloads import SyntheticWorkload
@@ -49,10 +50,12 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "rowfree_golden.json"
 PARTITIONINGS = ("grid", "quadtree")
 BACKENDS = ("table", "columnar", "sqlite")
 MODES = ("static", "follow")
-BATCH_SIZES = (1, 7, 1024)
+#: ``FLUSH_PAIRS`` values; no region here has 1 024 pairs, so that one
+#: flushes each region whole, as the default does.
+FLUSH_SIZES = (1, 7, 1024)
 SMALLER_SIDES = ("left", "right")
 CASES = list(
-    itertools.product(PARTITIONINGS, BACKENDS, MODES, BATCH_SIZES, SMALLER_SIDES)
+    itertools.product(PARTITIONINGS, BACKENDS, MODES, FLUSH_SIZES, SMALLER_SIDES)
 )
 
 
@@ -62,7 +65,7 @@ def case_id(case) -> str:
 
 def run_case(case, tmp_path: pathlib.Path) -> dict:
     """Result-key sequence + clock snapshot of one matrix entry."""
-    partitioning, backend, mode, batch_size, smaller = case
+    partitioning, backend, mode, flush_pairs, smaller = case
     workload = SyntheticWorkload(n=200, d=2, sigma=0.1, seed=20100301)
     sizes = {"R": 110, "T": 200} if smaller == "left" else {"R": 200, "T": 110}
     rows = {
@@ -85,26 +88,29 @@ def run_case(case, tmp_path: pathlib.Path) -> dict:
     clock = VirtualClock()
     engine = ProgXeEngine(
         workload.query().bind(sources), clock,
-        partitioning=partitioning, input_cells=2, batch_size=batch_size,
-        follow=follow,
+        partitioning=partitioning, input_cells=2, follow=follow,
     )
     kernel = engine.kernel()
     results = []
-    if follow:
-        rest = {alias: rows[alias][sizes[alias] // 2:] for alias in ("R", "T")}
-        third = len(rest["R"]) // 2
-        # Three delta chunks, appended between kernel steps.
-        for steps, alias, chunk in (
-            (3, "R", rest["R"][:third]),
-            (4, "T", rest["T"]),
-            (2, "R", rest["R"][third:]),
-        ):
-            for _ in range(steps):
-                results.extend(kernel.step().results)
-            appenders[alias](chunk)
-        kernel.close_ingest()
-    while not kernel.finished:
-        results.extend(kernel.step().results)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tuple_level, "FLUSH_PAIRS", flush_pairs)
+        if follow:
+            rest = {
+                alias: rows[alias][sizes[alias] // 2:] for alias in ("R", "T")
+            }
+            third = len(rest["R"]) // 2
+            # Three delta chunks, appended between kernel steps.
+            for steps, alias, chunk in (
+                (3, "R", rest["R"][:third]),
+                (4, "T", rest["T"]),
+                (2, "R", rest["R"][third:]),
+            ):
+                for _ in range(steps):
+                    results.extend(kernel.step().results)
+                appenders[alias](chunk)
+            kernel.close_ingest()
+        while not kernel.finished:
+            results.extend(kernel.step().results)
     return {
         "keys": [[list(r.left_row), list(r.right_row)] for r in results],
         "clock": dict(sorted(clock.snapshot().items())),
@@ -123,6 +129,20 @@ class TestPinnedIdentity:
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     def test_reproduces_parent_commit(self, case, golden, tmp_path):
+        got = run_case(case, tmp_path)
+        want = golden[case_id(case)]
+        assert got["keys"] == want["keys"]
+        assert got["clock"] == want["clock"]
+        assert got["vtime"] == want["vtime"]
+
+    @pytest.mark.parametrize("lanes", (1, 64), ids=lambda n: f"lanes-{n}")
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_dominance_blocks_change_nothing(
+        self, case, lanes, golden, tmp_path, monkeypatch
+    ):
+        """Tiny ``insert_batch`` kernel blocks leave entries and charges
+        alone; at one lane every launch tests a single column."""
+        monkeypatch.setattr(progdetermine, "DOMINANCE_LANES", lanes)
         got = run_case(case, tmp_path)
         want = golden[case_id(case)]
         assert got["keys"] == want["keys"]
@@ -217,12 +237,13 @@ class TestRepresentationEdges:
         assert verify_results(bound, results).ok
         assert {r.mapped[1] for r in results} == {5.0}
 
-    def test_pushthrough_pruned_tables(self):
+    def test_pushthrough_pruned_tables(self, monkeypatch):
         bound = SyntheticWorkload(n=150, d=2, sigma=0.05, seed=5).bound()
         keys, results, _ = run_keys(bound, pushthrough=True)
         assert verify_results(bound, results).ok
         assert set(keys) == set(run_keys(bound)[0])
-        assert set(keys) == set(run_keys(bound, pushthrough=True, batch_size=3)[0])
+        monkeypatch.setattr(tuple_level, "FLUSH_PAIRS", 3)
+        assert set(keys) == set(run_keys(bound, pushthrough=True)[0])
 
     def test_rows_fetched_are_bounded_by_results(self, tmp_path, monkeypatch):
         """A columnar source decodes rows for emitted results only."""

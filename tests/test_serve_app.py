@@ -19,6 +19,8 @@ from repro.serve import AdmissionPolicy, QueryServer, Watermarks
 from repro.session.config import EngineConfig
 from repro.session.service import Session
 
+from tests.conftest import set_flush_pairs
+
 SQL = (
     "SELECT R.id, T.id, (R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1 "
     "FROM R R, T T WHERE R.jkey = T.jkey "
@@ -138,11 +140,12 @@ def result_values(frames):
     return [f["values"] for f in frames if f["event"] == "result"]
 
 
+#: ``flush_pairs`` patches ``FLUSH_PAIRS``; the rest is the request config.
 ENGINE_VARIANTS = [
     {"partitioning": "grid"},
-    {"partitioning": "grid", "batch_size": 1},
+    {"partitioning": "grid", "flush_pairs": 1},
     {"partitioning": "quadtree"},
-    {"partitioning": "quadtree", "batch_size": 1},
+    {"partitioning": "quadtree", "flush_pairs": 1},
 ]
 
 
@@ -150,9 +153,12 @@ class TestStreamingEquivalence:
     @pytest.mark.parametrize(
         "overrides", ENGINE_VARIANTS,
         ids=lambda o: o["partitioning"]
-        + (f"-batch-{o['batch_size']}" if "batch_size" in o else ""),
+        + (f"-batch-{o['flush_pairs']}" if "flush_pairs" in o else ""),
     )
-    def test_frames_match_direct_execute(self, overrides):
+    def test_frames_match_direct_execute(self, overrides, monkeypatch):
+        overrides = dict(overrides)
+        set_flush_pairs(monkeypatch, overrides.pop("flush_pairs", None))
+
         async def test(server, session):
             status, _, frames = await stream_query(
                 server, {"sql": SQL, "config": overrides}
@@ -407,7 +413,8 @@ class TestAdmissionOverHttp:
         serve(test)
 
     @pytest.mark.parametrize(
-        "key, value", [("use_vectorized", False), ("workers", 2)]
+        "key, value",
+        [("use_vectorized", False), ("workers", 2), ("batch_size", 256)],
     )
     def test_stale_engine_override_is_rejected_by_name(self, key, value):
         """A client still sending a retired engine option gets a 400 naming

@@ -71,11 +71,11 @@ class TestQueryRequest:
 
     def test_engine_config_from_preset_and_overrides(self):
         request = QueryRequest.from_mapping(
-            {"sql": SQL, "preset": "low-memory", "config": {"batch_size": 256}}
+            {"sql": SQL, "preset": "low-memory", "config": {"input_cells": 6}}
         )
         config = request.engine_config()
         assert config == EngineConfig.preset("low-memory").with_options(
-            batch_size=256
+            input_cells=6
         )
         # The retired scalar-path switch is an unknown override, not a
         # silent fallback to the default engine.

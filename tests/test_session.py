@@ -136,7 +136,7 @@ class TestRegistry:
 ENGINE_KEYWORDS = {
     "ordering", "pushthrough", "input_cells", "output_cells",
     "signature_kind", "partitioning", "leaf_capacity", "seed", "verify",
-    "follow", "batch_size",
+    "follow",
 }
 
 
@@ -202,14 +202,14 @@ class TestEngineConfig:
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
             "ordering", "pushthrough", "input_cells", "output_cells",
             "signature_kind", "partitioning", "leaf_capacity", "seed",
-            "verify", "follow", "batch_size", "planner", "share_partitions",
+            "verify", "follow", "planner", "share_partitions",
         ]
 
     @pytest.mark.parametrize("name, value", [
         ("ordering", False), ("pushthrough", True), ("input_cells", 3),
         ("output_cells", 5), ("signature_kind", "bloom"),
         ("partitioning", "quadtree"), ("leaf_capacity", 16), ("seed", 7),
-        ("verify", False), ("follow", True), ("batch_size", 8),
+        ("verify", False), ("follow", True),
     ])
     def test_every_engine_keyword_reaches_the_engine(self, bound, name, value):
         config = EngineConfig(**{name: value})
@@ -218,7 +218,7 @@ class TestEngineConfig:
         assert getattr(engine, name) == value
 
     @pytest.mark.parametrize("key, value", [
-        ("workers", 2), ("use_vectorized", False),
+        ("workers", 2), ("use_vectorized", False), ("batch_size", 8),
     ])
     @pytest.mark.parametrize("surface", ["config", "with_options", "engine"])
     def test_retired_option_is_a_type_error(self, bound, surface, key, value):

@@ -51,7 +51,7 @@ from repro.storage.sources import (
 )
 from repro.storage.table import Table
 
-from tests.conftest import BATCH_IDS, BATCH_SIZES
+from tests.conftest import FLUSH_IDS, FLUSH_SIZES, set_flush_pairs
 
 ROWS = [
     ("r0", "J1", 4.0, 30.0),
@@ -711,16 +711,15 @@ def _step_trace(bound, **engine_kwargs):
 
 
 @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
-@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
-def test_engine_step_reports_match_memory(backend, batch_size, tmp_path):
+@pytest.mark.parametrize("flush_pairs", FLUSH_SIZES, ids=FLUSH_IDS)
+def test_engine_step_reports_match_memory(
+    backend, flush_pairs, tmp_path, monkeypatch
+):
+    set_flush_pairs(monkeypatch, flush_pairs)
     workload, mem_tables = _workload_sources("memory", tmp_path, 150, 11)
     _, other = _workload_sources(backend, tmp_path, 150, 11)
-    mem_steps, mem_keys = _step_trace(
-        workload.query().bind(mem_tables), batch_size=batch_size
-    )
-    other_steps, other_keys = _step_trace(
-        workload.query().bind(other), batch_size=batch_size
-    )
+    mem_steps, mem_keys = _step_trace(workload.query().bind(mem_tables))
+    other_steps, other_keys = _step_trace(workload.query().bind(other))
     assert other_keys == mem_keys
     assert other_steps == mem_steps
 

@@ -53,10 +53,11 @@ from repro.storage.sources import ColumnarFileSource, SQLiteSource, write_column
 from repro.storage.table import Table
 
 from tests.conftest import (
-    BATCH_IDS,
-    BATCH_SIZES,
+    FLUSH_IDS,
+    FLUSH_SIZES,
     make_bound,
     mean_cone_size_from_scratch,
+    set_flush_pairs,
 )
 
 ALIASES = ("R", "T")
@@ -234,8 +235,9 @@ def make_streaming_pair(backend, alias, prefix_table, tmp_path):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=BATCH_IDS)
-def test_replay_holds_on_every_backend(backend, batch_size, tmp_path):
+@pytest.mark.parametrize("flush_pairs", FLUSH_SIZES, ids=FLUSH_IDS)
+def test_replay_holds_on_every_backend(backend, flush_pairs, tmp_path, monkeypatch):
+    set_flush_pairs(monkeypatch, flush_pairs)
     workload, live, arriving = split_workload(n=80, seed=29)
     sources, appenders = {}, {}
     for alias in ALIASES:
@@ -248,13 +250,10 @@ def test_replay_holds_on_every_backend(backend, batch_size, tmp_path):
         (2, "R", arriving["R"][15:]),
         (0, "T", arriving["T"][20:]),
     ]
-    kwargs = dict(batch_size=batch_size)
-    kernel, results = stream_drive(
-        sources, workload.query(), events, appenders, **kwargs
-    )
+    kernel, results = stream_drive(sources, workload.query(), events, appenders)
     assert kernel.rows_ingested == len(arriving["R"]) + len(arriving["T"])
     assert {r.key() for r in results} == set(
-        one_shot_keys(sources, workload.query(), **kwargs)
+        one_shot_keys(sources, workload.query())
     )
     report = verify_results(workload.query().bind(sources), results)
     assert report.ok, f"{backend}: {report.render()}"
