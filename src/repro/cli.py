@@ -42,11 +42,6 @@ Commands
 
 ``algorithms``
     List the registered algorithms (the pluggable registry behind ``-a``).
-
-``lint``
-    Run the repo's own static analyzer (:mod:`repro.analysis`) over
-    Python sources: comparison accounting, determinism, async hygiene,
-    error handling and export consistency.  Non-zero exit on findings.
 """
 
 from __future__ import annotations
@@ -558,14 +553,6 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import list_rules, run_lint
-
-    if args.list_rules:
-        return list_rules(sys.stdout)
-    return run_lint(args.paths, fmt=args.format, rules=args.rules)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -742,26 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_algos = sub.add_parser("algorithms", help="list registered algorithms")
     p_algos.set_defaults(fn=_cmd_algorithms)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the repo's static analyzer over Python sources"
-    )
-    p_lint.add_argument(
-        "paths", nargs="*",
-        help="files or directories to scan (default: src if present)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    p_lint.add_argument(
-        "--rule", action="append", dest="rules", metavar="RULE-ID",
-        help="only run this rule (repeatable)",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    p_lint.set_defaults(fn=_cmd_lint)
     return parser
 
 

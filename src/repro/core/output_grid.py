@@ -241,11 +241,15 @@ class OutputGrid:
 
         Identical arithmetic to :meth:`coords_of` (truncation then clamping
         agrees with flooring once clamped to ``[0, k-1]``), so both route
-        every vector to the same cell.
+        every vector to the same cell.  Clamped in float before the cast,
+        which would wrap coordinates beyond 2^63 to ``INT64_MIN``; ``fmax``
+        sends a NaN coordinate to 0.
         """
         pts = np.asarray(vectors, dtype=float)
-        c = np.floor((pts - self._lower_row) / self._width_row).astype(np.int64)
-        return np.clip(c, 0, self.cells_per_dim - 1)
+        c = np.floor((pts - self._lower_row) / self._width_row)
+        np.fmax(c, 0, out=c)
+        np.fmin(c, self.cells_per_dim - 1, out=c)
+        return c.astype(np.int64)
 
     def cell_lower(self, coords: Sequence[int]) -> tuple[float, ...]:
         """Attribute-space lower corner of a cell."""

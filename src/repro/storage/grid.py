@@ -295,8 +295,11 @@ class _Scatter:
         order so the structure matches a row-at-a-time build exactly."""
         grid = self.grid
         k = grid.cells_per_dim
-        coords_mat = ((m - self.lows) / self.widths).astype(np.int64)
-        np.clip(coords_mat, 0, k - 1, out=coords_mat)
+        # Clamp in float, then cast: see OutputGrid.coords_matrix.
+        scaled = (m - self.lows) / self.widths
+        np.fmax(scaled, 0, out=scaled)
+        np.fmin(scaled, k - 1, out=scaled)
+        coords_mat = scaled.astype(np.int64)
         flat = coords_mat[:, 0].copy()
         for j in range(1, coords_mat.shape[1]):
             flat *= k

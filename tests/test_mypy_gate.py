@@ -22,7 +22,6 @@ TYPED_SUBSET = [
     "src/repro/skyline/dominance.py",
     "src/repro/serve/protocol.py",
     "src/repro/storage/sources/base.py",
-    "src/repro/analysis",
 ]
 
 

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from repro.core.output_grid import OutputCell, OutputGrid
 
 
+#: One coordinate: near the [0, 8] grid, or far beyond it on either side.
+COORD = st.floats(-2, 10) | st.sampled_from([-1e30, 1e30])
+
+
 def make_grid(k=4, d=2):
     return OutputGrid([0.0] * d, [8.0] * d, k)
 
@@ -52,16 +56,20 @@ class TestGeometry:
 
     @given(
         k=st.integers(1, 5),
-        points=st.lists(
-            st.tuples(st.floats(-2, 10), st.floats(-2, 10)), min_size=1, max_size=20
-        ),
+        points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=20),
     )
     @settings(max_examples=60)
     def test_coords_matrix_routes_like_coords_of(self, k, points):
-        # Outside [0, 8] included: both forms clamp to the boundary cells.
+        # Outside [0, 8] included: both forms clamp to the boundary cells,
+        # also ±1e30, beyond 2^63 cells, where an int cast would wrap.
         grid = make_grid(k=k)
         batched = grid.coords_matrix(np.array(points)).tolist()
         assert [tuple(c) for c in batched] == [grid.coords_of(p) for p in points]
+
+    def test_coords_matrix_never_makes_a_negative_index(self):
+        # A NaN coordinate is not rejected upstream yet; it lands in cell 0.
+        coords = make_grid().coords_matrix(np.array([[np.nan, 1e30], [-1e30, np.inf]]))
+        assert coords.tolist() == [[0, 3], [0, 3]]
 
     def test_coords_matrix_of_an_empty_batch(self):
         coords = make_grid().coords_matrix(np.empty((0, 2)))

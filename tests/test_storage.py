@@ -135,6 +135,20 @@ class TestGridPartitioner:
                     # upper bound is exclusive except for the last cell
                     assert v <= part.upper[i] + 1e-9
 
+    def test_delta_beyond_the_grid_clamps_like_cell_of(self):
+        """Coordinates beyond 2^63 cells clamp to the edge cell, as
+        ``cell_of`` does, instead of wrapping to cell 0."""
+        table = self._table()
+        partitioner = GridPartitioner(cells_per_dim=2)
+        grid = partitioner.partition(table, ["a", "b"], "jkey")
+        token = table.cache_token
+        far = [("r5", "j1", 1e30, -1e30), ("r6", "j1", -1e30, 1e30)]
+        table.extend_rows(far)
+        created = partitioner.partition_delta(
+            grid, table, ["a", "b"], "jkey", since_token=token
+        )
+        assert [p.coords for p in created] == [grid.cell_of(r[2:]) for r in far]
+
     def test_empty_table_rejected(self):
         empty = Table.from_rows("t", ["id", "jkey", "a"], [])
         with pytest.raises(BindingError, match="empty"):

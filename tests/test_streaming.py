@@ -57,6 +57,7 @@ from tests.conftest import (
     FLUSH_SIZES,
     make_bound,
     mean_cone_size_from_scratch,
+    oracle_skyline_keys,
     set_flush_pairs,
 )
 
@@ -364,6 +365,26 @@ def test_mean_cone_size_survives_a_poll_that_activates_cells():
     while not kernel.finished:
         kernel.step()
         assert grid.mean_cone_size() == mean_cone_size_from_scratch(grid)
+
+
+def test_an_arrival_beyond_the_grid_clamps_into_the_edge_cell():
+    """A mapped value beyond 2^63 cells of the frozen output grid clamps to
+    the edge cell, as ``coords_of`` does, instead of wrapping to cell 0."""
+    tables = {
+        "R": Table.from_rows("R", ["id", "jkey", "a0", "a1"], [("l", 0, 2.0, 0.0)]),
+        "T": Table.from_rows("T", ["id", "jkey", "b0", "b1"], [("r", 0, 1.0, 3.0)]),
+    }
+    bound = Session().register_tables(tables).sql(
+        "SELECT (R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1 FROM R R, T T "
+        "WHERE R.jkey = T.jkey PREFERRING LOWEST(x0) AND LOWEST(x1)"
+    )
+    kernel = ProgXeEngine(bound, VirtualClock(), follow=True).kernel()
+    results = list(kernel.step().results)
+    tables["T"].extend_rows([("rx", 0, 1e12, 1.0)])
+    kernel.close_ingest()
+    while not kernel.finished:
+        results.extend(kernel.step().results)
+    assert {r.key() for r in results} == oracle_skyline_keys(bound)
 
 
 # ----------------------------------------------------------------------
