@@ -11,9 +11,10 @@ reported alongside for flavour):
 * **sequential** — queries run one after another; query i's
   time-to-first-result on the global timeline is the sum of the full
   virtual cost of queries ``0..i-1`` plus its own solo time-to-first.
-* **interleaved** — all queries admitted to a round-robin
-  :class:`~repro.session.scheduler.QueryScheduler`; time-to-first (and
-  time-to-kth) is read off the scheduler's ``global_vtime`` timeline.
+* **interleaved** — all queries admitted to the
+  :class:`~repro.session.scheduler.QueryScheduler` (fair share in virtual
+  time, bounded bursts); time-to-first (and time-to-kth) is read off the
+  scheduler's ``global_vtime`` timeline.
 
 Every run asserts that each interleaved query's result *sequence* equals
 its solo run's — scheduling must never change answers.  Results land in
@@ -35,7 +36,6 @@ import sys
 import time
 
 from repro.data.workloads import SyntheticWorkload
-from repro.session.config import SchedulerConfig
 from repro.session.service import Session
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -91,9 +91,9 @@ def sequential_timeline(solos) -> dict:
     }
 
 
-def interleaved_timeline(session: Session, queries, solos, policy: str) -> dict:
+def interleaved_timeline(session: Session, queries, solos) -> dict:
     """Run all queries under the scheduler; latencies off global_vtime."""
-    scheduler = session.scheduler(SchedulerConfig(policy=policy))
+    scheduler = session.scheduler()
     handles = [scheduler.submit(bound) for bound in queries]
     first_wall: dict[int, float] = {}
     wall0 = time.perf_counter()
@@ -124,19 +124,14 @@ def interleaved_timeline(session: Session, queries, solos, policy: str) -> dict:
         "mean_ttf_wall": (
             statistics.mean(first_wall.values()) if first_wall else None
         ),
-        "dispatches": scheduler.interleaving.dispatches,
-        "switches": scheduler.interleaving.switches(),
-        "fairness_spread": round(scheduler.interleaving.fairness_spread(), 3),
     }
 
 
-def bench_level(
-    concurrency: int, n: int, d: int, distribution: str, policy: str
-) -> dict:
+def bench_level(concurrency: int, n: int, d: int, distribution: str) -> dict:
     queries = make_queries(concurrency, n, d, distribution)
     solos = solo_runs(Session(), queries)
     seq = sequential_timeline(solos)
-    inter = interleaved_timeline(Session(), queries, solos, policy)
+    inter = interleaved_timeline(Session(), queries, solos)
     speedup_ttf = (
         round(seq["mean_ttf_vtime"] / inter["mean_ttf_vtime"], 2)
         if seq["mean_ttf_vtime"] and inter["mean_ttf_vtime"]
@@ -152,7 +147,6 @@ def bench_level(
         "n": n,
         "d": d,
         "distribution": distribution,
-        "policy": policy,
         "results_per_query": [len(s["keys"]) for s in solos],
         "sequential": seq,
         "interleaved": inter,
@@ -187,10 +181,6 @@ def main(argv: list[str] | None = None) -> int:
         "(large skyline, early first results, long tail of regions)",
     )
     parser.add_argument(
-        "--policy", default="round-robin",
-        help="scheduler policy for the interleaved runs",
-    )
-    parser.add_argument(
         "--smoke", action="store_true",
         help="tiny CI scale: 2 interleaved queries, result-set equality "
         "asserted, no JSON written unless --out is given explicitly",
@@ -207,10 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     print("interleaved-vs-sequential scheduler benchmark")
     print(
         f"  levels={levels}  n={n}  d={args.d}  "
-        f"distribution={args.distribution}  policy={args.policy}  seed={SEED}"
+        f"distribution={args.distribution}  seed={SEED}"
     )
     entries = [
-        bench_level(level, n, args.d, args.distribution, args.policy)
+        bench_level(level, n, args.d, args.distribution)
         for level in levels
     ]
 

@@ -121,7 +121,6 @@ from repro.session import (
     QueryBuilder,
     QueryScheduler,
     ResultStream,
-    SchedulerConfig,
     Session,
     StreamBudget,
     StreamStats,
@@ -209,7 +208,6 @@ __all__ = [
     "SchemaError",
     "Session",
     "SkyMapJoinQuery",
-    "SchedulerConfig",
     "SkylineSortMergeJoin",
     "SortedAccessJoin",
     "SourceStatistics",

@@ -9,8 +9,8 @@ the query's preferences, mapping functions and conditions.
 
 A :class:`~repro.session.service.Session` owns one ``PlanCache`` by default,
 so concurrent queries over the same registered tables share partitioning
-work automatically; ``EngineConfig(share_partitions=False)`` (per query) or
-``SchedulerConfig(share_partitions=False)`` (per scheduler) opt out.
+work automatically; ``EngineConfig(share_partitions=False)`` (per query,
+or as the session's default config) opts out.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ Commands
     Concurrency demo: admit several queries to the cooperative
     :class:`~repro.session.scheduler.QueryScheduler` and interleave their
     execution kernels, printing results as each query emits them plus a
-    per-query latency/fairness summary.
+    per-query latency summary.
 
 ``algorithms``
     List the registered algorithms (the pluggable registry behind ``-a``).
@@ -53,13 +53,7 @@ from typing import Sequence
 
 from repro.data.workloads import SyntheticWorkload
 from repro.errors import RegistryError, ReproError
-from repro.session.config import (
-    PRESETS,
-    SCHEDULER_PRESETS,
-    SCHEDULING_POLICIES,
-    EngineConfig,
-    SchedulerConfig,
-)
+from repro.session.config import PRESETS, EngineConfig
 from repro.session.service import Session
 from repro.session.stream import StreamBudget
 from repro.storage.sources import (
@@ -83,6 +77,13 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, default=0.01,
                         help="target join selectivity")
     parser.add_argument("--seed", type=int, default=7, help="RNG seed")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
@@ -361,14 +362,9 @@ def _cmd_interleave(args: argparse.Namespace) -> int:
     session = _session(args)
     [name] = _one_algorithm(session, args.algorithm, command="interleave")
     sharing = not args.no_share
-    scheduler = session.scheduler(
-        SchedulerConfig(
-            policy=args.policy,
-            max_active=args.max_active,
-            quantum=args.quantum,
-            share_partitions=sharing,
-        )
-    )
+    if not sharing:
+        session.config = session.config.with_options(share_partitions=False)
+    scheduler = session.scheduler(max_active=args.max_active)
     budget = _budget(args)
     # --source overrides imply one shared set of backends for every query
     # (there is exactly one columnar dir / database per alias).
@@ -393,8 +389,7 @@ def _cmd_interleave(args: argparse.Namespace) -> int:
         scheduler.submit(bound, algorithm=name, budget=budget, name=qname)
         query_backends[qname] = _backend_line(tables, backends)
     print(
-        f"interleaving {args.concurrency} queries ({name}) under "
-        f"{args.policy}, quantum={args.quantum}, "
+        f"interleaving {args.concurrency} queries ({name}), "
         f"sharing={'on' if sharing else 'off'}"
     )
     for qname, line in query_backends.items():
@@ -416,10 +411,10 @@ def _cmd_interleave(args: argparse.Namespace) -> int:
             f"{query.steps:>7}{query.clock.now():>12.0f}"
             f"{'-' if first is None else format(first, '>14.0f'):>14}"
         )
-    rec = scheduler.interleaving
+    # Each dispatch is one step() of one query.
+    dispatches = sum(query.steps for query in scheduler.queries)
     print(
-        f"\ndispatches={rec.dispatches}  switches={rec.switches()}  "
-        f"fairness-spread={rec.fairness_spread():.2f}  "
+        f"\ndispatches={dispatches}  "
         f"total virtual work={scheduler.global_vtime:.0f}"
     )
     cache = scheduler.cache_stats()
@@ -475,7 +470,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         session,
         host=args.host,
         port=args.port,
-        scheduler=args.scheduler,
         admission=policy,
         watermarks=watermarks,
     )
@@ -614,17 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_args(p_il)
     _add_source_args(p_il)
     p_il.add_argument(
-        "--concurrency", "-c", type=int, default=4,
+        "--concurrency", "-c", type=_positive_int, default=4,
         help="number of concurrent queries to admit (workload seeds "
         "SEED..SEED+N-1)",
-    )
-    p_il.add_argument(
-        "--policy", choices=list(SCHEDULING_POLICIES), default="round-robin",
-        help="cross-query dispatch policy",
-    )
-    p_il.add_argument(
-        "--quantum", type=int, default=1,
-        help="consecutive kernel steps per dispatch (1 = max interleaving)",
     )
     p_il.add_argument(
         "--max-active", type=int, default=None,
@@ -661,10 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve table NAME from a CSV file or source URI "
         "(columnar:PATH, sqlite:PATH?table=T); default: the synthetic "
         "workload's tables",
-    )
-    p_serve.add_argument(
-        "--scheduler", choices=list(SCHEDULER_PRESETS), default="serving",
-        help="scheduler preset driving the serving loop",
     )
     p_serve.add_argument("--preset", choices=list(PRESETS), help=preset_help)
     p_serve.add_argument(

@@ -317,20 +317,6 @@ class ExecutionKernel:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def peek_rank(self) -> float:
-        """Benefit signal of the kernel's next unit of work (pure read).
-
-        Used by cross-query benefit-greedy scheduling.  The un-started
-        kernel advertises ``inf`` — its bootstrap step releases the
-        look-ahead freebies at near-zero cost, so it should always run
-        first.
-        """
-        if self._status == FINISHED:
-            return 0.0
-        if self.steps == 0:
-            return float("inf")
-        return self.policy.peek_rank()
-
     def snapshot(self) -> KernelSnapshot:
         """Progress snapshot: region, cell, emission and clock counters."""
         # state.regions also holds the regions streaming's arrival polls add.

@@ -98,19 +98,6 @@ class ProgOrder:
         """
         self._push(region)
 
-    def peek_rank(self) -> float:
-        """Rank of the best queued region, without any queue mutation.
-
-        A pure read used by the multi-query scheduler's benefit-greedy
-        policy to compare *across* queries.  The heap top may be stale
-        (done or stale-low); that is acceptable for a scheduling heuristic
-        and keeps the peek free of clock charges, so interleaved and solo
-        executions stay step-for-step identical.
-        """
-        if self._heap:
-            return -self._heap[0][0]
-        return 0.0
-
 
 class RandomOrder:
     """The "(No-Order)" ablation: seeded-random region sequencing."""
@@ -154,7 +141,3 @@ class RandomOrder:
         order they were built.
         """
         self._order.append(region)
-
-    def peek_rank(self) -> float:
-        """Random ordering carries no benefit signal; always 0."""
-        return 0.0

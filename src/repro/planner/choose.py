@@ -23,15 +23,11 @@ fills the gaps the caller left open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.plan import input_cells_per_side
 from repro.planner.cost import join_cardinality, partition_fanout
-from repro.planner.statistics import (
-    BYTES_PER_VALUE,
-    JoinObservation,
-    StatisticsStore,
-)
+from repro.planner.statistics import JoinObservation, StatisticsStore
 from repro.skyline.estimate import expected_skyline_size
 from repro.storage.sources.filtered import conditions_fingerprint
 
@@ -381,24 +377,3 @@ class Planner:
             conditions_fingerprint(query.filters),
             bound.skyline_dimension_count,
         )
-
-    # ------------------------------------------------------------------
-    # scheduler support
-    # ------------------------------------------------------------------
-    def table_footprint(self, source: Any) -> float:
-        """Estimated bytes of ``source`` — **without scanning it**.
-
-        Uses a cached summary when the store holds one; otherwise falls
-        back to ``len(source) * columns * 8`` from schema metadata.  The
-        cache-aware scheduler admission policy sums these to score table
-        overlap between queries.
-        """
-        cached = self.statistics.cached(source)
-        if cached is not None:
-            return cached.estimated_bytes()
-        try:
-            rows = len(source)
-            columns = len(source.schema.columns)
-        except (AttributeError, TypeError):
-            return 0.0
-        return float(rows) * columns * BYTES_PER_VALUE

@@ -3,12 +3,7 @@
 from repro.runtime.clock import DEFAULT_WEIGHTS, VirtualClock
 from repro.runtime.compare import ComparisonReport, compare_algorithms
 from repro.runtime.plots import ascii_curve, crossover_time
-from repro.runtime.recorder import (
-    EmissionEvent,
-    InterleaveEvent,
-    InterleaveRecorder,
-    ProgressRecorder,
-)
+from repro.runtime.recorder import EmissionEvent, ProgressRecorder
 from repro.runtime.runner import (
     Algorithm,
     AlgorithmFactory,
@@ -22,8 +17,6 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_WEIGHTS",
     "EmissionEvent",
-    "InterleaveEvent",
-    "InterleaveRecorder",
     "ProgressRecorder",
     "RunResult",
     "ascii_curve",

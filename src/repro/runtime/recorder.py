@@ -121,93 +121,3 @@ class ProgressRecorder:
             t = horizon * i / points
             out.append((t, self.results_by(t)))
         return out
-
-
-@dataclass(frozen=True)
-class InterleaveEvent:
-    """One scheduler dispatch: which query stepped, and what it cost.
-
-    ``global_vtime`` is the shared scheduler timeline — the cumulative
-    virtual time charged across *all* queries up to and including this
-    step — so per-query progress can be plotted on one axis.
-    """
-
-    seq: int
-    query_id: int
-    kind: str
-    vtime_delta: float
-    results: int
-    global_vtime: float
-
-
-class InterleaveRecorder:
-    """Records the dispatch sequence of a multi-query scheduler run.
-
-    The multi-query analogue of :class:`ProgressRecorder`: where that class
-    captures *when results appear* within one execution, this one captures
-    *how executions were woven together* — the raw material for fairness
-    and context-switch analysis of scheduling policies.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[InterleaveEvent] = []
-
-    def record(
-        self,
-        query_id: int,
-        kind: str,
-        vtime_delta: float,
-        results: int,
-        global_vtime: float,
-    ) -> None:
-        """Append one dispatch record."""
-        self.events.append(
-            InterleaveEvent(
-                seq=len(self.events) + 1,
-                query_id=query_id,
-                kind=kind,
-                vtime_delta=vtime_delta,
-                results=results,
-                global_vtime=global_vtime,
-            )
-        )
-
-    @property
-    def dispatches(self) -> int:
-        """Total scheduler dispatches recorded."""
-        return len(self.events)
-
-    def switches(self) -> int:
-        """Number of consecutive dispatches that changed query."""
-        return sum(
-            1
-            for a, b in zip(self.events, self.events[1:])
-            if a.query_id != b.query_id
-        )
-
-    def sequence(self) -> list[int]:
-        """The query ids in dispatch order."""
-        return [e.query_id for e in self.events]
-
-    def per_query(self) -> dict[int, dict[str, float | int]]:
-        """Per-query totals: steps, virtual time consumed, results emitted."""
-        out: dict[int, dict[str, float | int]] = {}
-        for e in self.events:
-            row = out.setdefault(
-                e.query_id, {"steps": 0, "vtime": 0.0, "results": 0}
-            )
-            row["steps"] += 1
-            row["vtime"] += e.vtime_delta
-            row["results"] += e.results
-        return out
-
-    def fairness_spread(self) -> float:
-        """Max/min ratio of per-query virtual time consumed (1.0 = even).
-
-        Only meaningful when every query ran to completion under the same
-        workload shape; still a useful smoke signal for policy debugging.
-        """
-        totals = [row["vtime"] for row in self.per_query().values()]
-        if not totals or min(totals) <= 0:
-            return float("inf") if totals and max(totals) > 0 else 1.0
-        return max(totals) / min(totals)

@@ -57,7 +57,6 @@ from repro.serve.protocol import (
     QueryRequest,
     encode_frame,
 )
-from repro.session.config import SchedulerConfig
 from repro.session.service import Session
 from repro.session.stream import FAILED
 
@@ -113,10 +112,6 @@ class QueryServer:
     host / port:
         Bind address; ``port=0`` picks a free port (read :attr:`port`
         after :meth:`start`).
-    scheduler:
-        :class:`~repro.session.config.SchedulerConfig` or preset name for
-        the serving scheduler (default: the ``"serving"`` preset — fair
-        share, vtime-capped bursts, starvation-bounded).
     admission:
         :class:`~repro.serve.admission.AdmissionPolicy` ceilings.
     watermarks:
@@ -140,7 +135,6 @@ class QueryServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8484,
-        scheduler: SchedulerConfig | str = "serving",
         admission: AdmissionPolicy | None = None,
         watermarks: Watermarks | None = None,
         idle_poll_seconds: float = 0.05,
@@ -151,7 +145,9 @@ class QueryServer:
         self.admission = AdmissionController(admission)
         self.watermarks = watermarks or Watermarks()
         self.idle_poll_seconds = idle_poll_seconds
-        self.scheduler = session.scheduler(scheduler)
+        #: The session's scheduler; admission control lives in
+        #: :attr:`admission`, so the scheduler itself admits everything.
+        self.scheduler = session.scheduler()
         self._served: dict[int, ServedQuery] = {}
         self._server: asyncio.AbstractServer | None = None
         self._pump_task: asyncio.Task | None = None
@@ -255,7 +251,7 @@ class QueryServer:
                 # owning query FAILED and stamped it with the exception,
                 # and the sweep below turns that terminal state into
                 # error/complete frames for its one client.  An exception
-                # no served query owns is a scheduler/policy bug, not a
+                # no served query owns is a scheduler bug, not a
                 # query failure — swallowing it would spin this loop hot
                 # forever, so it propagates.
                 owned = any(
@@ -570,7 +566,6 @@ class QueryServer:
             "admission": self.admission.snapshot(),
             "timed_out_total": self.timed_out_total,
             "scheduler": {
-                "policy": self.scheduler.config.policy,
                 "live_queries": len(self.scheduler.live_queries),
                 "paused_queries": sum(
                     1 for q in self.scheduler.live_queries if q.paused

@@ -15,14 +15,7 @@ partially-initialised package ``__init__`` to have finished.
 """
 
 from repro.session.builder import QueryBuilder
-from repro.session.config import (
-    PARTITIONING_KINDS,
-    PRESETS,
-    SCHEDULER_PRESETS,
-    SCHEDULING_POLICIES,
-    EngineConfig,
-    SchedulerConfig,
-)
+from repro.session.config import PARTITIONING_KINDS, PRESETS, EngineConfig
 from repro.session.registry import (
     AlgorithmRegistry,
     RegistryEntry,
@@ -60,9 +53,6 @@ __all__ = [
     "RegistryView",
     "ResultStream",
     "RUNNING",
-    "SCHEDULER_PRESETS",
-    "SCHEDULING_POLICIES",
-    "SchedulerConfig",
     "Session",
     "StreamBudget",
     "StreamStats",

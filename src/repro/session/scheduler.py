@@ -6,17 +6,15 @@ have to wait for the first one's region queue to drain.  The
 :class:`QueryScheduler` closes that gap: it admits N concurrent queries
 from one :class:`~repro.session.service.Session` and interleaves their
 steps (a region of an :class:`~repro.core.kernel.ExecutionKernel` for
-ProgXe variants; one result of a blocking baseline) under a pluggable
-policy:
+ProgXe variants; one result of a blocking baseline) under one rule:
 
-* ``round-robin`` — cycle the admitted queries; the fairness baseline.
-* ``benefit-greedy`` — extend the paper's intra-query benefit/cost ranking
-  *across* queries: always step the kernel whose next region promises the
-  highest rank (:meth:`~repro.core.kernel.ExecutionKernel.peek_rank`).
-* ``fair-share`` — step the query with the least virtual time consumed
-  (virtual-clock fair queueing).
-* ``deadline`` — step the query with the least slack to its virtual-time
-  budget; queries without a deadline yield to those with one.
+* **admission** — first come, first served, at most ``max_active`` at once;
+* **fair share** — each decision dispatches the runnable query with the
+  least virtual time consumed (ties to the oldest submission);
+* **bursts** — the chosen query runs up to :data:`QUANTUM` steps, cut once
+  the burst's virtual time reaches :data:`QUANTUM_VTIME`;
+* **starvation bound** — a runnable query passed over for
+  :data:`STARVATION_ROUNDS` decisions is dispatched next regardless.
 
 Every query keeps its own :class:`~repro.runtime.clock.VirtualClock`; the
 scheduler charges one ``queue_op`` per dispatch to the chosen query (the
@@ -31,143 +29,39 @@ the same handle a direct ``Session.execute`` returns — and a dispatch is
 one call of its :meth:`~repro.session.stream.ResultStream.step`.  The
 handle owns everything about *how* a query advances (its stepper, results,
 budget, callbacks, cancellation, ``close_ingest``); the scheduler owns only
-*when*: admission, the policy, the quantum, the ``queue_op`` charge, the
-global-vtime stamps and the :class:`~repro.runtime.recorder.InterleaveRecorder`.
-Budgets therefore cut a scheduled query exactly where they cut a direct
-pull.
+*when*: admission, the choice, the burst, the ``queue_op`` charge and the
+global-vtime stamps.  Budgets therefore cut a scheduled query exactly where
+they cut a direct pull.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import AsyncIterator, Iterator, Sequence
+from typing import AsyncIterator, Iterator
 
 from repro.core.kernel import StepReport
 from repro.errors import QueryError
 from repro.query.smj import ResultTuple
 from repro.runtime.clock import VirtualClock
-from repro.runtime.recorder import InterleaveRecorder
 from repro.runtime.runner import AlgorithmFactory
-from repro.session.config import SCHEDULING_POLICIES, SchedulerConfig
 from repro.session.stream import ResultStream, StreamBudget
 
-
-# ----------------------------------------------------------------------
-# dispatch policies
-# ----------------------------------------------------------------------
-class RoundRobinPolicy:
-    """Cycle through the admitted queries in submission order."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._last = -1
-
-    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
-        following = [q for q in active if q.qid > self._last]
-        chosen = min(following or active, key=lambda q: q.qid)
-        self._last = chosen.qid
-        return chosen
+#: Most consecutive steps one dispatch decision runs.
+QUANTUM = 8
+#: Virtual-time cap on a burst: it ends with the step whose cumulative
+#: virtual time reaches this value, so it overshoots by at most one region.
+QUANTUM_VTIME = 2_000.0
+#: Decisions a runnable query may be passed over before it is dispatched
+#: ahead of the fair-share choice.
+STARVATION_ROUNDS = 32
 
 
-class BenefitGreedyPolicy:
-    """Step the query whose next region promises the highest rank.
-
-    The cross-query generalisation of ProgOrder: each kernel's
-    ``peek_rank()`` is the benefit/cost rank of its best pending region, so
-    the scheduler always spends the next step where it buys the most
-    progressiveness.  Un-started kernels advertise ``inf`` (their bootstrap
-    is nearly free); ties break toward the least virtual time consumed, so
-    the policy cannot starve a query behind an identical twin.
-    """
-
-    name = "benefit-greedy"
-
-    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
-        def key(q: ResultStream) -> tuple[float, float, int]:
-            stepper = q._stepper
-            rank = float("inf") if stepper is None else stepper.peek_rank()
-            return (-rank, q.clock.now(), q.qid)
-
-        return min(active, key=key)
-
-
-class FairSharePolicy:
-    """Virtual-clock fair queueing: least virtual time consumed goes first."""
-
-    name = "fair-share"
-
-    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
-        return min(active, key=lambda q: (q.clock.now(), q.qid))
-
-
-class DeadlinePolicy:
-    """Least-slack-first over virtual-time budgets.
-
-    A query's deadline is its budget's ``max_vtime``; its slack is the
-    virtual time remaining until then.  Queries without a deadline run only
-    when every deadline-bearing query has none left to honour (they sort
-    with infinite slack).
-    """
-
-    name = "deadline"
-
-    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
-        def slack(q: ResultStream) -> tuple[float, int]:
-            if q.budget is None or q.budget.max_vtime is None:
-                return (float("inf"), q.qid)
-            return (q.budget.max_vtime - q.clock.now(), q.qid)
-
-        return min(active, key=slack)
-
-
-class WallDeadlinePolicy:
-    """Least-slack-first over *wall-clock* budgets.
-
-    The real-time counterpart of :class:`DeadlinePolicy`: a query's
-    deadline is its budget's ``max_wall_seconds`` and its slack is the real
-    time remaining until then — measured with ``perf_counter`` against the
-    moment the query was submitted, not in virtual time.  A serving edge
-    that promises "first results within two seconds" wants this policy:
-    vtime slack drifts from wall slack as soon as queries differ in
-    per-operation cost.  Queries without a wall deadline sort with infinite
-    slack and run only when no deadline is pressing.
-    """
-
-    name = "wall-deadline"
-
-    def choose(self, active: Sequence[ResultStream]) -> ResultStream:
-        now = time.perf_counter()
-
-        def slack(q: ResultStream) -> tuple[float, int]:
-            if q.budget is None or q.budget.max_wall_seconds is None:
-                return (float("inf"), q.qid)
-            remaining = q.budget.max_wall_seconds - (now - q._wall_start)
-            return (remaining, q.qid)
-
-        return min(active, key=slack)
-
-
-_POLICY_FACTORIES = {
-    "round-robin": RoundRobinPolicy,
-    "benefit-greedy": BenefitGreedyPolicy,
-    "fair-share": FairSharePolicy,
-    "deadline": DeadlinePolicy,
-    "wall-deadline": WallDeadlinePolicy,
-}
-assert set(_POLICY_FACTORIES) == set(SCHEDULING_POLICIES)
-
-
-# ----------------------------------------------------------------------
-# the scheduler
-# ----------------------------------------------------------------------
 class QueryScheduler:
     """Interleaves N concurrent session queries, one kernel step at a time.
 
     Built by :meth:`repro.session.service.Session.scheduler`.  Typical use::
 
-        scheduler = session.scheduler(policy="benefit-greedy")
+        scheduler = session.scheduler(max_active=8)
         q1 = scheduler.submit(SQL_1, algorithm="ProgXe")
         q2 = scheduler.submit(SQL_2, algorithm="ProgXe+")
         for query, result in scheduler.run():
@@ -179,14 +73,14 @@ class QueryScheduler:
     control to the event loop between steps.
     """
 
-    def __init__(
-        self,
-        session,
-        config: SchedulerConfig | None = None,
-    ) -> None:
+    def __init__(self, session, *, max_active: int | None = None) -> None:
+        if max_active is not None and max_active < 1:
+            raise QueryError(f"max_active must be >= 1, got {max_active}")
         self.session = session
-        self.config = config or SchedulerConfig()
-        self._policy = _POLICY_FACTORIES[self.config.policy]()
+        #: Admission ceiling: at most this many queries execute at once
+        #: (a paused query keeps its slot); the rest wait in submission
+        #: order.  ``None`` admits everything.
+        self.max_active = max_active
         self._queries: list[ResultStream] = []
         #: Non-terminal queries only — the working set _admit() scans, so
         #: long-serving schedulers pay per-dispatch cost proportional to
@@ -197,11 +91,6 @@ class QueryScheduler:
         #: Cumulative virtual time charged across all queries, in dispatch
         #: order — the shared timeline for cross-query latency metrics.
         self.global_vtime = 0.0
-        #: Dispatch-order record of the interleaving.
-        self.interleaving = InterleaveRecorder()
-        #: Admission slots filled out of submission order for table
-        #: affinity (only moves with ``cache_aware_admission``).
-        self.admission_reorders = 0
 
     # ------------------------------------------------------------------
     # admission
@@ -229,11 +118,6 @@ class QueryScheduler:
         """
         instance, clock, resolved = self.session.build_algorithm(
             query, algorithm=algorithm, config=config, clock=clock,
-            # False forces private planning for every admitted query; None
-            # (sharing on) defers to the engine config's own flag.
-            share_partitions=(
-                None if self.config.share_partitions else False
-            ),
         )
         qid = self._next_qid
         self._next_qid += 1
@@ -244,33 +128,9 @@ class QueryScheduler:
             budget=budget,
             qid=qid,
         )
-        handle.table_footprint = self._table_footprint(instance)
         self._queries.append(handle)
         self._rotation.append(handle)
         return handle
-
-    def _table_footprint(self, instance) -> dict:
-        """Estimated bytes per table uid the query reads (no scan).
-
-        Keys are the (filtered) source uids — the same identities the
-        partition cache keys on, so overlap here predicts shared-partition
-        hits.  Sizes come from the session planner's
-        :meth:`~repro.planner.choose.Planner.table_footprint` metadata
-        estimate.  Empty for non-engine algorithms (no ``bound``).
-        """
-        bound = getattr(instance, "bound", None)
-        if bound is None:
-            return {}
-        footprint: dict = {}
-        for source in (
-            getattr(bound, "left_table", None),
-            getattr(bound, "right_table", None),
-        ):
-            uid = getattr(source, "uid", None)
-            if uid is None:
-                continue
-            footprint[uid] = self.session.planner.table_footprint(source)
-        return footprint
 
     @property
     def queries(self) -> list[ResultStream]:
@@ -304,9 +164,8 @@ class QueryScheduler:
     def cache_stats(self):
         """Partition-sharing counters of the session's plan cache.
 
-        A :class:`~repro.cache.store.CacheStats` snapshot; with
-        ``SchedulerConfig(share_partitions=False)`` the counters simply
-        never move on this scheduler's behalf.
+        A :class:`~repro.cache.store.CacheStats` snapshot; queries run
+        with ``EngineConfig(share_partitions=False)`` never move it.
         """
         return self.session.plan_cache.stats()
 
@@ -351,7 +210,7 @@ class QueryScheduler:
             await asyncio.sleep(0)
 
     def tick(self) -> list[tuple[ResultStream, StepReport]]:
-        """One scheduling decision: admit, choose a query, run one quantum.
+        """One scheduling decision: admit, choose a query, run one burst.
 
         The serving-loop entry point — a long-lived server calls ``tick()``
         whenever it wants the engine to advance, interleaving it freely
@@ -361,12 +220,11 @@ class QueryScheduler:
         held by a paused query.  An empty tick performs no work, so
         over-ticking an idle scheduler is harmless.
 
-        The burst length is bounded by ``config.quantum`` (steps) and, when
-        set, ``config.quantum_vtime`` — the burst ends with the step whose
-        cumulative virtual time crosses the cap, so it overshoots by at
-        most one region's work.  With ``config.starvation_rounds`` set, a
-        runnable query that has waited that many decisions is dispatched
-        ahead of the policy's preference.
+        The burst is at most :data:`QUANTUM` steps and ends with the step
+        whose cumulative virtual time reaches :data:`QUANTUM_VTIME`, so it
+        overshoots by at most one region's work.  A runnable query passed
+        over for :data:`STARVATION_ROUNDS` decisions is dispatched ahead
+        of the fair-share choice.
         """
         runnable = self._admit()
         if not runnable:
@@ -379,19 +237,15 @@ class QueryScheduler:
                 query.rounds_waiting += 1
         burst: list[tuple[ResultStream, StepReport]] = []
         burst_vtime_start = chosen.clock.now()
-        for _ in range(self.config.quantum):
+        for _ in range(QUANTUM):
             report = self._dispatch(chosen)
             burst.append((chosen, report))
             # A consumer may cancel or pause from a callback between steps:
-            # surrender the rest of the quantum so no further work runs
+            # surrender the rest of the burst so no further work runs
             # after the request.
             if chosen.finished or chosen.paused:
                 break
-            if (
-                self.config.quantum_vtime is not None
-                and chosen.clock.now() - burst_vtime_start
-                >= self.config.quantum_vtime
-            ):
+            if chosen.clock.now() - burst_vtime_start >= QUANTUM_VTIME:
                 break
         return burst
 
@@ -421,14 +275,14 @@ class QueryScheduler:
             self._running = False
 
     def _choose(self, runnable: list[ResultStream]) -> ResultStream:
-        """Apply the policy, overridden by the starvation bound if due."""
-        bound = self.config.starvation_rounds
-        if bound is not None:
-            starving = [q for q in runnable if q.rounds_waiting >= bound]
-            if starving:
-                # Longest-waiting first; ties to the oldest submission.
-                return min(starving, key=lambda q: (-q.rounds_waiting, q.qid))
-        return self._policy.choose(runnable)
+        """Fair share, overridden by the starvation bound if due."""
+        starving = [
+            q for q in runnable if q.rounds_waiting >= STARVATION_ROUNDS
+        ]
+        if starving:
+            # Longest-waiting first; ties to the oldest submission.
+            return min(starving, key=lambda q: (-q.rounds_waiting, q.qid))
+        return min(runnable, key=lambda q: (q.clock.now(), q.qid))
 
     def _admit(self) -> list[ResultStream]:
         """Fill admission slots, return the runnable set.
@@ -442,7 +296,7 @@ class QueryScheduler:
         """
         live: list[ResultStream] = []
         runnable: list[ResultStream] = []
-        limit = self.config.max_active
+        limit = self.max_active
         held = 0
         for query in self._rotation:
             if query.finished:
@@ -452,43 +306,10 @@ class QueryScheduler:
                 held += 1
                 if not query.paused:
                     runnable.append(query)
-        if limit is None or held < limit:
-            waiting = [q for q in live if not q.admitted]
-            use_affinity = (
-                self.config.cache_aware_admission
-                and limit is not None
-                and len(waiting) > 1
-            )
-            first_fill = True
-            while waiting and (limit is None or held < limit):
-                query = waiting[0]
-                if use_affinity and not first_fill:
-                    # Affinity fill: prefer the waiting query whose table
-                    # footprint overlaps the admitted set most — but only
-                    # after the oldest waiting query took the first slot
-                    # of this decision, so admission stays starvation-free
-                    # (a freed slot always goes FIFO before affinity).
-                    admitted_uids = {
-                        uid
-                        for q in live
-                        if q.admitted
-                        for uid in q.table_footprint
-                    }
-
-                    def overlap(q: ResultStream) -> float:
-                        return sum(
-                            size
-                            for uid, size in q.table_footprint.items()
-                            if uid in admitted_uids
-                        )
-
-                    best = max(waiting, key=lambda q: (overlap(q), -q.qid))
-                    if overlap(best) > 0:
-                        query = best
-                if query is not waiting[0]:
-                    self.admission_reorders += 1
-                waiting.remove(query)
-                first_fill = False
+        for query in live:
+            if limit is not None and held >= limit:
+                break
+            if not query.admitted:
                 query.admitted = True
                 held += 1
                 if not query.paused:
@@ -513,16 +334,11 @@ class QueryScheduler:
             query.emission_global_vtimes.extend(
                 [self.global_vtime] * len(report.results)
             )
-        if self.config.record_interleaving:
-            self.interleaving.record(
-                query.qid, report.kind, delta, len(report.results),
-                self.global_vtime,
-            )
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         terminal = sum(1 for q in self._queries if q.finished)
         return (
-            f"QueryScheduler(policy={self.config.policy!r}, "
+            f"QueryScheduler(max_active={self.max_active!r}, "
             f"queries={len(self._queries)}, done={terminal})"
         )

@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import asyncio
 import inspect
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.session.config import SchedulerConfig
     from repro.session.scheduler import QueryScheduler
 
 from repro.cache.plan_cache import PlanCache
@@ -100,15 +98,14 @@ class Session:
         Shared :class:`~repro.cache.plan_cache.PlanCache` for cross-query
         work sharing.  Defaults to a fresh per-session cache; pass one
         explicitly to share partitioning work *across* sessions.  Disable
-        sharing per query/config with ``EngineConfig(share_partitions=
-        False)`` or per scheduler with ``SchedulerConfig(share_partitions=
-        False)``.
+        sharing per query or per session with ``EngineConfig(
+        share_partitions=False)``.
     planner:
         Shared cost-based :class:`~repro.planner.choose.Planner` used by
         queries executed with ``EngineConfig(planner=True)`` (the
-        ``"auto"`` preset) and by cache-aware scheduler admission.
-        Defaults to a lazily created per-session planner, so statistics
-        and run feedback accumulate across this session's queries.
+        ``"auto"`` preset).  Defaults to a lazily created per-session
+        planner, so statistics and run feedback accumulate across this
+        session's queries.
 
     Example::
 
@@ -277,7 +274,7 @@ class Session:
         is the registry's canonical name, or ``None`` for a raw factory.
 
         ``share_partitions`` overrides the engine config's flag of the same
-        name (the scheduler passes its own); when sharing is on, the
+        name (``execute(share_partitions=...)``); when sharing is on, the
         session's :attr:`plan_cache` is handed to configurable factories
         that accept a ``cache`` keyword, so planning reuses input
         partitionings across queries.
@@ -364,45 +361,25 @@ class Session:
         )
         return ResultStream(instance, clock, name=name, budget=budget)
 
-    def scheduler(
-        self,
-        config: "SchedulerConfig | str | None" = None,
-        *,
-        policy: str | None = None,
-        max_active: int | None = None,
-        quantum: int | None = None,
-    ) -> "QueryScheduler":
+    def scheduler(self, *, max_active: int | None = None) -> "QueryScheduler":
         """A cooperative multi-query scheduler over this session.
 
-        ``config`` may be a :class:`~repro.session.config.SchedulerConfig`
-        or a preset name (see
-        :data:`~repro.session.config.SCHEDULER_PRESETS`); the keyword
-        shortcuts override individual fields.  Submit queries with
-        :meth:`QueryScheduler.submit`, then iterate
+        ``max_active`` caps how many queries execute at once (the rest wait
+        in submission order); ``None`` admits everything.  Dispatch follows
+        the scheduler's one rule — fair share in virtual time, bounded
+        bursts, a starvation bound (see :mod:`repro.session.scheduler`).
+        Submit queries with :meth:`QueryScheduler.submit`, then iterate
         :meth:`QueryScheduler.run` (or ``run_async``) to interleave them::
 
-            scheduler = session.scheduler(policy="benefit-greedy")
+            scheduler = session.scheduler(max_active=8)
             a = scheduler.submit(QUERY_A)
             b = scheduler.submit(QUERY_B, budget=StreamBudget(max_results=5))
             for query, result in scheduler.run():
                 ...
         """
-        from repro.session.config import SchedulerConfig
         from repro.session.scheduler import QueryScheduler
 
-        if isinstance(config, str):
-            config = SchedulerConfig.preset(config)
-        config = config or SchedulerConfig()
-        overrides = {}
-        if policy is not None:
-            overrides["policy"] = policy
-        if max_active is not None:
-            overrides["max_active"] = max_active
-        if quantum is not None:
-            overrides["quantum"] = quantum
-        if overrides:
-            config = replace(config, **overrides)
-        return QueryScheduler(self, config)
+        return QueryScheduler(self, max_active=max_active)
 
     async def execute_async(
         self,

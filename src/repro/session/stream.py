@@ -206,9 +206,6 @@ class _GeneratorStepper:
             finished=self.finished,
         )
 
-    def peek_rank(self) -> float:
-        return 0.0
-
     def close(self) -> None:
         self._gen.close()
         self.finished = True
@@ -280,9 +277,6 @@ class ResultStream:
         #: Scheduling decisions since this query was last dispatched while
         #: runnable — the counter behind the starvation bound.
         self.rounds_waiting = 0
-        #: Estimated bytes per table uid this query reads (planner
-        #: metadata, no scan) — the cache-aware admission overlap signal.
-        self.table_footprint: dict = {}
         #: Global (cross-query) virtual time at this query's first emission.
         self.first_result_global_vtime: float | None = None
         #: Global virtual time at each emission (step-granular stamps).

@@ -20,7 +20,7 @@ from repro.core.plan import QueryPlan
 from repro.data.workloads import SyntheticWorkload
 from repro.errors import QueryError, SchemaError
 from repro.runtime.clock import VirtualClock
-from repro.session.config import EngineConfig, SchedulerConfig
+from repro.session.config import EngineConfig
 from repro.session.service import Session
 from repro.storage.grid import GridPartitioner
 from repro.storage.quadtree import QuadTreePartitioner
@@ -419,13 +419,14 @@ class TestSessionSharing:
         assert handles[1].stats().partition_cache == {"partition_hits": 2}
 
     def test_scheduler_share_knob_disables(self):
+        """The session's engine flag opts every scheduled query out."""
         workload = SyntheticWorkload(
             distribution="independent", n=100, d=2, sigma=0.05, seed=5
         )
-        session = self.make_session(workload)
-        scheduler = session.scheduler(
-            SchedulerConfig(share_partitions=False)
+        session = self.make_session(
+            workload, config=EngineConfig(share_partitions=False)
         )
+        scheduler = session.scheduler()
         bound = workload.bound()
         scheduler.submit(bound)
         scheduler.submit(bound)

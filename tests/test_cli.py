@@ -55,6 +55,49 @@ class TestRun:
         assert "--workers" in capsys.readouterr().err
 
 
+class TestInterleave:
+    def test_dispatches_are_the_steps_of_every_query(self, capsys):
+        argv = ["interleave", "-n", "60", "--sigma", "0.1", "-c", "3",
+                "--max-active", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The per-query table: name, state, results, steps, vtime, first@.
+        rows = [line.split() for line in lines
+                if line.startswith(("q0(", "q1(", "q2("))]
+        assert len(rows) == 3
+        steps = sum(int(row[3]) for row in rows)
+        [summary] = [line for line in lines if line.startswith("dispatches=")]
+        assert steps > 0
+        assert summary.split()[0] == f"dispatches={steps}"
+
+    def test_no_share_turns_the_engine_flag_off(self, capsys):
+        argv = ["interleave", "-n", "60", "--sigma", "0.1", "-c", "2",
+                "--shared-tables"]
+        assert main(argv) == 0
+        assert "hits=2" in capsys.readouterr().out
+        assert main(argv + ["--no-share"]) == 0
+        out = capsys.readouterr().out
+        assert "sharing=off" in out and "hits=0  misses=0" in out
+
+    @pytest.mark.parametrize("concurrency", ["0", "-3"])
+    def test_concurrency_below_one_is_a_usage_error(self, concurrency, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["interleave", "-n", "50", "-c", concurrency])
+        assert exit_info.value.code == 2
+        assert "--concurrency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--scheduler", "serving"],
+        ["interleave", "--policy", "round-robin"],
+        ["interleave", "--quantum", "4"],
+    ], ids=["serve-scheduler", "interleave-policy", "interleave-quantum"])
+    def test_retired_scheduler_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+
 class TestCompare:
     def test_compare_variants(self, capsys):
         assert main(["compare", "-n", "70", "--sigma", "0.1"]) == 0

@@ -34,7 +34,6 @@ EXAMPLE_REQUIRED = [
     "StreamBudget",
     "StreamStats",
     "EngineConfig",
-    "SchedulerConfig",
     "QueryScheduler",
     "AlgorithmRegistry",
     "ProgXeEngine",

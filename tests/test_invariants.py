@@ -302,11 +302,17 @@ RETIRED = [
     # One flush size: a region's join flushes FLUSH_PAIRS pairs at a time
     # (core/tuple_level.py).  Storage scan chunking keeps its own batch_size.
     ("batch_size", ("src/repro/core", "src/repro/session", "src/repro/planner", "src/repro/serve")),
+    # One scheduling rule (fair share, bounded bursts, a starvation bound): no
+    # policies, presets or config object, no cache-aware admission and no
+    # per-dispatch log; none had a served workload of its own.
+    (r"SchedulerConfig|SCHEDULER_PRESETS|SCHEDULING_POLICIES|cache_aware_admission"
+     r"|InterleaveRecorder|def peek_rank|table_footprint", ("src/",)),
 ]
 
 
 @pytest.mark.parametrize("pattern, paths", RETIRED, ids=[
-    "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size"])
+    "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
+    "one-scheduler"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]

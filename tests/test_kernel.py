@@ -351,16 +351,6 @@ class TestEmitSettled:
             state.emit_settled(cell)
         assert state.drain_emissions() == []
 
-    def test_peek_rank_lifecycle(self, small_bound):
-        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
-        assert kernel.peek_rank() == float("inf")  # bootstrap pending
-        kernel.step()
-        mid = kernel.peek_rank()
-        assert mid >= 0.0
-        while not kernel.finished:
-            kernel.step()
-        assert kernel.peek_rank() == 0.0
-
 
 class TestPicklableContract:
     """StepReport / KernelSnapshot are picklable-by-contract plain data."""

@@ -32,7 +32,7 @@ from repro.planner import Planner, StatisticsStore, collect_statistics
 from repro.planner.choose import SKEW_THRESHOLD
 from repro.planner.cost import join_cardinality, partition_fanout
 from repro.query.smj import FilterCondition
-from repro.session.config import EngineConfig, SchedulerConfig
+from repro.session.config import EngineConfig
 from repro.session.service import Session
 from repro.storage.sources.sqlite import SQLiteSource
 from repro.storage.table import Table
@@ -294,14 +294,6 @@ class TestPlannerDecisions:
         assert report.to_dict()["input_cells"] is None
         assert "input cells" not in report.render()
 
-    def test_table_footprint_prefers_cached_statistics(self):
-        planner = Planner()
-        table = small_table(64)
-        coarse = planner.table_footprint(table)
-        assert coarse > 0
-        planner.statistics.for_source(table)
-        assert planner.table_footprint(table) > 0
-
 
 # ----------------------------------------------------------------------
 # engine / session / config wiring
@@ -427,50 +419,6 @@ class TestWiring:
         keys_pushed = [r.key() for r in ProgXeEngine(pushed).run()]
         keys_streamed = [r.key() for r in ProgXeEngine(streamed).run()]
         assert keys_pushed == keys_streamed
-
-
-# ----------------------------------------------------------------------
-# cache-aware admission
-# ----------------------------------------------------------------------
-class TestCacheAwareAdmission:
-    def _run(self, *, cache_aware: bool):
-        from repro.cache.plan_cache import PlanCache
-
-        workload_a = SyntheticWorkload(n=80, d=2, seed=31)
-        workload_b = SyntheticWorkload(
-            n=80, d=2, seed=32, left_alias="U", right_alias="V"
-        )
-        session = Session(plan_cache=PlanCache(max_entries=2))
-        bound_a = workload_a.bound()
-        bound_b = workload_b.bound()
-        config = SchedulerConfig(
-            max_active=2, cache_aware_admission=cache_aware
-        )
-        scheduler = session.scheduler(config)
-        handles = [
-            scheduler.submit(bound_a),
-            scheduler.submit(bound_b),
-            scheduler.submit(bound_a),
-            scheduler.submit(bound_b),
-        ]
-        for _ in scheduler.run():
-            pass
-        results = [[r.key() for r in h.results] for h in handles]
-        return session.plan_cache.stats(), scheduler, results
-
-    def test_affinity_raises_partition_hits_without_changing_results(self):
-        fifo_stats, fifo_sched, fifo_results = self._run(cache_aware=False)
-        aff_stats, aff_sched, aff_results = self._run(cache_aware=True)
-        assert fifo_sched.admission_reorders == 0
-        assert aff_sched.admission_reorders > 0
-        assert aff_stats.hits > fifo_stats.hits
-        # Admission order is a performance decision only.
-        assert sorted(map(tuple, aff_results)) == sorted(
-            map(tuple, fifo_results)
-        )
-
-    def test_flag_off_is_the_default(self):
-        assert SchedulerConfig().cache_aware_admission is False
 
 
 # ----------------------------------------------------------------------

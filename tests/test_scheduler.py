@@ -2,9 +2,10 @@
 
 The central invariant: interleaving never changes a query's result
 *sequence* — each admitted query produces exactly what its solo ``run()``
-would, under every policy, admission limit and quantum.  On top of that:
+would, under any admission limit and burst length.  On top of that:
 budgets at step granularity, cancellation, asyncio integration, fairness
-accounting, and the generator adapter for blocking baselines.
+accounting, the generator adapter for blocking baselines, and the retired
+configuration surface staying retired.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ import pytest
 
 from tests.conftest import make_bound
 from repro.errors import QueryError
-from repro.session.config import (
-    SCHEDULER_PRESETS,
-    SCHEDULING_POLICIES,
-    SchedulerConfig,
-)
 from repro.session.scheduler import QueryScheduler
 from repro.session.service import Session
 from repro.session.stream import (
@@ -47,12 +43,19 @@ def solo_keys(session: Session, bound, algorithm="ProgXe") -> list[tuple]:
     return [r.key() for r in session.execute(bound, algorithm=algorithm).drain()]
 
 
+def dispatched_qids(scheduler: QueryScheduler) -> list[int]:
+    """Drive ``scheduler`` to idleness; the qid of every dispatched step."""
+    qids = []
+    while burst := scheduler.tick():
+        qids.extend(query.qid for query, _report in burst)
+    return qids
+
+
 class TestInterleavingEquality:
-    @pytest.mark.parametrize("policy", SCHEDULING_POLICIES)
-    def test_each_query_matches_its_solo_sequence(self, session, policy):
+    def test_each_query_matches_its_solo_sequence(self, session):
         queries = bounds(3)
         solos = [solo_keys(session, b) for b in queries]
-        scheduler = session.scheduler(policy=policy)
+        scheduler = session.scheduler()
         handles = [scheduler.submit(b) for b in queries]
         scheduler.run_all()
         for handle, solo in zip(handles, solos):
@@ -70,10 +73,10 @@ class TestInterleavingEquality:
         for handle in (progxe, plus, blocking):
             assert handle.result_keys == solo
 
-    def test_quantum_does_not_change_results(self, session):
+    def test_admission_limit_does_not_change_results(self, session):
         queries = bounds(2)
         solos = [solo_keys(session, b) for b in queries]
-        scheduler = session.scheduler(quantum=5)
+        scheduler = session.scheduler(max_active=1)
         handles = [scheduler.submit(b) for b in queries]
         scheduler.run_all()
         for handle, solo in zip(handles, solos):
@@ -97,14 +100,12 @@ class TestAdmission:
         queries = bounds(3)
         scheduler = session.scheduler(max_active=1)
         handles = [scheduler.submit(b) for b in queries]
-        scheduler.run_all()
+        sequence = dispatched_qids(scheduler)
         assert all(h.state == COMPLETED for h in handles)
         # With one admission slot the dispatch sequence is strictly
         # sequential: all of q0's steps precede all of q1's, etc.
-        sequence = scheduler.interleaving.sequence()
-        boundaries = [sequence.index(h.qid) for h in handles]
-        assert boundaries == sorted(boundaries)
-        assert scheduler.interleaving.switches() == len(handles) - 1
+        assert sequence == sorted(sequence)
+        assert len(sequence) == sum(h.steps for h in handles)
 
     def test_submit_during_run_joins_rotation(self, session):
         first, second = bounds(2)
@@ -143,18 +144,6 @@ class TestAdmission:
         late = scheduler.submit(bounds(1)[0])
         scheduler.run_all()
         assert late.state == COMPLETED and late.qid == 2
-
-    def test_interleave_recording_can_be_disabled(self, session):
-        queries = bounds(2)
-        solos = [solo_keys(session, b) for b in queries]
-        scheduler = session.scheduler(
-            SchedulerConfig(record_interleaving=False)
-        )
-        handles = [scheduler.submit(b) for b in queries]
-        scheduler.run_all()
-        assert scheduler.interleaving.events == []
-        for handle, solo in zip(handles, solos):
-            assert [r.key() for r in handle.results] == solo
 
     def test_reentrant_run_rejected(self, session):
         scheduler = session.scheduler()
@@ -208,13 +197,13 @@ class TestBudgetsAndCancellation:
     def test_cancel_mid_quantum_stops_immediately(self, session):
         """cancel() must surrender the rest of the current quantum.
 
-        With a large quantum, a cancellation arriving between two results
+        A cancellation arriving between two results
         of the same dispatch burst must stop the query at its next step —
         not after the quantum runs dry.
         """
         bound = make_bound(distribution="anticorrelated", n=120, d=2,
                            sigma=0.1, seed=5)
-        scheduler = session.scheduler(quantum=64)
+        scheduler = session.scheduler()
         handle = scheduler.submit(bound)
         steps_after_cancel = 0
         cancelled_at_step = None
@@ -294,62 +283,22 @@ class TestBudgetsAndCancellation:
         assert stats.stop_reason is None
 
 
-class TestPoliciesAndFairness:
-    def test_round_robin_alternates(self, session):
-        scheduler = session.scheduler(policy="round-robin")
-        handles = [scheduler.submit(b) for b in bounds(2)]
-        scheduler.run_all()
-        sequence = scheduler.interleaving.sequence()
-        # While both queries are live, round-robin must alternate strictly.
-        live_until = min(
-            max(i for i, q in enumerate(sequence) if q == h.qid)
-            for h in handles
-        )
-        head = sequence[: live_until + 1]
-        assert all(a != b for a, b in zip(head, head[1:]))
-
+class TestFairness:
     def test_fair_share_evens_virtual_time(self, session):
-        scheduler = session.scheduler(policy="fair-share")
-        [scheduler.submit(b) for b in bounds(3)]
-        scheduler.run_all()
-        # Identically-shaped workloads should consume similar virtual time.
-        assert scheduler.interleaving.fairness_spread() < 2.0
-
-    def test_deadline_prioritises_budgeted_query(self, session):
-        queries = bounds(2)
-        scheduler = session.scheduler(policy="deadline")
-        relaxed = scheduler.submit(queries[0])
-        urgent = scheduler.submit(
-            queries[1], budget=StreamBudget(max_vtime=100_000.0)
-        )
-        scheduler.run_all()
-        sequence = scheduler.interleaving.sequence()
-        # The deadline-bearing query runs to completion before the
-        # deadline-free one gets its first dispatch.
-        assert sequence.index(urgent.qid) < sequence.index(relaxed.qid)
-        assert urgent.state == COMPLETED
-
-    def test_benefit_greedy_tracks_kernel_ranks(self, session):
-        scheduler = session.scheduler(policy="benefit-greedy")
+        scheduler = session.scheduler()
         handles = [scheduler.submit(b) for b in bounds(3)]
         scheduler.run_all()
-        assert all(h.state == COMPLETED for h in handles)
-        per_query = scheduler.interleaving.per_query()
-        assert set(per_query) == {h.qid for h in handles}
-        assert all(row["steps"] >= 2 for row in per_query.values())
+        # Identically-shaped workloads should consume similar virtual time.
+        totals = [h.clock.now() for h in handles]
+        assert max(totals) / min(totals) < 2.0
 
-    def test_interleave_recorder_totals(self, session):
+    def test_global_vtime_is_the_sum_of_query_clocks(self, session):
         scheduler = session.scheduler()
         handles = [scheduler.submit(b) for b in bounds(2)]
         scheduler.run_all()
-        rec = scheduler.interleaving
-        per_query = rec.per_query()
-        for handle in handles:
-            assert per_query[handle.qid]["steps"] == handle.steps
-            assert per_query[handle.qid]["results"] == len(handle.results)
-        total_vtime = sum(row["vtime"] for row in per_query.values())
-        assert total_vtime == pytest.approx(scheduler.global_vtime)
-        assert rec.dispatches == sum(h.steps for h in handles)
+        assert scheduler.global_vtime == pytest.approx(
+            sum(h.clock.now() for h in handles)
+        )
 
     def test_first_result_global_vtime_recorded(self, session):
         scheduler = session.scheduler()
@@ -411,25 +360,28 @@ class TestAsync:
         assert set(got) <= set(solo_keys(session, bound))
 
 
-class TestConfig:
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(QueryError, match="policy"):
-            SchedulerConfig(policy="lottery")
+class TestSurface:
+    def test_max_active_must_be_positive(self, session):
+        with pytest.raises(QueryError, match="max_active"):
+            session.scheduler(max_active=0)
+        assert session.scheduler(max_active=1).max_active == 1
 
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(QueryError):
-            SchedulerConfig(max_active=0)
-        with pytest.raises(QueryError):
-            SchedulerConfig(quantum=0)
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((), {"policy": "fair-share"}),
+            (("serving",), {}),
+            ((), {"quantum": 4}),
+        ],
+        ids=["policy", "preset", "quantum"],
+    )
+    def test_retired_scheduler_arguments_raise(self, session, args, kwargs):
+        """The policy, preset and quantum choices are gone: one rule."""
+        with pytest.raises(TypeError):
+            session.scheduler(*args, **kwargs)
 
-    def test_presets_resolve(self, session):
-        for name in SCHEDULER_PRESETS:
-            scheduler = session.scheduler(name)
-            assert isinstance(scheduler, QueryScheduler)
-        with pytest.raises(QueryError, match="unknown scheduler preset"):
-            session.scheduler("warp-speed")
-
-    def test_keyword_overrides(self, session):
-        scheduler = session.scheduler("throughput", quantum=2, policy="fair-share")
-        assert scheduler.config.quantum == 2
-        assert scheduler.config.policy == "fair-share"
+    def test_retired_names_do_not_import(self):
+        with pytest.raises(ImportError):
+            from repro import SchedulerConfig  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.runtime import InterleaveRecorder  # noqa: F401

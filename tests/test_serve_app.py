@@ -619,7 +619,7 @@ class TestLifecycle:
             status, _, stats = await request_json(server, "GET", "/stats")
             assert status == 200
             assert {"admission", "scheduler", "backpressure"} <= set(stats)
-            assert stats["scheduler"]["policy"] == "fair-share"
+            assert "policy" not in stats["scheduler"]
 
         serve(test)
 
@@ -711,11 +711,14 @@ class TestCliWiring:
         from repro.cli import _cmd_serve, build_parser
 
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--max-active", "8",
-             "--scheduler", "realtime"]
+            ["serve", "--port", "0", "--max-active", "8"]
         )
         assert args.fn is _cmd_serve
-        assert args.port == 0 and args.scheduler == "realtime"
+        assert args.port == 0 and args.max_active == 8
+
+    def test_retired_scheduler_argument_raises(self):
+        with pytest.raises(TypeError):
+            QueryServer(Session(), scheduler="serving")
 
     def test_interleave_command_still_exists(self):
         from repro.cli import _cmd_interleave, build_parser

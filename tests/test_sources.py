@@ -751,7 +751,7 @@ def test_scheduler_equivalence_across_backends(backend, tmp_path):
 
     def interleaved_keys(tables):
         session = Session()
-        scheduler = session.scheduler(policy="round-robin")
+        scheduler = session.scheduler()
         bound_a = workload.query().bind(tables)
         bound_b = workload.query().bind(tables)
         qa = scheduler.submit(bound_a, name="a")

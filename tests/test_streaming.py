@@ -670,7 +670,7 @@ class TestSchedulerInteraction:
     def test_follow_query_does_not_starve_finite_queries(self):
         session = Session()
         workload, live, arriving = split_workload(seed=61)
-        scheduler = session.scheduler(policy="round-robin")
+        scheduler = session.scheduler()
         follow = submit_follow(session, scheduler, workload, live)
         finites = [
             scheduler.submit(make_bound(n=80, seed=400 + i), name=f"f{i}")
