@@ -20,7 +20,7 @@ from repro.session import scheduler as scheduler_module
 from repro.session.config import EngineConfig
 from repro.session.scheduler import QUANTUM, QUANTUM_VTIME
 from repro.session.service import Session
-from repro.session.stream import CANCELLED, COMPLETED, StreamBudget
+from repro.session.stream import CANCELLED, COMPLETED
 
 
 @pytest.fixture
