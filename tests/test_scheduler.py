@@ -16,6 +16,7 @@ import pytest
 
 from tests.conftest import make_bound
 from repro.errors import QueryError
+from repro.session import scheduler as scheduler_module
 from repro.session.scheduler import QueryScheduler
 from repro.session.service import Session
 from repro.session.stream import (
@@ -82,6 +83,17 @@ class TestInterleavingEquality:
         for handle, solo in zip(handles, solos):
             assert [r.key() for r in handle.results] == solo
 
+    @pytest.mark.parametrize("quantum", [1, 5, 64])
+    def test_quantum_does_not_change_results(self, session, monkeypatch, quantum):
+        queries = bounds(2)
+        solos = [solo_keys(session, b) for b in queries]
+        monkeypatch.setattr(scheduler_module, "QUANTUM", quantum)
+        scheduler = session.scheduler()
+        handles = [scheduler.submit(b) for b in queries]
+        scheduler.run_all()
+        for handle, solo in zip(handles, solos):
+            assert [r.key() for r in handle.results] == solo
+
     def test_results_stream_interleaved(self, session):
         scheduler = session.scheduler()
         handles = [scheduler.submit(b) for b in bounds(2)]
@@ -106,6 +118,22 @@ class TestAdmission:
         # sequential: all of q0's steps precede all of q1's, etc.
         assert sequence == sorted(sequence)
         assert len(sequence) == sum(h.steps for h in handles)
+
+    def test_unbounded_scheduler_admits_every_query_at_once(self, session):
+        scheduler = session.scheduler()
+        handles = [scheduler.submit(b) for b in bounds(3)]
+        scheduler.tick()
+        assert all(h.admitted for h in handles)
+
+    def test_admission_is_first_come_first_served(self, session):
+        scheduler = session.scheduler(max_active=2)
+        handles = [scheduler.submit(b) for b in bounds(3)]
+        scheduler.tick()
+        assert [h.admitted for h in handles] == [True, True, False]
+        while not handles[0].finished and not handles[1].finished:
+            scheduler.tick()
+        scheduler.tick()
+        assert handles[2].admitted
 
     def test_submit_during_run_joins_rotation(self, session):
         first, second = bounds(2)
@@ -299,6 +327,54 @@ class TestFairness:
         assert scheduler.global_vtime == pytest.approx(
             sum(h.clock.now() for h in handles)
         )
+
+    def test_equal_clocks_go_to_the_oldest_submission(self, session):
+        scheduler = session.scheduler()
+        handles = [scheduler.submit(b) for b in bounds(3)]
+        first = [scheduler.tick()[0][0] for _ in handles]
+        assert first == handles
+
+    def test_each_decision_takes_the_least_virtual_time(
+        self, session, monkeypatch
+    ):
+        # Without the starvation override every decision is fair share.
+        monkeypatch.setattr(scheduler_module, "STARVATION_ROUNDS", 10**9)
+        scheduler = session.scheduler()
+        handles = [scheduler.submit(b) for b in bounds(3)]
+        decisions = 0
+        while True:
+            before = {h.qid: h.clock.now() for h in handles}
+            live = [h for h in handles if not h.finished]
+            burst = scheduler.tick()
+            if not burst:
+                break
+            decisions += 1
+            fair = min(live, key=lambda h: (before[h.qid], h.qid))
+            assert burst[0][0] is fair
+        assert decisions > len(handles)
+        assert all(h.state == COMPLETED for h in handles)
+
+    def test_each_dispatch_charges_one_queue_op(self):
+        bound = bounds(1)[0]
+        solo = Session().execute(bound)
+        solo.drain()
+        scheduler = Session().scheduler()
+        handle = scheduler.submit(bound)
+        scheduler.run_all()
+        assert handle.steps == solo.steps
+        assert handle.clock.count("queue_op") == (
+            solo.clock.count("queue_op") + handle.steps
+        )
+
+    def test_emission_stamps_follow_the_global_timeline(self, session):
+        scheduler = session.scheduler()
+        handles = [scheduler.submit(b) for b in bounds(2)]
+        scheduler.run_all()
+        for handle in handles:
+            stamps = handle.emission_global_vtimes
+            assert stamps == sorted(stamps)
+            assert stamps[0] == handle.first_result_global_vtime
+            assert stamps[-1] <= scheduler.global_vtime
 
     def test_first_result_global_vtime_recorded(self, session):
         scheduler = session.scheduler()

@@ -134,6 +134,22 @@ class TestPauseResume:
         drive(scheduler)
         assert held.state == COMPLETED and waiting.state == COMPLETED
 
+    def test_pause_from_a_callback_ends_the_burst(self, session, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "QUANTUM_VTIME", float("inf"))
+        scheduler = session.scheduler()
+        handle = scheduler.submit(bounds(1)[0])
+        handle.on_result(lambda _result: handle.pause())
+        while not handle.paused:
+            burst = scheduler.tick()
+            assert burst, "the query finished without emitting"
+        # The step that emitted (and paused) is the burst's last.
+        assert burst[-1][1].results
+        assert not any(report.results for _, report in burst[:-1])
+        assert len(burst) < QUANTUM
+        steps = handle.steps
+        assert scheduler.tick() == []
+        assert handle.steps == steps
+
     def test_pause_after_finish_is_a_noop(self, session):
         scheduler = session.scheduler()
         handle = scheduler.submit(bounds(1)[0])
@@ -235,6 +251,22 @@ class TestStarvationBound:
             assert gap <= max(k, len(live) - 1) + 1
             for handle in handles:
                 assert handle.rounds_waiting <= k
+
+    def test_longest_waiting_query_is_forced_first(self, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "QUANTUM", 1)
+        fair_order = []
+        for rounds in (10**9, 1):
+            monkeypatch.setattr(scheduler_module, "STARVATION_ROUNDS", rounds)
+            scheduler = Session().scheduler()
+            handles = [scheduler.submit(b) for b in bounds(3)]
+            order = [scheduler.tick()[0][0].qid for _ in range(9)]
+            assert not any(h.finished for h in handles)
+            fair_order = fair_order or order
+        # With k = 1 every query passed over once is starving: the
+        # longest-waiting goes next, ties to the oldest — a strict rotation
+        # that fair share alone does not produce here.
+        assert order == [h.qid for h in handles] * 3
+        assert fair_order != order
 
 
 #: The served dispatch order of :func:`served_scenario`, run-length encoded
