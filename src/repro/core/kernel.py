@@ -399,6 +399,7 @@ class ExecutionKernel:
                 "regions_total": len(regions),
                 "regions_processed": self.regions_processed,
                 "regions_discarded": sum(1 for r in regions if r.discarded),
+                "regions_skipped": state.regions_skipped,
                 "active_cells": grid.active_count,
                 "marked_cells": grid.marked_count,
                 "inserted": state.inserted,

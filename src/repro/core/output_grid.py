@@ -104,6 +104,15 @@ class OutputCell:
         size = self.size
         return self._vectors[:size] if size else None
 
+    def dominates(self, point: np.ndarray) -> bool:
+        """Whether a buffered entry strictly dominates the ``(d,)`` ``point``:
+        ``<=`` it everywhere and ``<`` somewhere (a NaN coordinate never is)."""
+        size = self.size
+        if not size:
+            return False
+        block = self._vectors[:size]
+        return bool(((block <= point).all(axis=1) & (block < point).any(axis=1)).any())
+
     def append(
         self, vectors: np.ndarray, lrows: Sequence, rrows: Sequence, mapped: np.ndarray
     ) -> None:

@@ -75,6 +75,9 @@ class ExecutionState:
         self.careful_marking = False
         # Statistics
         self.inserted = 0
+        #: Regions completed without a join: a buffered entry dominated
+        #: their lower corner (:meth:`buffered_witness`).
+        self.regions_skipped = 0
         self.discarded_on_arrival = 0
         self.dominated_on_arrival = 0
         self.live_entries = 0
@@ -218,6 +221,24 @@ class ExecutionState:
         region.discarded = True
         self.newly_discarded.append(region)
         self.complete_region(region)
+
+    def buffered_witness(self, region: OutputRegion) -> bool:
+        """Whether a buffered entry strictly dominates ``region.lower``.
+
+        Every pair the region joins maps to a vector ``>=`` its lower
+        corner, so such an entry dominates all of them: each would die in
+        the (1a) scan of :meth:`insert_batch` without surviving, evicting or
+        marking (Example 2, with a real tuple as the witness).  Grid
+        coordinates are monotone, so every entry ``<=`` the corner sits in
+        the corner's cell or its ``cone_lower``; emitted entries stay there
+        and count.  A corner cell pre-marked at look-ahead has no cone, and
+        the test finds no witness.  It charges nothing: like the rank
+        refresh before it, it rides on the dispatch's ``queue_op``.
+        """
+        cell = self.grid.cells[region.cell_min]
+        corner = np.asarray(region.lower, dtype=float)
+        pool = (cell, *cell.cone_lower)
+        return any(c.dominates(corner) for c in pool)  # repro: allow[clock-discipline] — charged to the dispatch's queue_op
 
     def drain_discarded(self) -> list[OutputRegion]:
         """Regions discarded since the last drain (for the ordering policy)."""

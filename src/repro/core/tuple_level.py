@@ -52,6 +52,13 @@ def process_region(
         # look-ahead saved us the entire join (the §III-A payoff).
         state.clock.charge("discard")
         return
+    if state.buffered_witness(region):
+        # A result already buffered dominates every pair the region can
+        # join: skip the join, charged as the discard above.  A test that
+        # finds no witness charges nothing (it rides on the dispatch).
+        state.clock.charge("discard")
+        state.regions_skipped += 1
+        return
 
     state.active_region = region
     try:

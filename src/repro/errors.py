@@ -53,10 +53,11 @@ class RegistryError(ReproError, KeyError):
 
 
 class ExecutionError(ReproError):
-    """An internal invariant was violated during query execution.
+    """Query execution cannot go on: the message names why.
 
-    Seeing this exception indicates a bug in the engine, never bad user
-    input; the message names the broken invariant.
+    Either an internal invariant broke — a bug in the engine — or the input
+    is one the engine refuses mid-run: a source mutated in place under a
+    follow query, or a NaN in a mapped attribute.
     """
 
 

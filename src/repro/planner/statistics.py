@@ -47,7 +47,9 @@ MOMENT_COLUMN_LIMIT = 8
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, Number) and not isinstance(value, bool)
+    # NaN (never equal to itself) is summarised like a missing value; a NaN
+    # in a mapped column is refused where the rows are partitioned.
+    return isinstance(value, Number) and not isinstance(value, bool) and value == value
 
 
 @dataclass

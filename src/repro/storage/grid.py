@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import BindingError
-from repro.storage.partition import InputPartition, attach_blocks
+from repro.storage.partition import InputPartition, attach_blocks, reject_nan
 from repro.storage.signatures import build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
@@ -197,6 +197,7 @@ class GridPartitioner:
             batch_size, columns=attributes, with_rows=False
         ):
             m = batch.matrix(attr_idx)
+            reject_nan(table, attributes, batch, m)
             np.minimum(mins, m.min(axis=0), out=mins)
             np.maximum(maxs, m.max(axis=0), out=maxs)
 
@@ -253,7 +254,9 @@ class GridPartitioner:
             grid.extensions.append(part)
             created.append(part)
 
-        scatter = _Scatter(self, grid, table if lazy else None, {}, register)
+        # The whole delta is scanned and checked before the grid is touched:
+        # a refused NaN leaves no partial extension behind.
+        scanned = []
         for batch in table.scan_batches(
             batch_size, columns=attributes, key_column=join_attribute,
             with_rows=not lazy, since_version=since_token,
@@ -263,7 +266,12 @@ class GridPartitioner:
                 if batch.offset >= end_row:
                     break
                 take = min(take, end_row - batch.offset)
-            scatter.add(batch, batch.matrix(attr_idx)[:take])
+            m = batch.matrix(attr_idx)[:take]
+            reject_nan(table, attributes, batch, m)
+            scanned.append((batch, m))
+        scatter = _Scatter(self, grid, table if lazy else None, {}, register)
+        for batch, m in scanned:
+            scatter.add(batch, m)
         scatter.finish()
         return created
 

@@ -6,6 +6,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.errors import ExecutionError
 from repro.storage.signatures import JoinSignature
 
 _NO_MATCH = np.empty(0, dtype=np.intp)
@@ -124,6 +125,26 @@ def materialize_rows(rows: Sequence[Any]) -> list[tuple]:
         for n, row in zip(slots, fetched):
             out[n] = row
     return out
+
+
+def reject_nan(table: Any, attributes: Sequence[str], batch: Any, m: np.ndarray) -> None:
+    """Refuse a NaN in ``m``, the ``(rows, d)`` matrix of ``batch`` over the
+    mapped ``attributes`` of ``table``: the error names the table, the column
+    and the row position of the first one.
+
+    A NaN is neither better nor worse than anything, which breaks the
+    transitivity of dominance and the region corners every pruning rule
+    rests on, so a partitioner stops at the first one it scans.
+    """
+    bad = np.isnan(m)
+    if not bad.any():
+        return
+    i, j = np.argwhere(bad)[0].tolist()
+    row = int(batch.global_ids()[i])
+    raise ExecutionError(
+        f"NaN in column {attributes[j]!r} of table {table.name!r} at row "
+        f"{row}: a mapped attribute must be a number"
+    )
 
 
 def attach_blocks(

@@ -30,7 +30,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.errors import BindingError
-from repro.storage.partition import InputPartition, attach_blocks
+from repro.storage.partition import InputPartition, attach_blocks, reject_nan
 from repro.storage.signatures import build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
@@ -144,7 +144,9 @@ class QuadTreePartitioner:
             batch_size, columns=attributes, key_column=join_attribute,
             with_rows=not lazy,
         ):
-            value_chunks.append(batch.matrix(attr_idx))
+            m = batch.matrix(attr_idx)
+            reject_nan(table, attributes, batch, m)
+            value_chunks.append(m)
             keys.extend(batch.join_keys)
             if lazy:
                 id_chunks.append(batch.global_ids())
@@ -210,7 +212,9 @@ class QuadTreePartitioner:
                 if batch.offset >= end_row:
                     break
                 take = min(take, end_row - batch.offset)
-            value_chunks.append(batch.matrix(attr_idx)[:take])
+            m = batch.matrix(attr_idx)[:take]
+            reject_nan(table, attributes, batch, m)
+            value_chunks.append(m)
             keys.extend(batch.join_keys[:take])
             if lazy:
                 id_chunks.append(batch.global_ids()[:take])

@@ -12,6 +12,8 @@ Two engine faults, neither patching the engine under test:
   non-append change.
 * ``policy-raises`` — a static query whose ordering policy raises on its
   third ``next_region`` call, after some regions already ran.
+* ``nan-arrival`` — a follow query whose source gains a row with a NaN in
+  a mapped attribute; the partitioner refuses it with a named error.
 
 Every driver must end ``failed``, give its terminal notice exactly once,
 and never let a later pull finalise the partial result set as
@@ -91,6 +93,21 @@ class PolicyRaises:
 
     def trigger(self, handle, tables) -> None:
         pass
+
+
+class NaNArrival:
+    """Close the arrival window, then append a row whose ``a0`` is NaN."""
+
+    follow = True
+    error = ExecutionError
+    message = "NaN in column 'a0' of table 'R' at row 100"
+
+    def install(self, monkeypatch) -> None:
+        pass
+
+    def trigger(self, handle, tables) -> None:
+        handle.close_ingest()
+        tables["R"].extend_rows([("nan", "J1", float("nan"), 1.0)])
 
 
 def make_session() -> tuple[Session, dict]:
@@ -253,7 +270,11 @@ DRIVERS = {
     "async": run_async,
     "served": run_served,
 }
-FAULTS = {"follow-touch": FollowTouch, "policy-raises": PolicyRaises}
+FAULTS = {
+    "follow-touch": FollowTouch,
+    "policy-raises": PolicyRaises,
+    "nan-arrival": NaNArrival,
+}
 
 
 @pytest.mark.parametrize("fault_name", list(FAULTS))
