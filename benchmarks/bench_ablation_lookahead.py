@@ -2,8 +2,10 @@
 (paper §III-A: avoid join and/or skyline costs wholesale).
 
 Measures, per distribution: regions discarded (join skipped entirely),
-output cells pre-marked (arrivals dropped with zero comparisons), and the
-share of join results that were discarded on arrival.
+regions skipped at dispatch (a buffered result dominated the region's
+lower corner, so its join never ran either), output cells pre-marked
+(arrivals dropped with zero comparisons), and the share of join results
+that were discarded on arrival.
 """
 
 import pytest
@@ -42,7 +44,9 @@ def test_ablation_lookahead_report(stats, benchmark):
         sections.append(
             f"--- {dist} ---\n"
             f"regions: {s['regions_discarded']}/{s['regions_total']} discarded "
-            f"({s['regions_discarded'] / s['regions_total']:.0%})\n"
+            f"({s['regions_discarded'] / s['regions_total']:.0%}), "
+            f"{s['regions_skipped']} skipped at dispatch "
+            f"({s['regions_skipped'] / s['regions_total']:.0%})\n"
             f"cells:   {s['marked_cells']}/{s['active_cells']} marked "
             f"({s['marked_cells'] / s['active_cells']:.0%})\n"
             "arrivals discarded without comparison: "

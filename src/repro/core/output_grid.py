@@ -111,7 +111,9 @@ class OutputCell:
         if not size:
             return False
         block = self._vectors[:size]
-        return bool(((block <= point).all(axis=1) & (block < point).any(axis=1)).any())
+        below = (block <= point).all(axis=1)
+        # An entry <= the point everywhere dominates it unless it equals it.
+        return bool(below.any()) and bool((block[below] != point).any())
 
     def append(
         self, vectors: np.ndarray, lrows: Sequence, rrows: Sequence, mapped: np.ndarray
