@@ -104,17 +104,6 @@ class OutputCell:
         size = self.size
         return self._vectors[:size] if size else None
 
-    def dominates(self, point: np.ndarray) -> bool:
-        """Whether a buffered entry strictly dominates the ``(d,)`` ``point``:
-        ``<=`` it everywhere and ``<`` somewhere (a NaN coordinate never is)."""
-        size = self.size
-        if not size:
-            return False
-        block = self._vectors[:size]
-        below = (block <= point).all(axis=1)
-        # An entry <= the point everywhere dominates it unless it equals it.
-        return bool(below.any()) and bool((block[below] != point).any())
-
     def append(
         self, vectors: np.ndarray, lrows: Sequence, rrows: Sequence, mapped: np.ndarray
     ) -> None:
@@ -203,6 +192,19 @@ class OutputCell:
             + (", " + "|".join(flags) if flags else "")
             + ")"
         )
+
+
+def any_entry_dominates(cells: Sequence[OutputCell], point: np.ndarray) -> bool:
+    """Whether an entry buffered in one of ``cells`` strictly dominates the
+    ``(d,)`` ``point``: ``<=`` it everywhere and ``<`` somewhere (an entry
+    with a NaN coordinate never does).  One test over the pooled blocks."""
+    blocks = [c._vectors[: c.size] for c in cells if c.size]
+    if not blocks:
+        return False
+    pool = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    below = (pool <= point).all(axis=1)
+    # An entry <= the point everywhere dominates it unless it equals it.
+    return bool(below.any()) and bool((pool[below] != point).any())
 
 
 class OutputGrid:

@@ -27,7 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.output_grid import CellEntry, OutputCell, OutputGrid
+from repro.core.output_grid import (
+    CellEntry,
+    OutputCell,
+    OutputGrid,
+    any_entry_dominates,
+)
 from repro.core.regions import OutputRegion
 from repro.errors import ExecutionError
 from repro.query.smj import BoundQuery
@@ -237,8 +242,7 @@ class ExecutionState:
         """
         cell = self.grid.cells[region.cell_min]
         corner = np.asarray(region.lower, dtype=float)
-        pool = (cell, *cell.cone_lower)
-        return any(c.dominates(corner) for c in pool)  # repro: allow[clock-discipline] — charged to the dispatch's queue_op
+        return any_entry_dominates((cell, *cell.cone_lower), corner)
 
     def drain_discarded(self) -> list[OutputRegion]:
         """Regions discarded since the last drain (for the ordering policy)."""
