@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.storage.signatures import JoinSignature
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.storage.column_batch import ColumnBatch
+    from repro.storage.sources.base import DataSource
 
 _NO_MATCH = np.empty(0, dtype=np.intp)
 
@@ -127,7 +131,9 @@ def materialize_rows(rows: Sequence[Any]) -> list[tuple]:
     return out
 
 
-def reject_nan(table: Any, attributes: Sequence[str], batch: Any, m: np.ndarray) -> None:
+def reject_nan(
+    table: "DataSource", attributes: Sequence[str], batch: "ColumnBatch", m: np.ndarray
+) -> None:
     """Refuse a NaN in ``m``, the ``(rows, d)`` matrix of ``batch`` over the
     mapped ``attributes`` of ``table``: the error names the table, the column
     and the row position of the first one.
