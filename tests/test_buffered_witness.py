@@ -332,8 +332,8 @@ class TestWitness:
     def test_a_region_over_marked_cells_only_takes_the_marked_exit(
         self, monkeypatch
     ):
-        # Marked after the region's last cover count, as when its cells
-        # fall while it is the active region's neighbour in a cascade.
+        # Set up directly: marking through mark_cell would discard the
+        # region before it could be dispatched.
         state = grid_state({(0, 0): [(1.0, 1.0)]})
         region = region_at(state, (2.5, 2.5), (3.5, 3.5))
         for cell in region.covered:
