@@ -3,7 +3,8 @@
 
 Measures, per distribution: regions discarded (join skipped entirely),
 regions skipped at dispatch (a buffered result dominated the region's
-lower corner, so its join never ran either), output cells pre-marked
+lower corner, so its join never ran either), join rows left out (a
+buffered result dominated the row's own corner), output cells pre-marked
 (arrivals dropped with zero comparisons), and the share of join results
 that were discarded on arrival.
 """
@@ -46,7 +47,8 @@ def test_ablation_lookahead_report(stats, benchmark):
             f"regions: {s['regions_discarded']}/{s['regions_total']} discarded "
             f"({s['regions_discarded'] / s['regions_total']:.0%}), "
             f"{s['regions_skipped']} skipped at dispatch "
-            f"({s['regions_skipped'] / s['regions_total']:.0%})\n"
+            f"({s['regions_skipped'] / s['regions_total']:.0%}), "
+            f"{s['rows_skipped']} join rows left out\n"
             f"cells:   {s['marked_cells']}/{s['active_cells']} marked "
             f"({s['marked_cells'] / s['active_cells']:.0%})\n"
             "arrivals discarded without comparison: "

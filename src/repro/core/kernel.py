@@ -400,6 +400,7 @@ class ExecutionKernel:
                 "regions_processed": self.regions_processed,
                 "regions_discarded": sum(1 for r in regions if r.discarded),
                 "regions_skipped": state.regions_skipped,
+                "rows_skipped": state.rows_skipped,
                 "active_cells": grid.active_count,
                 "marked_cells": grid.marked_count,
                 "inserted": state.inserted,

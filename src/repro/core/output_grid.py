@@ -194,17 +194,54 @@ class OutputCell:
         )
 
 
-def any_entry_dominates(cells: Sequence[OutputCell], point: np.ndarray) -> bool:
-    """Whether an entry buffered in one of ``cells`` strictly dominates the
-    ``(d,)`` ``point``: ``<=`` it everywhere and ``<`` somewhere (an entry
-    with a NaN coordinate never does).  One test over the pooled blocks."""
+def pooled_entries(cells: Sequence[OutputCell]) -> np.ndarray | None:
+    """The vectors buffered in ``cells``, pooled into one ``(m, d)``
+    matrix; ``None`` when every cell is empty."""
     blocks = [c._vectors[: c.size] for c in cells if c.size]
     if not blocks:
-        return False
-    pool = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+        return None
+    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+
+
+def dominates_point(pool: np.ndarray, point: np.ndarray) -> bool:
+    """Whether a row of the ``(m, d)`` ``pool`` strictly dominates the
+    ``(d,)`` ``point``: ``<=`` it everywhere and ``<`` somewhere."""
     below = (pool <= point).all(axis=1)
     # An entry <= the point everywhere dominates it unless it equals it.
     return bool(below.any()) and bool((pool[below] != point).any())
+
+
+#: Entry-point tests per block of :func:`dominated_points` (one boolean
+#: ``(entries, points)`` temporary per dimension and block).
+_POINT_LANES = 2**18
+
+
+def dominated_points(pool: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``(n,)`` mask: whether a row of the ``(m, d)`` ``pool`` strictly
+    dominates each row of the ``(n, d)`` ``points`` — ``<=`` it everywhere
+    and ``<`` somewhere (a NaN coordinate never dominates)."""
+    out = np.zeros(len(points), dtype=bool)
+    if not len(points):
+        return out
+    # Only an entry <= the points' componentwise maximum can dominate one,
+    # and only a point >= the entries' componentwise minimum can fall.
+    pool = pool[(pool <= points.max(axis=0)).all(axis=1)]
+    if not len(pool):
+        return out
+    reach = np.flatnonzero((points >= pool.min(axis=0)).all(axis=1))
+    step = max(1, _POINT_LANES // len(pool))
+    for lo in range(0, len(reach), step):
+        at = reach[lo : lo + step]
+        block = points[at]
+        below = np.ones((len(pool), len(block)), dtype=bool)
+        strict = np.zeros_like(below)
+        for j in range(pool.shape[1]):
+            entry, point = pool[:, j, None], block[None, :, j]
+            below &= entry <= point
+            strict |= entry < point
+        below &= strict
+        out[at] = below.any(axis=0)
+    return out
 
 
 class OutputGrid:

@@ -27,12 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.output_grid import (
-    CellEntry,
-    OutputCell,
-    OutputGrid,
-    any_entry_dominates,
-)
+from repro.core.output_grid import CellEntry, OutputCell, OutputGrid, pooled_entries
 from repro.core.regions import OutputRegion
 from repro.errors import ExecutionError
 from repro.query.smj import BoundQuery
@@ -81,8 +76,11 @@ class ExecutionState:
         # Statistics
         self.inserted = 0
         #: Regions completed without a join: a buffered entry dominated
-        #: their lower corner (:meth:`buffered_witness`).
+        #: their lower corner (:meth:`witnesses`).
         self.regions_skipped = 0
+        #: Input rows left out of a region's join: a buffered entry
+        #: dominated the corner of every pair they could make.
+        self.rows_skipped = 0
         self.discarded_on_arrival = 0
         self.dominated_on_arrival = 0
         self.live_entries = 0
@@ -227,22 +225,27 @@ class ExecutionState:
         self.newly_discarded.append(region)
         self.complete_region(region)
 
-    def buffered_witness(self, region: OutputRegion) -> bool:
-        """Whether a buffered entry strictly dominates ``region.lower``.
+    def witnesses(self, region: OutputRegion) -> np.ndarray | None:
+        """The buffered entries that can kill ``region``'s pairs unjoined:
+        those in the corner cell ``region.cell_min`` and its non-empty
+        ``cone_lower``, pooled ``(m, d)``; ``None`` when there are none.
 
-        Every pair the region joins maps to a vector ``>=`` its lower
-        corner, so such an entry dominates all of them: each would die in
-        the (1a) scan of :meth:`insert_batch` without surviving, evicting or
-        marking (Example 2, with a real tuple as the witness).  Grid
-        coordinates are monotone, so every entry ``<=`` the corner sits in
-        the corner's cell or its ``cone_lower``; emitted entries stay there
-        and count.  A corner cell pre-marked at look-ahead has no cone, and
-        the test finds no witness.  It charges nothing: like the rank
-        refresh before it, it rides on the dispatch's ``queue_op``.
+        Every pair the region joins maps to a vector ``>=`` a corner the
+        join can compute beforehand — ``region.lower`` for all of them,
+        and for one row's pairs the row's own corner
+        (:meth:`~repro.query.smj.BoundQuery.row_corners`).  An entry that
+        strictly dominates such a corner dominates each of those pairs,
+        which would die in the (1a) scan of :meth:`insert_batch` without
+        surviving, evicting or marking (Example 2, with a real tuple as the
+        witness).  Grid coordinates are monotone, so every entry ``<=``
+        ``region.lower`` sits in this pool, and the (1a) scan of any pair
+        of the region sees every entry of it.  Emitted entries stay in
+        their cells and count.  A corner cell pre-marked at look-ahead has
+        no cone.  The tests charge nothing: like the rank refresh before
+        them, they ride on the dispatch's ``queue_op``.
         """
         cell = self.grid.cells[region.cell_min]
-        corner = np.asarray(region.lower, dtype=float)
-        return any_entry_dominates((cell, *cell.cone_lower), corner)
+        return pooled_entries((cell, *cell.cone_lower))
 
     def drain_discarded(self) -> list[OutputRegion]:
         """Regions discarded since the last drain (for the ordering policy)."""

@@ -493,6 +493,45 @@ class BoundQuery:
             for side in (lows, highs)
         )
 
+    def row_corners(
+        self,
+        left_matrix,
+        right_matrix,
+        left_box: Mapping[str, tuple[float, float]],
+        right_box: Mapping[str, tuple[float, float]],
+    ):
+        """:meth:`region_box` lower corners of single rows: ``(nl + nr, d)``,
+        first each row of the ``(nl, k)`` ``left_matrix`` (a point box)
+        against ``right_box``, then each row of ``right_matrix`` against
+        ``left_box``.  Row ``i``'s corner is ``<=`` every pair it can join
+        into within those boxes.  The matrices hold a side's mapping
+        attributes in order; one array-valued walk covers both sides."""
+        import numpy as np
+
+        nl, nr = len(left_matrix), len(right_matrix)
+
+        def env(matrix, attrs, box, rows_first):
+            # Per attribute: the rows as point intervals, and ``box`` in the
+            # slots of the other side's rows.
+            out = {}
+            for k, a in enumerate(attrs):
+                rows = matrix[:, k]
+                fill = [np.full(nr if rows_first else nl, end) for end in box[a]]
+                out[a] = tuple(
+                    np.concatenate((rows, end) if rows_first else (end, rows))
+                    for end in fill
+                )
+            return out
+
+        lows, _ = self.region_box(
+            env(left_matrix, self.left_map_attrs, left_box, True),
+            env(right_matrix, self.right_map_attrs, right_box, False),
+        )
+        shape = (nl + nr,)
+        return np.stack(
+            [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in lows], axis=1
+        )
+
     @property
     def skyline_dimension_count(self) -> int:
         """Number of skyline dimensions ``d``."""

@@ -1,19 +1,24 @@
-"""A region whose lower corner a buffered result dominates is not joined.
+"""A buffered result that dominates a join's corner saves the join.
 
-``process_region`` asks :meth:`ExecutionState.buffered_witness` right after
-its ``unmarked_covered == 0`` exit: if an entry buffered in the corner's
-cell or its lower cone strictly dominates ``region.lower``, the region is
-charged one ``discard`` and completed without a join.  The skip rests on
-one premise — every pair a region joins maps to a vector ``>=`` its lower
-corner — under which each of those pairs would have died in the (1a) scan
-without surviving, evicting or marking.
+``process_region`` pools the entries of the region's corner cell and its
+lower cone (:meth:`ExecutionState.witnesses`) right after its
+``unmarked_covered == 0`` exit: if one strictly dominates ``region.lower``,
+the region is charged one ``discard`` and completed without a join.
+Otherwise, in a region expecting ``ROW_TEST_PAIRS_PER_ROW`` pairs per row
+or more, each row whose own corner an entry strictly dominates stays out of
+the join.
+Both tests rest on one premise — every pair a region joins maps to a vector
+``>=`` its lower corner and the corners of its two rows — under which each
+pair left out would have died in the (1a) scan without surviving, evicting
+or marking.
 
-* :class:`TestPremise` checks the premise property-style, with the skip
-  off so that every region is joined.
-* :class:`TestSameAnswers` runs the engine with the skip on and off: the
+* :class:`TestPremise` checks the premise property-style, with the tests
+  off so that every region is joined whole.
+* :class:`TestSameAnswers` runs the engine with the tests on and off: the
   same results, the same region steps, and clock counts that fall only in
   the join's kinds.
-* :class:`TestWitness` pins the edge cases of the test itself.
+* :class:`TestWitness`, :class:`TestDominatedPoints` and
+  :class:`TestRowWitness` pin the edge cases of the two tests.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import tuple_level
+from repro.core import output_grid, tuple_level
 from repro.core.engine import ProgXeEngine
-from repro.core.output_grid import OutputGrid
+from repro.core.output_grid import OutputGrid, dominated_points, dominates_point
 from repro.core.progdetermine import ExecutionState
 from repro.core.regions import OutputRegion
 from repro.core.verify import verify_results
@@ -46,8 +51,14 @@ FALLING = ("discard", "join_build", "join_probe", "join_result", "map", "dominan
 
 
 def witness_off(patch) -> None:
-    """Join every region: the witness test never finds a witness."""
-    patch.setattr(ExecutionState, "buffered_witness", lambda self, region: False)
+    """Join every region whole: no region has a witness pool."""
+    patch.setattr(ExecutionState, "witnesses", lambda self, region: None)
+
+
+def witnessed(state: ExecutionState, region: OutputRegion) -> bool:
+    """The dispatch-time test: a pooled witness dominates the corner."""
+    pool = state.witnesses(region)
+    return pool is not None and dominates_point(pool, np.asarray(region.lower))
 
 
 def split_rows(workload: SyntheticWorkload, follow: bool):
@@ -103,7 +114,9 @@ def premise_query(weighted: bool, first_highest: bool) -> SkyMapJoinQuery:
 
 
 class TestPremise:
-    """Every pair a region joins maps to a vector ``>=`` ``region.lower``."""
+    """Every pair a region joins maps to a vector ``>=`` ``region.lower``
+    and ``>=`` the corners of both its rows
+    (:meth:`~repro.query.smj.BoundQuery.row_corners`)."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -134,9 +147,21 @@ class TestPremise:
 
         def recording(state, vectors, lrows, rrows, mapped):
             region = state.active_region
-            under = ~(vectors >= np.asarray(region.lower)).all(axis=1)
-            if under.any():
-                below.append((region.rid, region.lower, vectors[under][0]))
+            # Each pair against the region's corner and its two rows' own.
+            corners = bound.row_corners(
+                lrows.matrix,
+                rrows.matrix,
+                region.left_partition.attribute_intervals(bound.left_map_attrs),
+                region.right_partition.attribute_intervals(bound.right_map_attrs),
+            )
+            for corner in (
+                np.asarray(region.lower),
+                corners[lrows.positions],
+                corners[len(lrows.matrix) + rrows.positions],
+            ):
+                under = ~(vectors >= corner).all(axis=1)
+                if under.any():
+                    below.append((region.rid, region.lower, vectors[under][0]))
             joined[0] += len(vectors)
             return insert_batch(state, vectors, lrows, rrows, mapped)
 
@@ -155,9 +180,10 @@ class TestPremise:
 # ----------------------------------------------------------------------
 # the same answers with and without the skip
 # ----------------------------------------------------------------------
-def run(backend, partitioning, follow, tmp_path, *, skip: bool) -> dict:
+def run(backend, partitioning, follow, tmp_path, *, skip: bool, gate=None) -> dict:
     """One engine run: steps, results, clock, stats and the
-    ``processed + discarded + pending == total`` check after every step."""
+    ``processed + discarded + pending == total`` check after every step.
+    ``gate`` overrides ``ROW_TEST_PAIRS_PER_ROW`` (a cost rule only)."""
     workload = SyntheticWorkload(n=200, d=2, sigma=0.1, seed=20100301)
     columns, live, arriving = split_rows(workload, follow)
     sources, appenders = {}, {}
@@ -188,6 +214,8 @@ def run(backend, partitioning, follow, tmp_path, *, skip: bool) -> dict:
     with pytest.MonkeyPatch.context() as patch:
         if not skip:
             witness_off(patch)
+        if gate is not None:
+            patch.setattr(tuple_level, "ROW_TEST_PAIRS_PER_ROW", gate)
         reports = drive(kernel, appenders, arriving)
     results = [r for report in reports for r in report.results]
     assert all(sums)
@@ -204,20 +232,30 @@ def run(backend, partitioning, follow, tmp_path, *, skip: bool) -> dict:
 
 
 class TestSameAnswers:
+    # ``gate`` 1 lets the row test run in every region with more pairs
+    # than rows; at the default no region of this small input reaches it.
     @pytest.mark.parametrize(
-        "backend, partitioning, follow",
-        list(itertools.product(("table", "columnar"), ("grid", "quadtree"), (False, True))),
-        ids=lambda v: {False: "static", True: "follow"}.get(v, v),
+        "backend, partitioning, follow, gate",
+        list(
+            itertools.product(
+                ("table", "columnar"), ("grid", "quadtree"), (False, True), (None, 1)
+            )
+        ),
+        ids=lambda v: {False: "static", True: "follow", None: "default-gate", 1: "gate-1"}.get(v, v),
     )
-    def test_skip_on_and_off_agree(self, backend, partitioning, follow, tmp_path):
+    def test_skip_on_and_off_agree(self, backend, partitioning, follow, gate, tmp_path):
         (tmp_path / "on").mkdir()
         (tmp_path / "off").mkdir()
-        on = run(backend, partitioning, follow, tmp_path, skip=True)
-        off = run(backend, partitioning, follow, tmp_path, skip=False)
+        on = run(backend, partitioning, follow, tmp_path, skip=True, gate=gate)
+        off = run(backend, partitioning, follow, tmp_path, skip=False, gate=gate)
         assert on["keys"] == off["keys"]
         assert on["steps"] == off["steps"]
         assert on["stats"]["regions_skipped"] > 0
         assert off["stats"]["regions_skipped"] == 0
+        assert off["stats"]["rows_skipped"] == 0
+        if gate == 1 and partitioning == "grid":
+            # (quadtree regions here have fewer pairs than rows)
+            assert on["stats"]["rows_skipped"] > 0
         assert on["stats"]["regions_skipped"] <= on["stats"]["regions_processed"]
         for key in ("regions_total", "regions_processed", "regions_discarded", "inserted"):
             assert on["stats"][key] == off["stats"][key]
@@ -271,7 +309,7 @@ def dispatch(state: ExecutionState, region: OutputRegion, patch) -> bool:
     """Run ``process_region``; returns whether the region was joined."""
     joined = []
 
-    def join(state, region):
+    def join(state, region, witnesses):
         joined.append(region.rid)
         yield from ()
 
@@ -284,7 +322,7 @@ class TestWitness:
     def test_an_entry_equal_to_the_corner_is_no_witness(self, monkeypatch):
         state = grid_state({(1, 1): [(2.5, 2.5)]})
         region = region_at(state, (2.5, 2.5), (5.0, 5.0))
-        assert not state.buffered_witness(region)
+        assert not witnessed(state, region)
         assert dispatch(state, region, monkeypatch)
         assert state.regions_skipped == 0
         assert state.clock.count("discard") == 0
@@ -293,7 +331,7 @@ class TestWitness:
         # Equal in one dimension, lower in the other: strict Pareto dominance.
         state = grid_state({(1, 1): [(2.5, 2.4)]})
         region = region_at(state, (2.5, 2.5), (5.0, 5.0))
-        assert state.buffered_witness(region)
+        assert witnessed(state, region)
         assert not dispatch(state, region, monkeypatch)
         assert state.regions_skipped == 1
         assert state.clock.snapshot() == {"discard": 1}
@@ -302,14 +340,14 @@ class TestWitness:
         state = grid_state({(0, 1): [(1.0, 2.2)]})
         region = region_at(state, (2.5, 2.5), (5.0, 5.0))
         assert state.grid.cells[(0, 1)] in state.grid.cells[(1, 1)].cone_lower
-        assert state.buffered_witness(region)
+        assert witnessed(state, region)
 
     def test_an_entry_outside_the_cone_is_not_consulted(self):
         # Dominates the corner, but sits in a cell above the corner's cell:
         # impossible for a real entry, so the test need not look there.
         state = grid_state({(2, 2): [(0.1, 0.1)]})
         region = region_at(state, (2.5, 2.5), (5.0, 5.0))
-        assert not state.buffered_witness(region)
+        assert not witnessed(state, region)
 
     def test_an_emitted_entry_witnesses(self, monkeypatch):
         state = grid_state({(0, 0): [(1.0, 1.0)]})
@@ -324,7 +362,7 @@ class TestWitness:
         assert state.grid.cells[(1, 1)].cone_lower == []
         region = region_at(state, (2.5, 2.5), (5.0, 5.0))
         assert region.unmarked_covered > 0
-        assert not state.buffered_witness(region)
+        assert not witnessed(state, region)
         assert dispatch(state, region, monkeypatch)
         assert state.regions_skipped == 0
         assert state.clock.snapshot() == {}
@@ -343,7 +381,7 @@ class TestWitness:
         def never(state, region):
             raise AssertionError("the witness test ran")
 
-        monkeypatch.setattr(ExecutionState, "buffered_witness", never)
+        monkeypatch.setattr(ExecutionState, "witnesses", never)
         assert not dispatch(state, region, monkeypatch)
         assert state.regions_skipped == 0
         assert state.clock.snapshot() == {"discard": 1}
@@ -355,3 +393,78 @@ class TestWitness:
         stats = engine.stats
         assert 0 < stats["regions_skipped"] <= stats["regions_processed"]
         assert stats["regions_skipped"] == engine.state.regions_skipped
+
+
+# ----------------------------------------------------------------------
+# the row test inside a joined region
+# ----------------------------------------------------------------------
+class TestDominatedPoints:
+    POOL = np.array([[1.0, 3.0], [2.0, 2.0]])
+
+    def test_strict_pareto_dominance_per_point(self):
+        points = np.array([
+            [2.0, 2.0],  # equal to an entry: not dominated
+            [2.0, 2.5],  # equal in one dimension, above in the other
+            [1.5, 1.5],  # below every entry in some dimension
+            [5.0, 5.0],
+        ])
+        assert dominated_points(self.POOL, points).tolist() == [False, True, False, True]
+
+    def test_blocks_give_the_single_pass_answer(self, monkeypatch):
+        points = np.random.default_rng(3).uniform(0.0, 4.0, (50, 2))
+        whole = dominated_points(self.POOL, points)
+        monkeypatch.setattr(output_grid, "_POINT_LANES", 1)
+        assert dominated_points(self.POOL, points).tolist() == whole.tolist()
+        assert whole.tolist() == [dominates_point(self.POOL, p) for p in points]
+
+
+class TestRowWitness:
+    """``_live_rows`` on a planned region: a row leaves the join exactly
+    when a witness strictly dominates its corner, and only in a region
+    expecting ``ROW_TEST_PAIRS_PER_ROW`` pairs per row or more."""
+
+    @pytest.fixture
+    def planned(self):
+        workload = SyntheticWorkload(n=200, d=2, sigma=0.1, seed=20100301)
+        bound = workload.bound()
+        state = ProgXeEngine(bound, VirtualClock(), input_cells=2).kernel().state
+        region = max(state.regions.values(), key=lambda r: r.expected_join)
+        blocks = (
+            region.left_partition.column_block(bound.left_map_indices, bound.left_join_index),
+            region.right_partition.column_block(bound.right_map_indices, bound.right_join_index),
+        )
+        corners = bound.row_corners(
+            blocks[0].matrix,
+            blocks[1].matrix,
+            region.left_partition.attribute_intervals(bound.left_map_attrs),
+            region.right_partition.attribute_intervals(bound.right_map_attrs),
+        )
+        return state, region, blocks, corners
+
+    def test_a_dominated_corner_leaves_the_join(self, planned):
+        state, region, (lblock, rblock), corners = planned
+        rows = len(lblock) + len(rblock)
+        region.expected_join = tuple_level.ROW_TEST_PAIRS_PER_ROW * rows
+        # A witness just below one row's corner, not below any other's.
+        target = int(np.argmax(corners.sum(axis=1)))
+        witness = corners[target] - 1e-9
+        expected = ~dominated_points(witness[None], corners)
+        assert not expected[target] and expected.sum() < rows
+        live = np.concatenate(tuple_level._live_rows(state, region, lblock, rblock, witness[None]))
+        assert live.tolist() == expected.tolist()
+        assert state.rows_skipped == rows - expected.sum()
+
+    def test_a_witness_equal_to_a_corner_keeps_the_row(self, planned):
+        state, region, (lblock, rblock), corners = planned
+        region.expected_join = tuple_level.ROW_TEST_PAIRS_PER_ROW * (len(lblock) + len(rblock))
+        live = np.concatenate(tuple_level._live_rows(state, region, lblock, rblock, corners[:1]))
+        assert live[0]
+        assert live.tolist() == (~dominated_points(corners[:1], corners)).tolist()
+
+    def test_rows_are_tested_only_where_pairs_per_row_reach_the_gate(self, planned):
+        state, region, (lblock, rblock), corners = planned
+        region.expected_join = tuple_level.ROW_TEST_PAIRS_PER_ROW * (len(lblock) + len(rblock)) - 1
+        everything = np.full((1, corners.shape[1]), -np.inf)
+        live = np.concatenate(tuple_level._live_rows(state, region, lblock, rblock, everything))
+        assert live.all()
+        assert state.rows_skipped == 0
