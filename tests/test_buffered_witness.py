@@ -468,3 +468,27 @@ class TestRowWitness:
         live = np.concatenate(tuple_level._live_rows(state, region, lblock, rblock, everything))
         assert live.all()
         assert state.rows_skipped == 0
+
+    def test_the_join_pairs_only_live_rows(self, planned, monkeypatch):
+        state, region, (lblock, rblock), corners = planned
+        nl = len(lblock)
+        region.expected_join = tuple_level.ROW_TEST_PAIRS_PER_ROW * (nl + len(rblock))
+        # Just below the highest corner of each side: one row of each falls.
+        top_left = corners[:nl][np.argmax(corners[:nl].sum(axis=1))]
+        top_right = corners[nl:][np.argmax(corners[nl:].sum(axis=1))]
+        witness = np.minimum(top_left, top_right)[None] - 1e-9
+        live = ~dominated_points(witness, corners)
+        assert not live[:nl].all() and not live[nl:].all()
+        pairs = []
+        monkeypatch.setattr(
+            ExecutionState,
+            "insert_batch",
+            lambda self, vectors, lrows, rrows, mapped: pairs.append(
+                (lrows.positions, rrows.positions)
+            ),
+        )
+        list(tuple_level._join_region(state, region, witness))
+        lpos = np.concatenate([p[0] for p in pairs])
+        rpos = np.concatenate([p[1] for p in pairs])
+        assert len(lpos) > 0
+        assert live[:nl][lpos].all() and live[nl:][rpos].all()
