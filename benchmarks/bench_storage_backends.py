@@ -4,9 +4,8 @@ Two claims, both asserted:
 
 * **Backend invisibility** — the engine produces the *identical result
   sequence* whether the same logical data lives in RAM
-  (:class:`~repro.storage.table.Table`), in an mmap-backed columnar
-  directory (:class:`~repro.storage.sources.columnar.ColumnarFileSource`),
-  or in SQLite (:class:`~repro.storage.sources.sqlite.SQLiteSource`).
+  (:class:`~repro.storage.table.Table`) or in an mmap-backed columnar
+  directory (:class:`~repro.storage.sources.columnar.ColumnarFileSource`).
 
 * **Bounded-memory planning** — planning (phases 0–2) straight off the
   columnar mmap allocates *less* Python memory than the in-memory path
@@ -31,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import sqlite3
 import sys
 import time
 import tracemalloc
@@ -39,7 +37,7 @@ import tracemalloc
 from repro.core.engine import ProgXeEngine
 from repro.data.workloads import SyntheticWorkload
 from repro.runtime.clock import VirtualClock
-from repro.storage.sources import ColumnarFileSource, SQLiteSource, write_columnar
+from repro.storage.sources import ColumnarFileSource, write_columnar
 from repro.storage.table import Table
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -48,7 +46,7 @@ SEED = 20100301  # shared with the figure benches
 
 
 def build_datasets(tmp: pathlib.Path, n: int, d: int):
-    """One workload at size ``n`` in all three backends; returns the dict."""
+    """One workload at size ``n`` in both backends; returns the dict."""
     workload = SyntheticWorkload(n=n, d=d, sigma=0.05, seed=SEED)
     tables = workload.tables()
     columnar = {}
@@ -56,17 +54,7 @@ def build_datasets(tmp: pathlib.Path, n: int, d: int):
         path = tmp / f"{alias}_{n}.col"
         write_columnar(path, table)
         columnar[alias] = ColumnarFileSource(path, name=alias)
-    db = tmp / f"w_{n}.sqlite"
-    conn = sqlite3.connect(db)
-    sqlite_sources = {
-        alias: SQLiteSource.write_table(conn, alias, table)
-        for alias, table in tables.items()
-    }
-    return workload, {
-        "memory": tables,
-        "columnar": columnar,
-        "sqlite": sqlite_sources,
-    }
+    return workload, {"memory": tables, "columnar": columnar}
 
 
 def result_keys(workload, sources):
@@ -75,7 +63,7 @@ def result_keys(workload, sources):
 
 
 def assert_backend_invisibility(tmp: pathlib.Path, n: int, d: int) -> dict:
-    """Identical result sequences across the three backends."""
+    """Identical result sequences across the two backends."""
     workload, backends = build_datasets(tmp, n, d)
     reference = None
     timings = {}
@@ -115,7 +103,7 @@ def plan_memory_profile(tmp: pathlib.Path, n: int, factor: int, d: int) -> dict:
     """Peak planning memory: in-RAM tables at ``n`` vs columnar at ``factor*n``."""
     workload_small, _ = build_datasets(tmp, n, d)
     big_n = factor * n
-    workload_big, backends_big = build_datasets(tmp, big_n, d)
+    workload_big, _ = build_datasets(tmp, big_n, d)
     columnar_small = {
         alias: ColumnarFileSource(tmp / f"{alias}_{n}.col", name=alias)
         for alias in ("R", "T")
@@ -144,13 +132,6 @@ def plan_memory_profile(tmp: pathlib.Path, n: int, factor: int, d: int) -> dict:
     mem_peak, mem_wall, _ = _traced(plan_in_memory)
     col_peak, col_wall, _ = _traced(plan_columnar)
 
-    # Same big dataset, planned through SQLite for the wall-clock record.
-    sql_wall0 = time.perf_counter()
-    ProgXeEngine(
-        workload_big.query().bind(backends_big["sqlite"]), VirtualClock()
-    ).plan()
-    sql_wall = time.perf_counter() - sql_wall0
-
     profile = {
         "in_memory_rows_per_table": n,
         "columnar_rows_per_table": big_n,
@@ -160,7 +141,6 @@ def plan_memory_profile(tmp: pathlib.Path, n: int, factor: int, d: int) -> dict:
         "peak_ratio_columnar_over_memory": round(col_peak / mem_peak, 4),
         "in_memory_plan_wall_seconds": round(mem_wall, 4),
         "columnar_plan_wall_seconds": round(col_wall, 4),
-        "sqlite_plan_wall_seconds": round(sql_wall, 4),
     }
     print(
         f"  plan peak: memory(n={n}) {mem_peak/1e6:.1f} MB vs "
@@ -211,8 +191,7 @@ def main(argv=None) -> int:
         "equivalence": equivalence,
         "planning_memory": profile,
         "claims": [
-            "identical result sequences across memory/columnar/sqlite "
-            "backends",
+            "identical result sequences across memory/columnar backends",
             f"columnar planning at {factor}x the rows peaks at "
             f"{ratio}x the in-memory path's Python allocations",
         ],

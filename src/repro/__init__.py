@@ -41,9 +41,8 @@ The paper's SQL surface goes through the same session::
 Storage is pluggable behind the ``DataSource`` batch-scan protocol:
 besides in-memory ``Table`` objects, queries run directly over mmap-backed
 columnar files (``ColumnarFileSource`` — inputs larger than RAM stream
-through planning in bounded memory) and SQLite relations
-(``SQLiteSource`` — local filters push down as ``WHERE``), with
-``open_source("columnar:...", "sqlite:db?table=t", "mem:rows.csv")``
+through planning in bounded memory), with
+``open_source("columnar:...")`` / ``open_source("mem:rows.csv")``
 resolving backend URIs.
 
 The lower layers remain public: ``ProgXeEngine`` (raw engine, configurable
@@ -151,7 +150,6 @@ from repro.storage import (
     DataSource,
     InMemorySource,
     Schema,
-    SQLiteSource,
     Table,
     open_source,
     write_columnar,
@@ -223,7 +221,6 @@ __all__ = [
     "ColumnarWriter",
     "DataSource",
     "InMemorySource",
-    "SQLiteSource",
     "open_source",
     "write_columnar",
     "TravelWorkload",

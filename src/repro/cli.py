@@ -57,7 +57,6 @@ from repro.session.config import PRESETS, EngineConfig
 from repro.session.service import Session
 from repro.session.stream import StreamBudget
 from repro.storage.sources import (
-    SQLiteSource,
     describe_source,
     is_source_uri,
     open_source,
@@ -115,7 +114,7 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--source", action="append", default=[], metavar="ALIAS=URI",
         help="bind a workload alias to a storage backend URI "
-        "(mem:PATH.csv, columnar:PATH, sqlite:PATH?table=T); aliases not "
+        "(mem:PATH.csv, columnar:PATH); aliases not "
         "listed keep the generated in-memory tables",
     )
 
@@ -507,7 +506,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         right_path = f"{args.prefix}_{workload.right_alias}.csv"
         left.to_csv(left_path)
         right.to_csv(right_path)
-    elif args.format == "columnar":
+    else:  # columnar
         left_path = write_columnar(
             f"{args.prefix}_{workload.left_alias}.col", left
         )
@@ -518,18 +517,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             "use with: --source "
             f"{workload.left_alias}=columnar:{left_path} "
             f"--source {workload.right_alias}=columnar:{right_path}"
-        )
-    else:  # sqlite
-        db = f"{args.prefix}.sqlite"
-        open(db, "a").close()
-        SQLiteSource.write_table(db, workload.left_alias, left)
-        SQLiteSource.write_table(db, workload.right_alias, right)
-        left_path = right_path = db
-        print(
-            "use with: --source "
-            f"{workload.left_alias}=sqlite:{db}?table={workload.left_alias} "
-            f"--source {workload.right_alias}=sqlite:{db}"
-            f"?table={workload.right_alias}"
         )
     print(f"wrote {left_path} ({len(left)} rows) and {right_path} ({len(right)} rows)")
     return 0
@@ -593,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--table", action="append", default=[],
                          metavar="NAME=PATH",
                          help="bind table NAME to a CSV file or a source URI "
-                         "(columnar:PATH, sqlite:PATH?table=T)")
+                         "(columnar:PATH)")
     p_query.add_argument("--algorithm", "-a", default="ProgXe")
     p_query.add_argument("--preset", choices=list(PRESETS), help=preset_help)
     p_query.add_argument("--limit", type=int, default=0,
@@ -645,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--table", action="append", default=[], metavar="NAME=PATH",
         help="serve table NAME from a CSV file or source URI "
-        "(columnar:PATH, sqlite:PATH?table=T); default: the synthetic "
+        "(columnar:PATH); default: the synthetic "
         "workload's tables",
     )
     p_serve.add_argument("--preset", choices=list(PRESETS), help=preset_help)
@@ -678,15 +665,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_gen = sub.add_parser(
-        "generate", help="write a synthetic workload to CSV/columnar/SQLite"
+        "generate", help="write a synthetic workload to CSV/columnar"
     )
     _add_workload_args(p_gen)
     p_gen.add_argument("--prefix", default="workload",
                        help="output file prefix (PREFIX_R.csv, PREFIX_T.csv)")
     p_gen.add_argument(
-        "--format", choices=["csv", "columnar", "sqlite"], default="csv",
-        help="storage backend to write: CSV files, mmap-able columnar "
-        "directories, or one SQLite database with both tables",
+        "--format", choices=["csv", "columnar"], default="csv",
+        help="storage backend to write: CSV files or mmap-able columnar "
+        "directories",
     )
     p_gen.set_defaults(fn=_cmd_generate)
 

@@ -231,7 +231,6 @@ class PlanningReport:
     #: Grid cells per dimension on the (left, right) side; ``None`` under
     #: quadtree partitioning.
     input_cells: tuple[int, int] | None
-    filter_strategy: str
     corrected: bool
     pinned: tuple[str, ...]
     rows: list[EstimateRow] = field(default_factory=list)
@@ -242,11 +241,10 @@ class PlanningReport:
         if self.input_cells is not None:
             left, right = self.input_cells
             lines.append(f"  input cells:     left {left}, right {right}")
-        lines += [
-            f"  filter strategy: {self.filter_strategy}",
+        lines.append(
             f"  feedback:        "
-            f"{'corrected by prior run' if self.corrected else 'cold (first run)'}",
-        ]
+            f"{'corrected by prior run' if self.corrected else 'cold (first run)'}"
+        )
         if self.pinned:
             lines.append(f"  pinned by caller: {', '.join(self.pinned)}")
         lines += [
@@ -273,7 +271,6 @@ class PlanningReport:
             "input_cells": (
                 None if self.input_cells is None else list(self.input_cells)
             ),
-            "filter_strategy": self.filter_strategy,
             "corrected": self.corrected,
             "pinned": list(self.pinned),
             "rows": [
@@ -327,7 +324,6 @@ def explain_estimates(
     return PlanningReport(
         partitioning=decision.partitioning,
         input_cells=decision.input_cells,
-        filter_strategy=decision.filter_strategy,
         corrected=decision.estimates.corrected,
         pinned=decision.pinned,
         rows=[

@@ -190,8 +190,8 @@ class QueryPlan:
 
         ``planner`` hands knob selection to a cost-based
         :class:`~repro.planner.choose.Planner`: it picks the partitioner
-        kind and filter push-down strategy from statistics when the caller
-        left them at their defaults, records its estimates on the plan's
+        kind from statistics when the caller left it at its default,
+        records its estimates on the plan's
         :attr:`decision`, and the build writes the plan-time actuals back
         onto the decision for the EXPLAIN estimate-vs-actual report.
         """
@@ -213,10 +213,6 @@ class QueryPlan:
                 input_cells=input_cells,
             )
             partitioning = decision.partitioning
-            if decision.filter_strategy != "auto":
-                rebind = getattr(bound, "with_filter_strategy", None)
-                if rebind is not None:
-                    bound = rebind(decision.filter_strategy)
 
         # Phase 0: (optional) skyline partial push-through.
         left_table, right_table = _pruned_tables(

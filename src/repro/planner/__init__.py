@@ -2,10 +2,9 @@
 
 :func:`collect_statistics` summarises sources in one sampled scan,
 :mod:`repro.planner.cost` turns summaries into estimates (fanout, join
-cardinality), and the :class:`Planner` picks the knobs the
-statistics can decide — the quadtree on skewed inputs, SQLite push-down
-vs streamed filters — records every estimate on its
-:class:`PlanDecision`, and learns from post-run actuals.  Grid
+cardinality), and the :class:`Planner` picks the one knob the
+statistics can decide — the quadtree on skewed inputs — records every
+estimate on its :class:`PlanDecision`, and learns from post-run actuals.  Grid
 granularity and batch size stay at the engine defaults unless pinned.
 
 Entry points::

@@ -5,8 +5,7 @@ patching summaries as the source tokens demand) and returns a decision
 carrying:
 
 * the knobs that take effect — partitioner kind (the quadtree on skewed
-  inputs), filter strategy (SQLite push-down vs streamed filter), and the
-  grid granularity, which is the engine's own
+  inputs) and the grid granularity, which is the engine's own
   (:func:`~repro.core.plan.input_cells_per_side`) unless pinned;
 * **every estimate of the plan** (:class:`PlanEstimates`), so EXPLAIN can
   print estimate-vs-actual columns after the run;
@@ -23,7 +22,7 @@ fills the gaps the caller left open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.plan import input_cells_per_side
 from repro.planner.cost import join_cardinality, partition_fanout
@@ -90,9 +89,6 @@ class PlanDecision:
     #: Grid cells per dimension on the (left, right) side; ``None`` when
     #: the plan partitions with the quadtree.
     input_cells: tuple[int, int] | None
-    #: ``"push"`` (predicate push-down), ``"stream"`` (filter during the
-    #: scan), or ``"auto"`` (the bind-time default; nothing to decide).
-    filter_strategy: str
     estimates: PlanEstimates
     fingerprint: tuple
     #: Names of knobs the caller pinned (honoured, not chosen).
@@ -174,7 +170,7 @@ class Planner:
 
         planner = Planner()
         decision = planner.decide(bound)
-        decision.partitioning, decision.filter_strategy
+        decision.partitioning, decision.input_cells
         # after a run, actuals recorded via the kernel feed back in:
         planner.statistics.feedback_for(decision.fingerprint)
     """
@@ -254,11 +250,6 @@ class Planner:
             correlation=right_stats.mean_abs_correlation(bound.right_map_attrs),
         )
 
-        filter_strategy = self._choose_filter_strategy(
-            left_base, right_base, left_conditions, right_conditions,
-            selectivity_left, selectivity_right,
-        )
-
         estimates = PlanEstimates(
             rows_left=rows_left,
             rows_right=rows_right,
@@ -282,7 +273,6 @@ class Planner:
             input_cells=(
                 (cells_left, cells_right) if partitioning == "grid" else None
             ),
-            filter_strategy=filter_strategy,
             estimates=estimates,
             fingerprint=fingerprint,
             pinned=tuple(pinned),
@@ -332,38 +322,6 @@ class Planner:
         else:
             skyline = expected_skyline_size(join_rows, dims)
         return join_rows, skyline
-
-    # ------------------------------------------------------------------
-    # individual choices
-    # ------------------------------------------------------------------
-    def _choose_filter_strategy(
-        self,
-        left_base,
-        right_base,
-        left_conditions: Sequence,
-        right_conditions: Sequence,
-        selectivity_left: float,
-        selectivity_right: float,
-    ) -> str:
-        """Push-down vs streamed filter, by backend and selectivity.
-
-        Only meaningful when a filtered side supports ``apply_filters``
-        (SQLite).  Push-down wins whenever the filter actually drops rows
-        — the database skips materialising them; a filter that keeps
-        (nearly) everything is pure per-row WHERE overhead, so the scan
-        streams instead.  ``"auto"`` when there is nothing to decide.
-        """
-        pushable = (
-            (left_conditions and hasattr(left_base, "apply_filters"))
-            or (right_conditions and hasattr(right_base, "apply_filters"))
-        )
-        if not pushable:
-            return "auto"
-        keep = min(
-            selectivity_left if left_conditions else 1.0,
-            selectivity_right if right_conditions else 1.0,
-        )
-        return "stream" if keep >= 0.95 else "push"
 
     def _fingerprint(
         self, bound: "BoundQuery", left_base, right_base

@@ -26,6 +26,7 @@ tables starts from observed numbers instead of independence assumptions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Number
 from typing import Any, Iterable, Sequence
@@ -47,9 +48,13 @@ MOMENT_COLUMN_LIMIT = 8
 
 
 def _is_number(value: Any) -> bool:
-    # NaN (never equal to itself) is summarised like a missing value; a NaN
-    # in a mapped column is refused where the rows are partitioned.
-    return isinstance(value, Number) and not isinstance(value, bool) and value == value
+    # NaN and ±inf are summarised like a missing value (neither compares
+    # strictly between the infinities); a non-finite value in a mapped
+    # column is refused where the rows are partitioned.
+    return (
+        isinstance(value, Number) and not isinstance(value, bool)
+        and -math.inf < value < math.inf
+    )
 
 
 @dataclass

@@ -210,10 +210,9 @@ class BoundQuery:
     join key positions, mapped-attribute positions, a compiled mapping
     closure and preference normalisation.  Either side may be *any*
     :class:`~repro.storage.sources.base.DataSource` — an in-memory
-    :class:`~repro.storage.table.Table`, an mmap-backed columnar file, or
-    a SQLite relation; local filters are applied eagerly for in-memory
-    sources, pushed down (``WHERE``) for sources that support it, and
-    wrapped as a streaming filter view otherwise.
+    :class:`~repro.storage.table.Table` or an mmap-backed columnar file;
+    local filters are applied eagerly for in-memory sources and wrapped
+    as a streaming filter view otherwise.
     """
 
     def __init__(
@@ -221,14 +220,7 @@ class BoundQuery:
         query: SkyMapJoinQuery,
         left: DataSource,
         right: DataSource,
-        *,
-        filter_strategy: str = "auto",
     ) -> None:
-        if filter_strategy not in ("auto", "push", "stream"):
-            raise BindingError(
-                f"filter_strategy must be 'auto', 'push' or 'stream', "
-                f"got {filter_strategy!r}"
-            )
         self.query = query
         self.left_alias = query.left_alias
         self.right_alias = query.right_alias
@@ -237,14 +229,9 @@ class BoundQuery:
         #: estimate precisely because filtering happens at bind time).
         self.left_base = left
         self.right_base = right
-        self.filter_strategy = filter_strategy
 
-        self.left_table = self._apply_filters(
-            left, query.left_alias, query, filter_strategy
-        )
-        self.right_table = self._apply_filters(
-            right, query.right_alias, query, filter_strategy
-        )
+        self.left_table = self._filtered(left, query.left_alias, query)
+        self.right_table = self._filtered(right, query.right_alias, query)
         if _is_empty(self.left_table):
             raise BindingError(
                 f"table for alias {query.left_alias!r} has no rows after filters"
@@ -288,37 +275,17 @@ class BoundQuery:
             for pt in query.passthrough
         ]
 
-    def with_filter_strategy(self, strategy: str) -> "BoundQuery":
-        """Re-bind with a different filter execution strategy.
-
-        ``"push"`` sends local conditions to backends that support
-        predicate push-down (SQLite ``WHERE``); ``"stream"`` forces the
-        batch-scan filter view instead; ``"auto"`` (the bind-time default)
-        pushes whenever the backend can.  Both strategies scan in the same
-        (rowid) order, so the result stream is identical — only where the
-        filtering work happens moves.  A no-op returning ``self`` when the
-        strategy already matches (the common planner case).
-        """
-        if strategy == self.filter_strategy:
-            return self
-        return BoundQuery(
-            self.query, self.left_base, self.right_base,
-            filter_strategy=strategy,
-        )
-
     @staticmethod
-    def _apply_filters(
+    def _filtered(
         source: DataSource,
         alias: str,
         query: SkyMapJoinQuery,
-        strategy: str = "auto",
     ) -> DataSource:
         conds = [f for f in query.filters if f.alias == alias]
         if not conds:
             return source
         if isinstance(source, InMemorySource):
-            # Rows are resident anyway: filter eagerly (historical
-            # behaviour, whatever the strategy).  The result adopts a
+            # Rows are resident anyway: filter eagerly.  The result adopts a
             # structural cache identity derived from the base table +
             # conditions, so re-binding the same filtered query shares
             # cached partitionings instead of minting an unreachable fresh
@@ -331,11 +298,6 @@ class BoundQuery:
             return source.filter(keep).with_derived_identity(
                 source, conditions_fingerprint(conds)
             )
-        push = getattr(source, "apply_filters", None)
-        if push is not None and strategy != "stream":
-            # Predicate push-down (SQLite WHERE); the source wraps whatever
-            # it cannot express in a residual filter view itself.
-            return push(conds)
         return FilteredSource(source, conds)
 
     @property

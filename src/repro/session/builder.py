@@ -100,8 +100,8 @@ class QueryBuilder:
 
         Each source is a :class:`~repro.storage.sources.base.DataSource`
         (its ``name`` becomes the alias) — an in-memory
-        :class:`~repro.storage.table.Table`, a columnar-file or SQLite
-        backend — an ``(alias, source)`` pair, or, on a builder created by
+        :class:`~repro.storage.table.Table` or a columnar-file backend —
+        an ``(alias, source)`` pair, or, on a builder created by
         a session, the name of a source registered with that session.
         """
         if self._aliases:
@@ -122,7 +122,7 @@ class QueryBuilder:
 
             session.query().from_sources(
                 ColumnarFileSource("/data/r.col", name="R"),
-                SQLiteSource("catalog.db", table="T"),
+                ColumnarFileSource("/data/t.col", name="T"),
             )
         """
         return self.from_tables(left, right)

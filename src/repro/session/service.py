@@ -157,9 +157,8 @@ class Session:
         """Register a data source under ``name`` (default: its own name).
 
         ``table`` is any :class:`~repro.storage.sources.base.DataSource` —
-        an in-memory :class:`~repro.storage.table.Table`, an mmap-backed
-        :class:`~repro.storage.sources.columnar.ColumnarFileSource`, or a
-        :class:`~repro.storage.sources.sqlite.SQLiteSource`.
+        an in-memory :class:`~repro.storage.table.Table` or an mmap-backed
+        :class:`~repro.storage.sources.columnar.ColumnarFileSource`.
         """
         self._tables[name or table.name] = table
         return self
@@ -177,8 +176,7 @@ class Session:
         """Open a source URI, register it, and return it.
 
         URIs follow :func:`repro.storage.sources.uri.open_source`:
-        ``mem:PATH.csv``, ``columnar:PATH``, ``sqlite:PATH?table=NAME`` /
-        ``sqlite:PATH?query=SELECT ...``.  The source registers under
+        ``mem:PATH.csv`` or ``columnar:PATH``.  The source registers under
         ``name`` (default: the backend's derived name).
         """
         source = _open_source_uri(uri, name=name)

@@ -1,9 +1,9 @@
 """Storage substrate: data sources, schemas, grid partitioning and signatures.
 
 Relations enter the system as :class:`~repro.storage.sources.base.DataSource`
-implementations — in-memory (:class:`Table` / :class:`InMemorySource`),
-mmap-backed columnar files (:class:`ColumnarFileSource`), or SQLite
-(:class:`SQLiteSource`) — all consumed through one batch-scan protocol.
+implementations — in-memory (:class:`Table` / :class:`InMemorySource`) or
+mmap-backed columnar files (:class:`ColumnarFileSource`) — both consumed
+through one batch-scan protocol.
 """
 
 from repro.storage.bloom import BloomFilter
@@ -24,7 +24,6 @@ from repro.storage.sources import (
     DataSource,
     FilteredSource,
     InMemorySource,
-    SQLiteSource,
     delta_start_row,
     describe_source,
     is_data_source,
@@ -52,7 +51,6 @@ __all__ = [
     "QuadTreeIndex",
     "QuadTreePartitioner",
     "Row",
-    "SQLiteSource",
     "Schema",
     "Table",
     "build_signature",

@@ -6,8 +6,8 @@ structure — and it is **batch-first**: the input is consumed exclusively
 through the :class:`~repro.storage.sources.base.DataSource` batch-scan
 protocol (two streaming passes: domain bounds, then vectorized cell
 assignment), so the same code path grids an in-memory
-:class:`~repro.storage.table.Table`, an mmap-backed columnar file, or a
-SQLite relation.  Sources that advertise ``prefers_lazy_rows`` get
+:class:`~repro.storage.table.Table` or an mmap-backed columnar file.
+Sources that advertise ``prefers_lazy_rows`` get
 partitions that store global row ids instead of tuples, keeping planning
 memory bounded for inputs larger than RAM.
 
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import BindingError
-from repro.storage.partition import InputPartition, attach_blocks, reject_nan
+from repro.storage.partition import InputPartition, attach_blocks, reject_non_finite
 from repro.storage.signatures import build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
@@ -197,7 +197,7 @@ class GridPartitioner:
             batch_size, columns=attributes, with_rows=False
         ):
             m = batch.matrix(attr_idx)
-            reject_nan(table, attributes, batch, m)
+            reject_non_finite(table, attributes, batch, m)
             np.minimum(mins, m.min(axis=0), out=mins)
             np.maximum(maxs, m.max(axis=0), out=maxs)
 
@@ -242,8 +242,8 @@ class GridPartitioner:
         proves an append-only delta (callers gate on
         :func:`~repro.storage.sources.base.delta_start_row`); ``end_row``
         bounds the pass against rows committed *after* the poll captured
-        its target token (externally written SQLite tables can grow
-        mid-scan).  Returns the created partitions, in creation order.
+        its target token (a source can grow between the poll and the
+        scan).  Returns the created partitions, in creation order.
         """
         attr_idx = table.schema.indices(attributes)
         table.schema.index(join_attribute)  # validate early
@@ -267,7 +267,7 @@ class GridPartitioner:
                     break
                 take = min(take, end_row - batch.offset)
             m = batch.matrix(attr_idx)[:take]
-            reject_nan(table, attributes, batch, m)
+            reject_non_finite(table, attributes, batch, m)
             scanned.append((batch, m))
         scatter = _Scatter(self, grid, table if lazy else None, {}, register)
         for batch, m in scanned:

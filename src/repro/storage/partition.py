@@ -131,25 +131,28 @@ def materialize_rows(rows: Sequence[Any]) -> list[tuple]:
     return out
 
 
-def reject_nan(
+def reject_non_finite(
     table: "DataSource", attributes: Sequence[str], batch: "ColumnBatch", m: np.ndarray
 ) -> None:
-    """Refuse a NaN in ``m``, the ``(rows, d)`` matrix of ``batch`` over the
-    mapped ``attributes`` of ``table``: the error names the table, the column
-    and the row position of the first one.
+    """Refuse a NaN or ±inf in ``m``, the ``(rows, d)`` matrix of ``batch``
+    over the mapped ``attributes`` of ``table``: the error names the value,
+    the table, the column and the row position of the first one.
 
     A NaN is neither better nor worse than anything, which breaks the
     transitivity of dominance and the region corners every pruning rule
-    rests on, so a partitioner stops at the first one it scans.
+    rests on; an infinity has no grid cell and turns the region arithmetic
+    (``inf - inf``) into NaN.  So a partitioner stops at the first one it
+    scans.
     """
-    bad = np.isnan(m)
+    bad = ~np.isfinite(m)
     if not bad.any():
         return
     i, j = np.argwhere(bad)[0].tolist()
+    value = "NaN" if np.isnan(m[i, j]) else repr(float(m[i, j]))
     row = int(batch.global_ids()[i])
     raise ExecutionError(
-        f"NaN in column {attributes[j]!r} of table {table.name!r} at row "
-        f"{row}: a mapped attribute must be a number"
+        f"{value} in column {attributes[j]!r} of table {table.name!r} at row "
+        f"{row}: a mapped attribute must be a finite number"
     )
 
 

@@ -30,7 +30,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.errors import BindingError
-from repro.storage.partition import InputPartition, attach_blocks, reject_nan
+from repro.storage.partition import InputPartition, attach_blocks, reject_non_finite
 from repro.storage.signatures import build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
@@ -145,7 +145,7 @@ class QuadTreePartitioner:
             with_rows=not lazy,
         ):
             m = batch.matrix(attr_idx)
-            reject_nan(table, attributes, batch, m)
+            reject_non_finite(table, attributes, batch, m)
             value_chunks.append(m)
             keys.extend(batch.join_keys)
             if lazy:
@@ -213,7 +213,7 @@ class QuadTreePartitioner:
                     break
                 take = min(take, end_row - batch.offset)
             m = batch.matrix(attr_idx)[:take]
-            reject_nan(table, attributes, batch, m)
+            reject_non_finite(table, attributes, batch, m)
             value_chunks.append(m)
             keys.extend(batch.join_keys[:take])
             if lazy:

@@ -2,12 +2,10 @@
 
 The ProgXe engine consumes inputs exclusively through
 ``scan_batches()`` + (optionally) ``fetch_rows()``, so relations can live
-in RAM (:class:`InMemorySource` / :class:`~repro.storage.table.Table`),
-in mmap-backed columnar files (:class:`ColumnarFileSource`), or in a
-SQLite database (:class:`SQLiteSource`).  See
+in RAM (:class:`InMemorySource` / :class:`~repro.storage.table.Table`)
+or in mmap-backed columnar files (:class:`ColumnarFileSource`).  See
 :mod:`repro.storage.sources.base` for the protocol contract and
-:func:`open_source` for the ``mem:`` / ``columnar:`` / ``sqlite:`` URI
-scheme.
+:func:`open_source` for the ``mem:`` / ``columnar:`` URI scheme.
 """
 
 from repro.storage.sources.base import (
@@ -26,7 +24,6 @@ from repro.storage.sources.columnar import (
 )
 from repro.storage.sources.filtered import FilteredSource
 from repro.storage.sources.memory import InMemorySource
-from repro.storage.sources.sqlite import SQLiteSource
 from repro.storage.sources.uri import SCHEMES, is_source_uri, open_source
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "InMemorySource",
     "Row",
     "SCHEMES",
-    "SQLiteSource",
     "delta_start_row",
     "describe_source",
     "is_data_source",

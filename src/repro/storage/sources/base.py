@@ -6,11 +6,9 @@ grid coordinates, join signatures and tight bounding boxes), and the
 per-region probes touch one partition pair at a time.  ``DataSource``
 captures exactly that contract, so relations can come from RAM
 (:class:`~repro.storage.sources.memory.InMemorySource` and its thin
-:class:`~repro.storage.table.Table` subclass), from mmap-backed columnar
-files (:class:`~repro.storage.sources.columnar.ColumnarFileSource`), or
-from a SQLite database
-(:class:`~repro.storage.sources.sqlite.SQLiteSource`) — all behind one
-batch-scan API.
+:class:`~repro.storage.table.Table` subclass) or from mmap-backed
+columnar files (:class:`~repro.storage.sources.columnar.ColumnarFileSource`)
+— both behind one batch-scan API.
 
 The protocol's required surface:
 
@@ -18,7 +16,7 @@ The protocol's required surface:
     Relation identity and ordered column names
     (:class:`~repro.storage.schema.Schema`).
 ``__len__``
-    Row count (a ``COUNT(*)`` for database-backed sources).
+    Row count.
 ``scan_batches(batch_size, *, columns=(), key_column=None, with_rows=True)``
     The one consumption path: yields
     :class:`~repro.storage.column_batch.ColumnBatch` chunks in a stable
@@ -53,9 +51,6 @@ Optional capabilities, discovered by ``getattr``:
     plus the raw values of the column at ``key_index``, without building
     row tuples.  Lazy partitions build their join-time column blocks with
     it; sources lacking it are read through ``fetch_rows`` instead.
-``apply_filters(conditions)``
-    Predicate push-down: return an equivalent source with the filter
-    conditions applied (SQLite translates them to ``WHERE`` clauses).
 ``delta_start_row(token)`` + ``scan_batches(..., since_version=token)``
     Append-only delta scans for streaming ingestion.  ``delta_start_row``
     takes a prior ``cache_token`` and returns the global row position
@@ -98,7 +93,6 @@ class DataSource(Protocol):
 
         total(Table.from_rows("R", ["a", "jkey"], [(1.0, "x")]))
         total(ColumnarFileSource("/data/r.col"))
-        total(SQLiteSource("catalog.db", table="offers"))
     """
 
     name: str
@@ -145,7 +139,7 @@ class DataSource(Protocol):
 
     @property
     def kind(self) -> str:
-        """Backend discriminator: ``"memory"``, ``"columnar"``, ``"sqlite"``."""
+        """Backend discriminator: ``"memory"`` or ``"columnar"``."""
         ...
 
 

@@ -11,8 +11,7 @@ ids and gather straight from the mmap.
 
 The in-memory path does not use this class (filtering a list is cheaper
 eagerly — see :meth:`repro.storage.sources.memory.InMemorySource.filter`);
-it serves the file- and database-backed sources, and SQLite only for the
-residual conditions its ``WHERE`` push-down cannot express.
+it serves every other source.
 """
 
 from __future__ import annotations

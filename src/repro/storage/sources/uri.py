@@ -9,19 +9,14 @@ The CLI (``--source ALIAS=URI``) and :meth:`Session.open_source
 ``columnar:PATH``
     Open a columnar dataset directory
     (:class:`~repro.storage.sources.columnar.ColumnarFileSource`).
-``sqlite:PATH?table=NAME`` / ``sqlite:PATH?query=SELECT ...``
-    Open a SQLite table or query
-    (:class:`~repro.storage.sources.sqlite.SQLiteSource`).
 """
 
 from __future__ import annotations
 
-from urllib.parse import parse_qs, unquote
-
 from repro.errors import BindingError
 
 #: Recognised URI schemes.
-SCHEMES = ("mem", "columnar", "sqlite")
+SCHEMES = ("mem", "columnar")
 
 
 def is_source_uri(text: str) -> bool:
@@ -36,7 +31,6 @@ def open_source(uri: str, *, name: str | None = None):
     Example::
 
         open_source("columnar:/data/r.col")
-        open_source("sqlite:catalog.db?table=offers", name="T")
         open_source("mem:workload_R.csv", name="R")
     """
     scheme, sep, rest = uri.partition(":")
@@ -54,28 +48,8 @@ def open_source(uri: str, *, name: str | None = None):
                 "default in-memory table already exists, e.g. CLI workloads)"
             )
         return Table.from_csv(name or "mem", rest)
-    if scheme == "columnar":
-        from repro.storage.sources.columnar import ColumnarFileSource
+    from repro.storage.sources.columnar import ColumnarFileSource
 
-        if not rest:
-            raise BindingError("columnar: needs a dataset directory path")
-        return ColumnarFileSource(rest, name=name)
-    # sqlite:PATH?table=NAME | sqlite:PATH?query=SELECT...
-    from repro.storage.sources.sqlite import SQLiteSource
-
-    path, _, query_string = rest.partition("?")
-    if not path:
-        raise BindingError("sqlite: needs a database path")
-    params = parse_qs(query_string, keep_blank_values=True)
-    table = params.get("table", [None])[0]
-    query = params.get("query", [None])[0]
-    if (table is None) == (query is None):
-        raise BindingError(
-            f"sqlite URI {uri!r} needs exactly one of ?table=NAME or ?query=SELECT..."
-        )
-    return SQLiteSource(
-        unquote(path),
-        table=table,
-        query=unquote(query) if query else None,
-        name=name,
-    )
+    if not rest:
+        raise BindingError("columnar: needs a dataset directory path")
+    return ColumnarFileSource(rest, name=name)

@@ -6,7 +6,7 @@ in-memory storage backend — since the :class:`DataSource` redesign it is a
 thin subclass of :class:`~repro.storage.sources.memory.InMemorySource`
 adding the CSV/dict construction conveniences, so every ``Table``
 satisfies the storage protocol and flows through the same batch-scan
-consumption path as the columnar-file and SQLite backends.
+consumption path as the columnar-file backend.
 
 The content-version token (:attr:`Table.cache_token`) and the
 version-bumping mutation API (:meth:`Table.append_row`,

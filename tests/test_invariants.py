@@ -307,12 +307,15 @@ RETIRED = [
     # per-dispatch log; none had a served workload of its own.
     (r"SchedulerConfig|SCHEDULER_PRESETS|SCHEDULING_POLICIES|cache_aware_admission"
      r"|InterleaveRecorder|def peek_rank|table_footprint", ("src/",)),
+    # Two storage backends and one filter path: no SQLite, no push-down choice;
+    # no e2e workload ever ran over SQLite, so its push-down never earned a knob.
+    (r"SQLiteSource|apply_filters|filter_strategy|sqlite:", ("src/",)),
 ]
 
 
 @pytest.mark.parametrize("pattern, paths", RETIRED, ids=[
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
-    "one-scheduler"])
+    "one-scheduler", "one-filter-path"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]

@@ -16,7 +16,6 @@ The planner's contract has three layers, each tested here:
 from __future__ import annotations
 
 import gc
-import sqlite3
 import weakref
 
 import pytest
@@ -34,7 +33,7 @@ from repro.planner.cost import join_cardinality, partition_fanout
 from repro.query.smj import FilterCondition
 from repro.session.config import EngineConfig
 from repro.session.service import Session
-from repro.storage.sources.sqlite import SQLiteSource
+from repro.storage.sources import ColumnarFileSource, FilteredSource, write_columnar
 from repro.storage.table import Table
 
 
@@ -276,12 +275,11 @@ class TestPlannerDecisions:
         report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
         payload = report.to_dict()
         assert set(payload) == {
-            "partitioning", "input_cells", "filter_strategy",
-            "corrected", "pinned", "rows",
+            "partitioning", "input_cells", "corrected", "pinned", "rows",
         }
-        knob_lines = report.render().splitlines()[1:5]
+        knob_lines = report.render().splitlines()[1:4]
         assert [line.split(":")[0].strip() for line in knob_lines] == [
-            "partitioning", "input cells", "filter strategy", "feedback",
+            "partitioning", "input cells", "feedback",
         ]
 
     def test_quadtree_report_has_no_grid_granularity(self):
@@ -396,7 +394,9 @@ class TestWiring:
         assert auto[0]
         assert auto == run("default")
 
-    def test_planner_filter_strategy_respects_result_identity(self):
+    def test_filtered_columnar_query_matches_memory(self, tmp_path):
+        """Memory filters at bind time, columnar streams the filter: the
+        planner-driven result sequence is the same."""
         import dataclasses
 
         workload = SyntheticWorkload(n=90, d=2, seed=17)
@@ -405,35 +405,35 @@ class TestWiring:
             workload.query(),
             filters=(FilterCondition("R", "a0", "<=", 80.0),),
         )
-
-        def sqlite_bound():
-            conn = sqlite3.connect(":memory:")
-            sources = {
-                alias: SQLiteSource.write_table(conn, alias, table)
-                for alias, table in tables.items()
-            }
-            return query.bind(sources)
-
-        pushed = sqlite_bound().with_filter_strategy("push")
-        streamed = sqlite_bound().with_filter_strategy("stream")
-        keys_pushed = [r.key() for r in ProgXeEngine(pushed).run()]
-        keys_streamed = [r.key() for r in ProgXeEngine(streamed).run()]
-        assert keys_pushed == keys_streamed
+        streamed = query.bind(_columnar_sources(tables, tmp_path))
+        assert isinstance(streamed.left_table, FilteredSource)
+        keys_eager = [
+            r.key() for r in ProgXeEngine(query.bind(tables), planner=Planner()).run()
+        ]
+        keys_streamed = [
+            r.key() for r in ProgXeEngine(streamed, planner=Planner()).run()
+        ]
+        assert keys_eager and keys_streamed == keys_eager
 
 
 # ----------------------------------------------------------------------
 # planner transparency: byte-identical to the same knobs by hand
 # ----------------------------------------------------------------------
-def _bound_for_backend(backend: str, workload: SyntheticWorkload):
+def _columnar_sources(tables, directory) -> dict:
+    sources = {}
+    for alias, table in tables.items():
+        path = directory / f"{alias}.col"
+        if not path.exists():
+            write_columnar(path, table, name=alias)
+        sources[alias] = ColumnarFileSource(path, name=alias)
+    return sources
+
+
+def _bound_for_backend(backend: str, workload: SyntheticWorkload, directory):
     tables = workload.tables()
     if backend == "memory":
         return workload.query().bind(tables)
-    conn = sqlite3.connect(":memory:")
-    sources = {
-        alias: SQLiteSource.write_table(conn, alias, table)
-        for alias, table in tables.items()
-    }
-    return workload.query().bind(sources)
+    return workload.query().bind(_columnar_sources(tables, directory))
 
 
 def _drain_reports(engine: ProgXeEngine):
@@ -462,16 +462,19 @@ def _drain_reports(engine: ProgXeEngine):
 
 
 @given(
-    backend=st.sampled_from(["memory", "sqlite"]),
+    backend=st.sampled_from(["memory", "columnar"]),
     partitioning=st.sampled_from(["grid", "quadtree"]),
     seed=st.integers(0, 1_000),
 )
 @settings(max_examples=8, deadline=None)
-def test_planner_is_transparent_over_backends(backend, partitioning, seed):
+def test_planner_is_transparent_over_backends(
+    backend, partitioning, seed, tmp_path_factory
+):
     """A planner-driven run == a hand-configured run with the same knobs."""
+    directory = tmp_path_factory.mktemp("planner")
     workload = SyntheticWorkload(n=60, d=2, sigma=0.1, seed=seed)
     planned_engine = ProgXeEngine(
-        _bound_for_backend(backend, workload),
+        _bound_for_backend(backend, workload, directory),
         planner=Planner(),
         partitioning=partitioning,
     )
@@ -480,7 +483,7 @@ def test_planner_is_transparent_over_backends(backend, partitioning, seed):
     assert decision is not None
 
     manual_engine = ProgXeEngine(
-        _bound_for_backend(backend, workload),
+        _bound_for_backend(backend, workload, directory),
         partitioning=decision.partitioning,
     )
     manual_reports = _drain_reports(manual_engine)
@@ -491,19 +494,11 @@ def test_planner_is_transparent_over_backends(backend, partitioning, seed):
 
 
 def test_planner_is_transparent_over_columnar(tmp_path):
-    from repro.storage import ColumnarFileSource, write_columnar
-
     workload = SyntheticWorkload(n=60, d=2, sigma=0.1, seed=77)
     tables = workload.tables()
 
     def bound():
-        sources = {}
-        for alias, table in tables.items():
-            path = tmp_path / f"{alias}.col"
-            if not path.exists():
-                write_columnar(path, table, name=alias)
-            sources[alias] = ColumnarFileSource(path, name=alias)
-        return workload.query().bind(sources)
+        return workload.query().bind(_columnar_sources(tables, tmp_path))
 
     planned = ProgXeEngine(bound(), planner=Planner())
     planned_reports = _drain_reports(planned)

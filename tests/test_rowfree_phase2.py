@@ -6,7 +6,9 @@ change of *representation*: the algorithm must do exactly the same work.
 ``tests/data/rowfree_golden.json`` pins, for a small seeded matrix, the
 result-key sequence and the full virtual-clock snapshot recorded on the
 commit **before** the rewrite; :class:`TestPinnedIdentity` asserts the
-current code reproduces every entry exactly.
+current code reproduces every entry exactly, and that a columnar follow
+query whose arrivals another handle appends reproduces the ``columnar``
+entry.
 
 Regenerate the golden file (only ever from a commit whose behaviour is the
 reference) with::
@@ -48,7 +50,7 @@ from tests.test_streaming import make_streaming_pair
 GOLDEN = pathlib.Path(__file__).parent / "data" / "rowfree_golden.json"
 
 PARTITIONINGS = ("grid", "quadtree")
-BACKENDS = ("table", "columnar", "sqlite")
+BACKENDS = ("table", "columnar")
 MODES = ("static", "follow")
 #: ``FLUSH_PAIRS`` values; no region here has 1 024 pairs, so that one
 #: flushes each region whole, as the default does.
@@ -57,10 +59,27 @@ SMALLER_SIDES = ("left", "right")
 CASES = list(
     itertools.product(PARTITIONINGS, BACKENDS, MODES, FLUSH_SIZES, SMALLER_SIDES)
 )
+#: Follow cases whose arrivals a second handle appends to the columnar
+#: dataset (the query's handle refreshes).  The same rows arrive at the
+#: same steps, so each must reproduce the golden ``columnar`` entry.
+APPENDED_CASES = list(
+    itertools.product(
+        PARTITIONINGS, ("columnar-appended",), ("follow",), FLUSH_SIZES,
+        SMALLER_SIDES,
+    )
+)
 
 
 def case_id(case) -> str:
     return "-".join(str(part) for part in case)
+
+
+def golden_id(case) -> str:
+    """The golden entry ``case`` must reproduce."""
+    partitioning, backend, *rest = case
+    if backend == "columnar-appended":
+        backend = "columnar"
+    return case_id((partitioning, backend, *rest))
 
 
 def run_case(case, tmp_path: pathlib.Path) -> dict:
@@ -127,16 +146,16 @@ class TestPinnedIdentity:
         assert sorted(golden) == sorted(case_id(c) for c in CASES)
         assert any(len(entry["keys"]) > 3 for entry in golden.values())
 
-    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    @pytest.mark.parametrize("case", CASES + APPENDED_CASES, ids=case_id)
     def test_reproduces_parent_commit(self, case, golden, tmp_path):
         got = run_case(case, tmp_path)
-        want = golden[case_id(case)]
+        want = golden[golden_id(case)]
         assert got["keys"] == want["keys"]
         assert got["clock"] == want["clock"]
         assert got["vtime"] == want["vtime"]
 
     @pytest.mark.parametrize("lanes", (1, 64), ids=lambda n: f"lanes-{n}")
-    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    @pytest.mark.parametrize("case", CASES + APPENDED_CASES, ids=case_id)
     def test_dominance_blocks_change_nothing(
         self, case, lanes, golden, tmp_path, monkeypatch
     ):
@@ -144,7 +163,7 @@ class TestPinnedIdentity:
         alone; at one lane every launch tests a single column."""
         monkeypatch.setattr(progdetermine, "DOMINANCE_LANES", lanes)
         got = run_case(case, tmp_path)
-        want = golden[case_id(case)]
+        want = golden[golden_id(case)]
         assert got["keys"] == want["keys"]
         assert got["clock"] == want["clock"]
         assert got["vtime"] == want["vtime"]

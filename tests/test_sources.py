@@ -2,14 +2,15 @@
 
 Three layers of guarantees:
 
-* **Conformance** — every backend (in-memory, columnar-mmap, SQLite, and
-  the filtered view) satisfies the protocol surface: schema, ``len``,
+* **Conformance** — every backend (in-memory, columnar-mmap, a columnar
+  dataset another handle appended to, and the filtered view) satisfies
+  the protocol surface: schema, ``len``,
   batch scans that reassemble to the same rows at any batch size,
   uncoerced join keys, stable/row-count-aware cache tokens, and
   mutation-visible version tokens.
 * **Cache-key hygiene** — the same logical data in two different backends
-  produces distinct :class:`PartitionKey` values; mutating a SQLite
-  source (through its own connection or another one) misses the cache.
+  produces distinct :class:`PartitionKey` values; rewriting a columnar
+  dataset (through another handle) misses the cache.
 * **Engine equivalence** — ProgXe produces the *same step reports and
   result sequences* whichever backend holds the data, default and
   one-pair flushes, grid and quadtree (hypothesis property test).
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import sqlite3
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from repro.cache.store import PartitionKey
 from repro.core.engine import ProgXeEngine
 from repro.data.workloads import SyntheticWorkload
 from repro.errors import BindingError, SchemaError
+from repro.query.parser import parse_query
 from repro.query.smj import FilterCondition
 from repro.runtime.clock import VirtualClock
 from repro.session.service import Session
@@ -41,7 +42,6 @@ from repro.storage.sources import (
     ColumnarWriter,
     FilteredSource,
     InMemorySource,
-    SQLiteSource,
     delta_start_row,
     is_data_source,
     is_source_uri,
@@ -62,7 +62,7 @@ ROWS = [
 ]
 COLUMNS = ["id", "jkey", "a0", "a1"]
 
-BACKENDS = ["memory", "table", "columnar", "sqlite", "filtered-columnar"]
+BACKENDS = ["memory", "table", "columnar", "filtered-columnar", "columnar-appended"]
 
 
 def make_source(backend: str, tmp_path, rows=ROWS, columns=COLUMNS, name="R"):
@@ -75,14 +75,19 @@ def make_source(backend: str, tmp_path, rows=ROWS, columns=COLUMNS, name="R"):
         path = tmp_path / f"{name}-{backend}.col"
         write_columnar(path, rows, columns=columns, name=name)
         return ColumnarFileSource(path, name=name)
-    if backend == "sqlite":
-        db = tmp_path / f"{name}-{backend}.sqlite"
-        conn = sqlite3.connect(db)
-        return SQLiteSource.write_table(conn, name, (columns, rows))
     if backend == "filtered-columnar":
         # A filter that keeps everything: same logical contents.
         base = make_source("columnar", tmp_path, rows, columns, name)
         return FilteredSource(base, [FilterCondition("R", "a0", ">=", -1e9)])
+    if backend == "columnar-appended":
+        # Written short; after this handle has read the short dataset,
+        # another handle appends the rest and this one refreshes.
+        path = tmp_path / f"{name}-{backend}.col"
+        write_columnar(path, rows[:2], columns=columns, name=name)
+        src = ColumnarFileSource(path, name=name)
+        assert src.fetch_rows([0, 1]) == [tuple(r) for r in rows[:2]]
+        ColumnarFileSource(path).append_rows(rows[2:])
+        return src.refresh()
     raise AssertionError(backend)
 
 
@@ -157,22 +162,10 @@ class TestMutationVisibility:
         src.append_row(("r5", "J4", 1.0, 1.0))
         assert src.cache_token != before
 
-    def test_sqlite_same_connection_mutation_bumps_version(self, tmp_path):
-        src = make_source("sqlite", tmp_path)
+    def test_columnar_other_handle_append_bumps_version(self, tmp_path):
+        src = make_source("columnar", tmp_path)
         before = src.cache_token
-        src.execute("INSERT INTO R VALUES ('r5', 'J4', 1.0, 1.0)")
-        src.connection.commit()
-        assert src.cache_token != before
-
-    def test_sqlite_other_connection_mutation_bumps_version(self, tmp_path):
-        db = tmp_path / "x.sqlite"
-        conn = sqlite3.connect(db)
-        src = SQLiteSource.write_table(conn, "R", (COLUMNS, ROWS))
-        before = src.cache_token
-        other = sqlite3.connect(db)
-        other.execute("INSERT INTO R VALUES ('r9', 'J9', 3.0, 3.0)")
-        other.commit()
-        other.close()
+        ColumnarFileSource(src.path).append_rows([("r9", "J9", 3.0, 3.0)])
         assert src.cache_token != before
 
     def test_columnar_rewrite_bumps_version(self, tmp_path):
@@ -229,14 +222,14 @@ class TestCacheKeyHygiene:
     def test_same_data_different_backends_distinct_keys(self, tmp_path):
         descriptor = GridPartitioner(4).descriptor()
         keys = {}
-        for backend in ["memory", "columnar", "sqlite"]:
+        for backend in ["memory", "columnar", "filtered-columnar"]:
             src = make_source(backend, tmp_path)
             keys[backend] = PartitionKey.for_source(
                 src, ("a0", "a1"), "jkey", descriptor, source="R"
             )
         assert len(set(keys.values())) == 3
         assert {k.backend for k in keys.values()} == {
-            "memory", "columnar", "sqlite",
+            "memory", "columnar", "columnar+filter",
         }
 
     def test_for_table_alias_still_works(self):
@@ -248,7 +241,7 @@ class TestCacheKeyHygiene:
     def test_backend_cache_entries_do_not_cross(self, tmp_path):
         cache = PlanCache()
         partitioner = GridPartitioner(4)
-        for backend in ["memory", "columnar", "sqlite"]:
+        for backend in ["memory", "columnar", "filtered-columnar"]:
             src = make_source(backend, tmp_path)
             _, hit = cache.get_or_partition(
                 partitioner, src, ("a0", "a1"), "jkey", source="R"
@@ -256,37 +249,20 @@ class TestCacheKeyHygiene:
             assert not hit, backend
         assert cache.stats().misses == 3 and cache.stats().hits == 0
 
-    def test_sqlite_mutation_misses_cache(self, tmp_path):
-        src = make_source("sqlite", tmp_path)
-        cache = PlanCache()
-        partitioner = GridPartitioner(4)
-        args = (partitioner, src, ("a0", "a1"), "jkey")
-        _, hit = cache.get_or_partition(*args, source="R")
-        assert not hit
-        _, hit = cache.get_or_partition(*args, source="R")
-        assert hit
-        src.execute("INSERT INTO R VALUES ('r7', 'J1', 6.0, 6.0)")
-        src.connection.commit()
-        _, hit = cache.get_or_partition(*args, source="R")
-        assert not hit
-
     def test_two_handles_share_entries_until_mutation(self, tmp_path):
-        db = tmp_path / "share.sqlite"
-        conn = sqlite3.connect(db)
-        SQLiteSource.write_table(conn, "R", (COLUMNS, ROWS))
-        conn.close()
-        a = SQLiteSource(db, table="R")
-        b = SQLiteSource(db, table="R")
+        a = make_source("columnar", tmp_path)
+        b = ColumnarFileSource(a.path)
         cache = PlanCache()
         partitioner = GridPartitioner(4)
         _, hit = cache.get_or_partition(partitioner, a, ("a0",), "jkey", source="R")
         assert not hit
         _, hit = cache.get_or_partition(partitioner, b, ("a0",), "jkey", source="R")
         assert hit  # same uid + same version: sharing across handles
-        a.execute("INSERT INTO R VALUES ('r8', 'J1', 2.0, 2.0)")
-        a.connection.commit()
-        _, hit = cache.get_or_partition(partitioner, b, ("a0",), "jkey", source="R")
-        assert not hit  # b's data_version saw a's committed change
+        write_columnar(a.path, ROWS[:3], columns=COLUMNS, name="R")  # rewrite
+        _, hit = cache.get_or_partition(
+            partitioner, b.refresh(), ("a0",), "jkey", source="R"
+        )
+        assert not hit  # b's file-stat version saw the shrunken files
 
 
 class TestLazyPartitions:
@@ -368,71 +344,83 @@ class TestLazyPartitions:
                 assert pm.tight_upper == pc.tight_upper
 
 
-class TestSQLitePushdown:
-    def test_where_pushdown_filters(self, tmp_path):
-        src = make_source("sqlite", tmp_path)
-        kept = src.apply_filters([FilterCondition("R", "a0", ">=", 3.0)])
-        assert isinstance(kept, SQLiteSource)
-        assert kept.pushed_where == ('"a0" >= ?',)
-        assert sorted(r[0] for r in kept.iter_rows()) == ["r0", "r2", "r4"]
-        assert len(kept) == 3
+FILTER_SQL = (
+    "SELECT R.id, T.id, (R.a0 + T.a0) AS x0, (R.a1 + T.a1) AS x1 "
+    "FROM R R, T T WHERE R.jkey = T.jkey PREFERRING LOWEST(x0) AND LOWEST(x1)"
+)
 
-    def test_in_operator_pushdown(self, tmp_path):
-        src = make_source("sqlite", tmp_path)
-        kept = src.apply_filters([FilterCondition("R", "jkey", "in", ("J1", "J3"))])
-        assert isinstance(kept, SQLiteSource)
-        assert len(kept) == 3
+#: One condition per filter operator; each keeps a non-empty part of ROWS.
+OPERATOR_CASES = {
+    "eq": ("a0", "=", 2.0),
+    "ne": ("a0", "!=", 2.0),
+    "lt": ("a0", "<", 4.0),
+    "le": ("a0", "<=", 4.0),
+    "gt": ("a0", ">", 4.0),
+    "ge": ("a0", ">=", 4.0),
+    "in": ("jkey", "in", ("J1", "J3")),
+    "contains": ("id", "contains", "1"),
+}
 
-    def test_unpushable_op_becomes_residual_filter(self, tmp_path):
-        src = make_source("sqlite", tmp_path)
-        kept = src.apply_filters(
-            [FilterCondition("R", "id", "contains", "0"),
-             FilterCondition("R", "a0", ">=", 0.0)]
+
+def filtered_query(attribute, op, literal):
+    return dataclasses.replace(
+        parse_query(FILTER_SQL),
+        filters=(FilterCondition("R", attribute, op, literal),),
+    )
+
+
+class TestBoundFilters:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_only_in_memory_sources_filter_eagerly(self, backend, tmp_path):
+        """One filter path: in-memory sources filter at bind time, every
+        other source is wrapped in the streamed ``FilteredSource``."""
+        source = make_source(backend, tmp_path)
+        bound = filtered_query("a0", ">=", 3.0).bind(
+            {"R": source, "T": make_source("memory", tmp_path, name="T")}
         )
-        assert isinstance(kept, FilteredSource)  # residual wraps pushed base
-        assert isinstance(kept.base, SQLiteSource)
-        assert kept.base.pushed_where == ('"a0" >= ?',)
-        assert [r[0] for r in kept.iter_rows()] == ["r0"]
+        eager = isinstance(source, InMemorySource)
+        assert isinstance(bound.left_table, FilteredSource) is not eager
+        if not eager:
+            assert bound.left_table.base is source
+        assert rows_of(bound.left_table) == [r for r in ROWS if r[2] >= 3.0]
 
-    def test_indexed_scan_keeps_insertion_order(self, tmp_path):
-        """WHERE push-down over an indexed column must not reorder rows.
+    @pytest.mark.parametrize(
+        "condition", OPERATOR_CASES.values(), ids=OPERATOR_CASES.keys()
+    )
+    def test_each_operator_streams_as_it_filters_eagerly(self, condition, tmp_path):
+        """The streamed filter keeps the rows, in the order, and yields the
+        results the eager in-memory filter does."""
+        attribute, op, literal = condition
+        query = filtered_query(attribute, op, literal)
+        runs = []
+        for backend in ("memory", "columnar"):
+            bound = query.bind({
+                "R": make_source(backend, tmp_path),
+                "T": make_source(backend, tmp_path, name="T"),
+            })
+            results = ProgXeEngine(bound, VirtualClock()).run()
+            runs.append((rows_of(bound.left_table), [r.key() for r in results]))
+        (eager_rows, eager_keys), (streamed_rows, streamed_keys) = runs
+        index = COLUMNS.index(attribute)
+        kept = FilterCondition("R", attribute, op, literal)
+        assert eager_rows == [r for r in ROWS if kept.matches(r[index])]
+        assert streamed_rows == eager_rows
+        assert streamed_keys == eager_keys and eager_keys
 
-        Without ORDER BY rowid, SQLite may serve the filtered scan from
-        the index (value order) — which would silently change progressive
-        result sequences versus the other backends.
-        """
-        src = make_source("sqlite", tmp_path)
-        src.execute('CREATE INDEX idx_a0 ON R ("a0")')
-        src.connection.commit()
-        kept = src.apply_filters([FilterCondition("R", "a0", ">=", 0.0)])
-        assert [r[0] for r in kept.iter_rows()] == [r[0] for r in ROWS]
-
-    def test_without_rowid_table_falls_back(self, tmp_path):
-        db = tmp_path / "worowid.sqlite"
-        conn = sqlite3.connect(db)
-        conn.execute(
-            "CREATE TABLE R (id TEXT PRIMARY KEY, a0 REAL) WITHOUT ROWID"
-        )
-        conn.executemany(
-            "INSERT INTO R VALUES (?, ?)", [("b", 2.0), ("a", 1.0)]
-        )
-        conn.commit()
-        src = SQLiteSource(conn, table="R")
-        assert len(src) == 2  # opens fine; PRIMARY KEY order is stable
-        assert [r[0] for r in src.iter_rows()] == ["a", "b"]
-
-    def test_bound_query_pushes_filters_into_sqlite(self, tmp_path):
+    def test_bound_query_streams_filters_over_columnar(self, tmp_path):
         workload = SyntheticWorkload(n=60, d=2, seed=5)
         tables = workload.tables()
-        db = tmp_path / "push.sqlite"
-        conn = sqlite3.connect(db)
-        srcs = {a: SQLiteSource.write_table(conn, a, t) for a, t in tables.items()}
+        srcs = {}
+        for alias, table in tables.items():
+            write_columnar(tmp_path / f"{alias}.col", table)
+            srcs[alias] = ColumnarFileSource(tmp_path / f"{alias}.col", name=alias)
         query = dataclasses.replace(
             workload.query(), filters=(FilterCondition("R", "a0", "<=", 50.0),)
         )
         bound = query.bind(srcs)
-        assert isinstance(bound.left_table, SQLiteSource)
-        assert bound.left_table.pushed_where == ('"a0" <= ?',)
+        assert isinstance(bound.left_table, FilteredSource)
+        assert bound.left_table.base is srcs["R"]
+        assert bound.right_table is srcs["T"]
         assert len(bound.left_table) == sum(
             1 for r in tables["R"].rows if r[2] <= 50.0
         )
@@ -626,8 +614,8 @@ class TestColumnarFormat:
 class TestSourceURIs:
     def test_is_source_uri(self):
         assert is_source_uri("columnar:/x")
-        assert is_source_uri("sqlite:db?table=t")
         assert is_source_uri("mem:rows.csv")
+        assert not is_source_uri("sqlite:db?table=t")
         assert not is_source_uri("/plain/path.csv")
         assert not is_source_uri("http://example.com")
 
@@ -637,19 +625,6 @@ class TestSourceURIs:
         src = open_source(f"columnar:{path}", name="L")
         assert isinstance(src, ColumnarFileSource) and src.name == "L"
 
-    def test_open_sqlite_table_and_query(self, tmp_path):
-        db = tmp_path / "u.sqlite"
-        conn = sqlite3.connect(db)
-        SQLiteSource.write_table(conn, "R", (COLUMNS, ROWS))
-        conn.close()
-        by_table = open_source(f"sqlite:{db}?table=R")
-        assert len(by_table) == len(ROWS)
-        by_query = open_source(
-            f"sqlite:{db}?query=SELECT id, a0 FROM R WHERE a0 >= 3.0"
-        )
-        assert list(by_query.schema.columns) == ["id", "a0"]
-        assert len(by_query) == 3
-
     def test_open_mem_csv(self, tmp_path):
         t = Table.from_rows("R", COLUMNS, ROWS)
         csv_path = tmp_path / "r.csv"
@@ -658,11 +633,11 @@ class TestSourceURIs:
         assert isinstance(src, Table) and len(src) == len(ROWS)
 
     def test_bad_uris(self, tmp_path):
-        for uri in ["nope:x", "mem:", "columnar:", "sqlite:",
-                    f"sqlite:{tmp_path}/missing.db?table=a&query=b",
-                    "sqlite:db"]:
+        for uri in ["nope:x", "mem:", "columnar:"]:
             with pytest.raises(BindingError):
                 open_source(uri)
+        with pytest.raises(BindingError, match=r"mem:\.\.\., columnar:\.\.\."):
+            open_source("sqlite:db?table=R")
 
     def test_session_open_source_registers(self, tmp_path):
         path = tmp_path / "s.col"
@@ -682,16 +657,20 @@ def _workload_sources(backend: str, tmp_path, n: int, seed: int, d: int = 2):
     if backend == "memory":
         return workload, tables
     sources = {}
-    if backend == "columnar":
-        for alias, t in tables.items():
-            path = tmp_path / f"{alias}-{seed}-{n}.col"
+    for alias, t in tables.items():
+        path = tmp_path / f"{alias}-{backend}-{seed}-{n}.col"
+        if backend == "columnar":
             write_columnar(path, t)
             sources[alias] = ColumnarFileSource(path, name=alias)
-    else:
-        db = tmp_path / f"w-{seed}-{n}.sqlite"
-        conn = sqlite3.connect(db)
-        for alias, t in tables.items():
-            sources[alias] = SQLiteSource.write_table(conn, alias, t)
+            continue
+        assert backend == "columnar-appended", backend
+        # Half written, the rest appended through a second handle.
+        rows = list(t.rows)
+        half = len(rows) // 2
+        write_columnar(path, rows[:half], columns=list(t.schema.columns), name=alias)
+        sources[alias] = ColumnarFileSource(path, name=alias)
+        ColumnarFileSource(path).append_rows(rows[half:])
+        sources[alias].refresh()
     return workload, sources
 
 
@@ -710,7 +689,7 @@ def _step_trace(bound, **engine_kwargs):
     return steps, keys
 
 
-@pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+@pytest.mark.parametrize("backend", ["columnar", "columnar-appended"])
 @pytest.mark.parametrize("flush_pairs", FLUSH_SIZES, ids=FLUSH_IDS)
 def test_engine_step_reports_match_memory(
     backend, flush_pairs, tmp_path, monkeypatch
@@ -726,14 +705,13 @@ def test_engine_step_reports_match_memory(
 
 @settings(max_examples=8, deadline=None)
 @given(
-    backend=st.sampled_from(["columnar", "sqlite"]),
     partitioning=st.sampled_from(["grid", "quadtree"]),
     seed=st.integers(0, 3),
 )
-def test_property_backend_equivalence(backend, partitioning, seed, tmp_path_factory):
+def test_property_backend_equivalence(partitioning, seed, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("prop")
     workload, mem_tables = _workload_sources("memory", tmp_path, 80, seed)
-    _, other = _workload_sources(backend, tmp_path, 80, seed)
+    _, other = _workload_sources("columnar", tmp_path, 80, seed)
     mem_steps, mem_keys = _step_trace(
         workload.query().bind(mem_tables), partitioning=partitioning
     )
@@ -744,7 +722,7 @@ def test_property_backend_equivalence(backend, partitioning, seed, tmp_path_fact
     assert other_steps == mem_steps
 
 
-@pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+@pytest.mark.parametrize("backend", ["columnar", "columnar-appended"])
 def test_scheduler_equivalence_across_backends(backend, tmp_path):
     workload, mem_tables = _workload_sources("memory", tmp_path, 120, 23)
     _, other = _workload_sources(backend, tmp_path, 120, 23)
@@ -765,11 +743,10 @@ def test_scheduler_equivalence_across_backends(backend, tmp_path):
 
 def test_pushthrough_variant_works_on_any_backend(tmp_path):
     workload, mem_tables = _workload_sources("memory", tmp_path, 120, 31)
-    for backend in ["columnar", "sqlite"]:
-        _, other = _workload_sources(backend, tmp_path, 120, 31)
-        mem = Session().run(workload.query().bind(mem_tables), algorithm="ProgXe+")
-        got = Session().run(workload.query().bind(other), algorithm="ProgXe+")
-        assert [r.key() for r in got.results] == [r.key() for r in mem.results]
+    _, other = _workload_sources("columnar", tmp_path, 120, 31)
+    mem = Session().run(workload.query().bind(mem_tables), algorithm="ProgXe+")
+    got = Session().run(workload.query().bind(other), algorithm="ProgXe+")
+    assert [r.key() for r in got.results] == [r.key() for r in mem.results]
 
 
 def test_baselines_accept_any_backend(tmp_path):
@@ -806,18 +783,6 @@ def test_compare_plans_each_contender_privately(tmp_path):
     session.execute(rebound).drain()
     assert session.plan_cache.stats().hits >= 2
     assert len(report.runs) == 2
-
-
-def test_connection_backed_sqlite_uids_never_collide(tmp_path):
-    """uids must come from a sequence, not a reusable memory address."""
-    uids = set()
-    for i in range(3):
-        conn = sqlite3.connect(tmp_path / f"u{i}.sqlite")
-        src = SQLiteSource.write_table(conn, "R", (COLUMNS, ROWS))
-        uids.add(src.uid)
-        conn.close()
-        del src, conn  # let the address be reused
-    assert len(uids) == 3
 
 
 def test_filtered_in_memory_bind_reuses_cache_entries(tmp_path):
@@ -859,14 +824,16 @@ def test_cli_source_flags(tmp_path, capsys):
     prefix = os.path.join(tmp_path, "w")
     assert main(["generate", "-n", "80", "--format", "columnar",
                  "--prefix", prefix]) == 0
-    assert main(["generate", "-n", "80", "--format", "sqlite",
-                 "--prefix", prefix]) == 0
+    assert main(["generate", "-n", "80", "--prefix", prefix]) == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["generate", "-n", "80", "--format", "sqlite", "--prefix", prefix])
+    assert refused.value.code == 2
     capsys.readouterr()
     assert main(["run", "-n", "80",
                  "--source", f"R=columnar:{prefix}_R.col",
-                 "--source", f"T=sqlite:{prefix}.sqlite?table=T"]) == 0
+                 "--source", f"T=mem:{prefix}_T.csv"]) == 0
     out = capsys.readouterr().out
-    assert "columnar(mmap:" in out and "sqlite(" in out
+    assert "columnar(mmap:" in out and "memory(" in out
     assert main(["interleave", "-n", "80", "-c", "2",
                  "--source", f"R=columnar:{prefix}_R.col",
                  "--source", f"T=columnar:{prefix}_T.col"]) == 0
@@ -883,17 +850,16 @@ NEW_ROWS_A = [("r5", "J3", 3.5, 18.0), ("r6", "J1", 6.0, 9.5)]
 NEW_ROWS_B = [("r7", "J2", 0.75, 27.0)]
 
 #: Backends with the append-only delta capability (``delta_start_row`` +
-#: ``scan_batches(since_version=...)``).
-DELTA_BACKENDS = ["memory", "table", "columnar", "sqlite"]
+#: ``scan_batches(since_version=...)``).  ``columnar-appended`` appends
+#: through a second handle and refreshes the one under test.
+DELTA_BACKENDS = ["memory", "table", "columnar", "columnar-appended"]
 
 
 def make_delta_source(backend: str, tmp_path):
     """``(source, append, mutate)`` for the delta conformance suite.
 
     ``append`` adds rows through the backend's own append path; ``mutate``
-    performs a non-append (in-place) mutation, or is ``None`` where the
-    backend's constructor promise rules those out (sqlite with
-    ``append_only=True``).
+    performs a non-append (in-place) mutation.
     """
     if backend in ("memory", "table"):
         src = make_source(backend, tmp_path)
@@ -901,19 +867,15 @@ def make_delta_source(backend: str, tmp_path):
     if backend == "columnar":
         src = make_source(backend, tmp_path)
         return src, src.append_rows, src.touch
-    if backend == "sqlite":
-        db = tmp_path / "delta.sqlite"
-        conn = sqlite3.connect(db)
-        SQLiteSource.write_table(conn, "R", (COLUMNS, ROWS))
-        conn.close()
-        src = SQLiteSource(db, table="R", append_only=True)
+    if backend == "columnar-appended":
+        src = make_source("columnar", tmp_path)
+        writer = ColumnarFileSource(src.path)
 
-        def append(rows, src=src):
-            for row in rows:
-                src.execute("INSERT INTO R VALUES (?, ?, ?, ?)", row)
-            src.connection.commit()
+        def append(rows):
+            writer.append_rows(rows)
+            src.refresh()
 
-        return src, append, None
+        return src, append, src.touch
     raise AssertionError(backend)
 
 
@@ -997,7 +959,7 @@ class TestDeltaScanConformance:
 class TestDeltaFallback:
     """Non-append mutations must fall back to full invalidation."""
 
-    @pytest.mark.parametrize("backend", ["memory", "table", "columnar"])
+    @pytest.mark.parametrize("backend", DELTA_BACKENDS)
     def test_non_append_mutation_breaks_the_proof(self, backend, tmp_path):
         src, append, mutate = make_delta_source(backend, tmp_path)
         token = src.cache_token
@@ -1011,26 +973,6 @@ class TestDeltaFallback:
         fresh = src.cache_token
         append(NEW_ROWS_B)
         assert delta_start_row(src, fresh) == len(ROWS) + len(NEW_ROWS_A)
-
-    def test_sqlite_without_promise_falls_back(self, tmp_path):
-        """Any version change on a plain SQLiteSource is unprovable: SQL
-        can mutate in place, so only the ``append_only=True`` constructor
-        promise lets the proof survive."""
-        db = tmp_path / "plain.sqlite"
-        conn = sqlite3.connect(db)
-        SQLiteSource.write_table(conn, "R", (COLUMNS, ROWS))
-        conn.close()
-        src = SQLiteSource(db, table="R")  # no append-only promise
-        token = src.cache_token
-        src.execute("INSERT INTO R VALUES (?, ?, ?, ?)", NEW_ROWS_A[0])
-        src.connection.commit()
-        assert delta_start_row(src, token) is None
-
-    def test_sqlite_append_only_promise_keeps_proving(self, tmp_path):
-        src, append, _ = make_delta_source("sqlite", tmp_path)
-        token = src.cache_token
-        append(NEW_ROWS_A)
-        assert delta_start_row(src, token) == len(ROWS)
 
     def test_source_without_capability_returns_none(self, tmp_path):
         filtered = make_source("filtered-columnar", tmp_path)

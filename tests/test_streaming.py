@@ -28,7 +28,6 @@ Layers covered here:
 from __future__ import annotations
 
 import asyncio
-import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +48,7 @@ from repro.session.config import EngineConfig
 from repro.session.service import Session
 from repro.session.stream import CANCELLED, COMPLETED
 from repro.skyline import dominates
-from repro.storage.sources import ColumnarFileSource, SQLiteSource, write_columnar
+from repro.storage.sources import ColumnarFileSource, write_columnar
 from repro.storage.table import Table
 
 from tests.conftest import (
@@ -203,7 +202,7 @@ class TestDifferentialReplay:
                 kernel.step()
 
 
-BACKENDS = ["table", "columnar", "sqlite"]
+BACKENDS = ["table", "columnar", "columnar-appended"]
 
 
 def make_streaming_pair(backend, alias, prefix_table, tmp_path):
@@ -218,18 +217,15 @@ def make_streaming_pair(backend, alias, prefix_table, tmp_path):
         write_columnar(path, rows, columns=columns, name=alias)
         src = ColumnarFileSource(path, name=alias)
         return src, src.append_rows
-    if backend == "sqlite":
-        db = tmp_path / f"{alias}.sqlite"
-        conn = sqlite3.connect(db)
-        SQLiteSource.write_table(conn, alias, (columns, rows))
-        conn.close()
-        src = SQLiteSource(db, table=alias, append_only=True)
-        placeholders = ", ".join("?" * len(columns))
+    if backend == "columnar-appended":
+        # An external writer: arrivals go through a second handle, and
+        # the query's handle picks them up on ``refresh()``.
+        src, _ = make_streaming_pair("columnar", alias, prefix_table, tmp_path)
+        writer = ColumnarFileSource(src.path)
 
-        def append(chunk, src=src, sql=f"INSERT INTO {alias} VALUES ({placeholders})"):
-            for row in chunk:
-                src.execute(sql, row)
-            src.connection.commit()
+        def append(chunk, src=src, writer=writer):
+            writer.append_rows(chunk)
+            src.refresh()
 
         return src, append
     raise AssertionError(backend)
