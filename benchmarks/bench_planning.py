@@ -1,0 +1,204 @@
+"""Benchmark: planning wall time — look-ahead and kernel set-up before the
+first tuple.
+
+ProgXe plans before it touches a tuple: phase 2's output-space look-ahead
+(signature pruning, region boxes, cell coverage, cones) and the kernel's
+EL-graph build put a floor under time-to-first-result.  This bench times
+that floor for each query shape of ``benchmarks/e2e`` and for ROADMAP item
+7's independent 100k-per-side query under the ``default`` preset: the
+best of 7 builds of ``ProgXeEngine(...).kernel()`` over a warm partition
+cache (phase 1 is a cache hit, as for every query after the first), with
+the look-ahead alone (``run_lookahead``) timed inside the same builds.
+Each row also records the plan's shape and its planning charges, which
+must not move between the rows of two commits.
+
+Rows are stored under a label, so one JSON holds the parent commit's
+numbers next to the change's: run the script once per tree.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/bench_planning.py --label after
+    PYTHONPATH=/path/to/parent/src python benchmarks/bench_planning.py --label before
+    PYTHONPATH=src python benchmarks/bench_planning.py --smoke    # CI scale
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import platform
+import sys
+import time
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEFAULT_OUT = REPO_ROOT / "BENCH_planning.json"
+if str(REPO_ROOT) not in sys.path:  # the e2e workloads live beside this file
+    sys.path.insert(0, str(REPO_ROOT))
+
+import repro.core.plan as plan_module  # noqa: E402
+from benchmarks.e2e.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+from repro.cache.plan_cache import PlanCache  # noqa: E402
+from repro.core.engine import ProgXeEngine  # noqa: E402
+from repro.data.workloads import SyntheticWorkload  # noqa: E402
+from repro.planner.choose import Planner  # noqa: E402
+from repro.runtime.clock import VirtualClock  # noqa: E402
+from repro.session.config import EngineConfig  # noqa: E402
+from repro.session.service import Session  # noqa: E402
+
+REPEATS = 7
+#: The planning charges; a row's counts are the same before and after.
+CHARGES = ("partition_op", "discard", "graph_op", "cache_op")
+
+
+def shapes(smoke: bool):
+    """``(name, bound, preset)`` for each e2e query shape, then item 7's."""
+    for workload in WORKLOADS.values():
+        if smoke:
+            workload = workload.scaled(8)
+        session = Session().register_tables(workload.tables(DEFAULT_SEED))
+        for spec in workload.queries:
+            preset = spec.request.get("preset", "default")
+            yield f"{workload.name}/{spec.name}", session.sql(spec.sql()), preset
+    n = 4_000 if smoke else 100_000
+    bound = SyntheticWorkload("independent", n=n, d=3, sigma=0.001, seed=7).bound()
+    yield f"item7-independent-{n // 1000}k/default", bound, "default"
+
+
+def engine_kwargs(preset: str, planner: Planner) -> dict:
+    config = EngineConfig.preset(preset)
+    kwargs = config.engine_kwargs()
+    if config.planner:
+        kwargs["planner"] = planner
+    return kwargs
+
+
+def time_planning(bound, preset: str, repeats: int) -> dict:
+    """Best-of-``repeats`` planning and look-ahead seconds over a warm
+    cache, plus the last build's plan shape and charges."""
+    cache, planner = PlanCache(), Planner()
+    kwargs = engine_kwargs(preset, planner)
+    ProgXeEngine(bound, VirtualClock(), cache=cache, **kwargs).kernel()  # warm
+    lookahead = plan_module.run_lookahead
+    spent: list[float] = []
+
+    def timed(*args, **kw):
+        start = time.perf_counter()
+        try:
+            return lookahead(*args, **kw)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    best = best_lookahead = float("inf")
+    plan_module.run_lookahead = timed
+    try:
+        for _ in range(repeats):
+            clock = VirtualClock()
+            start = time.perf_counter()
+            kernel = ProgXeEngine(bound, clock, cache=cache, **kwargs).kernel()
+            best = min(best, time.perf_counter() - start)
+            best_lookahead = min(best_lookahead, spent[-1])
+    finally:
+        plan_module.run_lookahead = lookahead
+    grid = kernel.plan.grid
+    return {
+        "planning_ms": round(best * 1e3, 3),
+        "lookahead_ms": round(best_lookahead * 1e3, 3),
+        "regions": len(kernel.plan.regions),
+        "cells": grid.active_count,
+        "marked": grid.marked_count,
+        "charges": {k: clock.count(k) for k in CHARGES},
+    }
+
+
+def identical_replans(bound, preset: str) -> bool:
+    """Two builds over one warm cache give the same plan and charges."""
+    cache, planner = PlanCache(), Planner()
+    kwargs = engine_kwargs(preset, planner)
+    ProgXeEngine(bound, VirtualClock(), cache=cache, **kwargs).kernel()  # warm
+    seen = []
+    for _ in range(2):
+        clock = VirtualClock()
+        kernel = ProgXeEngine(bound, clock, cache=cache, **kwargs).kernel()
+        seen.append((
+            [(r.rid, r.lower, r.upper, r.in_degree, r.out_edges)
+             for r in kernel.plan.regions],
+            [(c.coords, c.pending, [x.coords for x in c.cone_lower])
+             for c in kernel.plan.grid.cells.values()],
+            clock.snapshot(),
+        ))
+    return seen[0] == seen[1]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--label", default="after",
+        help="row set to write: 'after' (default) or 'before' (run in the "
+        "parent commit's tree)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI scale (workloads at n/8, item 7 at 4k, 2 repeats): checks "
+        "that replanning is deterministic; no JSON written unless --out",
+    )
+    parser.add_argument(
+        "--out", type=pathlib.Path, default=None,
+        help=f"output JSON path (default: {DEFAULT_OUT})",
+    )
+    args = parser.parse_args(argv)
+    repeats = 2 if args.smoke else REPEATS
+
+    print(f"planning benchmark ({args.label}): best of {repeats}, warm cache")
+    rows = {}
+    for name, bound, preset in shapes(args.smoke):
+        row = time_planning(bound, preset, repeats)
+        rows[name] = row
+        print(
+            f"  {name:32s} planning {row['planning_ms']:9.2f} ms  "
+            f"look-ahead {row['lookahead_ms']:9.2f} ms  "
+            f"{row['regions']} regions, {row['cells']} cells"
+        )
+        if args.smoke:
+            assert identical_replans(bound, preset), f"{name}: replans differ"
+    if args.smoke:
+        print("  smoke OK: every shape replans to an identical plan")
+
+    out_path = args.out or (None if args.smoke else DEFAULT_OUT)
+    if out_path is None:
+        return 0
+    payload = json.loads(out_path.read_text()) if out_path.exists() else {
+        "benchmark": "planning wall time (look-ahead + EL-graph, warm cache)",
+        "command": "PYTHONPATH=src python benchmarks/bench_planning.py --label after",
+        "metric": (
+            "best-of-7 wall ms of ProgXeEngine(...).kernel() over a warm "
+            "partition cache (planning_ms) and of run_lookahead inside it "
+            "(lookahead_ms), per e2e query shape and item 7's independent "
+            "100k-per-side default query; charges are the plan's planning "
+            "clock counts"
+        ),
+        "seed": DEFAULT_SEED,
+        "rows": {},
+    }
+    payload["rows"][args.label] = {
+        "python": sys.version.split()[0],
+        "machine": platform.machine(),
+        "shapes": rows,
+    }
+    before = payload["rows"].get("before", {}).get("shapes", {})
+    after = payload["rows"].get("after", {}).get("shapes", {})
+    payload["speedup"] = {
+        name: {
+            key: round(before[name][key] / after[name][key], 2)
+            for key in ("planning_ms", "lookahead_ms")
+        }
+        for name in after
+        if name in before
+    }
+    out_path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    print(f"  wrote {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

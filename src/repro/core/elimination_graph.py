@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.output_grid import row_lists
 from repro.core.regions import OutputRegion
 from repro.runtime.clock import VirtualClock
 
@@ -36,15 +37,19 @@ class EliminationGraph:
         cmin = np.array([r.cell_min for r in live], dtype=np.int64)
         cmax = np.array([r.cell_max for r in live], dtype=np.int64)
         self.clock.charge("graph_op", len(live))
-        # could_eliminate[i, j]: region i has a cell strictly below some
-        # cell of region j in every dimension.
-        could = (cmin[:, None, :] + 1 <= cmax[None, :, :]).all(axis=2)
+        # could[i, j]: region i has a cell strictly below some cell of
+        # region j in every dimension — one 2-D pass per dimension.
+        could = np.ones((len(live), len(live)), dtype=bool)
+        for j in range(cmin.shape[1]):
+            could &= cmin[:, j, None] < cmax[None, :, j]
         np.fill_diagonal(could, False)
-        for i, region in enumerate(live):
-            targets = np.nonzero(could[i])[0]
-            region.out_edges = [live[j].rid for j in targets]
-            for j in targets:
-                live[j].in_degree += 1
+        for region, targets, degree in zip(
+            live,
+            row_lists(could, np.array([r.rid for r in live], dtype=object)),
+            np.count_nonzero(could, axis=0).tolist(),
+        ):
+            region.out_edges = targets
+            region.in_degree += degree
 
     # ------------------------------------------------------------------
     def roots(self) -> list[OutputRegion]:

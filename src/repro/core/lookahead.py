@@ -18,6 +18,8 @@ tuple is touched:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.output_grid import OutputGrid
 from repro.core.regions import OutputRegion
 from repro.query.smj import BoundQuery
@@ -25,6 +27,7 @@ from repro.runtime.clock import VirtualClock
 from repro.skyline.vectorized import dominated_by_any
 from repro.storage.grid import InputGrid
 from repro.storage.partition import InputPartition
+from repro.storage.signatures import SignatureCodes, pair_overlap
 
 #: Relative box expansion guarding against floating-point rounding between
 #: interval arithmetic and per-tuple evaluation order.
@@ -41,6 +44,7 @@ def build_regions(
     return build_block_regions(
         bound, list(left_grid), list(right_grid),
         left_grid.attributes, right_grid.attributes, clock,
+        codes=(left_grid.signature_codes, right_grid.signature_codes),
     )[0]
 
 
@@ -52,49 +56,55 @@ def build_block_regions(
     right_attributes: tuple[str, ...],
     clock: VirtualClock,
     *,
+    codes: tuple[SignatureCodes, SignatureCodes],
     first_rid: int = 0,
     grid: OutputGrid | None = None,
 ) -> tuple[list[OutputRegion], int]:
     """Regions of the block ``left_parts x right_parts``, left-major.
 
     All output boxes come from one array-valued interval evaluation
-    (:meth:`~repro.query.smj.BoundQuery.region_boxes`); per pair there is
-    the signature test and the region constructor, ids counting up from
-    ``first_rid`` over the pairs that pass the test.  Given the live output
-    ``grid`` (streaming), such a pair is dropped when every cell its box
-    covers is already active and marked: its region could only end in the
-    ``unmarked_covered == 0`` discard, so the pair is charged that
-    ``discard`` now, keeps its id and is never built.  Returns the regions
-    and the number of pairs dropped.
+    (:meth:`~repro.query.smj.BoundQuery.region_boxes`) and all signature
+    tests from one :func:`~repro.storage.signatures.pair_overlap` over the
+    ``codes`` of the sides' partition structures; ids count up from
+    ``first_rid`` over the pairs that pass the test.  Each pair is charged
+    one ``partition_op``.  Given the live output ``grid`` (streaming), such
+    a pair is dropped when every cell its box covers is already active and
+    marked: its region could only end in the ``unmarked_covered == 0``
+    discard, so the pair is charged that ``discard`` now, keeps its id and
+    is never built.  Returns the regions and the number of pairs dropped.
     """
     if not left_parts or not right_parts:
         return [], 0
+    clock.charge("partition_op", len(left_parts) * len(right_parts))
     lowers, uppers = bound.region_boxes(
         [p.attribute_intervals(left_attributes) for p in left_parts],
         [p.attribute_intervals(right_attributes) for p in right_parts],
     )
-    # Batched box_cell_range, then the born-dead test, for all pairs at once.
-    dead = grid is not None and grid.all_marked(
-        grid.coords_matrix(lowers), grid.coords_matrix(uppers)
-    ).tolist()
-    lowers, uppers = lowers.tolist(), uppers.tolist()
-    regions, pruned = [], 0
-    for i, lpart in enumerate(left_parts):
-        lsig = lpart.signature
-        for j, rpart in enumerate(right_parts):
-            clock.charge("partition_op")
-            rsig = rpart.signature
-            if not lsig.may_share(rsig):
-                continue
-            if dead and dead[i][j]:
-                clock.charge("discard")
-                pruned += 1
-                continue
-            regions.append(OutputRegion(
-                first_rid + len(regions) + pruned, lpart, rpart,
-                tuple(lowers[i][j]), tuple(uppers[i][j]),
-                lsig.expected_join_size(rsig), lsig.definitely_shares(rsig),
-            ))
+    share, expected, guaranteed = pair_overlap(
+        [p.signature for p in left_parts], [p.signature for p in right_parts],
+        *codes,
+    )
+    rids = first_rid - 1 + np.cumsum(share.ravel()).reshape(share.shape)
+    built = share
+    if grid is not None:
+        # Every pair's cell range, then the born-dead test, all at once.
+        built = share & ~grid.all_marked(
+            grid.coords_matrix(lowers), grid.coords_matrix(uppers)
+        )
+    pruned = int(np.count_nonzero(share)) - int(np.count_nonzero(built))
+    if pruned:
+        clock.charge("discard", pruned)
+    at = np.nonzero(built)
+    regions = list(map(
+        OutputRegion,
+        rids[at].tolist(),
+        [left_parts[i] for i in at[0].tolist()],
+        [right_parts[j] for j in at[1].tolist()],
+        map(tuple, lowers[at].tolist()),
+        map(tuple, uppers[at].tolist()),
+        expected[at].tolist(),
+        guaranteed[at].tolist(),
+    ))
     return regions, pruned
 
 
@@ -136,27 +146,14 @@ def build_output_grid(
 ) -> OutputGrid:
     """Materialise the active output grid and wire region coverage."""
     d = bound.skyline_dimension_count
+    lo, hi = np.zeros(d), np.ones(d)  # degenerate but legal: empty join
     if regions:
-        lo = [min(r.lower[i] for r in regions) for i in range(d)]
-        hi = [max(r.upper[i] for r in regions) for i in range(d)]
-    else:  # degenerate but legal: empty join
-        lo, hi = [0.0] * d, [1.0] * d
+        lo = np.min([r.lower for r in regions], axis=0)
+        hi = np.max([r.upper for r in regions], axis=0)
     # Guard the box against exact-boundary values.
-    span = [max(h - low, 1.0) for low, h in zip(lo, hi)]
-    lo = [low - _BOX_EPS * s for low, s in zip(lo, span)]
-    hi = [h + _BOX_EPS * s for h, s in zip(hi, span)]
-    grid = OutputGrid(lo, hi, cells_per_dim)
-
-    for region in regions:
-        cmin, cmax = grid.box_cell_range(region.lower, region.upper)
-        region.cell_min, region.cell_max = cmin, cmax
-        for coords in grid.iter_coords_in_range(cmin, cmax):
-            clock.charge("partition_op")
-            cell = grid.activate(coords)
-            cell.reg_count += 1
-            cell.region_ids.append(region.rid)
-            region.covered.append(cell)
-        region.unmarked_covered = len(region.covered)
+    span = np.maximum(hi - lo, 1.0)
+    grid = OutputGrid(lo - _BOX_EPS * span, hi + _BOX_EPS * span, cells_per_dim)
+    grid.cover(regions, clock)
     return grid
 
 

@@ -27,7 +27,7 @@ wrongly discarded.
 from __future__ import annotations
 
 from itertools import compress, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -275,25 +275,15 @@ class OutputGrid:
     # ------------------------------------------------------------------
     def coords_of(self, vector: Sequence[float]) -> tuple[int, ...]:
         """Grid coordinates of a point (clamped into the grid)."""
-        k = self.cells_per_dim
-        out = []
-        for v, lo, w in zip(vector, self.lower, self.widths):
-            c = int((v - lo) / w)
-            if c < 0:
-                c = 0
-            elif c >= k:
-                c = k - 1
-            out.append(c)
-        return tuple(out)
+        return tuple(self.coords_matrix([vector])[0].tolist())
 
     def coords_matrix(self, vectors: np.ndarray) -> np.ndarray:
-        """Batched :meth:`coords_of`: ``(n, d)`` points → ``(n, d)`` int coords.
+        """``(n, d)`` points → ``(n, d)`` int grid coordinates.
 
-        Identical arithmetic to :meth:`coords_of` (truncation then clamping
-        agrees with flooring once clamped to ``[0, k-1]``), so both route
-        every vector to the same cell.  Clamped in float before the cast,
-        which would wrap coordinates beyond 2^63 to ``INT64_MIN``; ``fmax``
-        sends a NaN coordinate to 0.
+        Flooring, then clamping into ``[0, k-1]`` — which agrees with the
+        truncation of ``int((v - lower) / width)`` once clamped.  Clamped in
+        float before the cast, which would wrap coordinates beyond 2^63 to
+        ``INT64_MIN``; ``fmax`` sends a NaN coordinate to 0.
         """
         pts = np.asarray(vectors, dtype=float)
         c = np.floor((pts - self._lower_row) / self._width_row)
@@ -306,12 +296,6 @@ class OutputGrid:
         return tuple(
             lo + c * w for c, lo, w in zip(coords, self.lower, self.widths)
         )
-
-    def box_cell_range(
-        self, lower: Sequence[float], upper: Sequence[float]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Inclusive coordinate range of cells overlapping a box."""
-        return self.coords_of(lower), self.coords_of(upper)
 
     def all_marked(self, cmins: np.ndarray, cmaxs: np.ndarray) -> np.ndarray:
         """Per inclusive ``(..., d)`` coordinate range, whether every cell in
@@ -331,22 +315,6 @@ class OutputGrid:
             count += term if (d - sum(corner)) % 2 == 0 else -term
         return count == (cmaxs - cmins + 1).prod(axis=-1)
 
-    def iter_coords_in_range(
-        self, cmin: Sequence[int], cmax: Sequence[int]
-    ) -> Iterator[tuple[int, ...]]:
-        """All integer coordinate tuples in the inclusive range."""
-        d = self.dimensions
-        coords = list(cmin)
-        while True:
-            yield tuple(coords)
-            for i in range(d - 1, -1, -1):
-                if coords[i] < cmax[i]:
-                    coords[i] += 1
-                    break
-                coords[i] = cmin[i]
-            else:
-                return
-
     # ------------------------------------------------------------------
     # activation and cones
     # ------------------------------------------------------------------
@@ -359,38 +327,110 @@ class OutputGrid:
             self.cone_totals = None
         return cell
 
+    def cover(
+        self, regions: Sequence, clock
+    ) -> tuple[list[OutputCell], list[OutputCell]]:
+        """Wire the coverage of ``regions``: each covers the cells of its
+        box's coordinate range, clamped into the grid.
+
+        One vectorised enumeration of all the ranges — region order,
+        row-major within a range — charged one ``partition_op`` per
+        (region, cell) pair.  Cells activate in first-touch order and gain
+        ``reg_count`` and ``region_ids``; regions gain ``cell_min``,
+        ``cell_max``, ``covered`` and ``unmarked_covered``.  Returns the
+        cells activated here and the already active cells covered.
+        """
+        if not regions:
+            return [], []
+        cmin = self.coords_matrix([r.lower for r in regions])
+        cmax = self.coords_matrix([r.upper for r in regions])
+        sizes = cmax - cmin + 1
+        counts = sizes.prod(axis=1)
+        starts = np.cumsum(counts) - counts
+        clock.charge("partition_op", int(counts.sum()))
+        owner = np.repeat(np.arange(len(regions)), counts)
+        rest = np.arange(len(owner)) - starts[owner]
+        coords = np.empty((len(owner), self.dimensions), dtype=np.int64)
+        for j in range(self.dimensions - 1, -1, -1):
+            coords[:, j] = cmin[owner, j] + rest % sizes[owner, j]
+            rest //= sizes[owner, j]
+        # Distinct cells, numbered in first-touch order: a stable
+        # lexicographic sort puts equal coordinates together, earliest first.
+        order = np.lexsort(coords.T[::-1])
+        step = np.ones(len(order), dtype=bool)
+        step[1:] = (coords[order[1:]] != coords[order[:-1]]).any(axis=1)
+        first = order[step]
+        touch = np.argsort(first)
+        group = np.empty_like(order)
+        group[order] = np.argsort(touch)[np.cumsum(step) - 1]
+        keys = coords[first[touch]]
+        corners = (self._lower_row + keys * self._width_row).tolist()
+        cells, fresh, touched = [], [], []
+        for key, corner in zip(map(tuple, keys.tolist()), corners):
+            cell = self.cells.get(key)
+            if cell is None:
+                cell = self.cells[key] = OutputCell(key, tuple(corner))
+                fresh.append(cell)
+            else:
+                touched.append(cell)
+            cells.append(cell)
+        if fresh:
+            self.cone_totals = None
+        # The regions' own rid objects, as the lists hold them (no copies).
+        rids = np.array([r.rid for r in regions], dtype=object)[owner]
+        by_cell = split_lists(
+            rids[np.argsort(group, kind="stable")],
+            np.bincount(group, minlength=len(cells)),
+        )
+        for cell, ids in zip(cells, by_cell):
+            cell.reg_count += len(ids)
+            cell.region_ids += ids
+        marked = np.array([c.marked for c in cells], dtype=np.int64)[group]
+        for region, lo, hi, covered, unmarked in zip(
+            regions, cmin.tolist(), cmax.tolist(),
+            split_lists(np.array(cells, dtype=object)[group], counts),
+            (counts - np.add.reduceat(marked, starts)).tolist(),
+        ):
+            region.cell_min, region.cell_max = tuple(lo), tuple(hi)
+            region.covered = covered
+            region.unmarked_covered = unmarked
+        return fresh, touched
+
     def build_cones(self) -> None:
         """Compute dominance-cone adjacency among unmarked active cells.
 
-        Pairwise comparison over the active coordinate matrix with numpy,
-        blocked to bound peak memory.  Pre-marked cells are settled and
-        excluded — they can never hold entries, so they participate in no
-        comparisons and no pending counts.
+        Pre-marked cells are settled and excluded — they can never hold
+        entries, so they participate in no comparisons and no pending
+        counts.
         """
-        self.cone_totals = None
-        live = [c for c in self.cells.values() if not c.marked]
-        n = len(live)
-        if n == 0:
+        self.wire_cones([c for c in self.cells.values() if not c.marked])
+
+    def wire_cones(self, new_cells: Sequence[OutputCell]) -> None:
+        """Wire ``new_cells`` — unmarked, not wired yet, in activation
+        order — into the cones of the unmarked cells.
+
+        Each pair ``x != y``, one of them new, with ``x <= y`` in every
+        coordinate appends ``y`` to ``x.cone_upper`` (and to
+        ``x.strict_upper`` when ``x < y`` everywhere) and ``x`` to
+        ``y.cone_lower``; ``y.pending`` counts the unsettled cells it
+        gains.  Lists come out in cell order, as a from-scratch build
+        would make them; the work is the new cells times the unmarked ones.
+        """
+        if not new_cells:
             return
-        coords = np.array([c.coords for c in live], dtype=np.int32)
-        block = max(1, min(n, 4_000_000 // max(1, n)))
-        for start in range(0, n, block):
-            stop = min(n, start + block)
-            chunk = coords[start:stop]  # (b, d)
-            # le[i, j] true when chunk[i] <= coords[j] on every dimension.
-            le = (chunk[:, None, :] <= coords[None, :, :]).all(axis=2)
-            eq = (chunk[:, None, :] == coords[None, :, :]).all(axis=2)
-            strict = (chunk[:, None, :] + 1 <= coords[None, :, :]).all(axis=2)
-            upper_mask = le & ~eq
-            for bi in range(stop - start):
-                cell = live[start + bi]
-                ups = np.nonzero(upper_mask[bi])[0]
-                cell.cone_upper = [live[j] for j in ups]
-                cell.strict_upper = [live[j] for j in np.nonzero(strict[bi])[0]]
-                for j in ups:
-                    live[j].cone_lower.append(cell)
-        for cell in live:
-            cell.pending = sum(1 for lc in cell.cone_lower if not lc.settled)
+        self.cone_totals = None
+        new = {c.coords for c in new_cells}
+        old = [
+            c for c in self.cells.values()
+            if not c.marked and c.coords not in new
+        ]
+        live = old + list(new_cells)
+        coords = np.array([c.coords for c in live], dtype=np.int64)
+        k = len(old)
+        # Old cells gain the new ones above them; then each new cell meets
+        # every cell but itself.
+        _link(old, coords[:k], live[k:], coords[k:], None)
+        _link(live[k:], coords[k:], live, coords, k)
 
     # ------------------------------------------------------------------
     # inspection
@@ -418,3 +458,56 @@ class OutputGrid:
             self.cone_totals = [total, len(live)]
         total, count = self.cone_totals
         return total / count if count else 1.0
+
+
+def split_lists(values: np.ndarray, counts: np.ndarray) -> list[list]:
+    """``values`` cut into consecutive lists of ``counts`` items each."""
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def row_lists(mask: np.ndarray, values: np.ndarray) -> list[list]:
+    """Per row of the 2-D boolean ``mask``, the ``values`` at its true
+    columns, in column order."""
+    return split_lists(
+        values[np.flatnonzero(mask) % mask.shape[1]],
+        np.count_nonzero(mask, axis=1),
+    )
+
+
+def _link(
+    xs: list[OutputCell], xc: np.ndarray, ys: list[OutputCell], yc: np.ndarray,
+    self_at: int | None,
+) -> None:
+    """Append the cone relation of rows ``xs`` against columns ``ys``
+    (coordinates ``xc``, ``yc``) to both sides' lists — one 2-D pass per
+    dimension over blocks of rows; row ``i`` is column ``self_at + i``
+    when ``self_at`` is given, and is not related to itself."""
+    if not xs or not ys:
+        return
+    rows_of, cols_of = np.array(xs, dtype=object), np.array(ys, dtype=object)
+    unsettled = np.array([not c.settled for c in xs])
+    step = max(1, 4_000_000 // len(ys))
+    for lo in range(0, len(xs), step):
+        rows = xc[lo : lo + step]
+        le = np.ones((len(rows), len(ys)), dtype=bool)
+        lt = np.ones_like(le)
+        for j in range(xc.shape[1]):
+            x, y = rows[:, j, None], yc[None, :, j]
+            le &= x <= y
+            lt &= x < y
+        if self_at is not None:
+            at = np.arange(len(rows))
+            le[at, self_at + lo + at] = False
+        for x, ups, strict in zip(
+            xs[lo : lo + step], row_lists(le, cols_of), row_lists(lt, cols_of)
+        ):
+            x.cone_upper += ups
+            x.strict_upper += strict
+        gained = np.count_nonzero(le[unsettled[lo : lo + step]], axis=0)
+        for y, downs, add in zip(
+            ys, row_lists(le.T, rows_of[lo : lo + step]), gained.tolist()
+        ):
+            y.cone_lower += downs
+            y.pending += add

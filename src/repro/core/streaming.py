@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.kernel import (
     STEP_BOOTSTRAP,
     STEP_INGEST,
@@ -48,7 +46,6 @@ from repro.core.kernel import (
     _StepBoundary,
 )
 from repro.core.lookahead import build_block_regions
-from repro.core.output_grid import OutputCell
 from repro.core.plan import QueryPlan, StreamSide
 from repro.core.regions import OutputRegion
 from repro.errors import ExecutionError
@@ -230,6 +227,7 @@ class StreamingKernel(ExecutionKernel):
                 self._sides[0].structure.attributes,
                 self._sides[1].structure.attributes,
                 self.clock, first_rid=self._next_rid, grid=self.plan.grid,
+                codes=tuple(s.structure.signature_codes for s in self._sides),
             )
             self._next_rid += len(built) + pruned
             self.regions_pruned += pruned
@@ -240,38 +238,25 @@ class StreamingKernel(ExecutionKernel):
     def _wire_regions(self, regions: list[OutputRegion]) -> None:
         """Wire new regions into the grid, graph and ordering policy.
 
-        Mirrors :func:`~repro.core.lookahead.build_output_grid` coverage
-        semantics over the *existing* output grid (region boxes beyond its
-        domain clamp into edge cells, matching where their clamped tuples
-        will land).  Settled unmarked cells a new region covers are
-        reopened; cells activated for the first time get incremental cone
-        wiring.  New regions enter the elimination graph edge-free, so the
-        policy treats them as roots.
+        The look-ahead's own coverage and cone builders
+        (:meth:`~repro.core.output_grid.OutputGrid.cover`,
+        :meth:`~repro.core.output_grid.OutputGrid.wire_cones`) over the
+        *existing* output grid: region boxes beyond its domain clamp into
+        edge cells, matching where their clamped tuples will land.
+        Settled unmarked cells a new region covers are reopened; cells
+        activated for the first time get cone wiring, which raises the
+        pending count of every existing cell above them.  New regions
+        enter the elimination graph edge-free, so the policy treats them
+        as roots.
         """
         grid = self.plan.grid
         state = self.state
-        clock = self.clock
-        new_cells: list[OutputCell] = []
-        for region in regions:
-            cmin, cmax = grid.box_cell_range(region.lower, region.upper)
-            region.cell_min, region.cell_max = cmin, cmax
-            for coords in grid.iter_coords_in_range(cmin, cmax):
-                clock.charge("partition_op")
-                fresh = coords not in grid.cells
-                cell = grid.activate(coords)
-                if fresh:
-                    new_cells.append(cell)
-                elif cell.settled and not cell.marked:
-                    state.reopen_cell(cell)
-                    self.cells_reopened += 1
-                cell.reg_count += 1
-                cell.region_ids.append(region.rid)
-                region.covered.append(cell)
-            region.unmarked_covered = sum(
-                1 for c in region.covered if not c.marked
-            )
-        if new_cells:
-            self._wire_cones(new_cells)
+        fresh, touched = grid.cover(regions, self.clock)
+        for cell in touched:
+            if cell.settled and not cell.marked:
+                state.reopen_cell(cell)
+                self.cells_reopened += 1
+        grid.wire_cones(fresh)
         # Register every region before ranking any: the benefit function
         # walks shared cells' region_ids, which may already name a sibling
         # from this same batch.
@@ -281,65 +266,6 @@ class StreamingKernel(ExecutionKernel):
         for region in regions:
             self.policy.add_region(region)
         self.regions_added += len(regions)
-
-    def _wire_cones(self, new_cells: list[OutputCell]) -> None:
-        """Incremental dominance-cone wiring for freshly activated cells.
-
-        Replicates :meth:`~repro.core.output_grid.OutputGrid.build_cones`
-        adjacency for the new cells against the existing unmarked
-        population and among themselves.  Existing cells gaining a new
-        (necessarily unsettled) cone_lower member get ``pending += 1``;
-        the new cells' own pending counts are computed from scratch.
-        """
-        grid = self.plan.grid
-        grid.cone_totals = None  # cone sizes change below: recount on demand
-        new_coords = {c.coords for c in new_cells}
-        old = [
-            c for c in grid.cells.values()
-            if not c.marked and c.coords not in new_coords
-        ]
-        nc = np.array([c.coords for c in new_cells], dtype=np.int32)
-        if old:
-            oc = np.array([c.coords for c in old], dtype=np.int32)
-            # New and old coords are always distinct, so <= without an
-            # equality carve-out is exactly the cone relation.
-            le_no = (nc[:, None, :] <= oc[None, :, :]).all(axis=2)
-            st_no = (nc[:, None, :] + 1 <= oc[None, :, :]).all(axis=2)
-            le_on = (oc[:, None, :] <= nc[None, :, :]).all(axis=2)
-            st_on = (oc[:, None, :] + 1 <= nc[None, :, :]).all(axis=2)
-            for i, cell in enumerate(new_cells):
-                for j in np.nonzero(le_no[i])[0]:
-                    other = old[j]
-                    cell.cone_upper.append(other)
-                    other.cone_lower.append(cell)
-                    other.pending += 1
-                cell.strict_upper.extend(
-                    old[j] for j in np.nonzero(st_no[i])[0]
-                )
-            for j, other in enumerate(old):
-                for i in np.nonzero(le_on[j])[0]:
-                    cell = new_cells[i]
-                    other.cone_upper.append(cell)
-                    cell.cone_lower.append(other)
-                strict = np.nonzero(st_on[j])[0]
-                if strict.size:
-                    other.strict_upper.extend(new_cells[i] for i in strict)
-        if len(new_cells) > 1:
-            le = (nc[:, None, :] <= nc[None, :, :]).all(axis=2)
-            eq = (nc[:, None, :] == nc[None, :, :]).all(axis=2)
-            st = (nc[:, None, :] + 1 <= nc[None, :, :]).all(axis=2)
-            upper = le & ~eq
-            for i, cell in enumerate(new_cells):
-                for j in np.nonzero(upper[i])[0]:
-                    cell.cone_upper.append(new_cells[j])
-                    new_cells[j].cone_lower.append(cell)
-                cell.strict_upper.extend(
-                    new_cells[j] for j in np.nonzero(st[i])[0]
-                )
-        for cell in new_cells:
-            cell.pending = sum(
-                1 for lc in cell.cone_lower if not lc.settled
-            )
 
     # ------------------------------------------------------------------
     # the streaming event loop

@@ -303,9 +303,9 @@ class QueryBuilder:
 
         Sugar for executing with ``EngineConfig(planner=True)`` (the
         ``"auto"`` preset): the session's shared
-        :class:`~repro.planner.choose.Planner` chooses partitioner and
-        filter strategy from statistics, and the run's actuals feed back
-        for the next query.  Applied by
+        :class:`~repro.planner.choose.Planner` chooses the partitioner
+        from statistics, and the run's actuals feed back for the next
+        query.  Applied by
         :meth:`execute` on top of whatever engine config is in effect.
         """
         self._auto = value

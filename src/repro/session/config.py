@@ -49,8 +49,8 @@ class EngineConfig:
     planner:
         Plan through the cost-based
         :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
-        statistics pick the partitioner and filter strategy where left at
-        their defaults, and post-run actuals feed back into the planner.
+        statistics pick the partitioner where left at its default, and
+        post-run actuals feed back into the planner.
         Not an engine keyword as-is: the session (or
         ``ProgXeEngine.from_config``) resolves the flag into the
         ``planner`` object it hands the engine, so estimates and feedback
@@ -153,8 +153,8 @@ class EngineConfig:
 #: Named presets: the paper's default setup, the push-through "+" variant,
 #: a memory-lean setup (bloom signatures, quadtree partitioning that adapts
 #: to skew), a production profile that skips the end-of-run verification,
-#: and ``auto`` — the cost-based planner chooses partitioner and filter
-#: strategy from statistics.
+#: and ``auto`` — the cost-based planner chooses the partitioner from
+#: statistics.
 PRESETS: dict[str, EngineConfig] = {
     "default": EngineConfig(),
     "progressive-plus": EngineConfig(pushthrough=True),

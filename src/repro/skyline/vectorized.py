@@ -22,9 +22,9 @@ What is reported is the number of vector pairs the **algorithm** tests,
 not the lanes a particular kernel happened to evaluate: for
 :func:`skyline_mask` that is the SFS sweep — every point against each
 head before it, up to and including the first head that dominates it.  The
-loop-free form used for small windows evaluates a whole pairwise matrix
-and still reports the sweep's count, so a charge means the same thing at
-every input size and does not move when a kernel is reshaped.  Callers
+blocked form evaluates whole pairwise blocks and still reports the
+sweep's count, so a charge means the same thing at every input size and
+does not move when a kernel is reshaped.  Callers
 follow the same rule: the engine's batched insertion runs its dominator
 scan as one :func:`dominates_matrix` launch and charges each candidate
 the short-circuiting scan it stands for, up to and including its first
@@ -90,11 +90,15 @@ def dominates_matrix(u, v) -> np.ndarray:
         )
     if n == 0 or m == 0:
         return np.zeros((n, m), dtype=bool)
-    by_dim_u = np.ascontiguousarray(U.T)[:, :, None]  # (d, n, 1)
-    by_dim_v = np.ascontiguousarray(V.T)[:, None, :]  # (d, 1, m)
-    out = (by_dim_u > by_dim_v).any(axis=0)
+    return _beats(np.ascontiguousarray(U.T), np.ascontiguousarray(V.T))
+
+
+def _beats(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """:func:`dominates_matrix` of operands laid out ``(d, n)`` and ``(d, m)``."""
+    U, V = U[:, :, None], V[:, None, :]
+    out = (U > V).any(axis=0)
     np.logical_not(out, out=out)
-    out &= (by_dim_u < by_dim_v).any(axis=0)
+    out &= (U < V).any(axis=0)
     return out
 
 
@@ -159,73 +163,61 @@ def _sum_order(P: np.ndarray) -> np.ndarray:
     Identical vectors keep their input order (the sort is stable), and the
     sweep keeps them all by explicit equality.  A vector holding both
     ``+inf`` and ``-inf`` has a NaN sum and sorts last, after vectors it
-    may dominate; both sweep forms only ever test a vector against earlier
-    ones, so they still agree with each other.
+    may dominate; the sweep only ever tests a vector against earlier ones,
+    so its blocked and per-head forms still agree with each other.
     """
     return np.lexsort((*P.T[::-1], P.sum(axis=1)))
 
 
-def _sorted_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
-    """Skyline positions of a sum-sorted matrix via a vectorized sweep.
+#: Points per block of :func:`_blocked_sweep`: a block costs two kernel
+#: launches (pairwise inside it, its heads against the rest of the window)
+#: where a per-head sweep pays one per skyline member.  Set from the
+#: microbench rows in docs/benchmarks.md.
+_BLOCK = 32
 
-    The head of the remaining window is always a confirmed skyline member
-    (nothing later in :func:`_sum_order` can dominate it), so each step
-    keeps the head and tests it against the whole
-    tail — ``|skyline|`` steps in total, the window algorithm with a matrix
-    inner loop.  Identical vectors never dominate each other, so duplicate
-    heads survive as subsequent heads.  The window is held one contiguous
-    row per dimension, as in :func:`dominates_matrix`.
+_EARLIER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
+
+
+def _blocked_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
+    """Skyline positions of a non-empty sum-sorted matrix, blocked.
+
+    Nothing later in :func:`_sum_order` dominates a point, so the sweep's
+    heads — points no earlier head beats — are exactly the skyline.  The
+    next ``_BLOCK`` points of the window are swept pairwise: one of them
+    is a head iff no earlier one beats it (had that one been eliminated,
+    its eliminator beats this one too: dominance is transitive).  Then one
+    dominance-matrix launch tests the block's heads against the rest of
+    the window, which keeps only the points they leave standing.
+    Reported is the per-head sweep's count: a point is tested against
+    each head before it, up to and including the first that beats it.
     """
-    kept: list[int] = []
-    pos = np.arange(S.shape[0], dtype=np.intp)
-    work = np.ascontiguousarray(S.T)  # (d, window)
+    kept: list[np.ndarray] = []
+    pos = np.arange(S.shape[0])
+    # (d, window), as in dominates_matrix; compress keeps it so.
+    work = np.ascontiguousarray(S.T)
+    tested = 0
     while pos.shape[0]:
-        kept.append(int(pos[0]))
-        if pos.shape[0] == 1:
-            break
+        block, work = work[:, :_BLOCK], work[:, _BLOCK:]
+        b = block.shape[1]
+        beats = _beats(block, block)
+        beats &= _EARLIER[:b, :b]
+        alive = ~beats.any(axis=0)
+        kept.append(pos[:b][alive])
+        pos = pos[b:]
+        s = len(kept[-1])
         if on_comparisons is not None:
-            on_comparisons(pos.shape[0] - 1)
-        head = work[:, :1]
-        tail = work[:, 1:]
-        # Tail survivors: strictly better somewhere, or identical to the
-        # head (duplicates never dominate each other).
-        survive = (tail < head).any(axis=0)
-        survive |= (tail == head).all(axis=0)
-        work = tail.compress(survive, axis=1)
-        pos = pos[1:][survive]
-    return np.asarray(kept, dtype=np.intp)
-
-
-#: Windows up to this size take the loop-free :func:`_pairwise_sweep`: one
-#: fixed set of kernel launches over O(n^2) lanes, against a set of launches
-#: per skyline member over O(s * n) lanes.  Set from the microbench rows in
-#: docs/benchmarks.md: groups of ~8 mostly-surviving candidates fall below
-#: it, groups of ~90 candidates with ~5 survivors above.
-_PAIRWISE_MAX = 32
-
-_EARLIER = np.triu(np.ones((_PAIRWISE_MAX,) * 2, dtype=bool), 1)
-
-
-def _pairwise_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
-    """:func:`_sorted_sweep` of a small window from one pairwise matrix.
-
-    Same positions, same comparison total, no Python loop.  A point is a
-    head iff no earlier point beats it (had that point been eliminated, its
-    eliminator beats this one too: dominance is transitive).  The sweep
-    tests a point against each head before it, up to and including the
-    first that beats it: ``k`` tests for the ``k``-th head, one more than
-    its first beater's rank for an eliminated point.
-    """
-    n = S.shape[0]
-    beats = dominates_matrix(S, S)
-    beats &= _EARLIER[:n, :n]  # a head only ever meets the points after it
-    alive = ~beats.any(axis=0)
-    if on_comparisons is not None and n > 1:
-        heads = beats[alive]
-        s = heads.shape[0]
-        first_beater = heads.argmax(axis=0)  # 0 down a head's own column
-        on_comparisons(s * (s - 1) // 2 + (n - s) + int(first_beater.sum()))
-    return np.flatnonzero(alive)
+            first = beats[alive].argmax(axis=0)  # 0 down a head's column
+            tested += s * (s - 1) // 2 + (b - s) + int(first.sum())
+        if pos.shape[0]:
+            beaten = _beats(block.compress(alive, axis=1), work)
+            dead = beaten.any(axis=0)
+            if on_comparisons is not None:
+                first = beaten.argmax(axis=0)[dead]
+                tested += int(first.sum()) + s * len(pos) - (s - 1) * len(first)
+            work, pos = work.compress(~dead, axis=1), pos[~dead]
+    if on_comparisons is not None and tested:
+        on_comparisons(tested)
+    return np.concatenate(kept) if len(kept) > 1 else kept[0]
 
 
 def skyline_mask(
@@ -237,12 +229,10 @@ def skyline_mask(
 
     Skyline membership does not depend on input order, so the kernel is
     free to sort internally into SFS (coordinate-sum) order: every sweep
-    reference is then a confirmed skyline member, the sweep runs exactly
-    ``|skyline|`` steps of one candidate against the whole remaining
-    window, and the resulting mask is scattered back to input positions.
-    Total work is ``O(s · n · d)`` element operations at numpy throughput.
-    Windows of at most ``_PAIRWISE_MAX`` points take the loop-free
-    form of the same sweep.
+    reference is then a confirmed skyline member, the sweep runs in blocks
+    of ``_BLOCK`` points (:func:`_blocked_sweep`), and the resulting mask
+    is scattered back to input positions.  Total work is ``O(s · n · d)``
+    element operations at numpy throughput, in two launches per block.
 
     Semantically identical to :func:`repro.skyline.bnl.bnl_skyline` (the
     returned set, duplicates included, is the same); returns a boolean mask
@@ -254,8 +244,7 @@ def skyline_mask(
     if n == 0:
         return keep
     order = _sum_order(P)
-    sweep = _pairwise_sweep if n <= _PAIRWISE_MAX else _sorted_sweep
-    keep[order[sweep(P[order], on_comparisons)]] = True
+    keep[order[_blocked_sweep(P[order], on_comparisons)]] = True
     return keep
 
 
@@ -285,10 +274,10 @@ def vectorized_sfs_skyline(
     Sorts by coordinate sum (mirroring the monotone scoring function of
     :func:`repro.skyline.sfs.sfs_skyline`) so no vector can be dominated
     by a later one: every sweep reference is then a confirmed skyline
-    member and the sweep runs exactly ``|skyline|`` broadcasts.
+    member.
     """
     P = as_matrix(points)
     if P.shape[0] == 0:
         return P
     S = P[_sum_order(P)]
-    return S[_sorted_sweep(S, on_comparisons)]
+    return S[_blocked_sweep(S, on_comparisons)]

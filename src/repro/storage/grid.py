@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import BindingError
 from repro.storage.partition import InputPartition, attach_blocks, reject_non_finite
-from repro.storage.signatures import build_signature
+from repro.storage.signatures import SignatureCodes, build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
 
@@ -52,6 +52,7 @@ class InputGrid:
         "widths",
         "partitions",
         "extensions",
+        "signature_codes",
     )
 
     def __init__(
@@ -73,6 +74,8 @@ class InputGrid:
         )
         self.partitions: dict[tuple[int, ...], InputPartition] = {}
         self.extensions: list[InputPartition] = []
+        #: Value ids of the partitions' exact signatures, for the look-ahead.
+        self.signature_codes = SignatureCodes()
 
     def cell_of(self, values: Sequence[float]) -> tuple[int, ...]:
         """Grid coordinates of an attribute-value vector.

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import BindingError
 from repro.storage.partition import InputPartition, attach_blocks, reject_non_finite
-from repro.storage.signatures import build_signature
+from repro.storage.signatures import SignatureCodes, build_signature
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
 
@@ -52,6 +52,8 @@ class QuadTreeIndex:
         self.partitions: list[InputPartition] = []
         self.extensions: list[InputPartition] = []
         self.depth_used = 0
+        #: Value ids of the leaves' exact signatures, for the look-ahead.
+        self.signature_codes = SignatureCodes()
 
     @property
     def partition_count(self) -> int:

@@ -20,7 +20,9 @@ Two realisations:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable, Iterable, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from repro.storage.bloom import BloomFilter
 
@@ -128,6 +130,111 @@ class BloomSignature:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BloomSignature({self.tuple_count} tuples, {self.bloom!r})"
+
+
+#: Matching entry pairs :func:`pair_overlap` expands per step (bounded
+#: temporaries).
+_PAIR_LANES = 2**13
+
+
+class SignatureCodes:
+    """Join-value ids shared by the exact signatures of one partition
+    structure, and each signature's ``(value ids, counts)`` arrays.
+
+    Ids count up in order of first sight, keyed by the raw values, so they
+    have the equality semantics of the histograms (``1 == 1.0``).  Each
+    partition structure owns one, so every plan over it — a plan-cache
+    hit, a streaming poll — encodes each partition once: a built
+    partition's signature never changes (deltas form fresh partitions).
+    """
+
+    __slots__ = ("ids", "_arrays")
+
+    def __init__(self) -> None:
+        self.ids: dict[Hashable, int] = {}
+        self._arrays: dict[ExactSignature, tuple[np.ndarray, np.ndarray]] = {}
+
+    def entries(self, sigs: Sequence[ExactSignature]) -> tuple[np.ndarray, ...]:
+        """``(owner, value id, count)`` over the histogram entries of
+        ``sigs``, ``owner`` being a position in ``sigs``."""
+        ids, arrays = self.ids, self._arrays
+        for sig in sigs:
+            if sig not in arrays:
+                for v in sig.counts:
+                    ids.setdefault(v, len(ids))
+                n = len(sig.counts)
+                arrays[sig] = (
+                    np.fromiter(map(ids.__getitem__, sig.counts), np.int64, n),
+                    np.fromiter(sig.counts.values(), np.int64, n),
+                )
+        got = [arrays[sig] for sig in sigs]
+        return (
+            np.repeat(np.arange(len(sigs)), [len(v) for v, _ in got]),
+            np.concatenate([v for v, _ in got]),
+            np.concatenate([c for _, c in got]),
+        )
+
+
+def pair_overlap(
+    left: Sequence[JoinSignature],
+    right: Sequence[JoinSignature],
+    left_codes: SignatureCodes,
+    right_codes: SignatureCodes,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``may_share``, ``expected_join_size`` and ``definitely_shares`` of
+    every ``left x right`` pair, as three ``(len(left), len(right))`` arrays.
+
+    Between exact signatures: one sparse join of the sides' ``(value id,
+    count)`` entries on the value — each matching entry pair adds
+    ``count * count`` to its partition pair, so a pair shares a value iff
+    its sum is positive.  The left ids are translated into right ones with
+    one dict lookup per value; no partitions x values matrix is built, and
+    the integer sums are exact in float64 below 2^53.  A Bloom signature on
+    either side keeps the per-pair methods, asking sharing pairs only for
+    the expected size and the guarantee.
+    """
+    n, m = len(left), len(right)
+    share = np.zeros((n, m), dtype=bool)
+    expected = np.zeros((n, m))
+    if not n or not m:
+        return share, expected, share
+    if not all(type(s) is ExactSignature for s in (*left, *right)):
+        guaranteed = share.copy()
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                if a.may_share(b):
+                    share[i, j] = True
+                    expected[i, j] = a.expected_join_size(b)
+                    guaranteed[i, j] = a.definitely_shares(b)
+        return share, expected, guaranteed
+    lowner, lids, lcounts = left_codes.entries(left)
+    rowner, rids, rcounts = right_codes.entries(right)
+    # Left ids as right ones; a value the right lacks gets id -1, whose
+    # run (the last, past every right id) is empty.
+    get = right_codes.ids.get
+    lids = np.fromiter(
+        (get(v, -1) for v in left_codes.ids), np.int64, len(left_codes.ids)
+    )[lids]
+    # Right entries by value; each left entry meets the run of its value.
+    by_value = np.argsort(rids, kind="stable")
+    rowner, rcounts = rowner[by_value], rcounts[by_value]
+    runs = np.bincount(rids, minlength=len(right_codes.ids) + 1)
+    start, hits = (np.cumsum(runs) - runs)[lids], runs[lids]
+    # At most about _PAIR_LANES matches expanded at a time.
+    first = np.cumsum(hits) - hits
+    cuts = np.searchsorted(first, np.arange(0, hits.sum(), _PAIR_LANES)).tolist()
+    cuts = sorted({c for c in cuts if c < len(lids)})
+    expected = np.zeros(n * m)
+    for a, b in zip(cuts, [*cuts[1:], len(lids)]):
+        h, row = hits[a:b], lowner[a] * m
+        match = np.arange(h.sum()) - np.repeat(first[a:b] - first[a] - start[a:b], h)
+        sums = np.bincount(
+            np.repeat(lowner[a:b] * m - row, h) + rowner[match],
+            weights=np.repeat(lcounts[a:b], h) * rcounts[match],
+        )
+        expected[row : row + len(sums)] += sums
+    share = expected.reshape(n, m) > 0
+    return share, expected.reshape(n, m), share
 
 
 #: Signature kinds understood by :func:`build_signature` (and validated by

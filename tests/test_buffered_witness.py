@@ -44,6 +44,7 @@ from repro.runtime.clock import VirtualClock
 from repro.skyline.preferences import ParetoPreference, highest, lowest
 from repro.storage.table import Table
 
+from tests.plan_reference import box_cell_range, iter_coords_in_range
 from tests.test_streaming import make_streaming_pair
 
 #: The clock kinds a skipped join no longer charges.
@@ -292,10 +293,10 @@ def region_at(state: ExecutionState, lower, upper) -> OutputRegion:
     """A pending region over ``[lower, upper]`` covering its grid cells."""
     grid = state.grid
     region = OutputRegion(len(state.regions), None, None, lower, upper, 1.0, False)
-    region.cell_min, region.cell_max = grid.box_cell_range(lower, upper)
+    region.cell_min, region.cell_max = box_cell_range(grid, lower, upper)
     region.covered = [
         grid.cells[c]
-        for c in grid.iter_coords_in_range(region.cell_min, region.cell_max)
+        for c in iter_coords_in_range(region.cell_min, region.cell_max)
     ]
     for cell in region.covered:
         cell.reg_count += 1

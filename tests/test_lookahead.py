@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tests import plan_reference as reference
 from tests.conftest import make_bound, oracle_skyline_keys
 from repro.core.lookahead import (
     build_block_regions,
@@ -15,6 +16,7 @@ from repro.core.lookahead import (
 from repro.core.regions import OutputRegion
 from repro.runtime.clock import VirtualClock
 from repro.storage.grid import GridPartitioner
+from repro.storage.signatures import SignatureCodes
 
 
 def grids_for(bound, k=3, kind="exact"):
@@ -185,22 +187,15 @@ class TestRunLookahead:
 # ----------------------------------------------------------------------
 def per_pair_regions(bound, left, right, clock):
     """``build_regions`` as it was: one ``region_box`` call per pair."""
-    out = []
-    for lpart in left:
-        for rpart in right:
-            clock.charge("partition_op")
-            if not lpart.signature.may_share(rpart.signature):
-                continue
-            lower, upper = bound.region_box(
-                lpart.attribute_intervals(left.attributes),
-                rpart.attribute_intervals(right.attributes),
-            )
-            out.append((
-                len(out), lpart, rpart, lower, upper,
-                lpart.signature.expected_join_size(rpart.signature),
-                lpart.signature.definitely_shares(rpart.signature),
-            ))
-    return out
+    regions, _ = reference.block_regions(
+        bound, list(left), list(right), left.attributes, right.attributes,
+        clock,
+    )
+    return [
+        (r.rid, r.left_partition, r.right_partition, r.lower, r.upper,
+         r.expected_join, r.guaranteed)
+        for r in regions
+    ]
 
 
 class TestBatchedBuilder:
@@ -226,7 +221,8 @@ class TestBatchedBuilder:
         left, _ = grids_for(bound)
         clock = VirtualClock()
         regions, pruned = build_block_regions(
-            bound, list(left), [], left.attributes, (), clock
+            bound, list(left), [], left.attributes, (), clock,
+            codes=(left.signature_codes, SignatureCodes()),
         )
         assert (regions, pruned, clock.snapshot()) == ([], 0, {})
 

@@ -1,11 +1,17 @@
 """Tests for the output grid: geometry, cones, marking bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.output_grid import OutputCell, OutputGrid
+from repro.core.regions import OutputRegion
+from repro.runtime.clock import VirtualClock
+
+from tests.plan_reference import coords_of, iter_coords_in_range
 
 
 #: One coordinate: near the [0, 8] grid, or far beyond it on either side.
@@ -14,6 +20,10 @@ COORD = st.floats(-2, 10) | st.sampled_from([-1e30, 1e30])
 
 def make_grid(k=4, d=2):
     return OutputGrid([0.0] * d, [8.0] * d, k)
+
+
+def region_over(lower, upper, rid=0):
+    return OutputRegion(rid, None, None, lower, upper, 1.0, False)
 
 
 class TestGeometry:
@@ -32,19 +42,27 @@ class TestGeometry:
 
     def test_box_cell_range(self):
         grid = make_grid()
-        cmin, cmax = grid.box_cell_range((1.0, 1.0), (5.0, 3.0))
-        assert cmin == (0, 0)
-        assert cmax == (2, 1)
+        region = region_over((1.0, 1.0), (5.0, 3.0))
+        grid.cover([region], VirtualClock())
+        assert region.cell_min == (0, 0)
+        assert region.cell_max == (2, 1)
 
     def test_iter_coords_in_range(self):
         grid = make_grid()
-        coords = list(grid.iter_coords_in_range((0, 0), (1, 2)))
-        assert len(coords) == 6
-        assert (0, 0) in coords and (1, 2) in coords
+        region = region_over((0.5, 0.5), (3.5, 5.5))
+        clock = VirtualClock()
+        grid.cover([region], clock)
+        # Row-major, last coordinate fastest; one partition_op per cell.
+        assert [c.coords for c in region.covered] == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
+        ]
+        assert clock.count("partition_op") == 6
 
     def test_iter_single_cell(self):
         grid = make_grid()
-        assert list(grid.iter_coords_in_range((2, 2), (2, 2))) == [(2, 2)]
+        region = region_over((4.5, 4.5), (5.5, 5.5))
+        grid.cover([region], VirtualClock())
+        assert [c.coords for c in region.covered] == [(2, 2)]
 
     def test_invalid_cells_per_dim(self):
         with pytest.raises(ValueError):
@@ -64,7 +82,8 @@ class TestGeometry:
         # also ±1e30, beyond 2^63 cells, where an int cast would wrap.
         grid = make_grid(k=k)
         batched = grid.coords_matrix(np.array(points)).tolist()
-        assert [tuple(c) for c in batched] == [grid.coords_of(p) for p in points]
+        assert [tuple(c) for c in batched] == [coords_of(grid, p) for p in points]
+        assert [grid.coords_of(p) for p in points] == [tuple(c) for c in batched]
 
     def test_coords_matrix_never_makes_a_negative_index(self):
         # A NaN coordinate is not rejected upstream yet; it lands in cell 0.
@@ -95,7 +114,7 @@ class TestBatchedRanges:
         # The batched form is coords_matrix on each corner matrix.
         cmins, cmaxs = grid.coords_matrix(lowers), grid.coords_matrix(uppers)
         for n, (lo, hi) in enumerate(boxes):
-            want_min, want_max = grid.box_cell_range(lo, hi)
+            want_min, want_max = coords_of(grid, lo), coords_of(grid, hi)
             assert tuple(cmins[n].tolist()) == want_min
             assert tuple(cmaxs[n].tolist()) == want_max
 
@@ -108,7 +127,7 @@ class TestBatchedRanges:
             grid = make_grid(k=k, d=d)
             # Three kinds of cell: never activated, active and unmarked,
             # active and marked (the majority, so some ranges are all marked).
-            for coords in grid.iter_coords_in_range((0,) * d, (k - 1,) * d):
+            for coords in itertools.product(range(k), repeat=d):
                 draw = rng.random()
                 if draw >= 0.2:
                     grid.activate(coords).marked = draw >= 0.4
@@ -118,7 +137,7 @@ class TestBatchedRanges:
             want = [
                 all(
                     coords in grid.cells and grid.cells[coords].marked
-                    for coords in grid.iter_coords_in_range(lo, hi)
+                    for coords in iter_coords_in_range(lo, hi)
                 )
                 for lo, hi in zip(cmins.tolist(), cmaxs.tolist())
             ]

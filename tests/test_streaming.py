@@ -59,6 +59,7 @@ from tests.conftest import (
     oracle_skyline_keys,
     set_flush_pairs,
 )
+from tests.plan_reference import box_cell_range, iter_coords_in_range
 
 ALIASES = ("R", "T")
 
@@ -399,7 +400,7 @@ def two_poll_events(arriving):
 
 def covered_coords(kernel, lower, upper):
     grid = kernel.plan.grid
-    return list(grid.iter_coords_in_range(*grid.box_cell_range(lower, upper)))
+    return list(iter_coords_in_range(*box_cell_range(grid, lower, upper)))
 
 
 class TestBornDeadRegions:
@@ -445,8 +446,8 @@ class TestBornDeadRegions:
                         rp.attribute_intervals(right_attrs),
                     )
                     # Walked cell by cell, at the moment it was pruned.
-                    for coords in grid.iter_coords_in_range(
-                        *grid.box_cell_range(*box)
+                    for coords in iter_coords_in_range(
+                        *box_cell_range(grid, *box)
                     ):
                         assert coords in grid.cells
                         assert grid.cells[coords].marked

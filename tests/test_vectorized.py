@@ -24,9 +24,8 @@ from repro.skyline.dominance import dominates, skyline_indices_bruteforce
 from repro.skyline.preferences import ParetoPreference, highest, lowest
 from repro.skyline.sfs import sfs_skyline
 from repro.skyline.vectorized import (
-    _PAIRWISE_MAX,
-    _pairwise_sweep,
-    _sorted_sweep,
+    _BLOCK,
+    _blocked_sweep,
     _sum_order,
     as_matrix,
     dominated_by_any,
@@ -122,11 +121,11 @@ class TestDominatesMatrixEdgeValues:
 
 
 # ---------------------------------------------------------------------------
-# the sweep: loop-free form == per-head loop, comparisons included
+# the sweep: blocked form == per-head loop, comparisons included
 # ---------------------------------------------------------------------------
 # Small-domain values make duplicates and equal coordinate sums the rule;
 # 1e16 swallows a +1, so dominance between *equal rounded sums* occurs too.
-# Every form must return the true skyline (``pareto_mask``) whenever the
+# Both forms must return the true skyline (``pareto_mask``) whenever the
 # coordinate sums are numbers; ``+inf`` and ``-inf`` in one vector make its
 # sum NaN, and then the two forms must still agree with each other.
 sweep_coord = st.sampled_from(
@@ -137,18 +136,36 @@ sweep_coord = st.sampled_from(
 @st.composite
 def sweep_input(draw):
     d = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=1, max_value=2 * _PAIRWISE_MAX))
+    n = draw(st.integers(min_value=1, max_value=3 * _BLOCK))
     rows = draw(
         st.lists(st.tuples(*[sweep_coord] * d), min_size=n, max_size=n)
     )
     return np.array(rows, dtype=float)
 
 
+def per_head_sweep(S, on_comparisons):
+    """The sweep one head at a time: skyline positions of the sum-sorted
+    ``S``, charging each step the points the head is tested against."""
+    kept = []
+    pos = np.arange(S.shape[0], dtype=np.intp)
+    work = S
+    while pos.shape[0]:
+        kept.append(int(pos[0]))
+        if pos.shape[0] == 1:
+            break
+        on_comparisons(pos.shape[0] - 1)
+        head, tail = work[:1], work[1:]
+        # Survivors: strictly better somewhere, or identical to the head.
+        survive = (tail < head).any(axis=1) | (tail == head).all(axis=1)
+        work, pos = tail[survive], pos[1:][survive]
+    return np.asarray(kept, dtype=np.intp)
+
+
 def reference_sweep(P):
     """Mask and comparison total of the per-head loop, whatever ``len(P)``."""
     order = _sum_order(P)
     tested: list[int] = []
-    kept = _sorted_sweep(P[order], tested.append)
+    kept = per_head_sweep(P[order], tested.append)
     mask = np.zeros(len(P), dtype=bool)
     mask[order[kept]] = True
     return mask, sum(tested)
@@ -158,7 +175,7 @@ class TestSweepForms:
     @given(sweep_input())
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_skyline_mask_equals_the_loop_on_both_sides_of_the_cutover(self, P):
+    def test_skyline_mask_equals_the_per_head_loop_across_blocks(self, P):
         expected_mask, expected_total = reference_sweep(P)
         tested: list[int] = []
         mask = skyline_mask(P, on_comparisons=tested.append)
@@ -168,8 +185,8 @@ class TestSweepForms:
         assert sum(tested) == expected_total
         assert (skyline_mask(P) == expected_mask).all()  # uncounted form
 
-    @pytest.mark.parametrize("n", range(1, _PAIRWISE_MAX + 1))
-    def test_every_size_below_the_cutover(self, n):
+    @pytest.mark.parametrize("n", range(1, 2 * _BLOCK + 2))
+    def test_every_size_up_to_two_blocks(self, n):
         rng = np.random.default_rng(n)
         for d in (1, 2, 4):
             for P in (
@@ -180,17 +197,16 @@ class TestSweepForms:
                 S = P[_sum_order(P)]
                 loop: list[int] = []
                 flat: list[int] = []
-                expected = _sorted_sweep(S, loop.append)
-                got = _pairwise_sweep(S, flat.append)
+                expected = per_head_sweep(S, loop.append)
+                got = _blocked_sweep(S, flat.append)
                 assert got.tolist() == expected.tolist()
                 assert sum(flat) == sum(loop)
 
-    @pytest.mark.parametrize("others", [0, 2 * _PAIRWISE_MAX])
+    @pytest.mark.parametrize("others", [0, 2 * _BLOCK])
     def test_equal_rounded_sums_keep_the_true_skyline(self, others):
         # (1e16, 1) and (1e16, 0) have the same float sum; whichever
         # arrives first, only the dominator survives.  ``others``
-        # incomparable points push the window past the pairwise cutover
-        # into the sorted sweep.
+        # incomparable points push the window past the first block.
         pair = np.array([[1e16, 1.0], [1e16, 0.0]])
         steps = np.arange(1, others + 1)
         rest = np.column_stack([steps, -steps]) * 1e17
@@ -203,11 +219,11 @@ class TestSweepForms:
                 P[expected].tolist()
             )
 
-    @pytest.mark.parametrize("others", [0, 2 * _PAIRWISE_MAX])
+    @pytest.mark.parametrize("others", [0, 2 * _BLOCK])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_sum_forms_agree(self, others):
         # (inf, -inf) dominates (inf, 0) but its NaN sum sorts it last;
-        # the pairwise and sorted-sweep forms make the same call.
+        # the blocked sweep and the per-head loop make the same call.
         pair = np.array([[np.inf, -np.inf], [np.inf, 0.0]])
         steps = np.arange(1, others + 1)
         rest = np.column_stack([-steps, steps]) * 1e17
