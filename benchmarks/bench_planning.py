@@ -12,6 +12,14 @@ the look-ahead alone (``run_lookahead``) timed inside the same builds.
 Each row also records the plan's shape and its planning charges, which
 must not move between the rows of two commits.
 
+A second section times push-through (the ProgXe+ variants' phase 0) on
+item 7's query, ``SyntheticWorkload(dist, n, d=3, sigma=0.001, seed=7)``,
+at 30k and 100k per side on independent and anticorrelated data: one
+run of ``ProgXeEngine(bound, VirtualClock(), pushthrough=True,
+verify=False)``, with the wall time of each side's ``prune_source`` call
+inside planning, the drain, time-to-first and time-to-last result, the
+rows each side keeps and the ``dominance_cmp`` charged.
+
 Rows are stored under a label, so one JSON holds the parent commit's
 numbers next to the change's: run the script once per tree.
 
@@ -19,6 +27,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_planning.py --label after
     PYTHONPATH=/path/to/parent/src python benchmarks/bench_planning.py --label before
+    PYTHONPATH=src python benchmarks/bench_planning.py --section pushthrough
     PYTHONPATH=src python benchmarks/bench_planning.py --smoke    # CI scale
 """
 
@@ -49,6 +58,9 @@ from repro.session.service import Session  # noqa: E402
 REPEATS = 7
 #: The planning charges; a row's counts are the same before and after.
 CHARGES = ("partition_op", "discard", "graph_op", "cache_op")
+#: Push-through section: rows per side, at full and at smoke scale.
+PUSHTHROUGH_SIZES = (30_000, 100_000)
+PUSHTHROUGH_SMOKE_SIZES = (2_000, 6_000)
 
 
 def shapes(smoke: bool):
@@ -130,6 +142,68 @@ def identical_replans(bound, preset: str) -> bool:
     return seen[0] == seen[1]
 
 
+def time_pushthrough(bound) -> dict:
+    """One ProgXe+ run: planning with each side's ``prune_source`` call
+    timed inside it, then the drain, step by step."""
+    prune = plan_module.prune_source
+    pruning: list[float] = []
+
+    def timed(*args, **kw):
+        start = time.perf_counter()
+        try:
+            return prune(*args, **kw)
+        finally:
+            pruning.append(time.perf_counter() - start)
+
+    clock = VirtualClock()
+    plan_module.prune_source = timed
+    try:
+        start = time.perf_counter()
+        kernel = ProgXeEngine(bound, clock, pushthrough=True, verify=False).kernel()
+        planning = time.perf_counter() - start
+    finally:
+        plan_module.prune_source = prune
+    planning_cmp = clock.count("dominance_cmp")
+    first, results = None, 0
+    while not kernel.finished:
+        results += len(kernel.step().results)
+        if results and first is None:
+            first = time.perf_counter() - start
+    last = time.perf_counter() - start
+    pruned = kernel.plan.prune_stats
+    return {
+        "planning_s": round(planning, 3),
+        "prune_s": [round(t, 3) for t in pruning],
+        "drain_s": round(last - planning, 3),
+        "ttfr_s": round(first if first is not None else last, 3),
+        "ttl_s": round(last, 3),
+        "results": results,
+        "kept": [len(bound.left_table) - pruned.get("left_pruned", 0),
+                 len(bound.right_table) - pruned.get("right_pruned", 0)],
+        "dominance_cmp": {"planning": planning_cmp, "total": clock.count("dominance_cmp")},
+    }
+
+
+def pushthrough_rows(smoke: bool) -> dict:
+    rows = {}
+    for dist in ("independent", "anticorrelated"):
+        for n in PUSHTHROUGH_SMOKE_SIZES if smoke else PUSHTHROUGH_SIZES:
+            bound = SyntheticWorkload(dist, n=n, d=3, sigma=0.001, seed=7).bound()
+            name = f"{dist}-{n // 1000}k"
+            row = rows[name] = time_pushthrough(bound)
+            print(
+                f"  {name:32s} planning {row['planning_s']:7.3f} s  "
+                f"prune {'+'.join(f'{t:.3f}' for t in row['prune_s'])} s  "
+                f"TTL {row['ttl_s']:7.3f} s  kept {row['kept']}  "
+                f"cmp {row['dominance_cmp']['planning']:,}"
+            )
+            if smoke:
+                again = time_pushthrough(bound)
+                for key in ("kept", "results", "dominance_cmp"):
+                    assert again[key] == row[key], f"{name}: {key} differs"
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -143,15 +217,21 @@ def main(argv: list[str] | None = None) -> int:
         "that replanning is deterministic; no JSON written unless --out",
     )
     parser.add_argument(
+        "--section", choices=("all", "shapes", "pushthrough"), default="all",
+        help="which section to run and write (default: both)",
+    )
+    parser.add_argument(
         "--out", type=pathlib.Path, default=None,
         help=f"output JSON path (default: {DEFAULT_OUT})",
     )
     args = parser.parse_args(argv)
     repeats = 2 if args.smoke else REPEATS
+    run_shapes = args.section in ("all", "shapes")
 
-    print(f"planning benchmark ({args.label}): best of {repeats}, warm cache")
     rows = {}
-    for name, bound, preset in shapes(args.smoke):
+    if run_shapes:
+        print(f"planning benchmark ({args.label}): best of {repeats}, warm cache")
+    for name, bound, preset in shapes(args.smoke) if run_shapes else ():
         row = time_planning(bound, preset, repeats)
         rows[name] = row
         print(
@@ -161,8 +241,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.smoke:
             assert identical_replans(bound, preset), f"{name}: replans differ"
-    if args.smoke:
+    if args.smoke and run_shapes:
         print("  smoke OK: every shape replans to an identical plan")
+    pushed = {}
+    if args.section in ("all", "pushthrough"):
+        print(f"push-through ({args.label}): one ProgXe+ run per input")
+        pushed = pushthrough_rows(args.smoke)
+        if args.smoke:
+            print("  smoke OK: push-through reruns keep the same rows and charges")
 
     out_path = args.out or (None if args.smoke else DEFAULT_OUT)
     if out_path is None:
@@ -180,11 +266,22 @@ def main(argv: list[str] | None = None) -> int:
         "seed": DEFAULT_SEED,
         "rows": {},
     }
-    payload["rows"][args.label] = {
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "shapes": rows,
-    }
+    host = {"python": sys.version.split()[0], "machine": platform.machine()}
+    if run_shapes:
+        payload["rows"][args.label] = {**host, "shapes": rows}
+    if pushed:
+        section = payload.setdefault("pushthrough", {
+            "metric": (
+                "one run of ProgXeEngine(bound, VirtualClock(), pushthrough="
+                "True, verify=False) on SyntheticWorkload(dist, n, d=3, "
+                "sigma=0.001, seed=7): wall seconds of planning (prune_s: "
+                "each side's prune_source inside it), drain, TTFR and TTL; "
+                "rows kept per side; dominance_cmp charged in planning and "
+                "in total"
+            ),
+            "rows": {},
+        })
+        section["rows"][args.label] = {**host, "inputs": pushed}
     before = payload["rows"].get("before", {}).get("shapes", {})
     after = payload["rows"].get("after", {}).get("shapes", {})
     payload["speedup"] = {

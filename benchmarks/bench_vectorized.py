@@ -1,12 +1,12 @@
-"""Benchmark: vectorized columnar kernels vs the scalar reference loops.
+"""Benchmark: the vectorized skyline kernel vs the scalar reference loop.
 
 Unlike the figure-reproduction benches (which report deterministic virtual
 time), this bench measures *wall-clock* seconds: its entire point is that
 the matrix formulation of the dominance/window kernels makes the same
-work run faster on real hardware.  It measures the **kernels**: scalar
-``bnl_skyline`` / ``sfs_skyline`` vs their block/matrix counterparts
-``vectorized_skyline`` / ``vectorized_sfs_skyline`` on synthetic point
-clouds at 10k/100k tuples.
+work run faster on real hardware.  It measures the **kernel**: scalar
+``bnl_skyline`` (the library's independent reference) vs ``skyline_mask``
+(the kernel of the engine, push-through and the blocking baselines' batch
+skylines) over synthetic point clouds at 10k/100k tuples.
 
 Every measurement asserts that scalar and vectorized produce *identical*
 result multisets — the scalar loop is the oracle.  Results land in
@@ -31,8 +31,7 @@ from collections import Counter
 import numpy as np
 
 from repro.skyline.bnl import bnl_skyline
-from repro.skyline.sfs import sfs_skyline
-from repro.skyline.vectorized import vectorized_sfs_skyline, vectorized_skyline
+from repro.skyline.vectorized import skyline_mask
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_vectorized.json"
@@ -45,12 +44,6 @@ KERNEL_WORKLOADS = {
     "independent-3d": ("independent", 3),
     "anticorrelated-2d": ("anticorrelated", 2),
 }
-
-KERNELS = {
-    "bnl": (bnl_skyline, vectorized_skyline),
-    "sfs": (sfs_skyline, vectorized_sfs_skyline),
-}
-
 
 def generate_points(distribution: str, n: int, d: int, rng) -> np.ndarray:
     """Synthetic minimisation-space point cloud."""
@@ -84,33 +77,31 @@ def bench_kernels(sizes: list[int], anticorrelated_cap: int) -> list[dict]:
                 continue
             pts = generate_points(distribution, n, d, rng)
             pts_rows = [tuple(row) for row in pts.tolist()]
-            for kernel, (scalar_fn, vector_fn) in KERNELS.items():
-                scalar_out, scalar_s = time_call(scalar_fn, pts_rows)
-                vector_out, vector_s = time_call(vector_fn, pts)
-                identical = multiset(scalar_out) == multiset(vector_out)
-                assert identical, (
-                    f"{label} n={n} {kernel}: vectorized skyline differs "
-                    "from the scalar oracle"
-                )
-                entry = {
-                    "layer": "kernel",
-                    "workload": label,
-                    "kernel": kernel,
-                    "n": n,
-                    "d": d,
-                    "skyline_size": len(scalar_out),
-                    "scalar_seconds": round(scalar_s, 4),
-                    "vectorized_seconds": round(vector_s, 4),
-                    "speedup": round(scalar_s / vector_s, 2) if vector_s else None,
-                    "identical": identical,
-                }
-                entries.append(entry)
-                print(
-                    f"  {label:>18}  n={n:>7,}  {kernel}  "
-                    f"scalar {scalar_s:8.3f}s  vectorized {vector_s:8.3f}s  "
-                    f"speedup {entry['speedup']:>7}x  "
-                    f"|skyline|={len(scalar_out)}"
-                )
+            scalar_out, scalar_s = time_call(bnl_skyline, pts_rows)
+            mask, vector_s = time_call(skyline_mask, pts)
+            identical = multiset(scalar_out) == multiset(pts[mask])
+            assert identical, (
+                f"{label} n={n}: skyline_mask differs from the scalar oracle"
+            )
+            entry = {
+                "layer": "kernel",
+                "workload": label,
+                "kernel": "skyline_mask",
+                "n": n,
+                "d": d,
+                "skyline_size": len(scalar_out),
+                "scalar_seconds": round(scalar_s, 4),
+                "vectorized_seconds": round(vector_s, 4),
+                "speedup": round(scalar_s / vector_s, 2) if vector_s else None,
+                "identical": identical,
+            }
+            entries.append(entry)
+            print(
+                f"  {label:>18}  n={n:>7,}  "
+                f"bnl {scalar_s:8.3f}s  skyline_mask {vector_s:8.3f}s  "
+                f"speedup {entry['speedup']:>7}x  "
+                f"|skyline|={len(scalar_out)}"
+            )
     return entries
 
 
@@ -145,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     out_path = args.out or (None if args.smoke else DEFAULT_OUT)
     if out_path is not None:
         payload = {
-            "benchmark": "vectorized columnar kernels vs scalar reference",
+            "benchmark": "skyline_mask vs the scalar BNL reference",
             "command": "PYTHONPATH=src python benchmarks/bench_vectorized.py",
             "seed": SEED,
             "sizes": sizes,

@@ -142,7 +142,6 @@ from repro.skyline import (
     dominates,
     highest,
     lowest,
-    sfs_skyline,
 )
 from repro.storage import (
     ColumnarFileSource,
@@ -241,7 +240,6 @@ __all__ = [
     "progxe_plus_no_order",
     "render_query",
     "run_algorithm",
-    "sfs_skyline",
     "trace",
     "verify_results",
 ]

@@ -6,9 +6,7 @@ from repro.baselines.pushthrough import (
     SourcePruneResult,
     attribute_bounds,
     derived_preference,
-    group_level_skyline,
     prune_source,
-    source_level_skyline,
 )
 from repro.baselines.saj import SortedAccessJoin
 from repro.baselines.ssmj import SkylineSortMergeJoin
@@ -21,7 +19,5 @@ __all__ = [
     "SourcePruneResult",
     "attribute_bounds",
     "derived_preference",
-    "group_level_skyline",
     "prune_source",
-    "source_level_skyline",
 ]

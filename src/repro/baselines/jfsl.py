@@ -10,18 +10,19 @@ art.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from repro.join.hash_join import hash_join
 from repro.join.predicates import EquiJoin
 from repro.query.smj import BoundQuery, ResultTuple
 from repro.runtime.clock import VirtualClock
-from repro.skyline.sfs import sfs_skyline_entries
+from repro.skyline.vectorized import skyline_order
 from repro.storage.sources.base import rows_of
 
 
 class JoinFirstSkylineLater:
-    """JF-SL with a hash join and a sort-filter-skyline."""
+    """JF-SL with a hash join and a sort-filter-skyline (:func:`skyline_order`)."""
 
     name = "JF-SL"
 
@@ -40,7 +41,8 @@ class JoinFirstSkylineLater:
         left_rows, right_rows = self._join_rows()
         predicate = EquiJoin(bound.left_join_index, bound.right_join_index)
 
-        candidates: list[tuple[tuple[float, ...], tuple]] = []
+        vectors: list[tuple[float, ...]] = []
+        payloads: list[tuple] = []
         for lrow, rrow in hash_join(
             left_rows,
             right_rows,
@@ -51,12 +53,13 @@ class JoinFirstSkylineLater:
         ):
             mapped = bound.map_pair(lrow, rrow)
             clock.charge("map")
-            candidates.append((bound.vector_of(mapped), (lrow, rrow, mapped)))
-        self.join_result_count = len(candidates)
+            vectors.append(bound.vector_of(mapped))
+            payloads.append((lrow, rrow, mapped))
+        self.join_result_count = len(payloads)
 
-        survivors = sfs_skyline_entries(
-            candidates, on_comparison=clock.charger("dominance_cmp")
+        survivors = skyline_order(
+            vectors, on_comparisons=partial(clock.charge, "dominance_cmp")
         )
         # Single blocking batch: everything is reported only now.
-        for _, (lrow, rrow, mapped) in survivors:
-            yield bound.make_result(lrow, rrow, mapped)
+        for i in survivors.tolist():
+            yield bound.make_result(*payloads[i])

@@ -10,6 +10,8 @@ processed unpruned (push-through would be unsafe).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.baselines.jfsl import JoinFirstSkylineLater
 from repro.baselines.pushthrough import SourcePruneResult, prune_source
 from repro.query.smj import BoundQuery
@@ -28,16 +30,12 @@ class JoinFirstSkylineLaterPlus(JoinFirstSkylineLater):
         self.right_prune: SourcePruneResult | None = None
 
     def _join_rows(self) -> tuple[list, list]:
-        clock = self.clock
+        charge = partial(self.clock.charge, "dominance_cmp")
         self.left_prune = prune_source(
-            self.bound,
-            self.bound.left_alias,
-            on_comparison=clock.charger("dominance_cmp"),
+            self.bound, self.bound.left_alias, on_comparisons=charge
         )
         self.right_prune = prune_source(
-            self.bound,
-            self.bound.right_alias,
-            on_comparison=clock.charger("dominance_cmp"),
+            self.bound, self.bound.right_alias, on_comparisons=charge
         )
         left_rows = (
             self.left_prune.kept_rows

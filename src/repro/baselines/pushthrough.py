@@ -7,13 +7,11 @@ pruned before the join.  Any join partner the pruned tuple has, the
 dominating tuple has too (same join value), and monotone mappings preserve
 the dominance into the output space.
 
-Two levels, following SSMJ's terminology:
-
-* **source-level skyline** ``LS(S)`` — the skyline of the source ignoring
-  the join condition entirely;
-* **group-level skyline** ``LS(N)`` — per-join-value skylines; the union of
-  group skylines is the complete set of tuples that can still contribute to
-  any final result.  ``LS(S) ⊆ LS(N)``.
+So pruning keeps the **group-level skyline** ``LS(N)`` — the union of the
+per-join-value skylines, the complete set of tuples that can still
+contribute to any final result.  SSMJ's source-level skyline ``LS(S)``
+(join condition ignored) prunes nothing more, since ``LS(S) ⊆ LS(N)``;
+only SSMJ itself needs it, for its first batch (:mod:`repro.baselines.ssmj`).
 
 If the derived preference does not exist (a mapping is non-monotone in some
 attribute, or two mappings pull an attribute in opposite directions),
@@ -23,23 +21,23 @@ discussion of SSMJ under mapping functions).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.query.smj import BoundQuery
-from repro.skyline.bnl import bnl_skyline_entries
 from repro.skyline.preferences import Direction, ParetoPreference
-from repro.storage.sources.base import DataSource, Row, rows_of
+from repro.skyline.vectorized import OnComparisons, skyline_mask
+from repro.storage.partition import reject_non_finite
+from repro.storage.sources.base import DataSource, Row
 
 
 @dataclass
 class SourcePruneResult:
     """Outcome of push-through pruning on one source."""
 
-    kept_rows: list[Row]
-    source_skyline: list[Row]  # LS(S)
-    group_skyline: list[Row]  # LS(N), == kept_rows
+    kept_rows: list[Row]  # LS(N), in source order
     original_count: int
     comparisons: int
 
@@ -56,118 +54,86 @@ def derived_preference(bound: BoundQuery, alias: str) -> ParetoPreference | None
     )
 
 
-def _source_vector_fn(
-    table: DataSource, preference: ParetoPreference
-) -> Callable[[Row], tuple[float, ...]]:
-    indices = table.schema.indices(preference.attributes)
-    signs = tuple(
-        1.0 if p.direction is Direction.LOWEST else -1.0 for p in preference
+def source_side(bound: BoundQuery, alias: str) -> tuple[DataSource, str]:
+    """``(table, join attribute)`` of one side of the bound query."""
+    if alias == bound.left_alias:
+        return bound.left_table, bound.query.join.left_attr
+    if alias == bound.right_alias:
+        return bound.right_table, bound.query.join.right_attr
+    raise ValueError(f"unknown alias {alias!r}")
+
+
+def preference_scan(
+    table: DataSource, preference: ParetoPreference, join_attr: str
+) -> tuple[list[Row], np.ndarray, list[Any]]:
+    """Rows, minimisation-space vectors and join keys of ``table``.
+
+    One scan in source order.  A NaN or ±inf preference attribute is
+    refused here, before any local pruning, with the partitioners' named
+    error (:func:`~repro.storage.partition.reject_non_finite`): a NaN
+    breaks the transitivity local pruning rests on, and pruning would
+    otherwise drop the row before the partitioner could name it.
+    """
+    attributes = preference.attributes
+    indices = table.schema.indices(attributes)
+    rows: list[Row] = []
+    keys: list[Any] = []
+    blocks = [np.empty((0, len(indices)))]
+    for batch in table.scan_batches(columns=attributes, key_column=join_attr):
+        m = batch.matrix(indices)
+        reject_non_finite(table, attributes, batch, m)
+        rows.extend(batch.rows)
+        keys.extend(batch.join_keys)
+        blocks.append(m)
+    signs = np.array(
+        [1.0 if p.direction is Direction.LOWEST else -1.0 for p in preference]
     )
-    def vector(row: Row) -> tuple[float, ...]:
-        return tuple(s * row[i] for s, i in zip(signs, indices))
-    return vector
-
-
-def source_level_skyline(
-    table: DataSource,
-    preference: ParetoPreference,
-    *,
-    on_comparison: Callable[[], None] | None = None,
-    rows: Sequence[Row] | None = None,
-) -> list[Row]:
-    """``LS(S)``: skyline of the whole source, join condition ignored.
-
-    ``rows`` lets callers that already materialised the source (any
-    backend) avoid a second scan.
-    """
-    vector = _source_vector_fn(table, preference)
-    source_rows = rows_of(table) if rows is None else rows
-    entries = ((vector(row), row) for row in source_rows)
-    return [row for _, row in bnl_skyline_entries(entries, on_comparison=on_comparison)]
-
-
-def group_level_skyline(
-    table: DataSource,
-    join_attr: str,
-    preference: ParetoPreference,
-    *,
-    on_comparison: Callable[[], None] | None = None,
-    rows: Sequence[Row] | None = None,
-) -> list[Row]:
-    """``LS(N)``: union of per-join-value group skylines (row order kept).
-
-    The output-order bookkeeping keys on row object identity, so the rows
-    are materialised exactly once per call (``rows_of`` hands back the
-    live list for in-memory sources and one materialisation otherwise).
-    """
-    vector = _source_vector_fn(table, preference)
-    join_idx = table.schema.index(join_attr)
-    source_rows = rows_of(table) if rows is None else rows
-    groups: dict = defaultdict(list)
-    for row in source_rows:
-        groups[row[join_idx]].append((vector(row), row))
-    kept: list[Row] = []
-    for group_entries in groups.values():
-        kept.extend(
-            row
-            for _, row in bnl_skyline_entries(
-                group_entries, on_comparison=on_comparison
-            )
-        )
-    order = {id(row): i for i, row in enumerate(source_rows)}
-    kept.sort(key=lambda r: order[id(r)])
-    return kept
+    return rows, np.concatenate(blocks) * signs, keys
 
 
 def prune_source(
     bound: BoundQuery,
     alias: str,
     *,
-    on_comparison: Callable[[], None] | None = None,
+    on_comparisons: OnComparisons | None = None,
 ) -> SourcePruneResult | None:
-    """Full push-through pruning for one side of the bound query.
+    """Push-through pruning of one side of the bound query to ``LS(N)``.
+
+    Rows are grouped by join value (a dict of value → group code, so keys
+    compare as the hash join compares them), each group of two or more
+    rows keeps its :func:`~repro.skyline.vectorized.skyline_mask`, and
+    the kept rows come back in source order.  The groups' sweep counts
+    are charged to ``on_comparisons`` in one call.
 
     Returns ``None`` when no safe derived preference exists — callers must
     then process the source unpruned.
     """
-    if alias == bound.left_alias:
-        table, join_attr = bound.left_table, bound.query.join.left_attr
-    elif alias == bound.right_alias:
-        table, join_attr = bound.right_table, bound.query.join.right_attr
-    else:
-        raise ValueError(f"unknown alias {alias!r}")
+    table, join_attr = source_side(bound, alias)
     pref = derived_preference(bound, alias)
     if pref is None:
         return None
-
-    counter = _CountingCallback(on_comparison)
-    rows = rows_of(table)  # one materialisation, shared by both passes
-    ls_s = source_level_skyline(table, pref, on_comparison=counter, rows=rows)
-    ls_n = group_level_skyline(
-        table, join_attr, pref, on_comparison=counter, rows=rows
+    rows, vectors, keys = preference_scan(table, pref, join_attr)
+    n = len(rows)
+    codes: dict = {}
+    group = np.fromiter(
+        (codes.setdefault(key, len(codes)) for key in keys), dtype=np.intp, count=n
     )
+    order = np.argsort(group, kind="stable")
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1)).tolist()
+    keep = np.ones(n, dtype=bool)
+    tested: list[int] = []
+    for start, stop in zip(starts, [*starts[1:], n]):
+        if stop - start > 1:
+            members = order[start:stop]
+            keep[members] = skyline_mask(vectors[members], on_comparisons=tested.append)
+    comparisons = sum(tested)
+    if comparisons and on_comparisons is not None:
+        on_comparisons(comparisons)
     return SourcePruneResult(
-        kept_rows=ls_n,
-        source_skyline=ls_s,
-        group_skyline=ls_n,
-        original_count=len(rows),
-        comparisons=counter.count,
+        kept_rows=[rows[i] for i in np.flatnonzero(keep).tolist()],
+        original_count=n,
+        comparisons=comparisons,
     )
-
-
-class _CountingCallback:
-    """Callable that counts invocations and forwards to an inner callback."""
-
-    __slots__ = ("count", "_inner")
-
-    def __init__(self, inner: Callable[[], None] | None) -> None:
-        self.count = 0
-        self._inner = inner
-
-    def __call__(self) -> None:
-        self.count += 1
-        if self._inner is not None:
-            self._inner()
 
 
 def attribute_bounds(

@@ -32,22 +32,62 @@ a phase-2 result.  This implementation therefore supports two modes:
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import defaultdict
+from functools import partial
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.baselines.pushthrough import (
     attribute_bounds,
     derived_preference,
-    group_level_skyline,
-    source_level_skyline,
+    preference_scan,
+    source_side,
 )
 from repro.errors import ExecutionError
 from repro.join.hash_join import hash_join
 from repro.join.predicates import EquiJoin
 from repro.query.smj import BoundQuery, ResultTuple
 from repro.runtime.clock import VirtualClock
+from repro.skyline.bnl import bnl_skyline_entries
 from repro.skyline.dominance import weakly_dominates
-from repro.skyline.sfs import sfs_skyline_entries
-from repro.storage.sources.base import rows_of
+from repro.skyline.vectorized import skyline_order
+from repro.storage.sources.base import Row, rows_of
+
+#: A source row with its vector under the derived preference.
+Entry = tuple[tuple[float, ...], Row]
+
+
+def source_level_skyline(
+    entries: Sequence[Entry], *, on_comparison: Callable[[], None] | None = None
+) -> list[Row]:
+    """``LS(S)``: skyline of the whole source, join condition ignored."""
+    return [row for _, row in bnl_skyline_entries(entries, on_comparison=on_comparison)]
+
+
+def group_level_skyline(
+    entries: Sequence[Entry],
+    keys: Sequence[Any],
+    *,
+    on_comparison: Callable[[], None] | None = None,
+) -> list[Row]:
+    """``LS(N)``: union of per-join-value group skylines, in source order.
+
+    The source-order bookkeeping keys on row object identity, so
+    ``entries`` must hold each row object once.
+    """
+    groups: dict = defaultdict(list)
+    for entry, key in zip(entries, keys):
+        groups[key].append(entry)
+    kept: list[Row] = []
+    for group_entries in groups.values():
+        kept.extend(
+            row
+            for _, row in bnl_skyline_entries(
+                group_entries, on_comparison=on_comparison
+            )
+        )
+    order = {id(row): i for i, (_, row) in enumerate(entries)}
+    kept.sort(key=lambda r: order[id(r)])
+    return kept
 
 
 class SkylineSortMergeJoin:
@@ -70,29 +110,27 @@ class SkylineSortMergeJoin:
     def _local_lists(self, alias: str) -> tuple[list, list]:
         """``(LS(S), LS(N))`` for one source under its derived preference.
 
-        Without a safe derived preference no local pruning is possible: the
-        source-level list degenerates to *all* rows (phase 1 covers
-        everything; phase 2 is empty), mirroring SSMJ's collapse when its
-        local decisions cannot fire.
+        Both lists are scalar BNL skylines: BNL's comparison count is
+        SSMJ's cost model for its local phase, so it does not share the
+        vectorized kernel push-through prunes with.  Without a safe derived
+        preference no local pruning is possible: the source-level list
+        degenerates to *all* rows (phase 1 covers everything; phase 2 is
+        empty), mirroring SSMJ's collapse when its local decisions cannot
+        fire.
         """
         bound = self.bound
         charge = self.clock.charger("dominance_cmp")
         pref = derived_preference(bound, alias)
-        if alias == bound.left_alias:
-            table, join_attr = bound.left_table, bound.query.join.left_attr
-        else:
-            table, join_attr = bound.right_table, bound.query.join.right_attr
-        # One materialisation shared by both passes: phase-2's LS(N)∖LS(S)
-        # difference keys on row object identity, so LS(S) and LS(N) must
-        # be computed over the *same* row objects (non-resident backends
-        # would otherwise hand each call fresh tuples).
-        rows = rows_of(table)
+        table, join_attr = source_side(bound, alias)
         if pref is None:
+            rows = rows_of(table)
             return list(rows), list(rows)
-        ls_s = source_level_skyline(table, pref, on_comparison=charge,
-                                    rows=rows)
-        ls_n = group_level_skyline(table, join_attr, pref,
-                                   on_comparison=charge, rows=rows)
+        # One scan shared by both passes: phase-2's LS(N)∖LS(S) difference
+        # keys on row object identity.
+        rows, vectors, keys = preference_scan(table, pref, join_attr)
+        entries = list(zip(map(tuple, vectors.tolist()), rows))
+        ls_s = source_level_skyline(entries, on_comparison=charge)
+        ls_n = group_level_skyline(entries, keys, on_comparison=charge)
         return ls_s, ls_n
 
     def _join_and_map(
@@ -114,6 +152,16 @@ class SkylineSortMergeJoin:
             clock.charge("map")
             out.append((bound.vector_of(mapped), (lrow, rrow, mapped)))
         return out
+
+    def _skyline(
+        self, candidates: list[tuple[tuple[float, ...], tuple]]
+    ) -> list[tuple[tuple[float, ...], tuple]]:
+        """The skyline of a batch's candidates, in sort-filter order."""
+        survivors = skyline_order(
+            [vector for vector, _ in candidates],
+            on_comparisons=partial(self.clock.charge, "dominance_cmp"),
+        )
+        return [candidates[i] for i in survivors.tolist()]
 
     def _phase2_threats(
         self, ln_left: list, ln_right: list, lsn_left: list, lsn_right: list
@@ -146,7 +194,6 @@ class SkylineSortMergeJoin:
     # ------------------------------------------------------------------
     def run(self) -> Iterator[ResultTuple]:
         bound = self.bound
-        clock = self.clock
 
         # Blocking prefix: local skyline computation on both sources.
         ls_left, lsn_left = self._local_lists(bound.left_alias)
@@ -158,9 +205,7 @@ class SkylineSortMergeJoin:
 
         # ---- phase 1: LS(S) x LS(S) ----
         phase1 = self._join_and_map(ls_left, ls_right)
-        batch1 = sfs_skyline_entries(
-            phase1, on_comparison=clock.charger("dominance_cmp")
-        )
+        batch1 = self._skyline(phase1)
         emitted_keys: set[tuple] = set()
         batch1_count = 0
         if self.verified:
@@ -182,9 +227,7 @@ class SkylineSortMergeJoin:
         candidates = list(phase1)
         candidates.extend(self._join_and_map(ln_left, lsn_right))
         candidates.extend(self._join_and_map(ls_left, ln_right))
-        final = sfs_skyline_entries(
-            candidates, on_comparison=clock.charger("dominance_cmp")
-        )
+        final = self._skyline(candidates)
         final_keys = {(lrow, rrow) for _, (lrow, rrow, _) in final}
         self.false_positive_keys = emitted_keys - final_keys
         if self.verified and self.false_positive_keys:

@@ -123,6 +123,8 @@ class ProgXeEngine:
 
         ``config`` may also be a preset name (see
         :data:`~repro.session.config.PRESETS`); ``None`` means defaults.
+        A config selects no variant, so this builds the plain ProgXe; the
+        factories of :mod:`repro.core.variants` build the others.
         """
         from repro.session.config import EngineConfig
 

@@ -28,6 +28,7 @@ single ``cache_op`` — while look-ahead and push-through stay per-query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.baselines.pushthrough import prune_source
@@ -375,9 +376,9 @@ def _pruned_tables(
     left, right = bound.left_table, bound.right_table
     if not pushthrough:
         return left, right
-    charge = clock.charger("dominance_cmp")
-    left_prune = prune_source(bound, bound.left_alias, on_comparison=charge)
-    right_prune = prune_source(bound, bound.right_alias, on_comparison=charge)
+    charge = partial(clock.charge, "dominance_cmp")
+    left_prune = prune_source(bound, bound.left_alias, on_comparisons=charge)
+    right_prune = prune_source(bound, bound.right_alias, on_comparisons=charge)
     if left_prune is not None:
         left = Table(left.name, left.schema, left_prune.kept_rows)
         prune_stats["left_pruned"] = left_prune.pruned_count

@@ -24,6 +24,7 @@ chain where each subsequent source joins against an already-folded one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping
 
 from repro.errors import BindingError, QueryError
@@ -37,7 +38,7 @@ from repro.query.smj import (
 )
 from repro.runtime.clock import VirtualClock
 from repro.skyline.preferences import ParetoPreference
-from repro.skyline.sfs import sfs_skyline_entries
+from repro.skyline.vectorized import skyline_order
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -234,12 +235,12 @@ class BoundMultiwayQuery:
             env = self._env_of(rows)
             mapped = self.query.mappings.apply(env)
             clock.charge("map")
-            result = self._make_result(rows, mapped)
-            candidates.append((result.vector, result))
-        survivors = sfs_skyline_entries(
-            candidates, on_comparison=clock.charger("dominance_cmp")
+            candidates.append(self._make_result(rows, mapped))
+        survivors = skyline_order(
+            [result.vector for result in candidates],
+            on_comparisons=partial(clock.charge, "dominance_cmp"),
         )
-        return [r for _, r in survivors]
+        return [candidates[i] for i in survivors.tolist()]
 
     # ------------------------------------------------------------------
     # reduction to the binary engine

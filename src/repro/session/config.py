@@ -17,18 +17,27 @@ from repro.storage.signatures import SIGNATURE_KINDS
 #: Input-partitioning strategies understood by the engine.
 PARTITIONING_KINDS: tuple[str, ...] = ("grid", "quadtree")
 
+#: Engine keywords that select a ProgXe variant, so the algorithm name
+#: carries them and an :class:`EngineConfig` may not.
+VARIANT_SWITCHES: dict[str, str] = {
+    "pushthrough": "push-through is selected by the algorithm name "
+    "('ProgXe+' or 'ProgXe+ (No-Order)')",
+    "ordering": "random region ordering is selected by the algorithm name "
+    "('ProgXe (No-Order)' or 'ProgXe+ (No-Order)')",
+}
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Every tunable of the ProgXe engine, validated at construction.
 
-    Parameters mirror :class:`~repro.core.engine.ProgXeEngine`:
+    Parameters mirror :class:`~repro.core.engine.ProgXeEngine`, except
+    the two that select a variant: push-through and region ordering are
+    chosen by the algorithm name alone (``ProgXe``, ``ProgXe+``,
+    ``ProgXe (No-Order)``, ``ProgXe+ (No-Order)``), and a config naming
+    ``pushthrough`` or ``ordering`` is refused with a
+    :class:`~repro.errors.QueryError`.
 
-    ordering:
-        Rank regions by benefit/cost (ProgOrder) instead of randomly.
-    pushthrough:
-        Apply skyline partial push-through to both sources first (the "+"
-        variants).
     input_cells / output_cells:
         Grid resolutions; ``None`` picks the dimension-dependent default.
     signature_kind:
@@ -44,8 +53,8 @@ class EngineConfig:
     follow:
         Streaming ingestion: keep the query open after planning and absorb
         rows appended to its source tables while it runs (see
-        :class:`~repro.core.streaming.StreamingKernel`).  Incompatible with
-        ``pushthrough`` (pruning snapshots the inputs).
+        :class:`~repro.core.streaming.StreamingKernel`).  The push-through
+        variants refuse it (pruning snapshots the inputs).
     planner:
         Plan through the cost-based
         :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
@@ -70,8 +79,6 @@ class EngineConfig:
         stream = session.execute(bound, config="low-memory")
     """
 
-    ordering: bool = True
-    pushthrough: bool = False
     input_cells: int | None = None
     output_cells: int | None = None
     signature_kind: str = "exact"
@@ -83,13 +90,18 @@ class EngineConfig:
     planner: bool = False
     share_partitions: bool = True
 
-    def __post_init__(self) -> None:
-        if self.follow and self.pushthrough:
+    def __new__(cls, *args, **kwargs) -> "EngineConfig":
+        # Construction and with_options (dataclasses.replace) both pass
+        # through here, so a variant switch fails by name.
+        named = sorted(VARIANT_SWITCHES.keys() & kwargs.keys())
+        if named:
             raise QueryError(
-                "follow=True is incompatible with pushthrough: push-through "
-                "pruning snapshots the inputs, so appended rows could never "
-                "reach the running query"
+                f"{named[0]!r} is not an EngineConfig field: "
+                f"{VARIANT_SWITCHES[named[0]]}"
             )
+        return super().__new__(cls)
+
+    def __post_init__(self) -> None:
         if self.signature_kind not in SIGNATURE_KINDS:
             raise QueryError(
                 f"signature_kind must be one of {SIGNATURE_KINDS}, "
@@ -109,8 +121,9 @@ class EngineConfig:
     # conversion
     # ------------------------------------------------------------------
     def engine_kwargs(self) -> dict:
-        """The full ``ProgXeEngine(bound, clock, **kwargs)`` keyword set.
+        """The ``ProgXeEngine(bound, clock, **kwargs)`` keywords it sets.
 
+        The variant switches are the algorithm name's.
         ``share_partitions`` is session-level policy (it selects whether a
         shared cache object is passed at all), so it is not part of the
         engine keyword surface — and neither is the ``planner`` *flag*:
@@ -119,17 +132,6 @@ class EngineConfig:
         """
         kwargs = asdict(self)
         del kwargs["share_partitions"], kwargs["planner"]
-        return kwargs
-
-    def variant_kwargs(self) -> dict:
-        """Keywords safe to pass a ProgXe *variant* factory.
-
-        The variants (``progxe``, ``progxe_plus``, …) fix ``ordering`` and
-        ``pushthrough`` themselves, so those two are omitted (as is the
-        session-level ``share_partitions`` flag).
-        """
-        kwargs = self.engine_kwargs()
-        del kwargs["ordering"], kwargs["pushthrough"]
         return kwargs
 
     def with_options(self, **changes) -> "EngineConfig":
@@ -150,15 +152,14 @@ class EngineConfig:
             ) from None
 
 
-#: Named presets: the paper's default setup, the push-through "+" variant,
-#: a memory-lean setup (bloom signatures, quadtree partitioning that adapts
-#: to skew), a production profile that skips the end-of-run verification,
-#: and ``auto`` — the cost-based planner chooses the partitioner from
-#: statistics.
+#: Named presets: the paper's default setup, a memory-lean setup (bloom
+#: signatures, quadtree partitioning that adapts to skew), a production
+#: profile that skips the end-of-run verification, and ``auto`` — the
+#: cost-based planner chooses the partitioner from statistics.  None
+#: selects push-through or ordering: the algorithm name does.
 PRESETS: dict[str, EngineConfig] = {
     "default": EngineConfig(),
-    "progressive-plus": EngineConfig(pushthrough=True),
     "low-memory": EngineConfig(signature_kind="bloom", partitioning="quadtree"),
-    "production": EngineConfig(pushthrough=True, verify=False),
+    "production": EngineConfig(verify=False),
     "auto": EngineConfig(planner=True),
 }

@@ -299,7 +299,7 @@ class Session:
                 )
         if configurable:
             effective = config or self.config
-            kwargs = effective.variant_kwargs()
+            kwargs = effective.engine_kwargs()
             # Narrow factories predating the streaming knob run without
             # it rather than crash on an unexpected keyword.
             if not _accepts_keyword(factory, "follow"):

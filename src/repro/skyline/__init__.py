@@ -4,9 +4,7 @@ from repro.skyline.bnl import bnl_skyline, bnl_skyline_entries
 from repro.skyline.dominance import (
     Dominance,
     compare,
-    dominated_mask,
     dominates,
-    dominating_mask,
     skyline_indices_bruteforce,
     weakly_dominates,
 )
@@ -25,14 +23,11 @@ from repro.skyline.preferences import (
     highest,
     lowest,
 )
-from repro.skyline.sfs import sfs_skyline, sfs_skyline_entries
 from repro.skyline.vectorized import (
     dominated_by_any,
     dominates_matrix,
-    pareto_mask,
     skyline_mask,
-    vectorized_sfs_skyline,
-    vectorized_skyline,
+    skyline_order,
 )
 
 __all__ = [
@@ -47,21 +42,15 @@ __all__ = [
     "bnl_skyline_entries",
     "compare",
     "dominated_by_any",
-    "dominated_mask",
     "dominates",
     "dominates_matrix",
-    "dominating_mask",
     "expected_maxima_harmonic",
     "expected_skyline_size",
     "harmonic",
     "highest",
     "lowest",
-    "pareto_mask",
-    "sfs_skyline",
-    "sfs_skyline_entries",
     "skyline_indices_bruteforce",
     "skyline_mask",
-    "vectorized_sfs_skyline",
-    "vectorized_skyline",
+    "skyline_order",
     "weakly_dominates",
 ]

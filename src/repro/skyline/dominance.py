@@ -15,9 +15,6 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-#: Boolean mask over the rows of a points array.
-BoolMask = npt.NDArray[np.bool_]
-
 
 class Dominance(enum.Enum):
     """Outcome of comparing two vectors."""
@@ -75,31 +72,6 @@ def compare(u: Sequence[float], v: Sequence[float]) -> Dominance:
     if v_better:
         return Dominance.RIGHT
     return Dominance.EQUAL
-
-
-def dominated_mask(
-    points: npt.NDArray[np.float64], candidate: Sequence[float]
-) -> BoolMask:
-    """Vectorised test: which rows of ``points`` are dominated by ``candidate``.
-
-    ``points`` is an ``(n, d)`` array; returns a boolean mask of length ``n``.
-    """
-    cand = np.asarray(candidate, dtype=float)
-    le = points >= cand  # candidate <= point on every dim
-    lt = points > cand  # candidate < point on at least one dim
-    mask: BoolMask = le.all(axis=1) & lt.any(axis=1)
-    return mask
-
-
-def dominating_mask(
-    points: npt.NDArray[np.float64], candidate: Sequence[float]
-) -> BoolMask:
-    """Vectorised test: which rows of ``points`` dominate ``candidate``."""
-    cand = np.asarray(candidate, dtype=float)
-    le = points <= cand
-    lt = points < cand
-    mask: BoolMask = le.all(axis=1) & lt.any(axis=1)
-    return mask
 
 
 def skyline_indices_bruteforce(points: npt.NDArray[np.float64]) -> list[int]:

@@ -20,18 +20,21 @@ optional ``on_comparisons(count)`` callback, so callers can charge a
 :class:`~repro.runtime.clock.VirtualClock` without per-pair call overhead.
 What is reported is the number of vector pairs the **algorithm** tests,
 not the lanes a particular kernel happened to evaluate: for
-:func:`skyline_mask` that is the SFS sweep — every point against each
-head before it, up to and including the first head that dominates it.  The
-blocked form evaluates whole pairwise blocks and still reports the
-sweep's count, so a charge means the same thing at every input size and
-does not move when a kernel is reshaped.  Callers
-follow the same rule: the engine's batched insertion runs its dominator
-scan as one :func:`dominates_matrix` launch and charges each candidate
-the short-circuiting scan it stands for, up to and including its first
-dominator.  The engine and the per-tuple BNL/SFS scans of the baselines
-therefore count the same kind of test, but neither count bounds the
-other: they test different pairs (the engine sweeps a batch, and scans it
-only against the entries of its cell and lower cone).
+:func:`skyline_order` and :func:`skyline_mask` that is the scalar
+Sort-Filter-Skyline count — every point against each head before it in
+sum order, up to and including the first head that dominates it.  The
+blocked form evaluates whole pairwise blocks and still reports that
+count, so a charge means the same thing at every input size and does not
+move when a kernel is reshaped.  Callers follow the same rule: the
+engine's batched insertion runs its dominator scan as one
+:func:`dominates_matrix` launch and charges each candidate the
+short-circuiting scan it stands for, up to and including its first
+dominator.  Every skyline of the library runs on :func:`skyline_order`
+— the engine's batch sweep, push-through's per-group LS(N), and the
+batch skylines of JF-SL, SSMJ and the multi-way blocking evaluator —
+except the independent references (``core/verify.py``, the tests'
+oracle) and SSMJ's local lists, which keep scalar BNL
+(:mod:`repro.skyline.bnl`) as SSMJ's cost model.
 """
 
 from __future__ import annotations
@@ -128,30 +131,6 @@ def dominated_by_any(
     return out
 
 
-def pareto_mask(
-    points,
-    *,
-    block_size: int = DEFAULT_BLOCK,
-    on_comparisons: OnComparisons | None = None,
-) -> np.ndarray:
-    """Mask over ``points``: which rows no other row dominates.
-
-    Duplicated (identical) vectors all survive — equal points do not
-    dominate each other under Definition 1, matching
-    :func:`repro.skyline.dominance.skyline_indices_bruteforce`.  A point
-    never dominates itself, so no self-exclusion is needed.
-    """
-    P = as_matrix(points)
-    n = P.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    for start in range(0, n, block_size):
-        stop = min(n, start + block_size)
-        if on_comparisons is not None:
-            on_comparisons(n * (stop - start))
-        dominated[start:stop] = dominates_matrix(P, P[start:stop]).any(axis=0)
-    return ~dominated
-
-
 def _sum_order(P: np.ndarray) -> np.ndarray:
     """Sort permutation by coordinate sum, ties broken lexicographically.
 
@@ -220,64 +199,44 @@ def _blocked_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.nd
     return np.concatenate(kept) if len(kept) > 1 else kept[0]
 
 
+def skyline_order(
+    points,
+    *,
+    on_comparisons: OnComparisons | None = None,
+) -> np.ndarray:
+    """Input positions of the skyline of ``points``, in sweep order.
+
+    The sweep runs in :func:`_sum_order` (coordinate sum, ties broken
+    lexicographically, identical vectors in input order) — the order of
+    Sort-Filter-Skyline (Chomicki et al.) — so no vector is dominated by
+    a later one and every sweep reference is a confirmed skyline member.
+    Survivors come back in that order, which is the order a scalar SFS
+    window fills in, and the charge is the scalar SFS count (see
+    :func:`_blocked_sweep`).  The blocking baselines report their
+    results in this order; :func:`skyline_mask` scatters it back to input
+    positions.
+    """
+    P = as_matrix(points)
+    if P.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp)
+    order = _sum_order(P)
+    return order[_blocked_sweep(P[order], on_comparisons)]
+
+
 def skyline_mask(
     points,
     *,
     on_comparisons: OnComparisons | None = None,
 ) -> np.ndarray:
-    """Skyline membership mask via a vectorized BNL sweep.
-
-    Skyline membership does not depend on input order, so the kernel is
-    free to sort internally into SFS (coordinate-sum) order: every sweep
-    reference is then a confirmed skyline member, the sweep runs in blocks
-    of ``_BLOCK`` points (:func:`_blocked_sweep`), and the resulting mask
-    is scattered back to input positions.  Total work is ``O(s · n · d)``
-    element operations at numpy throughput, in two launches per block.
+    """Skyline membership mask of ``points``.
 
     Semantically identical to :func:`repro.skyline.bnl.bnl_skyline` (the
-    returned set, duplicates included, is the same); returns a boolean mask
-    so payloads can be recovered by index.
+    kept set, duplicates included, is the same); a mask so payloads can
+    be recovered by index.  Total work is ``O(s · n · d)`` element
+    operations at numpy throughput, in two launches per ``_BLOCK`` points
+    of :func:`skyline_order`'s sweep.
     """
     P = as_matrix(points)
-    n = P.shape[0]
-    keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    order = _sum_order(P)
-    keep[order[_blocked_sweep(P[order], on_comparisons)]] = True
+    keep = np.zeros(P.shape[0], dtype=bool)
+    keep[skyline_order(P, on_comparisons=on_comparisons)] = True
     return keep
-
-
-def vectorized_skyline(
-    points,
-    *,
-    on_comparisons: OnComparisons | None = None,
-) -> np.ndarray:
-    """Skyline of ``points`` as an ``(s, d)`` matrix, in input order.
-
-    Matrix counterpart of :func:`repro.skyline.bnl.bnl_skyline` /
-    :func:`repro.skyline.sfs.sfs_skyline`: the returned *set* of vectors is
-    identical (duplicates included), only the internal order of comparisons
-    differs.
-    """
-    P = as_matrix(points)
-    return P[skyline_mask(P, on_comparisons=on_comparisons)]
-
-
-def vectorized_sfs_skyline(
-    points,
-    *,
-    on_comparisons: OnComparisons | None = None,
-) -> np.ndarray:
-    """Sort-Filter-Skyline with a vectorized filtering sweep.
-
-    Sorts by coordinate sum (mirroring the monotone scoring function of
-    :func:`repro.skyline.sfs.sfs_skyline`) so no vector can be dominated
-    by a later one: every sweep reference is then a confirmed skyline
-    member.
-    """
-    P = as_matrix(points)
-    if P.shape[0] == 0:
-        return P
-    S = P[_sum_order(P)]
-    return S[_blocked_sweep(S, on_comparisons)]

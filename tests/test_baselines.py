@@ -1,12 +1,18 @@
 """Tests for the baseline algorithms: JF-SL, JF-SL+, SSMJ, SAJ."""
 
+import sys
+
+import numpy as np
 import pytest
 
 from tests.conftest import make_bound, oracle_skyline_keys
+from tests.sfs_reference import sfs_skyline_entries
+from tests.test_multiway import three_tables, three_way_query
 from repro.baselines.jfsl import JoinFirstSkylineLater
 from repro.baselines.jfsl_plus import JoinFirstSkylineLaterPlus
 from repro.baselines.saj import SortedAccessJoin
 from repro.baselines.ssmj import SkylineSortMergeJoin
+from repro.query import multiway
 from repro.runtime.clock import VirtualClock
 from repro.runtime.runner import run_algorithm
 
@@ -133,3 +139,53 @@ class TestSAJ:
         keys = {r.key() for r in algo.run()}
         assert keys == oracle_skyline_keys(bound)
         assert algo.rounds_used < len(bound.left_table.rows)
+
+
+def scalar_skyline_order(points, *, on_comparisons=None):
+    """``skyline_order`` through the scalar SFS loop of
+    ``tests/sfs_reference.py``, charging one comparison per test."""
+    entries = [(tuple(p), i) for i, p in enumerate(np.asarray(points, dtype=float).tolist())]
+    charge = None if on_comparisons is None else (lambda: on_comparisons(1))
+    return np.array(
+        [i for _, i in sfs_skyline_entries(entries, on_comparison=charge)], dtype=np.intp
+    )
+
+
+def trace(run):
+    """Result sequence (with the clock at each result) and final counts."""
+    clock = VirtualClock()
+    seq = [(repr(r), clock.now()) for r in run(clock)]
+    return seq, clock.snapshot()
+
+
+IDENTITY_SHAPES = [
+    (dist, d) for dist in ("independent", "anticorrelated", "correlated") for d in (2, 3, 5)
+]
+
+
+class TestScalarSFSIdentity:
+    """JF-SL, SSMJ and the multi-way blocking evaluator moved from the
+    scalar SFS loop to ``skyline_order``: same results, same order, same
+    clock at every result, same counts."""
+
+    @pytest.mark.parametrize("dist, d", IDENTITY_SHAPES)
+    @pytest.mark.parametrize("algorithm", [JoinFirstSkylineLater, SkylineSortMergeJoin])
+    def test_baselines_match_the_scalar_loop(self, monkeypatch, algorithm, dist, d):
+        bound = make_bound(dist, n=150, d=d, sigma=0.05, seed=3)
+        module = sys.modules[algorithm.__module__]
+
+        def run(clock):
+            return list(algorithm(bound, clock).run())
+
+        fast = trace(run)
+        monkeypatch.setattr(module, "skyline_order", scalar_skyline_order)
+        assert fast == trace(run)
+        assert fast[1].get("dominance_cmp", 0) > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_multiway_blocking_matches_the_scalar_loop(self, monkeypatch, seed):
+        bound = three_way_query().bind(three_tables(n=80, seed=seed))
+        fast = trace(bound.evaluate_blocking)
+        monkeypatch.setattr(multiway, "skyline_order", scalar_skyline_order)
+        assert fast == trace(bound.evaluate_blocking)
+        assert fast[0]

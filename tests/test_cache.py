@@ -476,7 +476,6 @@ class TestSessionSharing:
     def test_engine_kwargs_exclude_share_flag(self):
         kwargs = EngineConfig().engine_kwargs()
         assert "share_partitions" not in kwargs
-        assert "share_partitions" not in EngineConfig().variant_kwargs()
         # The full keyword set still constructs an engine.
         bound = make_bound(n=60)
         ProgXeEngine(bound, VirtualClock(), **kwargs)

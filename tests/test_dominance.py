@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.skyline.dominance import (
     Dominance,
     compare,
-    dominated_mask,
     dominates,
-    dominating_mask,
     skyline_indices_bruteforce,
     weakly_dominates,
 )
@@ -91,30 +89,6 @@ class TestCompare:
         outcome = compare(u, v)
         assert (outcome is Dominance.LEFT) == dominates(u, v)
         assert (outcome is Dominance.RIGHT) == dominates(v, u)
-
-
-class TestMasks:
-    def test_dominated_mask(self):
-        pts = np.array([[2.0, 2.0], [0.5, 0.5], [1.0, 3.0], [1.0, 1.0]])
-        mask = dominated_mask(pts, (1.0, 1.0))
-        assert mask.tolist() == [True, False, True, False]
-
-    def test_dominating_mask(self):
-        pts = np.array([[2.0, 2.0], [0.5, 0.5], [1.0, 1.0]])
-        mask = dominating_mask(pts, (1.0, 1.0))
-        assert mask.tolist() == [False, True, False]
-
-    @given(st.lists(st.tuples(
-        st.floats(0, 10, allow_nan=False), st.floats(0, 10, allow_nan=False)),
-        min_size=1, max_size=20))
-    def test_masks_match_scalar(self, pts):
-        arr = np.array(pts, dtype=float)
-        cand = pts[0]
-        dm = dominated_mask(arr, cand)
-        gm = dominating_mask(arr, cand)
-        for i, p in enumerate(pts):
-            assert dm[i] == dominates(cand, p)
-            assert gm[i] == dominates(p, cand)
 
 
 class TestBruteforceSkyline:

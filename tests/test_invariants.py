@@ -109,7 +109,7 @@ def determinism(tree: ast.Module, path: str) -> Iterator[int]:
 
 
 # --- clock-discipline: no free dominance comparisons ---
-COMPARISONS = {"dominates", "weakly_dominates", "dominates_matrix", "pareto_mask"}
+COMPARISONS = {"dominates", "weakly_dominates", "dominates_matrix"}
 ACCOUNTING_PARAMETERS = {"clock", "on_comparison", "on_comparisons", "charge", "charger"}
 ACCOUNTING_CALLS = {"charge", "_charge", "charger", "on_comparison", "on_comparisons"}
 
@@ -310,12 +310,17 @@ RETIRED = [
     # Two storage backends and one filter path: no SQLite, no push-down choice;
     # no e2e workload ever ran over SQLite, so its push-down never earned a knob.
     (r"SQLiteSource|apply_filters|filter_strategy|sqlite:", ("src/",)),
+    # One push-through switch (the algorithm name) and one skyline kernel
+    # (skyline_order): no scalar SFS, no all-pairs mask, no LS(S) in pruning,
+    # no config field or preset beside the variant name.
+    (r"sfs_skyline|pareto_mask|vectorized_skyline|dominated_mask|dominating_mask"
+     r"|source_skyline|variant_kwargs|progressive-plus", ("src/",)),
 ]
 
 
 @pytest.mark.parametrize("pattern, paths", RETIRED, ids=[
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
-    "one-scheduler", "one-filter-path"])
+    "one-scheduler", "one-filter-path", "one-pushthrough-switch"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]

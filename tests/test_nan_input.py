@@ -87,10 +87,10 @@ def test_static_query_names_the_nan(backend, partitioning, label, tmp_path):
 
 
 @pytest.mark.parametrize("label", BAD)
-@pytest.mark.parametrize("preset", ["default", "progressive-plus", "auto"])
+@pytest.mark.parametrize("preset", ["default", "auto"])
 def test_planning_presets_reach_the_named_error(preset, label):
-    """Push-through and the planner's statistics pass see the value first;
-    neither may fail on it with an unnamed error."""
+    """The planner's statistics pass sees the value first; it may not fail
+    on it with an unnamed error."""
     tables = {"R": Table.from_rows("R", COLUMNS, rows_with(BAD[label])),
               "T": right_table()}
     stream = Session().register_tables(tables).execute(
@@ -99,6 +99,21 @@ def test_planning_presets_reach_the_named_error(preset, label):
     with pytest.raises(ExecutionError, match=named(label, "a1", 2)):
         stream.drain()
     assert stream.state == FAILED
+
+
+@pytest.mark.parametrize("label", BAD)
+@pytest.mark.parametrize("algorithm", ["ProgXe+", "JF-SL+", "SSMJ"])
+def test_local_pruning_refuses_the_value(algorithm, label):
+    """Push-through (ProgXe+, JF-SL+) and SSMJ's local lists prune each
+    source before the join: the value is refused before it can be pruned
+    away, with the partitioners' error."""
+    tables = {"R": Table.from_rows("R", COLUMNS, rows_with(BAD[label])),
+              "T": right_table()}
+    stream = Session().register_tables(tables).execute(SQL, algorithm=algorithm)
+    with pytest.raises(ExecutionError, match=named(label, "a1", 2)):
+        stream.drain()
+    assert stream.state == FAILED
+    assert stream.results == []
 
 
 @pytest.mark.parametrize("label", BAD)

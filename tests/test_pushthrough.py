@@ -1,24 +1,47 @@
 """Tests for skyline partial push-through pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import oracle_skyline_keys
+from tests.sfs_reference import sfs_skyline_entries
 from repro.baselines.pushthrough import (
     attribute_bounds,
     derived_preference,
-    group_level_skyline,
+    preference_scan,
     prune_source,
-    source_level_skyline,
 )
+from repro.baselines.ssmj import group_level_skyline, source_level_skyline
 from repro.data.workloads import SyntheticWorkload
 from repro.query.expressions import Attr
 from repro.query.mapping import MappingFunction, MappingSet
 from repro.query.smj import JoinCondition, SkyMapJoinQuery
-from repro.skyline.preferences import ParetoPreference, all_lowest, lowest
+from repro.skyline.bnl import bnl_skyline_entries
+from repro.skyline.preferences import (
+    ParetoPreference,
+    all_lowest,
+    highest,
+    lowest,
+)
 from repro.storage.table import Table
 
 
+def group_bnl_reference(rows, key_index, attr_indices, signs):
+    """``LS(N)`` the way push-through once computed it: scalar BNL per
+    join value, kept rows in source order."""
+    groups: dict = {}
+    for pos, row in enumerate(rows):
+        vector = tuple(s * row[i] for s, i in zip(signs, attr_indices))
+        groups.setdefault(row[key_index], []).append((vector, pos))
+    kept = sorted(pos for group in groups.values()
+                  for _, pos in bnl_skyline_entries(group))
+    return [rows[pos] for pos in kept], groups
+
+
 class TestLocalSkylines:
+    """SSMJ's scalar local lists, over one preference scan."""
+
     def _table(self):
         rows = [
             ("a", "j1", 1.0, 9.0),
@@ -28,36 +51,103 @@ class TestLocalSkylines:
         ]
         return Table.from_rows("t", ["id", "jkey", "x", "y"], rows)
 
+    def _entries(self, table=None):
+        rows, vectors, keys = preference_scan(
+            table or self._table(), all_lowest(["x", "y"]), "jkey"
+        )
+        return list(zip(map(tuple, vectors.tolist()), rows)), keys
+
     def test_source_level_skyline(self):
-        kept = source_level_skyline(self._table(), all_lowest(["x", "y"]))
+        entries, _ = self._entries()
+        kept = source_level_skyline(entries)
         assert {r[0] for r in kept} == {"a", "b"}
 
     def test_group_level_skyline_keeps_group_champions(self):
-        kept = group_level_skyline(
-            self._table(), "jkey", all_lowest(["x", "y"])
-        )
+        kept = group_level_skyline(*self._entries())
         # d survives: it is the best of its group even though globally bad.
         assert {r[0] for r in kept} == {"a", "b", "d"}
 
     def test_group_skyline_superset_of_source_skyline(self):
-        table = self._table()
-        pref = all_lowest(["x", "y"])
-        ls_s = {r[0] for r in source_level_skyline(table, pref)}
-        ls_n = {r[0] for r in group_level_skyline(table, "jkey", pref)}
+        entries, keys = self._entries()
+        ls_s = {r[0] for r in source_level_skyline(entries)}
+        ls_n = {r[0] for r in group_level_skyline(entries, keys)}
         assert ls_s <= ls_n
 
     def test_row_order_preserved(self):
-        kept = group_level_skyline(self._table(), "jkey", all_lowest(["x", "y"]))
+        kept = group_level_skyline(*self._entries())
         ids = [r[0] for r in kept]
         assert ids == sorted(ids, key=lambda i: "abcd".index(i))
 
     def test_comparison_callback(self):
         calls = []
-        source_level_skyline(
-            self._table(), all_lowest(["x", "y"]),
-            on_comparison=lambda: calls.append(1),
-        )
+        entries, _ = self._entries()
+        source_level_skyline(entries, on_comparison=lambda: calls.append(1))
         assert calls
+
+
+@st.composite
+def pruning_input(draw):
+    """One source's rows, join keys and preference directions."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=40))  # binding needs a row
+    shape = draw(st.sampled_from(["singletons", "one-group", "few-groups"]))
+    as_str = draw(st.booleans())
+    # Small domain: ties and duplicates are the rule; -0.0 == 0.0.
+    value = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0])
+    rows = []
+    for i in range(n):
+        key = {"singletons": i, "one-group": 7}.get(shape)
+        if key is None:
+            key = draw(st.integers(min_value=0, max_value=3))
+        rows.append((f"r{i}", str(key) if as_str else key,
+                     *draw(st.tuples(*[value] * d))))
+    lowest_dims = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    return rows, lowest_dims
+
+
+class TestPruneSourceIdentity:
+    @given(pruning_input())
+    @settings(max_examples=120, deadline=None)
+    def test_kept_rows_match_per_group_bnl(self, case):
+        """Same kept rows, same order, as per-group BNL; the charge is the
+        scalar SFS count of each group of two or more rows."""
+        rows, lowest_dims = case
+        d = len(lowest_dims)
+        left = Table.from_rows("R", ["id", "jkey", *[f"a{j}" for j in range(d)]], rows)
+        right_rows = sorted({(f"t{row[1]}", row[1]) for row in rows})
+        right = Table.from_rows(
+            "T", ["id", "jkey", *[f"b{j}" for j in range(d)]],
+            [(tid, key, *[0.0] * d) for tid, key in right_rows],
+        )
+        query = SkyMapJoinQuery(
+            left_alias="R",
+            right_alias="T",
+            join=JoinCondition("jkey", "jkey"),
+            mappings=MappingSet([
+                MappingFunction(f"x{j}", Attr("R", f"a{j}") + Attr("T", f"b{j}"))
+                for j in range(d)
+            ]),
+            preference=ParetoPreference([
+                (lowest if low else highest)(f"x{j}")
+                for j, low in enumerate(lowest_dims)
+            ]),
+        )
+        bound = query.bind({"R": left, "T": right})
+        tested = []
+        result = prune_source(bound, "R", on_comparisons=tested.append)
+        signs = [1.0 if low else -1.0 for low in lowest_dims]
+        want, groups = group_bnl_reference(rows, 1, range(2, 2 + d), signs)
+        assert result.kept_rows == want
+        assert all(a is b for a, b in zip(result.kept_rows, want))
+        assert result.original_count == len(rows)
+        count = [0]
+        for group in groups.values():
+            if len(group) > 1:
+                sfs_skyline_entries(
+                    group, on_comparison=lambda: count.__setitem__(0, count[0] + 1)
+                )
+        assert result.comparisons == sum(tested) == count[0]
+        assert len(tested) <= 1  # one bulk charge
 
 
 class TestPruneSource:

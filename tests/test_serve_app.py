@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.engine import ProgXeEngine
 from repro.data.workloads import SyntheticWorkload
 from repro.serve import AdmissionPolicy, QueryServer, Watermarks
 from repro.session.config import EngineConfig
@@ -433,6 +434,44 @@ class TestAdmissionOverHttp:
             assert status == 200 and frames[-1]["state"] == "completed"
 
         serve(test)
+
+    @pytest.mark.parametrize("key, value", [("pushthrough", True), ("ordering", False)])
+    def test_a_variant_switch_override_is_rejected_by_name(self, key, value):
+        """Push-through and ordering are chosen by the algorithm name; an
+        override naming either is a 400 that says so."""
+        async def test(server, session):
+            status, _, body = await stream_query(
+                server, {"sql": SQL, "preset": "production", "config": {key: value}}
+            )
+            assert status == 400
+            assert f"'{key}' is not an EngineConfig field" in body["error"]
+            assert "algorithm name" in body["error"]
+            assert server.admission.active == 0
+
+        serve(test)
+
+    @pytest.mark.parametrize("name, switches", [
+        ("ProgXe", (False, True)), ("ProgXe+", (True, True)),
+        ("ProgXe (No-Order)", (False, False)), ("ProgXe+ (No-Order)", (True, False)),
+    ])
+    def test_the_algorithm_name_selects_the_variant(self, monkeypatch, name, switches):
+        built = []
+        init = ProgXeEngine.__init__
+
+        def record(engine, *args, **kwargs):
+            init(engine, *args, **kwargs)
+            built.append(engine)
+
+        monkeypatch.setattr(ProgXeEngine, "__init__", record)
+
+        async def test(server, session):
+            status, _, frames = await stream_query(
+                server, {"sql": SQL, "algorithm": name, "preset": "production"}
+            )
+            assert status == 200 and frames[-1]["state"] == "completed"
+
+        serve(test)
+        assert [(e.pushthrough, e.ordering) for e in built] == [switches]
 
     def test_malformed_http_is_400_and_unknown_path_404(self):
         async def test(server, session):

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 import repro
+from repro.cli import main as cli_main
 from repro.core.variants import ALGORITHMS
 from repro.errors import BindingError, QueryError, RegistryError
 from repro.session import (
@@ -134,9 +135,8 @@ class TestRegistry:
 #: The config fields that are ProgXeEngine keywords (the session resolves
 #: ``planner`` and ``share_partitions`` into objects).
 ENGINE_KEYWORDS = {
-    "ordering", "pushthrough", "input_cells", "output_cells",
-    "signature_kind", "partitioning", "leaf_capacity", "seed", "verify",
-    "follow",
+    "input_cells", "output_cells", "signature_kind", "partitioning",
+    "leaf_capacity", "seed", "verify", "follow",
 }
 
 
@@ -164,10 +164,10 @@ class TestEngineConfig:
 
     def test_presets(self):
         assert EngineConfig.preset("default") == EngineConfig()
-        assert EngineConfig.preset("progressive-plus").pushthrough
         low = EngineConfig.preset("low-memory")
         assert low.signature_kind == "bloom" and low.partitioning == "quadtree"
-        assert not EngineConfig.preset("production").verify
+        assert EngineConfig.preset("production") == EngineConfig(verify=False)
+        assert list(PRESETS) == ["default", "low-memory", "production", "auto"]
         with pytest.raises(QueryError, match="unknown preset"):
             EngineConfig.preset("warp-speed")
 
@@ -177,8 +177,8 @@ class TestEngineConfig:
         with pytest.raises(QueryError):
             config.with_options(signature_kind="nope")
 
-    def test_variant_kwargs_omit_variant_choices(self):
-        kwargs = EngineConfig().variant_kwargs()
+    def test_engine_kwargs_leave_the_variant_to_the_name(self):
+        kwargs = EngineConfig().engine_kwargs()
         assert "ordering" not in kwargs and "pushthrough" not in kwargs
         assert kwargs["signature_kind"] == "exact"
 
@@ -200,14 +200,13 @@ class TestEngineConfig:
 
     def test_field_set(self):
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-            "ordering", "pushthrough", "input_cells", "output_cells",
-            "signature_kind", "partitioning", "leaf_capacity", "seed",
-            "verify", "follow", "planner", "share_partitions",
+            "input_cells", "output_cells", "signature_kind", "partitioning",
+            "leaf_capacity", "seed", "verify", "follow", "planner",
+            "share_partitions",
         ]
 
     @pytest.mark.parametrize("name, value", [
-        ("ordering", False), ("pushthrough", True), ("input_cells", 3),
-        ("output_cells", 5), ("signature_kind", "bloom"),
+        ("input_cells", 3), ("output_cells", 5), ("signature_kind", "bloom"),
         ("partitioning", "quadtree"), ("leaf_capacity", 16), ("seed", 7),
         ("verify", False), ("follow", True),
     ])
@@ -229,6 +228,62 @@ class TestEngineConfig:
         }[surface]
         with pytest.raises(TypeError, match=key):
             build()
+
+
+# ---------------------------------------------------------------------------
+# One switch: the algorithm name selects push-through and ordering
+# ---------------------------------------------------------------------------
+#: Each registered ProgXe variant and the ``(pushthrough, ordering)`` its
+#: name says.
+VARIANTS = {
+    "ProgXe": (False, True),
+    "ProgXe+": (True, True),
+    "ProgXe (No-Order)": (False, False),
+    "ProgXe+ (No-Order)": (True, False),
+}
+
+
+def switches(engine) -> tuple[bool, bool]:
+    return engine.pushthrough, engine.ordering
+
+
+class TestOneSwitch:
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_execute_runs_the_named_variant(self, session, bound, name, preset):
+        stream = session.execute(bound, algorithm=name, config=preset)
+        stream.drain()
+        assert stream.state == COMPLETED
+        assert switches(stream.algorithm) == VARIANTS[name]
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_scheduler_runs_the_named_variant(self, session, bound, name):
+        scheduler = session.scheduler()
+        handle = scheduler.submit(bound, algorithm=name, config="production")
+        scheduler.run_all()
+        assert handle.state == COMPLETED
+        assert switches(handle.algorithm) == VARIANTS[name]
+
+    @pytest.mark.parametrize("name", ["pushthrough", "ordering"])
+    @pytest.mark.parametrize("surface", ["config", "with_options"])
+    def test_a_config_naming_a_switch_fails_by_name(self, surface, name):
+        build = {
+            "config": lambda: EngineConfig(**{name: True}),
+            "with_options": lambda: EngineConfig().with_options(**{name: True}),
+        }[surface]
+        with pytest.raises(QueryError, match=rf"'{name}' is not an EngineConfig field.*ProgXe"):
+            build()
+
+    def test_from_config_builds_plain_progxe(self, bound):
+        engine = repro.ProgXeEngine.from_config(bound, config="production")
+        assert switches(engine) == (False, True) and not engine.verify
+        assert engine.name == "ProgXe"
+
+    def test_the_cli_refuses_the_retired_preset(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "-n", "40", "--preset", "progressive-plus"])
+        assert exit_info.value.code == 2
+        assert "progressive-plus" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +684,7 @@ class TestVectorizedBatchBudgets:
         with pytest.raises(
             QueryError,
             match="unknown preset 'scalar-reference'; available: default, "
-            "progressive-plus, low-memory, production, auto$",
+            "low-memory, production, auto$",
         ):
             EngineConfig.preset("scalar-reference")
 

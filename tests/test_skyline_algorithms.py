@@ -1,7 +1,11 @@
 """Tests for the skyline algorithms: BNL and SFS.
 
 The central obligation: both agree with the quadratic oracle on any
-input, including duplicates and ties.
+input, including duplicates and ties.  SFS is
+:func:`~repro.skyline.vectorized.skyline_order`, the sweep every batch
+skyline of the library runs; it must also report its survivors in the
+order, and charge the comparisons, of the scalar loop in
+``tests/sfs_reference.py``.
 """
 
 import numpy as np
@@ -11,7 +15,9 @@ from hypothesis import strategies as st
 from repro.data.generator import generate_attributes
 from repro.skyline.bnl import bnl_skyline, bnl_skyline_entries
 from repro.skyline.dominance import skyline_indices_bruteforce
-from repro.skyline.sfs import sfs_skyline, sfs_skyline_entries
+from repro.skyline.vectorized import skyline_order
+
+from tests.sfs_reference import sfs_skyline_entries as reference_sfs_entries
 
 point_lists = st.lists(
     st.tuples(
@@ -34,6 +40,16 @@ point_lists_3d = st.lists(
 tied_lists = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=0, max_size=40
 )
+
+
+def sfs_skyline(points, *, on_comparisons=None):
+    """Survivors of ``points`` in the order :func:`skyline_order` gives them."""
+    return [points[i] for i in skyline_order(points, on_comparisons=on_comparisons)]
+
+
+def sfs_skyline_entries(entries):
+    order = skyline_order([vector for vector, _ in entries])
+    return [entries[i] for i in order]
 
 
 def oracle_multiset(points):
@@ -104,12 +120,11 @@ class TestSFS:
         assert sorted(sfs_skyline(pts)) == [(1.0, 4.0), (2.0, 2.0), (4.0, 1.0)]
 
     def test_counts_comparisons(self):
-        count = [0]
-        sfs_skyline([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)],
-                    on_comparison=lambda: count.__setitem__(0, count[0] + 1))
+        tested = []
+        sfs_skyline([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0)], on_comparisons=tested.append)
         # (1, 2) and (2, 1) tie on the sum: the second is tested against
         # the first, then (3, 3) is dominated by the first window entry.
-        assert count[0] == 2
+        assert sum(tested) == 2
 
     def test_no_evictions_needed(self):
         # SFS never revisits accepted tuples; the sorted order guarantees it.
@@ -150,11 +165,23 @@ class TestSFS:
     @given(point_lists)
     @settings(max_examples=40)
     def test_each_tuple_scans_at_most_the_final_window(self, points):
+        tested = []
+        result = sfs_skyline(points, on_comparisons=tested.append)
+        assert sum(tested) <= len(points) * len(result)
+
+    @given(st.one_of(point_lists, point_lists_3d, tied_lists))
+    @settings(max_examples=80)
+    def test_matches_the_scalar_loop(self, points):
+        """Same survivors, same order, same charge as the scalar loop."""
         count = [0]
-        result = sfs_skyline(
-            points, on_comparison=lambda: count.__setitem__(0, count[0] + 1)
+        want = reference_sfs_entries(
+            [(p, i) for i, p in enumerate(points)],
+            on_comparison=lambda: count.__setitem__(0, count[0] + 1),
         )
-        assert count[0] <= len(points) * len(result)
+        tested = []
+        got = skyline_order(points, on_comparisons=tested.append).tolist()
+        assert got == [i for _, i in want]
+        assert sum(tested) == count[0]
 
 
 class TestPayloadVariants:

@@ -619,9 +619,13 @@ class TestPatchedVsInvalidated:
 # config / wiring surface
 # ----------------------------------------------------------------------
 class TestFollowWiring:
-    def test_follow_rejects_pushthrough(self):
-        with pytest.raises(QueryError, match="pushthrough"):
-            EngineConfig(follow=True, pushthrough=True)
+    @pytest.mark.parametrize("name", ["ProgXe+", "ProgXe+ (No-Order)"])
+    def test_follow_rejects_pushthrough(self, name):
+        workload, live, _ = split_workload(n=40)
+        session = Session().register_tables(live)
+        bound = workload.query().bind(live)
+        with pytest.raises(ValueError, match="pushthrough"):
+            session.execute(bound, algorithm=name, config=EngineConfig(follow=True))
 
     def test_request_follow_coercion(self):
         request = QueryRequest.from_mapping(

@@ -22,7 +22,6 @@ from repro.runtime.clock import VirtualClock
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.dominance import dominates, skyline_indices_bruteforce
 from repro.skyline.preferences import ParetoPreference, highest, lowest
-from repro.skyline.sfs import sfs_skyline
 from repro.skyline.vectorized import (
     _BLOCK,
     _blocked_sweep,
@@ -30,15 +29,14 @@ from repro.skyline.vectorized import (
     as_matrix,
     dominated_by_any,
     dominates_matrix,
-    pareto_mask,
     skyline_mask,
-    vectorized_sfs_skyline,
-    vectorized_skyline,
+    skyline_order,
 )
 from repro.storage.column_batch import ColumnBatch
 from repro.storage.table import Table
 
 from tests.conftest import oracle_skyline_keys
+from tests.sfs_reference import sfs_skyline_entries
 
 # Small-domain float coordinates: collisions (ties/duplicates) are likely,
 # which is exactly where dominance edge cases live.
@@ -49,6 +47,12 @@ def point_matrix(min_rows=0, max_rows=40, d=3):
     return st.lists(
         st.tuples(*[coord] * d), min_size=min_rows, max_size=max_rows
     )
+
+
+def pareto_mask(points) -> np.ndarray:
+    """All-pairs oracle: the rows no row dominates."""
+    P = as_matrix(points)
+    return ~dominates_matrix(P, P).any(axis=0)
 
 
 def multiset(vectors) -> dict:
@@ -215,7 +219,7 @@ class TestSweepForms:
             assert P[:2][expected[:2]].tolist() == [[1e16, 0.0]]
             assert skyline_mask(P).tolist() == expected.tolist()
             assert reference_sweep(P)[0].tolist() == expected.tolist()
-            assert sorted(vectorized_sfs_skyline(P).tolist()) == sorted(
+            assert sorted(P[skyline_order(P)].tolist()) == sorted(
                 P[expected].tolist()
             )
 
@@ -255,12 +259,6 @@ class TestMasks:
             expected = any(dominates(w, p) for w in window)
             assert bool(mask[i]) == expected
 
-    def test_block_size_does_not_change_result(self):
-        rng = np.random.default_rng(0)
-        pts = rng.integers(0, 5, size=(200, 3)).astype(float)
-        full = pareto_mask(pts)
-        assert (pareto_mask(pts, block_size=7) == full).all()
-
     def test_skyline_mask_agrees_with_pareto_mask(self):
         rng = np.random.default_rng(0)
         pts = rng.integers(0, 5, size=(200, 3)).astype(float)
@@ -275,28 +273,29 @@ class TestVectorizedSkylines:
     @settings(max_examples=60, deadline=None)
     def test_block_bnl_equals_scalar_bnl(self, pts):
         expected = multiset(bnl_skyline(pts))
-        got = multiset(vectorized_skyline(np.asarray(pts).reshape(-1, 3)))
+        P = as_matrix(pts, dimensions=3)
+        got = multiset(P[skyline_mask(P)])
         assert got == expected
 
     @given(point_matrix(0, 40))
     @settings(max_examples=60, deadline=None)
     def test_vectorized_sfs_equals_scalar_sfs(self, pts):
-        expected = multiset(sfs_skyline(pts))
-        got = multiset(vectorized_sfs_skyline(np.asarray(pts).reshape(-1, 3)))
-        assert got == expected
+        entries = [(p, i) for i, p in enumerate(pts)]
+        expected = [i for _, i in sfs_skyline_entries(entries)]
+        assert skyline_order(as_matrix(pts, dimensions=3)).tolist() == expected
 
     def test_comparison_accounting_is_bulk(self):
         rng = np.random.default_rng(1)
         pts = rng.random((300, 3))
         counts: list[int] = []
-        vectorized_skyline(pts, on_comparisons=counts.append)
+        skyline_mask(pts, on_comparisons=counts.append)
         # Few large charges, not one per pair.
         assert len(counts) < 100
         assert sum(counts) > len(pts)
 
     def test_duplicates_all_survive(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-        sky = vectorized_skyline(pts)
+        sky = pts[skyline_mask(pts)]
         assert multiset(sky) == {(1.0, 2.0): 2}
 
     def test_as_matrix_empty_needs_dimensions(self):
