@@ -20,6 +20,15 @@ verify=False)``, with the wall time of each side's ``prune_source`` call
 inside planning, the drain, time-to-first and time-to-last result, the
 rows each side keeps and the ``dominance_cmp`` charged.
 
+A third section times ProgOrder's ranking, the kernel's ``rank_fn``
+(``region_benefit`` over ``region_cost``), over whole executions: each e2e
+query shape drained in process (``ProgXeEngine(...).kernel()`` stepped to
+the end over a warm partition cache) and one ``ingest-follow`` session
+(``benchmarks.e2e.ingest.follow_session``).  A row holds the best-of-5
+wall seconds, the rank calls and the seconds inside ``region_benefit``
+(timed in one extra, instrumented run), and the vtime, steps and results,
+which must not move between the rows of two commits.
+
 Rows are stored under a label, so one JSON holds the parent commit's
 numbers next to the change's: run the script once per tree.
 
@@ -28,6 +37,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_planning.py --label after
     PYTHONPATH=/path/to/parent/src python benchmarks/bench_planning.py --label before
     PYTHONPATH=src python benchmarks/bench_planning.py --section pushthrough
+    PYTHONPATH=src python benchmarks/bench_planning.py --section ordering
     PYTHONPATH=src python benchmarks/bench_planning.py --smoke    # CI scale
 """
 
@@ -45,7 +55,9 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_planning.json"
 if str(REPO_ROOT) not in sys.path:  # the e2e workloads live beside this file
     sys.path.insert(0, str(REPO_ROOT))
 
+import repro.core.kernel as kernel_module  # noqa: E402
 import repro.core.plan as plan_module  # noqa: E402
+from benchmarks.e2e.ingest import follow_session  # noqa: E402
 from benchmarks.e2e.workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 from repro.cache.plan_cache import PlanCache  # noqa: E402
 from repro.core.engine import ProgXeEngine  # noqa: E402
@@ -61,6 +73,8 @@ CHARGES = ("partition_op", "discard", "graph_op", "cache_op")
 #: Push-through section: rows per side, at full and at smoke scale.
 PUSHTHROUGH_SIZES = (30_000, 100_000)
 PUSHTHROUGH_SMOKE_SIZES = (2_000, 6_000)
+#: Ordering section: timed runs per row.
+ORDERING_REPEATS = 5
 
 
 def shapes(smoke: bool):
@@ -204,6 +218,90 @@ def pushthrough_rows(smoke: bool) -> dict:
     return rows
 
 
+def ordering_runs(smoke: bool):
+    """``(name, run)`` per e2e query shape and the ``ingest-follow``
+    session; ``run()`` executes once and returns ``(vtime, steps,
+    results)``."""
+    for workload in WORKLOADS.values():
+        if smoke:
+            workload = workload.scaled(8)
+        tables = workload.tables(DEFAULT_SEED)
+        session = Session().register_tables(tables)
+        for spec in workload.queries:
+            preset = spec.request.get("preset", "default")
+            cache, planner = PlanCache(), Planner()
+            kwargs = engine_kwargs(preset, planner)
+
+            def drain(bound=session.sql(spec.sql()), cache=cache, kwargs=kwargs):
+                clock = VirtualClock()
+                kernel = ProgXeEngine(bound, clock, cache=cache, **kwargs).kernel()
+                results = 0
+                while not kernel.finished:
+                    results += len(kernel.step().results)
+                return clock.now(), kernel.steps, results
+
+            yield f"{workload.name}/{spec.name}", drain
+        if workload.chunks:
+
+            def follow(tables=tables, workload=workload):
+                record = follow_session(
+                    tables, workload, workload.n, deadline=time.perf_counter() + 600
+                )
+                assert not record.failures, record.failures
+                stats = record.stats
+                return stats["vtime"], stats["steps"], stats["results"]
+
+            yield f"{workload.name}/session", follow
+
+
+def time_ordering(run, repeats: int) -> dict:
+    """Best-of-``repeats`` wall seconds of ``run``, then one run with
+    ``region_benefit`` counted and timed."""
+    run()  # warm: the partition cache, the planner's statistics
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        outcome = run()
+        best = min(best, time.perf_counter() - start)
+    benefit = kernel_module.region_benefit
+    spent: list[float] = []
+
+    def timed(*args):
+        start = time.perf_counter()
+        try:
+            return benefit(*args)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    kernel_module.region_benefit = timed
+    try:
+        counted = run()
+    finally:
+        kernel_module.region_benefit = benefit
+    assert counted == outcome, f"instrumented run differs: {counted} != {outcome}"
+    vtime, steps, results = outcome
+    return {
+        "wall_s": round(best, 4),
+        "rank_calls": len(spent),
+        "rank_s": round(sum(spent), 4),
+        "vtime": vtime,
+        "steps": steps,
+        "results": results,
+    }
+
+
+def ordering_rows(smoke: bool) -> dict:
+    rows = {}
+    for name, run in ordering_runs(smoke):
+        row = rows[name] = time_ordering(run, 2 if smoke else ORDERING_REPEATS)
+        print(
+            f"  {name:32s} wall {row['wall_s']:8.4f} s  "
+            f"rank {row['rank_s']:7.4f} s / {row['rank_calls']} calls  "
+            f"{row['steps']} steps, {row['results']} results"
+        )
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -217,8 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         "that replanning is deterministic; no JSON written unless --out",
     )
     parser.add_argument(
-        "--section", choices=("all", "shapes", "pushthrough"), default="all",
-        help="which section to run and write (default: both)",
+        "--section", choices=("all", "shapes", "pushthrough", "ordering"),
+        default="all", help="which section to run and write (default: all)",
     )
     parser.add_argument(
         "--out", type=pathlib.Path, default=None,
@@ -249,6 +347,14 @@ def main(argv: list[str] | None = None) -> int:
         pushed = pushthrough_rows(args.smoke)
         if args.smoke:
             print("  smoke OK: push-through reruns keep the same rows and charges")
+
+    ordered = {}
+    if args.section in ("all", "ordering"):
+        print(f"ordering ({args.label}): best of "
+              f"{2 if args.smoke else ORDERING_REPEATS} executions")
+        ordered = ordering_rows(args.smoke)
+        if args.smoke:
+            print("  smoke OK: instrumented runs keep the same vtime, steps and results")
 
     out_path = args.out or (None if args.smoke else DEFAULT_OUT)
     if out_path is None:
@@ -282,6 +388,24 @@ def main(argv: list[str] | None = None) -> int:
             "rows": {},
         })
         section["rows"][args.label] = {**host, "inputs": pushed}
+    if ordered:
+        section = payload.setdefault("ordering", {
+            "metric": (
+                "per e2e query shape (drained in process over a warm "
+                "partition cache) and one ingest-follow session: best-of-5 "
+                "wall seconds (wall_s); rank_fn's region_benefit calls and "
+                "the seconds inside them, from one more instrumented run; "
+                "vtime, steps and results, which the ordering must not move"
+            ),
+            "rows": {},
+        })
+        section["rows"][args.label] = {**host, "queries": ordered}
+        before = section["rows"].get("before", {}).get("queries", {})
+        section["speedup"] = {
+            name: round(before[name]["wall_s"] / row["wall_s"], 2)
+            for name, row in section["rows"].get("after", {}).get("queries", {}).items()
+            if name in before
+        }
     before = payload["rows"].get("before", {}).get("shapes", {})
     after = payload["rows"].get("after", {}).get("shapes", {})
     payload["speedup"] = {

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from operator import le
 
 from repro.core.regions import OutputRegion
 from repro.skyline.estimate import expected_skyline_size
@@ -25,41 +25,39 @@ def region_cardinality(region: OutputRegion, dimensions: int) -> float:
     return expected_skyline_size(region.expected_join, dimensions)
 
 
-def progressive_count(
-    region: OutputRegion, regions_by_id: Mapping[int, OutputRegion]
-) -> int:
-    """Definition 2: externally independent, still-releasable covered cells."""
-    rid = region.rid
+def progressive_count(region: OutputRegion) -> int:
+    """Definition 2: externally independent, still-releasable covered cells.
+
+    A cell is blocked by an unsettled lower-cone cell that another live
+    region still feeds.  RegCount (``reg_count``) counts a cell's live
+    feeders and ``pending`` its unsettled cone cells, so a cell is
+    independent iff ``pending`` equals the number of cone cells this region
+    feeds alone: its unsettled covered cells with ``reg_count == 1`` that
+    are ``<=`` the cell in every coordinate, the cell itself excluded.
+    """
+    own = [c.coords for c in region.covered if c.reg_count == 1 and not c.settled]
     count = 0
     for cell in region.covered:
         if cell.marked or cell.emitted:
             continue
-        independent = True
-        for lc in cell.cone_lower:
-            if lc.settled:
+        if cell.pending:
+            if cell.pending > len(own):
                 continue
-            # An unsettled potential-dominator cell blocks Oh unless every
-            # live region feeding it is this very region.
-            for other in lc.region_ids:
-                if other != rid and not regions_by_id[other].done:
-                    independent = False
-                    break
-            if not independent:
-                break
-        if independent:
-            count += 1
+            at = cell.coords
+            # ``own`` holds the cell itself when it qualifies.
+            alone = sum(all(map(le, o, at)) for o in own)
+            alone -= cell.reg_count == 1 and not cell.settled
+            if alone != cell.pending:
+                continue
+        count += 1
     return count
 
 
-def region_benefit(
-    region: OutputRegion,
-    regions_by_id: Mapping[int, OutputRegion],
-    dimensions: int,
-) -> float:
+def region_benefit(region: OutputRegion, dimensions: int) -> float:
     """Eq. 2: progressiveness-weighted cardinality."""
     total = region.partition_count
     if total == 0:
         return 0.0
     if region.cardinality == 0.0:
         region.cardinality = region_cardinality(region, dimensions)
-    return progressive_count(region, regions_by_id) / total * region.cardinality
+    return progressive_count(region) / total * region.cardinality

@@ -112,7 +112,6 @@ def explain(
     k_out = output_cells or _default_output_cells(bound.skyline_dimension_count)
     regions, grid = run_lookahead(bound, left_grid, right_grid, k_out, clock)
     graph = EliminationGraph(regions, clock)
-    by_id = {r.rid: r for r in regions}
     dims = bound.skyline_dimension_count
     roots = {r.rid for r in graph.roots()}
 
@@ -121,7 +120,7 @@ def explain(
         if region.discarded:
             benefit = cost = rank = 0.0
         else:
-            benefit = region_benefit(region, by_id, dims)
+            benefit = region_benefit(region, dims)
             cost = region_cost(region, grid, dims)
             rank = benefit / cost if cost > 0 else benefit
         plans.append(

@@ -190,12 +190,11 @@ class ExecutionKernel:
 
         self.state = ExecutionState(plan.bound, plan.regions, plan.grid, plan.clock)
         self.graph = EliminationGraph(plan.regions, plan.clock)
-        regions_by_id = self.state.regions
         dims = plan.bound.skyline_dimension_count
         grid = plan.grid
 
         def rank_fn(region: OutputRegion) -> float:
-            benefit = region_benefit(region, regions_by_id, dims)
+            benefit = region_benefit(region, dims)
             cost = region_cost(region, grid, dims)
             return benefit / cost if cost > 0 else benefit
 

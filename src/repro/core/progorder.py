@@ -4,8 +4,10 @@ Maintains the roots of the elimination graph in an inverted priority queue
 ranked by ``rank = Benefit / Cost`` (Eq. 8).  Regions are handed out for
 tuple-level processing highest-rank first; when a region completes (or is
 discarded), its outgoing edges are removed, newly rootless regions are
-ranked and enqueued, and stale queue entries are refreshed lazily — sound
-because both ProgCount and therefore rank are non-decreasing over time.
+ranked and enqueued, and a popped entry is re-ranked before it is handed
+out: it goes back if the next entry now outranks it.  Ranks move both ways
+(ProgCount as cells settle or reopen, cost with the mean cone size that
+marking moves), so this lazy refresh keeps the order approximate.
 
 Mutual partial elimination can leave the graph rootless while regions
 remain (cycles of Figure 6.d); the policy then breaks the cycle by ranking
@@ -61,8 +63,8 @@ class ProgOrder:
                 self.clock.charge("queue_op")
                 if region.done:
                     continue
-                # Ranks only grow as cells settle, so a popped entry may be
-                # stale-low.  Refresh it; if something else now outranks it,
+                # A popped entry may be stale: its rank moved since it was
+                # pushed.  Refresh it; if something else now outranks it,
                 # push it back and look again (bounded to stay O(heap)).
                 fresh = self.rank_fn(region)
                 if (

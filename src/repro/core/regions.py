@@ -47,7 +47,6 @@ class OutputRegion:
         "in_degree",
         "out_edges",
         "cardinality",
-        "cost",
     )
 
     def __init__(
@@ -76,7 +75,6 @@ class OutputRegion:
         self.in_degree = 0
         self.out_edges: list[int] = []
         self.cardinality = 0.0
-        self.cost = 1.0
 
     @property
     def done(self) -> bool:

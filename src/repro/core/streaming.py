@@ -257,13 +257,9 @@ class StreamingKernel(ExecutionKernel):
                 state.reopen_cell(cell)
                 self.cells_reopened += 1
         grid.wire_cones(fresh)
-        # Register every region before ranking any: the benefit function
-        # walks shared cells' region_ids, which may already name a sibling
-        # from this same batch.
         for region in regions:
             state.regions[region.rid] = region
             self.graph.regions[region.rid] = region
-        for region in regions:
             self.policy.add_region(region)
         self.regions_added += len(regions)
 

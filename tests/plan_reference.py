@@ -7,6 +7,11 @@ exactly: same regions under the same ids, same cells in the same
 activation order, same cone lists in the same order, same edges, same
 per-kind clock charges.  ``tests/test_plan_identity.py`` holds the two
 side by side.
+
+It also keeps ProgOrder's Definition 2 count as the feeder walk
+``core/benefit.progressive_count`` replaced: every feeder of every
+unsettled lower-cone cell, looked up in a region table.
+``tests/test_progcount.py`` checks the two agree at every rank call.
 """
 
 from __future__ import annotations
@@ -304,3 +309,30 @@ def plan_state(regions, grid):
             for c in grid.cells.values()
         ],
     }
+
+
+# ----------------------------------------------------------------------
+# ProgOrder
+# ----------------------------------------------------------------------
+def progressive_count_reference(region, regions_by_id):
+    """Definition 2 by walking feeders: the unmarked, unemitted covered
+    cells none of whose unsettled lower-cone cells is fed by a live region
+    other than ``region``."""
+    rid = region.rid
+    count = 0
+    for cell in region.covered:
+        if cell.marked or cell.emitted:
+            continue
+        independent = True
+        for lc in cell.cone_lower:
+            if lc.settled:
+                continue
+            for other in lc.region_ids:
+                if other != rid and not regions_by_id[other].done:
+                    independent = False
+                    break
+            if not independent:
+                break
+        if independent:
+            count += 1
+    return count

@@ -9,6 +9,7 @@ from repro.core.benefit import progressive_count, region_benefit, region_cardina
 from repro.core.cost import kung_alpha, region_cost
 from repro.core.elimination_graph import EliminationGraph
 from repro.core.lookahead import run_lookahead
+from repro.core.progdetermine import ExecutionState
 from repro.core.regions import OutputRegion
 from repro.runtime.clock import VirtualClock
 from repro.skyline.estimate import expected_skyline_size
@@ -107,9 +108,8 @@ class TestBenefitModel:
     def test_progcount_zero_when_fully_dependent(self):
         bound = make_bound(n=100, d=2, sigma=0.1, seed=4)
         regions, grid, clock = lookahead_for(bound)
-        by_id = {r.rid: r for r in regions}
         live = [r for r in regions if not r.discarded and r.covered]
-        counts = {r.rid: progressive_count(r, by_id) for r in live}
+        counts = {r.rid: progressive_count(r) for r in live}
         # ProgCount is bounded by the covered-cell count.
         for r in live:
             assert 0 <= counts[r.rid] <= len(r.covered)
@@ -120,17 +120,16 @@ class TestBenefitModel:
     def test_benefit_in_cardinality_range(self):
         bound = make_bound(n=100, d=2, sigma=0.1, seed=5)
         regions, grid, clock = lookahead_for(bound)
-        by_id = {r.rid: r for r in regions}
         for r in regions:
             if r.discarded or not r.covered:
                 continue
-            b = region_benefit(r, by_id, 2)
+            b = region_benefit(r, 2)
             assert 0.0 <= b <= r.cardinality + 1e-9
 
     def test_benefit_zero_for_empty_region(self):
         region = synthetic_region(0, (0, 0), (1, 1))
         region.covered = []
-        assert region_benefit(region, {0: region}, 2) == 0.0
+        assert region_benefit(region, 2) == 0.0
 
 
 class TestProgCountStaircase:
@@ -150,7 +149,10 @@ class TestProgCountStaircase:
     ProgCount(C)=2 (its y=1 row depends on D's (1,1), its y=0 row not).
     """
 
-    def _build(self):
+    def _build(self, **changes):
+        """The layout with ``changes`` (name -> cells) applied — a new name
+        adds a region — wired as the look-ahead wires it, and an execution
+        state over it."""
         from repro.core.output_grid import OutputGrid
 
         grid = OutputGrid([0.0, 0.0], [8.0, 8.0], 8)
@@ -160,6 +162,7 @@ class TestProgCountStaircase:
             "C": [(4, 0), (4, 1), (5, 0), (5, 1)],
             "D": [(1, 1), (1, 2)],
         }
+        layout.update(changes)
         regions = {}
         for rid, (name, cells) in enumerate(layout.items()):
             region = synthetic_region(rid, min(cells), max(cells))
@@ -172,37 +175,52 @@ class TestProgCountStaircase:
             region.unmarked_covered = len(region.covered)
             regions[name] = region
         grid.build_cones()
-        by_id = {r.rid: r for r in regions.values()}
-        return regions, by_id
+        state = ExecutionState(None, list(regions.values()), grid, VirtualClock())
+        return regions, state
+
+    @staticmethod
+    def _complete(state, region):
+        """What the kernel does when a region's processing ends."""
+        region.processed = True
+        state.complete_region(region)
 
     def test_progcounts_match_hand_computation(self):
-        regions, by_id = self._build()
-        assert progressive_count(regions["D"], by_id) == 2
-        assert progressive_count(regions["B"], by_id) == 0
-        assert progressive_count(regions["A"], by_id) == 2
-        assert progressive_count(regions["C"], by_id) == 2
+        regions, _ = self._build()
+        assert progressive_count(regions["D"]) == 2
+        assert progressive_count(regions["B"]) == 0
+        assert progressive_count(regions["A"]) == 2
+        assert progressive_count(regions["C"]) == 2
 
     def test_progcount_recovers_after_dependency_resolves(self):
-        """Once D is done and its cells settle, B becomes independent —
-        ProgCount is monotone under settlement (the property ProgOrder's
-        lazy rank refresh relies on)."""
-        regions, by_id = self._build()
-        d = regions["D"]
-        d.processed = True
-        for cell in d.covered:
-            cell.reg_count -= 1
-            cell.settled = True
-        assert progressive_count(regions["B"], by_id) == 4
-        assert progressive_count(regions["A"], by_id) == 4
-        assert progressive_count(regions["C"], by_id) == 4
+        """Once D completes and its cells settle, A, B and C become
+        independent."""
+        regions, state = self._build()
+        self._complete(state, regions["D"])
+        assert progressive_count(regions["B"]) == 4
+        assert progressive_count(regions["A"]) == 4
+        assert progressive_count(regions["C"]) == 4
+
+    # D's box grown to (2,2), a cell B covers too.
+    SHARED = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
     def test_done_region_coverage_does_not_block(self):
-        """A completed region's coverage of a cone cell must not count as
-        an external dependency even before the cell settles."""
-        regions, by_id = self._build()
-        d = regions["D"]
-        d.processed = True  # done, but cells not yet settled
-        assert progressive_count(regions["B"], by_id) == 4
+        """A completed region's coverage of a cone cell is no external
+        dependency: the shared cell stays unsettled, fed by B alone, and
+        blocks none of B's cells."""
+        regions, state = self._build(D=self.SHARED)
+        self._complete(state, regions["D"])
+        shared = state.grid.cells[(2, 2)]
+        assert not shared.settled and shared.reg_count == 1
+        assert progressive_count(regions["B"]) == 4
+
+    def test_pending_feeder_of_a_shared_cell_blocks(self):
+        """The converse: while E, still pending, also feeds the shared
+        cell, every cell of B above it is blocked."""
+        regions, state = self._build(D=self.SHARED, E=[(2, 2)])
+        self._complete(state, regions["D"])
+        assert state.grid.cells[(2, 2)].reg_count == 2
+        assert progressive_count(regions["B"]) == 1
+        assert progressive_count(regions["E"]) == 1
 
 
 class TestCostModel:

@@ -315,12 +315,16 @@ RETIRED = [
     # no config field or preset beside the variant name.
     (r"sfs_skyline|pareto_mask|vectorized_skyline|dominated_mask|dominating_mask"
      r"|source_skyline|variant_kwargs|progressive-plus", ("src/",)),
+    # ProgCount reads RegCount and the cone's pending count: no region table
+    # to look feeders up in.
+    ("regions_by_id", ("src/",)),
 ]
 
 
 @pytest.mark.parametrize("pattern, paths", RETIRED, ids=[
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
-    "one-scheduler", "one-filter-path", "one-pushthrough-switch"])
+    "one-scheduler", "one-filter-path", "one-pushthrough-switch",
+    "progcount-from-counters"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]
