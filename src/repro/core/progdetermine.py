@@ -27,7 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.output_grid import CellEntry, OutputCell, OutputGrid, pooled_entries
+from repro.core.output_grid import (
+    CellEntry,
+    OutputCell,
+    OutputGrid,
+    dominated_points,
+    pooled_entries,
+)
 from repro.core.regions import OutputRegion
 from repro.errors import ExecutionError
 from repro.query.smj import BoundQuery
@@ -81,6 +87,9 @@ class ExecutionState:
         #: Input rows left out of a region's join: a buffered entry
         #: dominated the corner of every pair they could make.
         self.rows_skipped = 0
+        #: Joined pairs left out of every cell-group scan: a buffered entry
+        #: dominated them (the witness pass of :meth:`insert_batch`).
+        self.pairs_skipped = 0
         self.discarded_on_arrival = 0
         self.dominated_on_arrival = 0
         self.live_entries = 0
@@ -242,7 +251,9 @@ class ExecutionState:
         of the region sees every entry of it.  Emitted entries stay in
         their cells and count.  A corner cell pre-marked at look-ahead has
         no cone.  The tests charge nothing: like the rank refresh before
-        them, they ride on the dispatch's ``queue_op``.
+        them, they ride on the dispatch's ``queue_op``.  :meth:`insert_batch`
+        pools them again for each batch of the active region (its witness
+        pass).
         """
         cell = self.grid.cells[region.cell_min]
         return pooled_entries((cell, *cell.cone_lower))
@@ -277,7 +288,10 @@ class ExecutionState:
         every dominance test run as one numpy broadcast per cell group and
         comparisons charged to the clock in bulk.  Each group is scanned
         against its cell and lower cone, swept for its local skyline, then
-        evicts, marks and is appended.
+        evicts, marks and is appended.  While a region is active, one
+        witness pass first removes the candidates its witness pool
+        dominates, and the scans skip that pool; the outcome and every
+        charge but ``dominance_cmp``, which only falls, stay the same.
         A budget tripwire can fire mid-batch; that is safe because nothing
         is emitted from here (the caller drains emissions only after the
         batch returns), so any previously yielded prefix remains provably
@@ -305,16 +319,42 @@ class ExecutionState:
         )
         stops = np.append(starts[1:], n)
 
-        for g in np.argsort(order[starts], kind="stable").tolist():
-            idx = order[starts[g]:stops[g]]
-            key = tuple(coords[idx[0]].tolist())
+        # (0) The witness pass: with the group order fixed, every candidate
+        # is tested once against the active region's witness pool — the
+        # entries of its corner cell and that cell's lower cone as they
+        # stand before the batch (:meth:`witnesses`).  Each of those cells
+        # is the group's own cell or in its lower cone, so a candidate the
+        # pool dominates would die in its group's (1a) scan: it leaves its
+        # group here, uncharged like the region and row tests.  The scans
+        # then skip the pool.  No pool cell but the corner can change
+        # mid-batch: they are ``<=`` every covered cell, so they are never
+        # an eviction target, never strictly above a group and never
+        # appended to.  The corner's group evicts from it only what its own
+        # survivors dominate, and appends them; so a scan keeps the
+        # corner's last ``fresh`` entries, the ones appended this batch.
+        region = self.active_region
+        pool = None if region is None else self.witnesses(region)
+        corner, pooled, fresh = None, frozenset(), 0
+        killed = [0] * len(starts)
+        if pool is not None:
+            corner = grid.cells[region.cell_min]
+            pooled = frozenset(c.coords for c in corner.cone_lower if c.size)
+            dead = dominated_points(pool, vectors)
+            killed = np.add.reduceat(dead[order], starts, dtype=np.intp).tolist()
+
+        first = order[starts]
+        keys = coords[first].tolist()
+        bounds = np.column_stack((starts, stops)).tolist()
+        for g in np.argsort(first, kind="stable").tolist():
+            key = tuple(keys[g])
             cell = grid.cells.get(key)
             if cell is None:
                 raise ExecutionError(
                     f"mapped result batch fell into inactive cell {key}; "
                     "region covering is broken"
                 )
-            b = len(idx)
+            lo, hi = bounds[g]
+            b = hi - lo
             if cell.marked:
                 clock.charge("discard", b)
                 self.discarded_on_arrival += b
@@ -324,6 +364,14 @@ class ExecutionState:
                     f"tuple batch arrived in settled cell {cell!r}; "
                     "RegCount accounting broken"
                 )
+            idx = order[lo:hi]
+            if killed[g]:
+                self.dominated_on_arrival += killed[g]
+                self.pairs_skipped += killed[g]
+                if killed[g] == b:
+                    continue  # the pass emptied the group: no kernel
+                idx = idx[~dead[idx]]
+                b = len(idx)
             cand = vectors[idx]  # (b, d)
 
             # (1) Dominator filtering in two stages, the first shrinking
@@ -332,31 +380,46 @@ class ExecutionState:
             # before it in sum order beats it, and where such a point fell
             # to the scan, its dominator beats this point too and the scan
             # removes it as well.  So the survivors are those of the
-            # sweep-first order.  NaN coordinates break transitivity and
-            # with it this argument.
+            # sweep-first order.  Mapped vectors are finite
+            # (:meth:`~repro.query.smj.BoundQuery.map_rows_batch`), which
+            # this argument needs: NaN breaks transitivity.
             #
             # (1a) the §III-B scan: the cell's own entries, then its
             # non-empty lower cone, pooled into one kernel launch in the
-            # order the per-tuple scan walks them.  It kills almost every
-            # candidate, so it runs first.  Charged as that scan: each
-            # candidate pays for the entries before its first dominator
-            # (own entries twice, as the scan tests both directions) plus
-            # the dominator itself, or for the whole pool if none beats it.
-            # Charges are per candidate, so candidate blocks sum to them.
+            # order the per-tuple scan walks them, less what the witness
+            # pass tested.  It kills almost every candidate, so it runs
+            # first.  Charged as that scan: each candidate pays for the
+            # entries before its first dominator (own entries twice, as the
+            # scan tests both directions) plus the dominator itself, or for
+            # the whole pool if none beats it.  The witness entries dropped
+            # from the pool dominate no candidate left, so dropping them
+            # lowers each charge by the entries they were.  Charges are per
+            # candidate, so candidate blocks sum to them.
             own = cell.size
+            scanned_own = 0 if cell is corner else own
             live = np.arange(b, dtype=np.intp)
-            pool_mats = [c.vector_matrix() for c in (cell, *cell.cone_lower) if c.size]
+            pool_mats = []
+            for c in (cell, *cell.cone_lower):
+                if not c.size:
+                    continue
+                if c is corner:
+                    if fresh:
+                        pool_mats.append(c.vector_matrix()[-fresh:])
+                elif c.coords not in pooled:
+                    pool_mats.append(c.vector_matrix())
             if pool_mats:
-                pool = np.concatenate(pool_mats) if len(pool_mats) > 1 else pool_mats[0]
-                step = max(1, DOMINANCE_LANES // len(pool))
+                scan = np.concatenate(pool_mats) if len(pool_mats) > 1 else pool_mats[0]
+                step = max(1, DOMINANCE_LANES // len(scan))
                 charged = 0
                 alive = np.empty(b, dtype=bool)
                 for lo in range(0, b, step):
                     seen = np.logical_or.accumulate(
-                        dominates_matrix(pool, cand[lo : lo + step]), axis=0
+                        dominates_matrix(scan, cand[lo : lo + step]), axis=0
                     )
                     passed = seen.size - np.count_nonzero(seen)
-                    passed_own = own * seen.shape[1] - np.count_nonzero(seen[:own])
+                    passed_own = scanned_own * seen.shape[1] - np.count_nonzero(
+                        seen[:scanned_own]
+                    )
                     beaten = np.count_nonzero(seen[-1])
                     charged += passed + passed_own + beaten
                     np.logical_not(seen[-1], out=alive[lo : lo + step])
@@ -428,6 +491,8 @@ class ExecutionState:
                 [rrows[i] for i in picked],
                 mapped[surv_idx],
             )
+            if cell is corner:
+                fresh = s
             self.inserted += s
             self.live_entries += s
             if self.live_entries > self.peak_live_entries:

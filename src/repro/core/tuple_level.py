@@ -31,8 +31,9 @@ from repro.storage.partition import ColumnBlock, PairRows
 
 #: Joined pairs pending before a flush into
 #: :meth:`~repro.core.progdetermine.ExecutionState.insert_batch`.  A flush
-#: has a large fixed cost (grouping, one kernel launch per cell group), so
-#: regions up to this size go in as one batch.  Read at flush time.
+#: has a large fixed cost (grouping, one witness pass, then one kernel
+#: launch per cell group the pass leaves non-empty), so regions up to this
+#: size go in as one batch.  Read at flush time.
 FLUSH_PAIRS = 16384
 
 #: A region tests its rows against the witness pool only when it expects at

@@ -15,14 +15,16 @@ output object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import BindingError, QueryError
+from repro.errors import BindingError, ExecutionError, QueryError
 from repro.query.expressions import AttrRef
 from repro.query.intervals import Interval
 from repro.query.mapping import MappingSet
 from repro.skyline.preferences import Direction, ParetoPreference
+from repro.storage.partition import materialize_rows
 from repro.storage.sources.base import DataSource
 from repro.storage.sources.filtered import FilteredSource, conditions_fingerprint
 from repro.storage.sources.memory import InMemorySource
@@ -321,8 +323,15 @@ class BoundQuery:
     # hot-path evaluation
     # ------------------------------------------------------------------
     def map_pair(self, lrow: Row, rrow: Row) -> tuple[float, ...]:
-        """Raw mapped values for one joined pair (query orientation)."""
-        return self._map_fn(lrow, rrow)
+        """Raw mapped values for one joined pair (query orientation).
+
+        Refuses a pair whose vector would hold a NaN or ±inf
+        (:meth:`_refuse_non_finite`), as :meth:`map_rows_batch` does."""
+        mapped = self._map_fn(lrow, rrow)
+        for i in self.skyline_dims:
+            if not math.isfinite(mapped[i]):
+                raise self._refuse_non_finite(mapped[i], i, lrow, rrow)
+        return mapped
 
     def vector_of(self, mapped: tuple[float, ...]) -> tuple[float, ...]:
         """Normalised minimisation vector over the skyline dimensions."""
@@ -376,7 +385,34 @@ class BoundQuery:
             if arr.ndim == 0:  # constant-valued mapping dimension
                 arr = np.full(n, float(arr))
             cols.append(arr)
-        return np.column_stack(cols)
+        mapped = np.column_stack(cols)
+        dims = list(self.skyline_dims)
+        bad = ~np.isfinite(mapped[:, dims])
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            raise self._refuse_non_finite(mapped[i, dims[j]], dims[j], lrows[i], rrows[i])
+        return mapped
+
+    def _refuse_non_finite(
+        self, value: float, dim: int, lrow: Any, rrow: Any
+    ) -> ExecutionError:
+        """The error for a pair whose mapped value ``value`` in output
+        column ``dim`` is NaN or ±inf, naming the column and both rows.
+
+        Finite inputs can map to one (``2 * 1e308`` overflows, and ``inf -
+        inf`` is NaN).  A NaN breaks the transitivity of dominance, which
+        the insertion path's scan-then-sweep order and the witness tests
+        rest on; an infinity has no output grid cell.  ``lrow`` and
+        ``rrow`` are row tuples or
+        :class:`~repro.storage.partition.RowRef` references, fetched here.
+        """
+        shown = "NaN" if math.isnan(value) else repr(float(value))
+        left, right = materialize_rows([lrow, rrow])
+        return ExecutionError(
+            f"{shown} in output column {self.query.mappings.names[dim]!r} for "
+            f"{self.left_alias} row {left!r} joined with {self.right_alias} "
+            f"row {right!r}: a mapped value must be a finite number"
+        )
 
     def vectors_of_batch(self, mapped):
         """Batched :meth:`vector_of`: ``(n, k)`` mapped → ``(n, d)`` vectors."""

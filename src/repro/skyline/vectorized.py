@@ -29,7 +29,11 @@ move when a kernel is reshaped.  Callers follow the same rule: the
 engine's batched insertion runs its dominator scan as one
 :func:`dominates_matrix` launch and charges each candidate the
 short-circuiting scan it stands for, up to and including its first
-dominator.  Every skyline of the library runs on :func:`skyline_order`
+dominator.  A test that removes only pairs the scan would have killed
+charges nothing: the engine's three witness tests — a region's corner, a
+row's corner, and each joined batch against the region's witness pool,
+which the scans then leave out — lower the scan's charge with the pairs
+they drop.  Every skyline of the library runs on :func:`skyline_order`
 — the engine's batch sweep, push-through's per-group LS(N), and the
 batch skylines of JF-SL, SSMJ and the multi-way blocking evaluator —
 except the independent references (``core/verify.py``, the tests'

@@ -10,6 +10,12 @@ column and the row position.  Every backend, static and follow queries,
 and a served query (an ``error`` frame, terminal state ``failed``) are
 covered here; the driver matrix of ``tests/test_engine_failure.py`` runs
 the follow case through every driver.
+
+Finite inputs can still map to a non-finite value: with ``R.a0`` and
+``T.b0`` both ``1e308``, ``2*R.a0 - 2*T.b0`` is ``inf - inf``.  The map
+refuses it where the vector is computed — ``BoundQuery.map_rows_batch``
+for ProgXe, ``map_pair`` for the baselines — naming the output column and
+the pair's two rows.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import asyncio
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.engine import ProgXeEngine
@@ -191,3 +198,88 @@ def test_served_query_sends_an_error_frame(label):
     assert re.search(named(label, "a1", 2), frames[-2]["error"])
     assert frames[-1]["state"] == FAILED
     assert active == 0
+
+
+# ----------------------------------------------------------------------
+# a finite input that overflows inside the mapping
+# ----------------------------------------------------------------------
+OVERFLOW_SQL = (
+    "SELECT R.id, T.id, (2 * R.a0 - 2 * T.b0) AS x0, (R.a1 + T.b1) AS x1 "
+    "FROM R R, T T WHERE R.jkey = T.jkey PREFERRING LOWEST(x0) AND LOWEST(x1)"
+)
+#: ``r9`` and ``t9`` join only each other; their pair maps to NaN.
+HUGE_LEFT = ("r9", "J9", 1e308, 5.0)
+HUGE_RIGHT = ("t9", "J9", 1e308, 3.0)
+OVERFLOW = re.escape(
+    f"NaN in output column 'x0' for R row {HUGE_LEFT!r} joined with "
+    f"T row {HUGE_RIGHT!r}: a mapped value must be a finite number"
+)
+
+
+def overflow_tables() -> dict:
+    left = Table.from_rows("R", COLUMNS, CLEAN + [HUGE_LEFT])
+    right = right_table()
+    return {"R": left, "T": Table.from_rows("T", right.schema.columns, right.rows + [HUGE_RIGHT])}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestMappedOverflow:
+    @pytest.mark.parametrize("partitioning", PARTITIONINGS)
+    def test_direct_query_ends_failed(self, partitioning):
+        stream = Session().register_tables(overflow_tables()).execute(
+            OVERFLOW_SQL, config=EngineConfig(partitioning=partitioning)
+        )
+        with pytest.raises(ExecutionError, match=OVERFLOW):
+            stream.drain()
+        assert stream.state == FAILED
+        assert re.search(OVERFLOW, stream.stop_reason)
+
+    @pytest.mark.parametrize("algorithm", ["ProgXe+", "JF-SL", "JF-SL+", "SSMJ", "SAJ"])
+    def test_every_algorithm_refuses_the_pair(self, algorithm):
+        """ProgXe+ maps through ``map_rows_batch``; the baselines map one
+        pair at a time (``map_pair``)."""
+        stream = Session().register_tables(overflow_tables()).execute(
+            OVERFLOW_SQL, algorithm=algorithm
+        )
+        with pytest.raises(ExecutionError, match=OVERFLOW):
+            stream.drain()
+        assert stream.state == FAILED
+
+    def test_scheduled_query_ends_failed(self):
+        scheduler = Session().register_tables(overflow_tables()).scheduler()
+        handle = scheduler.submit(OVERFLOW_SQL)
+        with pytest.raises(ExecutionError, match=OVERFLOW):
+            for _ in range(100):
+                scheduler.tick()
+        assert handle.state == FAILED
+        assert re.search(OVERFLOW, handle.stop_reason)
+
+    def test_served_query_sends_an_error_frame(self):
+        session = Session().register_tables(overflow_tables())
+
+        async def main():
+            server = QueryServer(session, port=0)
+            await server.start()
+            try:
+                frames = await asyncio.wait_for(
+                    post_query(server, {"sql": OVERFLOW_SQL}), timeout=30
+                )
+                return frames, server.admission.active
+            finally:
+                await server.stop(timeout=10.0)
+
+        frames, active = asyncio.run(main())
+        assert [frame["event"] for frame in frames][-2:] == ["error", "complete"]
+        assert re.search(OVERFLOW, frames[-2]["error"])
+        assert frames[-1]["state"] == FAILED
+        assert active == 0
+
+    def test_a_batch_names_its_first_non_finite_pair(self):
+        """A clean batch passes; a batch holding the pair names it,
+        wherever it sits in the batch."""
+        bound = parse_query(OVERFLOW_SQL).bind(overflow_tables())
+        clean = bound.map_rows_batch([CLEAN[0]], [right_table().rows[0]])
+        assert np.isfinite(clean).all()
+        with pytest.raises(ExecutionError, match=OVERFLOW):
+            bound.map_rows_batch([CLEAN[0], HUGE_LEFT], [right_table().rows[0], HUGE_RIGHT])
