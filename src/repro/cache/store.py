@@ -59,8 +59,7 @@ class PartitionKey:
         The column feeding the join-value signatures.
     partitioner:
         The partitioner's ``descriptor()`` — kind plus every knob that
-        shapes the structure (cells per dimension, leaf capacity and depth,
-        signature kind, bloom geometry).
+        shapes the structure (cells per dimension, leaf capacity and depth).
     backend:
         The source's :attr:`~repro.storage.sources.base.DataSource.kind`.
         Redundant with the uid's structure, but it makes the hygiene rule

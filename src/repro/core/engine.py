@@ -35,7 +35,6 @@ from repro.core.plan import QueryPlan
 from repro.errors import ExecutionError
 from repro.query.smj import BoundQuery, ResultTuple
 from repro.runtime.clock import VirtualClock
-from repro.storage.signatures import SIGNATURE_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.cache.plan_cache import PlanCache
@@ -66,7 +65,6 @@ class ProgXeEngine:
         pushthrough: bool = False,
         input_cells: int | None = None,
         output_cells: int | None = None,
-        signature_kind: str = "exact",
         partitioning: str = "grid",
         leaf_capacity: int | None = None,
         seed: int = 0,
@@ -79,11 +77,6 @@ class ProgXeEngine:
             raise ValueError(
                 f"partitioning must be 'grid' or 'quadtree', got {partitioning!r}"
             )
-        if signature_kind not in SIGNATURE_KINDS:
-            raise ValueError(
-                f"signature_kind must be one of {SIGNATURE_KINDS}, "
-                f"got {signature_kind!r}"
-            )
         if follow and pushthrough:
             raise ValueError(
                 "follow=True is incompatible with pushthrough: push-through "
@@ -94,7 +87,6 @@ class ProgXeEngine:
         self.clock = clock or VirtualClock()
         self.ordering = ordering
         self.pushthrough = pushthrough
-        self.signature_kind = signature_kind
         self.partitioning = partitioning
         self.leaf_capacity = leaf_capacity
         self.seed = seed
@@ -162,7 +154,6 @@ class ProgXeEngine:
             pushthrough=self.pushthrough,
             input_cells=self.input_cells,
             output_cells=self.output_cells,
-            signature_kind=self.signature_kind,
             partitioning=self.partitioning,
             leaf_capacity=self.leaf_capacity,
             seed=self.seed,

@@ -96,16 +96,15 @@ def explain(
     *,
     input_cells: int | None = None,
     output_cells: int | None = None,
-    signature_kind: str = "exact",
 ) -> ExplainReport:
     """Plan-only dry run: look-ahead + ranking, no tuple-level processing."""
     clock = VirtualClock()
     k_left, k_right = input_cells_per_side(bound, input_cells)
-    left_grid = GridPartitioner(k_left, signature_kind).partition(
+    left_grid = GridPartitioner(k_left).partition(
         bound.left_table, bound.left_map_attrs, bound.query.join.left_attr,
         source=bound.left_alias,
     )
-    right_grid = GridPartitioner(k_right, signature_kind).partition(
+    right_grid = GridPartitioner(k_right).partition(
         bound.right_table, bound.right_map_attrs, bound.query.join.right_attr,
         source=bound.right_alias,
     )
@@ -230,7 +229,6 @@ class PlanningReport:
     #: Grid cells per dimension on the (left, right) side; ``None`` under
     #: quadtree partitioning.
     input_cells: tuple[int, int] | None
-    corrected: bool
     pinned: tuple[str, ...]
     rows: list[EstimateRow] = field(default_factory=list)
 
@@ -240,10 +238,6 @@ class PlanningReport:
         if self.input_cells is not None:
             left, right = self.input_cells
             lines.append(f"  input cells:     left {left}, right {right}")
-        lines.append(
-            f"  feedback:        "
-            f"{'corrected by prior run' if self.corrected else 'cold (first run)'}"
-        )
         if self.pinned:
             lines.append(f"  pinned by caller: {', '.join(self.pinned)}")
         lines += [
@@ -270,7 +264,6 @@ class PlanningReport:
             "input_cells": (
                 None if self.input_cells is None else list(self.input_cells)
             ),
-            "corrected": self.corrected,
             "pinned": list(self.pinned),
             "rows": [
                 {
@@ -323,7 +316,6 @@ def explain_estimates(
     return PlanningReport(
         partitioning=decision.partitioning,
         input_cells=decision.input_cells,
-        corrected=decision.estimates.corrected,
         pinned=decision.pinned,
         rows=[
             EstimateRow(metric=metric, estimated=estimated, actual=actual)

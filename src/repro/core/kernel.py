@@ -411,10 +411,8 @@ class ExecutionKernel:
         )
         decision = self.plan.decision
         if decision is not None:
-            # Close the planner's feedback loop: the actual join
-            # cardinality (one join_result charge per pair) and skyline
-            # size flow back into the statistics store, so the next plan
-            # over the same tables starts from observed numbers.
+            # The actual join cardinality (one join_result charge per
+            # pair) and skyline size, beside the planner's estimates.
             decision.record_run_actuals(
                 join_rows=self.clock.count("join_result"),
                 skyline_size=self.results_emitted,

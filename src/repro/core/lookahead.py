@@ -3,17 +3,19 @@
 Executes join and skyline reasoning at partition granularity, before any
 tuple is touched:
 
-1. **Join pruning** — input partition pairs whose join-value signatures
-   provably share no value generate no region at all.
+1. **Join pruning** — input partition pairs whose exact join-value
+   signatures share no value generate no region at all.  Every pair that
+   survives shares a value, so every region built holds at least one join
+   result.
 2. **Region construction** — for the surviving pairs, the mapping functions
    are evaluated over the partition bounding boxes with interval arithmetic
    to obtain the output region each pair populates (Example 1).
-3. **Region-level elimination** — a region *guaranteed* to be populated
-   whose upper corner dominates another region's lower corner eliminates
-   that region outright: its join never runs (Example 2).
-4. **Cell-level marking** — guaranteed regions mark output cells that any
-   of their future tuples must dominate as "non-contributing"
-   (Example 3); results mapped there are discarded without comparisons.
+3. **Region-level elimination** — a region whose upper corner dominates
+   another region's lower corner eliminates that region outright: its
+   join never runs (Example 2).
+4. **Cell-level marking** — regions mark output cells that any of their
+   future tuples must dominate as "non-contributing" (Example 3); results
+   mapped there are discarded without comparisons.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def build_block_regions(
         [p.attribute_intervals(left_attributes) for p in left_parts],
         [p.attribute_intervals(right_attributes) for p in right_parts],
     )
-    share, expected, guaranteed = pair_overlap(
+    share, expected = pair_overlap(
         [p.signature for p in left_parts], [p.signature for p in right_parts],
         *codes,
     )
@@ -103,7 +105,6 @@ def build_block_regions(
         map(tuple, lowers[at].tolist()),
         map(tuple, uppers[at].tolist()),
         expected[at].tolist(),
-        guaranteed[at].tolist(),
     ))
     return regions, pruned
 
@@ -113,21 +114,18 @@ def eliminate_dominated_regions(
 ) -> list[OutputRegion]:
     """Region-level complete elimination (Example 2).
 
-    A guaranteed region ``g`` holds at least one tuple ``v <= g.upper``; if
+    Every region ``g`` holds at least one tuple ``v <= g.upper``; if
     ``g.upper <= r.lower`` everywhere with strict inequality somewhere, that
     tuple dominates *every* tuple ``r`` can ever produce, so ``r`` is
-    discarded.  Vectorised over all (guaranteed, region) pairs.
+    discarded.  Vectorised over all region pairs.
     """
     if not regions:
         return regions
-    guaranteed = [r for r in regions if r.guaranteed]
-    if not guaranteed:
-        return regions
-    clock.charge("graph_op", len(guaranteed))
-    # A guaranteed region never eliminates itself: its upper corner cannot
-    # strictly dominate its own lower corner (upper >= lower).
+    clock.charge("graph_op", len(regions))
+    # A region never eliminates itself: its upper corner cannot strictly
+    # dominate its own lower corner (upper >= lower).
     dominated = dominated_by_any(
-        [r.lower for r in regions], [g.upper for g in guaranteed]
+        [r.lower for r in regions], [r.upper for r in regions]
     )
     survivors = []
     for region, dead in zip(regions, dominated):
@@ -162,21 +160,21 @@ def premark_dominated_cells(
     grid: OutputGrid,
     clock: VirtualClock,
 ) -> int:
-    """Cell-level marking by guaranteed regions (Example 3).
+    """Cell-level marking by the live regions (Example 3).
 
-    Each guaranteed region holds a future tuple ``v <= upper``; every active
+    Each live region holds a future tuple ``v <= upper``; every active
     cell whose lower corner is ``>= upper`` everywhere and ``>`` somewhere
     is dominated by that tuple wholesale.  Returns the number of cells
     marked.  Runs before cone construction, so marked cells simply never
     enter the comparison topology.
     """
-    guaranteed = [r for r in regions if r.guaranteed and not r.discarded]
-    if not guaranteed or not grid.cells:
+    live = [r for r in regions if not r.discarded]
+    if not live or not grid.cells:
         return 0
     cells = list(grid.cells.values())
-    clock.charge("graph_op", len(guaranteed))
+    clock.charge("graph_op", len(live))
     dominated = dominated_by_any(
-        [c.lower for c in cells], [g.upper for g in guaranteed]
+        [c.lower for c in cells], [r.upper for r in live]
     )
     marked = 0
     region_by_id = {r.rid: r for r in regions}

@@ -162,7 +162,6 @@ class QueryPlan:
         pushthrough: bool = False,
         input_cells: int | None = None,
         output_cells: int | None = None,
-        signature_kind: str = "exact",
         partitioning: str = "grid",
         leaf_capacity: int | None = None,
         seed: int = 0,
@@ -225,16 +224,12 @@ class QueryPlan:
             capacity = leaf_capacity or max(
                 8, (len(left_table) + len(right_table)) // 32
             )
-            partitioner_left = QuadTreePartitioner(
-                capacity, signature_kind=signature_kind
-            )
-            partitioner_right = QuadTreePartitioner(
-                capacity, signature_kind=signature_kind
-            )
+            partitioner_left = QuadTreePartitioner(capacity)
+            partitioner_right = QuadTreePartitioner(capacity)
         else:
             k_left, k_right = input_cells_per_side(bound, input_cells)
-            partitioner_left = GridPartitioner(k_left, signature_kind)
-            partitioner_right = GridPartitioner(k_right, signature_kind)
+            partitioner_left = GridPartitioner(k_left)
+            partitioner_right = GridPartitioner(k_right)
         left_grid = _partition_side(
             partitioner_left, left_table, bound.left_map_attrs,
             bound.query.join.left_attr, bound.left_alias, clock, cache_events,

@@ -4,7 +4,9 @@ A region ``R_{a,b}`` (paper notation, Table I) is the box of the output
 space into which every join result of input partitions ``I^R_a`` and
 ``I^T_b`` must fall, obtained by mapping the partitions' attribute boxes
 through the query's mapping functions with interval arithmetic.  All region
-coordinates here are in *normalised* (minimisation) output space.
+coordinates here are in *normalised* (minimisation) output space.  A
+region exists only for partitions whose signatures share a join value, so
+every region holds at least one join result (§III-A).
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ class OutputRegion:
 
     Lifecycle flags:
 
-    * ``guaranteed`` — the partition signatures *prove* at least one join
-      result exists, enabling this region to prune others (§III-A),
     * ``discarded`` — the region is dominated (region-level elimination or
       all its covered cells got marked); its tuple-level processing is
       skipped entirely,
@@ -37,7 +37,6 @@ class OutputRegion:
         "lower",
         "upper",
         "expected_join",
-        "guaranteed",
         "covered",
         "cell_min",
         "cell_max",
@@ -57,7 +56,6 @@ class OutputRegion:
         lower: tuple[float, ...],
         upper: tuple[float, ...],
         expected_join: float,
-        guaranteed: bool,
     ) -> None:
         self.rid = rid
         self.left_partition = left_partition
@@ -65,7 +63,6 @@ class OutputRegion:
         self.lower = lower
         self.upper = upper
         self.expected_join = expected_join
-        self.guaranteed = guaranteed
         self.covered: list["OutputCell"] = []
         self.cell_min: tuple[int, ...] = ()
         self.cell_max: tuple[int, ...] = ()

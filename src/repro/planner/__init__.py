@@ -1,11 +1,11 @@
-"""Statistics-driven cost-based planning and self-tuning.
+"""Statistics-driven cost-based planning.
 
 :func:`collect_statistics` summarises sources in one sampled scan,
 :mod:`repro.planner.cost` turns summaries into estimates (fanout, join
 cardinality), and the :class:`Planner` picks the one knob the
-statistics can decide — the quadtree on skewed inputs — records every
-estimate on its :class:`PlanDecision`, and learns from post-run actuals.  Grid
-granularity and batch size stay at the engine defaults unless pinned.
+statistics can decide — the quadtree on skewed inputs — and records every
+estimate on its :class:`PlanDecision`, beside the actuals the run records.
+Grid granularity stays at the engine default unless pinned.
 
 Entry points::
 
@@ -17,7 +17,6 @@ Entry points::
 from repro.planner.choose import PlanDecision, PlanEstimates, Planner
 from repro.planner.statistics import (
     ColumnStatistics,
-    JoinObservation,
     SourceStatistics,
     StatisticsCounters,
     StatisticsStore,
@@ -29,7 +28,6 @@ __all__ = [
     "PlanEstimates",
     "Planner",
     "ColumnStatistics",
-    "JoinObservation",
     "SourceStatistics",
     "StatisticsCounters",
     "StatisticsStore",

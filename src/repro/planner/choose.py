@@ -8,11 +8,7 @@ carrying:
   inputs) and the grid granularity, which is the engine's own
   (:func:`~repro.core.plan.input_cells_per_side`) unless pinned;
 * **every estimate of the plan** (:class:`PlanEstimates`), so EXPLAIN can
-  print estimate-vs-actual columns after the run;
-* the query *fingerprint* under which post-run actuals feed back into the
-  statistics store — the second plan over the same tables starts from the
-  observed join/skyline cardinalities instead of the independence
-  assumptions (``PlanEstimates.corrected`` marks such plans).
+  print estimate-vs-actual columns after the run.
 
 Knobs the caller pinned explicitly (a non-default ``partitioning``, an
 explicit ``input_cells``) are honoured, never overridden: the planner
@@ -26,9 +22,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.plan import input_cells_per_side
 from repro.planner.cost import join_cardinality, partition_fanout
-from repro.planner.statistics import JoinObservation, StatisticsStore
+from repro.planner.statistics import StatisticsStore
 from repro.skyline.estimate import expected_skyline_size
-from repro.storage.sources.filtered import conditions_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.query.smj import BoundQuery
@@ -62,8 +57,6 @@ class PlanEstimates:
     join_rows: float
     skyline_size: float
     skew: float
-    #: True when run feedback corrected the cardinality estimates.
-    corrected: bool = False
 
 
 @dataclass
@@ -73,8 +66,7 @@ class PlanDecision:
     ``actuals`` starts empty and is filled in two stages:
     :meth:`record_plan_actuals` during plan construction (rows scanned,
     partition counts, regions) and :meth:`record_run_actuals` at kernel
-    finalize (join cardinality, skyline size) — the latter also feeds the
-    observation back into the planner's statistics store.
+    finalize (join cardinality, skyline size).
 
     Example::
 
@@ -90,11 +82,9 @@ class PlanDecision:
     #: the plan partitions with the quadtree.
     input_cells: tuple[int, int] | None
     estimates: PlanEstimates
-    fingerprint: tuple
     #: Names of knobs the caller pinned (honoured, not chosen).
     pinned: tuple[str, ...] = ()
     actuals: dict[str, float] = field(default_factory=dict)
-    _planner: "Planner | None" = field(default=None, repr=False)
 
     def record_plan_actuals(
         self,
@@ -119,23 +109,10 @@ class PlanDecision:
     def record_run_actuals(
         self, *, join_rows: float, skyline_size: float
     ) -> None:
-        """Record execution actuals and feed them back into the store."""
+        """Record execution actuals (join cardinality, skyline size)."""
         self.actuals.update(
             join_rows=float(join_rows), skyline_size=float(skyline_size)
         )
-        if self._planner is not None:
-            self._planner.observe(
-                self.fingerprint,
-                rows_left=self.actuals.get(
-                    "rows_left", self.estimates.rows_left
-                ),
-                rows_right=self.actuals.get(
-                    "rows_right", self.estimates.rows_right
-                ),
-                join_rows=float(join_rows),
-                skyline_size=float(skyline_size),
-                regions=self.actuals.get("regions", self.estimates.regions),
-            )
 
     def comparison(self) -> list[tuple[str, float, float | None]]:
         """``(metric, estimated, actual)`` rows for the EXPLAIN report.
@@ -161,9 +138,8 @@ class PlanDecision:
 class Planner:
     """Statistics-driven planner (see the module docs).
 
-    One planner instance accumulates state across queries: source
-    summaries (token-validated) and run feedback keyed by query
-    fingerprint.  Sessions hold one planner and pass it to every engine
+    One planner instance accumulates source summaries (token-validated)
+    across queries.  Sessions hold one planner and pass it to every engine
     they build with the ``"auto"`` preset.
 
     Example::
@@ -171,8 +147,6 @@ class Planner:
         planner = Planner()
         decision = planner.decide(bound)
         decision.partitioning, decision.input_cells
-        # after a run, actuals recorded via the kernel feed back in:
-        planner.statistics.feedback_for(decision.fingerprint)
     """
 
     def __init__(self, *, statistics: StatisticsStore | None = None) -> None:
@@ -216,15 +190,6 @@ class Planner:
             query.join.left_attr, query.join.right_attr,
             rows_left=rows_left, rows_right=rows_right,
         )
-        fingerprint = self._fingerprint(bound, left_base, right_base)
-        observation = self.statistics.feedback_for(fingerprint)
-        corrected = False
-        skyline_size = expected_skyline_size(join_rows, dims)
-        if observation is not None:
-            join_rows, skyline_size = self._corrected_estimates(
-                observation, rows_left, rows_right, dims
-            )
-            corrected = True
 
         skew = max(
             left_stats.skew(bound.left_map_attrs),
@@ -264,9 +229,8 @@ class Planner:
             fanout_right=fanout_right,
             regions=fanout_left * fanout_right,
             join_rows=join_rows,
-            skyline_size=skyline_size,
+            skyline_size=expected_skyline_size(join_rows, dims),
             skew=skew,
-            corrected=corrected,
         )
         return PlanDecision(
             partitioning=partitioning,
@@ -274,64 +238,5 @@ class Planner:
                 (cells_left, cells_right) if partitioning == "grid" else None
             ),
             estimates=estimates,
-            fingerprint=fingerprint,
             pinned=tuple(pinned),
-            _planner=self,
-        )
-
-    # ------------------------------------------------------------------
-    # feedback
-    # ------------------------------------------------------------------
-    def observe(
-        self,
-        fingerprint: tuple,
-        *,
-        rows_left: float,
-        rows_right: float,
-        join_rows: float,
-        skyline_size: float,
-        regions: float,
-    ) -> None:
-        """Record one run's actuals for ``fingerprint`` (latest wins)."""
-        self.statistics.record_feedback(
-            fingerprint,
-            JoinObservation(
-                rows_left=rows_left,
-                rows_right=rows_right,
-                join_rows=join_rows,
-                skyline_size=skyline_size,
-                regions=regions,
-            ),
-        )
-
-    def _corrected_estimates(
-        self,
-        observation: JoinObservation,
-        rows_left: float,
-        rows_right: float,
-        dims: int,
-    ) -> tuple[float, float]:
-        """Scale an observation to the current input cardinalities."""
-        observed_product = max(
-            observation.rows_left * observation.rows_right, 1.0
-        )
-        scale = (rows_left * rows_right) / observed_product
-        join_rows = max(1.0, observation.join_rows * scale)
-        if abs(scale - 1.0) < 1e-9:
-            skyline = max(1.0, observation.skyline_size)
-        else:
-            skyline = expected_skyline_size(join_rows, dims)
-        return join_rows, skyline
-
-    def _fingerprint(
-        self, bound: "BoundQuery", left_base, right_base
-    ) -> tuple:
-        query = bound.query
-        return (
-            left_base.uid,
-            right_base.uid,
-            query.join.left_attr,
-            query.join.right_attr,
-            conditions_fingerprint(query.filters),
-            bound.skyline_dimension_count,
         )

@@ -17,11 +17,6 @@ validates them with the source's ``cache_token`` — the same
   (:func:`~repro.storage.sources.base.delta_start_row`) → **patch**: only
   the appended suffix is scanned and folded into the existing summary;
 * anything else (out-of-band mutation, unknown source) → **rebuild**.
-
-The store also holds the planner's *feedback* memory: after a run, actual
-join/skyline cardinalities are recorded per query fingerprint
-(:meth:`StatisticsStore.record_feedback`), so the next plan over the same
-tables starts from observed numbers instead of independence assumptions.
 """
 
 from __future__ import annotations
@@ -415,22 +410,6 @@ def collect_statistics(
 
 
 @dataclass(frozen=True)
-class JoinObservation:
-    """Actuals from one finished run, keyed by query fingerprint.
-
-    ``rows_left`` / ``rows_right`` are the (filtered) input cardinalities
-    the observation was taken at, so later plans over grown tables can
-    scale ``join_rows`` instead of replaying it verbatim.
-    """
-
-    rows_left: float
-    rows_right: float
-    join_rows: float
-    skyline_size: float
-    regions: float
-
-
-@dataclass(frozen=True)
 class StatisticsCounters:
     """Cache-outcome counters of a :class:`StatisticsStore` (plain data)."""
 
@@ -438,11 +417,10 @@ class StatisticsCounters:
     patches: int
     rebuilds: int
     entries: int
-    feedback_entries: int
 
 
 class StatisticsStore:
-    """Token-validated cache of :class:`SourceStatistics` plus feedback.
+    """Token-validated cache of :class:`SourceStatistics`.
 
     Example::
 
@@ -465,7 +443,6 @@ class StatisticsStore:
         self.bins = bins
         self.max_entries = max_entries
         self._entries: dict[Any, SourceStatistics] = {}
-        self._feedback: dict[Any, JoinObservation] = {}
         self.hits = 0
         self.patches = 0
         self.rebuilds = 0
@@ -535,27 +512,11 @@ class StatisticsStore:
         uid = getattr(source_or_uid, "uid", source_or_uid)
         return self._entries.get(uid)
 
-    # ------------------------------------------------------------------
-    # run feedback
-    # ------------------------------------------------------------------
-    def record_feedback(
-        self, fingerprint: Any, observation: JoinObservation
-    ) -> None:
-        """Store post-run actuals for ``fingerprint`` (latest wins)."""
-        self._feedback[fingerprint] = observation
-        while len(self._feedback) > self.max_entries:
-            self._feedback.pop(next(iter(self._feedback)))
-
-    def feedback_for(self, fingerprint: Any) -> JoinObservation | None:
-        """The latest observation recorded for ``fingerprint``, if any."""
-        return self._feedback.get(fingerprint)
-
     def counters(self) -> StatisticsCounters:
-        """Hit/patch/rebuild counters plus entry counts (plain data)."""
+        """Hit/patch/rebuild counters plus the entry count (plain data)."""
         return StatisticsCounters(
             hits=self.hits,
             patches=self.patches,
             rebuilds=self.rebuilds,
             entries=len(self._entries),
-            feedback_entries=len(self._feedback),
         )

@@ -23,11 +23,12 @@ chain where each subsequent source joins against an already-folded one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Mapping
 
-from repro.errors import BindingError, QueryError
+from repro.errors import BindingError, ExecutionError, QueryError
 from repro.query.expressions import AttrRef, rename_attributes
 from repro.query.mapping import MappingFunction, MappingSet
 from repro.query.smj import (
@@ -228,19 +229,46 @@ class BoundMultiwayQuery:
     def evaluate_blocking(
         self, clock: VirtualClock | None = None
     ) -> list[MultiwayResult]:
-        """JF-SL-style evaluation: full chain join, map, one skyline."""
+        """JF-SL-style evaluation: full chain join, map, one skyline.
+
+        Refuses a chained row whose skyline vector would hold a NaN or
+        ±inf (:meth:`_refuse_non_finite`), as the binary map does."""
         clock = clock or VirtualClock()
         candidates = []
         for rows in self._chain_rows(clock):
             env = self._env_of(rows)
             mapped = self.query.mappings.apply(env)
             clock.charge("map")
-            candidates.append(self._make_result(rows, mapped))
+            result = self._make_result(rows, mapped)
+            if not all(map(math.isfinite, result.vector)):
+                raise self._refuse_non_finite(rows, mapped)
+            candidates.append(result)
         survivors = skyline_order(
             [result.vector for result in candidates],
             on_comparisons=partial(clock.charge, "dominance_cmp"),
         )
         return [candidates[i] for i in survivors.tolist()]
+
+    def _refuse_non_finite(
+        self, rows: dict[str, tuple], mapped: tuple[float, ...]
+    ) -> ExecutionError:
+        """The error for a chained row whose first non-finite skyline
+        value sits in ``mapped``, naming the output column and every
+        source's row (see :meth:`BoundQuery._refuse_non_finite`)."""
+        preferred = {p.attribute for p in self.query.preference}
+        name, value = next(
+            (name, value)
+            for name, value in zip(self.query.mappings.names, mapped)
+            if name in preferred and not math.isfinite(value)
+        )
+        shown = "NaN" if math.isnan(value) else repr(float(value))
+        chained = " joined with ".join(
+            f"{alias} row {rows[alias]!r}" for alias in self.query.aliases
+        )
+        return ExecutionError(
+            f"{shown} in output column {name!r} for {chained}: a mapped "
+            "value must be a finite number"
+        )
 
     # ------------------------------------------------------------------
     # reduction to the binary engine

@@ -1,7 +1,7 @@
 """Validated engine configuration.
 
 :class:`~repro.core.engine.ProgXeEngine` grew ten keyword arguments; every
-call site that wanted to thread "use bloom signatures and a quadtree" through
+call site that wanted to thread "use a quadtree with small leaves" through
 a harness had to forward them all.  :class:`EngineConfig` consolidates the
 sprawl into one immutable, validated object with named presets, convertible
 back into the engine's keyword form.
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 
 from repro.errors import QueryError
-from repro.storage.signatures import SIGNATURE_KINDS
 
 #: Input-partitioning strategies understood by the engine.
 PARTITIONING_KINDS: tuple[str, ...] = ("grid", "quadtree")
@@ -40,8 +39,6 @@ class EngineConfig:
 
     input_cells / output_cells:
         Grid resolutions; ``None`` picks the dimension-dependent default.
-    signature_kind:
-        Join-value signature: ``"exact"`` or ``"bloom"``.
     partitioning:
         ``"grid"`` or ``"quadtree"`` input partitioning.
     leaf_capacity:
@@ -59,10 +56,10 @@ class EngineConfig:
         Plan through the cost-based
         :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
         statistics pick the partitioner where left at its default, and
-        post-run actuals feed back into the planner.
+        the plan's estimates sit beside their actuals for EXPLAIN.
         Not an engine keyword as-is: the session (or
         ``ProgXeEngine.from_config``) resolves the flag into the
-        ``planner`` object it hands the engine, so estimates and feedback
+        ``planner`` object it hands the engine, so source statistics
         accumulate in one place per session.
     share_partitions:
         Let planning consume the session's shared
@@ -73,15 +70,14 @@ class EngineConfig:
 
     Example::
 
-        config = EngineConfig(partitioning="quadtree", signature_kind="bloom")
+        config = EngineConfig(partitioning="quadtree", leaf_capacity=16)
         stream = session.execute(bound, config=config)
         # or by preset name:
-        stream = session.execute(bound, config="low-memory")
+        stream = session.execute(bound, config="production")
     """
 
     input_cells: int | None = None
     output_cells: int | None = None
-    signature_kind: str = "exact"
     partitioning: str = "grid"
     leaf_capacity: int | None = None
     seed: int = 0
@@ -102,11 +98,6 @@ class EngineConfig:
         return super().__new__(cls)
 
     def __post_init__(self) -> None:
-        if self.signature_kind not in SIGNATURE_KINDS:
-            raise QueryError(
-                f"signature_kind must be one of {SIGNATURE_KINDS}, "
-                f"got {self.signature_kind!r}"
-            )
         if self.partitioning not in PARTITIONING_KINDS:
             raise QueryError(
                 f"partitioning must be one of {PARTITIONING_KINDS}, "
@@ -152,14 +143,12 @@ class EngineConfig:
             ) from None
 
 
-#: Named presets: the paper's default setup, a memory-lean setup (bloom
-#: signatures, quadtree partitioning that adapts to skew), a production
-#: profile that skips the end-of-run verification, and ``auto`` — the
-#: cost-based planner chooses the partitioner from statistics.  None
-#: selects push-through or ordering: the algorithm name does.
+#: Named presets: the paper's default setup, a production profile that
+#: skips the end-of-run verification, and ``auto`` — the cost-based
+#: planner chooses the partitioner from statistics.  None selects
+#: push-through or ordering: the algorithm name does.
 PRESETS: dict[str, EngineConfig] = {
     "default": EngineConfig(),
-    "low-memory": EngineConfig(signature_kind="bloom", partitioning="quadtree"),
     "production": EngineConfig(verify=False),
     "auto": EngineConfig(planner=True),
 }

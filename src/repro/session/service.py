@@ -104,8 +104,8 @@ class Session:
         Shared cost-based :class:`~repro.planner.choose.Planner` used by
         queries executed with ``EngineConfig(planner=True)`` (the
         ``"auto"`` preset).  Defaults to a lazily created per-session
-        planner, so statistics and run feedback accumulate across this
-        session's queries.
+        planner, so source statistics accumulate across this session's
+        queries.
 
     Example::
 
@@ -138,9 +138,9 @@ class Session:
         """The session's shared cost-based planner (created lazily).
 
         One :class:`~repro.planner.choose.Planner` per session, so source
-        statistics and post-run feedback accumulate across queries — the
-        second ``"auto"`` query over a table plans with the first one's
-        observed cardinalities.
+        statistics accumulate across queries — the second ``"auto"`` query
+        over a table reuses (or patches) the first one's summary instead
+        of scanning again.
         """
         if self._planner is None:
             from repro.planner.choose import Planner
@@ -313,7 +313,7 @@ class Session:
                 kwargs["cache"] = self.plan_cache
             if effective.planner and _accepts_keyword(factory, "planner"):
                 # The config carries a flag; the session resolves it into
-                # its shared planner object, so statistics and feedback
+                # its shared planner object, so source statistics
                 # accumulate across this session's queries.
                 kwargs["planner"] = self.planner
             instance = factory(bound, clock, **kwargs)

@@ -6,18 +6,12 @@ mmap-backed columnar files (:class:`ColumnarFileSource`) — both consumed
 through one batch-scan protocol.
 """
 
-from repro.storage.bloom import BloomFilter
 from repro.storage.column_batch import ColumnBatch
 from repro.storage.grid import GridPartitioner, InputGrid, project_rows
 from repro.storage.partition import InputPartition
 from repro.storage.quadtree import QuadTreeIndex, QuadTreePartitioner
 from repro.storage.schema import Schema
-from repro.storage.signatures import (
-    BloomSignature,
-    ExactSignature,
-    JoinSignature,
-    build_signature,
-)
+from repro.storage.signatures import ExactSignature
 from repro.storage.sources import (
     ColumnarFileSource,
     ColumnarWriter,
@@ -35,8 +29,6 @@ from repro.storage.sources import (
 from repro.storage.table import Row, Table
 
 __all__ = [
-    "BloomFilter",
-    "BloomSignature",
     "ColumnBatch",
     "ColumnarFileSource",
     "ColumnarWriter",
@@ -47,13 +39,11 @@ __all__ = [
     "InMemorySource",
     "InputGrid",
     "InputPartition",
-    "JoinSignature",
     "QuadTreeIndex",
     "QuadTreePartitioner",
     "Row",
     "Schema",
     "Table",
-    "build_signature",
     "delta_start_row",
     "describe_source",
     "is_data_source",

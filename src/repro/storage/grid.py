@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import BindingError
 from repro.storage.partition import InputPartition, attach_blocks, reject_non_finite
-from repro.storage.signatures import SignatureCodes, build_signature
+from repro.storage.signatures import SignatureCodes
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
 
@@ -131,19 +131,12 @@ class GridPartitioner:
         Grid resolution ``k`` per partitioning attribute.  The paper picks a
         partition size δ per dimension; a fixed per-dimension cell count over
         the observed value range is the equivalent knob.
-    signature_kind:
-        ``"exact"`` (default) or ``"bloom"`` — see
-        :mod:`repro.storage.signatures`.
     """
 
-    def __init__(self, cells_per_dim: int = 4, signature_kind: str = "exact",
-                 *, bloom_bits: int = 256, bloom_hashes: int = 3) -> None:
+    def __init__(self, cells_per_dim: int = 4) -> None:
         if cells_per_dim < 1:
             raise ValueError(f"cells_per_dim must be >= 1, got {cells_per_dim}")
         self.cells_per_dim = cells_per_dim
-        self.signature_kind = signature_kind
-        self.bloom_bits = bloom_bits
-        self.bloom_hashes = bloom_hashes
 
     def descriptor(self) -> tuple:
         """Hashable identity of this partitioner's configuration.
@@ -152,16 +145,7 @@ class GridPartitioner:
         identical inputs — the contract the cross-query partition cache
         (:mod:`repro.cache`) keys work sharing on.
         """
-        return (
-            "grid", self.cells_per_dim, self.signature_kind,
-            self.bloom_bits, self.bloom_hashes,
-        )
-
-    def _new_signature(self):
-        return build_signature(
-            (), self.signature_kind,
-            num_bits=self.bloom_bits, num_hashes=self.bloom_hashes,
-        )
+        return ("grid", self.cells_per_dim)
 
     def partition(
         self,
@@ -213,7 +197,7 @@ class GridPartitioner:
         )
 
         # Pass 2: vectorized cell assignment, grouped per batch.
-        scatter = _Scatter(self, grid, table if lazy else None, grid.partitions)
+        scatter = _Scatter(grid, table if lazy else None, grid.partitions)
         for batch in table.scan_batches(
             batch_size, columns=attributes, key_column=join_attribute,
             with_rows=not lazy,
@@ -272,7 +256,7 @@ class GridPartitioner:
             m = batch.matrix(attr_idx)[:take]
             reject_non_finite(table, attributes, batch, m)
             scanned.append((batch, m))
-        scatter = _Scatter(self, grid, table if lazy else None, {}, register)
+        scatter = _Scatter(grid, table if lazy else None, {}, register)
         for batch, m in scanned:
             scatter.add(batch, m)
         scatter.finish()
@@ -289,8 +273,7 @@ class _Scatter:
     sources) or column blocks (eager ones) to the partitions.
     """
 
-    def __init__(self, partitioner, grid, lazy_source, cells, on_create=None):
-        self.partitioner = partitioner
+    def __init__(self, grid, lazy_source, cells, on_create=None):
         self.grid = grid
         self.lazy_source = lazy_source
         self.cells = cells
@@ -329,7 +312,6 @@ class _Scatter:
             if part is None:
                 lower, upper = grid.cell_bounds(coords)
                 part = InputPartition(grid.source, coords, lower, upper)
-                part.signature = self.partitioner._new_signature()
                 self.cells[coords] = part
                 if self.on_create is not None:
                     self.on_create(part)
@@ -338,9 +320,7 @@ class _Scatter:
                 sub.min(axis=0).tolist(), sub.max(axis=0).tolist()
             )
             member_keys = [keys[i] for i in members]
-            sig = part.signature
-            for key in member_keys:
-                sig.add(key)
+            part.signature.counts.update(member_keys)
             if self.lazy_source is not None:
                 self.lazy_chunks.setdefault(part, []).append(
                     batch.global_ids(members)

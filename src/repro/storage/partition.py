@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.storage.signatures import JoinSignature
+from repro.storage.signatures import ExactSignature
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.storage.column_batch import ColumnBatch
@@ -233,7 +233,7 @@ class InputPartition:
         self._row_source = None
         self._row_ids = None
         self._block: ColumnBlock | None = None
-        self.signature: JoinSignature | None = None
+        self.signature = ExactSignature()
         self.tight_lower: list[float] = list(upper)
         self.tight_upper: list[float] = list(lower)
 

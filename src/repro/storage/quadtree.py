@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import BindingError
 from repro.storage.partition import InputPartition, attach_blocks, reject_non_finite
-from repro.storage.signatures import SignatureCodes, build_signature
+from repro.storage.signatures import SignatureCodes
 from repro.storage.sources.base import DEFAULT_SCAN_BATCH, DataSource, Row
 
 
@@ -81,28 +81,15 @@ class QuadTreePartitioner:
     max_depth:
         Hard recursion bound (duplicated points can never split apart, so
         unbounded recursion would loop).
-    signature_kind:
-        ``"exact"`` or ``"bloom"``, as for the grid partitioner.
     """
 
-    def __init__(
-        self,
-        leaf_capacity: int = 32,
-        max_depth: int = 8,
-        signature_kind: str = "exact",
-        *,
-        bloom_bits: int = 256,
-        bloom_hashes: int = 3,
-    ) -> None:
+    def __init__(self, leaf_capacity: int = 32, max_depth: int = 8) -> None:
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
         if max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         self.leaf_capacity = leaf_capacity
         self.max_depth = max_depth
-        self.signature_kind = signature_kind
-        self.bloom_bits = bloom_bits
-        self.bloom_hashes = bloom_hashes
 
     def descriptor(self) -> tuple:
         """Hashable identity of this partitioner's configuration.
@@ -111,10 +98,7 @@ class QuadTreePartitioner:
         cross-query partition cache (:mod:`repro.cache`) relies on this to
         share built indexes between plans.
         """
-        return (
-            "quadtree", self.leaf_capacity, self.max_depth,
-            self.signature_kind, self.bloom_bits, self.bloom_hashes,
-        )
+        return ("quadtree", self.leaf_capacity, self.max_depth)
 
     def partition(
         self,
@@ -311,21 +295,14 @@ class _TreeBuilder:
         depth: int,
         path: tuple[int, ...],
     ) -> None:
-        p = self.partitioner
         part = InputPartition(self.index.source, path, lower, upper)
-        part.signature = build_signature(
-            (), p.signature_kind,
-            num_bits=p.bloom_bits, num_hashes=p.bloom_hashes,
-        )
         if len(sel):
             sub = self.values[sel]
             part.observe_bounds(sub.min(axis=0).tolist(),
                                 sub.max(axis=0).tolist())
             keys = self.keys
             leaf_keys = [keys[i] for i in sel]
-            sig = part.signature
-            for key in leaf_keys:
-                sig.add(key)
+            part.signature.counts.update(leaf_keys)
             if self.row_source is not None:
                 part.set_lazy_rows(self.row_source, self.row_ids[sel])
             else:

@@ -95,7 +95,7 @@ def block_regions(bound, left_parts, right_parts, left_attrs, right_attrs,
                 continue
             regions.append(OutputRegion(
                 first_rid + len(regions) + pruned, lpart, rpart, lower, upper,
-                lsig.expected_join_size(rsig), lsig.definitely_shares(rsig),
+                lsig.expected_join_size(rsig),
             ))
     return regions, pruned
 
@@ -297,7 +297,7 @@ def plan_state(regions, grid):
     return {
         "regions": [
             (r.rid, r.left_partition.coords, r.right_partition.coords,
-             r.lower, r.upper, r.expected_join, r.guaranteed, r.discarded,
+             r.lower, r.upper, r.expected_join, r.discarded,
              r.cell_min, r.cell_max, coords(r.covered), r.unmarked_covered,
              r.in_degree, r.out_edges)
             for r in sorted(regions, key=lambda r: r.rid)

@@ -292,7 +292,7 @@ def grid_state(entries: dict, premarked=()) -> ExecutionState:
 def region_at(state: ExecutionState, lower, upper) -> OutputRegion:
     """A pending region over ``[lower, upper]`` covering its grid cells."""
     grid = state.grid
-    region = OutputRegion(len(state.regions), None, None, lower, upper, 1.0, False)
+    region = OutputRegion(len(state.regions), None, None, lower, upper, 1.0)
     region.cell_min, region.cell_max = box_cell_range(grid, lower, upper)
     region.covered = [
         grid.cells[c]

@@ -456,13 +456,13 @@ class TestSessionSharing:
 
         def narrow_factory(
             bound, clock, *, ordering=True, pushthrough=False,
-            input_cells=None, output_cells=None, signature_kind="exact",
+            input_cells=None, output_cells=None,
             partitioning="grid", leaf_capacity=None, seed=0, verify=True,
         ):
             return ProgXeEngine(
                 bound, clock, ordering=ordering, pushthrough=pushthrough,
                 input_cells=input_cells, output_cells=output_cells,
-                signature_kind=signature_kind, partitioning=partitioning,
+                partitioning=partitioning,
                 leaf_capacity=leaf_capacity, seed=seed, verify=verify,
             )
 

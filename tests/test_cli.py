@@ -206,9 +206,16 @@ class TestBudgets:
 
     def test_run_with_preset(self, capsys):
         assert main(
-            ["run", "-n", "80", "--sigma", "0.1", "--preset", "low-memory"]
+            ["run", "-n", "80", "--sigma", "0.1", "--preset", "production"]
         ) == 0
         assert "ProgXe:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "compare", "serve"])
+    def test_retired_low_memory_preset_exits_2(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "low-memory"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'low-memory'" in capsys.readouterr().err
 
     def test_query_limit_stops_early(self, tmp_path, capsys):
         prefix = str(tmp_path / "wl")

@@ -147,19 +147,6 @@ class TestEngineInternals:
         )
         assert {r.key() for r in engine.run()} == oracle_skyline_keys(small_bound)
 
-    def test_bloom_signature_mode(self):
-        bound = make_bound("independent", n=100, d=2, sigma=0.1, seed=34)
-        engine = ProgXeEngine(bound, VirtualClock(), signature_kind="bloom")
-        assert {r.key() for r in engine.run()} == oracle_skyline_keys(bound)
-
-    def test_bloom_mode_disables_guarantees(self):
-        bound = make_bound("independent", n=100, d=2, sigma=0.1, seed=34)
-        engine = ProgXeEngine(bound, VirtualClock(), signature_kind="bloom")
-        list(engine.run())
-        # Without guarantees, nothing can be discarded at look-ahead time;
-        # marking still happens from real tuples during execution.
-        assert engine.stats["regions_total"] > 0
-
     def test_verification_runs_by_default(self, small_bound):
         engine = ProgXeEngine(small_bound, VirtualClock())
         list(engine.run())  # verify_drained() must not raise

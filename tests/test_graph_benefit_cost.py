@@ -35,7 +35,7 @@ def lookahead_for(bound, k_in=3, k_out=6):
 def synthetic_region(rid, cmin, cmax, expected_join=10.0):
     lp = InputPartition("R", (0,), (0.0,), (1.0,))
     rp = InputPartition("T", (0,), (0.0,), (1.0,))
-    region = OutputRegion(rid, lp, rp, (0.0, 0.0), (1.0, 1.0), expected_join, True)
+    region = OutputRegion(rid, lp, rp, (0.0, 0.0), (1.0, 1.0), expected_join)
     region.cell_min = cmin
     region.cell_max = cmax
     region.covered = [object()]  # non-empty so the graph keeps it

@@ -318,13 +318,19 @@ RETIRED = [
     # ProgCount reads RegCount and the cone's pending count: no region table
     # to look feeders up in.
     ("regions_by_id", ("src/",)),
+    # One join signature, the exact histogram, so every region is known to
+    # join.  Bloom signatures never cut peak RSS by 25 % at 1.25x the wall
+    # time (100k rows per side, docs/planning.md), and the low-memory preset
+    # used more memory than the default.
+    (r"BloomFilter|BloomSignature|signature_kind|bloom_bits|bloom_hashes|low-memory"
+     r"|SIGNATURE_KINDS|JoinSignature|definitely_shares", ("src/",)),
 ]
 
 
 @pytest.mark.parametrize("pattern, paths", RETIRED, ids=[
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
     "one-scheduler", "one-filter-path", "one-pushthrough-switch",
-    "progcount-from-counters"])
+    "progcount-from-counters", "one-join-signature"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]

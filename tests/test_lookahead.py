@@ -19,8 +19,8 @@ from repro.storage.grid import GridPartitioner
 from repro.storage.signatures import SignatureCodes
 
 
-def grids_for(bound, k=3, kind="exact"):
-    p = GridPartitioner(k, kind)
+def grids_for(bound, k=3):
+    p = GridPartitioner(k)
     left = p.partition(
         bound.left_table, bound.left_map_attrs, bound.query.join.left_attr,
         source=bound.left_alias,
@@ -73,18 +73,17 @@ class TestBuildRegions:
                         for v, lo, hi in zip(vec, region.lower, region.upper):
                             assert lo - 1e-9 <= v <= hi + 1e-9
 
-    def test_exact_signatures_guarantee(self):
+    def test_every_region_holds_a_join_pair(self):
+        """What elimination and premarking rest on: each region's two
+        partitions share a join key, so its join is never empty."""
         bound = make_bound(n=100, sigma=0.1, seed=4)
-        left, right = grids_for(bound, kind="exact")
-        regions = build_regions(bound, left, right, VirtualClock())
-        assert all(r.guaranteed for r in regions)
-
-    def test_bloom_signatures_never_guarantee(self):
-        bound = make_bound(n=100, sigma=0.1, seed=4)
-        left, right = grids_for(bound, kind="bloom")
+        left, right = grids_for(bound)
         regions = build_regions(bound, left, right, VirtualClock())
         assert regions
-        assert not any(r.guaranteed for r in regions)
+        jl, jr = bound.left_join_index, bound.right_join_index
+        for r in regions:
+            keys = {row[jl] for row in r.left_partition.rows}
+            assert any(row[jr] in keys for row in r.right_partition.rows)
 
 
 class TestElimination:
@@ -119,13 +118,13 @@ class TestElimination:
                 rcoords = right.cell_of([rrow[i] for i in rattrs])
                 assert (lcoords, rcoords) in surviving_pairs
 
-    def test_bloom_mode_eliminates_nothing(self):
+    def test_one_graph_op_per_region(self):
         bound = make_bound(n=100, sigma=0.1, seed=6)
-        left, right = grids_for(bound, kind="bloom")
+        left, right = grids_for(bound)
+        regions = build_regions(bound, left, right, VirtualClock())
         clock = VirtualClock()
-        regions = build_regions(bound, left, right, clock)
-        survivors = eliminate_dominated_regions(regions, clock)
-        assert len(survivors) == len(regions)
+        eliminate_dominated_regions(regions, clock)
+        assert clock.snapshot() == {"graph_op": len(regions)}
 
 
 class TestOutputGridConstruction:
@@ -193,7 +192,7 @@ def per_pair_regions(bound, left, right, clock):
     )
     return [
         (r.rid, r.left_partition, r.right_partition, r.lower, r.upper,
-         r.expected_join, r.guaranteed)
+         r.expected_join)
         for r in regions
     ]
 
@@ -209,7 +208,7 @@ class TestBatchedBuilder:
         want = per_pair_regions(bound, left, right, reference_clock)
         got = [
             (r.rid, r.left_partition, r.right_partition, r.lower, r.upper,
-             r.expected_join, r.guaranteed)
+             r.expected_join)
             for r in regions
         ]
         assert got == want
@@ -244,8 +243,7 @@ def random_regions(rng, n, d):
         regions.append(
             OutputRegion(
                 rid, None, None,
-                tuple(map(float, lower)), tuple(map(float, upper)),
-                1.0, bool(rng.random() < 0.5),
+                tuple(map(float, lower)), tuple(map(float, upper)), 1.0,
             )
         )
     return regions
@@ -257,24 +255,20 @@ class TestDominancePruningAgainstBroadcast:
         rng = np.random.default_rng(300 + d)
         for _ in range(25):
             regions = random_regions(rng, int(rng.integers(1, 40)), d)
-            guaranteed = [r for r in regions if r.guaranteed]
-            want = (
-                broadcast_dominated(
-                    [g.upper for g in guaranteed], [r.lower for r in regions]
-                ).tolist()
-                if guaranteed else [False] * len(regions)
-            )
+            want = broadcast_dominated(
+                [r.upper for r in regions], [r.lower for r in regions]
+            ).tolist()
             clock = VirtualClock()
             survivors = eliminate_dominated_regions(regions, clock)
             assert [r.discarded for r in regions] == want
             assert survivors == [r for r in regions if not r.discarded]
-            assert clock.count("graph_op") == len(guaranteed)
+            assert clock.count("graph_op") == len(regions)
 
     def test_exact_ties_never_eliminate(self):
         """upper == lower on every dimension is not dominance."""
-        point = OutputRegion(0, None, None, (2.0, 2.0), (2.0, 2.0), 1.0, True)
-        twin = OutputRegion(1, None, None, (2.0, 2.0), (3.0, 3.0), 1.0, True)
-        beyond = OutputRegion(2, None, None, (2.0, 2.5), (4.0, 4.0), 1.0, False)
+        point = OutputRegion(0, None, None, (2.0, 2.0), (2.0, 2.0), 1.0)
+        twin = OutputRegion(1, None, None, (2.0, 2.0), (3.0, 3.0), 1.0)
+        beyond = OutputRegion(2, None, None, (2.0, 2.5), (4.0, 4.0), 1.0)
         survivors = eliminate_dominated_regions(
             [point, twin, beyond], VirtualClock()
         )
@@ -289,13 +283,9 @@ class TestDominancePruningAgainstBroadcast:
             regions = random_regions(rng, int(rng.integers(1, 25)), d)
             grid = build_output_grid(bound, regions, 4, VirtualClock())
             cells = list(grid.cells.values())
-            guaranteed = [r for r in regions if r.guaranteed]
-            want = (
-                broadcast_dominated(
-                    [g.upper for g in guaranteed], [c.lower for c in cells]
-                ).tolist()
-                if guaranteed else [False] * len(cells)
-            )
+            want = broadcast_dominated(
+                [r.upper for r in regions], [c.lower for c in cells]
+            ).tolist()
             marked = premark_dominated_cells(regions, grid, VirtualClock())
             assert [c.marked for c in cells] == want
             assert marked == sum(want)

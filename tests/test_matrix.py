@@ -38,7 +38,6 @@ WORKLOADS = {
 ENGINE_CONFIGS = {
     "grid": {},
     "quadtree": {"partitioning": "quadtree", "leaf_capacity": 16},
-    "bloom": {"signature_kind": "bloom"},
     "pushthrough": {"pushthrough": True},
     "no-order": {"ordering": False, "seed": 3},
     # One pair per flush (``flush_pairs`` patches ``FLUSH_PAIRS``; it is not

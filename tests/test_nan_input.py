@@ -14,8 +14,9 @@ the follow case through every driver.
 Finite inputs can still map to a non-finite value: with ``R.a0`` and
 ``T.b0`` both ``1e308``, ``2*R.a0 - 2*T.b0`` is ``inf - inf``.  The map
 refuses it where the vector is computed — ``BoundQuery.map_rows_batch``
-for ProgXe, ``map_pair`` for the baselines — naming the output column and
-the pair's two rows.
+for ProgXe, ``map_pair`` for the baselines, and
+``BoundMultiwayQuery.evaluate_blocking`` for a chain of three or more
+sources — naming the output column and the joined rows.
 """
 
 from __future__ import annotations
@@ -29,12 +30,16 @@ import pytest
 
 from repro.core.engine import ProgXeEngine
 from repro.errors import ExecutionError
+from repro.query.expressions import Attr, Const
+from repro.query.mapping import MappingFunction, MappingSet
+from repro.query.multiway import ChainJoin, MultiwayQuery
 from repro.query.parser import parse_query
 from repro.runtime.clock import VirtualClock
 from repro.serve import QueryServer
 from repro.session.config import EngineConfig
 from repro.session.service import Session
 from repro.session.stream import FAILED
+from repro.skyline.preferences import ParetoPreference, lowest
 from repro.storage.grid import GridPartitioner
 from repro.storage.table import Table
 
@@ -283,3 +288,63 @@ class TestMappedOverflow:
         assert np.isfinite(clean).all()
         with pytest.raises(ExecutionError, match=OVERFLOW):
             bound.map_rows_batch([CLEAN[0], HUGE_LEFT], [right_table().rows[0], HUGE_RIGHT])
+
+
+def three_way(mapping_x0, *extra: MappingFunction) -> MultiwayQuery:
+    return MultiwayQuery(
+        aliases=("A", "B", "C"),
+        joins=(ChainJoin("A", "jkey", "B", "jkey"), ChainJoin("B", "jkey", "C", "jkey")),
+        mappings=MappingSet([
+            MappingFunction("x0", mapping_x0),
+            MappingFunction("x1", Attr("A", "a1") + Attr("B", "b1") + Attr("C", "c1")),
+            *extra,
+        ]),
+        preference=ParetoPreference([lowest("x0"), lowest("x1")]),
+    )
+
+
+def three_tables(huge: float) -> dict:
+    """Three sources; the ``J9`` chain carries ``huge`` in ``A.a0`` and
+    ``B.b0``."""
+    def table(alias, prefix, first):
+        return Table.from_rows(alias, ["id", "jkey", f"{prefix}0", f"{prefix}1"], [
+            (f"{alias.lower()}0", "J1", 1.0, 2.0),
+            (f"{alias.lower()}9", "J9", first, 3.0),
+        ])
+
+    return {"A": table("A", "a", huge), "B": table("B", "b", huge), "C": table("C", "c", 1.0)}
+
+
+class TestMultiwayOverflow:
+    MAPPING = Const(2.0) * Attr("A", "a0") - Const(2.0) * Attr("B", "b0") + Attr("C", "c0")
+
+    def test_blocking_evaluation_names_the_chained_rows(self):
+        bound = three_way(self.MAPPING).bind(three_tables(1e308))
+        message = re.escape(
+            "NaN in output column 'x0' for A row ('a9', 'J9', 1e+308, 3.0) "
+            "joined with B row ('b9', 'J9', 1e+308, 3.0) joined with "
+            "C row ('c9', 'J9', 1.0, 3.0): a mapped value must be a finite number"
+        )
+        with pytest.raises(ExecutionError, match=message):
+            bound.evaluate_blocking()
+
+    @pytest.mark.parametrize("label, mapping", [
+        ("inf", Const(2.0) * Attr("A", "a0") + Attr("C", "c0")),
+        ("-inf", Const(-2.0) * Attr("A", "a0") - Attr("B", "b0")),
+    ])
+    def test_an_overflow_to_infinity_is_named(self, label, mapping):
+        with pytest.raises(
+            ExecutionError, match=rf"^{re.escape(label)} in output column 'x0' for A row"
+        ):
+            three_way(mapping).bind(three_tables(1e308)).evaluate_blocking()
+
+    def test_finite_chains_pass(self):
+        results = three_way(self.MAPPING).bind(three_tables(4.0)).evaluate_blocking()
+        assert results and all(np.isfinite(r.vector).all() for r in results)
+
+    def test_an_unpreferred_column_is_not_checked(self):
+        """Only skyline columns must be finite, as for the binary map."""
+        query = three_way(
+            Attr("A", "a1") + Attr("C", "c0"), MappingFunction("spare", self.MAPPING)
+        )
+        assert query.bind(three_tables(1e308)).evaluate_blocking()

@@ -23,7 +23,7 @@ def make_grid(k=4, d=2):
 
 
 def region_over(lower, upper, rid=0):
-    return OutputRegion(rid, None, None, lower, upper, 1.0, False)
+    return OutputRegion(rid, None, None, lower, upper, 1.0)
 
 
 class TestGeometry:

@@ -49,7 +49,7 @@ def witnessed_scenarios(draw):
 
 def activate(state: ExecutionState, corner: tuple) -> None:
     """Make a region whose corner cell is ``corner`` the active one."""
-    region = OutputRegion(0, None, None, corner, corner, 1.0, False)
+    region = OutputRegion(0, None, None, corner, corner, 1.0)
     region.cell_min = corner
     state.regions[0] = region
     state.active_region = region

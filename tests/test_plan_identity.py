@@ -2,9 +2,9 @@
 
 ``tests/plan_reference.py`` keeps the loop forms of the pair test, the
 region coverage, the cone wiring and the EL-graph edges.  Over small
-random inputs, for grid and quad-tree partitioning with exact and Bloom
-signatures, the array builders must reproduce them exactly — region ids,
-boxes, expected sizes, guarantees and coverage; cells in activation order
+random inputs, for grid and quad-tree partitioning, the array builders
+must reproduce them exactly — region ids, boxes, expected sizes and
+coverage; cells in activation order
 with their region lists; cone lists in order and pending counts; edges and
 in-degrees; per-kind clock charges — both for a static plan and for a
 follow kernel wiring the regions of arriving rows.
@@ -28,18 +28,12 @@ from repro.runtime.clock import VirtualClock
 from repro.storage.grid import GridPartitioner
 from repro.storage import signatures
 from repro.storage.quadtree import QuadTreePartitioner
-from repro.storage.signatures import (
-    BloomSignature,
-    ExactSignature,
-    SignatureCodes,
-    pair_overlap,
-)
+from repro.storage.signatures import ExactSignature, SignatureCodes, pair_overlap
 from repro.storage.table import Table
 
 from tests import plan_reference as reference
 
 PARTITIONINGS = ["grid", "quadtree"]
-SIGNATURES = ["exact", "bloom"]
 
 workloads = st.builds(
     SyntheticWorkload,
@@ -51,14 +45,14 @@ workloads = st.builds(
 )
 
 
-def partitioner(kind: str, signature: str):
+def partitioner(kind: str):
     if kind == "quadtree":
-        return QuadTreePartitioner(6, signature_kind=signature, bloom_bits=64)
-    return GridPartitioner(3, signature, bloom_bits=64)
+        return QuadTreePartitioner(6)
+    return GridPartitioner(3)
 
 
-def structures(bound, kind, signature):
-    p = partitioner(kind, signature)
+def structures(bound, kind):
+    p = partitioner(kind)
     return (
         p.partition(bound.left_table, bound.left_map_attrs,
                     bound.query.join.left_attr, source=bound.left_alias),
@@ -74,17 +68,15 @@ def assert_same_plan(got_regions, got_grid, want_regions, want_grid):
     assert got["cells"] == want["cells"]
     for r in got_regions:
         assert type(r.rid) is int and type(r.expected_join) is float
-        assert type(r.guaranteed) is bool
         assert all(type(c) is int for c in r.cell_min + r.cell_max)
 
 
-@pytest.mark.parametrize("signature", SIGNATURES)
 @pytest.mark.parametrize("kind", PARTITIONINGS)
 @given(workload=workloads, cells=st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
-def test_static_plan_equals_the_loop_builders(kind, signature, workload, cells):
+def test_static_plan_equals_the_loop_builders(kind, workload, cells):
     bound = workload.bound()
-    left, right = structures(bound, kind, signature)
+    left, right = structures(bound, kind)
     clock, want_clock = VirtualClock(), VirtualClock()
     regions, grid = run_lookahead(bound, left, right, cells, clock)
     want_regions, want_grid = reference.lookahead(
@@ -97,43 +89,37 @@ def test_static_plan_equals_the_loop_builders(kind, signature, workload, cells):
     assert clock.now() == want_clock.now()
 
 
-def random_signatures(rng, count, kind):
+def random_signatures(rng, count):
     """Signatures over a small mixed domain: ints, the same values as
     floats (``1 == 1.0``) and strings, so histograms overlap unevenly."""
     domain = [*range(6), *(float(v) for v in range(3, 9)), "a", "b", "c"]
-    out = []
-    for _ in range(count):
-        keys = [domain[i] for i in rng.integers(0, len(domain), rng.integers(1, 25))]
-        out.append(
-            ExactSignature(keys) if kind == "exact"
-            else BloomSignature(keys, num_bits=16, num_hashes=2)
+    return [
+        ExactSignature(
+            domain[i] for i in rng.integers(0, len(domain), rng.integers(1, 25))
         )
-    return out
+        for _ in range(count)
+    ]
 
 
 @pytest.mark.parametrize("lanes", [1, 5, 2**13])
-@pytest.mark.parametrize("right_kind", ["exact", "bloom"])
-def test_pair_overlap_equals_the_signature_methods(monkeypatch, lanes, right_kind):
-    """Every pair's sharing, expected size and guarantee, in steps of
-    ``lanes`` matches, twice over the same codes (the second time from
-    the cached arrays)."""
+def test_pair_overlap_equals_the_signature_methods(monkeypatch, lanes):
+    """Every pair's sharing and expected size, in steps of ``lanes``
+    matches, twice over the same codes (the second time from the cached
+    arrays)."""
     monkeypatch.setattr(signatures, "_PAIR_LANES", lanes)
     rng = np.random.default_rng(lanes)
     left_codes, right_codes = SignatureCodes(), SignatureCodes()
     for _ in range(40):
-        left = random_signatures(rng, int(rng.integers(0, 6)), "exact")
-        right = random_signatures(rng, int(rng.integers(0, 6)), right_kind)
+        left = random_signatures(rng, int(rng.integers(0, 6)))
+        right = random_signatures(rng, int(rng.integers(0, 6)))
         for _ in range(2):
-            share, expected, guaranteed = pair_overlap(
-                left, right, left_codes, right_codes
-            )
+            share, expected = pair_overlap(left, right, left_codes, right_codes)
             assert share.shape == expected.shape == (len(left), len(right))
             for i, a in enumerate(left):
                 for j, b in enumerate(right):
                     assert share[i, j] == a.may_share(b)
                     if share[i, j]:
                         assert expected[i, j] == a.expected_join_size(b)
-                        assert guaranteed[i, j] == a.definitely_shares(b)
 
 
 def copy_tables(tables):
@@ -142,7 +128,7 @@ def copy_tables(tables):
     }
 
 
-def follow_pair(workload, frac, kind, signature):
+def follow_pair(workload, frac, kind):
     """Two follow kernels over equal live prefixes — the array kernel and
     the loop reference — plus the rows still to arrive."""
     live, arriving = {}, {}
@@ -156,7 +142,7 @@ def follow_pair(workload, frac, kind, signature):
         bound = workload.query().bind(tables)
         plan = QueryPlan.build(
             bound, VirtualClock(), follow=True, partitioning=kind,
-            signature_kind=signature, leaf_capacity=6,
+            leaf_capacity=6,
             input_cells=3 if kind == "grid" else None,
         )
         kernels.append((cls(plan), tables))
@@ -184,7 +170,6 @@ schedules = st.lists(
 )
 
 
-@pytest.mark.parametrize("signature", SIGNATURES)
 @pytest.mark.parametrize("kind", PARTITIONINGS)
 @given(
     workload=workloads.filter(lambda w: w.d >= 2),
@@ -192,10 +177,8 @@ schedules = st.lists(
     schedule=schedules,
 )
 @settings(max_examples=25, deadline=None)
-def test_follow_wiring_equals_the_loop_builders(
-    kind, signature, workload, frac, schedule
-):
-    kernels, arriving = follow_pair(workload, frac, kind, signature)
+def test_follow_wiring_equals_the_loop_builders(kind, workload, frac, schedule):
+    kernels, arriving = follow_pair(workload, frac, kind)
     taken = {"R": 0, "T": 0}
     for steps, alias, size in schedule:
         for _ in range(steps):

@@ -15,6 +15,7 @@ The planner's contract has three layers, each tested here:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
@@ -27,7 +28,12 @@ from repro.core.engine import ProgXeEngine
 from repro.core.explain import explain_estimates
 from repro.core.plan import default_input_cells
 from repro.data.workloads import SyntheticWorkload
-from repro.planner import Planner, StatisticsStore, collect_statistics
+from repro.planner import (
+    Planner,
+    StatisticsCounters,
+    StatisticsStore,
+    collect_statistics,
+)
 from repro.planner.choose import SKEW_THRESHOLD
 from repro.planner.cost import join_cardinality, partition_fanout
 from repro.query.smj import FilterCondition
@@ -246,19 +252,34 @@ class TestPlannerDecisions:
             "quadtree" if skew >= SKEW_THRESHOLD else "grid"
         )
 
-    def test_feedback_corrects_the_second_decision(self):
+    def test_a_run_leaves_the_next_decision_unchanged(self):
+        """Estimates come from the source statistics alone: a finished
+        run over the same tables does not move them."""
         bound = SyntheticWorkload(n=150, d=2, seed=9).bound()
         planner = Planner()
         engine = ProgXeEngine(bound, planner=planner)
         for _ in engine.run():
             pass
         first = engine.plan_decision
-        assert not first.estimates.corrected
-        actual_join = first.actuals["join_rows"]
-
+        assert first.actuals["join_rows"] != first.estimates.join_rows
         second = planner.decide(bound)
-        assert second.estimates.corrected
-        assert second.estimates.join_rows == pytest.approx(actual_join)
+        assert second.estimates == first.estimates
+        assert second.partitioning == first.partitioning
+        assert second.actuals == {}
+
+    def test_run_actuals_are_the_clock_and_result_counts(self):
+        bound = SyntheticWorkload(n=120, d=2, seed=5).bound()
+        engine = ProgXeEngine(bound, planner=Planner())
+        results = list(engine.run())
+        actuals = engine.plan_decision.actuals
+        assert actuals["join_rows"] == engine.clock.count("join_result")
+        assert actuals["skyline_size"] == len(results)
+        assert actuals["rows_scanned"] == len(bound.left_table) + len(bound.right_table)
+
+    def test_statistics_counters_hold_only_summary_outcomes(self):
+        assert [f.name for f in dataclasses.fields(StatisticsCounters)] == [
+            "hits", "patches", "rebuilds", "entries",
+        ]
 
     def test_every_estimate_gets_an_actual_after_a_run(self):
         report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
@@ -274,13 +295,12 @@ class TestPlannerDecisions:
         both the text table and the ``--format json`` payload."""
         report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
         payload = report.to_dict()
-        assert set(payload) == {
-            "partitioning", "input_cells", "corrected", "pinned", "rows",
-        }
-        knob_lines = report.render().splitlines()[1:4]
+        assert set(payload) == {"partitioning", "input_cells", "pinned", "rows"}
+        knob_lines = report.render().splitlines()[1:3]
         assert [line.split(":")[0].strip() for line in knob_lines] == [
-            "partitioning", "input cells", "feedback",
+            "partitioning", "input cells",
         ]
+        assert report.render().splitlines()[3] == ""
 
     def test_quadtree_report_has_no_grid_granularity(self):
         report = explain_estimates(
@@ -315,15 +335,15 @@ class TestWiring:
             {a: session.table(a) for a in ("R", "T")}
         )
         session.execute(bound, config="auto").drain()
-        # The session planner saw the run: feedback exists for the query.
+        # The session planner summarised each table once.
         counters = session.planner.statistics.counters()
-        assert counters.feedback_entries == 1
+        assert (counters.rebuilds, counters.entries) == (2, 2)
         session.execute(bound, config="auto").drain()
         assert session.planner.statistics.counters().hits >= 2
 
     def test_finished_auto_stream_releases_its_decision(self):
-        """A long-lived session planner keeps statistics and feedback,
-        not one decision per query it ever planned."""
+        """A long-lived session planner keeps source statistics, not one
+        decision per query it ever planned."""
         workload = SyntheticWorkload(n=100, d=2, seed=21)
         session = Session().register_tables(workload.tables())
         bound = workload.query().bind(

@@ -12,7 +12,7 @@ from repro.storage.partition import InputPartition
 def region(rid, cmin, cmax, rank=1.0):
     lp = InputPartition("R", (0,), (0.0,), (1.0,))
     rp = InputPartition("T", (0,), (0.0,), (1.0,))
-    r = OutputRegion(rid, lp, rp, (0.0, 0.0), (1.0, 1.0), 10.0, True)
+    r = OutputRegion(rid, lp, rp, (0.0, 0.0), (1.0, 1.0), 10.0)
     r.cell_min, r.cell_max = cmin, cmax
     r.covered = [object()]
     r.cardinality = rank  # smuggle a fixed rank through for tests

@@ -435,6 +435,26 @@ class TestAdmissionOverHttp:
 
         serve(test)
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"preset": "low-memory"}, "unknown preset 'low-memory'"),
+        ({"config": {"signature_kind": "bloom"}}, "'signature_kind'"),
+        ({"config": {"bloom_bits": 512}}, "'bloom_bits'"),
+        ({"preset": "production", "config": {"bloom_hashes": 2}}, "'bloom_hashes'"),
+    ], ids=["low-memory-preset", "signature-kind", "bloom-bits", "bloom-hashes"])
+    def test_retired_bloom_settings_are_rejected_by_name(self, fields, named):
+        """Bloom signatures and the ``low-memory`` preset are gone: a
+        client still asking for them gets a 400 naming what it sent."""
+        async def test(server, session):
+            status, headers, body = await stream_query(
+                server, {"sql": SQL, **fields}
+            )
+            assert status == 400
+            assert headers["content-type"] == "application/json"
+            assert named in body["error"]
+            assert server.admission.active == 0
+
+        serve(test)
+
     @pytest.mark.parametrize("key, value", [("pushthrough", True), ("ordering", False)])
     def test_a_variant_switch_override_is_rejected_by_name(self, key, value):
         """Push-through and ordering are chosen by the algorithm name; an

@@ -71,16 +71,16 @@ class TestQueryRequest:
 
     def test_engine_config_from_preset_and_overrides(self):
         request = QueryRequest.from_mapping(
-            {"sql": SQL, "preset": "low-memory", "config": {"input_cells": 6}}
+            {"sql": SQL, "preset": "production", "config": {"input_cells": 6}}
         )
         config = request.engine_config()
-        assert config == EngineConfig.preset("low-memory").with_options(
+        assert config == EngineConfig.preset("production").with_options(
             input_cells=6
         )
         # The retired scalar-path switch is an unknown override, not a
         # silent fallback to the default engine.
         stale = QueryRequest.from_mapping(
-            {"sql": SQL, "preset": "low-memory",
+            {"sql": SQL, "preset": "production",
              "config": {"use_vectorized": False}}
         )
         with pytest.raises(

@@ -135,7 +135,7 @@ class TestRegistry:
 #: The config fields that are ProgXeEngine keywords (the session resolves
 #: ``planner`` and ``share_partitions`` into objects).
 ENGINE_KEYWORDS = {
-    "input_cells", "output_cells", "signature_kind", "partitioning",
+    "input_cells", "output_cells", "partitioning",
     "leaf_capacity", "seed", "verify", "follow",
 }
 
@@ -144,11 +144,22 @@ class TestEngineConfig:
     def test_defaults_match_engine_defaults(self, bound):
         engine = repro.ProgXeEngine.from_config(bound)
         assert engine.ordering and not engine.pushthrough
-        assert engine.signature_kind == "exact"
+        assert engine.partitioning == "grid"
 
-    def test_invalid_signature_kind(self):
-        with pytest.raises(QueryError, match="signature_kind"):
-            EngineConfig(signature_kind="blom")
+    @pytest.mark.parametrize("name, value", [
+        ("signature_kind", "bloom"), ("bloom_bits", 512), ("bloom_hashes", 2),
+    ])
+    @pytest.mark.parametrize("surface", ["config", "with_options", "engine"])
+    def test_retired_bloom_knob_is_an_unknown_name(self, bound, surface, name, value):
+        """Bloom signatures are gone: a stale knob fails by name on every
+        surface instead of being ignored."""
+        build = {
+            "config": lambda: EngineConfig(**{name: value}),
+            "with_options": lambda: EngineConfig().with_options(**{name: value}),
+            "engine": lambda: repro.ProgXeEngine(bound, **{name: value}),
+        }[surface]
+        with pytest.raises(TypeError, match=name):
+            build()
 
     def test_invalid_partitioning(self):
         with pytest.raises(QueryError, match="partitioning"):
@@ -158,16 +169,11 @@ class TestEngineConfig:
         with pytest.raises(QueryError, match="output_cells"):
             EngineConfig(output_cells=0)
 
-    def test_engine_init_rejects_bad_signature_kind(self, bound):
-        with pytest.raises(ValueError, match="signature_kind"):
-            repro.ProgXeEngine(bound, signature_kind="blomm")
-
     def test_presets(self):
         assert EngineConfig.preset("default") == EngineConfig()
-        low = EngineConfig.preset("low-memory")
-        assert low.signature_kind == "bloom" and low.partitioning == "quadtree"
         assert EngineConfig.preset("production") == EngineConfig(verify=False)
-        assert list(PRESETS) == ["default", "low-memory", "production", "auto"]
+        assert EngineConfig.preset("auto") == EngineConfig(planner=True)
+        assert list(PRESETS) == ["default", "production", "auto"]
         with pytest.raises(QueryError, match="unknown preset"):
             EngineConfig.preset("warp-speed")
 
@@ -175,12 +181,12 @@ class TestEngineConfig:
         config = EngineConfig().with_options(partitioning="quadtree")
         assert config.partitioning == "quadtree"
         with pytest.raises(QueryError):
-            config.with_options(signature_kind="nope")
+            config.with_options(partitioning="nope")
 
     def test_engine_kwargs_leave_the_variant_to_the_name(self):
         kwargs = EngineConfig().engine_kwargs()
         assert "ordering" not in kwargs and "pushthrough" not in kwargs
-        assert kwargs["signature_kind"] == "exact"
+        assert set(kwargs) == ENGINE_KEYWORDS
 
     def test_config_flows_into_engine(self, session, bound):
         stream = session.execute(
@@ -190,9 +196,9 @@ class TestEngineConfig:
         assert stream.algorithm.partitioning == "quadtree"
 
     def test_config_by_preset_name(self, session, bound):
-        stream = session.execute(bound, config="low-memory")
+        stream = session.execute(bound, config="production")
         stream.drain()
-        assert stream.algorithm.signature_kind == "bloom"
+        assert stream.algorithm.verify is False
 
     def test_config_rejected_for_baselines(self, session, bound):
         with pytest.raises(QueryError, match="does not accept"):
@@ -200,13 +206,13 @@ class TestEngineConfig:
 
     def test_field_set(self):
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-            "input_cells", "output_cells", "signature_kind", "partitioning",
+            "input_cells", "output_cells", "partitioning",
             "leaf_capacity", "seed", "verify", "follow", "planner",
             "share_partitions",
         ]
 
     @pytest.mark.parametrize("name, value", [
-        ("input_cells", 3), ("output_cells", 5), ("signature_kind", "bloom"),
+        ("input_cells", 3), ("output_cells", 5),
         ("partitioning", "quadtree"), ("leaf_capacity", 16), ("seed", 7),
         ("verify", False), ("follow", True),
     ])
@@ -684,7 +690,7 @@ class TestVectorizedBatchBudgets:
         with pytest.raises(
             QueryError,
             match="unknown preset 'scalar-reference'; available: default, "
-            "low-memory, production, auto$",
+            "production, auto$",
         ):
             EngineConfig.preset("scalar-reference")
 

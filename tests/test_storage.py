@@ -1,11 +1,21 @@
-"""Tests for schemas, tables and grid partitioning."""
+"""Tests for schemas, tables, grid partitioning and join signatures."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BindingError, SchemaError
 from repro.storage.grid import GridPartitioner
+from repro.storage.quadtree import QuadTreePartitioner
 from repro.storage.schema import Schema
+from repro.storage.signatures import ExactSignature, SignatureCodes, pair_overlap
+from repro.storage.sources import ColumnarFileSource
 from repro.storage.table import Table
+
+from tests.test_sources import BACKENDS, COLUMNS, make_source
 
 
 class TestSchema:
@@ -189,3 +199,122 @@ class TestGridPartitioner:
         ivals = part.attribute_intervals(grid.attributes)
         assert ivals["a"] == (2.0, 2.5)
         assert ivals["b"] == (3.0, 3.5)
+
+
+class TestExactSignature:
+    def test_overlap_detection(self):
+        a = ExactSignature(["x", "y"])
+        b = ExactSignature(["y", "z"])
+        assert a.may_share(b) and b.may_share(a)
+
+    def test_disjoint(self):
+        a = ExactSignature(["x"])
+        b = ExactSignature(["z"])
+        assert not a.may_share(b)
+        assert a.expected_join_size(b) == 0.0
+
+    def test_expected_join_size(self):
+        a = ExactSignature(["x", "x", "y"])
+        b = ExactSignature(["x", "y", "y"])
+        # x: 2*1 + y: 1*2 = 4
+        assert a.expected_join_size(b) == 4.0
+
+    def test_expected_join_size_symmetric(self):
+        a = ExactSignature(["x", "x"])
+        b = ExactSignature(["x", "y", "y"])
+        assert a.expected_join_size(b) == b.expected_join_size(a)
+
+    def test_counts(self):
+        a = ExactSignature(["x", "x", "y"])
+        assert a.distinct_values == 2
+        assert a.tuple_count == 3
+
+    def test_empty_signature_shares_nothing(self):
+        empty = ExactSignature()
+        assert empty.tuple_count == 0
+        assert not empty.may_share(ExactSignature(["x"]))
+
+    def test_equal_numbers_share(self):
+        """Keys compare as the join compares them: ``1 == 1.0``."""
+        assert ExactSignature([1]).may_share(ExactSignature([1.0]))
+
+
+def keyed_rows(n=60, seed=4):
+    rng = np.random.default_rng(seed)
+    return [
+        (f"r{i}", f"J{int(rng.integers(0, 7))}",
+         float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
+        for i in range(n)
+    ]
+
+
+PARTITIONERS = {
+    "grid": lambda: GridPartitioner(3),
+    "quadtree": lambda: QuadTreePartitioner(6),
+}
+
+
+def assert_histograms_of_rows(parts):
+    """Each partition's signature counts exactly its rows' join keys, in
+    first-seen (scan) order — the order ``SignatureCodes`` ids follow."""
+    for part in parts:
+        want = Counter(row[1] for row in part.rows)
+        assert list(part.signature.counts.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("kind", PARTITIONERS)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_partition_signature_is_the_histogram_of_its_rows(kind, backend, tmp_path):
+    source = make_source(backend, tmp_path, rows=keyed_rows(), columns=COLUMNS)
+    structure = PARTITIONERS[kind]().partition(source, ["a0", "a1"], "jkey")
+    assert sum(p.signature.tuple_count for p in structure) == len(source)
+    assert_histograms_of_rows(structure)
+
+
+@pytest.mark.parametrize("kind", PARTITIONERS)
+@pytest.mark.parametrize("backend", ["memory", "columnar"])
+def test_delta_partition_signature_is_the_histogram_of_its_rows(
+    kind, backend, tmp_path
+):
+    rows = keyed_rows()
+    source = make_source(backend, tmp_path, rows=rows[:25], columns=COLUMNS)
+    partitioner = PARTITIONERS[kind]()
+    structure = partitioner.partition(source, ["a0", "a1"], "jkey")
+    token = source.cache_token
+    if backend == "memory":
+        source.extend_rows(rows[25:])
+    else:
+        ColumnarFileSource(tmp_path / "R-columnar.col").append_rows(rows[25:])
+        source = source.refresh()
+    created = partitioner.partition_delta(
+        structure, source, ["a0", "a1"], "jkey", since_token=token
+    )
+    assert sum(p.signature.tuple_count for p in created) == len(rows) - 25
+    assert_histograms_of_rows(created)
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (3, 0), (0, 0)])
+def test_pair_overlap_of_an_empty_side_is_empty(n, m):
+    sigs = [ExactSignature(["x"]), ExactSignature(["y"]), ExactSignature(["x"])]
+    share, expected = pair_overlap(sigs[:n], sigs[:m], SignatureCodes(), SignatureCodes())
+    assert share.shape == expected.shape == (n, m)
+    assert share.dtype == bool
+
+
+keys = st.lists(st.one_of(st.integers(0, 5), st.sampled_from(["a", "b"])), max_size=12)
+
+
+@given(left=st.lists(keys, max_size=4), right=st.lists(keys, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_pair_overlap_counts_the_joined_pairs(left, right):
+    """``expected`` is the number of joined row pairs, and a pair shares
+    exactly when that number is positive."""
+    share, expected = pair_overlap(
+        [ExactSignature(k) for k in left], [ExactSignature(k) for k in right],
+        SignatureCodes(), SignatureCodes(),
+    )
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            pairs = sum(x == y for x in a for y in b)
+            assert expected[i, j] == pairs
+            assert share[i, j] == (pairs > 0)
