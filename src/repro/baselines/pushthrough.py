@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.query.smj import BoundQuery
-from repro.skyline.preferences import Direction, ParetoPreference
+from repro.skyline.preferences import ParetoPreference
 from repro.skyline.vectorized import OnComparisons, skyline_mask
 from repro.storage.partition import reject_non_finite
 from repro.storage.sources.base import DataSource, Row
@@ -85,9 +85,7 @@ def preference_scan(
         rows.extend(batch.rows)
         keys.extend(batch.join_keys)
         blocks.append(m)
-    signs = np.array(
-        [1.0 if p.direction is Direction.LOWEST else -1.0 for p in preference]
-    )
+    signs = np.array(preference.signs_for(attributes), dtype=float)
     return rows, np.concatenate(blocks) * signs, keys
 
 

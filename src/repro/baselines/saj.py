@@ -30,7 +30,6 @@ from repro.baselines.pushthrough import derived_preference
 from repro.query.smj import BoundQuery, ResultTuple
 from repro.runtime.clock import VirtualClock
 from repro.skyline.dominance import dominates, weakly_dominates
-from repro.skyline.preferences import Direction
 from repro.storage.sources.base import rows_of
 
 
@@ -121,11 +120,10 @@ class SortedAccessJoin:
     def _sort_key(self, alias: str, table, map_attrs, map_indices):
         """Monotone surrogate score: derived-preference-normalised sum."""
         pref = derived_preference(self.bound, alias)
-        signs = {}
+        sign_list = [1] * len(map_attrs)
         if pref is not None:
-            for p in pref:
-                signs[p.attribute] = 1.0 if p.direction is Direction.LOWEST else -1.0
-        sign_list = [signs.get(a, 1.0) for a in map_attrs]
+            # An attribute outside the derived preference counts as minimised.
+            sign_list = [s or 1 for s in pref.signs_for(map_attrs)]
         idx_list = list(map_indices)
         def key(row):
             return sum(s * row[i] for s, i in zip(sign_list, idx_list))

@@ -86,6 +86,10 @@ def build_block_regions(
         [p.signature for p in left_parts], [p.signature for p in right_parts],
         *codes,
     )
+    # A NaN end (``inf - inf`` or ``0 * inf`` in the walk) bounds nothing:
+    # widened, the box still holds every pair the partitions can join.
+    np.copyto(lowers, -np.inf, where=np.isnan(lowers))
+    np.copyto(uppers, np.inf, where=np.isnan(uppers))
     rids = first_rid - 1 + np.cumsum(share.ravel()).reshape(share.shape)
     built = share
     if grid is not None:

@@ -31,14 +31,13 @@ from repro.core.output_grid import (
     CellEntry,
     OutputCell,
     OutputGrid,
-    dominated_points,
     pooled_entries,
 )
 from repro.core.regions import OutputRegion
 from repro.errors import ExecutionError
 from repro.query.smj import BoundQuery
 from repro.runtime.clock import VirtualClock
-from repro.skyline.vectorized import dominates_matrix, skyline_mask
+from repro.skyline.vectorized import dominated_by_any, dominates_matrix, skyline_mask
 from repro.storage.partition import materialize_rows
 
 #: Dominance tests (rows x columns) per ``dominates_matrix`` call in
@@ -339,7 +338,7 @@ class ExecutionState:
         if pool is not None:
             corner = grid.cells[region.cell_min]
             pooled = frozenset(c.coords for c in corner.cone_lower if c.size)
-            dead = dominated_points(pool, vectors)
+            dead = dominated_by_any(vectors, pool)
             killed = np.add.reduceat(dead[order], starts, dtype=np.intp).tolist()
 
         first = order[starts]

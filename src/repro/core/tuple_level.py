@@ -24,9 +24,10 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.output_grid import CellEntry, dominated_points, dominates_point
+from repro.core.output_grid import CellEntry
 from repro.core.progdetermine import ExecutionState
 from repro.core.regions import OutputRegion
+from repro.skyline.vectorized import dominated_by_any
 from repro.storage.partition import ColumnBlock, PairRows
 
 #: Joined pairs pending before a flush into
@@ -68,8 +69,7 @@ def process_region(
         state.clock.charge("discard")
         return
     witnesses = state.witnesses(region)
-    corner = np.asarray(region.lower, dtype=float)
-    if witnesses is not None and dominates_point(witnesses, corner):
+    if witnesses is not None and dominated_by_any([region.lower], witnesses)[0]:
         # A result already buffered dominates every pair the region can
         # join: skip the join, charged as the discard above.  A test that
         # finds no witness charges nothing (it rides on the dispatch).
@@ -177,6 +177,6 @@ def _live_rows(
         region.left_partition.attribute_intervals(bound.left_map_attrs),
         region.right_partition.attribute_intervals(bound.right_map_attrs),
     )
-    live = ~dominated_points(witnesses, corners)
+    live = ~dominated_by_any(corners, witnesses)
     state.rows_skipped += len(live) - int(np.count_nonzero(live))
     return live[:nl], live[nl:]

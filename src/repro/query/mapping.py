@@ -137,14 +137,10 @@ class MappingSet:
         mapping is non-monotone in it — push-through is unsafe for this
         source and ``None`` is returned.
         """
-        directions: dict[str, Direction] = {}
-        for f in self.functions:
-            pref_dir = None
-            for p in preference:
-                if p.attribute == f.name:
-                    pref_dir = p.direction
-                    break
-            if pref_dir is None:
+        wanted: dict[str, int] = {}  # attribute -> minimisation sign
+        signs = preference.signs_for(f.name for f in self.functions)
+        for f, out_sign in zip(self.functions, signs):
+            if not out_sign:
                 # Output not part of the skyline — it constrains nothing.
                 continue
             mono = f.expression.monotonicity()
@@ -153,12 +149,12 @@ class MappingSet:
                     continue
                 if sign is None:
                     return None
-                want = pref_dir if sign > 0 else pref_dir.flip()
-                if name in directions and directions[name] is not want:
+                want = out_sign if sign > 0 else -out_sign
+                if wanted.setdefault(name, want) != want:
                     return None
-                directions[name] = want
-        if not directions:
+        if not wanted:
             return None
         return ParetoPreference(
-            Preference(name, d) for name, d in sorted(directions.items())
+            Preference(name, Direction.LOWEST if want > 0 else Direction.HIGHEST)
+            for name, want in sorted(wanted.items())
         )

@@ -185,6 +185,7 @@ class BoundMultiwayQuery:
         for alias, table in tables.items():
             if not table.rows:
                 raise BindingError(f"table for alias {alias!r} is empty")
+        self._signs = query.preference.signs_for(query.mappings.names)
 
     # ------------------------------------------------------------------
     # blocking evaluation (the oracle)
@@ -208,16 +209,7 @@ class BoundMultiwayQuery:
     def _make_result(self, rows: dict[str, tuple],
                      mapped: tuple[float, ...]) -> MultiwayResult:
         query = self.query
-        signs = []
-        for name in query.mappings.names:
-            sign = 0
-            for p in query.preference:
-                if p.attribute == name:
-                    sign = 1 if p.direction.value == "LOWEST" else -1
-            signs.append(sign)
-        vector = tuple(
-            s * v for s, v in zip(signs, mapped) if s != 0
-        )
+        vector = tuple(s * v for s, v in zip(self._signs, mapped) if s != 0)
         outputs = {}
         for pt in query.passthrough:
             schema = self.tables[pt.alias].schema

@@ -23,7 +23,7 @@ from repro.errors import BindingError, ExecutionError, QueryError
 from repro.query.expressions import AttrRef
 from repro.query.intervals import Interval
 from repro.query.mapping import MappingSet
-from repro.skyline.preferences import Direction, ParetoPreference
+from repro.skyline.preferences import ParetoPreference
 from repro.storage.partition import materialize_rows
 from repro.storage.sources.base import DataSource
 from repro.storage.sources.filtered import FilteredSource, conditions_fingerprint
@@ -257,12 +257,9 @@ class BoundQuery:
             query.left_alias, query.right_alias, left_index, right_index
         )
 
-        # Preference sign per output dimension, in mapping order: +1 when the
-        # dimension participates and is minimised, -1 when maximised, 0 when
-        # the mapping output is not a skyline dimension.
-        self.dimension_signs: tuple[int, ...] = tuple(
-            self._dim_sign(name) for name in query.mappings.names
-        )
+        # Preference sign per output dimension, in mapping order; 0 marks an
+        # output that is not a skyline dimension.
+        self.dimension_signs = query.preference.signs_for(query.mappings.names)
         self.skyline_dims: tuple[int, ...] = tuple(
             i for i, s in enumerate(self.dimension_signs) if s != 0
         )
@@ -312,12 +309,6 @@ class BoundQuery:
     def right_source(self) -> DataSource:
         """The (filtered) right data source (see :attr:`left_source`)."""
         return self.right_table
-
-    def _dim_sign(self, mapping_name: str) -> int:
-        for p in self.query.preference:
-            if p.attribute == mapping_name:
-                return 1 if p.direction is Direction.LOWEST else -1
-        return 0
 
     # ------------------------------------------------------------------
     # hot-path evaluation

@@ -2,8 +2,6 @@
 
 from repro.skyline.bnl import bnl_skyline, bnl_skyline_entries
 from repro.skyline.dominance import (
-    Dominance,
-    compare,
     dominates,
     skyline_indices_bruteforce,
     weakly_dominates,
@@ -32,7 +30,6 @@ from repro.skyline.vectorized import (
 
 __all__ = [
     "Direction",
-    "Dominance",
     "HIGHEST",
     "LOWEST",
     "ParetoPreference",
@@ -40,7 +37,6 @@ __all__ = [
     "all_lowest",
     "bnl_skyline",
     "bnl_skyline_entries",
-    "compare",
     "dominated_by_any",
     "dominates",
     "dominates_matrix",

@@ -23,32 +23,16 @@ def bnl_skyline(
     *,
     on_comparison: Callable[[], None] | None = None,
 ) -> list[Sequence[float]]:
-    """Skyline of ``vectors`` (minimisation space) via block-nested-loops.
+    """Skyline of ``vectors`` (minimisation space) via block-nested-loops:
+    :func:`bnl_skyline_entries` with no payloads.
 
     ``on_comparison`` is invoked once per dominance comparison so callers can
     charge a virtual clock.
     """
-    window: list[Sequence[float]] = []
-    for v in vectors:
-        dominated = False
-        survivors: list[Sequence[float]] = []
-        for i, w in enumerate(window):
-            if on_comparison is not None:
-                on_comparison()
-            if dominates(w, v):
-                # A window dominator of v implies v evicted nothing before
-                # this point (the window is mutually non-dominated, so a
-                # tuple v beats cannot coexist with one beating v): the
-                # suffix restore reconstructs the window exactly.
-                dominated = True
-                survivors.extend(window[i:])
-                break
-            if not dominates(v, w):
-                survivors.append(w)
-        if not dominated:
-            survivors.append(v)
-        window = survivors
-    return window
+    window = bnl_skyline_entries(
+        ((v, None) for v in vectors), on_comparison=on_comparison
+    )
+    return [v for v, _ in window]
 
 
 def bnl_skyline_entries(
@@ -70,6 +54,10 @@ def bnl_skyline_entries(
             if on_comparison is not None:
                 on_comparison()
             if dominates(wvec, vec):
+                # A window dominator of vec implies vec evicted nothing
+                # before this point (the window is mutually non-dominated,
+                # so a tuple vec beats cannot coexist with one beating vec):
+                # the suffix restore reconstructs the window exactly.
                 dominated = True
                 survivors.extend(window[i:])
                 break

@@ -1,28 +1,20 @@
 """Pareto dominance tests over minimisation-space vectors.
 
 All functions here assume vectors already normalised so that *lower is
-better* on every dimension (see
-:meth:`repro.skyline.preferences.ParetoPreference.normalise`).  Definition 1
+better* on every dimension (each value scaled by its sign from
+:meth:`repro.skyline.preferences.ParetoPreference.signs_for`).  Definition 1
 of the paper: ``u`` dominates ``v`` iff ``u[i] <= v[i]`` for all ``i`` and
-``u[j] < v[j]`` for at least one ``j``.
+``u[j] < v[j]`` for at least one ``j``.  These are the per-pair reference;
+:mod:`repro.skyline.vectorized` holds the array kernels, among them the one
+pool test, :func:`~repro.skyline.vectorized.dominated_by_any`.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
-
-
-class Dominance(enum.Enum):
-    """Outcome of comparing two vectors."""
-
-    LEFT = "left"  # first argument dominates the second
-    RIGHT = "right"  # second argument dominates the first
-    EQUAL = "equal"  # identical vectors (neither dominates)
-    INCOMPARABLE = "incomparable"
 
 
 def _check_lengths(u: Sequence[float], v: Sequence[float]) -> None:
@@ -53,25 +45,6 @@ def weakly_dominates(u: Sequence[float], v: Sequence[float]) -> bool:
         if a > b:
             return False
     return True
-
-
-def compare(u: Sequence[float], v: Sequence[float]) -> Dominance:
-    """Classify the dominance relationship between two vectors."""
-    _check_lengths(u, v)
-    u_better = False
-    v_better = False
-    for a, b in zip(u, v):
-        if a < b:
-            u_better = True
-        elif a > b:
-            v_better = True
-        if u_better and v_better:
-            return Dominance.INCOMPARABLE
-    if u_better:
-        return Dominance.LEFT
-    if v_better:
-        return Dominance.RIGHT
-    return Dominance.EQUAL
 
 
 def skyline_indices_bruteforce(points: npt.NDArray[np.float64]) -> list[int]:

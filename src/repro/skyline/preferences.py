@@ -8,6 +8,8 @@ the set of tuples not dominated by any other tuple (Definition 1).
 Internally every Pareto preference is normalised to **minimisation**: a
 ``HIGHEST`` dimension is negated when building comparison vectors, so all
 dominance tests in the library are "lower is better" on every dimension.
+:meth:`ParetoPreference.signs_for` is the one place that turns directions
+into those signs.
 """
 
 from __future__ import annotations
@@ -24,20 +26,6 @@ class Direction(enum.Enum):
 
     LOWEST = "LOWEST"
     HIGHEST = "HIGHEST"
-
-    def normalise(self, value: float) -> float:
-        """Map ``value`` into minimisation space (negate for ``HIGHEST``)."""
-        return value if self is Direction.LOWEST else -value
-
-    def denormalise(self, value: float) -> float:
-        """Invert :meth:`normalise`."""
-        return value if self is Direction.LOWEST else -value
-
-    def flip(self) -> "Direction":
-        """Return the opposite direction."""
-        if self is Direction.LOWEST:
-            return Direction.HIGHEST
-        return Direction.LOWEST
 
 
 LOWEST = Direction.LOWEST
@@ -82,7 +70,7 @@ class ParetoPreference:
         required and attribute names must be unique.
     """
 
-    __slots__ = ("preferences", "_directions", "_attributes")
+    __slots__ = ("preferences", "_attributes")
 
     def __init__(self, preferences: Iterable[Preference]) -> None:
         prefs = tuple(preferences)
@@ -92,7 +80,6 @@ class ParetoPreference:
         if len(set(names)) != len(names):
             raise QueryError(f"duplicate preference attributes: {names}")
         self.preferences = prefs
-        self._directions = tuple(p.direction for p in prefs)
         self._attributes = tuple(names)
 
     @property
@@ -101,65 +88,20 @@ class ParetoPreference:
         return self._attributes
 
     @property
-    def directions(self) -> tuple[Direction, ...]:
-        """Directions in dimension order."""
-        return self._directions
-
-    @property
     def dimensions(self) -> int:
         """Number of skyline dimensions ``d``."""
         return len(self.preferences)
 
-    def normalise(self, values: Sequence[float]) -> tuple[float, ...]:
-        """Build a minimisation-space vector from raw attribute values."""
-        if len(values) != len(self._directions):
-            raise QueryError(
-                f"expected {len(self._directions)} values, got {len(values)}"
-            )
-        return tuple(
-            d.normalise(v) for d, v in zip(self._directions, values)
-        )
-
-    def denormalise(self, vector: Sequence[float]) -> tuple[float, ...]:
-        """Invert :meth:`normalise` back into user-facing values."""
-        return tuple(
-            d.denormalise(v) for d, v in zip(self._directions, vector)
-        )
-
-    def signs(self) -> tuple[int, ...]:
-        """Per-dimension normalisation sign: ``+1`` LOWEST, ``-1`` HIGHEST."""
-        return tuple(
-            1 if d is Direction.LOWEST else -1 for d in self._directions
-        )
-
-    def normalise_batch(self, values):
-        """Batched :meth:`normalise`: an ``(n, d)`` matrix of raw values to
-        an ``(n, d)`` minimisation-space matrix in one vectorized pass.
-        """
-        import numpy as np
-
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.shape[1] != len(self._directions):
-            raise QueryError(
-                f"expected {len(self._directions)} columns, got {arr.shape[1]}"
-            )
-        return arr * np.asarray(self.signs(), dtype=float)
-
-    def denormalise_batch(self, vectors):
-        """Invert :meth:`normalise_batch` (the signs are involutive)."""
-        return self.normalise_batch(vectors)
-
-    def index_of(self, attribute: str) -> int:
-        """Dimension index of ``attribute`` (raises :class:`QueryError`)."""
-        try:
-            return self._attributes.index(attribute)
-        except ValueError:
-            raise QueryError(
-                f"attribute {attribute!r} is not a preference dimension; "
-                f"known dimensions: {list(self._attributes)}"
-            ) from None
+    def signs_for(self, names: Iterable[str]) -> tuple[int, ...]:
+        """Minimisation sign per name: ``+1`` for a ``LOWEST`` dimension,
+        ``-1`` for a ``HIGHEST`` one and ``0`` for a name that is not a
+        preference dimension.  Values scaled by their signs are "lower is
+        better" everywhere, the space Definition 1 is decided in."""
+        sign = {
+            p.attribute: 1 if p.direction is Direction.LOWEST else -1
+            for p in self.preferences
+        }
+        return tuple(sign.get(name, 0) for name in names)
 
     def __len__(self) -> int:
         return len(self.preferences)

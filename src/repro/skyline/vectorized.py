@@ -10,14 +10,22 @@ surveys in PAPERS.md) and is what the engine's batched probe path and the
 
 Conventions shared with the per-tuple functions:
 
-* all vectors live in normalised minimisation space (lower is better),
+* all vectors live in normalised minimisation space (lower is better; the
+  signs come from :meth:`~repro.skyline.preferences.ParetoPreference.signs_for`),
 * ``u`` dominates ``v`` iff ``u <= v`` everywhere and ``u < v`` somewhere
   (Definition 1) — in particular, equal vectors never dominate each other,
   so duplicates always survive together.
 
-Comparison accounting is *bulk* and *algorithmic*.  Every kernel accepts an
-optional ``on_comparisons(count)`` callback, so callers can charge a
-:class:`~repro.runtime.clock.VirtualClock` without per-pair call overhead.
+:func:`dominated_by_any` is the library's one pool test — does some row of
+a pool strictly dominate each point? — behind the look-ahead's region
+elimination and cell premarking and the engine's three witness tests.  It
+decides Definition 1 in the ``<=``/``<`` form, so a NaN coordinate never
+lets a point fall or a pool row dominate.
+
+Comparison accounting is *bulk* and *algorithmic*.  The skyline kernels
+accept an optional ``on_comparisons(count)`` callback, so callers can
+charge a :class:`~repro.runtime.clock.VirtualClock` without per-pair call
+overhead.
 What is reported is the number of vector pairs the **algorithm** tests,
 not the lanes a particular kernel happened to evaluate: for
 :func:`skyline_order` and :func:`skyline_mask` that is the scalar
@@ -49,10 +57,6 @@ import numpy as np
 
 #: Bulk comparison-count callback: called with the number of pairs tested.
 OnComparisons = Callable[[int], None]
-
-#: Default candidate block size: bounds peak broadcast memory at roughly
-#: ``block * window * d`` booleans while keeping kernel launches rare.
-DEFAULT_BLOCK = 1024
 
 
 def as_matrix(vectors, dimensions: int | None = None) -> np.ndarray:
@@ -109,29 +113,48 @@ def _beats(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return out
 
 
-def dominated_by_any(
-    points,
-    window,
-    *,
-    block_size: int = DEFAULT_BLOCK,
-    on_comparisons: OnComparisons | None = None,
-) -> np.ndarray:
-    """Mask over ``points``: which are dominated by *some* row of ``window``.
+#: Point-row tests per block of :func:`dominated_by_any`: one boolean
+#: ``(window rows, points)`` temporary per dimension and block.
+LANES = 2**18
 
-    The candidate side is processed in blocks of ``block_size`` so peak
-    broadcast memory stays bounded at ``block_size * len(window)`` pairs.
+
+def dominated_by_any(points, window) -> np.ndarray:
+    """``(n,)`` mask: whether some row of ``window`` strictly dominates each
+    row of ``points`` — ``<=`` it everywhere and ``<`` somewhere.
+
+    A NaN compares false both ways, so a point holding a NaN is never
+    dominated and a window row holding one never dominates.  Only a window
+    row ``<=`` the points' componentwise maximum can dominate one, and only
+    a point ``>=`` the surviving rows' componentwise minimum can fall; the
+    points left are tested in blocks of :data:`LANES` point-row pairs.
     """
     P = as_matrix(points)
     W = as_matrix(window, dimensions=P.shape[1])
-    n = P.shape[0]
-    out = np.zeros(n, dtype=bool)
-    if n == 0 or W.shape[0] == 0:
+    out = np.zeros(len(P), dtype=bool)
+    if len(P) == 1:
+        # The rows <= the point everywhere: one below it somewhere dominates.
+        below = (W <= P[0]).all(axis=1)
+        out[0] = below.any() and (W[below] < P[0]).any()
         return out
-    for start in range(0, n, block_size):
-        stop = min(n, start + block_size)
-        if on_comparisons is not None:
-            on_comparisons(W.shape[0] * (stop - start))
-        out[start:stop] = dominates_matrix(W, P[start:stop]).any(axis=0)
+    if not len(P):
+        return out
+    # fmax skips NaN points: they must not hide the rest from the window.
+    W = W[(W <= np.fmax.reduce(P, axis=0)).all(axis=1)]
+    if not len(W):
+        return out
+    reach = np.flatnonzero((P >= W.min(axis=0)).all(axis=1))
+    step = max(1, LANES // len(W))
+    for lo in range(0, len(reach), step):
+        at = reach[lo : lo + step]
+        block = P[at]
+        below = np.ones((len(W), len(block)), dtype=bool)
+        strict = np.zeros_like(below)
+        for j in range(W.shape[1]):
+            row, point = W[:, j, None], block[None, :, j]
+            below &= row <= point
+            strict |= row < point
+        below &= strict
+        out[at] = below.any(axis=0)
     return out
 
 
@@ -144,10 +167,8 @@ def _sum_order(P: np.ndarray) -> np.ndarray:
     and ``(1e16, 1)``), the dominator is smaller at the first coordinate
     where they differ, so the lexicographic tie-break puts it first.
     Identical vectors keep their input order (the sort is stable), and the
-    sweep keeps them all by explicit equality.  A vector holding both
-    ``+inf`` and ``-inf`` has a NaN sum and sorts last, after vectors it
-    may dominate; the sweep only ever tests a vector against earlier ones,
-    so its blocked and per-head forms still agree with each other.
+    sweep keeps them all by explicit equality.  All of this needs NaN-free
+    sums (see :func:`skyline_mask`).
     """
     return np.lexsort((*P.T[::-1], P.sum(axis=1)))
 
@@ -158,8 +179,6 @@ def _sum_order(P: np.ndarray) -> np.ndarray:
 #: microbench rows in docs/benchmarks.md.
 _BLOCK = 32
 
-_EARLIER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
-
 
 def _blocked_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.ndarray:
     """Skyline positions of a non-empty sum-sorted matrix, blocked.
@@ -167,10 +186,11 @@ def _blocked_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.nd
     Nothing later in :func:`_sum_order` dominates a point, so the sweep's
     heads — points no earlier head beats — are exactly the skyline.  The
     next ``_BLOCK`` points of the window are swept pairwise: one of them
-    is a head iff no earlier one beats it (had that one been eliminated,
-    its eliminator beats this one too: dominance is transitive).  Then one
-    dominance-matrix launch tests the block's heads against the rest of
-    the window, which keeps only the points they leave standing.
+    is a head iff no other one beats it — only an earlier one can, and had
+    that one been eliminated, its eliminator beats this one too: dominance
+    is transitive.  Then one dominance-matrix launch tests the block's
+    heads against the rest of the window, which keeps only the points they
+    leave standing.
     Reported is the per-head sweep's count: a point is tested against
     each head before it, up to and including the first that beats it.
     """
@@ -183,7 +203,6 @@ def _blocked_sweep(S: np.ndarray, on_comparisons: OnComparisons | None) -> np.nd
         block, work = work[:, :_BLOCK], work[:, _BLOCK:]
         b = block.shape[1]
         beats = _beats(block, block)
-        beats &= _EARLIER[:b, :b]
         alive = ~beats.any(axis=0)
         kept.append(pos[:b][alive])
         pos = pos[b:]
@@ -239,6 +258,11 @@ def skyline_mask(
     be recovered by index.  Total work is ``O(s · n · d)`` element
     operations at numpy throughput, in two launches per ``_BLOCK`` points
     of :func:`skyline_order`'s sweep.
+
+    The points must be NaN-free, and no point may hold both ``+inf`` and
+    ``-inf``: the sweep's order rests on every coordinate sum being a
+    number.  The engine and the baselines refuse a non-finite mapped value
+    before a vector reaches a skyline.
     """
     P = as_matrix(points)
     keep = np.zeros(P.shape[0], dtype=bool)

@@ -104,6 +104,37 @@ class TestSAJThreats:
                 ), "a joined result escaped every threat lower bound"
 
 
+    def test_sort_key_signs(self):
+        """Each attribute is scored with its sign in the derived source
+        preference; one outside it (here ``R.a1``, read only by an output
+        the preference does not name) counts as minimised."""
+        from repro.query.expressions import Attr
+        from repro.query.mapping import MappingFunction, MappingSet
+        from repro.query.smj import JoinCondition, SkyMapJoinQuery
+        from repro.skyline.preferences import ParetoPreference, highest
+        from repro.storage.table import Table
+
+        query = SkyMapJoinQuery(
+            left_alias="R",
+            right_alias="T",
+            join=JoinCondition("jkey", "jkey"),
+            mappings=MappingSet([
+                MappingFunction("x0", Attr("R", "a0") + Attr("T", "b0")),
+                MappingFunction("spare", Attr("R", "a1") + Attr("T", "b0")),
+            ]),
+            preference=ParetoPreference([highest("x0")]),
+        )
+        bound = query.bind({
+            "R": Table.from_rows("R", ["jkey", "a0", "a1"], [("k", 1.0, 2.0)]),
+            "T": Table.from_rows("T", ["jkey", "b0"], [("k", 5.0)]),
+        })
+        algo = SortedAccessJoin(bound, VirtualClock())
+        key = algo._sort_key("R", bound.left_table, bound.left_map_attrs,
+                             bound.left_map_indices)
+        assert bound.left_map_attrs == ("a0", "a1")
+        assert key(("k", 3.0, 7.0)) == -3.0 + 7.0
+
+
 class TestSSMJInternals:
     def test_local_lists_without_derived_preference(self):
         """Non-monotone mappings collapse LS(S)=LS(N)=all rows."""

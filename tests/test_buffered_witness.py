@@ -17,8 +17,9 @@ or marking.
 * :class:`TestSameAnswers` runs the engine with the tests on and off: the
   same results, the same region steps, and clock counts that fall only in
   the join's kinds.
-* :class:`TestWitness`, :class:`TestDominatedPoints` and
-  :class:`TestRowWitness` pin the edge cases of the two tests.
+* :class:`TestWitness` and :class:`TestRowWitness` pin the edge cases of
+  the two tests; the pool test itself is a property in
+  ``tests/test_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import output_grid, tuple_level
+from repro.core import tuple_level
 from repro.core.engine import ProgXeEngine
-from repro.core.output_grid import OutputGrid, dominated_points, dominates_point
+from repro.core.output_grid import OutputGrid
 from repro.core.progdetermine import ExecutionState
 from repro.core.regions import OutputRegion
 from repro.core.verify import verify_results
@@ -42,6 +43,7 @@ from repro.query.mapping import MappingFunction, MappingSet
 from repro.query.smj import JoinCondition, SkyMapJoinQuery
 from repro.runtime.clock import VirtualClock
 from repro.skyline.preferences import ParetoPreference, highest, lowest
+from repro.skyline.vectorized import dominated_by_any
 from repro.storage.table import Table
 
 from tests.plan_reference import box_cell_range, iter_coords_in_range
@@ -59,7 +61,7 @@ def witness_off(patch) -> None:
 def witnessed(state: ExecutionState, region: OutputRegion) -> bool:
     """The dispatch-time test: a pooled witness dominates the corner."""
     pool = state.witnesses(region)
-    return pool is not None and dominates_point(pool, np.asarray(region.lower))
+    return pool is not None and bool(dominated_by_any([region.lower], pool)[0])
 
 
 def split_rows(workload: SyntheticWorkload, follow: bool):
@@ -399,26 +401,6 @@ class TestWitness:
 # ----------------------------------------------------------------------
 # the row test inside a joined region
 # ----------------------------------------------------------------------
-class TestDominatedPoints:
-    POOL = np.array([[1.0, 3.0], [2.0, 2.0]])
-
-    def test_strict_pareto_dominance_per_point(self):
-        points = np.array([
-            [2.0, 2.0],  # equal to an entry: not dominated
-            [2.0, 2.5],  # equal in one dimension, above in the other
-            [1.5, 1.5],  # below every entry in some dimension
-            [5.0, 5.0],
-        ])
-        assert dominated_points(self.POOL, points).tolist() == [False, True, False, True]
-
-    def test_blocks_give_the_single_pass_answer(self, monkeypatch):
-        points = np.random.default_rng(3).uniform(0.0, 4.0, (50, 2))
-        whole = dominated_points(self.POOL, points)
-        monkeypatch.setattr(output_grid, "_POINT_LANES", 1)
-        assert dominated_points(self.POOL, points).tolist() == whole.tolist()
-        assert whole.tolist() == [dominates_point(self.POOL, p) for p in points]
-
-
 class TestRowWitness:
     """``_live_rows`` on a planned region: a row leaves the join exactly
     when a witness strictly dominates its corner, and only in a region
@@ -449,7 +431,7 @@ class TestRowWitness:
         # A witness just below one row's corner, not below any other's.
         target = int(np.argmax(corners.sum(axis=1)))
         witness = corners[target] - 1e-9
-        expected = ~dominated_points(witness[None], corners)
+        expected = ~dominated_by_any(corners, witness[None])
         assert not expected[target] and expected.sum() < rows
         live = np.concatenate(tuple_level._live_rows(state, region, lblock, rblock, witness[None]))
         assert live.tolist() == expected.tolist()
@@ -460,7 +442,7 @@ class TestRowWitness:
         region.expected_join = tuple_level.ROW_TEST_PAIRS_PER_ROW * (len(lblock) + len(rblock))
         live = np.concatenate(tuple_level._live_rows(state, region, lblock, rblock, corners[:1]))
         assert live[0]
-        assert live.tolist() == (~dominated_points(corners[:1], corners)).tolist()
+        assert live.tolist() == (~dominated_by_any(corners, corners[:1])).tolist()
 
     def test_rows_are_tested_only_where_pairs_per_row_reach_the_gate(self, planned):
         state, region, (lblock, rblock), corners = planned
@@ -478,7 +460,7 @@ class TestRowWitness:
         top_left = corners[:nl][np.argmax(corners[:nl].sum(axis=1))]
         top_right = corners[nl:][np.argmax(corners[nl:].sum(axis=1))]
         witness = np.minimum(top_left, top_right)[None] - 1e-9
-        live = ~dominated_points(witness, corners)
+        live = ~dominated_by_any(corners, witness)
         assert not live[:nl].all() and not live[nl:].all()
         pairs = []
         monkeypatch.setattr(

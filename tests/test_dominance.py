@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.skyline.dominance import (
-    Dominance,
-    compare,
     dominates,
     skyline_indices_bruteforce,
     weakly_dominates,
@@ -69,28 +67,6 @@ class TestWeakDominance:
         assert not weakly_dominates((1, 3), (2, 2))
 
 
-class TestCompare:
-    def test_left(self):
-        assert compare((1, 1), (2, 2)) is Dominance.LEFT
-
-    def test_right(self):
-        assert compare((2, 2), (1, 1)) is Dominance.RIGHT
-
-    def test_equal(self):
-        assert compare((1, 2), (1, 2)) is Dominance.EQUAL
-
-    def test_incomparable(self):
-        assert compare((1, 5), (5, 1)) is Dominance.INCOMPARABLE
-
-    @given(vectors, vectors)
-    def test_consistent_with_dominates(self, u, v):
-        n = min(len(u), len(v))
-        u, v = u[:n], v[:n]
-        outcome = compare(u, v)
-        assert (outcome is Dominance.LEFT) == dominates(u, v)
-        assert (outcome is Dominance.RIGHT) == dominates(v, u)
-
-
 class TestBruteforceSkyline:
     def test_simple(self):
         pts = np.array([[1.0, 4.0], [2.0, 2.0], [4.0, 1.0], [3.0, 3.0]])
@@ -122,14 +98,10 @@ class TestUnequalLengthRejection:
         with pytest.raises(ValueError, match="unequal-length"):
             weakly_dominates((1.0,), (1.0, 2.0))
 
-    def test_compare_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="unequal-length"):
-            compare((1.0, 2.0, 3.0), (1.0, 2.0))
-
     @given(vectors, vectors)
     def test_any_length_mismatch_raises(self, u, v):
         if len(u) == len(v):
             return
-        for fn in (dominates, weakly_dominates, compare):
+        for fn in (dominates, weakly_dominates):
             with pytest.raises(ValueError):
                 fn(u, v)

@@ -324,13 +324,25 @@ RETIRED = [
     # used more memory than the default.
     (r"BloomFilter|BloomSignature|signature_kind|bloom_bits|bloom_hashes|low-memory"
      r"|SIGNATURE_KINDS|JoinSignature|definitely_shares", ("src/",)),
+    # One pool test (skyline.vectorized.dominated_by_any, NaN never dominates
+    # or falls) and one sign rule (ParetoPreference.signs_for): no grid-side
+    # copies and no normalise family ...
+    (r"dominates_point|dominated_points|_POINT_LANES|DEFAULT_BLOCK|_EARLIER"
+     r"|denormalise|normalise_batch|def normalise|def signs\(|def index_of"
+     r"|_dim_sign|def flip\(|def directions\b|_directions\b", ("src/",)),
+    # ... no per-caller sign expression ...
+    (r"LOWEST\"? else -1", ("src/repro/query", "src/repro/baselines", "src/repro/core")),
+    # ... and no third scalar classifier beside dominates/weakly_dominates
+    # (Session.compare stays, so this row is scoped to the skyline package).
+    (r"\bcompare\b|\bDominance\b", ("src/repro/skyline",)),
 ]
 
 
 @pytest.mark.parametrize("pattern, paths", RETIRED, ids=[
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
     "one-scheduler", "one-filter-path", "one-pushthrough-switch",
-    "progcount-from-counters", "one-join-signature"])
+    "progcount-from-counters", "one-join-signature", "one-dominance-home-helpers",
+    "one-dominance-home-signs", "one-dominance-home-compare"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]

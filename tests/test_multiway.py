@@ -13,7 +13,7 @@ from repro.query.multiway import (
 from repro.query.smj import PassThrough
 from repro.runtime.clock import VirtualClock
 from repro.skyline.bnl import bnl_skyline_entries
-from repro.skyline.preferences import ParetoPreference, lowest
+from repro.skyline.preferences import ParetoPreference, highest, lowest
 from repro.storage.table import Table
 
 
@@ -165,6 +165,26 @@ class TestBlockingEvaluation:
         three_way_query().bind(three_tables()).evaluate_blocking(clock)
         assert clock.count("join_result") > 0
         assert clock.count("dominance_cmp") > 0
+
+
+    def test_a_maximised_output_is_negated_in_the_vector(self):
+        """The vector keeps the preferred outputs, each times its sign
+        (``ParetoPreference.signs_for``); a spare output stays out."""
+        query = three_way_query()
+        query = MultiwayQuery(
+            aliases=query.aliases,
+            joins=query.joins,
+            mappings=MappingSet([
+                *query.mappings,
+                MappingFunction("spare", Attr("A", "a0")),
+            ]),
+            preference=ParetoPreference([lowest("x0"), highest("x1")]),
+        )
+        results = query.bind(three_tables()).evaluate_blocking()
+        assert results
+        for result in results:
+            x0, x1, _ = result.mapped
+            assert result.vector == (x0, -x1)
 
 
 class TestBinaryReduction:

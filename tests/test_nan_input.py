@@ -34,6 +34,7 @@ from repro.query.expressions import Attr, Const
 from repro.query.mapping import MappingFunction, MappingSet
 from repro.query.multiway import ChainJoin, MultiwayQuery
 from repro.query.parser import parse_query
+from repro.query.smj import JoinCondition, SkyMapJoinQuery
 from repro.runtime.clock import VirtualClock
 from repro.serve import QueryServer
 from repro.session.config import EngineConfig
@@ -348,3 +349,88 @@ class TestMultiwayOverflow:
             Attr("A", "a1") + Attr("C", "c0"), MappingFunction("spare", self.MAPPING)
         )
         assert query.bind(three_tables(1e308)).evaluate_blocking()
+
+
+# ----------------------------------------------------------------------
+# a region box that overflows to NaN
+# ----------------------------------------------------------------------
+#: ``r9`` and ``t9`` join only each other, in partitions of their own
+#: under the grid: their region box is ``inf - inf`` in ``x0``.
+BOX_LEFT = [("r0", "J1", 1.0, 2.0), HUGE_LEFT]
+BOX_RIGHT = [("t0", "J1", 1.0, 2.0), HUGE_RIGHT]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNanRegionBox:
+    """A NaN end of a region box (``inf - inf`` or ``0 * inf`` over the
+    partitions' value ranges) bounds nothing: the look-ahead widens it to
+    ``-inf`` / ``+inf``, so the region is never eliminated and covers every
+    cell its pairs can reach.  A NaN corner once let region elimination
+    drop the pair's join silently: the query completed with one result."""
+
+    @pytest.mark.parametrize("follow", [False, True], ids=["static", "follow"])
+    @pytest.mark.parametrize("partitioning", PARTITIONINGS)
+    def test_the_query_ends_in_the_named_error(self, partitioning, follow):
+        cut = 1 if follow else 2  # a follow query sees r9 and t9 arrive
+        tables = {
+            "R": Table.from_rows("R", COLUMNS, BOX_LEFT[:cut]),
+            "T": Table.from_rows("T", ["id", "jkey", "b0", "b1"], BOX_RIGHT[:cut]),
+        }
+        engine = ProgXeEngine(
+            parse_query(OVERFLOW_SQL).bind(tables), VirtualClock(),
+            partitioning=partitioning, follow=follow,
+        )
+        with pytest.raises(ExecutionError, match=OVERFLOW):
+            kernel = engine.kernel()
+            kernel.step()
+            if follow:
+                tables["R"].extend_rows(BOX_LEFT[cut:])
+                tables["T"].extend_rows(BOX_RIGHT[cut:])
+                kernel.close_ingest()
+            for _ in range(100):
+                kernel.step()
+
+    @pytest.mark.parametrize("follow", [False, True], ids=["static", "follow"])
+    @pytest.mark.parametrize("partitioning", PARTITIONINGS)
+    def test_a_box_over_finite_pairs_keeps_its_answer(self, partitioning, follow):
+        """``R.a0 * T.b0 * R.a1`` spans ``[0, inf] * [0, 0]`` over the
+        partition of ``rh`` and ``rz`` though every joined pair maps to a
+        finite value.  Under follow the quadtree once placed that region
+        on the wrong cells and failed with a broken-accounting error."""
+        cut = 2 if follow else 5  # a follow query sees rh, rz and r2 arrive
+        left = [("r0", "J1", 1.0, 4.0), ("r1", "J2", 4.0, 1.0),
+                ("rh", "JH", 1e308, 0.0), ("rz", "JZ", 0.0, 0.0), ("r2", "J1", 4.0, 4.0)]
+        right = [("t0", "J1", 1.0, 4.0), ("t1", "J2", 4.0, 1.0),
+                 ("th", "JH", 0.0, 3.0), ("tz", "JZ", 10.0, 4.0)]
+        tables = {
+            "R": Table.from_rows("R", COLUMNS, left[:cut]),
+            "T": Table.from_rows("T", ["id", "jkey", "b0", "b1"], right[:cut]),
+        }
+        bound = parse_query(
+            "SELECT R.id, T.id, (R.a0 * T.b0 * R.a1) AS x0, (R.a1 + T.b1) AS x1 "
+            "FROM R R, T T WHERE R.jkey = T.jkey PREFERRING LOWEST(x0) AND LOWEST(x1)"
+        ).bind(tables)
+        kernel = ProgXeEngine(
+            bound, VirtualClock(), input_cells=None if follow else 1,
+            partitioning=partitioning, follow=follow,
+        ).kernel()
+        results = list(kernel.step().results)
+        if follow:
+            tables["R"].extend_rows(left[cut:])
+            tables["T"].extend_rows(right[cut:])
+            kernel.close_ingest()
+        while not kernel.finished:
+            results += kernel.step().results
+        assert sorted(tuple(r.vector) for r in results) == [
+            (0.0, 3.0), (16.0, 2.0)
+        ]
+
+    @pytest.mark.parametrize("partitioning", PARTITIONINGS)
+    def test_a_three_way_chain_reduced_to_binary(self, partitioning):
+        bound, _ = three_way(TestMultiwayOverflow.MAPPING).bind(
+            three_tables(1e308)
+        ).reduce_to_binary()
+        engine = ProgXeEngine(bound, VirtualClock(), partitioning=partitioning)
+        with pytest.raises(ExecutionError, match=r"^NaN in output column 'x0' for "):
+            list(engine.run())

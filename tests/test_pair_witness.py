@@ -22,13 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import output_grid, progdetermine
+from repro.core import progdetermine
 from repro.core.engine import ProgXeEngine
 from repro.core.output_grid import OutputCell
 from repro.core.progdetermine import ExecutionState
 from repro.core.regions import OutputRegion
 from repro.data.workloads import SyntheticWorkload
 from repro.runtime.clock import VirtualClock
+from repro.skyline import vectorized
 
 from tests import insert_reference
 from tests.test_progdetermine import build_scenario, insertion_scenarios, legal_rows
@@ -139,7 +140,7 @@ class TestAgainstTheReferenceLoop:
         with pytest.MonkeyPatch.context() as patch:
             if lanes == "one":
                 patch.setattr(progdetermine, "DOMINANCE_LANES", 1)
-                patch.setattr(output_grid, "_POINT_LANES", 1)
+                patch.setattr(vectorized, "LANES", 1)
             got = run(*case, ExecutionState.insert_batch)
             want = run(*case, insert_reference.insert_batch)
         assert_same_but_fewer_comparisons(got, want)

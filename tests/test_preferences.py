@@ -6,31 +6,12 @@ from repro.errors import QueryError
 from repro.skyline.preferences import (
     HIGHEST,
     LOWEST,
-    Direction,
     ParetoPreference,
     Preference,
     all_lowest,
     highest,
     lowest,
 )
-
-
-class TestDirection:
-    def test_lowest_normalise_is_identity(self):
-        assert Direction.LOWEST.normalise(5.0) == 5.0
-
-    def test_highest_normalise_negates(self):
-        assert Direction.HIGHEST.normalise(5.0) == -5.0
-
-    def test_denormalise_inverts_normalise(self):
-        for d in Direction:
-            assert d.denormalise(d.normalise(3.25)) == 3.25
-
-    def test_flip_is_involution(self):
-        assert Direction.LOWEST.flip() is Direction.HIGHEST
-        assert Direction.HIGHEST.flip() is Direction.LOWEST
-        for d in Direction:
-            assert d.flip().flip() is d
 
 
 class TestPreferenceConstructors:
@@ -63,28 +44,13 @@ class TestParetoPreference:
     def test_dimensions(self):
         assert ParetoPreference([lowest("x"), lowest("y")]).dimensions == 2
 
-    def test_normalise_mixed_directions(self):
+    def test_signs_for(self):
         p = ParetoPreference([lowest("cost"), highest("rating")])
-        assert p.normalise((10.0, 4.0)) == (10.0, -4.0)
-
-    def test_normalise_rejects_wrong_arity(self):
-        p = ParetoPreference([lowest("cost")])
-        with pytest.raises(QueryError):
-            p.normalise((1.0, 2.0))
-
-    def test_denormalise_round_trips(self):
-        p = ParetoPreference([lowest("a"), highest("b"), lowest("c")])
-        values = (1.5, -2.0, 7.0)
-        assert p.denormalise(p.normalise(values)) == values
-
-    def test_index_of(self):
-        p = ParetoPreference([lowest("a"), highest("b")])
-        assert p.index_of("b") == 1
-
-    def test_index_of_unknown_raises(self):
-        p = ParetoPreference([lowest("a")])
-        with pytest.raises(QueryError, match="not a preference dimension"):
-            p.index_of("zzz")
+        # +1 minimised, -1 maximised, 0 not a preference dimension; in the
+        # order of the names asked for, repeats included.
+        assert p.signs_for(["rating", "spare", "cost", "rating"]) == (-1, 0, 1, -1)
+        assert p.signs_for(iter(p.attributes)) == (1, -1)
+        assert p.signs_for([]) == ()
 
     def test_equality_and_hash(self):
         p1 = ParetoPreference([lowest("a"), highest("b")])

@@ -86,6 +86,18 @@ class TestBNL:
     def test_matches_oracle(self, points):
         assert sorted(map(tuple, bnl_skyline(points))) == oracle_multiset(points)
 
+    @given(point_lists)
+    @settings(max_examples=60)
+    def test_is_the_entries_form_without_payloads(self, points):
+        plain, entries = [], []
+        window = bnl_skyline(points, on_comparison=lambda: plain.append(1))
+        kept = bnl_skyline_entries(
+            [(p, i) for i, p in enumerate(points)],
+            on_comparison=lambda: entries.append(1),
+        )
+        assert window == [p for p, _ in kept]
+        assert len(plain) == len(entries)
+
     @given(tied_lists)
     @settings(max_examples=60)
     def test_matches_oracle_on_ties(self, points):

@@ -21,7 +21,7 @@ from repro.errors import SchemaError
 from repro.runtime.clock import VirtualClock
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.dominance import dominates, skyline_indices_bruteforce
-from repro.skyline.preferences import ParetoPreference, highest, lowest
+from repro.skyline import vectorized
 from repro.skyline.vectorized import (
     _BLOCK,
     _blocked_sweep,
@@ -41,6 +41,7 @@ from tests.sfs_reference import sfs_skyline_entries
 # Small-domain float coordinates: collisions (ties/duplicates) are likely,
 # which is exactly where dominance edge cases live.
 coord = st.integers(min_value=0, max_value=6).map(float)
+INF, NAN = float("inf"), float("nan")
 
 
 def point_matrix(min_rows=0, max_rows=40, d=3):
@@ -129,9 +130,9 @@ class TestDominatesMatrixEdgeValues:
 # ---------------------------------------------------------------------------
 # Small-domain values make duplicates and equal coordinate sums the rule;
 # 1e16 swallows a +1, so dominance between *equal rounded sums* occurs too.
-# Both forms must return the true skyline (``pareto_mask``) whenever the
-# coordinate sums are numbers; ``+inf`` and ``-inf`` in one vector make its
-# sum NaN, and then the two forms must still agree with each other.
+# Both forms must return the true skyline (``pareto_mask``).  The sweep
+# needs every coordinate sum to be a number (``skyline_mask``), so no row
+# holds both ``+inf`` and ``-inf``.
 sweep_coord = st.sampled_from(
     [0.0, 1.0, 2.0, 3.0, 0.5, 1e16, float("inf"), float("-inf")]
 )
@@ -142,7 +143,11 @@ def sweep_input(draw):
     d = draw(st.integers(min_value=1, max_value=5))
     n = draw(st.integers(min_value=1, max_value=3 * _BLOCK))
     rows = draw(
-        st.lists(st.tuples(*[sweep_coord] * d), min_size=n, max_size=n)
+        st.lists(
+            st.tuples(*[sweep_coord] * d).filter(lambda row: not np.isnan(sum(row))),
+            min_size=n,
+            max_size=n,
+        )
     )
     return np.array(rows, dtype=float)
 
@@ -178,14 +183,12 @@ def reference_sweep(P):
 class TestSweepForms:
     @given(sweep_input())
     @settings(max_examples=300, deadline=None)
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_skyline_mask_equals_the_per_head_loop_across_blocks(self, P):
         expected_mask, expected_total = reference_sweep(P)
         tested: list[int] = []
         mask = skyline_mask(P, on_comparisons=tested.append)
         assert mask.tolist() == expected_mask.tolist()
-        if not np.isnan(P.sum(axis=1)).any():
-            assert mask.tolist() == pareto_mask(P).tolist()
+        assert mask.tolist() == pareto_mask(P).tolist()
         assert sum(tested) == expected_total
         assert (skyline_mask(P) == expected_mask).all()  # uncounted form
 
@@ -223,26 +226,28 @@ class TestSweepForms:
                 P[expected].tolist()
             )
 
-    @pytest.mark.parametrize("others", [0, 2 * _BLOCK])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_nan_sum_forms_agree(self, others):
-        # (inf, -inf) dominates (inf, 0) but its NaN sum sorts it last;
-        # the blocked sweep and the per-head loop make the same call.
-        pair = np.array([[np.inf, -np.inf], [np.inf, 0.0]])
-        steps = np.arange(1, others + 1)
-        rest = np.column_stack([-steps, steps]) * 1e17
-        P = np.vstack([pair, rest])
-        tested: list[int] = []
-        mask = skyline_mask(P, on_comparisons=tested.append)
-        expected_mask, expected_total = reference_sweep(P)
-        assert mask.tolist() == expected_mask.tolist()
-        assert mask[:2].tolist() == [True, True]
-        assert sum(tested) == expected_total
-
 
 # ---------------------------------------------------------------------------
 # masks
 # ---------------------------------------------------------------------------
+# The pool test's values: ties, both zeros, both infinities, and NaN (a NaN
+# point is never dominated, a NaN pool row never dominates).
+pool_coord = st.sampled_from(
+    [0.0, -0.0, 1.0, 2.0, 0.1 + 0.2, float("inf"), float("-inf"), float("nan")]
+)
+
+
+@st.composite
+def pool_test_input(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+
+    def rows(most):
+        drawn = draw(st.lists(st.tuples(*[pool_coord] * d), max_size=most))
+        return np.array(drawn, dtype=float).reshape(-1, d)
+
+    return rows(20), rows(10)
+
+
 class TestMasks:
     @given(point_matrix(1, 30))
     @settings(max_examples=60, deadline=None)
@@ -251,13 +256,38 @@ class TestMasks:
         expected = set(skyline_indices_bruteforce(np.asarray(pts)))
         assert set(np.nonzero(mask)[0]) == expected
 
-    @given(point_matrix(1, 20), point_matrix(0, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_dominated_by_any_matches_scalar(self, pts, window):
-        mask = dominated_by_any(pts, np.asarray(window).reshape(-1, 3))
-        for i, p in enumerate(pts):
-            expected = any(dominates(w, p) for w in window)
-            assert bool(mask[i]) == expected
+    @given(pool_test_input())
+    @settings(max_examples=200, deadline=None)
+    def test_dominated_by_any_is_the_scalar_pool_test(self, case):
+        points, window = case
+        mask = dominated_by_any(points, window)
+        for i, p in enumerate(points.tolist()):
+            if np.isnan(p).any():
+                assert not mask[i]  # a NaN point is never dominated
+                continue
+            rows = [w for w in window.tolist() if not np.isnan(w).any()]
+            assert bool(mask[i]) == any(dominates(w, p) for w in rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vectorized, "LANES", 1)
+            assert dominated_by_any(points, window).tolist() == mask.tolist()
+
+    @pytest.mark.parametrize("pool, point, expected", [
+        ([[NAN, 0.0]], [2.0, 2.0], False),  # a NaN row never dominates
+        ([[NAN, 0.0], [1.0, 1.0]], [2.0, 2.0], True),  # nor hides another
+        ([[1.0, 1.0]], [NAN, 2.0], False),  # a NaN point never falls
+        ([[-INF, -INF]], [2.0, NAN], False),
+    ])
+    def test_nan_compares_false_both_ways(self, pool, point, expected):
+        assert dominated_by_any([point], pool).tolist() == [expected]
+
+    def test_a_nan_point_keeps_the_others_in_reach(self):
+        # The prefilter's componentwise maximum skips the NaN point.
+        mask = dominated_by_any([[NAN, 5.0], [2.0, 2.0]], [[1.0, 1.0]])
+        assert mask.tolist() == [False, True]
+
+    def test_pool_test_empty_sides(self):
+        assert dominated_by_any(np.empty((0, 2)), [[1.0, 1.0]]).shape == (0,)
+        assert dominated_by_any([[1.0, 1.0]], np.empty((0, 2))).tolist() == [False]
 
     def test_skyline_mask_agrees_with_pareto_mask(self):
         rng = np.random.default_rng(0)
@@ -403,20 +433,6 @@ class TestBatchedMapping:
         assert bound.vectors_of_batch(batch).shape == (
             0, bound.skyline_dimension_count
         )
-
-    def test_normalise_batch_matches_scalar(self):
-        pref = ParetoPreference([lowest("cost"), highest("quality")])
-        values = np.array([[10.0, 3.0], [20.0, 5.0], [0.0, 0.0]])
-        batch = pref.normalise_batch(values)
-        for i, row in enumerate(values):
-            assert tuple(batch[i]) == pref.normalise(tuple(row))
-        # The signs are involutive.
-        assert np.array_equal(pref.denormalise_batch(batch), values)
-
-    def test_normalise_batch_width_check(self):
-        pref = ParetoPreference([lowest("cost")])
-        with pytest.raises(Exception, match="expected 1 columns"):
-            pref.normalise_batch(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
