@@ -64,19 +64,16 @@ from repro.core import (
     ExecutionKernel,
     ExplainReport,
     KernelSnapshot,
-    PlanningReport,
     ProgXeEngine,
     QueryPlan,
     StepReport,
     StreamingKernel,
     VerificationReport,
     explain,
-    explain_estimates,
     progxe,
     progxe_no_order,
     progxe_plus,
     progxe_plus_no_order,
-    trace,
     verify_results,
 )
 from repro.planner import (
@@ -187,7 +184,6 @@ __all__ = [
     "PlanCache",
     "PlanDecision",
     "Planner",
-    "PlanningReport",
     "Preference",
     "ProgXeEngine",
     "ProgressRecorder",
@@ -230,7 +226,6 @@ __all__ = [
     "default_registry",
     "dominates",
     "explain",
-    "explain_estimates",
     "highest",
     "lowest",
     "parse_query",
@@ -240,6 +235,5 @@ __all__ = [
     "progxe_plus_no_order",
     "render_query",
     "run_algorithm",
-    "trace",
     "verify_results",
 ]

@@ -25,7 +25,8 @@ Commands
     Write a synthetic workload's two tables to CSV files.
 
 ``explain``
-    Show the ProgXe plan for a workload without executing it.
+    Show the ProgXe plan for a workload, and the partitioner the ``auto``
+    planner picks for it, without executing it.
 
 ``serve``
     Start the streaming HTTP server
@@ -47,7 +48,6 @@ Commands
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -477,22 +477,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.core.explain import explain, explain_estimates
+    from repro.core.explain import explain
+    from repro.planner.choose import SKEW_THRESHOLD, Planner
 
-    workload = _workload(args)
-    if args.no_run:
-        if args.format == "json":
-            print("--format json requires the estimate report", file=sys.stderr)
-            return 2
-        print(explain(workload.bound()).render(top=args.top))
-        return 0
-    report = explain_estimates(workload.bound())
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    print(explain(workload.bound()).render(top=args.top))
-    print()
-    print(report.render())
+    bound = _workload(args).bound()
+    print(explain(bound).render(top=args.top))
+    decision = Planner().decide(bound)
+    relation = ">=" if decision.skew >= SKEW_THRESHOLD else "<"
+    print(
+        f"  auto partitioner: {decision.partitioning} (skew "
+        f"{decision.skew:.3f} {relation} {SKEW_THRESHOLD}; pinned: "
+        f"{', '.join(decision.pinned) or 'none'})"
+    )
     return 0
 
 
@@ -679,20 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_explain = sub.add_parser(
         "explain",
-        help="show the ProgXe plan plus the cost-based planner's "
-        "estimate-vs-actual report",
+        help="show the ProgXe plan and the partitioner the auto planner "
+        "picks, without executing",
     )
     _add_workload_args(p_explain)
     p_explain.add_argument("--top", type=int, default=10,
                            help="regions to list, by rank")
-    p_explain.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="estimate report output format",
-    )
-    p_explain.add_argument(
-        "--no-run", action="store_true",
-        help="plan-only dry run: skip execution and the estimate report",
-    )
     p_explain.set_defaults(fn=_cmd_explain)
 
     p_algos = sub.add_parser("algorithms", help="list registered algorithms")

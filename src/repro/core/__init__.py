@@ -4,15 +4,7 @@ from repro.core.benefit import progressive_count, region_benefit, region_cardina
 from repro.core.cost import kung_alpha, region_cost
 from repro.core.elimination_graph import EliminationGraph
 from repro.core.engine import ProgXeEngine
-from repro.core.explain import (
-    EstimateRow,
-    ExecutionTrace,
-    ExplainReport,
-    PlanningReport,
-    explain,
-    explain_estimates,
-    trace,
-)
+from repro.core.explain import ExplainReport, explain
 from repro.core.kernel import ExecutionKernel, KernelSnapshot, StepReport
 from repro.core.plan import QueryPlan, default_input_cells, default_output_cells
 from repro.core.verify import (
@@ -45,13 +37,10 @@ from repro.core.variants import (
 __all__ = [
     "ALGORITHMS",
     "EliminationGraph",
-    "EstimateRow",
     "ExecutionKernel",
     "ExecutionState",
-    "ExecutionTrace",
     "ExplainReport",
     "KernelSnapshot",
-    "PlanningReport",
     "QueryPlan",
     "StepReport",
     "StreamingKernel",
@@ -59,8 +48,6 @@ __all__ = [
     "default_output_cells",
     "VerificationReport",
     "explain",
-    "explain_estimates",
-    "trace",
     "true_skyline_keys",
     "verify_results",
     "OutputCell",

@@ -177,12 +177,12 @@ class ProgXeEngine:
 
     @property
     def plan_decision(self) -> "PlanDecision | None":
-        """The cost-based planner's decision for this engine's plan.
+        """The planner's decision for this engine's plan.
 
         ``None`` before planning or when the engine was built without a
-        ``planner``.  After a full run the decision also carries the
-        execution actuals (join cardinality, skyline size) next to the
-        planner's estimates — the EXPLAIN estimate-vs-actual source.
+        ``planner``; otherwise the partitioner in effect, the grid
+        granularity, the knobs the caller pinned and the skew behind the
+        choice.
         """
         if self._plan is None:
             return None

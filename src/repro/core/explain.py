@@ -1,13 +1,11 @@
-"""Execution tracing and EXPLAIN output for the ProgXe engine.
+"""EXPLAIN output for the ProgXe engine.
 
 ``explain(bound)`` dry-runs the look-ahead and ordering phases without any
 tuple-level work and renders what the engine *would* do: partition counts,
 surviving regions with their benefit/cost/rank, the EL-Graph root set and
-the first processing decisions.  ``trace(engine)`` wraps a real run and
-records the region processing order with per-region emission counts.
-
-Both exist for the reasons EXPLAIN exists in any query engine: debugging
-unexpected plans, understanding why output is late, and teaching.
+the first processing decisions.  It exists for the reasons EXPLAIN exists
+in any query engine: debugging unexpected plans, understanding why output
+is late, and teaching.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from dataclasses import dataclass, field
 from repro.core.benefit import region_benefit
 from repro.core.cost import region_cost
 from repro.core.elimination_graph import EliminationGraph
-from repro.core.engine import ProgXeEngine
-from repro.core.kernel import STEP_REGION
 from repro.core.plan import (
     default_output_cells as _default_output_cells,
     input_cells_per_side,
@@ -147,211 +143,3 @@ def explain(
         roots=len(roots),
         region_plans=plans,
     )
-
-
-@dataclass
-class TraceEvent:
-    """One region step of a traced run.
-
-    ``emitted_during`` counts the results the region's step made final
-    (during its tuple-level processing and at its completion);
-    ``emitted_after`` those of non-region steps before the next region.
-    """
-
-    order: int
-    rid: int
-    emitted_during: int
-    emitted_after: int
-    vtime_start: float
-    vtime_end: float
-
-
-@dataclass
-class ExecutionTrace:
-    """Region-granularity trace of a real engine run."""
-
-    events: list[TraceEvent] = field(default_factory=list)
-    total_results: int = 0
-    #: Results of the bootstrap step, before any region ran (cells freed
-    #: purely by look-ahead).
-    unattributed: int = 0
-
-    def render(self, *, limit: int = 20) -> str:
-        lines = [
-            f"{'#':>4}  {'region':>6}  {'t_start':>10}  {'t_end':>10}  "
-            f"{'emit@run':>8}  {'emit@done':>9}"
-        ]
-        for e in self.events[:limit]:
-            lines.append(
-                f"{e.order:>4}  {e.rid:>6}  {e.vtime_start:>10.0f}  "
-                f"{e.vtime_end:>10.0f}  {e.emitted_during:>8}  "
-                f"{e.emitted_after:>9}"
-            )
-        if len(self.events) > limit:
-            lines.append(f"... {len(self.events) - limit} more regions")
-        lines.append(f"total results: {self.total_results}")
-        return "\n".join(lines)
-
-
-@dataclass
-class EstimateRow:
-    """One metric's estimate-vs-actual comparison."""
-
-    metric: str
-    estimated: float
-    actual: float | None
-
-    @property
-    def relative_error(self) -> float | None:
-        """``(estimated - actual) / max(|actual|, 1)``; ``None`` pre-run."""
-        if self.actual is None:
-            return None
-        return (self.estimated - self.actual) / max(abs(self.actual), 1.0)
-
-
-@dataclass
-class PlanningReport:
-    """The cost-based EXPLAIN: what the planner chose, and how well.
-
-    Produced by :func:`explain_estimates`, which plans **and executes**
-    the query with a planner so every estimated quantity has an observed
-    counterpart.  ``rows`` carry the relative error of each estimate —
-    the visibility that makes mis-estimates debuggable and testable.
-
-    Example::
-
-        report = explain_estimates(workload.bound())
-        print(report.render())
-        report.to_dict()["rows"]    # machine-readable estimate/actual pairs
-    """
-
-    partitioning: str
-    #: Grid cells per dimension on the (left, right) side; ``None`` under
-    #: quadtree partitioning.
-    input_cells: tuple[int, int] | None
-    pinned: tuple[str, ...]
-    rows: list[EstimateRow] = field(default_factory=list)
-
-    def render(self) -> str:
-        """Human-readable estimate-vs-actual table."""
-        lines = ["cost-based plan", f"  partitioning:    {self.partitioning}"]
-        if self.input_cells is not None:
-            left, right = self.input_cells
-            lines.append(f"  input cells:     left {left}, right {right}")
-        if self.pinned:
-            lines.append(f"  pinned by caller: {', '.join(self.pinned)}")
-        lines += [
-            "",
-            f"  {'metric':<18} {'estimated':>12} {'actual':>12} {'rel.err':>9}",
-        ]
-        for row in self.rows:
-            actual = "-" if row.actual is None else f"{row.actual:>12.0f}"
-            error = (
-                "-"
-                if row.relative_error is None
-                else f"{row.relative_error:>+8.1%}"
-            )
-            lines.append(
-                f"  {row.metric:<18} {row.estimated:>12.1f} {actual:>12} "
-                f"{error:>9}"
-            )
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (the CLI's ``--format json``)."""
-        return {
-            "partitioning": self.partitioning,
-            "input_cells": (
-                None if self.input_cells is None else list(self.input_cells)
-            ),
-            "pinned": list(self.pinned),
-            "rows": [
-                {
-                    "metric": row.metric,
-                    "estimated": row.estimated,
-                    "actual": row.actual,
-                    "relative_error": row.relative_error,
-                }
-                for row in self.rows
-            ],
-        }
-
-
-def explain_estimates(
-    bound: BoundQuery,
-    *,
-    planner=None,
-    config=None,
-) -> PlanningReport:
-    """Plan with the cost-based planner, execute, compare estimates.
-
-    Runs ``bound`` to completion through a planner-driven engine and
-    returns the :class:`PlanningReport` pairing every planner estimate
-    (rows scanned, partition fanout, output regions, join cardinality,
-    skyline size) with the observed value and its relative error.
-
-    ``planner`` defaults to a fresh :class:`~repro.planner.choose.Planner`
-    (pass a session's to reuse its statistics); ``config`` is an optional
-    :class:`~repro.session.EngineConfig` whose non-default knobs are
-    honoured as pinned.
-
-    Example::
-
-        report = explain_estimates(workload.bound())
-        {r.metric: r.relative_error for r in report.rows}
-    """
-    from repro.planner.choose import Planner
-
-    if planner is None:
-        planner = Planner()
-    kwargs = {}
-    if config is not None:
-        kwargs = config.engine_kwargs()
-        kwargs.pop("follow", None)
-    engine = ProgXeEngine(bound, planner=planner, **kwargs)
-    for _ in engine.run():
-        pass
-    decision = engine.plan_decision
-    assert decision is not None  # planner-driven by construction
-    return PlanningReport(
-        partitioning=decision.partitioning,
-        input_cells=decision.input_cells,
-        pinned=decision.pinned,
-        rows=[
-            EstimateRow(metric=metric, estimated=estimated, actual=actual)
-            for metric, estimated, actual in decision.comparison()
-        ],
-    )
-
-
-def trace(engine: ProgXeEngine) -> ExecutionTrace:
-    """Run ``engine`` to completion, recording the region schedule.
-
-    Steps the engine's kernel exactly as :meth:`ProgXeEngine.run` does and
-    reads each :class:`~repro.core.kernel.StepReport`: every ``"region"``
-    step becomes one :class:`TraceEvent` spanning the step's clock
-    interval, with the results that step made final.  Results of later
-    non-region steps (arrival polls, finalize) count as the preceding
-    region's ``emitted_after``; those before the first region (the
-    bootstrap pass) as ``unattributed``.
-    """
-    out = ExecutionTrace()
-    kernel = engine.kernel()
-    current: TraceEvent | None = None
-    while not kernel.finished:
-        report = kernel.step()
-        emitted = len(report.results)
-        out.total_results += emitted
-        if report.kind == STEP_REGION:
-            current = TraceEvent(
-                order=len(out.events) + 1, rid=report.region_id,
-                emitted_during=emitted, emitted_after=0,
-                vtime_start=report.vtime - report.vtime_delta,
-                vtime_end=report.vtime,
-            )
-            out.events.append(current)
-        elif current is not None:
-            current.emitted_after += emitted
-        else:
-            out.unattributed += emitted
-    return out

@@ -409,12 +409,4 @@ class ExecutionKernel:
                 "peak_buffered": state.peak_live_entries,
             }
         )
-        decision = self.plan.decision
-        if decision is not None:
-            # The actual join cardinality (one join_result charge per
-            # pair) and skyline size, beside the planner's estimates.
-            decision.record_run_actuals(
-                join_rows=self.clock.count("join_result"),
-                skyline_size=self.results_emitted,
-            )
         self._status = FINISHED

@@ -146,10 +146,8 @@ class QueryPlan:
     #: Per-side delta-ingestion handles, retained only when the plan was
     #: built with ``follow=True`` (streaming mode); ``None`` otherwise.
     stream_sides: "tuple[StreamSide, StreamSide] | None" = None
-    #: The cost-based planner's :class:`~repro.planner.choose.PlanDecision`
-    #: when the plan was built with ``planner=``; ``None`` otherwise.
-    #: Carries every estimate plus the actuals recorded during build and
-    #: at kernel finalize (the EXPLAIN estimate-vs-actual source).
+    #: The planner's :class:`~repro.planner.choose.PlanDecision` when the
+    #: plan was built with ``planner=``; ``None`` otherwise.
     decision: "PlanDecision | None" = None
 
     @classmethod
@@ -188,12 +186,10 @@ class QueryPlan:
         appended rows after planning.  Incompatible with ``pushthrough``
         (pruning snapshots the inputs, severing them from the live source).
 
-        ``planner`` hands knob selection to a cost-based
-        :class:`~repro.planner.choose.Planner`: it picks the partitioner
-        kind from statistics when the caller left it at its default,
-        records its estimates on the plan's
-        :attr:`decision`, and the build writes the plan-time actuals back
-        onto the decision for the EXPLAIN estimate-vs-actual report.
+        ``planner`` hands the partitioner choice to a
+        :class:`~repro.planner.choose.Planner`: it picks the quadtree on
+        skewed inputs when the caller left the partitioner at its default,
+        and its decision is kept as the plan's :attr:`decision`.
         """
         if follow and pushthrough:
             raise QueryError(
@@ -274,15 +270,6 @@ class QueryPlan:
             bound.skyline_dimension_count
         )
         regions, grid = run_lookahead(bound, left_grid, right_grid, k_out, clock)
-
-        if decision is not None:
-            decision.record_plan_actuals(
-                rows_left=len(left_table),
-                rows_right=len(right_table),
-                left_partitions=left_grid.partition_count,
-                right_partitions=right_grid.partition_count,
-                regions=len(regions),
-            )
 
         return cls(
             bound=bound,

@@ -1,20 +1,19 @@
-"""Statistics-driven cost-based planning.
+"""The planner: one rule over sampled source statistics.
 
-:func:`collect_statistics` summarises sources in one sampled scan,
-:mod:`repro.planner.cost` turns summaries into estimates (fanout, join
-cardinality), and the :class:`Planner` picks the one knob the
-statistics can decide — the quadtree on skewed inputs — and records every
-estimate on its :class:`PlanDecision`, beside the actuals the run records.
-Grid granularity stays at the engine default unless pinned.
+:func:`collect_statistics` summarises a source's columns as histograms in
+one sampled scan, the :class:`StatisticsStore` caches the summaries by
+source token, and the :class:`Planner` picks the one knob the statistics
+can decide — the quadtree when the mapped attributes' histograms are
+skewed, the grid otherwise.  Grid granularity stays at the engine default
+unless pinned.
 
 Entry points::
 
     engine = ProgXeEngine(bound, planner=Planner())      # engine level
     stream = session.execute(bound, config="auto")        # session preset
-    repro.explain_estimates(bound)                        # estimate vs actual
 """
 
-from repro.planner.choose import PlanDecision, PlanEstimates, Planner
+from repro.planner.choose import PlanDecision, Planner
 from repro.planner.statistics import (
     ColumnStatistics,
     SourceStatistics,
@@ -25,7 +24,6 @@ from repro.planner.statistics import (
 
 __all__ = [
     "PlanDecision",
-    "PlanEstimates",
     "Planner",
     "ColumnStatistics",
     "SourceStatistics",

@@ -227,8 +227,8 @@ class BoundQuery:
         self.left_alias = query.left_alias
         self.right_alias = query.right_alias
         #: The *unfiltered* sources the query was bound against — what the
-        #: cost-based planner collects statistics over (selectivity is an
-        #: estimate precisely because filtering happens at bind time).
+        #: planner collects statistics over, so one cached summary per
+        #: source serves every filter bound against it.
         self.left_base = left
         self.right_base = right
 

@@ -299,13 +299,12 @@ class QueryBuilder:
         return self
 
     def auto(self, value: bool = True) -> "QueryBuilder":
-        """Let the cost-based planner pick the engine knobs.
+        """Let the planner pick the partitioner.
 
         Sugar for executing with ``EngineConfig(planner=True)`` (the
         ``"auto"`` preset): the session's shared
-        :class:`~repro.planner.choose.Planner` chooses the partitioner
-        from statistics, and the run's actuals feed back for the next
-        query.  Applied by
+        :class:`~repro.planner.choose.Planner` picks the quadtree when the
+        mapped attributes' histograms are skewed.  Applied by
         :meth:`execute` on top of whatever engine config is in effect.
         """
         self._auto = value

@@ -53,10 +53,10 @@ class EngineConfig:
         :class:`~repro.core.streaming.StreamingKernel`).  The push-through
         variants refuse it (pruning snapshots the inputs).
     planner:
-        Plan through the cost-based
-        :class:`~repro.planner.choose.Planner` (the ``"auto"`` preset):
-        statistics pick the partitioner where left at its default, and
-        the plan's estimates sit beside their actuals for EXPLAIN.
+        Plan through the :class:`~repro.planner.choose.Planner` (the
+        ``"auto"`` preset): where the partitioner is left at its default,
+        the quadtree is picked when the mapped attributes' sampled
+        histograms are skewed.
         Not an engine keyword as-is: the session (or
         ``ProgXeEngine.from_config``) resolves the flag into the
         ``planner`` object it hands the engine, so source statistics
@@ -144,8 +144,8 @@ class EngineConfig:
 
 
 #: Named presets: the paper's default setup, a production profile that
-#: skips the end-of-run verification, and ``auto`` — the cost-based
-#: planner chooses the partitioner from statistics.  None selects
+#: skips the end-of-run verification, and ``auto`` — the planner
+#: chooses the partitioner from histogram skew.  None selects
 #: push-through or ordering: the algorithm name does.
 PRESETS: dict[str, EngineConfig] = {
     "default": EngineConfig(),

@@ -101,7 +101,7 @@ class Session:
         sharing per query or per session with ``EngineConfig(
         share_partitions=False)``.
     planner:
-        Shared cost-based :class:`~repro.planner.choose.Planner` used by
+        Shared :class:`~repro.planner.choose.Planner` used by
         queries executed with ``EngineConfig(planner=True)`` (the
         ``"auto"`` preset).  Defaults to a lazily created per-session
         planner, so source statistics accumulate across this session's
@@ -135,7 +135,7 @@ class Session:
 
     @property
     def planner(self):
-        """The session's shared cost-based planner (created lazily).
+        """The session's shared planner (created lazily).
 
         One :class:`~repro.planner.choose.Planner` per session, so source
         statistics accumulate across queries — the second ``"auto"`` query

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core import tuple_level
@@ -10,6 +13,7 @@ from repro.join.nested_loop import nested_loop_join
 from repro.join.predicates import EquiJoin
 from repro.query.smj import BoundQuery
 from repro.skyline.bnl import bnl_skyline_entries
+from repro.storage.table import Table
 
 #: Phase-2 flush granularities worth running a guarantee at: the default,
 #: and one join pair per ``insert_batch`` call (the finest the engine has).
@@ -21,6 +25,27 @@ def set_flush_pairs(monkeypatch, pairs: int | None) -> None:
     """Flush a region's join every ``pairs`` pairs; ``None`` keeps the default."""
     if pairs is not None:
         monkeypatch.setattr(tuple_level, "FLUSH_PAIRS", pairs)
+
+
+@dataclass
+class ExpSkewWorkload(SyntheticWorkload):
+    """:class:`SyntheticWorkload` with every attribute mapped ``v -> exp(v/8)``.
+
+    Values in [1, 100] become [1.13, 268 337]: about three quarters of
+    each column lands in the lowest of 16 equi-width buckets, so the
+    planner's skew rule picks the quadtree.
+    """
+
+    def tables(self) -> dict[str, Table]:
+        return {
+            alias: Table(
+                alias,
+                table.schema,
+                (row[:2] + tuple(math.exp(v / 8) for v in row[2:])
+                 for row in table.rows),
+            )
+            for alias, table in super().tables().items()
+        }
 
 
 def oracle_candidates(bound: BoundQuery) -> list[tuple[tuple[float, ...], tuple]]:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.conftest import ExpSkewWorkload
+from repro import cli
 from repro.cli import main
 from repro.data.workloads import SyntheticWorkload
 from repro.errors import SchemaError
@@ -259,6 +261,28 @@ class TestExplain:
         assert main(["explain", "-n", "80", "--sigma", "0.1", "--top", "2"]) == 0
         out = capsys.readouterr().out
         assert "top 2 regions" in out
+
+    @pytest.mark.parametrize("skewed, line", [
+        (False, "auto partitioner: grid (skew 0.123 < 0.55; pinned: none)"),
+        (True, "auto partitioner: quadtree (skew 0.787 >= 0.55; pinned: none)"),
+    ], ids=["grid", "quadtree"])
+    def test_explain_prints_the_planner_decision(self, capsys, monkeypatch, skewed, line):
+        if skewed:
+            monkeypatch.setattr(
+                cli, "_workload", lambda args: ExpSkewWorkload(n=args.n, seed=args.seed)
+            )
+        assert main(["explain", "-n", "300", "-D", "anticorrelated"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ProgXe plan"
+        assert out[-1] == "  " + line
+
+    @pytest.mark.parametrize("flags", [["--no-run"], ["--format", "json"]],
+                             ids=["no-run", "format-json"])
+    def test_explain_has_no_run_or_format_option(self, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", "-n", "80", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCsv:

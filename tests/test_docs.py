@@ -48,7 +48,6 @@ EXAMPLE_REQUIRED = [
     "PlanDecision",
     "StatisticsStore",
     "SourceStatistics",
-    "PlanningReport",
 ]
 
 #: Same contract for the serving edge (checked against ``repro.serve``).

@@ -1,9 +1,9 @@
-"""Tests for the EXPLAIN / trace facility."""
+"""Tests for the EXPLAIN facility."""
 
 
 from tests.conftest import make_bound
 from repro.core.engine import ProgXeEngine
-from repro.core.explain import ExplainReport, explain, trace
+from repro.core.explain import ExplainReport, explain
 from repro.runtime.clock import VirtualClock
 
 
@@ -56,48 +56,3 @@ class TestExplain:
         assert report.regions_total == engine.stats["regions_total"]
         # Look-ahead discards agree; execution may discard more later.
         assert report.regions_discarded <= engine.stats["regions_discarded"]
-
-
-class TestTrace:
-    def test_trace_covers_all_emissions(self, small_bound):
-        engine = ProgXeEngine(small_bound, VirtualClock())
-        t = trace(engine)
-        emitted = sum(e.emitted_during + e.emitted_after for e in t.events)
-        assert emitted + t.unattributed == t.total_results
-
-    def test_trace_times_monotone(self, small_bound):
-        engine = ProgXeEngine(small_bound, VirtualClock())
-        t = trace(engine)
-        starts = [e.vtime_start for e in t.events]
-        assert starts == sorted(starts)
-        for e in t.events:
-            assert e.vtime_end >= e.vtime_start
-
-    def test_trace_render(self, small_bound):
-        engine = ProgXeEngine(small_bound, VirtualClock())
-        t = trace(engine)
-        text = t.render(limit=5)
-        assert "total results" in text
-
-    def test_trace_attributes_each_region_step(self, small_bound):
-        t = trace(ProgXeEngine(small_bound, VirtualClock()))
-        kernel = ProgXeEngine(small_bound, VirtualClock()).kernel()
-        reports = []
-        while not kernel.finished:
-            reports.append(kernel.step())
-        regions = [r for r in reports if r.kind == "region"]
-        assert t.events
-        assert [(e.rid, e.emitted_during) for e in t.events] == [
-            (r.region_id, len(r.results)) for r in regions
-        ]
-        assert [(e.vtime_start, e.vtime_end) for e in t.events] == [
-            (r.vtime - r.vtime_delta, r.vtime) for r in regions
-        ]
-        assert t.unattributed == len(reports[0].results)
-        assert sum(e.emitted_during for e in t.events) > 0
-
-    def test_trace_total_matches_plain_run(self):
-        bound = make_bound("anticorrelated", n=100, d=2, sigma=0.1, seed=10)
-        plain = len(list(ProgXeEngine(bound, VirtualClock()).run()))
-        traced = trace(ProgXeEngine(bound, VirtualClock()))
-        assert traced.total_results == plain

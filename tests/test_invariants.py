@@ -287,6 +287,16 @@ def test_src_keeps_every_invariant():
 
 
 # --- retired names: (pattern, paths) that must match no line ---
+#: Names of the deleted planner estimates, EXPLAIN estimate report and
+#: run trace, word-bounded so survivors that contain them stay legal.
+PLANNER_ESTIMATE_NAMES = (
+    "PlanEstimates", "explain_estimates", "PlanningReport", "EstimateRow",
+    "record_run_actuals", "record_plan_actuals", "join_cardinality",
+    "partition_fanout", "mean_abs_correlation", "fold_moments", "key_ndv",
+    "fraction_below", "estimated_bytes", "ExecutionTrace", "TraceEvent",
+)
+ONE_PLANNER_RULE = r"\b(?:" + "|".join(PLANNER_ESTIMATE_NAMES) + r")\b"
+
 RETIRED = [
     # Phase 2 has one implementation: the scalar path is gone.
     ("use_vectorized", ("src/",)),
@@ -335,6 +345,11 @@ RETIRED = [
     # ... and no third scalar classifier beside dominates/weakly_dominates
     # (Session.compare stays, so this row is scoped to the skyline package).
     (r"\bcompare\b|\bDominance\b", ("src/repro/skyline",)),
+    # The planner is one rule (histogram skew picks the partitioner): no cost
+    # model, no estimate-vs-actual report and no statistics only it read.
+    # Its fanout, region and skyline-size estimates were off by 78-85 % on
+    # `repro explain -n 400 -D anticorrelated`, and no decision read them.
+    (ONE_PLANNER_RULE, ("src/",)),
 ]
 
 
@@ -342,7 +357,7 @@ RETIRED = [
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
     "one-scheduler", "one-filter-path", "one-pushthrough-switch",
     "progcount-from-counters", "one-join-signature", "one-dominance-home-helpers",
-    "one-dominance-home-signs", "one-dominance-home-compare"])
+    "one-dominance-home-signs", "one-dominance-home-compare", "one-planner-rule"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]
@@ -354,6 +369,19 @@ def test_retired_name_stays_gone(pattern, paths):
         if re.search(pattern, line)
     ]
     assert hits == []
+
+
+@pytest.mark.parametrize("name", PLANNER_ESTIMATE_NAMES)
+def test_one_planner_rule_row_catches_each_name(name):
+    assert re.search(ONE_PLANNER_RULE, f"    return repro.{name}(bound)")
+
+
+@pytest.mark.parametrize("survivor", [
+    "empirical_selectivity", "expected_skyline_size", "planner.decide",
+    "my_key_ndv_cache", "fraction_below_zero",
+])
+def test_one_planner_rule_row_spares_survivors(survivor):
+    assert not re.search(ONE_PLANNER_RULE, f"    value = {survivor}(rows)")
 
 
 def test_the_lint_subcommand_and_its_package_are_gone(capsys):

@@ -1,11 +1,12 @@
-"""Tests for the statistics-driven cost-based planner (:mod:`repro.planner`).
+"""Tests for the planner (:mod:`repro.planner`): one rule over statistics.
 
 The planner's contract has three layers, each tested here:
 
 1. **Statistics** — one sampled scan per source, cached by ``cache_token``;
    streaming appends only *patch* the summary, any other change rebuilds it.
-2. **Estimates** — fanout, join cardinality and skyline size are sane and
-   monotone in the obvious directions.
+2. **The rule** — the quadtree exactly when the worst histogram
+   concentration over the mapped attributes reaches ``SKEW_THRESHOLD``;
+   caller-pinned knobs win.
 3. **Decisions are advisory, never semantic** — a planner-driven engine
    produces byte-identical results to a hand-configured engine with the
    same knobs, across storage backends and partitioners; unpinned grid
@@ -17,26 +18,27 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import make_bound, oracle_skyline_keys
+from tests.conftest import ExpSkewWorkload, make_bound, oracle_skyline_keys
 from repro.core.engine import ProgXeEngine
-from repro.core.explain import explain_estimates
 from repro.core.plan import default_input_cells
 from repro.data.workloads import SyntheticWorkload
 from repro.planner import (
+    PlanDecision,
     Planner,
     StatisticsCounters,
     StatisticsStore,
     collect_statistics,
 )
 from repro.planner.choose import SKEW_THRESHOLD
-from repro.planner.cost import join_cardinality, partition_fanout
 from repro.query.smj import FilterCondition
+from repro.runtime.clock import VirtualClock
 from repro.session.config import EngineConfig
 from repro.session.service import Session
 from repro.storage.sources import ColumnarFileSource, FilteredSource, write_columnar
@@ -60,90 +62,29 @@ class TestStatistics:
         assert stats.row_count == 64
         assert set(stats.columns) == {"id", "jkey", "a0", "a1"}
         a0 = stats.column("a0")
-        assert a0.minimum == 0.0 and a0.maximum == 63.0
-        assert sum(a0.histogram) == 64
+        assert (a0.lo, a0.hi) == (0.0, 63.0)
+        assert a0.histogram == [4] * 16
+        assert a0.concentration() == pytest.approx(1 / 16)
 
-    def test_ndv_counts_join_key_cardinality(self):
-        stats = collect_statistics(small_table(64))
-        assert stats.key_ndv("jkey") == pytest.approx(8.0)
-
-    def test_non_numeric_columns_get_distinct_only_summary(self):
+    def test_non_numeric_columns_have_no_histogram(self):
         stats = collect_statistics(small_table(16))
         ids = stats.column("id")
-        assert not ids.numeric
-        assert ids.ndv(16) == pytest.approx(16.0)
+        assert ids.histogram == []
+        assert ids.concentration() == 0.0
 
-    def test_equality_selectivity_uses_ndv(self):
-        stats = collect_statistics(small_table(64))
-        cond = FilterCondition("R", "jkey", "=", 3)
-        sel = stats.selectivity([cond])
-        assert sel == pytest.approx(1 / 8, rel=0.01)
-
-    def test_range_selectivity_uses_histogram(self):
-        stats = collect_statistics(small_table(64))
-        half = stats.selectivity([FilterCondition("R", "a0", "<=", 31.0)])
-        assert 0.4 <= half <= 0.6
-        everything = stats.selectivity([FilterCondition("R", "a0", "<=", 63.0)])
-        assert everything == pytest.approx(1.0)
-
-    def test_selectivity_is_clamped_to_a_floor(self):
-        stats = collect_statistics(small_table(64))
-        none = stats.selectivity([FilterCondition("R", "a0", "<", -5.0)])
-        assert none >= 1e-4
+    def test_non_finite_values_stay_out_of_the_histogram(self):
+        rows = [("R0", 0, math.nan, 1.0), ("R1", 0, math.inf, 2.0),
+                ("R2", 1, 5.0, 3.0), ("R3", 1, 7.0, 4.0)]
+        stats = collect_statistics(Table("R", ["id", "jkey", "a0", "a1"], rows))
+        a0 = stats.column("a0")
+        assert (a0.lo, a0.hi) == (5.0, 7.0)
+        assert sum(a0.histogram) == 2
+        assert stats.skew(("a0",)) == 0.5
 
 
 # ----------------------------------------------------------------------
 # the statistics store: cache, patch, rebuild
 # ----------------------------------------------------------------------
-class TestCorrelation:
-    def table_with(self, pair, n: int = 256) -> Table:
-        rows = [(f"R{i}", i % 8, *pair(i, n)) for i in range(n)]
-        return Table("R", ["id", "jkey", "a0", "a1"], rows)
-
-    def test_signed_correlation_tracks_linear_dependence(self):
-        up = collect_statistics(
-            self.table_with(lambda i, n: (float(i), float(2 * i)))
-        )
-        down = collect_statistics(
-            self.table_with(lambda i, n: (float(i), float(n - i)))
-        )
-        flat = collect_statistics(
-            self.table_with(lambda i, n: (float(i), float(i * 31 % n)))
-        )
-        assert up.correlation("a0", "a1") == pytest.approx(1.0)
-        assert down.correlation("a0", "a1") == pytest.approx(-1.0)
-        assert abs(flat.correlation("a0", "a1")) < 0.3
-
-    def test_correlation_is_zero_when_undefined(self):
-        stats = collect_statistics(
-            self.table_with(lambda i, n: (float(i), 5.0))
-        )
-        assert stats.correlation("a0", "a1") == 0.0  # constant column
-        assert stats.correlation("a0", "missing") == 0.0
-        assert stats.correlation("a0", "a0") == 1.0
-
-    def test_streaming_patch_folds_moments(self):
-        store = StatisticsStore()
-        table = self.table_with(lambda i, n: (float(i), float(i)), n=32)
-        store.for_source(table)
-        table.extend_rows([("R99", 3, 99.0, 99.0)])
-        patched = store.for_source(table)
-        assert store.counters().patches == 1
-        assert patched.moment_count == 33
-        assert patched.correlation("a0", "a1") == pytest.approx(1.0)
-
-    def test_correlated_fanout_shrinks_toward_diagonal(self):
-        stats = collect_statistics(
-            self.table_with(lambda i, n: (float(i), float(i)))
-        )
-        independent = partition_fanout(stats, ("a0", "a1"), 8)
-        diagonal = partition_fanout(
-            stats, ("a0", "a1"), 8, correlation=1.0
-        )
-        assert diagonal < independent
-        assert diagonal == pytest.approx(independent**0.5)
-
-
 class TestStatisticsStore:
     def test_unchanged_source_is_a_cache_hit(self):
         store = StatisticsStore()
@@ -164,7 +105,11 @@ class TestStatisticsStore:
         assert counters.patches == 1
         assert counters.rebuilds == 1  # only the initial collection
         assert patched.row_count == 33
-        assert patched.column("a0").maximum == 99.0
+        # 99.0 lies past the sampled bound 31.0: it clamps into the top
+        # bucket of the fixed edges instead of widening them.
+        a0 = patched.column("a0")
+        assert (a0.lo, a0.hi) == (0.0, 31.0)
+        assert a0.histogram == [2] * 15 + [3]
 
     def test_non_append_change_rebuilds(self):
         store = StatisticsStore()
@@ -187,29 +132,6 @@ class TestStatisticsStore:
 
 
 # ----------------------------------------------------------------------
-# estimates
-# ----------------------------------------------------------------------
-class TestCostModel:
-    def test_fanout_grows_with_granularity_but_never_exceeds_rows(self):
-        stats = collect_statistics(small_table(64))
-        fanouts = [
-            partition_fanout(stats, ("a0", "a1"), cells)
-            for cells in (1, 2, 3, 4, 6, 8)
-        ]
-        assert fanouts == sorted(fanouts)
-        assert all(f <= 64 for f in fanouts)
-
-    def test_join_cardinality_matches_uniform_equijoin(self):
-        left = collect_statistics(small_table(64, "R"))
-        right = collect_statistics(small_table(64, "T"))
-        estimate = join_cardinality(
-            left, right, "jkey", "jkey", rows_left=64, rows_right=64
-        )
-        # 64 * 64 / ndv(8): the classical System-R estimate.
-        assert estimate == pytest.approx(512.0, rel=0.05)
-
-
-# ----------------------------------------------------------------------
 # decisions
 # ----------------------------------------------------------------------
 class TestPlannerDecisions:
@@ -223,15 +145,6 @@ class TestPlannerDecisions:
         )
         assert decision.pinned == ()
 
-    def test_fanout_is_estimated_at_the_granularity_in_effect(self):
-        bound = make_bound(n=200, d=2, seed=3)
-        planner = Planner()
-        default = planner.decide(bound).estimates
-        coarse = planner.decide(bound, input_cells=1).estimates
-        assert coarse.fanout_left == coarse.fanout_right == 1.0
-        assert default.fanout_left > coarse.fanout_left
-        assert default.regions == default.fanout_left * default.fanout_right
-
     def test_pinned_knobs_are_honoured_not_chosen(self):
         bound = make_bound(n=80, d=2, seed=3)
         decision = Planner().decide(
@@ -243,74 +156,149 @@ class TestPlannerDecisions:
         pinned_grid = Planner().decide(bound, input_cells=5)
         assert pinned_grid.input_cells == (5, 5)
 
-    def test_skewed_join_keys_select_quadtree(self):
+    def test_skewed_join_keys_leave_the_grid(self):
+        """The rule reads the mapped attributes only: join values piled
+        onto a few keys do not select the quadtree."""
         bound = make_bound(n=300, d=2, seed=3, skew=6.0)
-        planner = Planner()
-        decision = planner.decide(bound)
-        skew = decision.estimates.skew
-        assert decision.partitioning == (
-            "quadtree" if skew >= SKEW_THRESHOLD else "grid"
-        )
+        decision = Planner().decide(bound)
+        assert decision.skew < SKEW_THRESHOLD
+        assert decision.partitioning == "grid"
 
     def test_a_run_leaves_the_next_decision_unchanged(self):
-        """Estimates come from the source statistics alone: a finished
-        run over the same tables does not move them."""
+        """The decision comes from the source statistics alone: a
+        finished run over the same tables does not move it."""
         bound = SyntheticWorkload(n=150, d=2, seed=9).bound()
         planner = Planner()
         engine = ProgXeEngine(bound, planner=planner)
         for _ in engine.run():
             pass
-        first = engine.plan_decision
-        assert first.actuals["join_rows"] != first.estimates.join_rows
-        second = planner.decide(bound)
-        assert second.estimates == first.estimates
-        assert second.partitioning == first.partitioning
-        assert second.actuals == {}
+        assert planner.decide(bound) == engine.plan_decision
 
-    def test_run_actuals_are_the_clock_and_result_counts(self):
-        bound = SyntheticWorkload(n=120, d=2, seed=5).bound()
-        engine = ProgXeEngine(bound, planner=Planner())
-        results = list(engine.run())
-        actuals = engine.plan_decision.actuals
-        assert actuals["join_rows"] == engine.clock.count("join_result")
-        assert actuals["skyline_size"] == len(results)
-        assert actuals["rows_scanned"] == len(bound.left_table) + len(bound.right_table)
+    def test_a_decision_is_the_knobs_and_the_skew(self):
+        assert [f.name for f in dataclasses.fields(PlanDecision)] == [
+            "partitioning", "input_cells", "pinned", "skew",
+        ]
 
     def test_statistics_counters_hold_only_summary_outcomes(self):
         assert [f.name for f in dataclasses.fields(StatisticsCounters)] == [
             "hits", "patches", "rebuilds", "entries",
         ]
 
-    def test_every_estimate_gets_an_actual_after_a_run(self):
-        report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
-        assert len(report.rows) == 5
-        for row in report.rows:
-            assert row.actual is not None
-            assert row.relative_error is not None
-        exact = {r.metric: r for r in report.rows}
-        assert exact["rows scanned"].relative_error == 0.0
 
-    def test_report_names_only_applied_knobs(self):
-        """The report's knobs are exactly what the decision applies, in
-        both the text table and the ``--format json`` payload."""
-        report = explain_estimates(SyntheticWorkload(n=100, d=2).bound())
-        payload = report.to_dict()
-        assert set(payload) == {"partitioning", "input_cells", "pinned", "rows"}
-        knob_lines = report.render().splitlines()[1:3]
-        assert [line.split(":")[0].strip() for line in knob_lines] == [
-            "partitioning", "input cells",
+# ----------------------------------------------------------------------
+# the rule
+# ----------------------------------------------------------------------
+def worst_concentration(tables, columns, sample_rows: int) -> float:
+    """Largest 16-bucket equi-width share over the sampled ``columns``,
+    recomputed from the rows (the first ``sample_rows`` of each table)."""
+    worst = 0.0
+    for alias, names in columns.items():
+        table = tables[alias]
+        for name in names:
+            index = table.schema.columns.index(name)
+            values = [
+                row[index] for row in table.rows[:sample_rows]
+                if math.isfinite(row[index])
+            ]
+            if not values:
+                continue
+            lo, hi = min(values), max(values)
+            counts = [0] * 16
+            for value in values:
+                bucket = 0 if hi == lo else int((value - lo) / (hi - lo) * 16)
+                counts[min(bucket, 15)] += 1
+            worst = max(worst, max(counts) / len(values))
+    return worst
+
+
+column_values = st.lists(
+    st.one_of(
+        st.floats(0.0, 100.0),
+        st.just(3.0),
+        st.floats(1e3, 1e6),
+        st.sampled_from([math.nan, math.inf]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(
+    columns=st.lists(column_values, min_size=4, max_size=4),
+    sample_rows=st.integers(1, 40),
+    partitioning=st.sampled_from(["grid", "quadtree"]),
+    input_cells=st.one_of(st.none(), st.integers(1, 6)),
+)
+@settings(max_examples=60, deadline=None)
+@example(  # exactly at the threshold: 11 of 20 values in the lowest bucket
+    columns=[[0.0] * 11 + [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 100.0]]
+    + [[float(i) for i in range(20)]] * 3,
+    sample_rows=40, partitioning="grid", input_cells=None,
+)
+def test_decide_is_the_skew_rule(columns, sample_rows, partitioning, input_cells):
+    """The quadtree exactly when the worst sampled concentration over the
+    mapped columns reaches SKEW_THRESHOLD; pinned knobs win."""
+    workload = SyntheticWorkload(n=1, d=2)
+    tables = {}
+    for alias, prefix, pair in (("R", "a", columns[:2]), ("T", "b", columns[2:])):
+        n = max(len(pair[0]), len(pair[1]))
+        rows = [
+            (f"{alias}{i}", i % 3,
+             pair[0][i % len(pair[0])], pair[1][i % len(pair[1])])
+            for i in range(n)
         ]
-        assert report.render().splitlines()[3] == ""
+        tables[alias] = Table(alias, ["id", "jkey", f"{prefix}0", f"{prefix}1"], rows)
+    bound = workload.query().bind(tables)
+    planner = Planner(statistics=StatisticsStore(sample_rows=sample_rows))
+    decision = planner.decide(
+        bound, partitioning=partitioning, input_cells=input_cells
+    )
 
-    def test_quadtree_report_has_no_grid_granularity(self):
-        report = explain_estimates(
-            SyntheticWorkload(n=100, d=2).bound(),
-            config=EngineConfig(partitioning="quadtree"),
+    skew = worst_concentration(
+        tables, {"R": ("a0", "a1"), "T": ("b0", "b1")}, sample_rows
+    )
+    assert decision.skew == pytest.approx(skew)
+    pinned = partitioning != "grid"
+    if pinned:
+        assert decision.partitioning == partitioning
+    else:
+        assert decision.partitioning == (
+            "quadtree" if skew >= SKEW_THRESHOLD else "grid"
         )
-        assert report.partitioning == "quadtree"
-        assert report.input_cells is None
-        assert report.to_dict()["input_cells"] is None
-        assert "input cells" not in report.render()
+    if decision.partitioning == "grid":
+        cells = input_cells or default_input_cells(2)
+        assert decision.input_cells == (cells, cells)
+    else:
+        assert decision.input_cells is None
+    assert decision.pinned == (
+        ("partitioning",) * pinned + ("input_cells",) * (input_cells is not None)
+    )
+
+
+class TestExpSkew:
+    """``SyntheticWorkload(n=20_000, d=2, seed=7)`` with every attribute
+    mapped ``v -> exp(v/8)``: the input the rule exists for."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        bound = ExpSkewWorkload(n=20_000, d=2, seed=7).bound()
+        out = {"bound": bound}
+        for partitioning in ("grid", "quadtree"):
+            engine = ProgXeEngine(bound, VirtualClock(), partitioning=partitioning)
+            keys = {r.key() for r in engine.run()}
+            out[partitioning] = keys, engine.clock.count("join_result")
+        return out
+
+    def test_auto_picks_the_quadtree(self, runs):
+        decision = Planner().decide(runs["bound"])
+        assert decision.partitioning == "quadtree"
+        assert decision.skew == pytest.approx(0.784, abs=0.001)
+
+    def test_the_quadtree_joins_at_most_half_the_grid_pairs(self, runs):
+        assert runs["quadtree"][1] <= 0.5 * runs["grid"][1]
+
+    def test_both_partitioners_return_the_same_results(self, runs):
+        assert runs["quadtree"][0] and runs["quadtree"][0] == runs["grid"][0]
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +313,8 @@ class TestWiring:
         assert engine.plan_decision is None  # not planned yet
         results = list(engine.run())
         decision = engine.plan_decision
-        assert decision is not None
-        assert results and decision.actuals["skyline_size"] == len(results)
+        assert results
+        assert decision == Planner().decide(bound)
 
     def test_session_auto_config_shares_one_planner(self):
         workload = SyntheticWorkload(n=100, d=2, seed=21)
