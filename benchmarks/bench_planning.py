@@ -21,9 +21,10 @@ inside planning, the drain, time-to-first and time-to-last result, the
 rows each side keeps and the ``dominance_cmp`` charged.
 
 A third section times ProgOrder's ranking, the kernel's ``rank_fn``
-(``region_benefit`` over ``region_cost``), over whole executions: each e2e
-query shape drained in process (``ProgXeEngine(...).kernel()`` stepped to
-the end over a warm partition cache) and one ``ingest-follow`` session
+(``progorder.region_rank``: ``region_benefit`` over ``region_cost``), over
+whole executions: each e2e query shape drained in process
+(``ProgXeEngine(...).kernel()`` stepped to the end over a warm partition
+cache) and one ``ingest-follow`` session
 (``benchmarks.e2e.ingest.follow_session``).  A row holds the wall seconds
 of 7 runs, the rank calls and the seconds inside ``region_benefit``
 (timed in one extra, instrumented run), and the vtime, steps and results.
@@ -71,7 +72,7 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_planning.json"
 if str(REPO_ROOT) not in sys.path:  # the e2e workloads live beside this file
     sys.path.insert(0, str(REPO_ROOT))
 
-import repro.core.kernel as kernel_module  # noqa: E402
+import repro.core.progorder as progorder_module  # noqa: E402
 import repro.core.plan as plan_module  # noqa: E402
 import repro.core.progdetermine as progdetermine  # noqa: E402
 from benchmarks.e2e.ingest import follow_session  # noqa: E402
@@ -306,7 +307,7 @@ def time_ordering(run, repeats: int) -> dict:
         start = time.perf_counter()
         outcome = run()
         walls.append(time.perf_counter() - start)
-    benefit = kernel_module.region_benefit
+    benefit = progorder_module.region_benefit
     spent: list[float] = []
 
     def timed(*args):
@@ -316,11 +317,11 @@ def time_ordering(run, repeats: int) -> dict:
         finally:
             spent.append(time.perf_counter() - start)
 
-    kernel_module.region_benefit = timed
+    progorder_module.region_benefit = timed
     try:
         counted = run()
     finally:
-        kernel_module.region_benefit = benefit
+        progorder_module.region_benefit = benefit
     assert counted == outcome, f"instrumented run differs: {counted} != {outcome}"
     vtime, steps, results = outcome
     return {

@@ -3,7 +3,9 @@
 A function of the library is *reached* when some run of a product surface
 calls it: the example scripts (``examples/*.py``), the end-to-end benchmark
 at smoke scale (``python3 -m benchmarks.e2e --smoke``, served queries
-included) and CI's paper-figure pytest job.  A unit test does not count.
+included), CI's paper-figure pytest job and the command line
+(``python -m repro``: every subcommand but ``serve``, which the e2e runs
+reach).  A unit test does not count.
 What no surface reaches is a candidate for deletion, or for a surface run
 that reaches it.
 
@@ -64,7 +66,29 @@ sys.setprofile(_profile)
 threading.setprofile(_profile)
 '''
 
-#: The product surfaces: name -> argv lists, run from the repository root.
+#: A query over the columnar tables ``generate`` writes, with a filter in
+#: its WHERE clause: a filter over a columnar source streams through
+#: ``FilteredSource``.
+CLI_QUERY = (
+    "SELECT R.id, T.id, (R.a0 + T.b0) AS x0, (R.a1 + T.b1) AS x1 "
+    "FROM R R, T T WHERE R.jkey = T.jkey AND R.a0 <= 50 "
+    "PREFERRING LOWEST(x0) AND LOWEST(x1)"
+)
+
+#: The CLI runs, in order (``query`` reads the files ``generate`` wrote).
+CLI = [
+    ["run", "-n", "200", "--stream"],
+    ["compare", "-n", "200", "-a", "ProgXe,JF-SL"],
+    ["explain", "-n", "300", "-D", "anticorrelated"],
+    ["algorithms"],
+    ["generate", "-n", "200", "--prefix", "w", "--format", "csv"],
+    ["generate", "-n", "200", "--prefix", "w", "--format", "columnar"],
+    ["query", "--query", CLI_QUERY,
+     "--table", "R=columnar:w_R.col", "--table", "T=columnar:w_T.col"],
+]
+
+#: The product surfaces: name -> argv lists, run from the repository root,
+#: but for ``cli``, which runs in a scratch directory of the run.
 SURFACES = {
     "examples": [
         [sys.executable, str(script)]
@@ -81,6 +105,7 @@ SURFACES = {
         ),
         "--benchmark-disable",
     ]],
+    "cli": [[sys.executable, "-m", "repro", *argv] for argv in CLI],
 }
 
 
@@ -90,8 +115,9 @@ def run_surfaces(names: list[str]) -> set[tuple[str, int]]:
     reached: set[tuple[str, int]] = set()
     with tempfile.TemporaryDirectory() as tmp:
         hook, logs = pathlib.Path(tmp, "hook"), pathlib.Path(tmp, "logs")
-        hook.mkdir()
-        logs.mkdir()
+        work = pathlib.Path(tmp, "work")
+        for directory in (hook, logs, work):
+            directory.mkdir()
         (hook / "sitecustomize.py").write_text(HOOK)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -103,7 +129,8 @@ def run_surfaces(names: list[str]) -> set[tuple[str, int]]:
             for argv in SURFACES[name]:
                 print(f"  {name}: {' '.join(argv[1:])}", file=sys.stderr)
                 done = subprocess.run(
-                    argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL
+                    argv, cwd=work if name == "cli" else ROOT, env=env,
+                    stdout=subprocess.DEVNULL,
                 )
                 if done.returncode:
                     sys.exit(f"{name} run failed with exit code {done.returncode}")

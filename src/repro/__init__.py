@@ -109,7 +109,6 @@ from repro.query import (
     ResultTuple,
     SkyMapJoinQuery,
     parse_query,
-    render_query,
 )
 from repro.session import (
     AlgorithmRegistry,
@@ -233,7 +232,6 @@ __all__ = [
     "progxe_no_order",
     "progxe_plus",
     "progxe_plus_no_order",
-    "render_query",
     "run_algorithm",
     "verify_results",
 ]

@@ -27,16 +27,14 @@ class PlanCache:
     Example::
 
         cache = PlanCache(max_entries=32)
-        grid, hit = cache.get_or_partition(
-            GridPartitioner(4, "exact"), table, ("a0", "a1"), "jkey",
-            source="R",
+        grid, outcome, _ = cache.get_or_partition_outcome(
+            GridPartitioner(4), table, ("a0", "a1"), "jkey", source="R",
         )
-        assert not hit                     # first build: a miss
-        _, hit = cache.get_or_partition(
-            GridPartitioner(4, "exact"), table, ("a0", "a1"), "jkey",
-            source="R",
+        assert outcome == "miss"           # first build
+        _, outcome, _ = cache.get_or_partition_outcome(
+            GridPartitioner(4), table, ("a0", "a1"), "jkey", source="R",
         )
-        assert hit                         # same table+config: shared
+        assert outcome == "hit"            # same table+config: shared
         cache.stats().hit_rate             # 0.5
 
     The cache is cooperative-concurrency safe: the scheduler interleaves
@@ -67,29 +65,6 @@ class PlanCache:
             source=source,
         )
 
-    def get_or_partition(
-        self,
-        partitioner,
-        table: DataSource,
-        attributes: Sequence[str],
-        join_attribute: str,
-        *,
-        source: str | None = None,
-    ) -> tuple[object, bool]:
-        """Partition ``table`` (or reuse a shared build); returns
-        ``(structure, hit)``.
-
-        ``partitioner`` is a :class:`~repro.storage.grid.GridPartitioner` or
-        :class:`~repro.storage.quadtree.QuadTreePartitioner`; its
-        ``descriptor()`` plus the table's
-        :attr:`~repro.storage.sources.base.DataSource.cache_token` form
-        the key.
-        """
-        structure, outcome, _ = self.get_or_partition_outcome(
-            partitioner, table, attributes, join_attribute, source=source
-        )
-        return structure, outcome != "miss"
-
     def get_or_partition_outcome(
         self,
         partitioner,
@@ -99,10 +74,16 @@ class PlanCache:
         *,
         source: str | None = None,
     ) -> tuple[object, str, int]:
-        """Like :meth:`get_or_partition` but returns ``(structure, outcome,
-        delta_rows)`` with outcome ``"hit"``, ``"patched"`` or ``"miss"``
-        (``delta_rows`` is the number of appended rows a patch consumed;
-        0 for hits and misses).
+        """Partition ``table`` (or reuse a shared build); returns
+        ``(structure, outcome, delta_rows)`` with outcome ``"hit"``,
+        ``"patched"`` or ``"miss"`` (``delta_rows`` is the number of
+        appended rows a patch consumed; 0 for hits and misses).
+
+        ``partitioner`` is a :class:`~repro.storage.grid.GridPartitioner` or
+        :class:`~repro.storage.quadtree.QuadTreePartitioner`; its
+        ``descriptor()`` plus the table's
+        :attr:`~repro.storage.sources.base.DataSource.cache_token` form
+        the key.
 
         ``"patched"`` is the streaming path: the store held the same
         partitioning over an older generation of the table, the source

@@ -160,13 +160,17 @@ class PartitionStore:
         store = PartitionStore(max_entries=32)
         key = PartitionKey.for_table(table, ("a0", "a1"), "jkey",
                                      partitioner.descriptor(), source="R")
-        grid, hit = store.get_or_build(
-            key, lambda: partitioner.partition(table, ("a0", "a1"), "jkey",
-                                               source="R"))
+        grid, outcome = store.get_or_patch(
+            key,
+            patcher=lambda old_key, stale: False,   # never extend in place
+            builder=lambda: partitioner.partition(
+                table, ("a0", "a1"), "jkey", source="R"),
+        )
+        outcome                            # "miss"; the same key again: "hit"
 
-    ``get_or_build`` returns the cached structure and ``hit=True`` on a key
-    match; otherwise it runs ``builder``, stores the result and returns it
-    with ``hit=False``.  A failing builder stores nothing.
+    :meth:`get_or_patch` returns the cached structure and ``"hit"`` on a
+    key match; otherwise it runs ``builder``, stores the result and returns
+    it with ``"miss"``.  A failing builder stores nothing.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -186,16 +190,6 @@ class PartitionStore:
     def __contains__(self, key: PartitionKey) -> bool:
         return key in self._entries
 
-    def get(self, key: PartitionKey):
-        """The cached structure for ``key``, or ``None`` (counts a miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self._misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self._hits += 1
-        return entry
-
     def put(self, key: PartitionKey, structure) -> None:
         """Store ``structure`` under ``key``, evicting LRU entries if full."""
         self._entries[key] = structure
@@ -203,17 +197,6 @@ class PartitionStore:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self._evictions += 1
-
-    def get_or_build(
-        self, key: PartitionKey, builder: Callable[[], object]
-    ) -> tuple[object, bool]:
-        """Return ``(structure, hit)``; on a miss, build and store first."""
-        entry = self.get(key)
-        if entry is not None:
-            return entry, True
-        structure = builder()
-        self.put(key, structure)
-        return structure, False
 
     def _find_stale(self, key: PartitionKey) -> PartitionKey | None:
         """An entry agreeing with ``key`` on every structural field but

@@ -19,10 +19,11 @@ Commands
 
 ``query``
     Parse an SMJ query (the paper's SQL-with-PREFERRING surface) and run
-    it progressively against CSV tables.
+    it progressively against CSV tables or columnar sources.
 
 ``generate``
-    Write a synthetic workload's two tables to CSV files.
+    Write a synthetic workload's two tables to CSV files or columnar
+    directories.
 
 ``explain``
     Show the ProgXe plan for a workload, and the partitioner the ``auto``
@@ -33,13 +34,8 @@ Commands
     (:class:`~repro.serve.app.QueryServer`): clients POST queries to
     ``/query`` and receive NDJSON/SSE result frames the moment the
     interleaved engine emits them, under admission control and per-client
-    backpressure.
-
-``interleave``
-    Concurrency demo: admit several queries to the cooperative
-    :class:`~repro.session.scheduler.QueryScheduler` and interleave their
-    execution kernels, printing results as each query emits them plus a
-    per-query latency summary.
+    backpressure.  Concurrent queries and follow queries (``"follow":
+    true``, streaming ingestion) run here or through the ``Session`` API.
 
 ``algorithms``
     List the registered algorithms (the pluggable registry behind ``-a``).
@@ -76,13 +72,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, default=0.01,
                         help="target join selectivity")
     parser.add_argument("--seed", type=int, default=7, help="RNG seed")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
@@ -185,13 +174,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     session = _session(args)
     [name] = _one_algorithm(session, args.algorithm)
     workload = _workload(args)
-    if args.follow:
-        if args.source:
-            raise SystemExit(
-                "--follow demonstrates in-memory streaming ingestion; "
-                "drop --source"
-            )
-        return _run_follow(session, name, workload, args)
     tables, backends = _resolve_sources(args, workload)
     bound = workload.query().bind(tables)
     if backends:
@@ -210,98 +192,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_follow(
-    session: Session, name: str, workload: SyntheticWorkload,
-    args: argparse.Namespace,
-) -> int:
-    """Streaming-ingestion demo: plan over a prefix, absorb arrivals mid-run.
-
-    Half of each synthetic table is present at submission; the rest
-    arrives in ``--arrival-chunks`` batches interleaved with kernel steps
-    through the cooperative scheduler, then the arrival window closes and
-    the query drains to its full (one-shot-equivalent) result set.
-    """
-    chunks = args.arrival_chunks
-    if chunks < 1:
-        raise SystemExit(f"--arrival-chunks must be >= 1, got {chunks}")
-    config = session.config.with_options(follow=True)
-    live: dict[str, Table] = {}
-    arrivals: dict[str, list[list[tuple]]] = {}
-    for alias, table in workload.tables().items():
-        rows = list(table.rows)
-        split = max(1, len(rows) // 2)
-        live[alias] = Table(alias, table.schema, rows[:split])
-        rest = rows[split:]
-        size = max(1, -(-len(rest) // chunks))
-        arrivals[alias] = [
-            rest[i:i + size] for i in range(0, len(rest), size)
-        ]
-    bound = workload.query().bind(live)
-    scheduler = session.scheduler()
-    handle = scheduler.submit(
-        bound, algorithm=name, config=config, budget=_budget(args),
-        name="follow",
-    )
-    rounds = max(len(parts) for parts in arrivals.values())
-    for i in range(rounds):
-        for _ in range(50):
-            if not scheduler.tick():
-                break
-        appended = 0
-        for alias, parts in arrivals.items():
-            if i < len(parts):
-                live[alias].extend_rows(parts[i])
-                appended += len(parts[i])
-        print(f"arrival {i + 1}/{rounds}: +{appended} rows mid-run")
-    handle.close_ingest()
-    while not handle.finished and scheduler.tick():
-        pass
-    if args.stream:
-        for result in handle.results:
-            print(f"  {result.outputs}")
-    stats = handle.stats()
-    engine_stats = getattr(handle.algorithm, "stats", {})
-    print(
-        f"{name} (follow): {stats.results} results, total virtual cost "
-        f"{stats.vtime:.0f}, {stats.dominance_comparisons} dominance "
-        "comparisons"
-    )
-    print(
-        f"ingestion: {engine_stats.get('rows_ingested', 0)} rows absorbed "
-        f"over {engine_stats.get('polls', 0)} polls, "
-        f"{engine_stats.get('regions_added', 0)} regions added, "
-        f"{engine_stats.get('cells_reopened', 0)} cells reopened"
-    )
-    if stats.stop_reason:
-        print(f"stopped early: {stats.stop_reason}")
-        return 0
-    # Differential check: the streamed run must equal a one-shot run over
-    # the final table contents (the tables after every arrival landed).
-    reference = session.execute(
-        workload.query().bind(live), algorithm=name, share_partitions=False
-    )
-    reference.drain()
-    streamed = {r.key() for r in handle.results}
-    oneshot = {r.key() for r in reference.results}
-    verdict = "OK" if streamed == oneshot else "MISMATCH"
-    print(
-        f"one-shot equivalence: {verdict} "
-        f"({len(streamed)} streamed vs {len(oneshot)} one-shot results)"
-    )
-    return 0 if verdict == "OK" else 1
-
-
 def _one_algorithm(
     session: Session, spec: str, command: str = "run"
 ) -> list[str]:
     names = _algorithm_names(session, spec)
     if len(names) != 1:
-        hint = (
-            "all submitted queries share one algorithm"
-            if command == "interleave"
-            else "use compare for several"
+        raise SystemExit(
+            f"{command} takes exactly one algorithm; use compare for several"
         )
-        raise SystemExit(f"{command} takes exactly one algorithm; {hint}")
     return names
 
 
@@ -353,75 +251,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     )
     if stats.stop_reason:
         print(f"stopped early: {stats.stop_reason}")
-    return 0
-
-
-def _cmd_interleave(args: argparse.Namespace) -> int:
-    """Interleave N concurrent queries through the scheduler (demo)."""
-    session = _session(args)
-    [name] = _one_algorithm(session, args.algorithm, command="interleave")
-    sharing = not args.no_share
-    if not sharing:
-        session.config = session.config.with_options(share_partitions=False)
-    scheduler = session.scheduler(max_active=args.max_active)
-    budget = _budget(args)
-    # --source overrides imply one shared set of backends for every query
-    # (there is exactly one columnar dir / database per alias).
-    workload = _workload(args)
-    shared_tables, backends = _resolve_sources(args, workload)
-    shared_bound = None
-    if args.shared_tables or backends:
-        shared_bound = workload.query().bind(shared_tables)
-    query_backends: dict[str, str] = {}
-    for i in range(args.concurrency):
-        if shared_bound is not None:
-            bound, qname = shared_bound, f"q{i}(shared)"
-            tables = shared_tables
-        else:
-            per_query = SyntheticWorkload(
-                distribution=args.distribution, n=args.n, d=args.d,
-                sigma=args.sigma, seed=args.seed + i,
-            )
-            tables = per_query.tables()
-            bound = per_query.query().bind(tables)
-            qname = f"q{i}(seed={args.seed + i})"
-        scheduler.submit(bound, algorithm=name, budget=budget, name=qname)
-        query_backends[qname] = _backend_line(tables, backends)
-    print(
-        f"interleaving {args.concurrency} queries ({name}), "
-        f"sharing={'on' if sharing else 'off'}"
-    )
-    for qname, line in query_backends.items():
-        print(f"  {qname}: {line}")
-    for query, result in scheduler.run():
-        if args.stream:
-            print(
-                f"  [{query.name}] t_global={scheduler.global_vtime:>12.0f}"
-                f"  {result.outputs}"
-            )
-    print(
-        f"\n{'query':<16}{'state':<18}{'results':>8}{'steps':>7}"
-        f"{'vtime':>12}{'first@global':>14}"
-    )
-    for query in scheduler.queries:
-        first = query.first_result_global_vtime
-        print(
-            f"{query.name:<16}{query.state:<18}{len(query.results):>8}"
-            f"{query.steps:>7}{query.clock.now():>12.0f}"
-            f"{'-' if first is None else format(first, '>14.0f'):>14}"
-        )
-    # Each dispatch is one step() of one query.
-    dispatches = sum(query.steps for query in scheduler.queries)
-    print(
-        f"\ndispatches={dispatches}  "
-        f"total virtual work={scheduler.global_vtime:.0f}"
-    )
-    cache = scheduler.cache_stats()
-    print(
-        f"partition cache: hits={cache.hits}  misses={cache.misses}  "
-        f"evictions={cache.evictions}  entries={cache.entries}  "
-        f"hit-rate={cache.hit_rate:.0%}"
-    )
     return 0
 
 
@@ -478,17 +307,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.explain import explain
-    from repro.planner.choose import SKEW_THRESHOLD, Planner
 
-    bound = _workload(args).bound()
-    print(explain(bound).render(top=args.top))
-    decision = Planner().decide(bound)
-    relation = ">=" if decision.skew >= SKEW_THRESHOLD else "<"
-    print(
-        f"  auto partitioner: {decision.partitioning} (skew "
-        f"{decision.skew:.3f} {relation} {SKEW_THRESHOLD}; pinned: "
-        f"{', '.join(decision.pinned) or 'none'})"
-    )
+    print(explain(_workload(args).bound()).render(top=args.top))
     return 0
 
 
@@ -549,15 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--preset", choices=list(PRESETS), help=preset_help)
     p_run.add_argument("--stream", action="store_true",
                        help="print every result as it is emitted")
-    p_run.add_argument(
-        "--follow", action="store_true",
-        help="streaming-ingestion demo: plan over half the rows, absorb "
-        "the rest in batches mid-run, and verify against one-shot results",
-    )
-    p_run.add_argument(
-        "--arrival-chunks", type=int, default=4,
-        help="arrival batches for --follow (default 4)",
-    )
     p_run.set_defaults(fn=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare algorithms on one workload")
@@ -582,40 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--limit", type=int, default=0,
                          help="stop cleanly after this many results (0 = all)")
     p_query.set_defaults(fn=_cmd_query)
-
-    p_il = sub.add_parser(
-        "interleave",
-        help="interleave N concurrent queries via the cooperative scheduler",
-    )
-    _add_workload_args(p_il)
-    _add_budget_args(p_il)
-    _add_source_args(p_il)
-    p_il.add_argument(
-        "--concurrency", "-c", type=_positive_int, default=4,
-        help="number of concurrent queries to admit (workload seeds "
-        "SEED..SEED+N-1)",
-    )
-    p_il.add_argument(
-        "--max-active", type=int, default=None,
-        help="admission ceiling; further queries wait (default: admit all)",
-    )
-    p_il.add_argument("--algorithm", "-a", default="ProgXe",
-                      help="algorithm to run each query with")
-    p_il.add_argument("--preset", choices=list(PRESETS), help=preset_help)
-    p_il.add_argument("--stream", action="store_true",
-                      help="print every result as it is emitted")
-    p_il.add_argument(
-        "--shared-tables", action="store_true",
-        help="submit all queries over ONE workload's tables (seed=SEED) so "
-        "cross-query partition sharing kicks in; default gives each query "
-        "its own tables",
-    )
-    p_il.add_argument(
-        "--no-share", action="store_true",
-        help="disable cross-query work sharing: every query partitions its "
-        "inputs privately instead of reusing the session's partition cache",
-    )
-    p_il.set_defaults(fn=_cmd_interleave)
 
     p_serve = sub.add_parser(
         "serve",

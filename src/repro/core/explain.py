@@ -1,28 +1,22 @@
 """EXPLAIN output for the ProgXe engine.
 
-``explain(bound)`` dry-runs the look-ahead and ordering phases without any
-tuple-level work and renders what the engine *would* do: partition counts,
-surviving regions with their benefit/cost/rank, the EL-Graph root set and
-the first processing decisions.  It exists for the reasons EXPLAIN exists
-in any query engine: debugging unexpected plans, understanding why output
-is late, and teaching.
+``explain(bound)`` builds the plan the ``auto`` preset would run — the
+planner's partitioner decision, partitioning and look-ahead — without any
+tuple-level work, and renders it: partition counts, surviving regions with
+their benefit/cost/rank, the EL-Graph root set and the decision line.  It
+exists for the reasons EXPLAIN exists in any query engine: debugging
+unexpected plans, understanding why output is late, and teaching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.benefit import region_benefit
-from repro.core.cost import region_cost
 from repro.core.elimination_graph import EliminationGraph
-from repro.core.plan import (
-    default_output_cells as _default_output_cells,
-    input_cells_per_side,
-)
-from repro.core.lookahead import run_lookahead
+from repro.core.plan import QueryPlan
+from repro.core.progorder import region_rank
+from repro.planner.choose import SKEW_THRESHOLD, PlanDecision, Planner
 from repro.query.smj import BoundQuery
-from repro.runtime.clock import VirtualClock
-from repro.storage.grid import GridPartitioner
 
 
 @dataclass
@@ -53,6 +47,8 @@ class ExplainReport:
     active_cells: int
     marked_cells: int
     roots: int
+    #: The planner's decision the plan was built under.
+    decision: PlanDecision
     region_plans: list[RegionPlan] = field(default_factory=list)
 
     def render(self, *, top: int = 10) -> str:
@@ -84,6 +80,13 @@ class ExplainReport:
                 f"{list(plan.left_coords)}x{list(plan.right_coords)}"
             )
         lines.append("  (* = current EL-Graph root)")
+        decision = self.decision
+        relation = ">=" if decision.skew >= SKEW_THRESHOLD else "<"
+        lines.append(
+            f"  auto partitioner: {decision.partitioning} (skew "
+            f"{decision.skew:.3f} {relation} {SKEW_THRESHOLD}; pinned: "
+            f"{', '.join(decision.pinned) or 'none'})"
+        )
         return "\n".join(lines)
 
 
@@ -93,31 +96,28 @@ def explain(
     input_cells: int | None = None,
     output_cells: int | None = None,
 ) -> ExplainReport:
-    """Plan-only dry run: look-ahead + ranking, no tuple-level processing."""
-    clock = VirtualClock()
-    k_left, k_right = input_cells_per_side(bound, input_cells)
-    left_grid = GridPartitioner(k_left).partition(
-        bound.left_table, bound.left_map_attrs, bound.query.join.left_attr,
-        source=bound.left_alias,
+    """Plan-only dry run: the plan ``auto`` would run, ranked, no
+    tuple-level processing.
+
+    The regions, grid and partitioner decision come from one
+    :meth:`~repro.core.plan.QueryPlan.build` under a fresh
+    :class:`~repro.planner.choose.Planner`, so a skewed input is explained
+    with the quadtree plan it would run on.
+    """
+    plan = QueryPlan.build(
+        bound, input_cells=input_cells, output_cells=output_cells,
+        planner=Planner(),
     )
-    right_grid = GridPartitioner(k_right).partition(
-        bound.right_table, bound.right_map_attrs, bound.query.join.right_attr,
-        source=bound.right_alias,
-    )
-    k_out = output_cells or _default_output_cells(bound.skyline_dimension_count)
-    regions, grid = run_lookahead(bound, left_grid, right_grid, k_out, clock)
-    graph = EliminationGraph(regions, clock)
+    regions, grid = plan.regions, plan.grid
+    roots = {r.rid for r in EliminationGraph(regions, plan.clock).roots()}
     dims = bound.skyline_dimension_count
-    roots = {r.rid for r in graph.roots()}
 
     plans = []
     for region in regions:
         if region.discarded:
             benefit = cost = rank = 0.0
         else:
-            benefit = region_benefit(region, dims)
-            cost = region_cost(region, grid, dims)
-            rank = benefit / cost if cost > 0 else benefit
+            benefit, cost, rank = region_rank(region, grid, dims)
         plans.append(
             RegionPlan(
                 rid=region.rid,
@@ -133,13 +133,15 @@ def explain(
                 rank=rank,
             )
         )
+    left_partitions, right_partitions = plan.input_partitions
     return ExplainReport(
-        left_partitions=left_grid.partition_count,
-        right_partitions=right_grid.partition_count,
+        left_partitions=left_partitions,
+        right_partitions=right_partitions,
         regions_total=len(regions),
         regions_discarded=sum(1 for r in regions if r.discarded),
         active_cells=grid.active_count,
         marked_cells=grid.marked_count,
         roots=len(roots),
+        decision=plan.decision,
         region_plans=plans,
     )

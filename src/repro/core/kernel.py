@@ -27,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.benefit import region_benefit
-from repro.core.cost import region_cost
 from repro.core.elimination_graph import EliminationGraph
 from repro.core.plan import QueryPlan
 from repro.core.progdetermine import ExecutionState
-from repro.core.progorder import ProgOrder, RandomOrder
+from repro.core.progorder import ProgOrder, RandomOrder, region_rank
 from repro.core.regions import OutputRegion
 from repro.core.tuple_level import process_region
 from repro.errors import ExecutionError
@@ -194,9 +192,7 @@ class ExecutionKernel:
         grid = plan.grid
 
         def rank_fn(region: OutputRegion) -> float:
-            benefit = region_benefit(region, dims)
-            cost = region_cost(region, grid, dims)
-            return benefit / cost if cost > 0 else benefit
+            return region_rank(region, grid, dims)[2]
 
         if plan.ordering:
             self.policy = ProgOrder(self.graph, rank_fn, plan.clock)

@@ -149,6 +149,9 @@ class QueryPlan:
     #: The planner's :class:`~repro.planner.choose.PlanDecision` when the
     #: plan was built with ``planner=``; ``None`` otherwise.
     decision: "PlanDecision | None" = None
+    #: Partitions (grid cells or quadtree leaves) of the (left, right)
+    #: input, for :func:`~repro.core.explain.explain`.
+    input_partitions: tuple[int, int] = (0, 0)
 
     @classmethod
     def build(
@@ -283,6 +286,9 @@ class QueryPlan:
             cache_events=cache_events,
             stream_sides=stream_sides,
             decision=decision,
+            input_partitions=(
+                left_grid.partition_count, right_grid.partition_count
+            ),
         )
 
 

@@ -24,11 +24,24 @@ import heapq
 import random
 from typing import Callable
 
+from repro.core.benefit import region_benefit
+from repro.core.cost import region_cost
 from repro.core.elimination_graph import EliminationGraph
+from repro.core.output_grid import OutputGrid
 from repro.core.regions import OutputRegion
 from repro.runtime.clock import VirtualClock
 
 RankFn = Callable[[OutputRegion], float]
+
+
+def region_rank(
+    region: OutputRegion, grid: OutputGrid, dimensions: int
+) -> tuple[float, float, float]:
+    """``(benefit, cost, rank)`` of a live region: Eq. 8's
+    ``Benefit / Cost``, or the benefit alone when the cost is zero."""
+    benefit = region_benefit(region, dimensions)
+    cost = region_cost(region, grid, dimensions)
+    return benefit, cost, benefit / cost if cost > 0 else benefit
 
 
 class ProgOrder:

@@ -15,7 +15,6 @@ from repro.query.parser import (
     parse_preference,
     parse_query,
 )
-from repro.query.render import render_query
 from repro.query.smj import (
     BoundQuery,
     FilterCondition,
@@ -34,7 +33,6 @@ __all__ = [
     "Const",
     "MultiwayQuery",
     "MultiwayResult",
-    "render_query",
     "Expression",
     "FilterCondition",
     "Interval",

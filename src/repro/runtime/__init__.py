@@ -2,7 +2,7 @@
 
 from repro.runtime.clock import DEFAULT_WEIGHTS, VirtualClock
 from repro.runtime.compare import ComparisonReport, compare_algorithms
-from repro.runtime.plots import ascii_curve, crossover_time
+from repro.runtime.plots import ascii_curve
 from repro.runtime.recorder import EmissionEvent, ProgressRecorder
 from repro.runtime.runner import (
     Algorithm,
@@ -20,7 +20,6 @@ __all__ = [
     "ProgressRecorder",
     "RunResult",
     "ascii_curve",
-    "crossover_time",
     "VirtualClock",
     "compare_algorithms",
     "run_algorithm",

@@ -64,37 +64,3 @@ def ascii_curve(
     )
     lines.append(" " * 9 + legend)
     return "\n".join(lines)
-
-
-def crossover_time(
-    leader: Series, chaser: Series
-) -> float | None:
-    """Earliest time at which ``chaser``'s cumulative count catches up to
-    (or overtakes) ``leader``'s, given both sampled on any time points.
-
-    Returns ``None`` if the chaser never catches up within the sampled
-    horizon.  Used to quantify "who wins until when" in the figure
-    narratives.
-    """
-    if not leader or not chaser:
-        return None
-
-    def count_at(series: Series, t: float) -> int:
-        best = 0
-        for ts, c in series:
-            if ts <= t:
-                best = c
-            else:
-                break
-        return best
-
-    times = sorted({t for t, _ in leader} | {t for t, _ in chaser})
-    ahead_once = False
-    for t in times:
-        lead_c = count_at(leader, t)
-        chase_c = count_at(chaser, t)
-        if lead_c > chase_c:
-            ahead_once = True
-        elif ahead_once and chase_c >= lead_c:
-            return t
-    return None

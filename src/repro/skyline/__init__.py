@@ -6,11 +6,7 @@ from repro.skyline.dominance import (
     skyline_indices_bruteforce,
     weakly_dominates,
 )
-from repro.skyline.estimate import (
-    expected_maxima_harmonic,
-    expected_skyline_size,
-    harmonic,
-)
+from repro.skyline.estimate import expected_skyline_size
 from repro.skyline.preferences import (
     HIGHEST,
     LOWEST,
@@ -40,9 +36,7 @@ __all__ = [
     "dominated_by_any",
     "dominates",
     "dominates_matrix",
-    "expected_maxima_harmonic",
     "expected_skyline_size",
-    "harmonic",
     "highest",
     "lowest",
     "skyline_indices_bruteforce",

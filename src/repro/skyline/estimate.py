@@ -1,4 +1,4 @@
-"""Skyline cardinality estimators.
+"""Skyline cardinality estimator.
 
 The ProgOrder benefit model (paper Eq. 1) estimates the number of skyline
 points a region can produce using the classical result on the expected
@@ -6,17 +6,11 @@ number of maxima of ``n`` random vectors in ``d`` dimensions
 (Bentley/Kung/Schkolnick/Thompson 1978, Buchta 1989):
 
     E[|skyline|] = Theta( ln(n)^(d-1) / (d-1)! )
-
-For independent dimensions the exact expectation has the harmonic-number
-form ``H(n, d)`` with ``H(n, 1) = H_n``; we provide both the paper's closed
-form and the harmonic recurrence (useful for validating the closed form in
-tests).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def expected_skyline_size(n: float, d: int) -> float:
@@ -32,39 +26,3 @@ def expected_skyline_size(n: float, d: int) -> float:
     if n <= 1.0:
         return 1.0
     return max(1.0, math.log(n) ** (d - 1) / math.factorial(d - 1))
-
-
-@lru_cache(maxsize=4096)
-def harmonic(n: int) -> float:
-    """The ``n``-th harmonic number ``H_n``."""
-    if n < 0:
-        raise ValueError("harmonic numbers need n >= 0")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += 1.0 / k
-    return total
-
-
-def expected_maxima_harmonic(n: int, d: int) -> float:
-    """Exact expected skyline size for independent dimensions.
-
-    Uses the recurrence ``H(n, d) = sum_{k=1}^{n} H(k, d-1) / k`` with
-    ``H(n, 1) = H_n`` (Bentley et al. 1978).  Exponential in neither
-    argument, but quadratic in ``n`` per extra dimension, so intended for
-    validation at modest ``n``.
-    """
-    if d < 1:
-        raise ValueError(f"dimensions must be >= 1, got {d}")
-    if n <= 0:
-        return 0.0
-    if d == 1:
-        return 1.0  # the single minimum
-    row = [harmonic(k) for k in range(n + 1)]  # H(k, 1)
-    for _ in range(d - 2):
-        acc = 0.0
-        nxt = [0.0] * (n + 1)
-        for k in range(1, n + 1):
-            acc += row[k] / k
-            nxt[k] = acc
-        row = nxt
-    return row[n]

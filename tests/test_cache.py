@@ -85,8 +85,15 @@ class TestTableToken:
 # ----------------------------------------------------------------------
 # PartitionStore
 # ----------------------------------------------------------------------
+def lookup(store, key, builder=lambda: None):
+    """``store.get_or_patch`` with a patcher that never extends in place."""
+    return store.get_or_patch(
+        key, patcher=lambda old_key, stale: False, builder=builder
+    )
+
+
 class TestPartitionStore:
-    def test_get_or_build_miss_then_hit(self):
+    def test_lookup_miss_then_hit(self):
         store = PartitionStore()
         table = small_table()
         built = []
@@ -95,9 +102,9 @@ class TestPartitionStore:
             built.append(1)
             return GridPartitioner(4).partition(table, ("a0", "a1"), "jkey")
 
-        grid1, hit1 = store.get_or_build(key_for(table), builder)
-        grid2, hit2 = store.get_or_build(key_for(table), builder)
-        assert (hit1, hit2) == (False, True)
+        grid1, outcome1 = lookup(store, key_for(table), builder)
+        grid2, outcome2 = lookup(store, key_for(table), builder)
+        assert (outcome1, outcome2) == ("miss", "hit")
         assert grid1 is grid2
         assert built == [1]
         stats = store.stats()
@@ -109,7 +116,7 @@ class TestPartitionStore:
         table = small_table()
         store.put(key_for(table), "old")
         table.touch()
-        assert store.get(key_for(table)) is None
+        assert lookup(store, key_for(table)) == (None, "miss")
 
     def test_distinct_configurations_do_not_collide(self):
         table = small_table()
@@ -135,7 +142,7 @@ class TestPartitionStore:
         t1, t2, t3 = small_table("A"), small_table("B"), small_table("C")
         store.put(key_for(t1), "g1")
         store.put(key_for(t2), "g2")
-        assert store.get(key_for(t1)) == "g1"  # refresh t1: t2 becomes LRU
+        assert lookup(store, key_for(t1)) == ("g1", "hit")  # t2 becomes LRU
         store.put(key_for(t3), "g3")
         assert len(store) == 2
         assert store.stats().evictions == 1

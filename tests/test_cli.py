@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.reach import CLI_QUERY
 from tests.conftest import ExpSkewWorkload
 from repro import cli
 from repro.cli import main
@@ -57,47 +58,18 @@ class TestRun:
         assert "--workers" in capsys.readouterr().err
 
 
-class TestInterleave:
-    def test_dispatches_are_the_steps_of_every_query(self, capsys):
-        argv = ["interleave", "-n", "60", "--sigma", "0.1", "-c", "3",
-                "--max-active", "2"]
-        assert main(argv) == 0
-        lines = capsys.readouterr().out.splitlines()
-        # The per-query table: name, state, results, steps, vtime, first@.
-        rows = [line.split() for line in lines
-                if line.startswith(("q0(", "q1(", "q2("))]
-        assert len(rows) == 3
-        steps = sum(int(row[3]) for row in rows)
-        [summary] = [line for line in lines if line.startswith("dispatches=")]
-        assert steps > 0
-        assert summary.split()[0] == f"dispatches={steps}"
-
-    def test_no_share_turns_the_engine_flag_off(self, capsys):
-        argv = ["interleave", "-n", "60", "--sigma", "0.1", "-c", "2",
-                "--shared-tables"]
-        assert main(argv) == 0
-        assert "hits=2" in capsys.readouterr().out
-        assert main(argv + ["--no-share"]) == 0
-        out = capsys.readouterr().out
-        assert "sharing=off" in out and "hits=0  misses=0" in out
-
-    @pytest.mark.parametrize("concurrency", ["0", "-3"])
-    def test_concurrency_below_one_is_a_usage_error(self, concurrency, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["interleave", "-n", "50", "-c", concurrency])
-        assert exit_info.value.code == 2
-        assert "--concurrency" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["serve", "--scheduler", "serving"],
-        ["interleave", "--policy", "round-robin"],
-        ["interleave", "--quantum", "4"],
-    ], ids=["serve-scheduler", "interleave-policy", "interleave-quantum"])
-    def test_retired_scheduler_flags_are_usage_errors(self, argv, capsys):
+class TestRetired:
+    @pytest.mark.parametrize("argv, named", [
+        (["serve", "--scheduler", "serving"], "--scheduler"),
+        (["interleave", "-c", "2"], "interleave"),
+        (["run", "--follow"], "--follow"),
+        (["run", "--arrival-chunks", "4"], "--arrival-chunks"),
+    ], ids=["serve-scheduler", "interleave", "run-follow", "run-arrival-chunks"])
+    def test_retired_commands_and_flags_are_usage_errors(self, argv, named, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert argv[1] in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 class TestCompare:
@@ -162,6 +134,28 @@ class TestGenerateAndQuery:
                 "--table", f"T={prefix}_T.csv",
             ]
         ) == 0
+
+    @pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("columnar", "col")])
+    def test_filtered_query_matches_the_session(self, fmt, suffix, tmp_path, capsys):
+        """The reach surface's filtered query: CSV tables filter eagerly,
+        columnar ones stream through ``FilteredSource``; both print the
+        results a ``Session`` over the generated tables gives."""
+        prefix = str(tmp_path / "w")
+        assert main(["generate", "-n", "200", "--prefix", prefix,
+                     "--format", fmt]) == 0
+        capsys.readouterr()
+        table = "columnar:{}" if fmt == "columnar" else "{}"
+        assert main([
+            "query", "--query", CLI_QUERY,
+            "--table", "R=" + table.format(f"{prefix}_R.{suffix}"),
+            "--table", "T=" + table.format(f"{prefix}_T.{suffix}"),
+        ]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("{")]
+        tables = SyntheticWorkload(n=200, seed=7).tables()
+        direct = Session().register_tables(tables).execute(CLI_QUERY).drain()
+        assert sorted(printed) == sorted(str(r.outputs) for r in direct)
+        assert 0 < len(printed)
 
     def test_query_requires_text(self):
         with pytest.raises(SystemExit):

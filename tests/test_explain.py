@@ -1,9 +1,13 @@
 """Tests for the EXPLAIN facility."""
 
+import pytest
 
-from tests.conftest import make_bound
+from tests.conftest import ExpSkewWorkload, make_bound
 from repro.core.engine import ProgXeEngine
 from repro.core.explain import ExplainReport, explain
+from repro.core.kernel import ExecutionKernel
+from repro.core.plan import QueryPlan
+from repro.planner.choose import Planner
 from repro.runtime.clock import VirtualClock
 
 
@@ -56,3 +60,23 @@ class TestExplain:
         assert report.regions_total == engine.stats["regions_total"]
         # Look-ahead discards agree; execution may discard more later.
         assert report.regions_discarded <= engine.stats["regions_discarded"]
+
+    def test_skewed_input_explains_the_quadtree_plan_auto_runs(self):
+        bound = ExpSkewWorkload(n=300, seed=7).bound()
+        report = explain(bound)
+        plan = QueryPlan.build(bound, partitioning="quadtree")
+        assert report.decision.partitioning == "quadtree"
+        assert report.regions_total == len(plan.regions) == 159
+        sides = (report.left_partitions, report.right_partitions)
+        assert sides == plan.input_partitions
+
+    @pytest.mark.parametrize("bound", [
+        make_bound("anticorrelated", n=120, d=3, sigma=0.1, seed=3),
+        ExpSkewWorkload(n=300, seed=7).bound(),
+    ], ids=["grid", "quadtree"])
+    def test_root_ranks_are_the_ranks_the_kernel_starts_from(self, bound):
+        report = explain(bound)
+        kernel = ExecutionKernel(QueryPlan.build(bound, planner=Planner()))
+        queued = {region.rid: -neg for neg, _, region in kernel.policy._heap}
+        assert queued
+        assert queued == {p.rid: p.rank for p in report.region_plans if p.is_root}

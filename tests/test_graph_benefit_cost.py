@@ -7,6 +7,7 @@ import pytest
 from tests.conftest import make_bound
 from repro.core.benefit import progressive_count, region_benefit, region_cardinality
 from repro.core.cost import kung_alpha, region_cost
+from repro.core import progorder
 from repro.core.elimination_graph import EliminationGraph
 from repro.core.lookahead import run_lookahead
 from repro.core.progdetermine import ExecutionState
@@ -249,3 +250,23 @@ class TestCostModel:
         base = region_cost(r, grid, 2)
         r.expected_join *= 10
         assert region_cost(r, grid, 2) > base
+
+
+class TestRank:
+    def test_rank_is_benefit_over_cost(self):
+        bound = make_bound(n=100, d=2, sigma=0.1, seed=6)
+        regions, grid, clock = lookahead_for(bound)
+        live = [r for r in regions if not r.discarded and r.covered]
+        assert live
+        for r in live:
+            benefit, cost, rank = progorder.region_rank(r, grid, 2)
+            assert (benefit, cost) == (region_benefit(r, 2), region_cost(r, grid, 2))
+            assert rank == benefit / cost
+
+    def test_zero_cost_ranks_by_benefit(self, monkeypatch):
+        bound = make_bound(n=100, d=2, sigma=0.1, seed=6)
+        regions, grid, clock = lookahead_for(bound)
+        r = next(r for r in regions if not r.discarded and r.covered)
+        monkeypatch.setattr(progorder, "region_cost", lambda *args: 0.0)
+        benefit = region_benefit(r, 2)
+        assert progorder.region_rank(r, grid, 2) == (benefit, 0.0, benefit)

@@ -296,6 +296,15 @@ PLANNER_ESTIMATE_NAMES = (
     "fraction_below", "estimated_bytes", "ExecutionTrace", "TraceEvent",
 )
 ONE_PLANNER_RULE = r"\b(?:" + "|".join(PLANNER_ESTIMATE_NAMES) + r")\b"
+#: The CLI demos that duplicated ``Session``/``repro serve`` (``interleave``,
+#: ``run --follow``) and the public names only tests called: query
+#: rendering, the harmonic estimator, ``crossover_time`` and the cache's
+#: second and third lookup paths beside ``get_or_partition_outcome``.
+CLI_AND_API_REACH = (
+    r"_cmd_interleave|_run_follow|arrival.chunks|render_query|def harmonic\b"
+    r"|expected_maxima_harmonic|crossover_time|get_or_partition\(|get_or_build"
+    r"|def get\(self, key"
+)
 
 RETIRED = [
     # Phase 2 has one implementation: the scalar path is gone.
@@ -350,6 +359,10 @@ RETIRED = [
     # Its fanout, region and skyline-size estimates were off by 78-85 % on
     # `repro explain -n 400 -D anticorrelated`, and no decision read them.
     (ONE_PLANNER_RULE, ("src/",)),
+    # What no product surface ran: `repro serve` interleaves queries and runs
+    # follow queries through the same scheduler, and the rest had only tests
+    # for callers (benchmarks/reach.py).
+    (CLI_AND_API_REACH, ("src/",)),
 ]
 
 
@@ -357,7 +370,8 @@ RETIRED = [
     "scalar-path", "process-pool", "second-driver", "knob-search", "batch-size",
     "one-scheduler", "one-filter-path", "one-pushthrough-switch",
     "progcount-from-counters", "one-join-signature", "one-dominance-home-helpers",
-    "one-dominance-home-signs", "one-dominance-home-compare", "one-planner-rule"])
+    "one-dominance-home-signs", "one-dominance-home-compare", "one-planner-rule",
+    "cli-and-api-reach"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]
@@ -382,6 +396,34 @@ def test_one_planner_rule_row_catches_each_name(name):
 ])
 def test_one_planner_rule_row_spares_survivors(survivor):
     assert not re.search(ONE_PLANNER_RULE, f"    value = {survivor}(rows)")
+
+
+@pytest.mark.parametrize("line", [
+    "def _cmd_interleave(args: argparse.Namespace) -> int:",
+    "        return _run_follow(session, name, workload, args)",
+    "    chunks = args.arrival_chunks",
+    '        "--arrival-chunks", type=int, default=4,',
+    "from repro.query.render import render_query",
+    "def harmonic(n: int) -> float:",
+    "    row = [expected_maxima_harmonic(k, d) for k in range(n + 1)]",
+    "from repro.runtime.plots import ascii_curve, crossover_time",
+    "        grid, hit = cache.get_or_partition(",
+    "        grid, hit = store.get_or_build(key, builder)",
+    "    def get(self, key: PartitionKey):",
+])
+def test_cli_and_api_reach_row_catches_each_name(line):
+    assert re.search(CLI_AND_API_REACH, line)
+
+
+@pytest.mark.parametrize("line", [
+    "    grid, outcome, delta_rows = cache.get_or_partition_outcome(",
+    "    return expected_skyline_size(region.expected_join, dimensions)",
+    "from repro.runtime.plots import ascii_curve",
+    "from one :class:`~repro.session.service.Session` and interleaves their",
+    "            print(query.name, result.outputs)   # interleaved, provably final",
+])
+def test_cli_and_api_reach_row_spares_survivors(line):
+    assert not re.search(CLI_AND_API_REACH, line)
 
 
 def test_the_lint_subcommand_and_its_package_are_gone(capsys):

@@ -1,8 +1,8 @@
-"""Tests for the terminal curve rendering and crossover analysis."""
+"""Tests for the terminal curve rendering."""
 
 import pytest
 
-from repro.runtime.plots import ascii_curve, crossover_time
+from repro.runtime.plots import ascii_curve
 
 
 class TestAsciiCurve:
@@ -50,43 +50,6 @@ class TestAsciiCurve:
         lines = chart.splitlines()
         # title + top border + height rows + bottom border + axis + legend
         assert len(lines) == 1 + 1 + 10 + 1 + 1 + 1
-
-
-class TestCrossoverTime:
-    def test_chaser_catches_up(self):
-        leader = [(0.0, 0), (10.0, 5), (20.0, 5)]
-        chaser = [(0.0, 0), (15.0, 2), (18.0, 6)]
-        assert crossover_time(leader, chaser) == 18.0
-
-    def test_no_crossover(self):
-        leader = [(0.0, 0), (10.0, 5)]
-        chaser = [(0.0, 0), (10.0, 2)]
-        assert crossover_time(leader, chaser) is None
-
-    def test_never_ahead_means_no_crossover(self):
-        # The chaser was never behind: no crossover event to report.
-        leader = [(0.0, 0), (10.0, 2)]
-        chaser = [(0.0, 0), (5.0, 5)]
-        assert crossover_time(leader, chaser) is None
-
-    def test_empty_series(self):
-        assert crossover_time([], [(0.0, 1)]) is None
-        assert crossover_time([(0.0, 1)], []) is None
-
-    def test_progxe_vs_blocking_shape(self, small_bound):
-        """The blocking baseline catches up only at its final batch."""
-        from repro.baselines.jfsl import JoinFirstSkylineLater
-        from repro.core.variants import progxe
-        from repro.runtime.runner import run_algorithm
-
-        px = run_algorithm(progxe, small_bound)
-        jf = run_algorithm(JoinFirstSkylineLater, small_bound)
-        px_pts = [(e.vtime, e.index) for e in px.recorder.events]
-        jf_pts = [(e.vtime, e.index) for e in jf.recorder.events]
-        t = crossover_time(px_pts, jf_pts)
-        if px.recorder.total_results > 0:
-            assert t is not None
-            assert t == pytest.approx(jf.recorder.time_to_first())
 
 
 class TestComparisonReportChart:

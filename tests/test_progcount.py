@@ -16,7 +16,6 @@ that are checked here:
 
 from __future__ import annotations
 
-import importlib
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -27,6 +26,7 @@ from hypothesis import strategies as st
 
 import repro.core.benefit as benefit
 import repro.core.kernel as kernel_module
+import repro.core.plan as plan_module
 from repro.core.engine import ProgXeEngine
 from repro.core.explain import explain
 from repro.core.lookahead import run_lookahead
@@ -41,8 +41,6 @@ from tests.conftest import make_bound
 from tests.plan_reference import progressive_count_reference
 
 ALIASES = ("R", "T")
-#: ``repro.core`` re-exports the function ``explain`` under its module's name.
-explain_module = importlib.import_module("repro.core.explain")
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +113,9 @@ def checked_progcount():
 
     The walk looks feeders up in a region table: the regions of the last
     kernel made (its ``ExecutionState``'s, plus those its arrival polls
-    wire, all of a batch before any is ranked) or of ``explain``'s
-    look-ahead.  Yields the list of checked counts.
+    wire, all of a batch before any is ranked) or of the last plan's
+    look-ahead (``explain`` ranks those).  Yields the list of checked
+    counts.
     """
     table: dict = {}
     checked: list[int] = []
@@ -150,7 +149,7 @@ def checked_progcount():
         patch.setattr(benefit, "progressive_count", checked_count)
         patch.setattr(kernel_module, "ExecutionState", RecordingState)
         patch.setattr(StreamingKernel, "_wire_regions", recording_wire)
-        patch.setattr(explain_module, "run_lookahead", recording_lookahead)
+        patch.setattr(plan_module, "run_lookahead", recording_lookahead)
         yield checked
 
 

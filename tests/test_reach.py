@@ -7,6 +7,8 @@ import ast
 import sys
 import textwrap
 
+import pytest
+
 from benchmarks import reach
 
 MODULE = textwrap.dedent('''\
@@ -74,3 +76,11 @@ def test_the_hook_records_what_a_run_calls(monkeypatch):
     ran = {line for file, line in reached if file == str(path)}
     assert {first["__init__"], first["signs_for"]} <= ran
     assert first["all_lowest"] not in ran
+
+
+@pytest.mark.parametrize("argv", reach.SURFACES["cli"], ids=lambda argv: argv[3])
+def test_every_cli_surface_run_parses(argv):
+    from repro.cli import build_parser
+
+    assert argv[1:3] == ["-m", "repro"]
+    assert build_parser().parse_args(argv[3:]).fn.__name__ == f"_cmd_{argv[3]}"

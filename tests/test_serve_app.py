@@ -779,12 +779,6 @@ class TestCliWiring:
         with pytest.raises(TypeError):
             QueryServer(Session(), scheduler="serving")
 
-    def test_interleave_command_still_exists(self):
-        from repro.cli import _cmd_interleave, build_parser
-
-        args = build_parser().parse_args(["interleave", "-c", "2"])
-        assert args.fn is _cmd_interleave
-
     def test_workload_sql_round_trips_through_the_parser(self):
         from repro.cli import _workload_sql
 

@@ -202,13 +202,15 @@ class TestExtendRowsRegression:
         t = Table.from_rows("R", COLUMNS, ROWS)
         cache = PlanCache()
         partitioner = GridPartitioner(2)
-        _, hit = cache.get_or_partition(partitioner, t, ("a0", "a1"), "jkey",
-                                        source="R")
-        assert not hit
+        _, outcome, _ = cache.get_or_partition_outcome(
+            partitioner, t, ("a0", "a1"), "jkey", source="R"
+        )
+        assert outcome == "miss"
         t.extend_rows([])  # no-op: version must not change
-        _, hit = cache.get_or_partition(partitioner, t, ("a0", "a1"), "jkey",
-                                        source="R")
-        assert hit
+        _, outcome, _ = cache.get_or_partition_outcome(
+            partitioner, t, ("a0", "a1"), "jkey", source="R"
+        )
+        assert outcome == "hit"
 
     def test_failed_extend_keeps_version(self):
         t = Table.from_rows("R", COLUMNS, ROWS)
@@ -243,10 +245,10 @@ class TestCacheKeyHygiene:
         partitioner = GridPartitioner(4)
         for backend in ["memory", "columnar", "filtered-columnar"]:
             src = make_source(backend, tmp_path)
-            _, hit = cache.get_or_partition(
+            _, outcome, _ = cache.get_or_partition_outcome(
                 partitioner, src, ("a0", "a1"), "jkey", source="R"
             )
-            assert not hit, backend
+            assert outcome == "miss", backend
         assert cache.stats().misses == 3 and cache.stats().hits == 0
 
     def test_two_handles_share_entries_until_mutation(self, tmp_path):
@@ -254,15 +256,19 @@ class TestCacheKeyHygiene:
         b = ColumnarFileSource(a.path)
         cache = PlanCache()
         partitioner = GridPartitioner(4)
-        _, hit = cache.get_or_partition(partitioner, a, ("a0",), "jkey", source="R")
-        assert not hit
-        _, hit = cache.get_or_partition(partitioner, b, ("a0",), "jkey", source="R")
-        assert hit  # same uid + same version: sharing across handles
+        _, outcome, _ = cache.get_or_partition_outcome(
+            partitioner, a, ("a0",), "jkey", source="R"
+        )
+        assert outcome == "miss"
+        _, outcome, _ = cache.get_or_partition_outcome(
+            partitioner, b, ("a0",), "jkey", source="R"
+        )
+        assert outcome == "hit"  # same uid + same version: sharing across handles
         write_columnar(a.path, ROWS[:3], columns=COLUMNS, name="R")  # rewrite
-        _, hit = cache.get_or_partition(
+        _, outcome, _ = cache.get_or_partition_outcome(
             partitioner, b.refresh(), ("a0",), "jkey", source="R"
         )
-        assert not hit  # b's file-stat version saw the shrunken files
+        assert outcome == "miss"  # b's file-stat version saw the shrunken files
 
 
 class TestLazyPartitions:
@@ -834,11 +840,11 @@ def test_cli_source_flags(tmp_path, capsys):
                  "--source", f"T=mem:{prefix}_T.csv"]) == 0
     out = capsys.readouterr().out
     assert "columnar(mmap:" in out and "memory(" in out
-    assert main(["interleave", "-n", "80", "-c", "2",
+    assert main(["compare", "-n", "80", "-a", "ProgXe,SSMJ",
                  "--source", f"R=columnar:{prefix}_R.col",
                  "--source", f"T=columnar:{prefix}_T.col"]) == 0
     out = capsys.readouterr().out
-    assert out.count("columnar(mmap:") >= 4  # printed per query
+    assert out.count("columnar(mmap:") == 2  # one line for both aliases
     with pytest.raises(SystemExit):
         main(["run", "-n", "80", "--source", "X=columnar:nope"])
 
