@@ -47,8 +47,8 @@ resolving backend URIs.
 
 The lower layers remain public: ``ProgXeEngine`` (raw engine, configurable
 via ``EngineConfig``), ``run_algorithm``/``compare_algorithms`` (batch
-harnesses, now shims over the stream layer), and the ``ALGORITHMS`` view
-over the pluggable algorithm registry.
+harnesses, now shims over the stream layer), and ``ALGORITHMS``, the
+read-only name → factory view of the paper's eight algorithms.
 """
 
 from repro.cache import CacheStats, PartitionKey, PartitionStore, PlanCache
@@ -111,7 +111,6 @@ from repro.query import (
     parse_query,
 )
 from repro.session import (
-    AlgorithmRegistry,
     EngineConfig,
     QueryBuilder,
     QueryScheduler,
@@ -119,7 +118,6 @@ from repro.session import (
     Session,
     StreamBudget,
     StreamStats,
-    default_registry,
 )
 from repro.runtime import (
     ComparisonReport,
@@ -154,7 +152,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmRegistry",
     "Attr",
     "BindingError",
     "BoundQuery",
@@ -222,7 +219,6 @@ __all__ = [
     "VirtualClock",
     "bnl_skyline",
     "compare_algorithms",
-    "default_registry",
     "dominates",
     "explain",
     "highest",

@@ -38,7 +38,7 @@ Commands
     true``, streaming ingestion) run here or through the ``Session`` API.
 
 ``algorithms``
-    List the registered algorithms (the pluggable registry behind ``-a``).
+    List the paper's eight algorithms, the names ``-a`` takes.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.core.variants import ALGORITHM_TABLE, lookup_algorithm
 from repro.data.workloads import SyntheticWorkload
 from repro.errors import RegistryError, ReproError
 from repro.session.config import PRESETS, EngineConfig
@@ -151,20 +152,15 @@ def _session(args: argparse.Namespace) -> Session:
     return Session(config=config)
 
 
-def _algorithm_names(session: Session, spec: str) -> list[str]:
+def _algorithm_names(spec: str) -> list[str]:
     if spec == "all":
-        return list(session.algorithms())
+        return list(ALGORITHM_TABLE)
     if spec == "variants":
-        return [
-            entry.name
-            for entry in session.registry.entries()
-            if "progressive" in entry.tags
-        ]
+        return [e.name for e in ALGORITHM_TABLE.values() if e.configurable]
     names = []
     for name in spec.split(","):
-        name = name.strip()
         try:
-            names.append(session.registry.entry(name).name)
+            names.append(lookup_algorithm(name.strip()).name)
         except RegistryError as exc:
             raise SystemExit(str(exc)) from None
     return names
@@ -172,7 +168,7 @@ def _algorithm_names(session: Session, spec: str) -> list[str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     session = _session(args)
-    [name] = _one_algorithm(session, args.algorithm)
+    [name] = _one_algorithm(args.algorithm)
     workload = _workload(args)
     tables, backends = _resolve_sources(args, workload)
     bound = workload.query().bind(tables)
@@ -192,10 +188,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _one_algorithm(
-    session: Session, spec: str, command: str = "run"
-) -> list[str]:
-    names = _algorithm_names(session, spec)
+def _one_algorithm(spec: str, command: str = "run") -> list[str]:
+    names = _algorithm_names(spec)
     if len(names) != 1:
         raise SystemExit(
             f"{command} takes exactly one algorithm; use compare for several"
@@ -205,7 +199,7 @@ def _one_algorithm(
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     session = _session(args)
-    names = _algorithm_names(session, args.algorithms)
+    names = _algorithm_names(args.algorithms)
     workload = _workload(args)
     tables, backends = _resolve_sources(args, workload)
     bound = workload.query().bind(tables)
@@ -236,7 +230,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             session.open_source(path, name)
         else:
             session.register_table(Table.from_csv(name, path), name)
-    [name] = _one_algorithm(session, args.algorithm, command="query")
+    [name] = _one_algorithm(args.algorithm, command="query")
     budget = (
         StreamBudget(max_results=args.limit) if args.limit else None
     )
@@ -339,9 +333,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_algorithms(args: argparse.Namespace) -> int:
-    session = Session()
     print(f"{'name':<22}{'configurable':<14}description")
-    for entry in session.registry.entries():
+    for entry in ALGORITHM_TABLE.values():
         extras = f" (aliases: {', '.join(entry.aliases)})" if entry.aliases else ""
         print(
             f"{entry.name:<22}{'yes' if entry.configurable else 'no':<14}"

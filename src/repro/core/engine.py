@@ -104,33 +104,6 @@ class ProgXeEngine:
         self._plan: QueryPlan | None = None
         self._kernel: ExecutionKernel | None = None
 
-    @classmethod
-    def from_config(
-        cls,
-        bound: BoundQuery,
-        clock: VirtualClock | None = None,
-        config=None,
-    ) -> "ProgXeEngine":
-        """Build an engine from an :class:`~repro.session.EngineConfig`.
-
-        ``config`` may also be a preset name (see
-        :data:`~repro.session.config.PRESETS`); ``None`` means defaults.
-        A config selects no variant, so this builds the plain ProgXe; the
-        factories of :mod:`repro.core.variants` build the others.
-        """
-        from repro.session.config import EngineConfig
-
-        if config is None:
-            config = EngineConfig()
-        elif isinstance(config, str):
-            config = EngineConfig.preset(config)
-        kwargs = config.engine_kwargs()
-        if config.planner:
-            from repro.planner.choose import Planner
-
-            kwargs["planner"] = Planner()
-        return cls(bound, clock, **kwargs)
-
     # ------------------------------------------------------------------
     # the plan / kernel layering
     # ------------------------------------------------------------------

@@ -53,6 +53,11 @@ class ExplainReport:
 
     def render(self, *, top: int = 10) -> str:
         """Human-readable EXPLAIN text."""
+        ranked = sorted(
+            (p for p in self.region_plans if not p.discarded),
+            key=lambda p: p.rank,
+            reverse=True,
+        )
         lines = [
             "ProgXe plan",
             f"  input partitions: {self.left_partitions} x {self.right_partitions}",
@@ -61,16 +66,21 @@ class ExplainReport:
             f"  output cells:     {self.active_cells} active, "
             f"{self.marked_cells} marked non-contributing",
             f"  EL-Graph roots:   {self.roots}",
+        ]
+        if not self.roots and ranked:
+            # Mutual partial elimination gives every live region an
+            # incoming edge, so the queue starts empty (progorder.py).
+            lines.append(
+                "  every live region has an incoming EL-Graph edge: "
+                f"ProgOrder ranks all {len(ranked)} live regions at its "
+                "first pick"
+            )
+        lines += [
             "",
             f"  top {top} regions by rank (benefit/cost):",
             f"  {'rank':>10}  {'benefit':>9}  {'cost':>10}  {'cells':>5}  "
             f"{'join':>6}  pair",
         ]
-        ranked = sorted(
-            (p for p in self.region_plans if not p.discarded),
-            key=lambda p: p.rank,
-            reverse=True,
-        )
         for plan in ranked[:top]:
             root_mark = "*" if plan.is_root else " "
             lines.append(

@@ -1,5 +1,6 @@
-"""The four ProgXe variants of the experimental study (paper §VI-B) and the
-algorithm registry used by the benchmark harnesses.
+"""The paper's eight algorithms (§VI) and the one table that names them.
+
+The four ProgXe variants of the experimental study (§VI-B):
 
 * **ProgXe** — the core framework: look-ahead + ProgOrder + ProgDetermine.
 * **ProgXe+** — core framework plus skyline partial push-through.
@@ -7,23 +8,29 @@ algorithm registry used by the benchmark harnesses.
   progressive result determination still on.
 * **ProgXe+ (No-Order)** — push-through with random ordering.
 
-``ALGORITHMS`` keeps its historical dict-shaped surface but is now a
-read-only view over the session layer's default
-:class:`~repro.session.registry.AlgorithmRegistry` — registering an
-algorithm there makes it visible here (and to every new
-:class:`~repro.session.service.Session`) without touching this module.
+and the four baselines they are compared with: JF-SL, JF-SL+, SSMJ and SAJ.
+
+:data:`ALGORITHM_TABLE` holds them in display order.  Every surface that
+takes an algorithm name — :class:`~repro.session.service.Session`, the CLI,
+``repro serve`` and :func:`~repro.runtime.compare.compare_algorithms` —
+resolves it through :func:`lookup_algorithm`.  ``ALGORITHMS`` is the
+table's read-only name → factory view.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.baselines.jfsl import JoinFirstSkylineLater
 from repro.baselines.jfsl_plus import JoinFirstSkylineLaterPlus
 from repro.baselines.saj import SortedAccessJoin
 from repro.baselines.ssmj import SkylineSortMergeJoin
 from repro.core.engine import ProgXeEngine
+from repro.errors import RegistryError
 from repro.query.smj import BoundQuery
 from repro.runtime.clock import VirtualClock
-from repro.session.registry import AlgorithmRegistry, RegistryView
+from repro.runtime.runner import AlgorithmFactory
 
 
 def progxe(bound: BoundQuery, clock: VirtualClock, **kwargs) -> ProgXeEngine:
@@ -48,70 +55,93 @@ def progxe_plus_no_order(
     return ProgXeEngine(bound, clock, ordering=False, pushthrough=True, **kwargs)
 
 
-#: The variants compared in Figures 10a–f.
-PROGXE_VARIANTS = {
-    "ProgXe": progxe,
-    "ProgXe+": progxe_plus,
-    "ProgXe (No-Order)": progxe_no_order,
-    "ProgXe+ (No-Order)": progxe_plus_no_order,
+@dataclass(frozen=True)
+class AlgorithmEntry:
+    """One algorithm: its display name, factory and the names it answers to.
+
+    A ``configurable`` entry is a ProgXe variant: its factory takes the
+    :class:`~repro.session.config.EngineConfig` keywords (plus ``cache``
+    and ``planner``) as ``**kwargs``.  The baselines take
+    ``(bound, clock)`` only.
+    """
+
+    name: str
+    factory: AlgorithmFactory
+    aliases: tuple[str, ...] = ()
+    configurable: bool = False
+    description: str = ""
+
+
+#: The eight algorithms of the paper's study, in display order.
+ALGORITHM_TABLE: dict[str, AlgorithmEntry] = {
+    entry.name: entry
+    for entry in (
+        AlgorithmEntry(
+            "ProgXe", progxe, ("progxe",), True,
+            "look-ahead + ProgOrder + ProgDetermine (the paper)",
+        ),
+        AlgorithmEntry(
+            "ProgXe+", progxe_plus, ("progxe+", "progxe_plus"), True,
+            "ProgXe with skyline partial push-through",
+        ),
+        AlgorithmEntry(
+            "ProgXe (No-Order)", progxe_no_order, ("progxe-no-order",), True,
+            "ProgXe with random region ordering (ablation)",
+        ),
+        AlgorithmEntry(
+            "ProgXe+ (No-Order)", progxe_plus_no_order, ("progxe+-no-order",),
+            True, "ProgXe+ with random region ordering (ablation)",
+        ),
+        AlgorithmEntry(
+            "JF-SL", JoinFirstSkylineLater, ("jfsl",), False,
+            "blocking baseline: full join, then skyline",
+        ),
+        AlgorithmEntry(
+            "JF-SL+", JoinFirstSkylineLaterPlus, ("jfsl+", "jfsl_plus"), False,
+            "JF-SL with push-through pre-pruning",
+        ),
+        AlgorithmEntry(
+            "SSMJ", SkylineSortMergeJoin, ("ssmj",), False,
+            "skyline sort-merge join (state of the art, §VI-C)",
+        ),
+        AlgorithmEntry(
+            "SAJ", SortedAccessJoin, ("saj",), False,
+            "sorted-access join baseline",
+        ),
+    )
 }
 
 
-def populate_registry(registry: AlgorithmRegistry) -> AlgorithmRegistry:
-    """Register every built-in algorithm, in the historical display order."""
-    registry.register(
-        "ProgXe", progxe, aliases=("progxe",), configurable=True,
-        description="look-ahead + ProgOrder + ProgDetermine (the paper)",
-        tags=("progressive",),
+def lookup_algorithm(name: str) -> AlgorithmEntry:
+    """The table entry ``name`` selects.
+
+    Tries the exact display name, then an exact alias, then a case-folded
+    match against both; raises :class:`~repro.errors.RegistryError`
+    listing the display names when nothing matches.
+    """
+    entry = ALGORITHM_TABLE.get(name)
+    if entry is not None:
+        return entry
+    for entry in ALGORITHM_TABLE.values():
+        if name in entry.aliases:
+            return entry
+    folded = name.casefold()
+    for entry in ALGORITHM_TABLE.values():
+        if any(label.casefold() == folded for label in (entry.name, *entry.aliases)):
+            return entry
+    raise RegistryError(
+        f"unknown algorithm {name!r}; registered: {', '.join(ALGORITHM_TABLE)}"
     )
-    registry.register(
-        "ProgXe+", progxe_plus, aliases=("progxe+", "progxe_plus"),
-        configurable=True,
-        description="ProgXe with skyline partial push-through",
-        tags=("progressive",),
-    )
-    registry.register(
-        "ProgXe (No-Order)", progxe_no_order, aliases=("progxe-no-order",),
-        configurable=True,
-        description="ProgXe with random region ordering (ablation)",
-        tags=("progressive", "ablation"),
-    )
-    registry.register(
-        "ProgXe+ (No-Order)", progxe_plus_no_order,
-        aliases=("progxe+-no-order",), configurable=True,
-        description="ProgXe+ with random region ordering (ablation)",
-        tags=("progressive", "ablation"),
-    )
-    registry.register(
-        "JF-SL", JoinFirstSkylineLater, aliases=("jfsl",),
-        description="blocking baseline: full join, then skyline",
-        tags=("baseline", "blocking"),
-    )
-    registry.register(
-        "JF-SL+", JoinFirstSkylineLaterPlus, aliases=("jfsl+", "jfsl_plus"),
-        description="JF-SL with push-through pre-pruning",
-        tags=("baseline", "blocking"),
-    )
-    registry.register(
-        "SSMJ", SkylineSortMergeJoin, aliases=("ssmj",),
-        description="skyline sort-merge join (state of the art, §VI-C)",
-        tags=("baseline",),
-    )
-    registry.register(
-        "SAJ", SortedAccessJoin, aliases=("saj",),
-        description="sorted-access join baseline",
-        tags=("baseline",),
-    )
-    return registry
 
 
-def _default_registry() -> AlgorithmRegistry:
-    from repro.session.registry import default_registry
+#: Every algorithm, by display name (read-only).
+ALGORITHMS = MappingProxyType(
+    {name: entry.factory for name, entry in ALGORITHM_TABLE.items()}
+)
 
-    return default_registry()
-
-
-#: Every algorithm in the library, by display name.  A live read-only view
-#: over the default registry; the dict-style surface (iteration, lookup,
-#: ``items()``) is unchanged.
-ALGORITHMS = RegistryView(_default_registry)
+#: The variants compared in Figures 10a–f.
+PROGXE_VARIANTS = {
+    name: entry.factory
+    for name, entry in ALGORITHM_TABLE.items()
+    if entry.configurable
+}

@@ -117,18 +117,18 @@ def compare_algorithms(
     """Run all ``factories`` on ``bound`` and collect a report.
 
     ``factories`` is a name → factory mapping, or an iterable of names
-    resolved against the default algorithm registry (compatibility shim
-    over the session layer — :meth:`repro.Session.compare` is the
-    service-level equivalent).  Each algorithm gets a fresh
-    :class:`VirtualClock` so costs are independent.  With ``verify``
-    (default) the report checks all final result sets are identical — the
-    completeness/correctness obligation all algorithms share.
+    resolved by :func:`~repro.core.variants.lookup_algorithm`
+    (:meth:`repro.Session.compare` is the service-level equivalent).  Each
+    algorithm gets a fresh :class:`VirtualClock` so costs are independent.
+    With ``verify`` (default) the report checks all final result sets are
+    identical — the completeness/correctness obligation all algorithms
+    share.
     """
     if not isinstance(factories, Mapping):
-        from repro.session.registry import default_registry
+        # Imported here: the algorithm table's modules import this package.
+        from repro.core.variants import lookup_algorithm
 
-        registry = default_registry()
-        factories = {name: registry.resolve(name) for name in factories}
+        factories = {name: lookup_algorithm(name).factory for name in factories}
     runs = {
         name: run_algorithm(factory, bound) for name, factory in factories.items()
     }

@@ -74,7 +74,7 @@ class QueryRequest:
     sql:
         The query in the paper's SQL-with-PREFERRING surface (required).
     algorithm:
-        Registered algorithm name or alias.
+        Algorithm name or alias (:func:`~repro.core.variants.lookup_algorithm`).
     preset:
         Engine configuration preset name (see
         :data:`repro.session.config.PRESETS`).

@@ -57,9 +57,8 @@ class EngineConfig:
         ``"auto"`` preset): where the partitioner is left at its default,
         the quadtree is picked when the mapped attributes' sampled
         histograms are skewed.
-        Not an engine keyword as-is: the session (or
-        ``ProgXeEngine.from_config``) resolves the flag into the
-        ``planner`` object it hands the engine, so source statistics
+        Not an engine keyword as-is: the session resolves the flag into
+        the ``planner`` object it hands the engine, so source statistics
         accumulate in one place per session.
     share_partitions:
         Let planning consume the session's shared

@@ -43,7 +43,6 @@ from repro.core.kernel import StepReport
 from repro.errors import QueryError
 from repro.query.smj import ResultTuple
 from repro.runtime.clock import VirtualClock
-from repro.runtime.runner import AlgorithmFactory
 from repro.session.stream import ResultStream, StreamBudget
 
 #: Most consecutive steps one dispatch decision runs.
@@ -99,7 +98,7 @@ class QueryScheduler:
         self,
         query,
         *,
-        algorithm: str | AlgorithmFactory | None = None,
+        algorithm: str | None = None,
         config=None,
         budget: StreamBudget | None = None,
         clock: VirtualClock | None = None,
@@ -124,7 +123,7 @@ class QueryScheduler:
         handle = ResultStream(
             instance,
             clock,
-            name=name or f"q{qid}:{resolved or getattr(instance, 'name', '?')}",
+            name=name or f"q{qid}:{resolved}",
             budget=budget,
             qid=qid,
         )

@@ -1,8 +1,8 @@
 """The session facade: the canonical way to use the library.
 
-A :class:`Session` holds named tables and an isolated
-:class:`~repro.session.registry.AlgorithmRegistry` copy, accepts queries in
-any of the library's forms — fluent builder chains, the paper's SQL surface,
+A :class:`Session` holds named tables, resolves algorithm names against
+:data:`~repro.core.variants.ALGORITHM_TABLE`, accepts queries in any of
+the library's forms — fluent builder chains, the paper's SQL surface,
 pre-built logical or bound queries — and executes them progressively,
 returning :class:`~repro.session.stream.ResultStream` handles::
 
@@ -25,22 +25,21 @@ on those keeps working.
 from __future__ import annotations
 
 import asyncio
-import inspect
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.session.scheduler import QueryScheduler
 
 from repro.cache.plan_cache import PlanCache
+from repro.core.variants import ALGORITHM_TABLE, lookup_algorithm
 from repro.errors import BindingError, QueryError
 from repro.query.parser import parse_query
 from repro.query.smj import BoundQuery, SkyMapJoinQuery
 from repro.runtime.clock import VirtualClock
 from repro.runtime.compare import ComparisonReport
-from repro.runtime.runner import AlgorithmFactory, RunResult
+from repro.runtime.runner import RunResult
 from repro.session.builder import QueryBuilder
 from repro.session.config import EngineConfig
-from repro.session.registry import AlgorithmRegistry, default_registry
 from repro.session.stream import ResultStream, StreamBudget
 from repro.storage.sources.base import DataSource
 from repro.storage.sources.uri import open_source as _open_source_uri
@@ -49,45 +48,11 @@ from repro.storage.sources.uri import open_source as _open_source_uri
 DEFAULT_ALGORITHM = "ProgXe"
 
 
-def _accepts_keyword(factory, name: str) -> bool:
-    """Whether ``factory`` can receive the keyword argument ``name``.
-
-    The built-in ProgXe variants take ``**kwargs`` and forward them to
-    :class:`~repro.core.engine.ProgXeEngine`; user-registered configurable
-    factories may have narrower signatures, so optional keywords
-    (``cache=``, ``follow=``) are only offered when a matching parameter
-    (or a ``**kwargs`` catch-all) is visible.
-    """
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins / C callables
-        return False
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-        if (
-            parameter.name == name
-            and parameter.kind is not inspect.Parameter.VAR_POSITIONAL
-        ):
-            return True
-    return False
-
-
-def _accepts_cache(factory) -> bool:
-    """Whether ``factory`` can receive the session's ``cache=`` keyword."""
-    return _accepts_keyword(factory, "cache")
-
-
 class Session:
     """Service entry point: tables + algorithms + execution.
 
     Parameters
     ----------
-    registry:
-        Algorithm registry to use.  Defaults to an isolated copy of
-        :func:`~repro.session.registry.default_registry`, so
-        :meth:`register_algorithm` never leaks into other sessions or the
-        global ``repro.ALGORITHMS`` view.
     config:
         Default :class:`EngineConfig` applied when ``execute()`` receives
         none.
@@ -118,15 +83,11 @@ class Session:
     def __init__(
         self,
         *,
-        registry: AlgorithmRegistry | None = None,
         config: EngineConfig | None = None,
         clock_weights: Mapping[str, float] | None = None,
         plan_cache: PlanCache | None = None,
         planner=None,
     ) -> None:
-        self.registry = (
-            registry if registry is not None else default_registry().copy()
-        )
         self.config = config or EngineConfig()
         self.clock_weights = dict(clock_weights) if clock_weights else None
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -199,25 +160,6 @@ class Session:
         return dict(self._tables)
 
     # ------------------------------------------------------------------
-    # algorithms
-    # ------------------------------------------------------------------
-    def register_algorithm(
-        self, name: str, factory: AlgorithmFactory, **kwargs
-    ) -> "Session":
-        """Register an algorithm with this session's registry.
-
-        Keyword arguments are those of
-        :meth:`~repro.session.registry.AlgorithmRegistry.register`
-        (``aliases``, ``configurable``, ``description``, ``overwrite`` …).
-        """
-        self.registry.register(name, factory, **kwargs)
-        return self
-
-    def algorithms(self) -> tuple[str, ...]:
-        """Canonical names of the algorithms this session can execute."""
-        return self.registry.names()
-
-    # ------------------------------------------------------------------
     # query construction
     # ------------------------------------------------------------------
     def query(self) -> QueryBuilder:
@@ -259,77 +201,56 @@ class Session:
         self,
         query,
         *,
-        algorithm: str | AlgorithmFactory | None = None,
+        algorithm: str | None = None,
         config: EngineConfig | str | None = None,
         clock: VirtualClock | None = None,
-        share_partitions: bool | None = None,
-    ) -> tuple[object, VirtualClock, str | None]:
+    ) -> tuple[object, VirtualClock, str]:
         """Resolve and instantiate an algorithm for one execution.
 
         The shared construction path behind :meth:`execute` and
         :meth:`scheduler`-submitted queries (both wrap the instance in a
         :class:`ResultStream`).  Returns ``(instance, clock, name)`` — ``name``
-        is the registry's canonical name, or ``None`` for a raw factory.
+        is the algorithm's display name in
+        :data:`~repro.core.variants.ALGORITHM_TABLE`.
 
-        ``share_partitions`` overrides the engine config's flag of the same
-        name (``execute(share_partitions=...)``); when sharing is on, the
-        session's :attr:`plan_cache` is handed to configurable factories
-        that accept a ``cache`` keyword, so planning reuses input
-        partitionings across queries.
+        A configurable algorithm (a ProgXe variant) receives the config's
+        engine keywords; when the config's ``share_partitions`` is on it
+        also receives the session's :attr:`plan_cache`, so planning reuses
+        input partitionings across queries, and under ``planner`` the
+        session's shared :attr:`planner`.
         """
         bound = self._coerce_bound(query)
         clock = clock or VirtualClock(self.clock_weights)
-        if algorithm is None:
-            algorithm = DEFAULT_ALGORITHM
+        entry = lookup_algorithm(
+            DEFAULT_ALGORITHM if algorithm is None else algorithm
+        )
         if isinstance(config, str):
             config = EngineConfig.preset(config)
-        if callable(algorithm) and not isinstance(algorithm, str):
-            factory, name, configurable = algorithm, None, False
+        if not entry.configurable:
             if config is not None:
-                raise QueryError(
-                    "config is only supported for registered algorithm names; "
-                    "apply the configuration inside the factory instead"
-                )
-        else:
-            entry = self.registry.entry(algorithm)
-            factory, name, configurable = entry.factory, entry.name, entry.configurable
-            if config is not None and not configurable:
                 raise QueryError(
                     f"algorithm {entry.name!r} does not accept an EngineConfig"
                 )
-        if configurable:
-            effective = config or self.config
-            kwargs = effective.engine_kwargs()
-            # Narrow factories predating the streaming knob run without
-            # it rather than crash on an unexpected keyword.
-            if not _accepts_keyword(factory, "follow"):
-                kwargs.pop("follow", None)
-            share = (
-                effective.share_partitions
-                if share_partitions is None
-                else share_partitions
-            )
-            if share and _accepts_cache(factory):
-                kwargs["cache"] = self.plan_cache
-            if effective.planner and _accepts_keyword(factory, "planner"):
-                # The config carries a flag; the session resolves it into
-                # its shared planner object, so source statistics
-                # accumulate across this session's queries.
-                kwargs["planner"] = self.planner
-            instance = factory(bound, clock, **kwargs)
-        else:
-            instance = factory(bound, clock)
-        return instance, clock, name
+            return entry.factory(bound, clock), clock, entry.name
+        effective = config or self.config
+        kwargs = effective.engine_kwargs()
+        if effective.share_partitions:
+            kwargs["cache"] = self.plan_cache
+        if effective.planner:
+            # The config carries a flag; the session resolves it into its
+            # shared planner object, so source statistics accumulate
+            # across this session's queries.
+            kwargs["planner"] = self.planner
+        return entry.factory(bound, clock, **kwargs), clock, entry.name
 
     def execute(
         self,
         query,
         *,
-        algorithm: str | AlgorithmFactory = DEFAULT_ALGORITHM,
+        algorithm: str = DEFAULT_ALGORITHM,
         config: EngineConfig | str | None = None,
         budget: StreamBudget | None = None,
         clock: VirtualClock | None = None,
-        share_partitions: bool | None = None,
     ) -> ResultStream:
         """Start a progressive execution; returns a lazy :class:`ResultStream`.
 
@@ -339,7 +260,8 @@ class Session:
             A :class:`BoundQuery`, logical :class:`SkyMapJoinQuery`,
             :class:`QueryBuilder`, or SQL string.
         algorithm:
-            Registered algorithm name (or alias), or a raw factory callable.
+            Algorithm name or alias (see
+            :func:`~repro.core.variants.lookup_algorithm`).
         config:
             :class:`EngineConfig` (or preset name) for configurable
             algorithms; falls back to the session default.  Passing an
@@ -348,14 +270,9 @@ class Session:
             Execution ceilings; the stream stops cleanly when one is hit.
         clock:
             Virtual clock to charge; a fresh one is created by default.
-        share_partitions:
-            Override the engine config's cross-query sharing flag for this
-            one execution (:meth:`compare` passes ``False`` so every
-            contender plans privately).
         """
         instance, clock, name = self.build_algorithm(
             query, algorithm=algorithm, config=config, clock=clock,
-            share_partitions=share_partitions,
         )
         return ResultStream(instance, clock, name=name, budget=budget)
 
@@ -383,7 +300,7 @@ class Session:
         self,
         query,
         *,
-        algorithm: str | AlgorithmFactory = DEFAULT_ALGORITHM,
+        algorithm: str = DEFAULT_ALGORITHM,
         config: EngineConfig | str | None = None,
         budget: StreamBudget | None = None,
         clock: VirtualClock | None = None,
@@ -417,7 +334,7 @@ class Session:
     def compare(
         self,
         query,
-        algorithms: Iterable[str] | Mapping[str, AlgorithmFactory] | None = None,
+        algorithms: Iterable[str] | None = None,
         *,
         config: EngineConfig | str | None = None,
         budget: StreamBudget | None = None,
@@ -425,41 +342,26 @@ class Session:
     ) -> ComparisonReport:
         """Run several algorithms on one query and collect a report.
 
-        ``algorithms`` is a list of registered names (default: all of them)
-        or an explicit name → factory mapping.  Each run gets a fresh clock
-        and **plans privately** — the session's shared partition cache is
-        bypassed, so no contender inherits another's phase-1 work and the
-        reported progressiveness/cost figures stay comparable.  With
-        ``verify`` (default) the final result sets must agree — skipped
-        automatically when a ``budget`` is set, since truncated runs
-        legitimately stop early.
+        ``algorithms`` is a list of algorithm names (default: all eight).
+        ``config`` applies to the configurable contenders; the baselines
+        run unconfigured.  Each run gets a fresh clock and **plans
+        privately** — the configurable contenders run with
+        ``share_partitions=False``, so no contender inherits another's
+        phase-1 work and the reported progressiveness/cost figures stay
+        comparable.  With ``verify`` (default) the final result sets must
+        agree — skipped automatically when a ``budget`` is set, since
+        truncated runs legitimately stop early.
         """
         bound = self._coerce_bound(query)
-        if algorithms is None:
-            names: Iterable[str] = self.registry.names()
-        else:
-            names = algorithms
+        if isinstance(config, str):
+            config = EngineConfig.preset(config)
+        private = (config or self.config).with_options(share_partitions=False)
         runs: dict[str, RunResult] = {}
-        if isinstance(names, Mapping):
-            items = list(names.items())
-        else:
-            items = [(name, None) for name in names]
-        for name, factory in items:
-            if factory is None:
-                # Configuration only applies to configurable entries; a mixed
-                # comparison silently runs baselines unconfigured.
-                cfg = config
-                if cfg is not None and not self.registry.entry(name).configurable:
-                    cfg = None
-                stream = self.execute(
-                    bound, algorithm=name, config=cfg, budget=budget,
-                    share_partitions=False,
-                )
-            else:
-                stream = self.execute(
-                    bound, algorithm=factory, config=config, budget=budget,
-                    share_partitions=False,
-                )
+        for name in ALGORITHM_TABLE if algorithms is None else algorithms:
+            stream = self.execute(
+                bound, algorithm=name, budget=budget,
+                config=private if lookup_algorithm(name).configurable else None,
+            )
             stream.drain()
             runs[name] = stream.to_run_result()
         report = ComparisonReport(runs)
@@ -468,7 +370,4 @@ class Session:
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Session(tables={sorted(self._tables)}, "
-            f"algorithms={list(self.registry.names())})"
-        )
+        return f"Session(tables={sorted(self._tables)})"

@@ -453,33 +453,6 @@ class TestSessionSharing:
         stream.drain()
         assert stream.stats().partition_cache == {"partition_hits": 2}
 
-    def test_custom_factory_without_cache_parameter_still_works(self):
-        """A configurable factory with a narrow signature is not offered
-        the ``cache=`` keyword (no TypeError)."""
-        workload = SyntheticWorkload(
-            distribution="independent", n=80, d=2, sigma=0.05, seed=2
-        )
-        session = self.make_session(workload)
-
-        def narrow_factory(
-            bound, clock, *, ordering=True, pushthrough=False,
-            input_cells=None, output_cells=None,
-            partitioning="grid", leaf_capacity=None, seed=0, verify=True,
-        ):
-            return ProgXeEngine(
-                bound, clock, ordering=ordering, pushthrough=pushthrough,
-                input_cells=input_cells, output_cells=output_cells,
-                partitioning=partitioning,
-                leaf_capacity=leaf_capacity, seed=seed, verify=verify,
-            )
-
-        session.register_algorithm(
-            "Narrow", narrow_factory, configurable=True
-        )
-        stream = session.execute(workload.bound(), algorithm="Narrow")
-        stream.drain()
-        assert stream.stats().partition_cache is None
-
     def test_engine_kwargs_exclude_share_flag(self):
         kwargs = EngineConfig().engine_kwargs()
         assert "share_partitions" not in kwargs

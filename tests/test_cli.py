@@ -232,7 +232,42 @@ class TestBudgets:
         assert "1 results" in out
 
 
+#: ``repro algorithms`` as the registry-backed listing printed it.
+LISTING = """\
+name                  configurable  description
+ProgXe                yes           look-ahead + ProgOrder + ProgDetermine (the paper) (aliases: progxe)
+ProgXe+               yes           ProgXe with skyline partial push-through (aliases: progxe+, progxe_plus)
+ProgXe (No-Order)     yes           ProgXe with random region ordering (ablation) (aliases: progxe-no-order)
+ProgXe+ (No-Order)    yes           ProgXe+ with random region ordering (ablation) (aliases: progxe+-no-order)
+JF-SL                 no            blocking baseline: full join, then skyline (aliases: jfsl)
+JF-SL+                no            JF-SL with push-through pre-pruning (aliases: jfsl+, jfsl_plus)
+SSMJ                  no            skyline sort-merge join (state of the art, §VI-C) (aliases: ssmj)
+SAJ                   no            sorted-access join baseline (aliases: saj)
+"""
+VARIANT_NAMES = ["ProgXe", "ProgXe+", "ProgXe (No-Order)", "ProgXe+ (No-Order)"]
+
+
 class TestAlgorithms:
+    def test_listing_is_the_eight_rows_unchanged(self, capsys):
+        assert main(["algorithms"]) == 0
+        assert capsys.readouterr().out == LISTING
+
+    @pytest.mark.parametrize("spec, names", [
+        ("variants", VARIANT_NAMES),
+        ("all", VARIANT_NAMES + ["JF-SL", "JF-SL+", "SSMJ", "SAJ"]),
+        ("progxe, JFSL", ["ProgXe", "JF-SL"]),
+    ])
+    def test_algorithm_spec_resolves_to_display_names(self, spec, names):
+        assert cli._algorithm_names(spec) == names
+
+    def test_unknown_algorithm_exits_listing_the_eight_names(self):
+        with pytest.raises(SystemExit, match=(
+            "unknown algorithm 'nope'; registered: ProgXe, ProgXe\\+, "
+            "ProgXe \\(No-Order\\), ProgXe\\+ \\(No-Order\\), JF-SL, "
+            "JF-SL\\+, SSMJ, SAJ$"
+        )):
+            main(["run", "-n", "40", "-a", "nope"])
+
     def test_listing(self, capsys):
         assert main(["algorithms"]) == 0
         out = capsys.readouterr().out

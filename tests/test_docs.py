@@ -35,7 +35,6 @@ EXAMPLE_REQUIRED = [
     "StreamStats",
     "EngineConfig",
     "QueryScheduler",
-    "AlgorithmRegistry",
     "ProgXeEngine",
     "ExecutionKernel",
     "StreamingKernel",

@@ -32,6 +32,7 @@ import json
 import pytest
 
 from repro.core.progorder import ProgOrder
+from repro.core.variants import ALGORITHM_TABLE
 from repro.data.workloads import SyntheticWorkload
 from repro.errors import ExecutionError
 from repro.serve import QueryServer
@@ -323,7 +324,7 @@ def test_failed_stream_keeps_its_prefix_and_ignores_cancel(monkeypatch):
 # ---------------------------------------------------------------------------
 # driver differential: same sequences, same ends
 # ---------------------------------------------------------------------------
-ALGORITHMS = Session().algorithms()
+ALGORITHMS = list(ALGORITHM_TABLE)
 #: Rows of each side that arrive after a follow query was submitted.
 ARRIVING = 20
 

@@ -3,6 +3,7 @@
 import pytest
 
 from tests.conftest import ExpSkewWorkload, make_bound
+from repro.data.workloads import SyntheticWorkload
 from repro.core.engine import ProgXeEngine
 from repro.core.explain import ExplainReport, explain
 from repro.core.kernel import ExecutionKernel
@@ -80,3 +81,27 @@ class TestExplain:
         queued = {region.rid: -neg for neg, _, region in kernel.policy._heap}
         assert queued
         assert queued == {p.rid: p.rank for p in report.region_plans if p.is_root}
+
+    def test_a_rootless_graph_says_progorder_ranks_every_live_region(self):
+        """Mutual partial elimination leaves no root; EXPLAIN says so, and
+        the kernel's first region is the report's top-ranked row."""
+        bound = SyntheticWorkload(
+            distribution="anticorrelated", n=300, d=2, sigma=0.01, seed=7
+        ).bound()
+        report = explain(bound)
+        live = [p for p in report.region_plans if not p.discarded]
+        assert report.roots == 0 and len(live) == 71
+        assert (
+            "  every live region has an incoming EL-Graph edge: ProgOrder "
+            "ranks all 71 live regions at its first pick"
+        ) in report.render().splitlines()
+        kernel = ExecutionKernel(QueryPlan.build(bound, planner=Planner()))
+        step = kernel.step()
+        while step.kind != "region":
+            step = kernel.step()
+        assert step.region_id == max(live, key=lambda p: p.rank).rid
+
+    def test_a_rooted_graph_adds_no_rootless_line(self):
+        report = explain(make_bound("anticorrelated", n=120, d=3, sigma=0.1, seed=3))
+        assert report.roots > 0
+        assert "incoming EL-Graph edge" not in report.render()

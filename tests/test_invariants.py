@@ -305,6 +305,13 @@ CLI_AND_API_REACH = (
     r"|expected_maxima_harmonic|crossover_time|get_or_partition\(|get_or_build"
     r"|def get\(self, key"
 )
+#: The pluggable algorithm registry, its per-session copies and the
+#: signature sniffing behind them, and the second config → engine path:
+#: no product surface registered an algorithm.
+ONE_ALGORITHM_TABLE = (
+    r"AlgorithmRegistry|RegistryView|default_registry|populate_registry"
+    r"|register_algorithm|_accepts_keyword|_accepts_cache|def from_config\b"
+)
 
 RETIRED = [
     # Phase 2 has one implementation: the scalar path is gone.
@@ -363,6 +370,9 @@ RETIRED = [
     # follow queries through the same scheduler, and the rest had only tests
     # for callers (benchmarks/reach.py).
     (CLI_AND_API_REACH, ("src/",)),
+    # The paper's eight algorithms are one table (core/variants.py), read
+    # through one lookup by Session, the CLI, serve and compare_algorithms.
+    (ONE_ALGORITHM_TABLE, ("src/",)),
 ]
 
 
@@ -371,7 +381,7 @@ RETIRED = [
     "one-scheduler", "one-filter-path", "one-pushthrough-switch",
     "progcount-from-counters", "one-join-signature", "one-dominance-home-helpers",
     "one-dominance-home-signs", "one-dominance-home-compare", "one-planner-rule",
-    "cli-and-api-reach"])
+    "cli-and-api-reach", "one-algorithm-table"])
 def test_retired_name_stays_gone(pattern, paths):
     roots = [REPO / p for p in paths]
     files = [f for r in roots for f in ([r] if r.is_file() else sorted(r.rglob("*.py")))]
@@ -424,6 +434,30 @@ def test_cli_and_api_reach_row_catches_each_name(line):
 ])
 def test_cli_and_api_reach_row_spares_survivors(line):
     assert not re.search(CLI_AND_API_REACH, line)
+
+
+@pytest.mark.parametrize("line", [
+    "from repro.session.registry import AlgorithmRegistry",
+    "ALGORITHMS = RegistryView(_default_registry)",
+    "        registry = default_registry().copy()",
+    "def populate_registry(registry):",
+    '        session.register_algorithm("Mine", factory)',
+    '    if not _accepts_keyword(factory, "follow"):',
+    "    if share and _accepts_cache(factory):",
+    "    def from_config(",
+])
+def test_one_algorithm_table_row_catches_each_name(line):
+    assert re.search(ONE_ALGORITHM_TABLE, line)
+
+
+@pytest.mark.parametrize("line", [
+    "from repro.errors import RegistryError, ReproError",
+    "    raise RegistryError(f\"unknown algorithm {name!r}\")",
+    "from repro.core.variants import ALGORITHMS, ALGORITHM_TABLE, lookup_algorithm",
+    "    config = EngineConfig.preset(config)",
+])
+def test_one_algorithm_table_row_spares_survivors(line):
+    assert not re.search(ONE_ALGORITHM_TABLE, line)
 
 
 def test_the_lint_subcommand_and_its_package_are_gone(capsys):

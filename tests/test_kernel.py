@@ -195,7 +195,7 @@ class TestRegionStep:
     def test_each_region_step_runs_one_region_once(self, small_bound, preset):
         """Under every preset, a region step processes exactly the region it
         names, once, and the steps account for every processed region."""
-        engine = ProgXeEngine.from_config(small_bound, config=preset)
+        engine, _, _ = Session().build_algorithm(small_bound, config=preset)
         kernel = engine.kernel()
         stepped: list[int] = []
         keys = []

@@ -307,7 +307,7 @@ class TestExpSkew:
 class TestWiring:
     def test_engine_from_auto_preset_records_a_decision(self):
         bound = make_bound(n=100, d=2, seed=21)
-        engine = ProgXeEngine.from_config(
+        engine, _, _ = Session().build_algorithm(
             bound, config=EngineConfig.preset("auto")
         )
         assert engine.plan_decision is None  # not planned yet

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.core.engine import ProgXeEngine
+from repro.core.variants import ALGORITHM_TABLE, AlgorithmEntry
 from repro.data.workloads import SyntheticWorkload
 from repro.serve import AdmissionPolicy, QueryServer, Watermarks
 from repro.session.config import EngineConfig
@@ -406,6 +407,11 @@ class TestAdmissionOverHttp:
                 {"sql": SQL, "algorithm": "NoSuchAlgorithm"},
             )
             assert status == 400
+            assert body["error"] == (
+                "unknown algorithm 'NoSuchAlgorithm'; registered: ProgXe, "
+                "ProgXe+, ProgXe (No-Order), ProgXe+ (No-Order), JF-SL, "
+                "JF-SL+, SSMJ, SAJ"
+            )
             # Rejected submissions must not leak admission slots.
             assert server.admission.active == 0
             status, _, frames = await stream_query(server, {"sql": SQL})
@@ -564,7 +570,7 @@ class TestIsolation:
 
         serve(test, watermarks=Watermarks(high=256, low=32))
 
-    def test_failing_query_poisons_only_its_own_stream(self):
+    def test_failing_query_poisons_only_its_own_stream(self, monkeypatch):
         class Explode:
             name = "Explode"
 
@@ -576,7 +582,9 @@ class TestIsolation:
                 yield  # pragma: no cover - makes run() a generator
 
         async def test(server, session):
-            session.register_algorithm("Explode", Explode)
+            monkeypatch.setitem(
+                ALGORITHM_TABLE, "Explode", AlgorithmEntry("Explode", Explode)
+            )
             healthy = asyncio.ensure_future(
                 stream_query(server, {"sql": BIG_SQL, "client": "ok"})
             )
@@ -645,7 +653,7 @@ class TestIsolation:
 
         asyncio.run(main())
 
-    def test_kernel_error_is_stamped_on_the_owning_handle(self):
+    def test_kernel_error_is_stamped_on_the_owning_handle(self, monkeypatch):
         """After a kernel failure the served handle carries the exception,
         which is what lets the pump attribute the tick() error."""
 
@@ -660,7 +668,9 @@ class TestIsolation:
                 yield  # pragma: no cover - makes run() a generator
 
         async def test(server, session):
-            session.register_algorithm("Explode", Explode)
+            monkeypatch.setitem(
+                ALGORITHM_TABLE, "Explode", AlgorithmEntry("Explode", Explode)
+            )
             handle = server.scheduler.submit(SQL, algorithm="Explode")
             with pytest.raises(RuntimeError, match="kernel exploded") as info:
                 while not handle.finished:

@@ -3,7 +3,7 @@
 Covers the ISSUE's acceptance semantics: a cancelled stream emits no
 further results, budget exhaustion yields a partial-but-correct prefix with
 partial stats populated, and callbacks fire in emission order — plus the
-registry, config, builder and session surfaces around them.
+algorithm table, config, builder and session surfaces around them.
 """
 
 from __future__ import annotations
@@ -14,20 +14,18 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.core.variants import ALGORITHMS
+from repro.core.variants import ALGORITHM_TABLE, ALGORITHMS, lookup_algorithm
 from repro.errors import BindingError, QueryError, RegistryError
 from repro.session import (
     BUDGET_EXHAUSTED,
     CANCELLED,
     COMPLETED,
     PRESETS,
-    AlgorithmRegistry,
     EngineConfig,
     QueryBuilder,
     ResultStream,
     Session,
     StreamBudget,
-    default_registry,
 )
 from tests.conftest import oracle_skyline_keys
 
@@ -56,77 +54,64 @@ def bound(workload):
 
 
 # ---------------------------------------------------------------------------
-# AlgorithmRegistry
+# The algorithm table
 # ---------------------------------------------------------------------------
+#: Each spelling a name resolved to in the registry-backed lookup, and the
+#: factory it resolved to there.
+SPELLINGS = [
+    ("ProgXe", repro.progxe), ("progxe", repro.progxe),
+    ("ProgXe+", repro.progxe_plus), ("progxe+", repro.progxe_plus),
+    ("progxe_plus", repro.progxe_plus),
+    ("ProgXe (No-Order)", repro.progxe_no_order),
+    ("progxe-no-order", repro.progxe_no_order),
+    ("ProgXe+ (No-Order)", repro.progxe_plus_no_order),
+    ("progxe+-no-order", repro.progxe_plus_no_order),
+    ("JF-SL", repro.JoinFirstSkylineLater), ("jfsl", repro.JoinFirstSkylineLater),
+    ("JF-SL+", repro.JoinFirstSkylineLaterPlus),
+    ("jfsl+", repro.JoinFirstSkylineLaterPlus),
+    ("jfsl_plus", repro.JoinFirstSkylineLaterPlus),
+    ("SSMJ", repro.SkylineSortMergeJoin), ("ssmj", repro.SkylineSortMergeJoin),
+    ("SAJ", repro.SortedAccessJoin), ("saj", repro.SortedAccessJoin),
+]
+
+
 class TestRegistry:
     def test_default_registry_has_all_builtins(self):
-        names = default_registry().names()
-        assert names == (
+        assert tuple(ALGORITHM_TABLE) == (
             "ProgXe", "ProgXe+", "ProgXe (No-Order)", "ProgXe+ (No-Order)",
             "JF-SL", "JF-SL+", "SSMJ", "SAJ",
         )
+        assert [e.name for e in ALGORITHM_TABLE.values() if e.configurable] == [
+            "ProgXe", "ProgXe+", "ProgXe (No-Order)", "ProgXe+ (No-Order)",
+        ]
 
     def test_algorithms_view_tracks_registry(self):
-        # The historical dict surface still works.
+        # The historical dict surface still works, read-only.
         assert "ProgXe" in ALGORITHMS
-        assert list(ALGORITHMS) == list(default_registry().names())
+        assert list(ALGORITHMS) == list(ALGORITHM_TABLE)
         assert dict(ALGORITHMS)["SSMJ"] is ALGORITHMS["SSMJ"]
-        assert len(ALGORITHMS) == len(default_registry())
+        assert len(ALGORITHMS) == len(ALGORITHM_TABLE)
+        assert ALGORITHMS is repro.ALGORITHMS
+        with pytest.raises(TypeError):
+            ALGORITHMS["Mine"] = repro.progxe
 
     def test_alias_and_case_insensitive_resolution(self):
-        registry = default_registry()
-        assert registry.resolve("progxe+") is registry.resolve("ProgXe+")
-        assert registry.resolve("ssmj") is registry.resolve("SSMJ")
-        assert registry.entry("jfsl").name == "JF-SL"
+        assert lookup_algorithm("progxe+") is lookup_algorithm("ProgXe+")
+        assert lookup_algorithm("ssmj").factory is ALGORITHMS["SSMJ"]
+        assert lookup_algorithm("jfsl").name == "JF-SL"
+
+    @pytest.mark.parametrize(
+        "spelling, factory", SPELLINGS, ids=[s for s, _ in SPELLINGS]
+    )
+    @pytest.mark.parametrize("case", [str, str.upper], ids=["as-is", "upper"])
+    def test_every_spelling_resolves_to_its_factory(self, spelling, factory, case):
+        assert lookup_algorithm(case(spelling)).factory is factory
 
     def test_unknown_name_raises_registry_error(self):
         with pytest.raises(RegistryError, match="unknown algorithm"):
-            default_registry().resolve("Nonsense")
+            lookup_algorithm("Nonsense")
         with pytest.raises(KeyError):  # RegistryError is a KeyError
             ALGORITHMS["Nonsense"]
-
-    def test_duplicate_registration_rejected(self):
-        registry = AlgorithmRegistry()
-        registry.register("A", lambda b, c: None)
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register("A", lambda b, c: None)
-        registry.register("A", lambda b, c: None, overwrite=True)
-
-    def test_session_registry_is_isolated(self, session, bound):
-        session.register_algorithm(
-            "Mine", lambda b, c: repro.ProgXeEngine(b, c)
-        )
-        assert "Mine" in session.registry
-        assert "Mine" not in default_registry()
-        run = session.run(bound, algorithm="Mine")
-        assert run.result_keys == oracle_skyline_keys(bound)
-
-    def test_unregister(self):
-        registry = default_registry().copy()
-        registry.unregister("SAJ")
-        assert "SAJ" not in registry
-        assert "saj" not in registry
-        with pytest.raises(RegistryError):
-            registry.unregister("SAJ")
-
-    def test_overwrite_cannot_steal_another_entrys_alias(self):
-        registry = AlgorithmRegistry()
-        registry.register("A", lambda b, c: None, aliases=("x",))
-        with pytest.raises(RegistryError, match="'x' is already registered"):
-            registry.register(
-                "B", lambda b, c: None, aliases=("x",), overwrite=True
-            )
-        # A and its alias are intact.
-        assert registry.entry("x").name == "A"
-
-    def test_overwrite_replaces_own_aliases(self):
-        registry = AlgorithmRegistry()
-        registry.register("A", lambda b, c: None, aliases=("old",))
-        registry.register("A", lambda b, c: None, aliases=("new",),
-                          overwrite=True)
-        assert registry.entry("new").name == "A"
-        with pytest.raises(RegistryError):
-            registry.entry("old")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +127,7 @@ ENGINE_KEYWORDS = {
 
 class TestEngineConfig:
     def test_defaults_match_engine_defaults(self, bound):
-        engine = repro.ProgXeEngine.from_config(bound)
+        engine, _, _ = Session().build_algorithm(bound, config=EngineConfig())
         assert engine.ordering and not engine.pushthrough
         assert engine.partitioning == "grid"
 
@@ -219,7 +204,7 @@ class TestEngineConfig:
     def test_every_engine_keyword_reaches_the_engine(self, bound, name, value):
         config = EngineConfig(**{name: value})
         assert set(config.engine_kwargs()) == ENGINE_KEYWORDS
-        engine = repro.ProgXeEngine.from_config(bound, config=config)
+        engine, _, _ = Session().build_algorithm(bound, config=config)
         assert getattr(engine, name) == value
 
     @pytest.mark.parametrize("key, value", [
@@ -280,8 +265,8 @@ class TestOneSwitch:
         with pytest.raises(QueryError, match=rf"'{name}' is not an EngineConfig field.*ProgXe"):
             build()
 
-    def test_from_config_builds_plain_progxe(self, bound):
-        engine = repro.ProgXeEngine.from_config(bound, config="production")
+    def test_a_config_alone_builds_plain_progxe(self, bound):
+        engine, _, _ = Session().build_algorithm(bound, config="production")
         assert switches(engine) == (False, True) and not engine.verify
         assert engine.name == "ProgXe"
 
@@ -417,7 +402,9 @@ class TestResultStream:
     def test_recorded_vtimes_are_the_kernel_stamps(self, session, bound):
         """A step's results reach the stream together, yet each is recorded
         at the clock reading at which the kernel made it final."""
-        stream = session.execute(bound, share_partitions=False)
+        stream = session.execute(
+            bound, config=EngineConfig(share_partitions=False)
+        )
         stream.drain()
         kernel = repro.ProgXeEngine(bound).kernel()
         stamps: list[float] = []
@@ -551,10 +538,6 @@ class TestSession:
         run = session.run(workload.query())
         assert run.result_keys == oracle_skyline_keys(bound)
 
-    def test_execute_accepts_factory(self, session, bound):
-        run = session.run(bound, algorithm=repro.progxe_plus)
-        assert run.result_keys == oracle_skyline_keys(bound)
-
     def test_execute_rejects_unknown_shape(self, session):
         with pytest.raises(QueryError, match="cannot execute"):
             session.execute(42)
@@ -582,15 +565,6 @@ class TestSession:
             config=EngineConfig(partitioning="quadtree"),
         )
         assert report.runs["ProgXe"].algorithm.partitioning == "quadtree"
-
-    def test_compare_mapping_with_config_raises_not_ignores(self, session, bound):
-        # Raw factories cannot receive a config; better loud than silently
-        # running with defaults.
-        with pytest.raises(QueryError, match="registered algorithm names"):
-            session.compare(
-                bound, {"ProgXe": repro.progxe},
-                config=EngineConfig(partitioning="quadtree"),
-            )
 
     def test_clock_weights_propagate(self, bound, workload):
         session = Session(clock_weights={"dominance_cmp": 10.0})
