@@ -44,6 +44,18 @@ the pairs they test, ``dominance_cmp``, every other clock kind, steps and
 results.  These are exact counts, the same on every run: they show a
 change to the insertion path where the wall rows' drift hides it.
 
+A fifth section, ``progress``, is the exact judge of region order: how
+early results arrive.  Each e2e query shape is drained in process over a
+warm partition cache on the input tables of seeds 11-14 (a seed changes
+row order, ids and join-key labels, which is what an order that follows
+ties in its key would feel).  A row holds the result count and, in vtime
+(each result stamped with ``StepReport.result_vtimes``; TTL is the clock
+when the kernel finishes) and in wall time (each result stamped when its
+step returns, planning included; medians of the runs), TT10, TT50 and
+TT90 as fractions of TTL, TTL itself and the area ``mean(1 - t / TTL)``
+(1 means every result at once at the start, 0 every result at the end).
+The vtime stamps repeat exactly; every run asserts that.
+
 Rows are stored under a label, so one JSON holds the parent commit's
 numbers next to the change's: run the script once per tree.
 
@@ -54,6 +66,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_planning.py --section pushthrough
     PYTHONPATH=src python benchmarks/bench_planning.py --section ordering
     PYTHONPATH=src python benchmarks/bench_planning.py --section insertion
+    PYTHONPATH=src python benchmarks/bench_planning.py --section progress
     PYTHONPATH=src python benchmarks/bench_planning.py --smoke    # CI scale
 """
 
@@ -61,6 +74,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import platform
 import statistics
@@ -94,6 +108,11 @@ PUSHTHROUGH_SIZES = (30_000, 100_000)
 PUSHTHROUGH_SMOKE_SIZES = (2_000, 6_000)
 #: Ordering section: timed runs per row.
 ORDERING_REPEATS = 7
+#: Progress section: the input seeds, and the runs per row.
+PROGRESS_SEEDS = (11, 12, 13, 14)
+PROGRESS_REPEATS = 3
+#: Progress section: the result fractions whose arrival is reported.
+PROGRESS_FRACTIONS = (0.1, 0.5, 0.9)
 
 
 def spread(samples: list[float], digits: int) -> dict:
@@ -244,18 +263,20 @@ def pushthrough_rows(smoke: bool) -> dict:
     return rows
 
 
-def scaled_workloads(smoke: bool):
+def scaled_workloads(smoke: bool, seed: int = DEFAULT_SEED):
     """``(workload, tables)`` per e2e workload, at n/8 for ``--smoke``."""
     for workload in WORKLOADS.values():
         if smoke:
             workload = workload.scaled(8)
-        yield workload, workload.tables(DEFAULT_SEED)
+        yield workload, workload.tables(seed)
 
 
 def shape_drains(workload, tables):
     """``(name, drain)`` per query shape of ``workload``; ``drain()`` runs
     the query to the end in process, over a partition cache and planner
-    kept across calls, and returns ``(clock, kernel, results)``."""
+    kept across calls, and returns ``(clock, kernel, stamps, wall)``:
+    ``stamps`` holds ``(vtime, wall seconds)`` per result in emission
+    order, and ``wall`` is the whole run's seconds, planning included."""
     session = Session().register_tables(tables)
     for spec in workload.queries:
         preset = spec.request.get("preset", "default")
@@ -264,11 +285,14 @@ def shape_drains(workload, tables):
 
         def drain(bound=session.sql(spec.sql()), cache=cache, kwargs=kwargs):
             clock = VirtualClock()
+            start = time.perf_counter()
             kernel = ProgXeEngine(bound, clock, cache=cache, **kwargs).kernel()
-            results = 0
+            stamps: list[tuple[float, float]] = []
             while not kernel.finished:
-                results += len(kernel.step().results)
-            return clock, kernel, results
+                report = kernel.step()
+                wall = time.perf_counter() - start
+                stamps += [(vtime, wall) for vtime in report.result_vtimes]
+            return clock, kernel, stamps, time.perf_counter() - start
 
         yield f"{workload.name}/{spec.name}", drain
 
@@ -281,8 +305,8 @@ def ordering_runs(smoke: bool):
         for name, drain in shape_drains(workload, tables):
 
             def run(drain=drain):
-                clock, kernel, results = drain()
-                return clock.now(), kernel.steps, results
+                clock, kernel, stamps, _ = drain()
+                return clock.now(), kernel.steps, len(stamps)
 
             yield name, run
         if workload.chunks:
@@ -364,7 +388,7 @@ def count_insertion(drain) -> dict:
     ExecutionState.insert_batch = counted_insert
     progdetermine.dominates_matrix = counted_launch
     try:
-        clock, kernel, results = drain()
+        clock, kernel, stamps, _ = drain()
     finally:
         ExecutionState.insert_batch = insert
         progdetermine.dominates_matrix = launch
@@ -380,7 +404,7 @@ def count_insertion(drain) -> dict:
         "clock": {k: v for k, v in clock.snapshot().items() if k != "dominance_cmp"},
         "vtime": clock.now(),
         "steps": kernel.steps,
-        "results": results,
+        "results": len(stamps),
     }
 
 
@@ -398,6 +422,76 @@ def insertion_rows(smoke: bool) -> dict:
             if smoke:
                 assert count_insertion(drain) == row, f"{name}: counts differ"
     return rows
+
+
+def progress_measures(stamps: list[float], ttl: float) -> dict:
+    """TT10/TT50/TT90 as fractions of ``ttl``, ``ttl`` and the area
+    ``mean(1 - t / ttl)`` of one run's result stamps."""
+    n = len(stamps)
+    row = {
+        f"tt{round(f * 100)}": stamps[max(0, math.ceil(f * n) - 1)] / ttl if n else 1.0
+        for f in PROGRESS_FRACTIONS
+    }
+    row["ttl"] = ttl
+    row["area"] = sum(1.0 - t / ttl for t in stamps) / n if n else 0.0
+    return row
+
+
+def measure_progress(drain, repeats: int) -> dict:
+    """One shape on one seed: the exact vtime measures (every run must
+    repeat the same stamps) and the wall measures' medians."""
+    drain()  # warm: the partition cache, the planner's statistics
+    runs = [drain() for _ in range(repeats)]
+    clock, _, stamps, _ = runs[0]
+    for again, (other, _, more, _) in enumerate(runs[1:], 2):
+        assert [v for v, _ in more] == [v for v, _ in stamps], (
+            f"run {again} stamps differ in vtime"
+        )
+        assert other.now() == clock.now(), f"run {again} TTL differs in vtime"
+    vtime = progress_measures([v for v, _ in stamps], clock.now())
+    walls = [progress_measures([w for _, w in more], wall)
+             for _, _, more, wall in runs]
+    return {
+        "results": len(stamps),
+        "vtime": {k: round(v, 4) if k != "ttl" else v for k, v in vtime.items()},
+        "wall": {
+            key: round(statistics.median(w[key] for w in walls), 4)
+            for key in walls[0]
+        },
+    }
+
+
+def progress_rows(smoke: bool) -> dict:
+    """``{shape: {seed: row}}`` over every e2e query shape and
+    :data:`PROGRESS_SEEDS`."""
+    rows: dict = {}
+    for seed in PROGRESS_SEEDS:
+        for workload, tables in scaled_workloads(smoke, seed):
+            for name, drain in shape_drains(workload, tables):
+                row = measure_progress(drain, 2 if smoke else PROGRESS_REPEATS)
+                rows.setdefault(name, {})[str(seed)] = row
+                v, w = row["vtime"], row["wall"]
+                print(
+                    f"  {name:28s} seed {seed}  {row['results']:5d} results  "
+                    f"vtime TT50 {v['tt50']:.3f} area {v['area']:.3f} "
+                    f"TTL {v['ttl']:>11,.0f}  wall TT50 {w['tt50']:.3f} "
+                    f"area {w['area']:.3f} TTL {w['ttl']:.4f} s"
+                )
+    return rows
+
+
+def progress_summary(rows: dict) -> dict:
+    """Per shape over the seeds: the vtime area's range and the vtime TTL
+    spread ``(max - min) / min``."""
+    out = {}
+    for name, seeds in rows.items():
+        areas = [row["vtime"]["area"] for row in seeds.values()]
+        ttls = [row["vtime"]["ttl"] for row in seeds.values()]
+        out[name] = {
+            "vtime_area": [min(areas), max(areas)],
+            "vtime_ttl_spread": round((max(ttls) - min(ttls)) / min(ttls), 4),
+        }
+    return out
 
 
 METRIC = (
@@ -428,7 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--section",
-        choices=("all", "shapes", "pushthrough", "ordering", "insertion"),
+        choices=(
+            "all", "shapes", "pushthrough", "ordering", "insertion", "progress"
+        ),
         default="all", help="which section to run and write (default: all)",
     )
     parser.add_argument(
@@ -475,6 +571,14 @@ def main(argv: list[str] | None = None) -> int:
         inserted = insertion_rows(args.smoke)
         if args.smoke:
             print("  smoke OK: a second counted drain gives the same counts")
+
+    progress = {}
+    if args.section in ("all", "progress"):
+        print(f"progress ({args.label}): seeds "
+              f"{', '.join(map(str, PROGRESS_SEEDS))}, fractions of TTL")
+        progress = progress_rows(args.smoke)
+        if args.smoke:
+            print("  smoke OK: every rerun repeats the same vtime stamps")
 
     out_path = args.out or (None if args.smoke else DEFAULT_OUT)
     if out_path is None:
@@ -531,6 +635,21 @@ def main(argv: list[str] | None = None) -> int:
             "and results; exact counts"
         )
         section["rows"][args.label] = {**host, "queries": inserted}
+    if progress:
+        section = payload.setdefault("progress", {"rows": {}})
+        section["metric"] = (
+            f"per e2e query shape and input seed {PROGRESS_SEEDS}, drained "
+            "in process over a warm partition cache: the result count; in "
+            "vtime (stamps from StepReport.result_vtimes, TTL the clock at "
+            "the end; exact) and in wall seconds (stamped when each step "
+            f"returns, planning included; median of {PROGRESS_REPEATS} runs) "
+            "TT10, TT50 and TT90 as fractions of TTL, TTL, and the area "
+            "mean(1 - t / TTL); summary: per shape, the vtime area's range "
+            "over the seeds and the vtime TTL spread (max - min) / min"
+        )
+        section["rows"][args.label] = {
+            **host, "queries": progress, "summary": progress_summary(progress),
+        }
     before = payload["rows"].get("before", {}).get("shapes", {})
     after = payload["rows"].get("after", {}).get("shapes", {})
     payload["speedup"] = {

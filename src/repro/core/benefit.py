@@ -10,6 +10,14 @@
   them is settled, or populated exclusively by this region (Definition 2 —
   cells "that can neither be eliminated nor have output dependencies to
   partitions belonging to other output regions").
+
+ProgCount is all-or-nothing: a cell counts only once this region alone
+stands between it and settling, so at plan time nearly every region
+counts 0 and Eq. 8 ranks it 0.  The walk that counts it also sums a
+*partial-settling credit*, ``1 / (reg_count + pending)`` over the same
+cells: each counts more as fewer live feeders and unsettled cone cells
+remain.  ProgOrder breaks Eq. 8's ties by it (this repository's addition;
+the paper leaves ties open).
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ def region_cardinality(region: OutputRegion, dimensions: int) -> float:
     return expected_skyline_size(region.expected_join, dimensions)
 
 
-def progressive_count(region: OutputRegion) -> int:
-    """Definition 2: externally independent, still-releasable covered cells.
+def progressive_count(region: OutputRegion) -> tuple[int, float]:
+    """Definition 2's count of externally independent, still-releasable
+    covered cells, and the partial-settling credit of the same cells.
 
     A cell is blocked by an unsettled lower-cone cell that another live
     region still feeds.  RegCount (``reg_count``) counts a cell's live
@@ -34,12 +43,17 @@ def progressive_count(region: OutputRegion) -> int:
     independent iff ``pending`` equals the number of cone cells this region
     feeds alone: its unsettled covered cells with ``reg_count == 1`` that
     are ``<=`` the cell in every coordinate, the cell itself excluded.
+    Every covered cell neither marked nor emitted adds
+    ``1 / (reg_count + pending)`` to the credit; a live region feeds each
+    of its cells (``reg_count >= 1``), so no term divides by zero.
     """
     own = [c.coords for c in region.covered if c.reg_count == 1 and not c.settled]
     count = 0
+    credit = 0.0
     for cell in region.covered:
         if cell.marked or cell.emitted:
             continue
+        credit += 1.0 / (cell.reg_count + cell.pending)
         if cell.pending:
             if cell.pending > len(own):
                 continue
@@ -50,14 +64,16 @@ def progressive_count(region: OutputRegion) -> int:
             if alone != cell.pending:
                 continue
         count += 1
-    return count
+    return count, credit
 
 
-def region_benefit(region: OutputRegion, dimensions: int) -> float:
-    """Eq. 2: progressiveness-weighted cardinality."""
+def region_benefit(region: OutputRegion, dimensions: int) -> tuple[float, float]:
+    """Eq. 2's progressiveness-weighted cardinality, and the region's
+    partial-settling credit (:func:`progressive_count`)."""
     total = region.partition_count
     if total == 0:
-        return 0.0
+        return 0.0, 0.0
     if region.cardinality == 0.0:
         region.cardinality = region_cardinality(region, dimensions)
-    return progressive_count(region) / total * region.cardinality
+    count, credit = progressive_count(region)
+    return count / total * region.cardinality, credit

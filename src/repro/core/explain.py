@@ -3,9 +3,10 @@
 ``explain(bound)`` builds the plan the ``auto`` preset would run — the
 planner's partitioner decision, partitioning and look-ahead — without any
 tuple-level work, and renders it: partition counts, surviving regions with
-their benefit/cost/rank, the EL-Graph root set and the decision line.  It
-exists for the reasons EXPLAIN exists in any query engine: debugging
-unexpected plans, understanding why output is late, and teaching.
+their benefit/cost/rank and the credit that breaks rank ties, the EL-Graph
+root set and the decision line.  It exists for the reasons EXPLAIN exists
+in any query engine: debugging unexpected plans, understanding why output
+is late, and teaching.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ class RegionPlan:
     benefit: float
     cost: float
     rank: float
+    #: The partial-settling credit that breaks ties in ``rank``
+    #: (:func:`~repro.core.benefit.progressive_count`).
+    credit: float
 
 
 @dataclass
@@ -52,10 +56,10 @@ class ExplainReport:
     region_plans: list[RegionPlan] = field(default_factory=list)
 
     def render(self, *, top: int = 10) -> str:
-        """Human-readable EXPLAIN text."""
+        """Human-readable EXPLAIN text, rows in ProgOrder's key order."""
         ranked = sorted(
             (p for p in self.region_plans if not p.discarded),
-            key=lambda p: p.rank,
+            key=lambda p: (p.rank, p.credit),
             reverse=True,
         )
         lines = [
@@ -77,14 +81,15 @@ class ExplainReport:
             )
         lines += [
             "",
-            f"  top {top} regions by rank (benefit/cost):",
-            f"  {'rank':>10}  {'benefit':>9}  {'cost':>10}  {'cells':>5}  "
-            f"{'join':>6}  pair",
+            f"  top {top} regions by rank (benefit/cost), then credit:",
+            f"  {'rank':>10}  {'credit':>8}  {'benefit':>9}  {'cost':>10}  "
+            f"{'cells':>5}  {'join':>6}  pair",
         ]
         for plan in ranked[:top]:
             root_mark = "*" if plan.is_root else " "
             lines.append(
-                f" {root_mark}{plan.rank:>10.4f}  {plan.benefit:>9.2f}  "
+                f" {root_mark}{plan.rank:>10.3g}  {plan.credit:>8.3f}  "
+                f"{plan.benefit:>9.2f}  "
                 f"{plan.cost:>10.0f}  {plan.covered_cells:>5}  "
                 f"{plan.expected_join:>6.0f}  "
                 f"{list(plan.left_coords)}x{list(plan.right_coords)}"
@@ -125,9 +130,9 @@ def explain(
     plans = []
     for region in regions:
         if region.discarded:
-            benefit = cost = rank = 0.0
+            benefit = cost = rank = credit = 0.0
         else:
-            benefit, cost, rank = region_rank(region, grid, dims)
+            benefit, cost, rank, credit = region_rank(region, grid, dims)
         plans.append(
             RegionPlan(
                 rid=region.rid,
@@ -141,6 +146,7 @@ def explain(
                 benefit=benefit,
                 cost=cost,
                 rank=rank,
+                credit=credit,
             )
         )
     left_partitions, right_partitions = plan.input_partitions

@@ -191,8 +191,8 @@ class ExecutionKernel:
         dims = plan.bound.skyline_dimension_count
         grid = plan.grid
 
-        def rank_fn(region: OutputRegion) -> float:
-            return region_rank(region, grid, dims)[2]
+        def rank_fn(region: OutputRegion) -> tuple[float, float]:
+            return region_rank(region, grid, dims)[2:]
 
         if plan.ordering:
             self.policy = ProgOrder(self.graph, rank_fn, plan.clock)

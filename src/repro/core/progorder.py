@@ -1,13 +1,17 @@
 """ProgOrder: progressive-driven ordering (paper §IV-D, Algorithm 1).
 
 Maintains the roots of the elimination graph in an inverted priority queue
-ranked by ``rank = Benefit / Cost`` (Eq. 8).  Regions are handed out for
-tuple-level processing highest-rank first; when a region completes (or is
-discarded), its outgoing edges are removed, newly rootless regions are
-ranked and enqueued, and a popped entry is re-ranked before it is handed
-out: it goes back if the next entry now outranks it.  Ranks move both ways
-(ProgCount as cells settle or reopen, cost with the mean cone size that
-marking moves), so this lazy refresh keeps the order approximate.
+keyed by ``(rank, credit)``: Eq. 8's ``rank = Benefit / Cost`` first, then
+the partial-settling credit of :func:`~repro.core.benefit.progressive_count`.
+ProgCount leaves nearly every region at rank 0 at plan time, and without the
+credit those ties went to queue sequence, i.e. to the seeded row order.
+Regions are handed out for tuple-level processing highest key first; when a
+region completes (or is discarded), its outgoing edges are removed, newly
+rootless regions are ranked and enqueued, and a popped entry is re-ranked
+before it is handed out: it goes back if the next entry now outranks it.
+Keys move both ways (ProgCount and the credit as cells settle or reopen,
+cost with the mean cone size that marking moves), so this lazy refresh
+keeps the order approximate.
 
 Mutual partial elimination can leave the graph rootless while regions
 remain (cycles of Figure 6.d); the policy then breaks the cycle by ranking
@@ -31,21 +35,23 @@ from repro.core.output_grid import OutputGrid
 from repro.core.regions import OutputRegion
 from repro.runtime.clock import VirtualClock
 
-RankFn = Callable[[OutputRegion], float]
+#: A region's ordering key, ``(rank, credit)``; higher goes first.
+RankFn = Callable[[OutputRegion], tuple[float, float]]
 
 
 def region_rank(
     region: OutputRegion, grid: OutputGrid, dimensions: int
-) -> tuple[float, float, float]:
-    """``(benefit, cost, rank)`` of a live region: Eq. 8's
-    ``Benefit / Cost``, or the benefit alone when the cost is zero."""
-    benefit = region_benefit(region, dimensions)
+) -> tuple[float, float, float, float]:
+    """``(benefit, cost, rank, credit)`` of a live region: Eq. 8's
+    ``Benefit / Cost`` (the benefit alone when the cost is zero), and the
+    partial-settling credit that breaks its ties."""
+    benefit, credit = region_benefit(region, dimensions)
     cost = region_cost(region, grid, dimensions)
-    return benefit, cost, benefit / cost if cost > 0 else benefit
+    return benefit, cost, benefit / cost if cost > 0 else benefit, credit
 
 
 class ProgOrder:
-    """Benefit/cost-ranked region ordering over EL-Graph roots."""
+    """``(rank, credit)``-keyed region ordering over EL-Graph roots."""
 
     name = "ProgOrder"
 
@@ -55,39 +61,44 @@ class ProgOrder:
         self.graph = graph
         self.rank_fn = rank_fn
         self.clock = clock
-        self._heap: list[tuple[float, int, OutputRegion]] = []
+        #: ``(-rank, -credit, seq, region)``: a min-heap pops the highest
+        #: key first, and the oldest entry among equal keys.
+        self._heap: list[tuple[float, float, int, OutputRegion]] = []
         self._seq = 0
         for region in graph.roots():
             self._push(region)
 
     def _push(self, region: OutputRegion) -> None:
-        rank = self.rank_fn(region)
+        key = self.rank_fn(region)
         self.clock.charge("queue_op")
-        heapq.heappush(self._heap, (-rank, self._seq, region))
+        self._enqueue(region, key)
+
+    def _enqueue(self, region: OutputRegion, key: tuple[float, float]) -> None:
+        rank, credit = key
+        heapq.heappush(self._heap, (-rank, -credit, self._seq, region))
         self._seq += 1
 
     def next_region(self) -> OutputRegion | None:
-        """Highest-rank pending region, or ``None`` when all are done."""
+        """Highest-key pending region, or ``None`` when all are done."""
         refreshes = 0
         budget = len(self._heap) + 2
         while True:
             while self._heap:
-                neg_rank, _, region = heapq.heappop(self._heap)
+                region = heapq.heappop(self._heap)[3]
                 self.clock.charge("queue_op")
                 if region.done:
                     continue
-                # A popped entry may be stale: its rank moved since it was
+                # A popped entry may be stale: its key moved since it was
                 # pushed.  Refresh it; if something else now outranks it,
                 # push it back and look again (bounded to stay O(heap)).
-                fresh = self.rank_fn(region)
+                rank, credit = fresh = self.rank_fn(region)
                 if (
                     refreshes < budget
                     and self._heap
-                    and fresh < -self._heap[0][0]
+                    and (-rank, -credit) > self._heap[0][:2]
                 ):
                     refreshes += 1
-                    heapq.heappush(self._heap, (-fresh, self._seq, region))
-                    self._seq += 1
+                    self._enqueue(region, fresh)
                     continue
                 return region
             # Queue exhausted: either done, or the graph is rootless due to

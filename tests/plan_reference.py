@@ -10,8 +10,10 @@ side by side.
 
 It also keeps ProgOrder's Definition 2 count as the feeder walk
 ``core/benefit.progressive_count`` replaced: every feeder of every
-unsettled lower-cone cell, looked up in a region table.
-``tests/test_progcount.py`` checks the two agree at every rank call.
+unsettled lower-cone cell, looked up in a region table; and the
+partial-settling credit that breaks Eq. 8's ties, from feeders and cone
+cells recounted the same way.  ``tests/test_progcount.py`` checks both
+agree at every rank call.
 """
 
 from __future__ import annotations
@@ -336,3 +338,17 @@ def progressive_count_reference(region, regions_by_id):
         if independent:
             count += 1
     return count
+
+
+def credit_reference(region, regions_by_id):
+    """The partial-settling credit from recounted feeders: over the
+    unmarked, unemitted covered cells, ``1 / (live feeders + unsettled
+    lower-cone cells)``, summed in ``region.covered`` order."""
+    credit = 0.0
+    for cell in region.covered:
+        if cell.marked or cell.emitted:
+            continue
+        live = sum(1 for rid in cell.region_ids if not regions_by_id[rid].done)
+        unsettled = sum(1 for lc in cell.cone_lower if not lc.settled)
+        credit += 1.0 / (live + unsettled)
+    return credit

@@ -78,13 +78,19 @@ class TestExplain:
     def test_root_ranks_are_the_ranks_the_kernel_starts_from(self, bound):
         report = explain(bound)
         kernel = ExecutionKernel(QueryPlan.build(bound, planner=Planner()))
-        queued = {region.rid: -neg for neg, _, region in kernel.policy._heap}
+        queued = {
+            region.rid: (-rank, -credit)
+            for rank, credit, _, region in kernel.policy._heap
+        }
         assert queued
-        assert queued == {p.rid: p.rank for p in report.region_plans if p.is_root}
+        assert queued == {
+            p.rid: (p.rank, p.credit) for p in report.region_plans if p.is_root
+        }
 
     def test_a_rootless_graph_says_progorder_ranks_every_live_region(self):
         """Mutual partial elimination leaves no root; EXPLAIN says so, and
-        the kernel's first region is the report's top-ranked row."""
+        the kernel's first region is the report's top row by ``(rank,
+        credit)``."""
         bound = SyntheticWorkload(
             distribution="anticorrelated", n=300, d=2, sigma=0.01, seed=7
         ).bound()
@@ -99,7 +105,7 @@ class TestExplain:
         step = kernel.step()
         while step.kind != "region":
             step = kernel.step()
-        assert step.region_id == max(live, key=lambda p: p.rank).rid
+        assert step.region_id == max(live, key=lambda p: (p.rank, p.credit)).rid
 
     def test_a_rooted_graph_adds_no_rootless_line(self):
         report = explain(make_bound("anticorrelated", n=120, d=3, sigma=0.1, seed=3))

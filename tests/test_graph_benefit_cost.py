@@ -110,7 +110,7 @@ class TestBenefitModel:
         bound = make_bound(n=100, d=2, sigma=0.1, seed=4)
         regions, grid, clock = lookahead_for(bound)
         live = [r for r in regions if not r.discarded and r.covered]
-        counts = {r.rid: progressive_count(r) for r in live}
+        counts = {r.rid: progressive_count(r)[0] for r in live}
         # ProgCount is bounded by the covered-cell count.
         for r in live:
             assert 0 <= counts[r.rid] <= len(r.covered)
@@ -124,13 +124,14 @@ class TestBenefitModel:
         for r in regions:
             if r.discarded or not r.covered:
                 continue
-            b = region_benefit(r, 2)
+            b, credit = region_benefit(r, 2)
             assert 0.0 <= b <= r.cardinality + 1e-9
+            assert 0.0 < credit <= len(r.covered)
 
     def test_benefit_zero_for_empty_region(self):
         region = synthetic_region(0, (0, 0), (1, 1))
         region.covered = []
-        assert region_benefit(region, 2) == 0.0
+        assert region_benefit(region, 2) == (0.0, 0.0)
 
 
 class TestProgCountStaircase:
@@ -187,19 +188,35 @@ class TestProgCountStaircase:
 
     def test_progcounts_match_hand_computation(self):
         regions, _ = self._build()
-        assert progressive_count(regions["D"]) == 2
-        assert progressive_count(regions["B"]) == 0
-        assert progressive_count(regions["A"]) == 2
-        assert progressive_count(regions["C"]) == 2
+        assert progressive_count(regions["D"])[0] == 2
+        assert progressive_count(regions["B"])[0] == 0
+        assert progressive_count(regions["A"])[0] == 2
+        assert progressive_count(regions["C"])[0] == 2
+
+    def test_credits_match_hand_computation(self):
+        """Each unmarked, unemitted covered cell adds 1 / (RegCount +
+        pending): one feeder each, and the unsettled cells of its cone."""
+        regions, state = self._build()
+        want = {
+            "A": 1 + 1 / 2 + 1 / 4 + 1 / 6,
+            "B": 1 / 3 + 1 / 4 + 1 / 4 + 1 / 6,
+            "C": 1 + 1 / 3 + 1 / 2 + 1 / 5,
+            "D": 1 + 1 / 2,
+        }
+        for name, credit in want.items():
+            assert progressive_count(regions[name])[1] == pytest.approx(credit)
+        # A marked cell adds nothing.
+        state.mark_cell(state.grid.cells[(0, 5)])
+        assert progressive_count(regions["A"])[1] == pytest.approx(1 + 1 / 4 + 1 / 5)
 
     def test_progcount_recovers_after_dependency_resolves(self):
         """Once D completes and its cells settle, A, B and C become
         independent."""
         regions, state = self._build()
         self._complete(state, regions["D"])
-        assert progressive_count(regions["B"]) == 4
-        assert progressive_count(regions["A"]) == 4
-        assert progressive_count(regions["C"]) == 4
+        assert progressive_count(regions["B"])[0] == 4
+        assert progressive_count(regions["A"])[0] == 4
+        assert progressive_count(regions["C"])[0] == 4
 
     # D's box grown to (2,2), a cell B covers too.
     SHARED = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -212,7 +229,7 @@ class TestProgCountStaircase:
         self._complete(state, regions["D"])
         shared = state.grid.cells[(2, 2)]
         assert not shared.settled and shared.reg_count == 1
-        assert progressive_count(regions["B"]) == 4
+        assert progressive_count(regions["B"])[0] == 4
 
     def test_pending_feeder_of_a_shared_cell_blocks(self):
         """The converse: while E, still pending, also feeds the shared
@@ -220,8 +237,8 @@ class TestProgCountStaircase:
         regions, state = self._build(D=self.SHARED, E=[(2, 2)])
         self._complete(state, regions["D"])
         assert state.grid.cells[(2, 2)].reg_count == 2
-        assert progressive_count(regions["B"]) == 1
-        assert progressive_count(regions["E"]) == 1
+        assert progressive_count(regions["B"])[0] == 1
+        assert progressive_count(regions["E"])[0] == 1
 
 
 class TestCostModel:
@@ -259,8 +276,9 @@ class TestRank:
         live = [r for r in regions if not r.discarded and r.covered]
         assert live
         for r in live:
-            benefit, cost, rank = progorder.region_rank(r, grid, 2)
-            assert (benefit, cost) == (region_benefit(r, 2), region_cost(r, grid, 2))
+            benefit, cost, rank, credit = progorder.region_rank(r, grid, 2)
+            assert (benefit, credit) == region_benefit(r, 2)
+            assert cost == region_cost(r, grid, 2)
             assert rank == benefit / cost
 
     def test_zero_cost_ranks_by_benefit(self, monkeypatch):
@@ -268,5 +286,5 @@ class TestRank:
         regions, grid, clock = lookahead_for(bound)
         r = next(r for r in regions if not r.discarded and r.covered)
         monkeypatch.setattr(progorder, "region_cost", lambda *args: 0.0)
-        benefit = region_benefit(r, 2)
-        assert progorder.region_rank(r, grid, 2) == (benefit, 0.0, benefit)
+        benefit, credit = region_benefit(r, 2)
+        assert progorder.region_rank(r, grid, 2) == (benefit, 0.0, benefit, credit)

@@ -11,7 +11,14 @@ that are checked here:
   follow kernels whose arrivals reopen settled cells;
 * the count: at every rank call it equals the feeder walk kept in
   ``tests/plan_reference.py`` — for both partitioners, both storage
-  backends, static and follow kernels, and ``explain``'s plan-only path.
+  backends, static and follow kernels, and ``explain``'s plan-only path;
+  and the partial-settling credit the same walk sums, which breaks Eq. 8's
+  ties, equals a sum over ``region.covered`` from recounted feeders and
+  cone cells.
+
+A hypothesis property then runs the order this key gives against the
+oracle: every emitted entry is in the skyline after every step, and the
+result set is the skyline at the end.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from repro.runtime.clock import VirtualClock
 from repro.storage.sources import ColumnarFileSource, write_columnar
 from repro.storage.table import Table
 
-from tests.conftest import make_bound
-from tests.plan_reference import progressive_count_reference
+from tests.conftest import make_bound, oracle_skyline_keys
+from tests.plan_reference import credit_reference, progressive_count_reference
 
 ALIASES = ("R", "T")
 
@@ -57,16 +64,19 @@ def make_source(backend, table, directory):
     return source, source.append_rows
 
 
-def drive(seed, partitioning, backend, schedule, after_step, directory):
-    """Run a kernel to the end, calling ``after_step(kernel)`` after every
-    step; returns the kernel.
+def drive(seed, partitioning, backend, schedule, after_step, directory,
+          distribution="independent", d=2):
+    """Run a kernel to the end, calling ``after_step(kernel, report)`` after
+    every step; returns the kernel.
 
     ``schedule`` is ``None`` for a static kernel over all rows.  Otherwise
     the kernel follows tables holding half the rows, and each ``(steps,
     alias, size)`` event takes that many steps, then appends the next
     ``size`` arriving rows to ``alias``.
     """
-    workload = SyntheticWorkload(n=90, d=2, sigma=0.05, seed=seed)
+    workload = SyntheticWorkload(
+        distribution=distribution, n=90, d=d, sigma=0.05, seed=seed
+    )
     tables, arriving = {}, {}
     for alias, table in workload.tables().items():
         rows = list(table.rows)
@@ -83,19 +93,17 @@ def drive(seed, partitioning, backend, schedule, after_step, directory):
     ).kernel()
     for steps, alias, size in schedule or ():
         for _ in range(steps):
-            kernel.step()
-            after_step(kernel)
+            after_step(kernel, kernel.step())
         appenders[alias](arriving[alias][:size])
         del arriving[alias][:size]
     if schedule is not None:
         kernel.close_ingest()
     while not kernel.finished:
-        kernel.step()
-        after_step(kernel)
+        after_step(kernel, kernel.step())
     return kernel
 
 
-def assert_counters(kernel):
+def assert_counters(kernel, report=None):
     """RegCount and ``pending`` of every unsettled cell, recounted."""
     regions = kernel.state.regions
     for cell in kernel.plan.grid.cells.values():
@@ -109,16 +117,17 @@ def assert_counters(kernel):
 
 @contextmanager
 def checked_progcount():
-    """Check ProgCount against the feeder walk at every call.
+    """Check ProgCount against the feeder walk, and the credit against a
+    sum over recounted feeders and cone cells, at every call.
 
     The walk looks feeders up in a region table: the regions of the last
     kernel made (its ``ExecutionState``'s, plus those its arrival polls
     wire, all of a batch before any is ranked) or of the last plan's
     look-ahead (``explain`` ranks those).  Yields the list of checked
-    counts.
+    ``(count, credit)`` pairs.
     """
     table: dict = {}
-    checked: list[int] = []
+    checked: list[tuple[int, float]] = []
     count = benefit.progressive_count
     wire = StreamingKernel._wire_regions
 
@@ -141,7 +150,11 @@ def checked_progcount():
     def checked_count(region):
         got = count(region)
         want = progressive_count_reference(region, table)
-        assert got == want, f"region #{region.rid}: {got} != feeder walk {want}"
+        assert got[0] == want, f"region #{region.rid}: {got[0]} != feeder walk {want}"
+        credit = credit_reference(region, table)
+        assert got[1] == credit, (
+            f"region #{region.rid}: credit {got[1]} != {credit}"
+        )
         checked.append(got)
         return got
 
@@ -199,7 +212,7 @@ class TestProgCountMatchesFeederWalk:
     )
     def test_at_every_rank_call(self, seed, partitioning, backend, schedule):
         with tempfile.TemporaryDirectory() as directory, checked_progcount() as checked:
-            drive(seed, partitioning, backend, schedule, lambda kernel: None, directory)
+            drive(seed, partitioning, backend, schedule, lambda *_: None, directory)
         assert checked
 
     @pytest.mark.parametrize("partitioning", ["grid", "quadtree"])
@@ -219,3 +232,44 @@ class TestProgCountMatchesFeederWalk:
         with checked_progcount() as checked:
             report = explain(bound)
         assert len(checked) == sum(1 for r in report.region_plans if not r.discarded)
+
+
+# ----------------------------------------------------------------------
+# the order against the oracle
+# ----------------------------------------------------------------------
+class TestOrderKeepsTheOracle:
+    """Whatever order the ``(rank, credit)`` key picks, emission stays
+    safe: an entry a step emits is in the final skyline, and the emitted
+    set is the skyline once the kernel finishes.  Three dimensions, and
+    anticorrelated inputs, give skylines of up to ~170 entries over many
+    cells, where an early emission would show."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        seed=st.integers(0, 5),
+        distribution=st.sampled_from(["independent", "anticorrelated"]),
+        d=st.sampled_from([2, 3]),
+        partitioning=st.sampled_from(["grid", "quadtree"]),
+        backend=st.sampled_from(["table", "columnar"]),
+        follow=st.booleans(),
+        schedule=arrivals,
+    )
+    def test_every_emitted_entry_is_final(
+        self, seed, distribution, d, partitioning, backend, follow, schedule
+    ):
+        emitted: list[set] = []
+
+        def record(kernel, report):
+            emitted.append({r.key() for r in report.results})
+
+        with tempfile.TemporaryDirectory() as directory:
+            kernel = drive(
+                seed, partitioning, backend, schedule if follow else None,
+                record, directory, distribution, d,
+            )
+            # The oracle over every row the sources hold at the end: all of
+            # them statically, the arrived ones in follow mode.
+            oracle = oracle_skyline_keys(kernel.bound)
+        for step, keys in enumerate(emitted, 1):
+            assert keys <= oracle, f"step {step} emitted {keys - oracle}"
+        assert set().union(*emitted) == oracle

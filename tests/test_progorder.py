@@ -9,18 +9,22 @@ from repro.runtime.clock import VirtualClock
 from repro.storage.partition import InputPartition
 
 
-def region(rid, cmin, cmax, rank=1.0):
+class KeyedRegion(OutputRegion):
+    """A region carrying a fixed ``(rank, credit)`` key for the tests."""
+
+
+def region(rid, cmin, cmax, rank=1.0, credit=0.0):
     lp = InputPartition("R", (0,), (0.0,), (1.0,))
     rp = InputPartition("T", (0,), (0.0,), (1.0,))
-    r = OutputRegion(rid, lp, rp, (0.0, 0.0), (1.0, 1.0), 10.0)
+    r = KeyedRegion(rid, lp, rp, (0.0, 0.0), (1.0, 1.0), 10.0)
     r.cell_min, r.cell_max = cmin, cmax
     r.covered = [object()]
-    r.cardinality = rank  # smuggle a fixed rank through for tests
+    r.key = (rank, credit)
     return r
 
 
 def fixed_rank(r):
-    return r.cardinality
+    return r.key
 
 
 class TestProgOrder:
@@ -68,6 +72,37 @@ class TestProgOrder:
         assert got is not None
         assert got.rid == 1  # cycle broken by rank
 
+    def test_credit_breaks_rank_ties(self):
+        regions = [
+            region(0, (0, 4), (1, 5), rank=0.0, credit=0.5),
+            region(1, (2, 2), (3, 3), rank=0.0, credit=2.0),
+            region(2, (4, 0), (5, 1), rank=0.0, credit=2.0),
+        ]
+        graph = EliminationGraph(regions, VirtualClock())
+        policy = ProgOrder(graph, fixed_rank, VirtualClock())
+        order = []
+        while (r := policy.next_region()) is not None:
+            r.processed = True
+            order.append(r.rid)
+            policy.on_region_done(r)
+        # Equal keys keep queue order.
+        assert order == [1, 2, 0]
+
+    def test_rank_decides_before_credit(self):
+        a = region(0, (0, 3), (1, 4), rank=1.0, credit=0.0)
+        b = region(1, (3, 0), (4, 1), rank=0.5, credit=9.0)
+        graph = EliminationGraph([a, b], VirtualClock())
+        policy = ProgOrder(graph, fixed_rank, VirtualClock())
+        assert policy.next_region().rid == 0
+
+    def test_a_stale_key_goes_back_behind_a_better_one(self):
+        a = region(0, (0, 3), (1, 4), rank=0.0, credit=3.0)
+        b = region(1, (3, 0), (4, 1), rank=0.0, credit=2.0)
+        graph = EliminationGraph([a, b], VirtualClock())
+        policy = ProgOrder(graph, fixed_rank, VirtualClock())
+        a.key = (0.0, 1.0)  # a's credit fell after it was queued
+        assert policy.next_region().rid == 1
+
     def test_exhaustion_returns_none(self):
         a = region(0, (0, 0), (1, 1))
         graph = EliminationGraph([a], VirtualClock())
@@ -90,7 +125,7 @@ class TestProgOrder:
         clock = VirtualClock()
         regions, grid = run_lookahead(bound, lg, rg, 6, clock)
         graph = EliminationGraph(regions, clock)
-        policy = ProgOrder(graph, lambda r: 1.0, clock)
+        policy = ProgOrder(graph, lambda r: (1.0, 0.0), clock)
         seen = set()
         while True:
             r = policy.next_region()

@@ -21,6 +21,13 @@ under a guard (see :func:`_regenerate`)::
     PYTHONPATH=src:. python tests/test_rowfree_phase2.py --mode follow
     PYTHONPATH=src:. python tests/test_rowfree_phase2.py --mode all \\
         --may-fall dominance_cmp
+
+A change that only reorders the work (a new region order) regenerates
+under the reorder guard: each row keeps its result-key *set* and passes
+the oracle, while its order and clock counts may move; the per-kind clock
+diff is printed::
+
+    PYTHONPATH=src:. python tests/test_rowfree_phase2.py --reorder
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import itertools
 import json
 import pathlib
 import tempfile
+from collections import Counter
 
 import pytest
 
@@ -82,8 +90,9 @@ def golden_id(case) -> str:
     return case_id((partitioning, backend, *rest))
 
 
-def run_case(case, tmp_path: pathlib.Path) -> dict:
-    """Result-key sequence + clock snapshot of one matrix entry."""
+def run_case(case, tmp_path: pathlib.Path, *, verify: bool = False) -> dict:
+    """Result-key sequence + clock snapshot of one matrix entry; with
+    ``verify``, also ``"verified"``: whether the results pass the oracle."""
     partitioning, backend, mode, flush_pairs, smaller = case
     workload = SyntheticWorkload(n=200, d=2, sigma=0.1, seed=20100301)
     sizes = {"R": 110, "T": 200} if smaller == "left" else {"R": 200, "T": 110}
@@ -130,11 +139,14 @@ def run_case(case, tmp_path: pathlib.Path) -> dict:
             kernel.close_ingest()
         while not kernel.finished:
             results.extend(kernel.step().results)
-    return {
+    row = {
         "keys": [[list(r.left_row), list(r.right_row)] for r in results],
         "clock": dict(sorted(clock.snapshot().items())),
         "vtime": clock.now(),
     }
+    if verify:
+        row["verified"] = verify_results(kernel.bound, results).ok
+    return row
 
 
 class TestPinnedIdentity:
@@ -312,8 +324,43 @@ def _guard(
     return problems
 
 
+def _reorder_guard(name: str, old: dict, new: dict, verified: bool) -> list[str]:
+    """Why ``new`` may not replace ``old`` as a pure reorder: its result
+    keys must be ``old``'s as a multiset, and its results must have passed
+    the oracle (``verified``); order, clock counts and ``vtime`` may move
+    either way."""
+    problems = []
+    keys = [Counter(map(json.dumps, row["keys"])) for row in (old, new)]
+    if keys[0] != keys[1]:
+        problems.append(f"{name}: result-key set differs")
+    if not verified:
+        problems.append(f"{name}: results fail verify_results")
+    return problems
+
+
+def _clock_diff(old: dict, new: dict, names: list[str]) -> list[str]:
+    """The clock kinds and ``vtime`` whose totals over ``names`` moved,
+    old -> new."""
+
+    def totals(rows: dict) -> Counter:
+        out: Counter = Counter()
+        for name in names:
+            out.update(rows[name]["clock"])
+            out["vtime"] += rows[name]["vtime"]
+        return out
+
+    was, now = totals(old), totals(new)
+    return [
+        f"  {kind}: {was[kind]:g} -> {now[kind]:g} ({now[kind] - was[kind]:+g})"
+        for kind in sorted(set(was) | set(now))
+        if was[kind] != now[kind]
+    ]
+
+
 def _regenerate(
-    mode: str | None = None, may_fall: tuple[str, ...] = _MAY_FALL
+    mode: str | None = None,
+    may_fall: tuple[str, ...] = _MAY_FALL,
+    reorder: bool = False,
 ) -> int:
     """Rewrite the golden file; returns the process exit code.
 
@@ -323,23 +370,34 @@ def _regenerate(
     carried over untouched, and nothing is written unless every rewritten
     row keeps its result keys and every clock count — except the
     ``may_fall`` kinds, which may only fall — and its ``vtime`` did not
-    rise.
+    rise.  With ``reorder`` (``mode`` defaults to ``all``) the guard is
+    :func:`_reorder_guard` instead, and the per-kind clock diff over the
+    rewritten rows is printed.
     """
+    if reorder:
+        mode = mode or "all"
     current = json.loads(GOLDEN.read_text()) if mode else {}
-    golden, problems = dict(current), []
+    golden, problems, names = dict(current), [], []
     for case in CASES:
         if mode not in (None, "all", case[2]):
             continue
+        name = case_id(case)
+        names.append(name)
         with tempfile.TemporaryDirectory() as tmp:
-            row = golden[case_id(case)] = run_case(case, pathlib.Path(tmp))
-        if mode:
-            problems += _guard(
-                case_id(case), current[case_id(case)], row, may_fall
-            )
+            row = run_case(case, pathlib.Path(tmp), verify=reorder)
+        if reorder:
+            verified = row.pop("verified")
+            problems += _reorder_guard(name, current[name], row, verified)
+        elif mode:
+            problems += _guard(name, current[name], row, may_fall)
+        golden[name] = row
     if problems:
         print("\n".join(problems))
         print(f"refused: {GOLDEN} left untouched")
         return 1
+    if reorder:
+        print(f"clock totals over {len(names)} rows, old -> new:")
+        print("\n".join(_clock_diff(current, golden, names)) or "  unchanged")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
     changed = sum(golden[k] != current.get(k) for k in golden)
@@ -352,7 +410,7 @@ class TestGuardedRegeneration:
     the ``--may-fall`` kinds moved, downwards, and ``vtime`` did not rise."""
 
     ROW = {
-        "keys": [[[1], [2]]],
+        "keys": [[[1], [2]], [[3], [4]]],
         "clock": {"discard": 4, "partition_op": 90, "queue_op": 30},
         "vtime": 31.0,
     }
@@ -405,9 +463,9 @@ class TestGuardedRegeneration:
         golden.write_text(json.dumps(before, indent=0, sort_keys=True) + "\n")
         ran = []
 
-        def fake_run_case(case, tmp):
+        def fake_run_case(case, tmp, verify=False):
             ran.append(case)
-            return row
+            return dict(row)
 
         monkeypatch.setattr(module, "GOLDEN", golden)
         monkeypatch.setattr(module, "run_case", fake_run_case)
@@ -468,6 +526,58 @@ class TestGuardedRegeneration:
         assert code == 1
         assert json.loads(golden.read_text()) == before
 
+    def test_reorder_guard_accepts_a_permutation_of_the_keys(self):
+        moved = {
+            "keys": self.ROW["keys"][::-1],
+            "clock": {"discard": 6, "queue_op": 28},
+            "vtime": 40.0,
+        }
+        assert _reorder_guard("c", self.ROW, moved, True) == []
+
+    @pytest.mark.parametrize(
+        "keys, verified, problem",
+        [
+            ([[[1], [2]]], True, "c: result-key set differs"),
+            ([[[1], [2]], [[3], [5]]], True, "c: result-key set differs"),
+            ([[[1], [2]], [[1], [2]]], True, "c: result-key set differs"),
+            ([[[3], [4]], [[1], [2]]], False, "c: results fail verify_results"),
+        ],
+        ids=["dropped", "changed", "duplicated", "unverified"],
+    )
+    def test_reorder_guard_refuses(self, keys, verified, problem):
+        new = {**self.ROW, "keys": keys}
+        assert _reorder_guard("c", self.ROW, new, verified) == [problem]
+
+    def test_reorder_rewrites_every_row_and_prints_the_clock_diff(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        moved = {
+            "keys": self.ROW["keys"][::-1],
+            "clock": {"discard": 4, "partition_op": 90, "queue_op": 32},
+            "vtime": 31.5,
+        }
+        code, golden, _ = self.regenerate(
+            monkeypatch, tmp_path, {**moved, "verified": True}, mode="all",
+            reorder=True,
+        )
+        assert code == 0
+        assert json.loads(golden.read_text()) == {
+            case_id(case): moved for case in CASES
+        }
+        rows = len(CASES)
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            f"clock totals over {rows} rows, old -> new:",
+            f"  queue_op: {30 * rows} -> {32 * rows} (+{2 * rows})",
+            f"  vtime: {31 * rows:g} -> {31.5 * rows:g} (+{0.5 * rows:g})",
+        ]
+
+    def test_a_refused_reorder_writes_nothing(self, monkeypatch, tmp_path):
+        changed = {**self.ROW, "keys": [[[1], [2]]], "verified": True}
+        code, golden, before = self.regenerate(
+            monkeypatch, tmp_path, changed, mode="all", reorder=True
+        )
+        assert code == 1
+        assert json.loads(golden.read_text()) == before
 
 if __name__ == "__main__":
     import argparse
@@ -477,5 +587,12 @@ if __name__ == "__main__":
     parser.add_argument(
         "--may-fall", nargs="+", default=list(_MAY_FALL), metavar="KIND"
     )
+    parser.add_argument(
+        "--reorder", action="store_true",
+        help="a pure reorder: keep each row's result-key set and the "
+        "oracle, let order and clock counts move, print the clock diff",
+    )
     args = parser.parse_args()
-    raise SystemExit(_regenerate(args.mode, tuple(args.may_fall)))
+    raise SystemExit(
+        _regenerate(args.mode, tuple(args.may_fall), reorder=args.reorder)
+    )

@@ -628,11 +628,18 @@ class TestVectorizedBatchBudgets:
 
     def test_comparison_budget_trips_mid_batch(self, session, bound):
         oracle = oracle_skyline_keys(bound)
-        full = session.execute(bound).drain()
+        stream = session.execute(bound)
+        full = stream.drain()
         assert {r.key() for r in full} == oracle
-        # Walk the budget down so at least one run stops mid-execution.
+        # Walk the budget down from the unbudgeted run's own comparison
+        # count, halving it, so the ladder reaches the query whatever order
+        # its regions run in; at least one run must stop mid-execution.
+        total = stream.stats().dominance_comparisons
+        assert total > 1
+        ladder = [total // 2**i for i in range(1, total.bit_length())]
+        assert ladder[-1] == 1
         stopped = 0
-        for max_cmp in (5000, 1000, 200, 50, 10):
+        for max_cmp in ladder:
             stream = session.execute(
                 bound, budget=StreamBudget(max_comparisons=max_cmp)
             )
@@ -642,7 +649,10 @@ class TestVectorizedBatchBudgets:
                 assert "comparison budget" in stream.stats().stop_reason
                 assert len(partial) < len(full)
             # The emitted prefix is provably final regardless of where the
-            # bulk charge tripped the wire.
+            # bulk charge tripped the wire: it is the unbudgeted run's own.
+            assert [r.key() for r in partial] == [
+                r.key() for r in full[: len(partial)]
+            ]
             assert {r.key() for r in partial} <= oracle
         assert stopped > 0
 
